@@ -12,12 +12,8 @@
 //! CSVs are written to `results/`.
 
 use sr_bench::{
-    analysis_json, chaos_json, csv, delta_grounding_json, incremental_json, join_planning_json,
-    multi_tenant_json, observability_json, program_p_prime, run, run_analysis, run_chaos,
-    run_delta_grounding, run_incremental, run_join_planning, run_multi_tenant, run_observability,
-    run_throughput, table, throughput_json, AnalysisBenchConfig, ChaosConfig, DeltaGroundingConfig,
-    ExperimentConfig, ExperimentResult, IncrementalConfig, JoinPlanningConfig, Measure,
-    MultiTenantConfig, ObservabilityConfig, Series, ThroughputConfig, PROGRAM_P,
+    csv, program_p_prime, run, table, ExperimentConfig, ExperimentResult, Measure, Series,
+    PROGRAM_P,
 };
 use sr_core::{AnalysisConfig, DependencyAnalysis, DuplicationPolicy, ParallelMode};
 use sr_stream::GeneratorKind;
@@ -26,60 +22,19 @@ use std::path::Path;
 const USAGE: &str = "\
 repro — regenerate the paper's evaluation (Figures 7-10, claims, ablations)
 
-usage: repro [all|fig7|fig8|fig9|fig10|claims|ablations|throughput|incremental|delta-grounding|join-planning|multi-tenant|observability|chaos|analyze] [--quick]
-       repro check [--forbid-skips] <BENCH_*.json>...
+usage: repro [all|fig7|fig8|fig9|fig10|claims|ablations] [--quick]
        repro --smoke
        repro --help
 
-  all          every figure, the Section IV claims, the ablations and the
-               throughput + incremental + delta-ground + join-planning +
-               multi-tenant + analysis sweeps (default)
+  all          every figure, the Section IV claims and the ablations (default)
   figN         one figure's grid and CSV (written to results/)
   claims       the Section IV headline claims on the measured grids
   ablations    partitioning ablations beyond the paper
-  throughput   pipelined StreamEngine vs window-at-a-time baseline
-               (writes results/BENCH_throughput.json)
-  incremental  sliding-window slide/size sweep: partition-cache reasoner vs
-               full recompute (writes results/BENCH_incremental.json)
-  delta-grounding
-               sliding-window sweep: delta-driven grounding inside dirty
-               partitions vs the partition-cache-only incremental reasoner
-               (writes results/BENCH_delta_grounding.json)
-  join-planning
-               wide-body join sweep: cost-based join planning in the hot
-               grounding loop vs the syntactic bound-args heuristic
-               (writes results/BENCH_join_planning.json)
-  multi-tenant tenant count x duplicate-ratio sweep: one shared
-               MultiTenantEngine vs N independent pipelines
-               (writes results/BENCH_multi_tenant.json)
-  observability
-               engine throughput with sr-obs tracing + a scraped metrics
-               registry fully on vs fully off: byte-identity both sides and
-               the instrumentation overhead fraction
-               (writes results/BENCH_observability.json)
-  chaos        engine under deterministic fault injection (worker panics,
-               corrupted deltas, cache invalidations, slowdowns past the
-               window deadline): inert-hook identity, clean-window identity,
-               degraded_window_fraction and recovery_windows_p95
-               (writes results/BENCH_chaos.json)
-  analyze      static-bound tightness: the admission-time memory bound vs
-               the delta grounder's observed peak state on the churn
-               workload; bound_tightness must stay <= 1.0 — a violation is
-               a soundness bug (writes results/BENCH_analysis.json)
-  check        regression-gate one or more BENCH_*.json records: exit 1 when
-               any output-identity flag is false, the record's headline
-               speedup (speedup_at_eighth / best_speedup_windows_per_sec /
-               shared_work_speedup_at_dup1 / planner_speedup) fell below
-               1.0, the observability record's obs_overhead_fraction
-               exceeded 0.05, the chaos record's degraded_window_fraction
-               exceeded its recorded ceiling, or the analysis record's
-               bound_tightness exceeded 1.0 — the CI bench-gate step.
-               On a 1-core runner, parallelism-dependent gates (the
-               throughput record) are marked skipped_single_core instead of
-               failing spuriously; --forbid-skips turns any skip into a
-               failure (CI asserts this on its multi-core runners)
   --quick      small grid (2 window sizes, 2 reps) instead of the paper grid
   --smoke      seconds-fast end-to-end pipeline check, no files written
+
+End-to-end throughput and latency of the paper's workloads are measured by
+the repository's benchmark (BENCHMARK.json, benchmark/README.md).
 ";
 
 fn main() {
@@ -92,12 +47,12 @@ fn main() {
         smoke();
         return;
     }
-    if args.first().map(String::as_str) == Some("check") {
-        check(&args[1..]);
-        return;
-    }
     let quick = args.iter().any(|a| a == "--quick");
     let what = args.iter().find(|a| !a.starts_with("--")).map(String::as_str).unwrap_or("all");
+    if !matches!(what, "all" | "fig7" | "fig8" | "fig9" | "fig10" | "claims" | "ablations") {
+        eprintln!("repro: unknown experiment `{what}`\n\n{USAGE}");
+        std::process::exit(2);
+    }
 
     std::fs::create_dir_all("results").expect("create results dir");
 
@@ -149,373 +104,6 @@ fn main() {
     if matches!(what, "all" | "ablations") {
         ablations(quick);
     }
-    if matches!(what, "all" | "throughput") {
-        throughput(quick);
-    }
-    if matches!(what, "all" | "incremental") {
-        incremental(quick);
-    }
-    if matches!(what, "all" | "delta-grounding") {
-        delta_grounding(quick);
-    }
-    if matches!(what, "all" | "join-planning") {
-        join_planning(quick);
-    }
-    if matches!(what, "all" | "multi-tenant") {
-        multi_tenant(quick);
-    }
-    if matches!(what, "all" | "observability") {
-        observability(quick);
-    }
-    if matches!(what, "all" | "chaos") {
-        chaos(quick);
-    }
-    if matches!(what, "all" | "analyze") {
-        analyze(quick);
-    }
-}
-
-/// The static-bound tightness run: the admission-time memory bound versus
-/// the delta grounder's observed peak state on the retraction-heavy churn
-/// workload, recorded as `results/BENCH_analysis.json`.
-fn analyze(quick: bool) {
-    println!("\n== Static analysis: admission-time memory bound vs observed peak state ==");
-    let cfg = if quick { AnalysisBenchConfig::quick() } else { AnalysisBenchConfig::paper() };
-    let result = run_analysis(&cfg).expect("analysis run");
-    println!(
-        "  window {} items, {} windows per ratio, {} partitions, retract fraction {:.2}",
-        result.window_size, result.windows, result.partitions, result.retract_fraction
-    );
-    for run in &result.runs {
-        println!(
-            "  slide 1/{:<2} ({} items): predicted {} cells, observed peak {} -> tightness \
-             {:.4}, within bound: {}, identical: {}",
-            (result.window_size / run.slide),
-            run.slide,
-            run.predicted_cells,
-            run.observed_cells,
-            run.tightness,
-            run.within_bound,
-            run.output_identical
-        );
-    }
-    println!(
-        "  bound_tightness (headline, must stay <= 1.0): {:.4}, all within bound: {}",
-        result.bound_tightness(),
-        result.all_within_bound()
-    );
-    let path = "results/BENCH_analysis.json";
-    std::fs::write(Path::new(path), analysis_json(&result)).expect("write analysis json");
-    println!("[json written to {path}]");
-}
-
-/// The chaos run: the engine throughput workload under deterministic fault
-/// injection with the per-window deadline armed, recorded as
-/// `results/BENCH_chaos.json`.
-fn chaos(quick: bool) {
-    println!("\n== Chaos: engine under deterministic fault injection ==");
-    let cfg = if quick { ChaosConfig::quick(PROGRAM_P) } else { ChaosConfig::paper(PROGRAM_P) };
-    let result = run_chaos(&cfg).expect("chaos run");
-    println!(
-        "  {} windows x {} items, {} in flight, faults {:.0}% + slowdowns {:.0}% ({} ms stall), \
-         deadline {} ms",
-        result.windows,
-        result.window_size,
-        result.in_flight,
-        result.fault_rate * 100.0,
-        result.slowdown_rate * 100.0,
-        result.stall_ms,
-        result.deadline_ms
-    );
-    println!(
-        "  hooks disabled identical: {}, clean windows identical: {}, emission ordered: {}",
-        result.hooks_disabled_identical, result.clean_windows_identical, result.emission_ordered
-    );
-    println!(
-        "  degraded {} / errored {} of {} windows (fraction {:.4}, ceiling {:.2}), \
-         recovery p95 {:.1} window(s)",
-        result.degraded_windows,
-        result.errored_windows,
-        result.windows,
-        result.degraded_window_fraction,
-        result.degraded_fraction_ceiling,
-        result.recovery_windows_p95
-    );
-    if let Some(f) = &result.faulted.failure {
-        println!(
-            "  recovery counters: {} retries, {} fallbacks, {} degraded, {} late, \
-             {} lane rebuilds",
-            f.retries, f.fallbacks, f.degraded_windows, f.late_recoveries, f.lane_rebuilds
-        );
-    }
-    let path = "results/BENCH_chaos.json";
-    std::fs::write(Path::new(path), chaos_json(&result)).expect("write chaos json");
-    println!("[json written to {path}]");
-}
-
-/// The observability overhead run: the engine throughput workload with
-/// sr-obs fully on (tracer live, registry scraped) vs fully off, recorded
-/// as `results/BENCH_observability.json`.
-fn observability(quick: bool) {
-    println!("\n== Observability: tracing + scraped metrics registry on vs off ==");
-    let cfg = if quick {
-        ObservabilityConfig::quick(PROGRAM_P)
-    } else {
-        ObservabilityConfig::paper(PROGRAM_P)
-    };
-    let result = run_observability(&cfg).expect("observability run");
-    println!(
-        "  {} windows x {} items, {} in flight, best of {} trial(s) per side",
-        result.windows, result.window_size, result.in_flight, result.trials
-    );
-    println!(
-        "  off: {:.2} windows/s (p50 {:.2} ms) — identical: {}",
-        result.off.windows_per_sec, result.off.latency.p50_ms, result.off_output_identical
-    );
-    println!(
-        "  on:  {:.2} windows/s (p50 {:.2} ms) — identical: {}, {} spans / {} stages, {} scrape bytes",
-        result.on.windows_per_sec,
-        result.on.latency.p50_ms,
-        result.on_output_identical,
-        result.spans_recorded,
-        result.stages_covered,
-        result.scrape_bytes
-    );
-    println!("  overhead fraction: {:.4}", result.overhead_fraction());
-    let path = "results/BENCH_observability.json";
-    std::fs::write(Path::new(path), observability_json(&result)).expect("write observability json");
-    println!("[json written to {path}]");
-}
-
-/// The join-planning sweep (beyond the paper): cost-based join ordering in
-/// the hot grounding loop vs the syntactic bound-args heuristic on wide-body
-/// rules over a skewed workload, recorded as `results/BENCH_join_planning.json`.
-fn join_planning(quick: bool) {
-    println!("\n== Join planning: cost-based join ordering vs syntactic heuristic ==");
-    let cfg = if quick { JoinPlanningConfig::quick() } else { JoinPlanningConfig::paper() };
-    let result = run_join_planning(&cfg).expect("join-planning sweep");
-    println!("  {} windows per cell", result.windows);
-    for run in &result.runs {
-        println!(
-            "  window {:>5}: syntactic {:.1} ms, planner {:.1} ms -> {:.2}x, identical: {}",
-            run.window_size, run.syntactic_ms, run.planner_ms, run.speedup, run.output_identical
-        );
-    }
-    let churn = &result.churn;
-    println!(
-        "  churn (size {}, slide {}): syntactic {:.1} ms, planner {:.1} ms -> {:.2}x, \
-         {} replans / {} plans reordered, identical: {}",
-        churn.window_size,
-        churn.slide,
-        churn.syntactic_ms,
-        churn.planner_ms,
-        churn.speedup,
-        churn.cache.planner_replans,
-        churn.cache.planner_plans_reordered,
-        churn.output_identical
-    );
-    let path = "results/BENCH_join_planning.json";
-    std::fs::write(Path::new(path), join_planning_json(&result)).expect("write join-planning json");
-    println!("[json written to {path}]");
-}
-
-/// The multi-tenant serving sweep (beyond the paper): one shared
-/// `MultiTenantEngine` vs N independent pipelines over tenant count ×
-/// duplicate ratio, recorded as `results/BENCH_multi_tenant.json`.
-fn multi_tenant(quick: bool) {
-    println!("\n== Multi-tenant: shared program serving vs independent pipelines ==");
-    let cfg = if quick { MultiTenantConfig::quick() } else { MultiTenantConfig::paper() };
-    let result = run_multi_tenant(&cfg).expect("multi-tenant sweep");
-    println!(
-        "  window {} items (slide {}), {} windows per cell, {} programs, cache capacity {}",
-        result.window_size, result.slide, result.windows, result.programs, result.cache_capacity
-    );
-    for run in &result.runs {
-        println!(
-            "  tenants {:>2} dup {:.2}: independent {:.1} ms, shared {:.1} ms -> {:.2}x, \
-             dedup ratio {:.2} ({} runs saved), identical: {}",
-            run.tenants,
-            run.dup_ratio,
-            run.independent_ms,
-            run.shared_ms,
-            run.speedup,
-            run.dedup.dedup_ratio,
-            run.dedup.shared_runs_saved,
-            run.output_identical
-        );
-    }
-    if let Some(stats) = &result.stats {
-        println!(
-            "  headline cell: {:.2} windows/s, window latency p50 {:.2} ms / p99 {:.2} ms, \
-             {} tenant latency series",
-            stats.windows_per_sec,
-            stats.latency.p50_ms,
-            stats.latency.p99_ms,
-            stats.tenants.len()
-        );
-    }
-    let path = "results/BENCH_multi_tenant.json";
-    std::fs::write(Path::new(path), multi_tenant_json(&result)).expect("write multi-tenant json");
-    println!("[json written to {path}]");
-}
-
-/// The CI bench gate: checks every given record with
-/// [`sr_bench::check_record`] — all records are checked and all violations
-/// reported before the non-zero exit — so the bench-smoke job fails on an
-/// output-identity or headline-speedup regression instead of silently
-/// uploading a bad record.
-fn check(args: &[String]) {
-    let forbid_skips = args.iter().any(|a| a == "--forbid-skips");
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if files.is_empty() {
-        eprintln!("repro check: no record files given\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    let single_core = std::thread::available_parallelism().map(|n| n.get() == 1).unwrap_or(false);
-    let mut failed = false;
-    let mut skipped = 0usize;
-    for file in files {
-        let json = match std::fs::read_to_string(file) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("FAIL {file}: unreadable: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        // A 1-core runner cannot deliver pipelining gains, so the
-        // parallelism-dependent speedup gates would fail (or pass)
-        // vacuously there — mark them skipped instead of pretending the
-        // measurement meant something.
-        if single_core && sr_bench::parallelism_dependent(&json) {
-            println!(
-                "SKIP {file}: skipped_single_core (parallelism-dependent gate on a 1-core runner)"
-            );
-            skipped += 1;
-            continue;
-        }
-        match sr_bench::check_record(&json) {
-            Ok(summary) => println!(
-                "PASS {file}: {} = {:.4}, {} identity flag(s) true",
-                summary.speedup_key, summary.speedup, summary.identity_flags
-            ),
-            Err(violations) => {
-                failed = true;
-                for v in &violations {
-                    eprintln!("FAIL {file}: {v}");
-                }
-            }
-        }
-    }
-    if skipped > 0 && forbid_skips {
-        eprintln!(
-            "FAIL: {skipped} gate(s) skipped_single_core but --forbid-skips was given — \
-             this runner should be multi-core"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The delta-grounding sweep (beyond the paper): maintained grounding +
-/// partition-scoped deltas inside dirty partitions vs the partition-cache-
-/// only incremental reasoner, recorded as `results/BENCH_delta_grounding.json`.
-fn delta_grounding(quick: bool) {
-    println!(
-        "\n== Delta grounding: maintained dirty-partition grounding vs cache-only incremental =="
-    );
-    let cfg = if quick { DeltaGroundingConfig::quick() } else { DeltaGroundingConfig::paper() };
-    let result = run_delta_grounding(&cfg).expect("delta-ground sweep");
-    println!(
-        "  window {} items, {} windows per ratio, {} partitions, cache capacity {}",
-        result.window_size, result.windows, result.partitions, result.cache_capacity
-    );
-    for run in &result.runs {
-        println!(
-            "  slide 1/{:<2} ({} items): cache-only {:.1} ms, delta-ground {:.1} ms -> {:.2}x \
-             (full {:.1} ms), {} applies / {} regrounds, identical: {}",
-            (result.window_size / run.slide),
-            run.slide,
-            run.cache_only_ms,
-            run.delta_ms,
-            run.speedup,
-            run.full_ms,
-            run.cache.delta_applies,
-            run.cache.delta_regrounds,
-            run.output_identical
-        );
-    }
-    println!(
-        "  engine pass: {} lanes, queue high-water {}, output identical: {}",
-        result.engine.lanes.len(),
-        result.engine.queue_high_water,
-        result.engine_output_identical
-    );
-    let path = "results/BENCH_delta_grounding.json";
-    std::fs::write(Path::new(path), delta_grounding_json(&result))
-        .expect("write delta-ground json");
-    println!("[json written to {path}]");
-}
-
-/// The sliding-window incremental sweep (beyond the paper): fingerprint-
-/// cached partition reuse vs full recomputation, recorded as
-/// `results/BENCH_incremental.json`.
-fn incremental(quick: bool) {
-    println!("\n== Incremental: partition-cache reasoner vs full recompute (sliding windows) ==");
-    let cfg = if quick { IncrementalConfig::quick() } else { IncrementalConfig::paper() };
-    let result = run_incremental(&cfg).expect("incremental sweep");
-    println!(
-        "  window {} items, {} windows per ratio, {} partitions, cache capacity {}",
-        result.window_size, result.windows, result.partitions, result.cache_capacity
-    );
-    for run in &result.runs {
-        println!(
-            "  slide 1/{:<2} ({} items): full {:.1} ms, incremental {:.1} ms -> {:.2}x, \
-             dirty ratio {:.2}, identical: {}",
-            (result.window_size / run.slide),
-            run.slide,
-            run.baseline_ms,
-            run.incremental_ms,
-            run.speedup,
-            run.cache.dirty_partition_ratio,
-            run.output_identical
-        );
-    }
-    let path = "results/BENCH_incremental.json";
-    std::fs::write(Path::new(path), incremental_json(&result)).expect("write incremental json");
-    println!("[json written to {path}]");
-}
-
-/// The multi-window throughput sweep (beyond the paper): sequential baseline
-/// vs the pipelined engine, recorded as `results/BENCH_throughput.json`.
-fn throughput(quick: bool) {
-    println!("\n== Throughput: pipelined StreamEngine vs window-at-a-time baseline ==");
-    let cfg =
-        if quick { ThroughputConfig::quick(PROGRAM_P) } else { ThroughputConfig::paper(PROGRAM_P) };
-    let result = run_throughput(&cfg).expect("throughput sweep");
-    println!(
-        "  baseline: {:.2} windows/s ({:.0} items/s, p50 {:.2} ms)",
-        result.baseline.windows_per_sec,
-        result.baseline.items_per_sec,
-        result.baseline.latency.p50_ms
-    );
-    for run in &result.runs {
-        println!(
-            "  in-flight {}: {:.2} windows/s ({:.0} items/s, p50 {:.2} ms, p99 {:.2} ms) — ordered output identical: {}",
-            run.in_flight,
-            run.stats.windows_per_sec,
-            run.stats.items_per_sec,
-            run.stats.latency.p50_ms,
-            run.stats.latency.p99_ms,
-            run.output_identical
-        );
-    }
-    println!("  best speedup: {:.2}x", result.best_speedup());
-    let path = "results/BENCH_throughput.json";
-    std::fs::write(Path::new(path), throughput_json(&result)).expect("write throughput json");
-    println!("[json written to {path}]");
 }
 
 /// CI fast path: drives the full measurement pipeline (parse → analyze →

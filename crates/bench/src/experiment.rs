@@ -1,5 +1,5 @@
-//! Experiment grid runner used by both the `repro` binary and the Criterion
-//! benches: builds the reasoners once, streams synthetic windows through
+//! Experiment grid runner behind the `repro` and `diag` binaries: builds
+//! the reasoners once, streams synthetic windows through
 //! them, and collects latency/accuracy per (window size, series) cell.
 
 use asp_core::{AspError, Program, Symbols};

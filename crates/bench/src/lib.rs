@@ -1,47 +1,20 @@
 //! Benchmark harness for the ICDE'17 reproduction: experiment grid runner,
 //! table/CSV reporting and the paper's programs. The `repro` binary
-//! regenerates Figures 7-10 plus the ablations; Criterion benches under
-//! `benches/` time the same pipelines.
+//! regenerates Figures 7-10, the Section IV claims and the ablations; `diag`
+//! breaks one window's latency down by stage. End-to-end performance is
+//! measured by the repository's benchmark (`BENCHMARK.json`, `benchmark/`).
 
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod chaos;
-pub mod delta_grounding;
 pub mod experiment;
-pub mod gate;
-pub mod incremental;
-pub mod join_planning;
-pub mod multi_tenant;
-pub mod observability;
 pub mod programs;
 pub mod report;
 pub mod throughput;
 
-pub use analysis::{analysis_json, run_analysis, AnalysisBenchConfig, AnalysisResult, AnalysisRun};
-pub use chaos::{chaos_json, run_chaos, ChaosConfig, ChaosResult};
-pub use delta_grounding::{
-    delta_grounding_json, run_delta_grounding, DeltaGroundingConfig, DeltaGroundingResult,
-    DeltaGroundingRun,
-};
 pub use experiment::{run, Cell, ExperimentBench, ExperimentConfig, ExperimentResult, Series};
-pub use gate::{check_record, parallelism_dependent, GateSummary};
-pub use incremental::{
-    incremental_json, run_incremental, IncrementalConfig, IncrementalResult, IncrementalRun,
-};
-pub use join_planning::{
-    join_planning_json, run_join_planning, JoinPlanningChurn, JoinPlanningConfig,
-    JoinPlanningResult, JoinPlanningRun, SkewedJoinGenerator, JOIN_HEAVY,
-};
-pub use multi_tenant::{
-    multi_tenant_json, run_multi_tenant, MultiTenantConfig, MultiTenantResult, MultiTenantRun,
-};
-pub use observability::{
-    observability_json, run_observability, ObservabilityConfig, ObservabilityResult,
-};
 pub use programs::{program_p_prime, PROGRAM_P, RULE_R7};
 pub use report::{csv, table, Measure};
 pub use throughput::{
-    outputs_match, render_output, run_throughput, sequential_baseline, throughput_json,
-    ThroughputConfig, ThroughputResult, ThroughputRun,
+    outputs_match, render_output, sequential_baseline, throughput_json, ThroughputResult,
+    ThroughputRun,
 };

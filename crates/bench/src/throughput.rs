@@ -1,57 +1,15 @@
-//! Multi-window throughput experiment: the window-at-a-time baseline versus
-//! the pipelined [`StreamEngine`] at increasing numbers of windows in
-//! flight, on the paper's traffic workload. Emits `BENCH_throughput.json`
-//! via [`throughput_json`] (the workspace has no JSON serializer dependency,
-//! so the emission is hand-rolled).
+//! The throughput record `streamrule run --json` writes: a window-at-a-time
+//! baseline pass versus the pipelined [`sr_core::StreamEngine`], with an
+//! ordered-output identity check between them. The workspace has no JSON
+//! serializer dependency, so [`throughput_json`] is hand-rolled.
 
 use asp_core::{AspError, Symbols};
-use sr_core::{
-    duration_ms, AnalysisConfig, DependencyAnalysis, EngineConfig, EngineOutput, EngineStats,
-    LatencyStats, ParallelReasoner, PlanPartitioner, Reasoner, ReasonerConfig, ReasonerOutput,
-    StreamEngine, UnknownPredicate,
-};
-use sr_stream::{paper_generator, GeneratorKind, Window};
+use sr_core::{duration_ms, EngineOutput, EngineStats, LatencyStats, Reasoner, ReasonerOutput};
+use sr_stream::Window;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Throughput experiment definition.
-#[derive(Clone, Debug)]
-pub struct ThroughputConfig {
-    /// ASP source of the program under test.
-    pub program: String,
-    /// Workload generator mode.
-    pub generator: GeneratorKind,
-    /// Items per window.
-    pub window_size: usize,
-    /// Number of windows streamed end to end.
-    pub windows: usize,
-    /// Numbers of windows in flight to sweep (each gets its own engine run).
-    pub in_flight: Vec<usize>,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl ThroughputConfig {
-    /// The default sweep: 24 windows of 2,000 items, 1/2/4 in flight.
-    pub fn paper(program: &str) -> Self {
-        ThroughputConfig {
-            program: program.to_string(),
-            generator: GeneratorKind::CorrelatedSparse,
-            window_size: 2_000,
-            windows: 24,
-            in_flight: vec![1, 2, 4],
-            seed: 2017,
-        }
-    }
-
-    /// A smoke-test sweep for CI / `--quick`.
-    pub fn quick(program: &str) -> Self {
-        ThroughputConfig { window_size: 400, windows: 8, ..Self::paper(program) }
-    }
-}
-
-/// One engine run of the sweep.
+/// One pipelined engine run.
 #[derive(Clone, Debug)]
 pub struct ThroughputRun {
     /// Windows in flight (engine lanes).
@@ -63,7 +21,7 @@ pub struct ThroughputRun {
     pub output_identical: bool,
 }
 
-/// Result of the throughput experiment.
+/// A throughput record: the baseline and the engine runs measured against it.
 #[derive(Clone, Debug)]
 pub struct ThroughputResult {
     /// Items per window.
@@ -73,7 +31,7 @@ pub struct ThroughputResult {
     /// The sequential window-at-a-time baseline, expressed in the same
     /// statistics shape as the engine runs.
     pub baseline: EngineStats,
-    /// The engine sweep.
+    /// The engine runs.
     pub runs: Vec<ThroughputRun>,
 }
 
@@ -151,63 +109,7 @@ pub fn sequential_baseline(
     Ok((stats, rendered))
 }
 
-/// Runs the sweep: one sequential baseline pass, then one pipelined engine
-/// pass per `in_flight` value, each verified against the baseline's ordered
-/// rendered output.
-pub fn run_throughput(config: &ThroughputConfig) -> Result<ThroughputResult, AspError> {
-    let syms = Symbols::new();
-    let program = asp_parser::parse_program(&syms, &config.program)?;
-    let analysis = DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())?;
-    let partitioner: Arc<dyn sr_core::Partitioner> =
-        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
-    let reasoner_cfg = ReasonerConfig::default();
-
-    // The whole stream is pre-generated so every run sees identical windows.
-    let mut generator = paper_generator(config.generator, config.seed);
-    let windows: Vec<Window> = (0..config.windows)
-        .map(|i| Window::new(i as u64, generator.window(config.window_size)))
-        .collect();
-
-    // Window-at-a-time baseline: PR_Dep, strictly sequential stream order.
-    let mut baseline_reasoner = ParallelReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner.clone(),
-        reasoner_cfg.clone(),
-    )?;
-    let (baseline, baseline_rendered) =
-        sequential_baseline(&syms, &mut baseline_reasoner, &windows)?;
-
-    // Pipelined engine sweep: lanes share one worker pool sized so each
-    // in-flight window can still fan out over its partitions.
-    let mut runs = Vec::new();
-    for &in_flight in &config.in_flight {
-        let mut engine = StreamEngine::with_partitioned_lanes(
-            &syms,
-            &program,
-            Some(&analysis.inpre),
-            partitioner.clone(),
-            reasoner_cfg.clone(),
-            EngineConfig { in_flight, queue_depth: in_flight, ..Default::default() },
-        )?;
-        for window in &windows {
-            engine.submit(window.clone())?;
-        }
-        let report = engine.finish();
-        let output_identical = outputs_match(&syms, &report.outputs, &baseline_rendered);
-        runs.push(ThroughputRun { in_flight, stats: report.stats, output_identical });
-    }
-
-    Ok(ThroughputResult {
-        window_size: config.window_size,
-        windows: config.windows,
-        baseline,
-        runs,
-    })
-}
-
-/// Renders the result as the `BENCH_throughput.json` document.
+/// Renders the record as the JSON document `streamrule run --json` writes.
 pub fn throughput_json(result: &ThroughputResult) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"window_size\": {},", result.window_size);
@@ -234,45 +136,31 @@ pub fn throughput_json(result: &ThroughputResult) -> String {
 mod tests {
     use super::*;
     use crate::programs::PROGRAM_P;
-
-    #[test]
-    fn quick_sweep_is_ordered_and_identical_to_baseline() {
-        // Hold the process-global fault guard: a concurrent chaos test's
-        // installed plan would otherwise inject faults into this run.
-        let _guard = sr_core::fault::test_guard();
-        let cfg = ThroughputConfig {
-            window_size: 200,
-            windows: 4,
-            in_flight: vec![1, 2],
-            ..ThroughputConfig::quick(PROGRAM_P)
-        };
-        let result = run_throughput(&cfg).unwrap();
-        assert_eq!(result.runs.len(), 2);
-        for run in &result.runs {
-            assert!(run.output_identical, "in_flight={} diverged", run.in_flight);
-            assert_eq!(run.stats.windows, 4);
-            assert_eq!(run.stats.errors, 0);
-        }
-        assert!(result.baseline.windows_per_sec > 0.0);
-    }
+    use sr_core::SingleReasoner;
+    use sr_stream::{paper_generator, GeneratorKind};
 
     #[test]
     fn json_document_shape() {
-        // Hold the process-global fault guard: a concurrent chaos test's
-        // installed plan would otherwise inject faults into this run.
-        let _guard = sr_core::fault::test_guard();
-        let cfg = ThroughputConfig {
+        let syms = Symbols::new();
+        let program = asp_parser::parse_program(&syms, PROGRAM_P).unwrap();
+        let mut reasoner =
+            SingleReasoner::new(&syms, &program, None, asp_solver::SolverConfig::default())
+                .unwrap();
+        let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, 2017);
+        let windows: Vec<Window> = (0..2).map(|i| Window::new(i, generator.window(100))).collect();
+        let (baseline, rendered) = sequential_baseline(&syms, &mut reasoner, &windows).unwrap();
+        assert_eq!(rendered.len(), 2);
+        let result = ThroughputResult {
             window_size: 100,
             windows: 2,
-            in_flight: vec![2],
-            ..ThroughputConfig::quick(PROGRAM_P)
+            baseline: baseline.clone(),
+            runs: vec![ThroughputRun { in_flight: 2, stats: baseline, output_identical: true }],
         };
-        let result = run_throughput(&cfg).unwrap();
         let json = throughput_json(&result);
         assert!(json.contains("\"baseline\":"));
         assert!(json.contains("\"in_flight\": 2"));
         assert!(json.contains("\"ordered_output_identical\": true"));
-        assert!(json.contains("\"best_speedup_windows_per_sec\":"));
+        assert!(json.contains("\"best_speedup_windows_per_sec\": 1.0000"));
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }
 }

@@ -34,8 +34,9 @@
 //! assert_eq!(analysis.plan.communities, 1); // one joined rule = one community
 //! ```
 //!
-//! See `examples/` for end-to-end pipelines and `crates/bench` for the
-//! harness regenerating the paper's Figures 7-10.
+//! See `examples/` for end-to-end pipelines, `crates/bench` for the harness
+//! regenerating the paper's Figures 7-10, and `BENCHMARK.json` /
+//! `benchmark/` for the end-to-end benchmark.
 
 pub use asp_core;
 pub use asp_grounder;

@@ -37,15 +37,57 @@ fn bound_le(a: MemoryBound, b: MemoryBound) -> bool {
     }
 }
 
+/// One input of the bound-soundness property.
+#[derive(Clone, Debug)]
+enum BoundCase {
+    /// A delta program over churned sliding windows of the paper workload.
+    Paper { program_idx: usize, size: usize, slide: usize, fraction: f64, seed: u64 },
+    /// The retraction-heavy workload: `LARGE_TRAFFIC` over bursts cycling
+    /// the plan's communities, 320-item windows sliding by 1/8 and by 1/2,
+    /// half of every slide's retractions drawn from the window interior,
+    /// seed 2017.
+    BurstyChurn,
+}
+
+fn bound_cases() -> impl Strategy<Value = BoundCase> {
+    prop_oneof![
+        (0usize..2, 40usize..=100, 0usize..4, 0usize..3, 0u64..1_000).prop_map(
+            |(program_idx, size, divisor_idx, fraction_idx, seed)| BoundCase::Paper {
+                program_idx,
+                size,
+                slide: (size / [1, 2, 4, 8][divisor_idx]).max(1),
+                fraction: [0.0, 0.5, 1.0][fraction_idx],
+                seed,
+            }
+        ),
+        Just(BoundCase::BurstyChurn),
+    ]
+}
+
+/// The plan's input predicates grouped by community, each group sorted so
+/// the bursty stream is stable across runs.
+fn community_groups(syms: &Symbols, analysis: &DependencyAnalysis) -> Vec<Vec<String>> {
+    let mut groups: Vec<Vec<String>> = vec![Vec::new(); analysis.plan.communities];
+    for p in &analysis.inpre {
+        let name = syms.resolve(p.name).to_string();
+        for &c in analysis.plan.communities_of(&name).unwrap_or_default() {
+            groups[c as usize].push(name.clone());
+        }
+    }
+    groups.retain(|g| !g.is_empty());
+    groups.iter_mut().for_each(|g| g.sort());
+    groups
+}
+
 /// Runs a delta-grounding pass over churned sliding windows and checks the
-/// observed per-partition peak state against the statically predicted
-/// bound after every window.
+/// observed per-partition state against the statically predicted bound
+/// after every window.
 fn assert_bound_sound(
     source: &str,
     size: usize,
     slide: usize,
-    fraction: f64,
-    seed: u64,
+    cache_capacity: usize,
+    windows: impl FnOnce(&Symbols, &DependencyAnalysis) -> Vec<Window>,
 ) -> Result<(), TestCaseError> {
     let syms = Symbols::new();
     let program = parse_program(&syms, source).unwrap();
@@ -64,16 +106,14 @@ fn assert_bound_sound(
             mode: ParallelMode::Sequential,
             incremental: true,
             delta_ground: true,
-            cache_capacity: 16,
+            cache_capacity,
             ..Default::default()
         },
     )
     .unwrap();
     prop_assert!(reasoner.delta_ground_active(), "fragment programs engage the delta lane");
 
-    let inner = paper_generator(GeneratorKind::CorrelatedSparse, seed);
-    let mut churn = ChurnStream::new(inner, size, slide, fraction, seed ^ 0xb0d);
-    for window in churn.windows(4) {
+    for window in windows(&syms, &analysis) {
         reasoner.process(&window).unwrap();
         for (i, observed) in reasoner.delta_state_sizes().into_iter().enumerate() {
             let state = &bounds.partitions[i].state;
@@ -164,21 +204,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Observed delta-grounder state never exceeds the static bound, for
-    /// random programs × window sizes × slides × churn fractions.
+    /// random programs × window sizes × slides × churn fractions and for
+    /// the bursty retraction-heavy workload at 1/8 and 1/2 slides.
     #[test]
-    fn observed_state_never_exceeds_the_static_bound(
-        program_idx in 0usize..2,
-        size in 40usize..=100,
-        divisor_idx in 0usize..4,
-        fraction_idx in 0usize..3,
-        seed in 0u64..1_000,
-    ) {
+    fn observed_state_never_exceeds_the_static_bound(case in bound_cases()) {
         // Hold the process-global fault guard: a concurrent chaos test's
         // installed plan would otherwise inject faults into this run.
         let _guard = stream_reasoner::sr_core::fault::test_guard();
-        let slide = (size / [1, 2, 4, 8][divisor_idx]).max(1);
-        let fraction = [0.0, 0.5, 1.0][fraction_idx];
-        assert_bound_sound(DELTA_PROGRAMS[program_idx], size, slide, fraction, seed)?;
+        match case {
+            BoundCase::Paper { program_idx, size, slide, fraction, seed } => {
+                assert_bound_sound(DELTA_PROGRAMS[program_idx], size, slide, 16, |_, _| {
+                    let inner = paper_generator(GeneratorKind::CorrelatedSparse, seed);
+                    ChurnStream::new(inner, size, slide, fraction, seed ^ 0xb0d).windows(4)
+                })?;
+            }
+            BoundCase::BurstyChurn => {
+                for slide in [320 / 8, 320 / 2] {
+                    assert_bound_sound(LARGE_TRAFFIC, 320, slide, 64, |syms, analysis| {
+                        let groups = community_groups(syms, analysis);
+                        let burst = (slide / groups.len()).max(1);
+                        let inner = BurstyGenerator::new(groups, burst, 320, 2017);
+                        ChurnStream::new(Box::new(inner), 320, slide, 0.5, 2017).windows(8)
+                    })?;
+                }
+            }
+        }
     }
 
     /// The uniform (random-partitioning) bound dominates every

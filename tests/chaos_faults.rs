@@ -160,6 +160,79 @@ proptest! {
     }
 }
 
+/// The fixed seeded chaos case: 48 tumbling PR_Dep windows of the paper
+/// workload through two incremental lanes, 5% worker panics, delta
+/// corruptions and cache invalidations, and 5% partition slowdowns stalling
+/// past the window deadline, all seeded from one number. Clean windows stay
+/// byte-identical to the fault-free reference, every degraded window is
+/// flagged and counted, and at most half of the windows degrade.
+#[test]
+fn seeded_chaos_run_degrades_at_most_half_the_windows() {
+    const SEED: u64 = 2017;
+    const FAULT_RATE: f64 = 0.05;
+    const SLOWDOWN_RATE: f64 = 0.05;
+    let _guard = fault::test_guard();
+    fault::clear();
+    let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, SEED);
+    let windows: Vec<Window> = (0..48).map(|i| Window::new(i, generator.window(300))).collect();
+    let syms = Symbols::new();
+    let program = parse_program(&syms, PROGRAM_P).unwrap();
+    let analysis =
+        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+    let partitioner: Arc<dyn Partitioner> =
+        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+    let config = ReasonerConfig { incremental: true, ..Default::default() };
+    let mut reference = IncrementalReasoner::new(
+        &syms,
+        &program,
+        Some(&analysis.inpre),
+        partitioner.clone(),
+        config.clone(),
+    )
+    .unwrap();
+    let expected: Vec<String> =
+        windows.iter().map(|w| render(&syms, &reference.process(w).unwrap())).collect();
+
+    fault::install(
+        FaultPlan::new()
+            .with_rule(FaultSite::WorkerPanic, FAULT_RATE, SEED)
+            .with_rule(FaultSite::DeltaCorrupt, FAULT_RATE, SEED + 1)
+            .with_rule(FaultSite::CacheInvalidate, FAULT_RATE, SEED + 2)
+            .with_rule(FaultSite::PartitionSlowdown, SLOWDOWN_RATE, SEED + 3)
+            .with_stall(Duration::from_millis(400)),
+    );
+    let mut engine = StreamEngine::with_partitioned_lanes(
+        &syms,
+        &program,
+        Some(&analysis.inpre),
+        partitioner,
+        config,
+        EngineConfig { in_flight: 2, queue_depth: 2, window_deadline_ms: Some(120) },
+    )
+    .unwrap();
+    for window in &windows {
+        engine.submit(window.clone()).unwrap();
+    }
+    let report = engine.finish();
+    fault::clear();
+
+    assert_eq!(report.outputs.len(), windows.len());
+    let mut degraded = 0u64;
+    for (i, out) in report.outputs.iter().enumerate() {
+        assert_eq!(out.seq, i as u64, "emission left submission order");
+        if out.degraded {
+            degraded += 1;
+        } else if let Ok(output) = &out.result {
+            assert_eq!(render(&syms, output), expected[i], "clean window {i} diverged");
+        }
+    }
+    let failure = report.stats.failure.expect("deadline armed: failure section present");
+    assert_eq!(failure.degraded_windows, degraded, "every degraded window is flagged");
+    assert!(failure.retries > 0 && degraded > 0, "the seeded plan must fire: {failure:?}");
+    let fraction = degraded as f64 / windows.len() as f64;
+    assert!(fraction <= 0.5, "degraded_window_fraction {fraction} exceeds 0.5");
+}
+
 /// A fault-free engine pass with the hooks compiled in renders exactly what
 /// the reference renders — and honestly omits the failure section when no
 /// deadline is armed.

@@ -149,6 +149,39 @@ fn engine_over_shared_pool_matches_per_lane_pools() {
     assert_eq!(shared, owned);
 }
 
+/// Tracing is observer-only: the same PR_Dep engine run renders
+/// byte-identically with the global `sr_obs` tracer enabled and disabled.
+#[test]
+fn tracing_on_and_off_render_identically() {
+    let syms = Symbols::new();
+    let program = parse_program(&syms, PROGRAM_P).unwrap();
+    let analysis =
+        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+    let windows = traffic_windows(6, 400);
+    let make_dep = |_: usize| -> Result<Box<dyn Reasoner>, AspError> {
+        let partitioner =
+            Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+        Ok(Box::new(ParallelReasoner::new(
+            &syms,
+            &program,
+            Some(&analysis.inpre),
+            partitioner,
+            ReasonerConfig::default(),
+        )?))
+    };
+
+    let tracer = stream_reasoner::sr_obs::tracer();
+    tracer.set_enabled(false);
+    let untraced = engine_rendered(&syms, make_dep, &windows, 2);
+    tracer.set_enabled(true);
+    let traced = engine_rendered(&syms, make_dep, &windows, 2);
+    tracer.set_enabled(false);
+    let spans = tracer.drain();
+
+    assert!(!spans.is_empty(), "the traced run recorded no spans");
+    assert_eq!(traced, untraced, "enabling the tracer changed engine output");
+}
+
 #[test]
 fn sequential_mode_pipeline_also_matches() {
     // The `StreamRulePipeline` itself (query processor included) against an
