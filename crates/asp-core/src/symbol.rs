@@ -116,14 +116,6 @@ impl Symbols {
         Self::default()
     }
 
-    /// Identity of the backing store: equal for clones of one `Symbols`
-    /// (which share it), distinct across `Symbols::new()` calls. Lets
-    /// caches keyed by program *content* also discriminate the store the
-    /// `Sym` ids were interned in.
-    pub fn store_id(&self) -> usize {
-        Arc::as_ptr(&self.inner) as *const () as usize
-    }
-
     /// Interns `name`, returning its symbol. Idempotent.
     pub fn intern(&self, name: &str) -> Sym {
         if let Some(sym) = self.inner.read().map.get(name) {

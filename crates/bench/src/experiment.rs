@@ -192,10 +192,7 @@ impl ExperimentBench {
             Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
         // Threads mode: PR_Dep and every PR_Ran_k share one warm worker
         // pool (the `Arc` clone in `build_pr`), sized for the widest
-        // partitioning in the sweep; Sequential mode needs no pool. (Not
-        // `PoolRegistry`: each bench has its own `Symbols`, so pools must
-        // not outlive the bench, and within one bench the `Arc` already is
-        // the sharing.)
+        // partitioning in the sweep; Sequential mode needs no pool.
         let pool = match config.mode {
             ParallelMode::Threads => {
                 let workers = config

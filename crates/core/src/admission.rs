@@ -1,8 +1,7 @@
 //! Admission-time static analysis: per-partition memory bounds, a
 //! whole-program [`MemoryBound`] with a machine-readable dominating term,
-//! an [`AdmissionPolicy`] that rejects or sheds over-budget programs
-//! before they ever see a window, and an [`AutoTune`] planner that picks
-//! engine knobs from the static bound plus the machine's parallelism.
+//! and an [`AdmissionPolicy`] that rejects over-budget programs before they
+//! ever see a window.
 //!
 //! This is the runtime half of the RTLola-style analysis pass: the
 //! grounding-level arithmetic lives in [`asp_grounder::analysis`]
@@ -13,17 +12,9 @@
 //! community's member predicates — and sums the partitions into the
 //! program bound an [`AdmissionPolicy`] budget is checked against.
 //!
-//! Honesty rules, same as everywhere in this engine:
-//!
-//! * the admission bound is **worst-case** — live `RelationStats` never
-//!   tighten it (they may tighten the advisory report, but a budget
-//!   decision taken on a transiently small store would be a lie);
-//! * a shed program is *visible*: its tenants receive degraded-tagged
-//!   empty outputs and the shed windows are counted in
-//!   [`EngineStats`](crate::engine::EngineStats) — never silently dropped;
-//! * [`AutoTune`] only moves knobs that are proven identity-safe
-//!   (`workers`, `cache_capacity`, `in_flight`, `queue_depth`); it may
-//!   change how fast, never what.
+//! The admission bound is **worst-case**: live `RelationStats` never
+//! tighten it (they may tighten the advisory report, but a budget decision
+//! taken on a transiently small store would be a lie).
 
 use crate::analysis::DependencyAnalysis;
 use crate::plan::PartitioningPlan;
@@ -37,8 +28,8 @@ pub struct WindowSpec {
     /// Maximum items one window can hold (tuple/sliding size; for time
     /// windows, the caller's rate × width estimate).
     pub capacity: u64,
-    /// Slide in items for overlapping windows (`None` = tumbling). Only
-    /// [`AutoTune`] consumes this — overlap sizes the cache, not the bound.
+    /// Slide in items for overlapping windows (`None` = tumbling). Reported
+    /// with the bound; overlap does not change it.
     pub slide: Option<u64>,
 }
 
@@ -398,17 +389,6 @@ fn partition_dominating(
     DominatingTerm { partition: community, component, detail, cells }
 }
 
-/// What the registry does with an over-budget program.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BudgetAction {
-    /// Refuse admission with [`AdmitError::OverBudget`].
-    #[default]
-    Reject,
-    /// Admit, but mark the entry **shed**: its tenants receive
-    /// degraded-tagged empty outputs instead of reasoning ever running.
-    Shed,
-}
-
 /// The admission policy checked by
 /// [`ProgramRegistry::admit`](crate::registry::ProgramRegistry::admit).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -417,25 +397,13 @@ pub struct AdmissionPolicy {
     pub window: WindowSpec,
     /// Maximum whole-program state cells; `None` admits everything.
     pub budget_cells: Option<u64>,
-    /// Reject or shed on a blown budget.
-    pub action: BudgetAction,
-    /// When set, programs outside the delta-grounding fragment
-    /// (multi-head, choice, or cyclic rules) are refused with
-    /// [`AdmitError::UnsupportedFragment`] instead of silently falling
-    /// back to full re-grounding.
-    pub require_delta_fragment: bool,
 }
 
 impl AdmissionPolicy {
     /// A policy with `budget` cells and the given window model, rejecting
     /// over-budget programs.
     pub fn with_budget(window: WindowSpec, budget: u64) -> Self {
-        AdmissionPolicy {
-            window,
-            budget_cells: Some(budget),
-            action: BudgetAction::Reject,
-            require_delta_fragment: false,
-        }
+        AdmissionPolicy { window, budget_cells: Some(budget) }
     }
 }
 
@@ -458,8 +426,8 @@ pub enum AdmitError {
         /// What dominates the bound (machine-readable).
         dominating: DominatingTerm,
     },
-    /// The policy requires the delta-grounding fragment and the program is
-    /// outside it.
+    /// The registry grounds by deltas and the program is outside the
+    /// delta-grounding fragment.
     UnsupportedFragment {
         /// Why the program is outside the fragment.
         reason: String,
@@ -478,7 +446,7 @@ impl fmt::Display for AdmitError {
                 "admission bound {bound} cells exceeds budget {budget}; dominating term: {dominating}"
             ),
             AdmitError::UnsupportedFragment { reason } => {
-                write!(f, "program outside the required delta-grounding fragment: {reason}")
+                write!(f, "program outside the delta-grounding fragment: {reason}")
             }
         }
     }
@@ -504,9 +472,9 @@ impl From<AdmitError> for AspError {
     }
 }
 
-/// Counters for the admission/shedding section of
+/// Counters for the admission section of
 /// [`EngineStats`](crate::engine::EngineStats). Omitted from stats when no
-/// policy is configured and nothing was ever rejected or shed.
+/// policy is configured and nothing was ever rejected.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
     /// Configured budget, when any.
@@ -515,10 +483,6 @@ pub struct AdmissionSnapshot {
     pub admitted: u64,
     /// Refused admissions (any [`AdmitError`]).
     pub rejected: u64,
-    /// Entries currently admitted in shed mode.
-    pub shed_entries: u64,
-    /// Windows served degraded to shed entries' tenants.
-    pub shed_windows: u64,
 }
 
 impl AdmissionSnapshot {
@@ -528,92 +492,7 @@ impl AdmissionSnapshot {
             Some(b) => format!("\"budget_cells\": {b}, "),
             None => String::new(),
         };
-        format!(
-            "{{{budget}\"admitted\": {}, \"rejected\": {}, \"shed_entries\": {}, \"shed_windows\": {}}}",
-            self.admitted, self.rejected, self.shed_entries, self.shed_windows
-        )
-    }
-}
-
-/// Observed engine feedback for [`AutoTune`]: the occupancy signals
-/// already reported in [`EngineStats`](crate::engine::EngineStats).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Observed {
-    /// Mean busy fraction across lanes.
-    pub busy_fraction: f64,
-    /// Highest submit-queue depth seen.
-    pub queue_high_water: u64,
-}
-
-/// The knobs [`AutoTune`] picks. All four are identity-safe: they change
-/// scheduling and caching, never answers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TunedConfig {
-    /// Partition count the plan calls for (informational — the plan, not
-    /// the tuner, fixes it; the random baseline may use it as `k`).
-    pub partitions: usize,
-    /// Worker-pool size ([`ReasonerConfig::workers`](crate::config::ReasonerConfig)).
-    pub workers: usize,
-    /// Shared [`PartitionCache`](crate::incremental::PartitionCache) capacity.
-    pub cache_capacity: usize,
-    /// Engine lanes in flight.
-    pub in_flight: usize,
-    /// Engine submit-queue depth.
-    pub queue_depth: usize,
-}
-
-/// Picks engine knobs from the static bound, `available_parallelism`, and
-/// (when offered) observed occupancy. Pure and deterministic: the same
-/// inputs always produce the same plan, and the plan never touches an
-/// answer-changing knob.
-#[derive(Clone, Copy, Debug)]
-pub struct AutoTune {
-    parallelism: usize,
-}
-
-impl AutoTune {
-    /// A tuner assuming `parallelism` hardware threads.
-    pub fn new(parallelism: usize) -> Self {
-        AutoTune { parallelism: parallelism.max(1) }
-    }
-
-    /// A tuner for this machine
-    /// ([`std::thread::available_parallelism`], 1 when unknown).
-    pub fn detect() -> Self {
-        Self::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-    }
-
-    /// The assumed hardware parallelism.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Plans the knobs for `bounds`.
-    ///
-    /// * `workers` — one per partition, capped by the hardware;
-    /// * `in_flight` — leftover parallelism above the partition fan-out
-    ///   pipelines extra windows (≥1, ≤8); with observed feedback, a lane
-    ///   pool that is mostly idle while the submit queue tops out gets one
-    ///   more lane (the submit side, not reasoning, is the bottleneck);
-    /// * `cache_capacity` — one generation of partitions per live window
-    ///   overlap (`capacity/slide` overlapping windows keep entries hot),
-    ///   clamped to `[16, 4096]`;
-    /// * `queue_depth` — mirrors `in_flight`.
-    pub fn plan(&self, bounds: &ProgramBounds, observed: Option<&Observed>) -> TunedConfig {
-        let partitions = bounds.partitions.len().max(1);
-        let workers = partitions.min(self.parallelism);
-        let mut in_flight = (self.parallelism / partitions).clamp(1, 8);
-        if let Some(obs) = observed {
-            if obs.busy_fraction < 0.5 && obs.queue_high_water >= in_flight as u64 {
-                in_flight = (in_flight + 1).min(8);
-            }
-        }
-        let overlap = match bounds.window.slide {
-            Some(slide) if slide > 0 => (bounds.window.capacity / slide).max(1) as usize,
-            _ => 1,
-        };
-        let cache_capacity = (partitions * overlap * 2).clamp(16, 4096);
-        TunedConfig { partitions, workers, cache_capacity, in_flight, queue_depth: in_flight }
+        format!("{{{budget}\"admitted\": {}, \"rejected\": {}}}", self.admitted, self.rejected)
     }
 }
 
@@ -708,30 +587,6 @@ mod tests {
         assert!(msg.contains("exceeds budget 10"), "{msg}");
         assert!(msg.contains(b.dominating.component), "{msg}");
         assert!(msg.contains("partition"), "{msg}");
-    }
-
-    #[test]
-    fn autotune_is_deterministic_and_clamped() {
-        let (_syms, b) = bounds(400);
-        let tune = AutoTune::new(8);
-        let plan = tune.plan(&b, None);
-        assert_eq!(plan, tune.plan(&b, None), "pure function");
-        assert_eq!(plan.partitions, 2);
-        assert_eq!(plan.workers, 2);
-        assert_eq!(plan.in_flight, 4, "8 threads / 2 partitions");
-        assert_eq!(plan.queue_depth, plan.in_flight);
-        // capacity 400 slide 100 → 4 overlapping windows × 2 partitions × 2.
-        assert_eq!(plan.cache_capacity, 16, "clamped up to the floor");
-
-        let single = AutoTune::new(1).plan(&b, None);
-        assert_eq!(single.in_flight, 1, "no parallelism, no pipelining");
-        assert_eq!(single.workers, 1);
-
-        // Starved lanes + full queue ⇒ one more lane.
-        let fed = tune.plan(&b, Some(&Observed { busy_fraction: 0.2, queue_high_water: 4 }));
-        assert_eq!(fed.in_flight, 5);
-        let busy = tune.plan(&b, Some(&Observed { busy_fraction: 0.9, queue_high_water: 4 }));
-        assert_eq!(busy.in_flight, 4, "busy lanes are left alone");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Pipelined stream engine: multiple windows in flight.
 //!
-//! [`StreamRulePipeline`](crate::pipeline::StreamRulePipeline) processes the
-//! stream strictly one window at a time, so end-to-end throughput is bounded
-//! by single-window latency. The [`StreamEngine`] instead keeps a bounded
+//! Calling a [`Reasoner`] directly processes the stream strictly one window
+//! at a time, so end-to-end throughput is bounded by single-window latency.
+//! The [`StreamEngine`] instead keeps a bounded
 //! number of windows in flight across parallel *lanes* (each lane owns one
 //! [`Reasoner`] backend), applies backpressure on [`StreamEngine::submit`]
 //! when the bound is reached, reorders finished windows by submission
@@ -149,10 +149,10 @@ pub struct EngineStats {
     /// fired; otherwise `None` and omitted from the JSON rather than
     /// fabricated as a row of zeros.
     pub failure: Option<FailureSnapshot>,
-    /// Admission-control counters (budget, rejections, shed entries) of the
+    /// Admission-control counters (budget, admissions, rejections) of the
     /// multi-tenant scheduler. Present only when a budget is configured or
-    /// an admission was actually rejected/shed; otherwise `None` and
-    /// omitted from the JSON — same omit-never-fabricate rule as `failure`.
+    /// an admission was actually rejected; otherwise `None` and omitted
+    /// from the JSON — same omit-never-fabricate rule as `failure`.
     pub admission: Option<crate::admission::AdmissionSnapshot>,
 }
 
@@ -821,58 +821,6 @@ impl StreamEngine {
         Ok(submitted)
     }
 
-    /// Pumps a *live* channel of timestamped items through `windower`,
-    /// ticking the windower whenever the channel stays quiet for
-    /// `idle_timeout` so time-based windows close without waiting for the
-    /// next arrival (see [`sr_stream::TimeWindower::tick`]). Stream time on
-    /// an idle tick is estimated as the last item's timestamp plus the wall
-    /// clock elapsed since it arrived. Returns the number of windows
-    /// submitted once the sender hangs up (the tail is flushed).
-    pub fn pump_live(
-        &mut self,
-        items: &Receiver<StreamItem>,
-        windower: &mut dyn Windower,
-        idle_timeout: Duration,
-    ) -> Result<u64, AspError> {
-        use std::sync::mpsc::RecvTimeoutError;
-        let mut submitted = 0;
-        let mut last_ts: u64 = 0;
-        let mut last_arrival = Instant::now();
-        loop {
-            let closed = match items.recv_timeout(idle_timeout) {
-                Ok(item) => {
-                    last_ts = last_ts.max(item.timestamp_ms);
-                    last_arrival = Instant::now();
-                    windower.feed(item)
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // With every lane stopped (e.g. unrecoverable panics),
-                    // idle ticks would spin forever without ever making
-                    // progress; terminate instead of wedging the pump.
-                    if !self.lanes.is_empty() && self.lanes.iter().all(JoinHandle::is_finished) {
-                        return Err(AspError::Internal(
-                            "all engine lanes have stopped; live pumping cannot make progress"
-                                .into(),
-                        ));
-                    }
-                    let now_ms = last_ts + last_arrival.elapsed().as_millis() as u64;
-                    windower.tick(now_ms)
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if let Some(window) = windower.flush() {
-                        self.submit(window)?;
-                        submitted += 1;
-                    }
-                    return Ok(submitted);
-                }
-            };
-            if let Some(window) = closed {
-                self.submit(window)?;
-                submitted += 1;
-            }
-        }
-    }
-
     /// Non-blocking: the next finished window in submission order, if one is
     /// ready. Windows drained here do not reappear in the final report's
     /// `outputs` (they still count toward its `stats`).
@@ -1269,65 +1217,6 @@ mod tests {
         let err = report.outputs[1].result.as_ref().unwrap_err().to_string();
         assert!(err.contains("lane stopped"), "the error says the lane is gone: {err}");
         assert_eq!(report.stats.errors, 1);
-    }
-
-    #[test]
-    fn pump_live_terminates_when_all_lanes_die() {
-        use sr_stream::TimeWindower;
-        use std::sync::mpsc::channel;
-
-        let cfg = EngineConfig { in_flight: 1, queue_depth: 1, ..Default::default() };
-        let mut engine = StreamEngine::new(cfg, fake_factory(0, Some(0))).unwrap();
-        let (tx, rx) = channel::<StreamItem>();
-        let t = |ts: u64| StreamItem {
-            triple: sr_rdf::Triple::new(
-                sr_rdf::Node::Int(1),
-                sr_rdf::Node::iri("p"),
-                sr_rdf::Node::Int(1),
-            ),
-            timestamp_ms: ts,
-        };
-        // The second item closes window 0, which kills the only lane.
-        tx.send(t(5)).unwrap();
-        tx.send(t(25)).unwrap();
-        let mut windower = TimeWindower::new(10);
-        // The sender stays alive: without the all-lanes-dead check this
-        // would spin on idle ticks forever.
-        let err = engine.pump_live(&rx, &mut windower, Duration::from_millis(5)).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("lanes have stopped") || msg.contains("input closed"),
-            "pumping a dead engine fails loudly: {msg}"
-        );
-        drop(tx);
-    }
-
-    #[test]
-    fn pump_live_ticks_idle_time_windows() {
-        use sr_stream::TimeWindower;
-        use std::sync::mpsc::channel;
-
-        let cfg = EngineConfig { in_flight: 1, queue_depth: 1, ..Default::default() };
-        let mut engine = StreamEngine::new(cfg, fake_factory(0, None)).unwrap();
-        let (tx, rx) = channel::<StreamItem>();
-        let feeder = std::thread::spawn(move || {
-            let t = sr_rdf::Triple::new(
-                sr_rdf::Node::Int(1),
-                sr_rdf::Node::iri("p"),
-                sr_rdf::Node::Int(1),
-            );
-            tx.send(StreamItem { triple: t, timestamp_ms: 10 }).unwrap();
-            // Go quiet long enough for idle ticks to cross the 50 ms window
-            // boundary, then hang up.
-            std::thread::sleep(Duration::from_millis(120));
-        });
-        let mut windower = TimeWindower::new(50);
-        let submitted = engine.pump_live(&rx, &mut windower, Duration::from_millis(5)).unwrap();
-        feeder.join().unwrap();
-        assert_eq!(submitted, 1, "the idle tick closed the open window before the hang-up");
-        let report = engine.finish();
-        assert_eq!(report.stats.windows, 1);
-        assert_eq!(report.outputs[0].items, 1);
     }
 
     #[test]

@@ -339,7 +339,6 @@ impl DeltaLane {
 /// (retract/assert) instead of re-grounding the partition from scratch,
 /// with automatic fallback to a full rebuild when the delta chain breaks.
 /// Implements [`Reasoner`], so it drops into the
-/// [`StreamRulePipeline`](crate::pipeline::StreamRulePipeline) and the
 /// [`StreamEngine`](crate::engine::StreamEngine) unchanged.
 pub struct IncrementalReasoner {
     syms: Symbols,

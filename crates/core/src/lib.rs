@@ -29,7 +29,6 @@ pub mod metrics;
 pub mod multi_tenant;
 pub mod parallel;
 pub mod partition;
-pub mod pipeline;
 pub mod plan;
 pub mod poison;
 pub mod reasoner;
@@ -40,8 +39,8 @@ pub use accuracy::{answer_accuracy, window_accuracy, Projection};
 // CLI) can consume [`admission::ProgramBounds`] without depending on
 // asp-grounder directly.
 pub use admission::{
-    AdmissionPolicy, AdmissionSnapshot, AdmitError, AutoTune, BudgetAction, DominatingTerm,
-    Observed, PartitionBound, ProgramBounds, TunedConfig, WindowSpec,
+    AdmissionPolicy, AdmissionSnapshot, AdmitError, DominatingTerm, PartitionBound, ProgramBounds,
+    WindowSpec,
 };
 pub use analysis::DependencyAnalysis;
 pub use asp_grounder::analysis::{DeltaStateBound, DeltaStateSize, EvalStratum, MemoryBound};
@@ -68,9 +67,8 @@ pub use metrics::{
     IncrementalSnapshot, LatencyStats, TenantLatency,
 };
 pub use multi_tenant::{MultiTenantEngine, TenantOutput};
-pub use parallel::{reasoner_pool, ParallelReasoner, PoolRegistry, ReasonerPool};
+pub use parallel::{reasoner_pool, ParallelReasoner, ReasonerPool};
 pub use partition::{Partitioner, PlanPartitioner, RandomPartitioner};
-pub use pipeline::{PipelineOutput, StreamRulePipeline};
 pub use plan::PartitioningPlan;
 pub use poison::{lock_recover, poison_recoveries};
 pub use reasoner::{Reasoner, ReasonerOutput, SingleReasoner, Timing};

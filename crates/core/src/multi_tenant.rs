@@ -47,10 +47,9 @@ pub struct TenantOutput {
     pub latency: Duration,
     /// The shared reasoner output.
     pub output: Arc<ReasonerOutput>,
-    /// True when this output is degraded: the tenant's entry was shed at
-    /// admission (over budget under a shedding policy), so `output` is an
-    /// empty placeholder and no reasoning ran. Mirrors the engine's
-    /// tagged-degraded rule — a lie-free empty result, never a silent one.
+    /// True when `output` is a degraded placeholder rather than a reasoning
+    /// result. The scheduler never serves one: a failing entry's tenants get
+    /// no output for the window instead.
     pub degraded: bool,
 }
 
@@ -97,8 +96,6 @@ pub struct MultiTenantEngine {
     admitted: u64,
     /// Admissions refused with an [`AdmitError`].
     rejected: u64,
-    /// Windows served degraded to shed entries' tenants.
-    shed_windows: std::sync::atomic::AtomicU64,
 }
 
 impl MultiTenantEngine {
@@ -118,7 +115,6 @@ impl MultiTenantEngine {
             failures: Arc::new(FailureCounters::default()),
             admitted: 0,
             rejected: 0,
-            shed_windows: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -241,24 +237,6 @@ impl MultiTenantEngine {
         let threshold = self.quarantine_threshold;
         for entry in self.registry.entries_mut() {
             if entry.quarantined {
-                continue;
-            }
-            if entry.shed {
-                // Admitted over budget under a shedding policy: reasoning
-                // never runs, but the shed is visible — every tenant gets a
-                // degraded-tagged empty output and the window is counted.
-                self.shed_windows.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::new(ReasonerOutput::default());
-                for tenant in &entry.tenants {
-                    outputs.push(TenantOutput {
-                        tenant: tenant.clone(),
-                        program: entry.fingerprint,
-                        syms: entry.syms.clone(),
-                        latency: Duration::ZERO,
-                        output: Arc::clone(&shared),
-                        degraded: true,
-                    });
-                }
                 continue;
             }
             let t0 = Instant::now();
@@ -428,22 +406,15 @@ impl MultiTenantEngine {
     }
 
     /// The admission counters, or `None` when admission control never
-    /// engaged (no budget configured, nothing rejected or shed) — the
-    /// JSON then omits the section instead of fabricating zeros.
+    /// engaged (no budget configured, nothing rejected) — the JSON then
+    /// omits the section instead of fabricating zeros.
     pub fn admission_snapshot(&self) -> Option<AdmissionSnapshot> {
-        use std::sync::atomic::Ordering;
         let budget = self.registry.policy().budget_cells;
-        let shed_entries = self.registry.shed_count() as u64;
-        let shed_windows = self.shed_windows.load(Ordering::Relaxed);
-        (budget.is_some() || self.rejected > 0 || shed_entries > 0 || shed_windows > 0).then_some(
-            AdmissionSnapshot {
-                budget_cells: budget,
-                admitted: self.admitted,
-                rejected: self.rejected,
-                shed_entries,
-                shed_windows,
-            },
-        )
+        (budget.is_some() || self.rejected > 0).then_some(AdmissionSnapshot {
+            budget_cells: budget,
+            admitted: self.admitted,
+            rejected: self.rejected,
+        })
     }
 }
 
@@ -707,33 +678,18 @@ mod tests {
     }
 
     #[test]
-    fn shed_entries_serve_degraded_outputs_and_report_admission() {
-        use crate::admission::{AdmissionPolicy, AdmitError, BudgetAction, WindowSpec};
+    fn over_budget_admissions_are_rejected_and_reported() {
+        use crate::admission::{AdmissionPolicy, AdmitError, WindowSpec};
         let mut eng = engine();
-        eng.set_admission_policy(AdmissionPolicy {
-            window: WindowSpec::tuple(1000),
-            budget_cells: Some(10),
-            action: BudgetAction::Shed,
-            require_delta_fragment: false,
-        });
         eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-        let outputs = eng.process(&window(0)).unwrap();
-        assert_eq!(outputs.len(), 1, "a shed tenant still gets a (tagged) output");
-        assert!(outputs[0].degraded, "the shed output is tagged, never silent");
-        assert!(outputs[0].output.answers.is_empty(), "nothing was computed");
-        let stats = eng.stats();
-        let adm = stats.admission.expect("a budget is configured");
-        assert_eq!(adm.budget_cells, Some(10));
-        assert_eq!(adm.admitted, 1);
-        assert_eq!(adm.shed_entries, 1);
-        assert_eq!(adm.shed_windows, 1);
-        assert!(stats.to_json().contains("\"admission\": {"), "{}", stats.to_json());
-        assert_eq!(stats.errors, 0, "shedding is not an error");
-
-        // The rejecting variant surfaces the structured error and counts it.
         eng.set_admission_policy(AdmissionPolicy::with_budget(WindowSpec::tuple(1000), 10));
         let err = eng.admit("t1", PROGRAM_B, TenantPartitioner::Dependency).unwrap_err();
         assert!(matches!(err, AdmitError::OverBudget { .. }), "{err}");
-        assert_eq!(eng.stats().admission.unwrap().rejected, 1);
+        let outputs = eng.process(&window(0)).unwrap();
+        assert_eq!(outputs.len(), 1, "only the admitted tenant is served");
+        let stats = eng.stats();
+        let adm = stats.admission.expect("a budget is configured");
+        assert_eq!((adm.budget_cells, adm.admitted, adm.rejected), (Some(10), 1, 1));
+        assert!(stats.to_json().contains("\"admission\": {"), "{}", stats.to_json());
     }
 }

@@ -29,105 +29,10 @@ pub type PartOutcome = Result<(Vec<AnswerSet>, Timing, SolveStats), AspError>;
 /// copy and serves partition jobs from any window in flight.
 pub type ReasonerPool = WorkerPool<Vec<Triple>, PartOutcome>;
 
-/// A registry of warm [`ReasonerPool`]s keyed by symbol store + program +
-/// input signature (+ solver limits): reasoner configs over the same
-/// program reuse the already-spawned workers instead of building a fresh
-/// pool per configuration — e.g. the `PR_Dep` and `PR_Ran_k` series of one
-/// benchmark sweep, or engine lane groups serving the same rule set. The
-/// store identity ([`Symbols::store_id`]) is part of the key because pooled
-/// workers resolve `Sym` ids against the store they were built with — the
-/// same program text interned in a different store must get its own pool.
-/// A request for more workers than the registered pool has replaces the
-/// pool with a larger one (existing holders keep the old `Arc` alive until
-/// they drop). There is no eviction: every registered pool (and the store
-/// its workers resolve against) stays alive as long as the registry does —
-/// scope a registry to the lifetime of the configs it serves rather than
-/// making it global.
-#[derive(Default)]
-pub struct PoolRegistry {
-    pools: std::sync::Mutex<asp_core::FastMap<u64, Arc<ReasonerPool>>>,
-    built: std::sync::atomic::AtomicU64,
-}
-
-impl PoolRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The pool key: symbol store identity x program fingerprint x input
-    /// signature x solver cap x planning mode.
-    fn key(
-        syms: &Symbols,
-        program: &Program,
-        inpre: Option<&[Predicate]>,
-        solver: &SolverConfig,
-        cost_planning: bool,
-    ) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        syms.store_id().hash(&mut h);
-        crate::incremental::program_fingerprint(syms, program).hash(&mut h);
-        if let Some(inpre) = inpre {
-            for p in inpre {
-                syms.resolve(p.name).hash(&mut h);
-                p.arity.hash(&mut h);
-                p.strong_neg.hash(&mut h);
-            }
-        }
-        solver.max_models.hash(&mut h);
-        // Workers bake the planning mode into their grounders at build
-        // time, so pools with and without cost planning must not mix.
-        cost_planning.hash(&mut h);
-        h.finish()
-    }
-
-    /// Returns a pool for `program` with at least `workers` workers,
-    /// reusing a registered one when the program + signature match.
-    pub fn get_or_build(
-        &self,
-        syms: &Symbols,
-        program: &Program,
-        inpre: Option<&[Predicate]>,
-        solver: &SolverConfig,
-        workers: usize,
-        cost_planning: bool,
-    ) -> Result<Arc<ReasonerPool>, AspError> {
-        let key = Self::key(syms, program, inpre, solver, cost_planning);
-        let mut pools = self.pools.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(pool) = pools.get(&key) {
-            if pool.workers() >= workers.max(1) {
-                return Ok(Arc::clone(pool));
-            }
-        }
-        let pool = Arc::new(reasoner_pool(syms, program, inpre, solver, workers, cost_planning)?);
-        self.built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        pools.insert(key, Arc::clone(&pool));
-        Ok(pool)
-    }
-
-    /// Number of distinct program/signature entries currently registered.
-    pub fn len(&self) -> usize {
-        self.pools.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
-    /// True when no pool is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Pools actually constructed over the registry's lifetime (reuse makes
-    /// this smaller than the number of `get_or_build` calls).
-    pub fn pools_built(&self) -> u64 {
-        self.built.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
 /// Builds a [`ReasonerPool`] of `workers` reasoner copies over `program`.
 /// Wrap it in an `Arc` to share one pool across several
 /// [`ParallelReasoner`]s (e.g. the lanes of a
-/// [`StreamEngine`](crate::engine::StreamEngine)). For pool *reuse* across
-/// reasoner configurations, see [`PoolRegistry`].
+/// [`StreamEngine`](crate::engine::StreamEngine)).
 pub fn reasoner_pool(
     syms: &Symbols,
     program: &Program,
@@ -528,68 +433,6 @@ mod tests {
         let render = |o: &ReasonerOutput| o.answers[0].display(&syms).to_string();
         assert_eq!(render(&out_a), render(&out_b));
         assert_eq!(a.workers(), 2);
-    }
-
-    #[test]
-    fn pool_registry_reuses_warm_pools_per_program() {
-        use crate::parallel::PoolRegistry;
-        use asp_solver::SolverConfig;
-
-        let syms = Symbols::new();
-        let program = parse_program(&syms, PROGRAM_P).unwrap();
-        let other = parse_program(&syms, "a(X) :- b(X).").unwrap();
-        let solver = SolverConfig::default();
-        let registry = PoolRegistry::new();
-
-        let p1 = registry.get_or_build(&syms, &program, None, &solver, 2, false).unwrap();
-        let p2 = registry.get_or_build(&syms, &program, None, &solver, 2, false).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "same program + signature reuses the warm pool");
-        assert_eq!(registry.pools_built(), 1);
-        assert_eq!(registry.len(), 1);
-
-        // A bigger request replaces the pool; smaller ones reuse it.
-        let p3 = registry.get_or_build(&syms, &program, None, &solver, 4, false).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!(p3.workers(), 4);
-        let p4 = registry.get_or_build(&syms, &program, None, &solver, 1, false).unwrap();
-        assert!(Arc::ptr_eq(&p3, &p4), "a larger warm pool serves smaller requests");
-
-        // A different program gets its own pool; a different signature too.
-        let q1 = registry.get_or_build(&syms, &other, None, &solver, 2, false).unwrap();
-        assert!(!Arc::ptr_eq(&p3, &q1));
-        assert_eq!(registry.len(), 2);
-
-        // The same program text interned in a *different* store must get
-        // its own pool: workers resolve Sym ids against their build store.
-        let other_syms = Symbols::new();
-        let same_text = parse_program(&other_syms, PROGRAM_P).unwrap();
-        let f1 = registry.get_or_build(&other_syms, &same_text, None, &solver, 2, false).unwrap();
-        assert!(!Arc::ptr_eq(&p3, &f1), "store identity scopes the key");
-        assert_eq!(registry.len(), 3);
-        let inpre = program.edb_predicates();
-        let s1 = registry.get_or_build(&syms, &program, Some(&inpre), &solver, 2, false).unwrap();
-        assert!(!Arc::ptr_eq(&p3, &s1), "explicit input signature scopes the key");
-
-        // Cost planning changes what the workers' grounders do, so it
-        // scopes the key too.
-        let c1 = registry.get_or_build(&syms, &program, None, &solver, 2, true).unwrap();
-        assert!(!Arc::ptr_eq(&p3, &c1), "planning mode scopes the key");
-
-        // The reused pool still reasons correctly through two PRs.
-        let partitioner =
-            Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
-        let mut a = ParallelReasoner::with_pool(
-            &syms,
-            partitioner.clone(),
-            ReasonerConfig::default(),
-            p3.clone(),
-        );
-        let mut b = ParallelReasoner::with_pool(&syms, partitioner, ReasonerConfig::default(), p4);
-        let render = |o: &ReasonerOutput| o.answers[0].display(&syms).to_string();
-        assert_eq!(
-            render(&a.process(&motivating_window()).unwrap()),
-            render(&b.process(&motivating_window()).unwrap())
-        );
     }
 
     #[test]

@@ -46,9 +46,8 @@ pub struct ReasonerOutput {
 /// A pluggable reasoning backend: anything that can turn a window into
 /// answer sets. Implemented by [`SingleReasoner`] (the paper's `R`) and
 /// [`ParallelReasoner`](crate::parallel::ParallelReasoner) (the extended
-/// architecture's `PR`); the
-/// [`StreamRulePipeline`](crate::pipeline::StreamRulePipeline) and the
-/// [`StreamEngine`](crate::engine::StreamEngine) are generic over it.
+/// architecture's `PR`); the [`StreamEngine`](crate::engine::StreamEngine)
+/// is generic over it.
 pub trait Reasoner: Send {
     /// A short label for reports (`"R"`, `"PR"`, ...).
     fn name(&self) -> &'static str;

@@ -14,15 +14,15 @@
 //! sharing across different partitioners would silently change a tenant's
 //! output.
 //!
-//! Each admitted program gets its **own `Symbols` store** (the `store_id`
-//! discipline: pooled workers resolve symbol ids against the store their
-//! program was built from, so programs must never mix stores), while every
+//! Each admitted program gets its **own `Symbols` store** (pooled workers
+//! resolve symbol ids against the store their program was built from, so
+//! programs must never mix stores), while every
 //! program shares one [`PartitionCache`] — its keys are already
 //! program-scoped, so cross-program collisions cannot happen, and a
 //! re-admitted program can even rehydrate from entries an earlier tenant
 //! left behind.
 
-use crate::admission::{AdmissionPolicy, AdmitError, BudgetAction, ProgramBounds};
+use crate::admission::{AdmissionPolicy, AdmitError, ProgramBounds};
 use crate::analysis::DependencyAnalysis;
 use crate::config::{AnalysisConfig, ReasonerConfig};
 use crate::incremental::{
@@ -67,10 +67,6 @@ pub struct ProgramEntry {
     pub(crate) consecutive_failures: u32,
     /// A quarantined entry is skipped by the scheduler until readmitted.
     pub(crate) quarantined: bool,
-    /// A shed entry was admitted over budget under [`BudgetAction::Shed`]:
-    /// its tenants receive degraded-tagged empty outputs, reasoning never
-    /// runs.
-    pub(crate) shed: bool,
     /// The static bounds computed at admission.
     pub(crate) bounds: ProgramBounds,
 }
@@ -108,12 +104,6 @@ impl ProgramEntry {
         self.quarantined
     }
 
-    /// True when the entry was admitted over budget in shed (degraded)
-    /// mode: its tenants get tagged empty outputs, reasoning never runs.
-    pub fn is_shed(&self) -> bool {
-        self.shed
-    }
-
     /// The static memory/evaluation-order bounds computed at admission.
     pub fn bounds(&self) -> &ProgramBounds {
         &self.bounds
@@ -141,7 +131,7 @@ impl ProgramRegistry {
     }
 
     /// Replaces the admission policy. Applies to future admissions only —
-    /// already-admitted entries are never retroactively shed.
+    /// already-admitted entries are never retroactively rejected.
     pub fn set_policy(&mut self, policy: AdmissionPolicy) {
         self.policy = policy;
     }
@@ -158,8 +148,9 @@ impl ProgramRegistry {
     /// its own [`IncrementalReasoner`] over the shared cache. Returns the
     /// program fingerprint. Fails with a structured [`AdmitError`] on a
     /// duplicate tenant id, a program that does not parse/analyze, a
-    /// fragment the policy forbids, or a static bound over the policy
-    /// budget (unless the policy sheds instead of rejecting).
+    /// program outside the delta-grounding fragment when the registry's
+    /// [`ReasonerConfig::delta_ground`] is on, or a static bound over the
+    /// policy budget.
     pub fn admit(
         &mut self,
         tenant: &str,
@@ -185,7 +176,7 @@ impl ProgramRegistry {
         }
         let analysis =
             DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())?;
-        if self.policy.require_delta_fragment && !delta_ground_supported(&syms, &program)? {
+        if self.config.delta_ground && !delta_ground_supported(&syms, &program)? {
             return Err(AdmitError::UnsupportedFragment {
                 reason: "program has multi-head, choice, or cyclic rules; delta grounding \
                          would silently fall back to full re-grounding"
@@ -203,19 +194,13 @@ impl ProgramRegistry {
                 ProgramBounds::uniform(&syms, &program, &analysis.inpre, k, &self.policy.window)
             }
         };
-        let mut shed = false;
         if let Some(budget) = self.policy.budget_cells {
             if bounds.total_cells.exceeds(budget) {
-                match self.policy.action {
-                    BudgetAction::Reject => {
-                        return Err(AdmitError::OverBudget {
-                            bound: bounds.total_cells,
-                            budget,
-                            dominating: bounds.dominating.clone(),
-                        });
-                    }
-                    BudgetAction::Shed => shed = true,
-                }
+                return Err(AdmitError::OverBudget {
+                    bound: bounds.total_cells,
+                    budget,
+                    dominating: bounds.dominating.clone(),
+                });
             }
         }
         let part: Arc<dyn Partitioner> = match partitioner {
@@ -242,7 +227,6 @@ impl ProgramRegistry {
             tenants: vec![tenant.to_string()],
             consecutive_failures: 0,
             quarantined: false,
-            shed,
             bounds,
         });
         Ok(fingerprint)
@@ -275,11 +259,6 @@ impl ProgramRegistry {
     /// Distinct serving entries (programs × partitioner choices) admitted.
     pub fn program_count(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Entries currently admitted in shed (degraded) mode.
-    pub fn shed_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.shed).count()
     }
 
     /// True when no tenant is admitted.
@@ -401,23 +380,21 @@ mod tests {
     }
 
     #[test]
-    fn shed_policy_admits_but_marks_the_entry() {
-        use crate::admission::{AdmissionPolicy, BudgetAction, WindowSpec};
-        let mut reg = registry();
-        reg.set_policy(AdmissionPolicy {
-            window: WindowSpec::tuple(1000),
-            budget_cells: Some(10),
-            action: BudgetAction::Shed,
-            require_delta_fragment: false,
+    fn delta_ground_registry_refuses_programs_outside_the_fragment() {
+        let choice = "{ pick(X) } :- item(X).";
+        let mut delta = ProgramRegistry::new(ReasonerConfig {
+            incremental: true,
+            delta_ground: true,
+            mode: ParallelMode::Sequential,
+            ..Default::default()
         });
-        reg.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-        assert_eq!(reg.shed_count(), 1);
-        assert!(reg.entries()[0].is_shed());
-        // A generous budget admits normally.
-        reg.set_policy(AdmissionPolicy::with_budget(WindowSpec::tuple(1000), u64::MAX));
-        reg.admit("t1", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
-        assert_eq!(reg.shed_count(), 1, "the healthy program is not shed");
-        assert!(!reg.entries()[1].is_shed());
+        let err = delta.admit("t0", choice, TenantPartitioner::Dependency).unwrap_err();
+        assert!(matches!(err, AdmitError::UnsupportedFragment { .. }), "{err}");
+        assert!(delta.is_empty(), "refused program left no entry");
+        delta.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+
+        let mut scratch = registry();
+        scratch.admit("t0", choice, TenantPartitioner::Dependency).unwrap();
     }
 
     #[test]

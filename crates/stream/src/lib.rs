@@ -19,6 +19,4 @@ pub use projection::DeltaProjections;
 pub use query::QueryProcessor;
 pub use rng::Pcg32;
 pub use source::{spawn_source, SourceConfig};
-pub use window::{
-    SlidingWindower, StreamItem, TimeWindower, TupleWindower, Window, WindowDelta, Windower,
-};
+pub use window::{SlidingWindower, StreamItem, TupleWindower, Window, WindowDelta, Windower};

@@ -128,23 +128,16 @@ impl Window {
     }
 }
 
-/// A windowing strategy over a timestamped stream. Unifies the three
-/// windowers ([`TupleWindower`], [`SlidingWindower`], [`TimeWindower`]) so
-/// sources can feed any consumer — e.g. a pipelined stream engine —
-/// generically. Count-based windowers simply ignore the timestamp.
+/// A windowing strategy over a timestamped stream. Unifies the windowers
+/// ([`TupleWindower`], [`SlidingWindower`]) so sources can feed any
+/// consumer — e.g. a pipelined stream engine — generically. Both are
+/// count-based and ignore the timestamp.
 pub trait Windower: Send {
     /// Feeds one timestamped item; returns a window when one closes.
     fn feed(&mut self, item: StreamItem) -> Option<Window>;
 
     /// Flushes the trailing partial window at end of stream, if any.
     fn flush(&mut self) -> Option<Window>;
-
-    /// Advances wall-clock time without an item, closing a window whose
-    /// boundary has passed. Only time-based windowers react; count-based
-    /// windowers have no notion of elapsed time and return `None`.
-    fn tick(&mut self, _now_ms: u64) -> Option<Window> {
-        None
-    }
 }
 
 impl Windower for TupleWindower {
@@ -164,20 +157,6 @@ impl Windower for SlidingWindower {
 
     fn flush(&mut self) -> Option<Window> {
         SlidingWindower::flush(self)
-    }
-}
-
-impl Windower for TimeWindower {
-    fn feed(&mut self, item: StreamItem) -> Option<Window> {
-        self.push(item)
-    }
-
-    fn flush(&mut self) -> Option<Window> {
-        TimeWindower::flush(self)
-    }
-
-    fn tick(&mut self, now_ms: u64) -> Option<Window> {
-        TimeWindower::tick(self, now_ms)
     }
 }
 
@@ -301,8 +280,8 @@ impl SlidingWindower {
         }
     }
 
-    /// Flushes at stream end (API parity with [`TupleWindower::flush`]/
-    /// [`TimeWindower::flush`]): emits the current buffer content if any
+    /// Flushes at stream end (API parity with [`TupleWindower::flush`]):
+    /// emits the current buffer content if any
     /// arrivals have not been covered by an emission, then resets the buffer
     /// and the delta base so a reused windower starts a fresh stream instead
     /// of reporting a stale overlap against a pre-flush window.
@@ -314,76 +293,6 @@ impl SlidingWindower {
         self.last_emit = None;
         self.evicted_since_emit = 0;
         out
-    }
-}
-
-/// Time-based windower: emits a window whenever the incoming item's
-/// timestamp crosses the next window boundary.
-#[derive(Debug)]
-pub struct TimeWindower {
-    width_ms: u64,
-    next_id: u64,
-    boundary_ms: u64,
-    buffer: Vec<Triple>,
-}
-
-impl TimeWindower {
-    /// A windower with windows of `width_ms` milliseconds.
-    pub fn new(width_ms: u64) -> Self {
-        assert!(width_ms > 0, "window width must be positive");
-        TimeWindower { width_ms, next_id: 0, boundary_ms: width_ms, buffer: Vec::new() }
-    }
-
-    /// Feeds one timestamped item. Crossing a boundary with an *empty*
-    /// buffer (first item already past the first boundary, or a long gap)
-    /// emits nothing: silent stretches advance the boundary without
-    /// producing spurious empty windows.
-    pub fn push(&mut self, item: StreamItem) -> Option<Window> {
-        let mut emitted = None;
-        if item.timestamp_ms >= self.boundary_ms {
-            if !self.buffer.is_empty() {
-                let items = std::mem::take(&mut self.buffer);
-                emitted = Some(Window::new(self.next_id, items));
-                self.next_id += 1;
-            }
-            while item.timestamp_ms >= self.boundary_ms {
-                self.boundary_ms += self.width_ms;
-            }
-        }
-        self.buffer.push(item.triple);
-        emitted
-    }
-
-    /// Advances wall-clock time without an item: crossing the boundary with
-    /// a non-empty buffer closes and emits the open window, so a quiet
-    /// stream still produces its pending window instead of waiting for the
-    /// next arrival. Boundary handling matches [`TimeWindower::push`]:
-    /// crossing with an empty buffer advances silently.
-    pub fn tick(&mut self, now_ms: u64) -> Option<Window> {
-        if now_ms < self.boundary_ms {
-            return None;
-        }
-        let mut emitted = None;
-        if !self.buffer.is_empty() {
-            let items = std::mem::take(&mut self.buffer);
-            emitted = Some(Window::new(self.next_id, items));
-            self.next_id += 1;
-        }
-        while now_ms >= self.boundary_ms {
-            self.boundary_ms += self.width_ms;
-        }
-        emitted
-    }
-
-    /// Flushes the trailing window.
-    pub fn flush(&mut self) -> Option<Window> {
-        if self.buffer.is_empty() {
-            return None;
-        }
-        let items = std::mem::take(&mut self.buffer);
-        let w = Window::new(self.next_id, items);
-        self.next_id += 1;
-        Some(w)
     }
 }
 
@@ -425,19 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn time_windows_split_on_boundaries() {
-        let mut w = TimeWindower::new(100);
-        assert!(w.push(StreamItem { triple: t(1), timestamp_ms: 10 }).is_none());
-        assert!(w.push(StreamItem { triple: t(2), timestamp_ms: 60 }).is_none());
-        let win = w.push(StreamItem { triple: t(3), timestamp_ms: 130 }).unwrap();
-        assert_eq!(win.len(), 2);
-        // Items far in the future skip empty windows without emitting many.
-        let win2 = w.push(StreamItem { triple: t(4), timestamp_ms: 1000 }).unwrap();
-        assert_eq!(win2.len(), 1);
-        assert_eq!(w.flush().unwrap().len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "window size must be positive")]
     fn zero_tuple_window_panics() {
         TupleWindower::new(0);
@@ -464,31 +360,6 @@ mod tests {
             let b = tumbling.push(t(i));
             assert_eq!(a.map(|w| w.items), b.map(|w| w.items));
         }
-    }
-
-    #[test]
-    fn time_window_first_item_past_boundary_emits_nothing() {
-        // Regression: the first item's timestamp already exceeds the first
-        // boundary — the old windower emitted a spurious *empty* window 0.
-        let mut w = TimeWindower::new(100);
-        assert!(w.push(StreamItem { triple: t(1), timestamp_ms: 450 }).is_none());
-        let tail = w.flush().expect("the item is buffered, not lost");
-        assert_eq!(tail.id, 0, "first real window keeps id 0");
-        assert_eq!(tail.items, vec![t(1)]);
-    }
-
-    #[test]
-    fn time_window_long_gap_emits_no_empty_windows() {
-        let mut w = TimeWindower::new(100);
-        assert!(w.push(StreamItem { triple: t(1), timestamp_ms: 10 }).is_none());
-        let first = w.push(StreamItem { triple: t(2), timestamp_ms: 10_000 }).unwrap();
-        assert_eq!(first.items, vec![t(1)]);
-        assert_eq!(first.id, 0);
-        // The gap advanced the boundary; the next in-window item buffers.
-        assert!(w.push(StreamItem { triple: t(3), timestamp_ms: 10_050 }).is_none());
-        let second = w.flush().unwrap();
-        assert_eq!(second.id, 1, "ids stay dense despite the gap");
-        assert_eq!(second.items, vec![t(2), t(3)]);
     }
 
     #[test]
@@ -615,41 +486,10 @@ mod tests {
     }
 
     #[test]
-    fn time_window_tick_closes_idle_window() {
-        let mut w = TimeWindower::new(100);
-        assert!(w.push(StreamItem { triple: t(1), timestamp_ms: 10 }).is_none());
-        assert!(w.tick(50).is_none(), "boundary not reached yet");
-        let win = w.tick(150).expect("quiet stream still closes the window");
-        assert_eq!(win.id, 0);
-        assert_eq!(win.items, vec![t(1)]);
-        assert!(w.tick(160).is_none(), "no spurious empty window on re-tick");
-        // The boundary advanced past the tick: the next item lands cleanly
-        // in the new window.
-        assert!(w.push(StreamItem { triple: t(2), timestamp_ms: 170 }).is_none());
-        assert_eq!(w.flush().unwrap().items, vec![t(2)]);
-    }
-
-    #[test]
-    fn windower_trait_tick_defaults_to_none_for_count_windowers() {
-        let mut tuple: Box<dyn Windower> = Box::new(TupleWindower::new(2));
-        let mut sliding: Box<dyn Windower> = Box::new(SlidingWindower::new(2, 1));
-        let mut timed: Box<dyn Windower> = Box::new(TimeWindower::new(10));
-        tuple.feed(StreamItem { triple: t(1), timestamp_ms: 0 });
-        sliding.feed(StreamItem { triple: t(1), timestamp_ms: 0 });
-        timed.feed(StreamItem { triple: t(1), timestamp_ms: 0 });
-        assert!(tuple.tick(1_000).is_none());
-        assert!(sliding.tick(1_000).is_none());
-        assert!(timed.tick(1_000).is_some(), "time windower reacts through the trait");
-    }
-
-    #[test]
-    fn windower_trait_unifies_all_three() {
+    fn windower_trait_unifies_both() {
         let item = |i: i64, ts: u64| StreamItem { triple: t(i), timestamp_ms: ts };
-        let mut windowers: Vec<Box<dyn Windower>> = vec![
-            Box::new(TupleWindower::new(2)),
-            Box::new(SlidingWindower::new(2, 2)),
-            Box::new(TimeWindower::new(1_000)),
-        ];
+        let mut windowers: Vec<Box<dyn Windower>> =
+            vec![Box::new(TupleWindower::new(2)), Box::new(SlidingWindower::new(2, 2))];
         for w in &mut windowers {
             assert!(w.feed(item(1, 10)).is_none());
             let emitted = w.feed(item(2, 20)).into_iter().chain(w.flush()).next().unwrap();

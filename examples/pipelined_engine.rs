@@ -53,18 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pool.workers()
     );
 
-    // A timestamped synthetic stream, cut into 150 ms windows generically
-    // through the `Windower` trait.
+    // A timestamped synthetic stream, cut generically through the
+    // `Windower` trait into 1,500-item tuple windows, the paper's window
+    // model.
     let mut generator = paper_generator(GeneratorKind::Correlated, 99);
     let items: Vec<StreamItem> = generator
         .window(12_000)
         .into_iter()
         .enumerate()
-        .map(|(i, triple)| StreamItem { triple, timestamp_ms: i as u64 / 10 })
+        .map(|(i, triple)| StreamItem { triple, timestamp_ms: i as u64 })
         .collect();
-    let mut windower = TimeWindower::new(150);
+    let mut windower = TupleWindower::new(1_500);
     let submitted = engine.pump(items, &mut windower)?;
-    println!("submitted {submitted} time windows");
+    println!("submitted {submitted} tuple windows");
 
     let report = engine.finish();
     for out in &report.outputs {

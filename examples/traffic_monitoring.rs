@@ -1,12 +1,12 @@
-//! Live traffic monitoring: the full extended StreamRule pipeline of
-//! Figure 6 running against a rate-limited synthetic city-traffic stream.
-//! The stream query processor filters raw triples, the partitioning handler
-//! splits each window by the dependency plan, parallel reasoners detect
-//! traffic jams and car fires, and the combining handler unions the answers
-//! into notifications.
+//! Live traffic monitoring: the extended StreamRule reasoner of Figure 6
+//! running against a rate-limited synthetic city-traffic stream. The
+//! partitioning handler splits each window by the dependency plan, parallel
+//! reasoners detect traffic jams and car fires, and the combining handler
+//! unions the answers into notifications.
 //!
 //! Run with: `cargo run --release --example traffic_monitoring`
 
+use std::sync::Arc;
 use std::time::Duration;
 use stream_reasoner::prelude::*;
 
@@ -23,13 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P)?;
 
-    let (mut pipeline, analysis) = StreamRulePipeline::with_dependency_partitioning(
-        &syms,
-        &program,
-        &AnalysisConfig::default(),
-        ReasonerConfig::default(),
-    )?;
-    let pipeline = &mut pipeline;
+    let analysis = DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())?;
+    let config = ReasonerConfig::default();
+    let partitioner = Arc::new(PlanPartitioner::new(analysis.plan.clone(), config.unknown));
+    let mut reasoner =
+        ParallelReasoner::new(&syms, &program, Some(&analysis.inpre), partitioner, config)?;
     println!(
         "Extended StreamRule ready: {} parallel reasoners, duplicated predicates: {:?}",
         analysis.plan.communities,
@@ -50,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let projection = Projection::derived(&analysis.inpre);
     for window in rx {
-        let out = pipeline.process_window(&window)?;
-        let answers = &out.output.answers;
+        let out = reasoner.process(&window)?;
+        let answers = &out.answers;
         let events: Vec<String> = answers
             .first()
             .map(|ans| {
@@ -75,11 +73,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             window.id,
             window.len(),
             events.len(),
-            out.output.timing.total.as_secs_f64() * 1e3,
-            out.output.timing.partition.as_secs_f64() * 1e3,
-            out.output.timing.ground.as_secs_f64() * 1e3,
-            out.output.timing.solve.as_secs_f64() * 1e3,
-            out.output.timing.combine.as_secs_f64() * 1e3,
+            out.timing.total.as_secs_f64() * 1e3,
+            out.timing.partition.as_secs_f64() * 1e3,
+            out.timing.ground.as_secs_f64() * 1e3,
+            out.timing.solve.as_secs_f64() * 1e3,
+            out.timing.combine.as_secs_f64() * 1e3,
         );
         for e in events.iter().take(5) {
             println!("    {e}");

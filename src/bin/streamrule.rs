@@ -33,10 +33,6 @@
 //! relation statistics instead of the syntactic heuristic (any mode; with
 //! `--delta-ground` it also replans the maintained grounder's seeded
 //! plans when cardinalities drift). Answers are identical either way.
-//! `--auto-tune` replaces the fixed `--in-flight`/`--cache-size`/worker
-//! defaults with values planned from the program's static memory bound
-//! (see `streamrule analyze`) plus `available_parallelism`; it only moves
-//! identity-safe knobs, so output is byte-identical to a default run.
 //! `--tenants N` serves the program to `N` tenants through the
 //! multi-tenant scheduler (`sr-core::MultiTenantEngine`): `--dup-ratio R`
 //! (default 1.0) controls how many tenants run the program verbatim and
@@ -45,9 +41,7 @@
 //! per-tenant latency percentiles, the dedup counters and the shared cache
 //! line. `--admission-budget CELLS` arms admission control: a program
 //! whose static memory bound exceeds the budget is refused with an error
-//! naming the dominating term, or — with `--shed-over-budget` — admitted
-//! in shed mode (its tenants get degraded-tagged empty outputs, reported
-//! in the final admission line).
+//! naming the dominating term.
 //! `--metrics-addr HOST:PORT` (e.g. `127.0.0.1:9184`) serves the run's
 //! sr-obs metrics registry — engine/cache/planner/tenant counters and
 //! latency histograms — as a Prometheus text endpoint for the duration of
@@ -104,8 +98,7 @@ const USAGE: &str = "usage:
   streamrule run <program.lp> [--data data.nt] [--window N] [--windows K] [--mode single|dep|random:K]
                  [--in-flight L] [--rate R] [--seed S] [--json out.json] [--trials T] [--events]
                  [--incremental] [--cache-size N] [--slide S] [--delta-ground]
-                 [--cost-planning] [--auto-tune] [--tenants N] [--dup-ratio R]
-                 [--admission-budget CELLS] [--shed-over-budget]
+                 [--cost-planning] [--tenants N] [--dup-ratio R] [--admission-budget CELLS]
                  [--metrics-addr HOST:PORT] [--trace-out trace.json]
                  [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]";
 
@@ -218,8 +211,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the `--window`/`--slide` window model shared by `analyze` and the
-/// admission/auto-tune paths of `run`.
+/// Parses the `--window`/`--slide` window model the bounds of `analyze` are
+/// computed against.
 fn analyze_window_spec(args: &[String]) -> Result<WindowSpec, String> {
     let capacity: u64 =
         flag_value(args, "--window").unwrap_or("2048").parse().map_err(|_| "bad --window")?;
@@ -389,7 +382,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let seed: u64 =
         flag_value(args, "--seed").unwrap_or("2017").parse().map_err(|_| "bad --seed")?;
-    let mut in_flight: usize =
+    let in_flight: usize =
         flag_value(args, "--in-flight").unwrap_or("0").parse().map_err(|_| "bad --in-flight")?;
     let rate: f64 = flag_value(args, "--rate").unwrap_or("0").parse().map_err(|_| "bad --rate")?;
     let mode = parse_mode(flag_value(args, "--mode").unwrap_or("dep"))?;
@@ -429,7 +422,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // order inside grounding, never the answers, so no flag-matrix
     // restriction applies (unlike --incremental/--delta-ground above).
     let cost_planning = has_flag(args, "--cost-planning");
-    let mut reasoner_cfg = ReasonerConfig {
+    let reasoner_cfg = ReasonerConfig {
         incremental,
         cache_capacity: cache_size,
         delta_ground,
@@ -465,62 +458,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => None,
     };
 
-    let window_spec = WindowSpec { capacity: window_size as u64, slide: slide.map(|s| s as u64) };
-    if has_flag(args, "--auto-tune") {
-        if flag_value(args, "--in-flight").is_some() || flag_value(args, "--cache-size").is_some() {
-            return Err("--auto-tune picks --in-flight and --cache-size from the static bound; \
-                        drop the explicit flags"
-                .into());
-        }
-        let bounds = match mode {
-            RunMode::Dep => ProgramBounds::analyze(&syms, &program, &analysis, &window_spec),
-            RunMode::Random(k) => {
-                ProgramBounds::uniform(&syms, &program, &analysis.inpre, k, &window_spec)
-            }
-            RunMode::Single => {
-                ProgramBounds::uniform(&syms, &program, &analysis.inpre, 1, &window_spec)
-            }
-        };
-        let tuner = AutoTune::detect();
-        let plan = tuner.plan(&bounds, None);
-        // All four knobs are identity-safe: they change scheduling and
-        // caching, never answers (property-tested against the default
-        // config in tests/analysis_bounds.rs).
-        reasoner_cfg.cache_capacity = plan.cache_capacity;
-        reasoner_cfg.workers = plan.workers;
-        if tenants.is_none() {
-            in_flight = plan.in_flight;
-        }
-        println!(
-            "auto-tune: parallelism {}, bound {} cells over {} partition(s) -> workers {}, \
-             cache {}, in-flight {}",
-            tuner.parallelism(),
-            bounds.total_cells,
-            bounds.partitions.len(),
-            plan.workers,
-            plan.cache_capacity,
-            plan.in_flight
-        );
-    }
-
     let admission_budget: Option<u64> = match flag_value(args, "--admission-budget") {
         Some(v) => Some(v.parse().map_err(|_| "bad --admission-budget")?),
         None => None,
     };
-    let shed_over_budget = has_flag(args, "--shed-over-budget");
-    if (admission_budget.is_some() || shed_over_budget) && tenants.is_none() {
-        return Err("--admission-budget/--shed-over-budget gate multi-tenant admission; \
-                    add --tenants N"
-            .into());
-    }
-    if shed_over_budget && admission_budget.is_none() {
-        return Err("--shed-over-budget needs --admission-budget CELLS".into());
+    if admission_budget.is_some() && tenants.is_none() {
+        return Err("--admission-budget gates multi-tenant admission; add --tenants N".into());
     }
     let admission = admission_budget.map(|budget| AdmissionPolicy {
-        window: window_spec,
+        window: WindowSpec { capacity: window_size as u64, slide: slide.map(|s| s as u64) },
         budget_cells: Some(budget),
-        action: if shed_over_budget { BudgetAction::Shed } else { BudgetAction::Reject },
-        require_delta_fragment: false,
     });
 
     let deadline_ms: Option<u64> = match flag_value(args, "--deadline-ms") {
@@ -755,13 +702,7 @@ fn run_sequential(
             duration_ms(out.timing.total)
         );
         for ans in out.answers.iter().take(2) {
-            let shown = projection.apply(ans, syms);
-            let rendered = shown.display(syms).to_string();
-            if rendered.len() > 400 {
-                println!("  {}...}}", &rendered[..400]);
-            } else {
-                println!("  {rendered}");
-            }
+            print_answer(&projection.apply(ans, syms).display(syms).to_string());
         }
     }
     if let Some(cache) = cache {
@@ -852,14 +793,10 @@ fn run_tenants(
     }
     if let Some(adm) = &stats.admission {
         println!(
-            "admission: budget {} cells, {} admitted, {} rejected, {} shed entr{}, \
-             {} shed window(s)",
+            "admission: budget {} cells, {} admitted, {} rejected",
             adm.budget_cells.map_or_else(|| "-".to_string(), |b| b.to_string()),
             adm.admitted,
-            adm.rejected,
-            adm.shed_entries,
-            if adm.shed_entries == 1 { "y" } else { "ies" },
-            adm.shed_windows
+            adm.rejected
         );
     }
     let quarantined = engine.quarantined_tenants();
@@ -867,6 +804,18 @@ fn run_tenants(
         println!("quarantined tenant(s): {}", quarantined.join(", "));
     }
     Ok(())
+}
+
+/// Prints one rendered answer set, cut to its first 400 bytes (rounded down
+/// to a char boundary) when longer.
+fn print_answer(rendered: &str) {
+    const MAX_BYTES: usize = 400;
+    if rendered.len() <= MAX_BYTES {
+        println!("  {rendered}");
+    } else {
+        let cut = (0..=MAX_BYTES).rev().find(|&i| rendered.is_char_boundary(i)).unwrap_or(0);
+        println!("  {}...}}", &rendered[..cut]);
+    }
 }
 
 /// Prints the recovery-counter summary. Only called when the run produced
@@ -1059,12 +1008,7 @@ fn print_engine_report(
                     if out.degraded { " [DEGRADED: replaying last good answer]" } else { "" }
                 );
                 for ans in r.answers.iter().take(2) {
-                    let rendered = projection.apply(ans, syms).display(syms).to_string();
-                    if rendered.len() > 400 {
-                        println!("  {}...}}", &rendered[..400]);
-                    } else {
-                        println!("  {rendered}");
-                    }
+                    print_answer(&projection.apply(ans, syms).display(syms).to_string());
                 }
             }
             Err(e) => {

@@ -56,21 +56,19 @@ pub mod prelude {
     pub use sr_core::{
         answer_accuracy, atom_level_partition, delta_ground_supported, duration_ms, fault,
         fingerprint_items, program_fingerprint, reasoner_pool, window_accuracy, AdmissionPolicy,
-        AdmissionSnapshot, AdmitError, AnalysisConfig, AutoTune, BudgetAction, CombinePolicy,
-        DedupSnapshot, DependencyAnalysis, DominatingTerm, DuplicationPolicy, EngineConfig,
-        EngineOutput, EngineReport, EngineStats, FailureSnapshot, FaultPlan, FaultSite,
-        IncrementalReasoner, IncrementalSnapshot, LatencyStats, MultiTenantEngine, Observed,
-        ParallelMode, ParallelReasoner, PartitionCache, Partitioner, PartitioningPlan,
-        PlanPartitioner, ProgramBounds, ProgramRegistry, Projection, RandomPartitioner, Reasoner,
-        ReasonerConfig, ReasonerOutput, ReasonerPool, SingleReasoner, StreamEngine,
-        StreamRulePipeline, TenantLatency, TenantOutput, TenantPartitioner, TunedConfig,
+        AdmissionSnapshot, AdmitError, AnalysisConfig, CombinePolicy, DedupSnapshot,
+        DependencyAnalysis, DominatingTerm, DuplicationPolicy, EngineConfig, EngineOutput,
+        EngineReport, EngineStats, FailureSnapshot, FaultPlan, FaultSite, IncrementalReasoner,
+        IncrementalSnapshot, LatencyStats, MultiTenantEngine, ParallelMode, ParallelReasoner,
+        PartitionCache, Partitioner, PartitioningPlan, PlanPartitioner, ProgramBounds,
+        ProgramRegistry, Projection, RandomPartitioner, Reasoner, ReasonerConfig, ReasonerOutput,
+        ReasonerPool, SingleReasoner, StreamEngine, TenantLatency, TenantOutput, TenantPartitioner,
         UnknownPredicate, WindowSpec,
     };
     pub use sr_rdf::{FormatConfig, FormatProcessor, Node, Triple};
     pub use sr_stream::{
         paper_generator, BurstyGenerator, ChurnStream, CorrelatedGenerator, DeltaProjections,
         FaithfulGenerator, GeneratorKind, QueryProcessor, SlidingWindower, StreamItem,
-        TimeWindower, TupleWindower, Window, WindowDelta, Windower, WorkloadGenerator,
-        PAPER_PREDICATES,
+        TupleWindower, Window, WindowDelta, Windower, WorkloadGenerator, PAPER_PREDICATES,
     };
 }

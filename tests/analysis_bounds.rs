@@ -8,10 +8,7 @@
 //! * **uniform dominance** — the content-oblivious `uniform` bound (every
 //!   partition may see the whole window, the model for random
 //!   partitioning) dominates every per-community bound of the dependency
-//!   plan, and scales linearly in `k`;
-//! * **auto-tune identity** — reasoning with [`AutoTune`]-planned knobs is
-//!   byte-identical to the defaults across the identity grid: the tuner
-//!   may only touch scheduling and caching, never answers.
+//!   plan, and scales linearly in `k`.
 
 use proptest::prelude::*;
 use sr_bench::programs::LARGE_TRAFFIC;
@@ -23,10 +20,6 @@ use stream_reasoner::sr_core::MemoryBound;
 /// Deterministic programs inside the delta-grounding fragment (observed
 /// state exists only where the delta lane engages).
 const DELTA_PROGRAMS: [&str; 2] = [PROGRAM_P, LARGE_TRAFFIC];
-
-fn render(syms: &Symbols, out: &ReasonerOutput) -> String {
-    out.answers.iter().map(|a| a.display(syms).to_string()).collect::<Vec<_>>().join("\n")
-}
 
 /// `a ≤ b` on memory bounds: an unbounded `b` dominates everything.
 fn bound_le(a: MemoryBound, b: MemoryBound) -> bool {
@@ -130,76 +123,6 @@ fn assert_bound_sound(
     Ok(())
 }
 
-/// Runs the defaults-vs-tuned identity check: both incremental reasoners
-/// (and the full-recompute reference) must agree byte-for-byte.
-fn assert_autotune_identical(
-    source: &str,
-    size: usize,
-    slide: usize,
-    seed: u64,
-    parallelism: usize,
-    delta_ground: bool,
-) -> Result<(), TestCaseError> {
-    let syms = Symbols::new();
-    let program = parse_program(&syms, source).unwrap();
-    let analysis =
-        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
-    let spec = WindowSpec::sliding(size as u64, slide as u64);
-    let bounds = ProgramBounds::analyze(&syms, &program, &analysis, &spec);
-    let plan = AutoTune::new(parallelism).plan(&bounds, None);
-    let partitioner: Arc<dyn Partitioner> =
-        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
-
-    let base_cfg = ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() };
-    let mut full = ParallelReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner.clone(),
-        base_cfg.clone(),
-    )
-    .unwrap();
-    let mut defaults = IncrementalReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner.clone(),
-        ReasonerConfig { incremental: true, delta_ground, ..base_cfg.clone() },
-    )
-    .unwrap();
-    let mut tuned = IncrementalReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner,
-        ReasonerConfig {
-            incremental: true,
-            delta_ground,
-            cache_capacity: plan.cache_capacity,
-            workers: plan.workers,
-            ..base_cfg
-        },
-    )
-    .unwrap();
-
-    let inner = paper_generator(GeneratorKind::CorrelatedSparse, seed);
-    let mut churn = ChurnStream::new(inner, size, slide, 0.5, seed ^ 0x7e4);
-    for window in churn.windows(4) {
-        let expected = render(&syms, &full.process(&window).unwrap());
-        let a = render(&syms, &defaults.process(&window).unwrap());
-        prop_assert_eq!(&expected, &a, "defaults diverged at window {}", window.id);
-        let b = render(&syms, &tuned.process(&window).unwrap());
-        prop_assert_eq!(
-            &expected,
-            &b,
-            "auto-tuned knobs changed output at window {} (plan {:?})",
-            window.id,
-            plan
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -270,25 +193,5 @@ proptest! {
         let one_total = one.total_cells.cells().expect("traffic programs are bounded");
         let k_total = k_wide.total_cells.cells().expect("traffic programs are bounded");
         prop_assert_eq!(k_total, one_total * k as u128, "uniform bound must scale linearly");
-    }
-
-    /// Auto-tuned knobs are byte-identical to the defaults across the
-    /// identity grid (plain incremental and delta-grounding sides both).
-    #[test]
-    fn autotune_is_byte_identical_to_defaults(
-        program_idx in 0usize..2,
-        size in 40usize..=100,
-        divisor_idx in 0usize..3,
-        parallelism in 1usize..=16,
-        delta_ground: bool,
-        seed in 0u64..1_000,
-    ) {
-        // Hold the process-global fault guard: a concurrent chaos test's
-        // installed plan would otherwise inject faults into this run.
-        let _guard = stream_reasoner::sr_core::fault::test_guard();
-        let slide = (size / [2, 4, 8][divisor_idx]).max(1);
-        assert_autotune_identical(
-            DELTA_PROGRAMS[program_idx], size, slide, seed, parallelism, delta_ground,
-        )?;
     }
 }

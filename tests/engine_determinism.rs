@@ -1,6 +1,6 @@
 //! Engine determinism: the ordered output of the pipelined `StreamEngine`
-//! must be byte-identical to the sequential `StreamRulePipeline` baseline on
-//! the traffic workload — for the dependency-partitioned reasoner (`PR_Dep`)
+//! must be byte-identical to the same reasoner run window by window on the
+//! traffic workload — for the dependency-partitioned reasoner (`PR_Dep`)
 //! and the random baseline (`PR_Ran_k`) alike.
 
 use std::sync::Arc;
@@ -184,44 +184,30 @@ fn tracing_on_and_off_render_identically() {
 
 #[test]
 fn sequential_mode_pipeline_also_matches() {
-    // The `StreamRulePipeline` itself (query processor included) against an
-    // engine built on the same construction path, via raw item feeding.
+    // The query processor in front of a sequential-mode PR_Dep against the
+    // engine's thread-pool lanes fed the raw windows.
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
-    let windows = traffic_windows(4, 200);
-
-    let (mut pipe, _analysis) = StreamRulePipeline::with_dependency_partitioning(
-        &syms,
-        &program,
-        &AnalysisConfig::default(),
-        ReasonerConfig::default(),
-    )
-    .unwrap();
-    let baseline: Vec<String> = windows
-        .iter()
-        .map(|w| {
-            let out = pipe.process_raw(w.items.clone()).unwrap();
-            render(&syms, &out.output)
-        })
-        .collect();
-
     let analysis =
         DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
-    let pipelined = engine_rendered(
-        &syms,
-        |_| {
-            let partitioner =
-                Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
-            Ok(Box::new(ParallelReasoner::new(
-                &syms,
-                &program,
-                Some(&analysis.inpre),
-                partitioner,
-                ReasonerConfig::default(),
-            )?))
-        },
-        &windows,
-        3,
-    );
+    let windows = traffic_windows(4, 200);
+    let make_dep = |mode: ParallelMode| -> Result<Box<dyn Reasoner>, AspError> {
+        let partitioner =
+            Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+        let config = ReasonerConfig { mode, ..Default::default() };
+        Ok(Box::new(ParallelReasoner::new(
+            &syms,
+            &program,
+            Some(&analysis.inpre),
+            partitioner,
+            config,
+        )?))
+    };
+
+    let mut query = QueryProcessor::from_input_signature(&syms, &analysis.inpre);
+    let filtered: Vec<Window> =
+        windows.iter().map(|w| Window::new(w.id, query.filter(w.items.clone()))).collect();
+    let baseline = baseline_rendered(&syms, make_dep(ParallelMode::Sequential).unwrap(), &filtered);
+    let pipelined = engine_rendered(&syms, |_| make_dep(ParallelMode::Threads), &windows, 3);
     assert_eq!(pipelined, baseline);
 }

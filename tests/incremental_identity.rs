@@ -473,35 +473,6 @@ proptest! {
     }
 }
 
-/// The pipeline-level wiring: `with_dependency_partitioning` with
-/// `incremental` on must emit exactly what the non-incremental pipeline
-/// emits, window by window, on an overlapping stream.
-#[test]
-fn incremental_pipeline_matches_plain_pipeline() {
-    let syms = Symbols::new();
-    let program = parse_program(&syms, PROGRAM_P).unwrap();
-    let windows = sliding_windows(GeneratorKind::Correlated, 42, 120, 30, 4);
-
-    let build = |incremental: bool| {
-        let cfg = ReasonerConfig { incremental, ..Default::default() };
-        StreamRulePipeline::with_dependency_partitioning(
-            &syms,
-            &program,
-            &AnalysisConfig::default(),
-            cfg,
-        )
-        .unwrap()
-        .0
-    };
-    let mut plain = build(false);
-    let mut incremental = build(true);
-    for window in &windows {
-        let a = render(&syms, &plain.process_window(window).unwrap().output);
-        let b = render(&syms, &incremental.process_window(window).unwrap().output);
-        assert_eq!(a, b, "pipeline diverged at window {}", window.id);
-    }
-}
-
 /// The engine-level wiring: incremental lanes over a shared cache, ordered
 /// emission, byte-identical to the window-at-a-time incremental baseline,
 /// and cache counters surfaced in `EngineStats`.

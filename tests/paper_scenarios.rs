@@ -172,21 +172,30 @@ fn pr_dep_exact_on_synthetic_workloads() {
     }
 }
 
-/// The full pipeline (query processor included) filters noise and reasons.
+/// The query processor filters noise in front of PR_Dep, which reasons.
 #[test]
 fn pipeline_filters_and_reasons() {
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
-    let (mut pipe, _analysis) = StreamRulePipeline::with_dependency_partitioning(
+    let analysis =
+        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+    let mut query = QueryProcessor::from_input_signature(&syms, &analysis.inpre);
+    let mut raw = motivating_window().items;
+    raw.push(Triple::new(Node::iri("x"), Node::iri("irrelevant"), Node::Int(1)));
+    let kept = query.filter(raw);
+    assert_eq!(query.counters(), (6, 1), "one noise item dropped");
+
+    let partitioner =
+        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+    let mut pr = ParallelReasoner::new(
         &syms,
         &program,
-        &AnalysisConfig::default(),
+        Some(&analysis.inpre),
+        partitioner,
         ReasonerConfig::default(),
     )
     .unwrap();
-    let mut raw = motivating_window().items;
-    raw.push(Triple::new(Node::iri("x"), Node::iri("irrelevant"), Node::Int(1)));
-    let out = pipe.process_raw(raw).unwrap();
-    assert_eq!(out.filtered_out, 1);
-    assert_eq!(out.output.answers.len(), 1);
+    let out = pr.process(&Window::new(0, kept)).unwrap();
+    assert_eq!(out.answers.len(), 1);
+    assert!(out.answers[0].display(&syms).to_string().contains("car_fire(dangan)"));
 }

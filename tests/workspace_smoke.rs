@@ -79,3 +79,26 @@ fn quickstart_path_end_to_end() {
     assert!(answers.contains("car_fire(dangan)"), "got: {answers}");
     assert!(answers.contains("give_notification(newcastle)"), "got: {answers}");
 }
+
+/// `streamrule run` cuts long answer sets for display; the cut must land on
+/// a char boundary when a multi-byte literal straddles the limit.
+#[test]
+fn run_truncates_multibyte_answers_at_a_char_boundary() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("utf8_truncation");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (program, data) = (dir.join("p.lp"), dir.join("d.nt"));
+    std::fs::write(&program, "seen(X,Y) :- tag(X,Y).\n").unwrap();
+    std::fs::write(&data, format!("<aa> <tag> \"{}\" .\n", "é".repeat(300))).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+        .arg("run")
+        .arg(&program)
+        .arg("--data")
+        .arg(&data)
+        .args(["--window", "1", "--mode", "single"])
+        .output()
+        .expect("streamrule runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    assert!(stdout.contains("...}"), "the answer set is shown truncated: {stdout}");
+}
