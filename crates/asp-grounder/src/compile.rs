@@ -137,8 +137,10 @@ pub enum Step {
         /// Bound expression.
         expr: CTerm,
     },
-    /// Record a fully bound default-negated atom (always "passes" during the
-    /// possible-set computation; simplification happens after grounding).
+    /// Test a fully bound default-negated atom. Grounding passes it
+    /// through (the possible set over-approximates; simplification resolves
+    /// negation afterwards), as does the delta grounder; perfect-model
+    /// evaluation blocks when the atom is in the final lower component.
     NegCheck {
         /// The negated atom.
         atom: CAtom,

@@ -665,8 +665,9 @@ impl DeltaGrounder {
     }
 
     // KEEP IN SYNC with `Eval::step` (instantiate.rs): same plan-walk
-    // semantics (Match pattern build, Compare/Bind backtracking, NegCheck
-    // pass-through) over `DRel` storage with an undo trail. The
+    // semantics (Match pattern build, Compare/Bind backtracking) over `DRel`
+    // storage with an undo trail. `NegCheck` always passes through here, as
+    // in `Eval`'s ground mode; `Eval`'s model mode blocks on it instead. The
     // delta-on/off identity proptests catch divergence, but a semantic fix
     // here almost certainly belongs there too.
     #[allow(clippy::too_many_arguments)]

@@ -1,6 +1,8 @@
 //! The instantiation engine: component-ordered semi-naive evaluation
 //! producing proto rules, following the two-phase grounding architecture of
-//! DLV/clingo that the paper's reasoner relies on.
+//! DLV/clingo that the paper's reasoner relies on. The same evaluation, run
+//! in model mode, computes the perfect model of a stratified program
+//! directly ([`Grounder::perfect_model`]).
 
 use crate::compile::{compare, compile_rule, make_plan, CAtom, CLit, CompiledRule, Source, Step};
 use crate::planner::match_signature;
@@ -26,6 +28,8 @@ pub struct Grounder {
     pub(crate) compiled: Vec<CompiledRule>,
     components: Vec<Component>,
     constraint_ids: Vec<usize>,
+    /// See [`Grounder::is_stratified`].
+    stratified: bool,
     /// Cost-based plan cache, present when cost planning is enabled. Behind
     /// a mutex because grounding runs through `&self` (the grounder is
     /// shared via `Arc` across lanes); contention is negligible — the lock
@@ -148,6 +152,20 @@ impl Grounder {
             components[scc].preds.insert(preds[pid]);
         }
 
+        // One answer set per window iff no rule can branch (choice or
+        // disjunction) and every negated predicate lies in a component
+        // strictly below its head's, so it is final before the head reads it.
+        let stratified = compiled.iter().all(|c| {
+            !c.choice
+                && c.heads.len() <= 1
+                && c.heads.first().is_none_or(|h| {
+                    let scc = scc_of[pred_ids[&h.pred]];
+                    c.body
+                        .iter()
+                        .all(|l| !matches!(l, CLit::Neg(a) if scc_of[pred_ids[&a.pred]] == scc))
+                })
+        });
+
         let mut constraint_ids = Vec::new();
         for (idx, c) in compiled.iter().enumerate() {
             if c.heads.is_empty() {
@@ -172,7 +190,23 @@ impl Grounder {
             comp.rules.push(CompRule { compiled_idx: idx, round0, rec_lits, deltas });
         }
 
-        Ok(Grounder { syms: syms.clone(), compiled, components, constraint_ids, planner: None })
+        Ok(Grounder {
+            syms: syms.clone(),
+            compiled,
+            components,
+            constraint_ids,
+            stratified,
+            planner: None,
+        })
+    }
+
+    /// True when every window has at most one answer set, its perfect
+    /// model, so [`Grounder::perfect_model`] applies: no choice rule, no
+    /// disjunctive head, and no default-negated body predicate in its head's
+    /// own dependency component (positive recursion is fine). Programs
+    /// failing this need [`Grounder::ground`] plus a stable-model solver.
+    pub fn is_stratified(&self) -> bool {
+        self.stratified
     }
 
     /// Enables or disables cost-based join planning for scratch grounding.
@@ -253,6 +287,60 @@ impl Grounder {
     /// Instantiates the program against `facts` (the input window plus any
     /// extensional data), producing a simplified ground program.
     pub fn ground(&self, facts: &[GroundAtom]) -> Result<GroundProgram, AspError> {
+        let Evaluated { relations, proto, .. } = self.evaluate(facts, Mode::Ground)?;
+        Ok(finalize(&relations, proto))
+    }
+
+    /// The unique answer set of a stratified program over `facts` — `None`
+    /// when a constraint fires or an atom holds together with its strong
+    /// negation (unsatisfiable). Internal predicates are left out, as the
+    /// solver leaves them out of its answer sets.
+    ///
+    /// Components are evaluated bottom-up, each to its semi-naive fixpoint,
+    /// with default negation tested against the already-final lower
+    /// components: the least-fixed-point (perfect model) reading of a
+    /// stratified program. No proto rules, simplification, completion
+    /// clauses or CDCL search are involved; the result equals solving
+    /// [`Grounder::ground`]'s program. Fails when the program is not
+    /// [stratified](Grounder::is_stratified).
+    pub fn perfect_model(&self, facts: &[GroundAtom]) -> Result<Option<Vec<GroundAtom>>, AspError> {
+        if !self.stratified {
+            return Err(AspError::Internal(
+                "perfect-model evaluation needs a stratified program without choice or \
+                 disjunction"
+                    .into(),
+            ));
+        }
+        let Evaluated { relations, violated, .. } = self.evaluate(facts, Mode::Model)?;
+        if violated {
+            return Ok(None);
+        }
+        // `p` and `-p` together: the constraint `ground` would emit fires.
+        for (pred, rel) in relations.iter().filter(|(p, _)| p.strong_neg) {
+            let twin = Predicate { strong_neg: false, ..*pred };
+            if relations.get(&twin).is_some_and(|pos| rel.tuples().iter().any(|t| pos.contains(t)))
+            {
+                return Ok(None);
+            }
+        }
+        let mut model = Vec::with_capacity(relations.values().map(Relation::len).sum());
+        for (pred, rel) in relations {
+            if is_internal_predicate(&self.syms, pred.name) {
+                continue;
+            }
+            model.extend(rel.into_tuples().into_iter().map(|args| GroundAtom {
+                pred: pred.name,
+                args,
+                strong_neg: pred.strong_neg,
+            }));
+        }
+        Ok(Some(model))
+    }
+
+    /// The evaluation `ground` and `perfect_model` share: rebase the cost
+    /// planner, load the facts, run every component to its fixpoint
+    /// (bodies before heads), then the integrity constraints.
+    fn evaluate(&self, facts: &[GroundAtom], mode: Mode) -> Result<Evaluated, AspError> {
         // Cost planning: rebase the statistics from this window's facts and
         // rebuild plans only when the generation moved (drift hysteresis in
         // `RelationStats` bounds the replan rate).
@@ -270,8 +358,10 @@ impl Grounder {
         let mut ev = Eval {
             g: self,
             planned,
+            mode,
             relations: FastMap::default(),
             proto: Vec::new(),
+            violated: false,
             seen: FastSet::default(),
             delta: FastMap::default(),
             trail: Vec::new(),
@@ -279,7 +369,9 @@ impl Grounder {
 
         for f in facts {
             let pred = f.predicate();
-            if ev.relations.entry(pred).or_default().insert(f.args.clone()).is_some() {
+            if ev.relations.entry(pred).or_default().insert(f.args.clone()).is_some()
+                && mode == Mode::Ground
+            {
                 ev.proto.push(ProtoRule {
                     heads: vec![f.clone()],
                     pos: Vec::new(),
@@ -296,15 +388,20 @@ impl Grounder {
         }
 
         for (k, &cidx) in self.constraint_ids.iter().enumerate() {
+            if ev.violated {
+                break;
+            }
             let rule = &self.compiled[cidx];
             let plan = planned.map_or(&rule.plan, |c| &c.constraints[k]);
             ev.eval_rule(rule, plan, cidx)?;
         }
 
-        ev.strong_negation_constraints();
+        if mode == Mode::Ground {
+            ev.strong_negation_constraints();
+        }
 
-        let Eval { relations, proto, .. } = ev;
-        Ok(finalize(&relations, proto))
+        let Eval { relations, proto, violated, .. } = ev;
+        Ok(Evaluated { relations, proto, violated })
     }
 
     /// The symbol store the grounder was built with.
@@ -322,13 +419,38 @@ pub fn ground_program(
     Grounder::new(syms, program)?.ground(facts)
 }
 
+/// What [`Eval`] computes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// The possible set plus one proto rule per rule instance: default
+    /// negation never blocks, simplification resolves it afterwards.
+    Ground,
+    /// The perfect model of a stratified program: default negation is
+    /// tested against the final lower components, a rule instance only adds
+    /// its head, and a matching constraint makes the window unsatisfiable.
+    Model,
+}
+
+/// What one [`Eval`] run leaves behind.
+struct Evaluated {
+    /// Every derived relation: the possible set ([`Mode::Ground`]) or the
+    /// model ([`Mode::Model`]).
+    relations: FastMap<Predicate, Relation>,
+    /// The proto rules ([`Mode::Ground`] only).
+    proto: Vec<ProtoRule>,
+    /// A constraint matched ([`Mode::Model`] only).
+    violated: bool,
+}
+
 struct Eval<'g, 'p> {
     g: &'g Grounder,
     /// Cost-planned plan overrides, present when cost planning is enabled;
     /// indexes mirror the grounder's component / constraint layout.
     planned: Option<&'p PlanCache>,
+    mode: Mode,
     relations: FastMap<Predicate, Relation>,
     proto: Vec<ProtoRule>,
+    violated: bool,
     /// Instance dedup: (compiled rule index, full variable bindings).
     seen: FastSet<(u32, Box<[GroundTerm]>)>,
     delta: FastMap<Predicate, (u32, u32)>,
@@ -393,9 +515,10 @@ impl Eval<'_, '_> {
     }
 
     // KEEP IN SYNC with `DeltaGrounder::step` (delta.rs): same plan-walk
-    // semantics over different relation storage. The delta-on/off identity
-    // proptests catch divergence, but a semantic fix here almost certainly
-    // belongs there too.
+    // semantics over different relation storage, except that `NegCheck`
+    // blocks here in `Mode::Model` while the delta walker always passes it
+    // through. The delta-on/off identity proptests catch divergence, but a
+    // semantic fix here almost certainly belongs there too.
     fn step(
         &mut self,
         rule: &CompiledRule,
@@ -452,9 +575,18 @@ impl Eval<'_, '_> {
                 subst[*slot as usize] = None;
                 result
             }
-            Step::NegCheck { .. } => {
-                // The possible-set computation over-approximates: default
-                // negation never blocks here; simplification handles it.
+            Step::NegCheck { atom } => {
+                // Ground mode over-approximates the possible set: default
+                // negation never blocks, simplification handles it. In model
+                // mode the negated predicate lies in a lower, already final
+                // component, so the test is exact.
+                if self.mode == Mode::Model {
+                    let args: Vec<GroundTerm> =
+                        atom.args.iter().map(|t| t.eval(subst)).collect::<Result<_, _>>()?;
+                    if self.relations.get(&atom.pred).is_some_and(|r| r.contains(&args)) {
+                        return Ok(());
+                    }
+                }
                 self.step(rule, plan, idx + 1, subst, key)
             }
         }
@@ -475,6 +607,18 @@ impl Eval<'_, '_> {
         subst: &mut [Option<GroundTerm>],
         key: u32,
     ) -> Result<(), AspError> {
+        if self.mode == Mode::Model {
+            // The body holds in the model: a constraint is violated, a rule
+            // derives its (single) head. The relation deduplicates.
+            if rule.heads.is_empty() {
+                self.violated = true;
+            }
+            for h in &rule.heads {
+                let args = h.args.iter().map(|t| t.eval(subst)).collect::<Result<_, _>>()?;
+                self.relations.entry(h.pred).or_default().insert(args);
+            }
+            return Ok(());
+        }
         let bindings: Box<[GroundTerm]> =
             subst.iter().map(|s| s.clone().unwrap_or(GroundTerm::Int(i64::MIN))).collect();
         if !self.seen.insert((key, bindings)) {
@@ -641,6 +785,13 @@ mod tests {
         :- alarm(X), muted(X).
     "#;
 
+    const PROGRAM_P: &str = include_str!("../../../assets/traffic_p.lp");
+    const LARGE_TRAFFIC: &str = include_str!("../../../assets/large_traffic.lp");
+
+    fn grounder(syms: &Symbols, src: &str) -> Grounder {
+        Grounder::new(syms, &parse_program(syms, src).unwrap()).unwrap()
+    }
+
     fn facts(syms: &Symbols, n: i64) -> Vec<GroundAtom> {
         let mk = |name: &str, args: &[i64]| {
             GroundAtom::new(syms.intern(name), args.iter().map(|&a| GroundTerm::Int(a)).collect())
@@ -690,5 +841,91 @@ mod tests {
         g.ground(&facts(&syms, 300)).unwrap();
         let (replans_grown, ..) = g.planner_counters().unwrap();
         assert_eq!(replans_grown, 2);
+    }
+
+    #[test]
+    fn only_branching_programs_miss_the_perfect_model_path() {
+        let syms = Symbols::new();
+        for src in ["{a}.", "a | b.", "a :- not b. b :- not a."] {
+            assert!(!grounder(&syms, src).is_stratified(), "{src}");
+        }
+        let negation_below = "q(X) :- r(X), not p(X). p(X) :- s(X).";
+        for src in [PROGRAM_P, LARGE_TRAFFIC, REACH, negation_below] {
+            assert!(grounder(&syms, src).is_stratified(), "{src}");
+        }
+    }
+
+    #[test]
+    fn stratified_agrees_with_the_analysis_on_every_asset() {
+        use crate::analysis::grounding_bounds;
+        use asp_core::Head;
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|x| x != "lp") {
+                continue;
+            }
+            let syms = Symbols::new();
+            let program = parse_program(&syms, &std::fs::read_to_string(&path).unwrap()).unwrap();
+            let no_branching = program.rules.iter().all(|r| match &r.head {
+                Head::Choice(_) => false,
+                Head::Disjunction(atoms) => atoms.len() <= 1,
+            });
+            let analysis = grounding_bounds(&syms, &program, 64, &|_| Some(64), None);
+            assert_eq!(
+                Grounder::new(&syms, &program).unwrap().is_stratified(),
+                analysis.stratified && no_branching,
+                "{}",
+                path.display()
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "no assets/*.lp found under {dir}");
+    }
+
+    fn model(syms: &Symbols, g: &Grounder, facts: &[GroundAtom]) -> Option<Vec<String>> {
+        let atoms = g.perfect_model(facts).unwrap()?;
+        let mut rendered: Vec<String> = atoms.iter().map(|a| a.display(syms).to_string()).collect();
+        rendered.sort();
+        Some(rendered)
+    }
+
+    #[test]
+    fn perfect_model_negates_against_the_final_lower_stratum() {
+        let syms = Symbols::new();
+        let g = grounder(&syms, "q(X) :- r(X), not p(X). p(X) :- s(X).");
+        let int = |name: &str, i: i64| GroundAtom::new(syms.intern(name), vec![GroundTerm::Int(i)]);
+        // q's rule comes first in the source: only component order makes
+        // p final before q negates it.
+        let facts = [int("r", 1), int("r", 2), int("s", 1)];
+        assert_eq!(
+            model(&syms, &g, &facts).unwrap(),
+            ["p(1)", "q(2)", "r(1)", "r(2)", "s(1)"].map(String::from)
+        );
+    }
+
+    #[test]
+    fn perfect_model_closes_positive_recursion_and_checks_constraints() {
+        let syms = Symbols::new();
+        let g = grounder(&syms, REACH);
+        let reach = model(&syms, &g, &facts(&syms, 3)).unwrap();
+        assert!(reach.contains(&"reach(0,3)".to_string()), "{reach:?}");
+        assert!(reach.contains(&"alarm(0)".to_string()), "{reach:?}");
+        let mut muted = facts(&syms, 3);
+        muted.push(GroundAtom::new(syms.intern("muted"), vec![GroundTerm::Int(0)]));
+        assert_eq!(model(&syms, &g, &muted), None, "`:- alarm(X), muted(X).` fires");
+    }
+
+    #[test]
+    fn perfect_model_rejects_strong_negation_conflicts_and_unstratified_programs() {
+        let syms = Symbols::new();
+        let g = grounder(&syms, "ok(X) :- sensor(X), not -sensor(X).");
+        let pos = GroundAtom::new(syms.intern("sensor"), vec![GroundTerm::Int(1)]);
+        let neg = GroundAtom { strong_neg: true, ..pos.clone() };
+        assert_eq!(model(&syms, &g, std::slice::from_ref(&pos)).unwrap(), ["ok(1)", "sensor(1)"]);
+        assert_eq!(model(&syms, &g, &[pos, neg]), None);
+        let cycle = grounder(&syms, "a :- not b. b :- not a.");
+        assert!(cycle.perfect_model(&[]).is_err(), "a negative cycle has no perfect model");
     }
 }

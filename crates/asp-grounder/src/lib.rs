@@ -8,8 +8,14 @@
 //! certain/possible simplification pass (see [`simplify`]) shrinks the ground
 //! program before it reaches the solver.
 //!
+//! A [stratified](Grounder::is_stratified) program needs no solver: the same
+//! component-ordered evaluation, with default negation tested against the
+//! final lower components, yields its unique answer set directly
+//! ([`Grounder::perfect_model`]).
+//!
 //! Design-time/run-time split: [`Grounder::new`] does all per-program work
-//! once, [`Grounder::ground`] is called per input window.
+//! once, [`Grounder::ground`] or [`Grounder::perfect_model`] is called per
+//! input window.
 
 #![warn(missing_docs)]
 

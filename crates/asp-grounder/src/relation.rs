@@ -45,6 +45,11 @@ impl Relation {
         &self.tuples
     }
 
+    /// Consumes the relation, returning its tuples in insertion order.
+    pub fn into_tuples(self) -> Vec<Box<[GroundTerm]>> {
+        self.tuples
+    }
+
     /// Inserts a tuple; returns its index if it was new.
     pub fn insert(&mut self, tuple: Box<[GroundTerm]>) -> Option<u32> {
         if self.ids.contains_key(&tuple) {

@@ -2,6 +2,12 @@
 //! drop-in substitute for the Clingo 4.3 solving phase that the paper's
 //! StreamRule reasoner invokes.
 //!
+//! The reasoners call it only for programs with choice, disjunction or a
+//! negative cycle. A stratified program has one answer set per window,
+//! which [`Grounder::perfect_model`](asp_grounder::Grounder::perfect_model)
+//! evaluates bottom-up without CNF or search; [`solve_ground`] still accepts
+//! such programs and returns the same answer.
+//!
 //! Pipeline: [`translate`] builds Clark-completion clauses (shifting
 //! head-cycle-free disjunction), the CDCL [`engine`] enumerates completion
 //! models, and [`stability`] rejects unfounded (non-stable) models by

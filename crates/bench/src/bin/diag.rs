@@ -22,10 +22,13 @@ use sr_bench::{ExperimentBench, ExperimentConfig, PROGRAM_P};
 use sr_obs::{group_by_window, Stage, WindowTrace};
 use sr_stream::{paper_generator, GeneratorKind, Window};
 
-/// Stages the sequential R pass emits, in lifecycle order.
+/// Stages the sequential R pass emits, in lifecycle order. `Solve` is CDCL,
+/// non-stratified programs only: on P it reads 0 and `Ground` holds the
+/// perfect-model evaluation.
 const R_STAGES: &[Stage] = &[Stage::Windowing, Stage::Ground, Stage::Solve];
 
-/// Stages the partitioned PR_Dep pass emits, in lifecycle order.
+/// Stages the partitioned PR_Dep pass emits, in lifecycle order (`Solve` as
+/// in `R_STAGES`).
 const PR_STAGES: &[Stage] =
     &[Stage::Partition, Stage::Windowing, Stage::Ground, Stage::Solve, Stage::Combine];
 

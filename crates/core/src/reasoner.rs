@@ -1,7 +1,12 @@
-//! The reasoner `R` of StreamRule: data-format processor + ASP solver. Its
-//! latency includes the RDF→ASP transformation time, as the paper insists
-//! ("performance of the reasoning subprocess should be measured by not only
-//! the processing time of the solver but also the time required for data
+//! The reasoner `R` of StreamRule: data-format processor + ASP grounder,
+//! plus the stable-model solver for programs that need one. A stratified
+//! program (every program the paper streams) has exactly one answer set per
+//! window, its perfect model, which the grounder evaluates bottom-up
+//! ([`Grounder::perfect_model`]); only programs with choice, disjunction or
+//! a negative cycle are grounded and handed to CDCL. Its latency includes
+//! the RDF→ASP transformation time, as the paper insists ("performance of
+//! the reasoning subprocess should be measured by not only the processing
+//! time of the solver but also the time required for data
 //! transformation").
 
 use asp_core::{AnswerSet, AspError, Predicate, Program, Symbols};
@@ -20,9 +25,11 @@ pub struct Timing {
     pub partition: Duration,
     /// RDF→ASP transformation (critical path over workers for PR).
     pub transform: Duration,
-    /// Grounding (critical path over workers for PR).
+    /// Grounding, or perfect-model evaluation for a stratified program
+    /// (critical path over workers for PR).
     pub ground: Duration,
-    /// Solving (critical path over workers for PR).
+    /// CDCL solving, non-stratified programs only (critical path over
+    /// workers for PR).
     pub solve: Duration,
     /// Combining handler time (zero for `R`).
     pub combine: Duration,
@@ -39,7 +46,8 @@ pub struct ReasonerOutput {
     pub partition_sizes: Vec<usize>,
     /// Partitions that had no answer set.
     pub unsat_partitions: usize,
-    /// Solver statistics aggregated over partitions.
+    /// Solver statistics aggregated over partitions (all zero when no
+    /// partition needed the solver).
     pub solve_stats: SolveStats,
 }
 
@@ -156,8 +164,9 @@ impl SingleReasoner {
         })
     }
 
-    /// Transform → ground → solve for a bag of triples; used directly by the
-    /// parallel reasoner's workers.
+    /// Transform → perfect model, or transform → ground → solve when the
+    /// program is not stratified, for a bag of triples; used directly by
+    /// the parallel reasoner's workers.
     pub fn process_items(
         &mut self,
         items: &[Triple],
@@ -170,6 +179,20 @@ impl SingleReasoner {
         let transform = t0.elapsed();
 
         let t1 = Instant::now();
+        if self.grounder.is_stratified() {
+            let answers = {
+                let _span = sr_obs::span(sr_obs::Stage::Ground);
+                let model = self.grounder.perfect_model(&facts)?;
+                model.map(|atoms| AnswerSet::new(atoms, &self.syms)).into_iter().collect()
+            };
+            let timing = Timing {
+                total: t0.elapsed(),
+                transform,
+                ground: t1.elapsed(),
+                ..Default::default()
+            };
+            return Ok((answers, timing, SolveStats::default()));
+        }
         let ground = {
             let _span = sr_obs::span(sr_obs::Stage::Ground);
             self.grounder.ground(&facts)?
@@ -273,6 +296,19 @@ mod tests {
         let o1 = r.process(&motivating_window()).unwrap();
         let o2 = r.process(&motivating_window()).unwrap();
         assert_eq!(o1.answers, o2.answers);
+    }
+
+    #[test]
+    fn negative_cycle_still_reaches_the_solver() {
+        let syms = Symbols::new();
+        let program = parse_program(&syms, "a :- not b. b :- not a.").unwrap();
+        let mut r = SingleReasoner::new(&syms, &program, None, SolverConfig::default()).unwrap();
+        let out = r.process(&Window::new(0, vec![])).unwrap();
+        let mut rendered: Vec<String> =
+            out.answers.iter().map(|a| a.display(&syms).to_string()).collect();
+        rendered.sort();
+        assert_eq!(rendered, vec!["{a}", "{b}"]);
+        assert!(out.solve_stats.vars > 0, "CDCL ran: {:?}", out.solve_stats);
     }
 
     #[test]

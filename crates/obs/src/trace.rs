@@ -38,13 +38,14 @@ pub enum Stage {
     DeltaProject,
     /// Fingerprint + partition-cache probe.
     CacheLookup,
-    /// Scratch (full) grounding.
+    /// Scratch (full) grounding, or perfect-model evaluation of a
+    /// stratified program.
     Ground,
     /// Incremental delta-grounding of a dirty partition.
     DeltaGround,
     /// Cost-based join (re)planning.
     Plan,
-    /// Solving the ground program.
+    /// Solving the ground program with CDCL (non-stratified programs only).
     Solve,
     /// Combining per-partition answers.
     Combine,
