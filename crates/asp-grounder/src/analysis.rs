@@ -24,11 +24,11 @@
 //!   `C^arity`, where `C` counts the constants nameable from the program
 //!   text plus the window (each input fact contributes at most `arity`
 //!   fresh constants);
-//! * the [`DeltaGrounder`](crate::delta::DeltaGrounder) slot stores keep
-//!   `slots ≤ 2 × live + 1` by their amortized-compaction invariants
-//!   (`DRel::remove` rebuilds once dead slots outnumber live ones,
-//!   `process_dead` compacts once dead instantiations outnumber live
-//!   ones), which is where the tombstone-slack factor 2 comes from.
+//! * slot stores that tombstone and compact once dead slots outnumber live
+//!   ones keep `slots ≤ 2 × live + 1`, which is where the tombstone-slack
+//!   factor 2 comes from. The model was written for the maintained
+//!   grounding that sliding windows once kept per partition; admission
+//!   still budgets against it.
 //!
 //! Arithmetic saturates to [`MemoryBound::Unbounded`] on `u128` overflow
 //! instead of wrapping: a bound too large to represent is reported as
@@ -165,8 +165,7 @@ pub struct RuleBound {
     pub instantiations: MemoryBound,
 }
 
-/// Worst-case [`DeltaGrounder`](crate::delta::DeltaGrounder) state for one
-/// partition, component by component. All components are simultaneous
+/// Worst-case grounding state for one partition, component by component. All components are simultaneous
 /// bounds on the post-`apply` state.
 #[derive(Clone, Copy, Debug)]
 pub struct DeltaStateBound {
@@ -184,9 +183,10 @@ pub struct DeltaStateBound {
     pub total_cells: MemoryBound,
 }
 
-/// Observed [`DeltaGrounder`](crate::delta::DeltaGrounder) state sizes —
-/// the measurable counterpart of [`DeltaStateBound`], read with
-/// [`DeltaGrounder::state_size`](crate::delta::DeltaGrounder::state_size).
+/// Observed state sizes — the measurable counterpart of
+/// [`DeltaStateBound`], read with
+/// [`DeltaGrounder::state_size`](crate::delta::DeltaGrounder::state_size)
+/// (which holds input facts only).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStateSize {
     /// Facts currently asserted (multiset size).
@@ -252,7 +252,7 @@ pub struct GroundingBounds {
     pub rule_bounds: Vec<RuleBound>,
     /// Σ rule bounds: the worst-case ground-program size.
     pub instantiation_bound: MemoryBound,
-    /// The delta-grounder state bound assembled from the pieces above.
+    /// The grounding-state bound assembled from the pieces above.
     pub state: DeltaStateBound,
     /// True when no cycle runs through default negation.
     pub stratified: bool,

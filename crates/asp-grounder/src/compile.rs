@@ -139,8 +139,8 @@ pub enum Step {
     },
     /// Test a fully bound default-negated atom. Grounding passes it
     /// through (the possible set over-approximates; simplification resolves
-    /// negation afterwards), as does the delta grounder; perfect-model
-    /// evaluation blocks when the atom is in the final lower component.
+    /// negation afterwards); perfect-model evaluation blocks when the atom
+    /// is in the final lower component.
     NegCheck {
         /// The negated atom.
         atom: CAtom,

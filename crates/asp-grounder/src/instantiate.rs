@@ -514,11 +514,8 @@ impl Eval<'_, '_> {
         self.step(rule, plan, 0, &mut subst, key as u32)
     }
 
-    // KEEP IN SYNC with `DeltaGrounder::step` (delta.rs): same plan-walk
-    // semantics over different relation storage, except that `NegCheck`
-    // blocks here in `Mode::Model` while the delta walker always passes it
-    // through. The delta-on/off identity proptests catch divergence, but a
-    // semantic fix here almost certainly belongs there too.
+    // Both modes walk plans here; they differ only at `NegCheck` (blocks
+    // in `Mode::Model`) and at `emit`.
     fn step(
         &mut self,
         rule: &CompiledRule,
@@ -709,9 +706,8 @@ impl Eval<'_, '_> {
 
 /// Unifies a compiled atom's argument terms against a ground tuple, binding
 /// variables into `subst` and recording every fresh binding on `trail` (so
-/// the caller can backtrack). Shared by the window grounder's [`Eval`] and
-/// the delta grounder ([`crate::delta`]).
-pub(crate) fn unify_args(
+/// the caller can backtrack).
+fn unify_args(
     args: &[crate::compile::CTerm],
     tuple: &[GroundTerm],
     subst: &mut [Option<GroundTerm>],

@@ -35,5 +35,5 @@ pub use analysis::{
 pub use delta::{DeltaError, DeltaGrounder};
 pub use instantiate::{ground_program, is_internal_predicate, Grounder};
 pub use planner::{CostSource, SyntacticCost};
-pub use simplify::{finalize_refs, ProtoRule};
+pub use simplify::ProtoRule;
 pub use stats::RelationStats;

@@ -35,19 +35,6 @@ pub fn finalize(relations: &FastMap<Predicate, Relation>, proto: Vec<ProtoRule>)
     let possible = |a: &GroundAtom| -> bool {
         relations.get(&a.predicate()).is_some_and(|r| r.contains(&a.args))
     };
-    let refs: Vec<&ProtoRule> = proto.iter().collect();
-    finalize_refs(&possible, &refs)
-}
-
-/// Re-entrant form of [`finalize`]: the possible-set is an arbitrary
-/// predicate and the proto rules are borrowed, so a caller that *maintains*
-/// its proto rules across windows (the delta grounder,
-/// [`crate::delta::DeltaGrounder`]) can re-run the simplification without
-/// rebuilding or mutating its state. Behavior is identical to [`finalize`].
-pub fn finalize_refs(
-    possible: &dyn Fn(&GroundAtom) -> bool,
-    proto: &[&ProtoRule],
-) -> GroundProgram {
     // 1. Vacuously true negative literals (atom not possible) are dropped:
     //    compute the surviving negative body per rule.
     let kept_neg: Vec<Vec<&GroundAtom>> =

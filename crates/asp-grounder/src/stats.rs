@@ -2,10 +2,9 @@
 //! planner ([`crate::planner`]).
 //!
 //! [`RelationStats`] tracks, per predicate, the tuple cardinality and the
-//! number of distinct values at every argument position. Both are
-//! maintainable in O(arity) per insert/tombstone (the delta-grounding path)
-//! or in one pass over a fact window (the scratch path, via
-//! [`RelationStats::rebase`]). A generation counter tells consumers when
+//! number of distinct values at every argument position. Both are rebuilt
+//! in one pass over a fact window ([`RelationStats::rebase`]) or grown one
+//! tuple at a time ([`RelationStats::insert`]). A generation counter tells consumers when
 //! the numbers have drifted far enough that plans built against older stats
 //! are worth rebuilding; the 2×-with-slack hysteresis of
 //! `RelationStats::drifted` bounds the replan rate — a relation growing
@@ -82,30 +81,6 @@ impl RelationStats {
         }
     }
 
-    /// Records one removed tuple (the counterpart of
-    /// [`RelationStats::insert`]); removing a tuple that was never recorded
-    /// is a caller bug and is ignored in release builds.
-    pub fn remove(&mut self, pred: Predicate, args: &[GroundTerm]) {
-        let Some(s) = self.per_pred.get_mut(&pred) else {
-            debug_assert!(false, "stats remove for an unknown predicate");
-            return;
-        };
-        debug_assert!(s.cardinality > 0, "stats remove below zero");
-        s.cardinality = s.cardinality.saturating_sub(1);
-        for (pos, t) in args.iter().enumerate() {
-            if let Some(count) = s.positions[pos].get_mut(&term_key(t)) {
-                *count -= 1;
-                if *count == 0 {
-                    s.positions[pos].remove(&term_key(t));
-                }
-            }
-        }
-        if Self::drifted(s.cardinality, s.planned) {
-            s.planned = s.cardinality;
-            self.generation += 1;
-        }
-    }
-
     /// Rebuilds the counters from a full fact window in one pass (the
     /// scratch-grounding entry point). Each predicate's drift anchor is
     /// kept across rebases, so a sequence of windows with stable
@@ -138,13 +113,6 @@ impl RelationStats {
         if drift {
             self.generation += 1;
         }
-    }
-
-    /// Drops every counter and bumps the generation once, so consumers
-    /// replan (at most once) after a reset.
-    pub fn clear(&mut self) {
-        self.per_pred.clear();
-        self.generation += 1;
     }
 
     /// Monotone counter bumped whenever cardinalities drift past the
@@ -182,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_remove_track_cardinality_and_distinct() {
+    fn insert_tracks_cardinality_and_distinct() {
         let syms = Symbols::new();
         let mut stats = RelationStats::new();
         let a = atom(&syms, "edge", &[1, 2]);
@@ -192,9 +160,6 @@ mod tests {
         assert_eq!(stats.cardinality(a.predicate()), Some(2));
         assert_eq!(stats.distinct(a.predicate(), 0), 1, "both tuples share position 0");
         assert_eq!(stats.distinct(a.predicate(), 1), 2);
-        stats.remove(b.predicate(), &b.args);
-        assert_eq!(stats.cardinality(a.predicate()), Some(1));
-        assert_eq!(stats.distinct(a.predicate(), 1), 1);
         assert_eq!(stats.cardinality(atom(&syms, "other", &[1]).predicate()), None);
     }
 
@@ -241,18 +206,5 @@ mod tests {
         // A window of a very different size drifts again — once.
         stats.rebase(&window[..4]);
         assert_eq!(stats.generation(), gen + 1);
-    }
-
-    #[test]
-    fn clear_bumps_once_and_forgets_everything() {
-        let syms = Symbols::new();
-        let mut stats = RelationStats::new();
-        let f = atom(&syms, "p", &[1]);
-        stats.insert(f.predicate(), &f.args);
-        let gen = stats.generation();
-        stats.clear();
-        assert_eq!(stats.generation(), gen + 1);
-        assert_eq!(stats.cardinality(f.predicate()), None);
-        assert_eq!(stats.max_cardinality(), 0);
     }
 }

@@ -84,7 +84,7 @@ pub struct PartitionBound {
     pub members: Vec<String>,
     /// Worst-case ground-program size (rule instantiations).
     pub ground_instantiations: MemoryBound,
-    /// Worst-case delta-grounder/solver state, component by component.
+    /// Worst-case grounding state, component by component.
     pub state: DeltaStateBound,
     /// Per-predicate extents `(name/arity, input, total)` in program order.
     pub extents: Vec<(String, u64, MemoryBound)>,
@@ -426,12 +426,6 @@ pub enum AdmitError {
         /// What dominates the bound (machine-readable).
         dominating: DominatingTerm,
     },
-    /// The registry grounds by deltas and the program is outside the
-    /// delta-grounding fragment.
-    UnsupportedFragment {
-        /// Why the program is outside the fragment.
-        reason: String,
-    },
 }
 
 impl fmt::Display for AdmitError {
@@ -445,9 +439,6 @@ impl fmt::Display for AdmitError {
                 f,
                 "admission bound {bound} cells exceeds budget {budget}; dominating term: {dominating}"
             ),
-            AdmitError::UnsupportedFragment { reason } => {
-                write!(f, "program outside the delta-grounding fragment: {reason}")
-            }
         }
     }
 }

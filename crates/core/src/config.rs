@@ -99,22 +99,19 @@ pub struct ReasonerConfig {
     /// Capacity (entries) of the partition-level result cache used when
     /// `incremental` is on. `0` disables caching (every partition misses).
     pub cache_capacity: usize,
-    /// Delta-driven grounding inside dirty partitions (requires
-    /// `incremental`): instead of re-grounding a changed partition from
-    /// scratch, maintain its grounding across windows and apply the
-    /// partition-scoped [`WindowDelta`](sr_stream::WindowDelta)
-    /// (retract/assert ground instances). Falls back to full re-grounding
-    /// whenever the delta chain breaks, the partitioner is not
-    /// content-routed, or the program is outside the supported fragment
-    /// (see [`asp_grounder::DeltaGrounder`]).
+    /// Kept for the measured surface. An
+    /// [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) with
+    /// this set serves its dirty partitions on its own thread, exactly as
+    /// [`ParallelMode::Sequential`] does, instead of on the worker pool.
+    /// Each dirty partition is evaluated from scratch; no grounding is
+    /// maintained across windows. Other reasoners ignore it.
     pub delta_ground: bool,
     /// Cost-based join planning in the grounder ([`asp_grounder::planner`]):
     /// order rule-body joins by estimated cost from live relation
     /// statistics instead of the syntactic bound-args heuristic, replanning
-    /// lazily when cardinalities drift. Applies to scratch grounding in
-    /// every reasoner and, when `delta_ground` is also on, to the delta
-    /// grounder's seeded plans. Output is identical either way — only join
-    /// evaluation order changes.
+    /// lazily when cardinalities drift. Applies to every partition a
+    /// reasoner grounds or evaluates. Output is identical either way — only
+    /// join evaluation order changes.
     pub cost_planning: bool,
 }
 

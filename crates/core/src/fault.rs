@@ -21,24 +21,22 @@ use std::time::Duration;
 
 use crate::poison::lock_recover;
 
-/// A named injection point in the pipeline.
+/// A named injection point in the pipeline. The discriminants feed the
+/// decision hash, so they are fixed: a seeded plan fires at the same
+/// coordinates across releases (2 belonged to a retired site).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Panic inside a worker/partition closure (or a serving entry's
-    /// `process_shared` call in the multi-tenant scheduler).
-    WorkerPanic,
+    /// Panic inside a worker/partition closure (including a serving entry's
+    /// partitions in the multi-tenant scheduler).
+    WorkerPanic = 0,
     /// Sleep inside a partition job before doing its work, simulating a
     /// wedged solver; combined with a window deadline this forces the
     /// degraded-emission path.
-    PartitionSlowdown,
-    /// Corrupt the projected `WindowDelta` handed to a lane — alternately a
-    /// stale `base_id` and a fabricated added triple — exercising the
-    /// delta-validation + full-re-ground fallback.
-    DeltaCorrupt,
+    PartitionSlowdown = 1,
     /// Treat a partition-cache hit as a miss, forcing a recompute.
-    CacheInvalidate,
+    CacheInvalidate = 3,
     /// Stall `StreamEngine::submit`, simulating a slow source.
-    SourceStall,
+    SourceStall = 4,
 }
 
 impl FaultSite {
@@ -47,7 +45,6 @@ impl FaultSite {
         match self {
             FaultSite::WorkerPanic => "worker_panic",
             FaultSite::PartitionSlowdown => "partition_slowdown",
-            FaultSite::DeltaCorrupt => "delta_corrupt",
             FaultSite::CacheInvalidate => "cache_invalidate",
             FaultSite::SourceStall => "source_stall",
         }
@@ -63,7 +60,6 @@ impl FaultSite {
         &[
             FaultSite::WorkerPanic,
             FaultSite::PartitionSlowdown,
-            FaultSite::DeltaCorrupt,
             FaultSite::CacheInvalidate,
             FaultSite::SourceStall,
         ]
@@ -107,7 +103,7 @@ impl FaultPlan {
     }
 
     /// Parse a `--fault-spec` string: comma-separated `<site>:<rate>:<seed>`
-    /// entries, e.g. `worker_panic:0.05:42,delta_corrupt:0.1:7`.
+    /// entries, e.g. `worker_panic:0.05:42,cache_invalidate:0.1:7`.
     pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
@@ -250,17 +246,19 @@ mod tests {
         let hits = first.iter().filter(|f| **f).count();
         assert!((40..=160).contains(&hits), "rate 0.25 over 400 draws, got {hits}");
         assert!(
-            !(0..400).any(|w| plan.fires(FaultSite::DeltaCorrupt, w, 0)),
+            !(0..400).any(|w| plan.fires(FaultSite::CacheInvalidate, w, 0)),
             "sites without a rule never fire"
         );
     }
 
     #[test]
     fn spec_parsing_round_trips_and_rejects_junk() {
-        let plan = FaultPlan::parse_spec("worker_panic:0.05:42, delta_corrupt:1:7").unwrap();
+        let plan = FaultPlan::parse_spec("worker_panic:0.05:42, cache_invalidate:1:7").unwrap();
         assert_eq!(plan.rules().len(), 2);
         assert_eq!(plan.rules()[0].site, FaultSite::WorkerPanic);
         assert_eq!(plan.rules()[1].rate, 1.0);
+        let retired = FaultPlan::parse_spec("delta_corrupt:1:7").unwrap_err();
+        assert!(retired.contains("'delta_corrupt' unknown"), "retired site rejected: {retired}");
         assert!(FaultPlan::parse_spec("").is_err());
         assert!(FaultPlan::parse_spec("bogus:0.5:1").is_err());
         assert!(FaultPlan::parse_spec("worker_panic:2.0:1").is_err());

@@ -1,5 +1,5 @@
-//! Incremental reasoning over sliding windows: delta windows + a
-//! partition-level result cache.
+//! Incremental reasoning over sliding windows: a partition-level result
+//! cache.
 //!
 //! The paper's input-dependency partitioning makes partitions independent
 //! under the dependency graph, so a partition whose *content* is unchanged
@@ -8,15 +8,21 @@
 //! fingerprints each partition's content, reuses the cached answer sets of
 //! partitions whose fingerprint is unchanged, and dispatches only the dirty
 //! partitions to the shared [`WorkerPool`](crate::exec::WorkerPool) (or the
-//! caller thread in [`ParallelMode::Sequential`]). The combined output is
+//! caller thread in [`ParallelMode::Sequential`], or when
+//! [`ReasonerConfig::delta_ground`] is set). The combined output is
 //! byte-identical to full recomputation — the cache changes *where* answers
 //! come from, never *what* they are.
 //!
-//! Fingerprints, not the [`WindowDelta`] metadata,
-//! are the correctness mechanism: a content fingerprint is sound for any
-//! [`Partitioner`] (including the window-id-seeded random baseline, whose
-//! splits change even when the window content does not), while deltas
-//! describe the stream and feed telemetry. Cache keys are
+//! A dirty partition is always reasoned from scratch. For a stratified
+//! program that means evaluating its perfect model bottom-up
+//! ([`asp_grounder::Grounder::perfect_model`]), which on sliding windows
+//! costs less than maintaining the partition's grounding across windows
+//! did. So the [`WindowDelta`](sr_stream::WindowDelta) a sliding window
+//! carries is not consumed here.
+//!
+//! Content fingerprints are the correctness mechanism: they are sound for
+//! any [`Partitioner`] (including the window-id-seeded random baseline,
+//! whose splits change even when the window content does not). Cache keys are
 //! `(program fingerprint, partition fingerprint)`, so one cache can be
 //! shared across engine lanes — and across programs — without collisions.
 
@@ -28,10 +34,9 @@ use crate::partition::Partitioner;
 use crate::poison::lock_recover;
 use crate::reasoner::{merge_stats, Reasoner, ReasonerOutput, SingleReasoner, Timing};
 use asp_core::{AnswerSet, AspError, FastMap, Predicate, Program, Symbols};
-use asp_grounder::{DeltaGrounder, Grounder};
 use asp_solver::{SolveStats, SolverConfig};
-use sr_rdf::{FormatConfig, FormatProcessor, Node, Triple};
-use sr_stream::{DeltaProjections, Window, WindowDelta};
+use sr_rdf::{Node, Triple};
+use sr_stream::Window;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -96,15 +101,6 @@ pub fn program_fingerprint(syms: &Symbols, program: &Program) -> u64 {
     fnv(FNV_OFFSET, program.display(syms).to_string().as_bytes())
 }
 
-/// True when `program` is inside the [`DeltaGrounder`] supported fragment
-/// (single-head rules, acyclic dependency graph) — the program-side gate
-/// of [`ReasonerConfig::delta_ground`]. The reasoner checks this itself
-/// and silently falls back to cache-only reuse; front ends can call it to
-/// *warn* instead. Fails only when the program doesn't compile.
-pub fn delta_ground_supported(syms: &Symbols, program: &Program) -> Result<bool, AspError> {
-    Ok(DeltaGrounder::supports(&Grounder::new(syms, program)?))
-}
-
 struct CacheEntry {
     answers: Arc<Vec<AnswerSet>>,
     last_used: u64,
@@ -165,16 +161,10 @@ impl PartitionCache {
     pub fn register_metrics(self: &Arc<Self>, registry: &sr_obs::MetricsRegistry) {
         use std::sync::atomic::Ordering;
         type CounterRead = fn(&CacheCounters) -> u64;
-        let counters: [(&str, CounterRead); 7] = [
+        let counters: [(&str, CounterRead); 5] = [
             ("sr_cache_hits_total", |c: &CacheCounters| c.hits.load(Ordering::Relaxed)),
             ("sr_cache_misses_total", |c: &CacheCounters| c.misses.load(Ordering::Relaxed)),
             ("sr_cache_evictions_total", |c: &CacheCounters| c.evictions.load(Ordering::Relaxed)),
-            ("sr_cache_delta_applies_total", |c: &CacheCounters| {
-                c.delta_applies.load(Ordering::Relaxed)
-            }),
-            ("sr_cache_delta_regrounds_total", |c: &CacheCounters| {
-                c.delta_regrounds.load(Ordering::Relaxed)
-            }),
             ("sr_planner_replans_total", |c: &CacheCounters| {
                 c.planner_replans.load(Ordering::Relaxed)
             }),
@@ -239,112 +229,17 @@ impl PartitionCache {
     }
 }
 
-/// Per-partition maintained grounding for the delta-ground fast path: the
-/// [`DeltaGrounder`] state plus the identity of the window content it
-/// currently represents.
-///
-/// # The `base_id` invariant
-///
-/// [`SlidingWindower`](sr_stream::SlidingWindower) emits `delta` relative
-/// to the previous emission *globally*, while
-/// [`IncrementalReasoner::process`] re-partitions every window — so a
-/// projected per-partition delta is only meaningful against the partition
-/// state built from that same base window. The maintained grounding
-/// therefore records the id of the window it represents, and
-/// [`IncrementalReasoner::delta_process`] trusts a delta **only when
-/// `delta.base_id == window_id`** (and the state is valid); any mismatch —
-/// a skipped window, a lane handing off mid-stream, a windower reset —
-/// falls back to a full rebuild from the partition content. The
-/// `delta_base_mismatch_falls_back_to_reground` regression test pins the
-/// mismatch path down.
-struct DeltaPartition {
-    grounder: DeltaGrounder,
-    /// Window id whose partition content the state represents (the only id
-    /// an incoming `delta.base_id` may match — see the struct docs).
-    window_id: u64,
-    /// Content fingerprint of that partition.
-    content_fp: u128,
-    /// False until the first successful (re)build.
-    valid: bool,
-    /// Planner counters `(replans, plans_reordered)` already flushed to the
-    /// shared [`CacheCounters`]; the grounder reports cumulative totals, so
-    /// only the difference is added on each flush.
-    planner_reported: (u64, u64),
-}
-
-/// Per-lane delta-grounding state: one maintained grounding per partition
-/// (windows on one lane are processed in submission order, so the delta
-/// chain `base_id -> id` can be followed per lane), with the lane's own
-/// triple→fact transformer.
-struct DeltaLane {
-    format: FormatProcessor,
-    parts: Vec<DeltaPartition>,
-}
-
-impl DeltaLane {
-    /// Builds the lane when every gate holds: `delta_ground` requested, the
-    /// partitioner routes by content, and the program is in the
-    /// [`DeltaGrounder`] supported fragment. `None` otherwise — the caller
-    /// silently keeps the partition-cache-only behavior.
-    fn build(
-        syms: &Symbols,
-        program: &Program,
-        inpre: Option<&[Predicate]>,
-        partitioner: &Arc<dyn Partitioner>,
-        config: &ReasonerConfig,
-    ) -> Result<Option<DeltaLane>, AspError> {
-        if !config.delta_ground || !config.incremental || !partitioner.content_routed() {
-            return Ok(None);
-        }
-        let mut grounder = Grounder::new(syms, program)?;
-        // The shared grounder only lends its compiled program to the delta
-        // grounders, but keep its planning mode consistent with theirs.
-        grounder.set_cost_planning(config.cost_planning);
-        let grounder = Arc::new(grounder);
-        if !DeltaGrounder::supports(&grounder) {
-            return Ok(None);
-        }
-        let edb;
-        let inpre = match inpre {
-            Some(i) => i,
-            None => {
-                edb = program.edb_predicates();
-                &edb
-            }
-        };
-        let format_cfg = FormatConfig::from_input_signature(syms, inpre);
-        let n = partitioner.partitions().max(1);
-        let mut parts = Vec::with_capacity(n);
-        for _ in 0..n {
-            parts.push(DeltaPartition {
-                grounder: DeltaGrounder::with_cost_planning(
-                    Arc::clone(&grounder),
-                    config.cost_planning,
-                )?,
-                window_id: 0,
-                content_fp: 0,
-                valid: false,
-                planner_reported: (0, 0),
-            });
-        }
-        Ok(Some(DeltaLane { format: FormatProcessor::new(syms, &format_cfg), parts }))
-    }
-}
-
 /// The incremental parallel reasoner: partition → fingerprint → reuse clean
 /// partitions from the [`PartitionCache`], re-solve only dirty ones →
-/// combine. With [`ReasonerConfig::delta_ground`] on, dirty partitions are
-/// additionally served by a per-partition maintained grounding
-/// ([`DeltaGrounder`]): the partition-scoped window delta is applied
-/// (retract/assert) instead of re-grounding the partition from scratch,
-/// with automatic fallback to a full rebuild when the delta chain breaks.
-/// Implements [`Reasoner`], so it drops into the
+/// combine. Implements [`Reasoner`], so it drops into the
 /// [`StreamEngine`](crate::engine::StreamEngine) unchanged.
 pub struct IncrementalReasoner {
     syms: Symbols,
     partitioner: Arc<dyn Partitioner>,
     config: ReasonerConfig,
-    /// Threads mode: the (possibly shared) worker pool.
+    /// The (possibly shared) worker pool that serves dirty partitions;
+    /// `None` in Sequential mode and under [`ReasonerConfig::delta_ground`],
+    /// where they run on the caller thread.
     pool: Option<Arc<ReasonerPool>>,
     /// The caller-thread scratch reasoner. In Sequential mode it serves
     /// every partition; in Threads mode it is the retry/fallback engine for
@@ -357,21 +252,17 @@ pub struct IncrementalReasoner {
     /// otherwise.
     failures: Arc<FailureCounters>,
     program_id: u64,
-    /// Delta-ground fast path, when every gate holds (see
-    /// [`DeltaLane::build`]). Runs in the caller thread: maintained
-    /// grounder state is inherently per-lane.
-    delta: Option<DeltaLane>,
     /// Planner counters already flushed from the sequential scratch
-    /// reasoner (cumulative, like [`DeltaPartition::planner_reported`]).
-    /// Pooled workers keep their plan caches on their own threads and are
-    /// not aggregated.
+    /// reasoner, which reports cumulative totals. Pooled workers keep their
+    /// plan caches on their own threads and are not aggregated.
     scratch_reported: (u64, u64),
 }
 
 impl IncrementalReasoner {
     /// Builds the incremental reasoner with its own worker pool (Threads
-    /// mode) or caller-thread execution (Sequential mode) and its own cache
-    /// sized by [`ReasonerConfig::cache_capacity`].
+    /// mode without [`ReasonerConfig::delta_ground`]) or caller-thread
+    /// execution, and its own cache sized by
+    /// [`ReasonerConfig::cache_capacity`].
     pub fn new(
         syms: &Symbols,
         program: &Program,
@@ -397,7 +288,7 @@ impl IncrementalReasoner {
         let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
         let program_id = program_fingerprint(syms, program);
         let pool = match config.mode {
-            ParallelMode::Threads => {
+            ParallelMode::Threads if !config.delta_ground => {
                 let workers = if config.workers == 0 { n } else { config.workers };
                 Some(Arc::new(reasoner_pool(
                     syms,
@@ -408,14 +299,13 @@ impl IncrementalReasoner {
                     config.cost_planning,
                 )?))
             }
-            ParallelMode::Sequential => None,
+            _ => None,
         };
         // The scratch reasoner exists in both modes: Sequential execution in
         // one, the panicked-job retry/fallback path in the other
         // (construction-time cost only — idle unless a pooled job fails).
         let mut scratch = SingleReasoner::new(syms, program, inpre, solver)?;
         scratch.set_cost_planning(config.cost_planning);
-        let delta = DeltaLane::build(syms, program, inpre, &partitioner, &config)?;
         Ok(IncrementalReasoner {
             syms: syms.clone(),
             partitioner,
@@ -425,17 +315,16 @@ impl IncrementalReasoner {
             cache,
             failures: Arc::new(FailureCounters::default()),
             program_id,
-            delta,
             scratch_reported: (0, 0),
         })
     }
 
     /// Builds the reasoner on top of an existing shared pool *and* shared
-    /// cache (Threads semantics). The pool's workers must have been built
-    /// for the same `program`/signature; `program_id` scopes the cache keys
-    /// (see [`program_fingerprint`]). The program itself is needed to build
-    /// the per-lane delta-grounding state when
-    /// [`ReasonerConfig::delta_ground`] is on.
+    /// cache (Threads semantics, unless [`ReasonerConfig::delta_ground`]
+    /// keeps dirty partitions on the caller thread). The pool's workers must
+    /// have been built for the same `program`/signature; `program_id` scopes
+    /// the cache keys (see [`program_fingerprint`]). The program itself
+    /// builds the caller-thread scratch reasoner.
     #[allow(clippy::too_many_arguments)] // lane-construction plumbing: every argument is shared state
     pub fn with_pool(
         syms: &Symbols,
@@ -447,20 +336,18 @@ impl IncrementalReasoner {
         cache: Arc<PartitionCache>,
         program_id: u64,
     ) -> Result<Self, AspError> {
-        let delta = DeltaLane::build(syms, program, inpre, &partitioner, &config)?;
         let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
         let mut scratch = SingleReasoner::new(syms, program, inpre, solver)?;
         scratch.set_cost_planning(config.cost_planning);
         Ok(IncrementalReasoner {
             syms: syms.clone(),
             partitioner,
+            pool: (!config.delta_ground).then_some(pool),
             config,
-            pool: Some(pool),
             sequential: vec![scratch],
             cache,
             failures: Arc::new(FailureCounters::default()),
             program_id,
-            delta,
             scratch_reported: (0, 0),
         })
     }
@@ -477,23 +364,6 @@ impl IncrementalReasoner {
         &self.failures
     }
 
-    /// True when the delta-ground fast path is active (all gates passed:
-    /// config, content-routed partitioner, supported program fragment).
-    pub fn delta_ground_active(&self) -> bool {
-        self.delta.is_some()
-    }
-
-    /// Observed per-partition [`DeltaGrounder`] state sizes (the quantities
-    /// the static [`ProgramBounds`](crate::admission::ProgramBounds)
-    /// predict), in partition order. Empty when the delta-ground path is
-    /// inactive — there is then no maintained state to measure.
-    pub fn delta_state_sizes(&self) -> Vec<asp_grounder::DeltaStateSize> {
-        self.delta
-            .as_ref()
-            .map(|lane| lane.parts.iter().map(|p| p.grounder.state_size()).collect())
-            .unwrap_or_default()
-    }
-
     /// Number of parallel partitions.
     pub fn partitions(&self) -> usize {
         self.partitioner.partitions()
@@ -504,161 +374,6 @@ impl IncrementalReasoner {
         &self.cache
     }
 
-    /// Projects the window delta onto partitions through the partitioner's
-    /// content routing. `None` when the window carries no delta or any item
-    /// lacks a content route.
-    fn project_delta(&self, window: &Window, partitions: usize) -> Option<Vec<WindowDelta>> {
-        let delta = window.delta.as_ref()?;
-        let mut routable = true;
-        let routed = delta.project(partitions, |item| match self.partitioner.item_routes(item) {
-            Some(routes) => routes,
-            None => {
-                routable = false;
-                Vec::new()
-            }
-        });
-        routable.then_some(routed)
-    }
-
-    /// Like [`IncrementalReasoner::project_delta`], but through the shared
-    /// [`DeltaProjections`] memo when one is supplied *and* the partitioner
-    /// exposes a stable routing identity
-    /// ([`Partitioner::route_signature`]) — then tenants whose programs
-    /// share a partitioning plan project each window's delta once between
-    /// them. Falls back to a private projection otherwise.
-    fn projected_delta(
-        &self,
-        window: &Window,
-        partitions: usize,
-        shared: Option<&DeltaProjections>,
-    ) -> Option<Arc<Vec<WindowDelta>>> {
-        if let (Some(memo), Some(signature)) = (shared, self.partitioner.route_signature()) {
-            return memo.get_or_project(window, signature, partitions, |item| {
-                self.partitioner.item_routes(item)
-            });
-        }
-        self.project_delta(window, partitions).map(Arc::new)
-    }
-
-    /// Serves one dirty partition from the maintained grounding: applies
-    /// the partition-scoped delta when the chain from the previous window
-    /// is intact, rebuilds from the full partition content otherwise, then
-    /// solves the maintained ground program. `Ok(None)` hands the partition
-    /// back to the scratch path (rebuild failed).
-    fn delta_process(
-        &mut self,
-        i: usize,
-        window: &Window,
-        items: &[Triple],
-        fp: u128,
-        projected: Option<&[WindowDelta]>,
-    ) -> Result<Option<(Vec<AnswerSet>, Timing, SolveStats)>, AspError> {
-        use std::sync::atomic::Ordering;
-        let Some(lane) = self.delta.as_mut() else { return Ok(None) };
-        let st = &mut lane.parts[i];
-        let t0 = Instant::now();
-        let mut transform = std::time::Duration::ZERO;
-        let mut applied = false;
-        if st.valid {
-            if let (Some(projected), Some(delta)) = (projected, window.delta.as_ref()) {
-                // The base_id invariant (see [`DeltaPartition`]): the delta
-                // relates this window to `delta.base_id`, so it can only be
-                // applied to partition state built from exactly that window.
-                if delta.base_id == st.window_id {
-                    let pd = &projected[i];
-                    // Fault hook: hand the validation below a corrupted copy
-                    // of the projected delta — alternately a stale base_id
-                    // and a fabricated added triple.
-                    let corrupted = (fault::injection_enabled()
-                        && fault::fires(FaultSite::DeltaCorrupt, window.id, i as u64))
-                    .then(|| {
-                        let mut bad = pd.clone();
-                        if window.id % 2 == 0 {
-                            bad.base_id = bad.base_id.wrapping_add(1);
-                        } else {
-                            bad.added.push(Triple::new(
-                                Node::iri("__fault_corrupt__"),
-                                Node::iri("__fault_corrupt__"),
-                                Node::Int(window.id as i64),
-                            ));
-                        }
-                        bad
-                    });
-                    let pd = corrupted.as_ref().unwrap_or(pd);
-                    // Validate the projected delta before trusting it: its
-                    // base must still match and every added item must exist
-                    // in the partition content ([`WindowDelta::consistent_with`]).
-                    // A corrupted delta would otherwise be applied silently
-                    // and poison every later window on this lane.
-                    if pd.base_id == st.window_id && pd.consistent_with(items) {
-                        let t_t = Instant::now();
-                        let added = lane.format.window_to_facts(&pd.added);
-                        let retracted = lane.format.window_to_facts(&pd.retracted);
-                        transform += t_t.elapsed();
-                        match st.grounder.apply(&added, &retracted) {
-                            Ok(()) => {
-                                applied = true;
-                                self.cache.counters().delta_applies.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // Chain broken (e.g. underflow): rebuild below.
-                            Err(_) => st.valid = false,
-                        }
-                    } else {
-                        // The window-level delta chained correctly but the
-                        // projected copy failed validation: corruption.
-                        // Rebuild from the full partition content below.
-                        self.failures.fallbacks.fetch_add(1, Ordering::Relaxed);
-                        st.valid = false;
-                    }
-                }
-            }
-        }
-        if !applied {
-            st.valid = false;
-            if st.grounder.reset().is_err() {
-                return Ok(None);
-            }
-            let t_t = Instant::now();
-            let facts = lane.format.window_to_facts(items);
-            transform += t_t.elapsed();
-            if st.grounder.apply(&facts, &[]).is_err() {
-                let _ = st.grounder.reset();
-                return Ok(None);
-            }
-            self.cache.counters().delta_regrounds.fetch_add(1, Ordering::Relaxed);
-        }
-        let ground = t0.elapsed().saturating_sub(transform);
-        // The maintained instantiations are the ground program: extract the
-        // unique answer set directly (stratified evaluation) instead of
-        // simplify → translate → CDCL over a rebuilt program. Equality with
-        // `solve_ground(ground_program())` is the supported fragment's
-        // guarantee, enforced by the identity tests.
-        let t_s = Instant::now();
-        let answers = match st.grounder.answer() {
-            Some(atoms) => vec![AnswerSet::new(atoms, &self.syms)],
-            None => Vec::new(),
-        };
-        let solve = t_s.elapsed();
-        let stats =
-            SolveStats { atoms: answers.first().map_or(0, AnswerSet::len), ..Default::default() };
-        if let Some((replans, reordered, generation)) = st.grounder.planner_counters() {
-            // The grounder reports cumulative totals; flush only the delta
-            // since the last report (other partitions share the counters).
-            let c = self.cache.counters();
-            c.planner_enabled.store(true, Ordering::Relaxed);
-            c.planner_replans.fetch_add(replans - st.planner_reported.0, Ordering::Relaxed);
-            c.planner_plans_reordered
-                .fetch_add(reordered - st.planner_reported.1, Ordering::Relaxed);
-            c.planner_generation.fetch_max(generation, Ordering::Relaxed);
-            st.planner_reported = (replans, reordered);
-        }
-        st.window_id = window.id;
-        st.content_fp = fp;
-        st.valid = true;
-        let timing = Timing { total: t0.elapsed(), transform, ground, solve, ..Default::default() };
-        Ok(Some((answers, timing, stats)))
-    }
-
     /// How many times a failed partition job is retried on the scratch
     /// reasoner before the window errors out.
     const MAX_PARTITION_RETRIES: u32 = 2;
@@ -666,9 +381,8 @@ impl IncrementalReasoner {
     /// Recovers one partition whose job panicked (pooled worker or the
     /// sequential path): bounded retries with exponential backoff, each
     /// attempt a full re-ground of the partition content on the caller's
-    /// scratch reasoner — the same fallback the delta grounder uses for a
-    /// broken chain. Recovery attempts re-roll the `WorkerPanic` fault at an
-    /// attempt-salted coordinate, so a sub-1.0 injection rate models a
+    /// scratch reasoner. Recovery attempts re-roll the `WorkerPanic` fault at
+    /// an attempt-salted coordinate, so a sub-1.0 injection rate models a
     /// transient fault (recovery succeeds) while a rate-1.0 plan
     /// deterministically exhausts the retries and surfaces the error with
     /// the window id and partition index.
@@ -720,20 +434,6 @@ impl IncrementalReasoner {
     /// [`ParallelReasoner`](crate::parallel::ParallelReasoner) over the same
     /// partitioner.
     pub fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
-        self.process_shared(window, None)
-    }
-
-    /// [`IncrementalReasoner::process`] with an optional shared
-    /// [`DeltaProjections`] memo: reasoners serving the same stream (the
-    /// multi-tenant scheduler's per-program reasoners) hand in one memo so
-    /// the window delta is projected once per routing function instead of
-    /// once per reasoner. Passing `None` is exactly `process`; the output
-    /// is byte-identical either way.
-    pub fn process_shared(
-        &mut self,
-        window: &Window,
-        shared: Option<&DeltaProjections>,
-    ) -> Result<ReasonerOutput, AspError> {
         let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
             sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: window.id, ..sr_obs::current_ctx() })
         });
@@ -748,7 +448,7 @@ impl IncrementalReasoner {
         };
 
         // Clean partitions come straight from the cache; the rest are dirty.
-        let (mut per_partition, mut dirty) = {
+        let (mut per_partition, dirty) = {
             let _span = sr_obs::span(sr_obs::Stage::CacheLookup);
             let per_partition: Vec<Option<Arc<Vec<AnswerSet>>>> = fingerprints
                 .iter()
@@ -777,59 +477,13 @@ impl IncrementalReasoner {
         let mut critical = Timing::default();
         let mut fresh: Vec<(usize, Vec<AnswerSet>)> = Vec::with_capacity(dirty.len());
 
-        if self.delta.is_some() {
-            // Clean partitions leave the maintained grounding untouched;
-            // advance its window id when the content provably matches.
-            if let Some(lane) = self.delta.as_mut() {
-                for (i, cached) in per_partition.iter().enumerate() {
-                    let st = &mut lane.parts[i];
-                    if cached.is_some() && st.valid && st.content_fp == fingerprints[i] {
-                        st.window_id = window.id;
-                    }
-                }
-            }
-            // Dirty partitions: delta-ground in the caller thread; anything
-            // the maintained grounding cannot serve falls through to the
-            // pool/sequential scratch path below. Projecting the delta
-            // clones every added/retracted triple, so skip it outright in
-            // the all-clean steady state the cache is built to produce.
-            let projected = if dirty.is_empty() {
-                None
-            } else {
-                let _span = sr_obs::span(sr_obs::Stage::DeltaProject);
-                self.projected_delta(window, parts.len(), shared)
-            };
-            let mut remaining = Vec::with_capacity(dirty.len());
-            for &i in &dirty {
-                let _span = sr_obs::span(sr_obs::Stage::DeltaGround);
-                match self.delta_process(
-                    i,
-                    window,
-                    &parts[i],
-                    fingerprints[i],
-                    projected.as_deref().map(Vec::as_slice),
-                )? {
-                    Some((answers, timing, s)) => {
-                        stats = merge_stats(stats, s);
-                        // The delta path runs serially in the caller: its
-                        // stages extend the critical path additively.
-                        critical = sum_timing(critical, timing);
-                        fresh.push((i, answers));
-                    }
-                    None => remaining.push(i),
-                }
-            }
-            dirty = remaining;
-        }
-
         match self.pool.clone() {
             Some(pool) => {
                 let payloads: Vec<Vec<Triple>> =
                     dirty.iter().map(|&i| std::mem::take(&mut parts[i])).collect();
                 let batch = pool.submit(window.id, payloads);
-                // The pool batch is concurrent within itself (max) but only
-                // starts after the serial delta loop above, so its critical
-                // path *adds* to whatever `critical` already holds.
+                // The pool batch is concurrent within itself (max); serial
+                // recoveries after it add to the critical path.
                 let mut pool_critical = Timing::default();
                 for (k, outcome) in batch.wait().into_iter().enumerate() {
                     let (answers, timing, s) = match outcome {
@@ -881,11 +535,10 @@ impl IncrementalReasoner {
                 }
             }
         }
-        // Flush planner counters from the sequential scratch reasoner (the
-        // delta lane flushes its own inside `delta_process`; pooled workers
-        // keep their plan caches on their threads and are not aggregated —
-        // nor is the scratch reasoner in Threads mode, where it only serves
-        // the rare recovery path).
+        // Flush planner counters from the sequential scratch reasoner (pooled
+        // workers keep their plan caches on their threads and are not
+        // aggregated — nor is the scratch reasoner while a pool serves, when
+        // it only runs the rare recovery path).
         if self.pool.is_none() {
             if let Some((replans, reordered, generation)) =
                 self.sequential.first().and_then(SingleReasoner::planner_counters)
@@ -955,16 +608,8 @@ impl Reasoner for IncrementalReasoner {
     }
 
     fn recover(&mut self) -> bool {
-        // A panic may have left the maintained delta groundings mid-update:
-        // invalidate them all so the next window rebuilds from content. The
-        // partition cache is safe as-is — entries are inserted only after a
-        // successful solve — and the scratch reasoner is stateless.
-        if let Some(lane) = self.delta.as_mut() {
-            for st in &mut lane.parts {
-                st.valid = false;
-                let _ = st.grounder.reset();
-            }
-        }
+        // The partition cache is safe as-is — entries are inserted only
+        // after a successful solve — and the scratch reasoner is stateless.
         true
     }
 }
@@ -1199,15 +844,10 @@ mod tests {
     }
 
     #[test]
-    fn delta_ground_is_identical_and_applies_deltas() {
-        let cfg = ReasonerConfig {
-            incremental: true,
-            delta_ground: true,
-            mode: ParallelMode::Sequential,
-            ..Default::default()
-        };
+    fn delta_ground_serves_dirty_partitions_on_the_caller_thread() {
+        let cfg = ReasonerConfig { incremental: true, delta_ground: true, ..Default::default() };
         let (syms, mut pr, mut ir) = build_pair(cfg);
-        assert!(ir.delta_ground_active(), "plan partitioner + program P pass every gate");
+        assert!(ir.pool.is_none(), "no pool: dirty partitions run on the caller");
         let mut windower = SlidingWindower::new(6, 2);
         for item in sliding_stream(4) {
             if let Some(w) = windower.push(item) {
@@ -1216,113 +856,20 @@ mod tests {
                 assert_eq!(render(&syms, &full), render(&syms, &inc), "window {}", w.id);
             }
         }
-        let snap = ir.cache().counters().snapshot();
-        assert!(snap.delta_applies > 0, "overlapping windows must hit the delta path: {snap:?}");
-        assert!(snap.delta_regrounds > 0, "the first window has no delta base");
+        assert!(ir.cache().counters().snapshot().misses > 0, "dirty partitions were solved");
     }
 
     #[test]
-    fn delta_ground_requires_content_routed_partitioner() {
-        let syms = Symbols::new();
-        let program = parse_program(&syms, PROGRAM_P).unwrap();
-        let partitioner: Arc<dyn Partitioner> = Arc::new(RandomPartitioner::new(2, 7));
-        let cfg = ReasonerConfig { incremental: true, delta_ground: true, ..Default::default() };
-        let ir = IncrementalReasoner::new(&syms, &program, None, partitioner, cfg).unwrap();
-        assert!(!ir.delta_ground_active(), "random partitioner has no content routing");
-    }
-
-    #[test]
-    fn delta_ground_requires_supported_program_fragment() {
+    fn delta_ground_serves_programs_outside_the_stratified_fragment() {
         let syms = Symbols::new();
         let program = parse_program(&syms, "a :- not b. b :- not a.").unwrap();
         let partitioner: Arc<dyn Partitioner> =
             Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
         let cfg = ReasonerConfig { incremental: true, delta_ground: true, ..Default::default() };
-        let ir = IncrementalReasoner::new(&syms, &program, None, partitioner, cfg).unwrap();
-        assert!(!ir.delta_ground_active(), "negation loop is outside the delta fragment");
-    }
-
-    #[test]
-    fn delta_ground_falls_back_on_broken_chain() {
-        // Windows without delta metadata (fresh Window::new) force a full
-        // rebuild every time — output must stay identical and the apply
-        // counter must stay at zero.
-        let cfg = ReasonerConfig {
-            incremental: true,
-            delta_ground: true,
-            mode: ParallelMode::Sequential,
-            ..Default::default()
-        };
-        let (syms, mut pr, mut ir) = build_pair(cfg);
-        for id in 0..3 {
-            let mut items = motivating_items();
-            items[0] = t("newcastle", "average_speed", Node::Int(10 + id as i64));
-            let w = Window::new(id, items);
-            let full = pr.process(&w).unwrap();
-            let inc = ir.process(&w).unwrap();
-            assert_eq!(render(&syms, &full), render(&syms, &inc));
-        }
-        let snap = ir.cache().counters().snapshot();
-        assert_eq!(snap.delta_applies, 0, "no deltas attached, no incremental applies");
-        assert!(snap.delta_regrounds > 0);
-    }
-
-    #[test]
-    fn delta_base_mismatch_falls_back_to_reground() {
-        // Regression for the base_id invariant: a window whose delta claims
-        // a base the partition state was NOT built from (skipped window,
-        // windower reset) must be re-grounded from scratch, never applied —
-        // and the output must stay byte-identical to full recomputation.
-        let cfg = ReasonerConfig {
-            incremental: true,
-            delta_ground: true,
-            mode: ParallelMode::Sequential,
-            ..Default::default()
-        };
-        let (syms, mut pr, mut ir) = build_pair(cfg);
-        let w0 = Window::new(0, motivating_items());
-        ir.process(&w0).unwrap();
-        pr.process(&w0).unwrap();
-        let applies_before = ir.cache().counters().snapshot().delta_applies;
-
-        // Window 2 with a delta claiming base 1 — but the partition states
-        // were built from window 0, so the chain is broken.
-        let mut items = motivating_items();
-        items.remove(2); // drop the traffic light
-        let delta = sr_stream::WindowDelta {
-            base_id: 1,
-            added: Vec::new(),
-            retracted: vec![motivating_items()[2].clone()],
-        };
-        let w2 = Window::new(2, items.clone()).with_delta(delta);
-        let inc = ir.process(&w2).unwrap();
-        let full = pr.process(&Window::new(2, items)).unwrap();
-        assert_eq!(render(&syms, &full), render(&syms, &inc), "mismatch path diverged");
-
-        let snap = ir.cache().counters().snapshot();
-        assert_eq!(
-            snap.delta_applies, applies_before,
-            "a delta with a mismatched base_id must never be applied"
-        );
-        assert!(snap.delta_regrounds > 0, "the dirty partition was rebuilt instead");
-
-        // A window whose delta DOES chain from window 2 is applied again.
-        let mut items3 = motivating_items();
-        items3.remove(2);
-        items3[0] = t("newcastle", "average_speed", Node::Int(12));
-        let delta3 = sr_stream::WindowDelta {
-            base_id: 2,
-            added: vec![items3[0].clone()],
-            retracted: vec![motivating_items()[0].clone()],
-        };
-        let w3 = Window::new(3, items3.clone()).with_delta(delta3);
-        let inc3 = ir.process(&w3).unwrap();
-        let full3 = pr.process(&Window::new(3, items3)).unwrap();
-        assert_eq!(render(&syms, &full3), render(&syms, &inc3));
-        assert!(
-            ir.cache().counters().snapshot().delta_applies > applies_before,
-            "a correctly chained delta is applied incrementally again"
-        );
+        let mut ir = IncrementalReasoner::new(&syms, &program, None, partitioner, cfg).unwrap();
+        let out = ir.process(&Window::new(0, motivating_items())).unwrap();
+        assert!(out.solve_stats.vars > 0, "a negative cycle still reaches CDCL");
+        assert!(!out.answers.is_empty());
     }
 
     fn seq_cfg() -> ReasonerConfig {
@@ -1373,34 +920,6 @@ mod tests {
             u64::from(IncrementalReasoner::MAX_PARTITION_RETRIES),
             "every retry was counted"
         );
-    }
-
-    #[test]
-    fn corrupted_delta_falls_back_to_reground_identically() {
-        let _guard = fault::test_guard();
-        fault::clear();
-        let cfg = ReasonerConfig { delta_ground: true, ..seq_cfg() };
-        let (syms, mut pr, mut ir) = build_pair(cfg);
-        assert!(ir.delta_ground_active());
-        fault::install(crate::fault::FaultPlan::new().with_rule(FaultSite::DeltaCorrupt, 1.0, 2));
-        let mut windower = SlidingWindower::new(6, 2);
-        let mut result = Ok(());
-        'stream: for item in sliding_stream(4) {
-            if let Some(w) = windower.push(item) {
-                let full = pr.process(&w).unwrap();
-                let inc = ir.process(&w).unwrap();
-                if render(&syms, &full) != render(&syms, &inc) {
-                    result = Err(w.id);
-                    break 'stream;
-                }
-            }
-        }
-        fault::clear();
-        assert!(result.is_ok(), "corrupted-delta output diverged at window {:?}", result);
-        let snap = ir.cache().counters().snapshot();
-        assert_eq!(snap.delta_applies, 0, "every corrupted delta must be rejected: {snap:?}");
-        assert!(snap.delta_regrounds > 0, "and served by the full rebuild: {snap:?}");
-        assert!(ir.failure_counters().snapshot().fallbacks > 0, "corruption counts as fallback");
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub use exec::{BatchHandle, JobPanicked, JobTag, WorkerPool};
 pub use extended::ExtendedDepGraph;
 pub use fault::{FaultPlan, FaultRule, FaultSite};
 pub use incremental::{
-    delta_ground_supported, fingerprint_items, program_fingerprint, IncrementalReasoner,
-    PartitionCache,
+    fingerprint_items, program_fingerprint, IncrementalReasoner, PartitionCache,
 };
 pub use input_graph::InputDepGraph;
 pub use metrics::{

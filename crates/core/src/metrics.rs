@@ -119,13 +119,6 @@ pub struct CacheCounters {
     pub misses: AtomicU64,
     /// Entries evicted to respect the cache capacity.
     pub evictions: AtomicU64,
-    /// Dirty partitions handled by applying the partition-scoped window
-    /// delta to a maintained grounding (the delta-ground fast path).
-    pub delta_applies: AtomicU64,
-    /// Dirty partitions the delta grounder had to rebuild from the full
-    /// partition content (no delta attached, broken chain, or an
-    /// incremental apply that bailed out).
-    pub delta_regrounds: AtomicU64,
     /// True when cost-based join planning ran on any lane (the planner
     /// counters below are only meaningful — and only reported — then).
     pub planner_enabled: AtomicBool,
@@ -149,8 +142,6 @@ impl CacheCounters {
             misses,
             evictions: self.evictions.load(Ordering::Relaxed),
             dirty_partition_ratio: if total > 0 { misses as f64 / total as f64 } else { 0.0 },
-            delta_applies: self.delta_applies.load(Ordering::Relaxed),
-            delta_regrounds: self.delta_regrounds.load(Ordering::Relaxed),
             cost_planning: self.planner_enabled.load(Ordering::Relaxed),
             planner_replans: self.planner_replans.load(Ordering::Relaxed),
             planner_plans_reordered: self.planner_plans_reordered.load(Ordering::Relaxed),
@@ -172,10 +163,6 @@ pub struct IncrementalSnapshot {
     /// `misses / (hits + misses)` — the fraction of partition computations
     /// that were actually dirty (0 when nothing was processed).
     pub dirty_partition_ratio: f64,
-    /// Dirty partitions served by incremental delta grounding.
-    pub delta_applies: u64,
-    /// Dirty partitions the delta grounder rebuilt from scratch.
-    pub delta_regrounds: u64,
     /// True when cost-based join planning was active; the `planner_*`
     /// fields are rendered into JSON only in that case (never fabricated
     /// for runs where the planner didn't exist).
@@ -203,14 +190,8 @@ impl IncrementalSnapshot {
         };
         format!(
             "{{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"dirty_partition_ratio\": {:.4}, \"delta_applies\": {}, \
-             \"delta_regrounds\": {}{planner}}}",
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.dirty_partition_ratio,
-            self.delta_applies,
-            self.delta_regrounds
+             \"dirty_partition_ratio\": {:.4}{planner}}}",
+            self.hits, self.misses, self.evictions, self.dirty_partition_ratio
         )
     }
 }
@@ -221,7 +202,7 @@ impl IncrementalSnapshot {
 /// concurrently.
 #[derive(Debug, Default)]
 pub struct FailureCounters {
-    /// Partition jobs retried after a panic or a corrupted delta.
+    /// Partition jobs retried after a panic.
     pub retries: AtomicU64,
     /// Partitions recovered by the full re-ground fallback (every recovery
     /// attempt runs it; counted once per recovered partition).
@@ -267,7 +248,7 @@ impl FailureCounters {
 /// [`EngineStats`](crate::engine::EngineStats) and the chaos bench record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FailureSnapshot {
-    /// Partition jobs retried after a panic or a corrupted delta.
+    /// Partition jobs retried after a panic.
     pub retries: u64,
     /// Partitions recovered via the full re-ground fallback.
     pub fallbacks: u64,
@@ -348,11 +329,6 @@ pub struct DedupSnapshot {
     pub shared_runs_saved: u64,
     /// `shared_runs_saved / tenant_windows` (0 when nothing was served).
     pub dedup_ratio: f64,
-    /// Window-delta projections computed (once per routing function per
-    /// window — see [`sr_stream::DeltaProjections`]).
-    pub projections_computed: u64,
-    /// Window-delta projections served from the shared memo.
-    pub projections_reused: u64,
 }
 
 impl DedupSnapshot {
@@ -362,17 +338,14 @@ impl DedupSnapshot {
         format!(
             "{{\"tenants\": {}, \"programs\": {}, \"windows\": {}, \
              \"tenant_windows\": {}, \"program_runs\": {}, \
-             \"shared_runs_saved\": {}, \"dedup_ratio\": {:.4}, \
-             \"projections_computed\": {}, \"projections_reused\": {}}}",
+             \"shared_runs_saved\": {}, \"dedup_ratio\": {:.4}}}",
             self.tenants,
             self.programs,
             self.windows,
             self.tenant_windows,
             self.program_runs,
             self.shared_runs_saved,
-            self.dedup_ratio,
-            self.projections_computed,
-            self.projections_reused
+            self.dedup_ratio
         )
     }
 }
@@ -468,13 +441,10 @@ mod tests {
             program_runs: 30,
             shared_runs_saved: 50,
             dedup_ratio: 0.625,
-            projections_computed: 10,
-            projections_reused: 20,
         };
         let json = d.to_json();
         assert!(json.contains("\"dedup_ratio\": 0.6250"), "{json}");
         assert!(json.contains("\"shared_runs_saved\": 50"), "{json}");
-        assert!(json.contains("\"projections_reused\": 20"), "{json}");
     }
 
     #[test]

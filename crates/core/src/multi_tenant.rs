@@ -8,11 +8,8 @@
 //! cost ~1 tenant. Within one entry the window is routed and its partition
 //! fingerprints are computed exactly once (that is what the entry's
 //! [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) does);
-//! across entries the [`PartitionCache`]
-//! is shared (keys are program-scoped) and window-delta projections are
-//! shared through a [`DeltaProjections`] memo keyed by routing signature —
-//! entries whose programs happen to induce the same partitioning plan
-//! project each delta once between them.
+//! across entries the [`PartitionCache`] is shared (keys are
+//! program-scoped).
 //!
 //! Correctness bar: each tenant's output is byte-identical to running its
 //! own single-program pipeline over the same windows (property-tested in
@@ -28,7 +25,7 @@ use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, 
 use crate::reasoner::ReasonerOutput;
 use crate::registry::{ProgramRegistry, TenantPartitioner};
 use asp_core::{AspError, Symbols};
-use sr_stream::{DeltaProjections, Window};
+use sr_stream::Window;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,7 +76,6 @@ struct SchedulerCounters {
 /// The scheduler. See the module docs for the execution model.
 pub struct MultiTenantEngine {
     registry: ProgramRegistry,
-    projections: Arc<DeltaProjections>,
     samples: Vec<TenantSamples>,
     window_latency: Arc<sr_obs::Histogram>,
     counters: Arc<SchedulerCounters>,
@@ -104,7 +100,6 @@ impl MultiTenantEngine {
     pub fn new(config: crate::config::ReasonerConfig) -> Self {
         MultiTenantEngine {
             registry: ProgramRegistry::new(config),
-            projections: Arc::new(DeltaProjections::new()),
             samples: Vec::new(),
             window_latency: Arc::new(sr_obs::Histogram::new()),
             counters: Arc::new(SchedulerCounters::default()),
@@ -174,8 +169,8 @@ impl MultiTenantEngine {
     /// Admits a tenant (delegates to [`ProgramRegistry::admit`]); valid
     /// mid-stream — the tenant joins at the next window. Failures come
     /// back as a structured [`AdmitError`] (duplicate tenant, bad program,
-    /// over budget with the dominating term named, unsupported fragment)
-    /// and are counted into [`EngineStats::admission`].
+    /// over budget with the dominating term named) and are counted into
+    /// [`EngineStats::admission`].
     pub fn admit(
         &mut self,
         tenant: &str,
@@ -229,9 +224,8 @@ impl MultiTenantEngine {
         let t_window = Instant::now();
         self.started.get_or_insert(t_window);
         let mut outputs = Vec::with_capacity(self.registry.tenant_count());
-        // Split borrows: the registry's reasoners need `&mut`, the shared
-        // projection memo and the sample sink are sibling fields.
-        let projections = &self.projections;
+        // Split borrows: the registry's reasoners need `&mut`, the sample
+        // sink is a sibling field.
         let samples = &mut self.samples;
         let deadline = self.deadline;
         let threshold = self.quarantine_threshold;
@@ -250,9 +244,7 @@ impl MultiTenantEngine {
                         ..sr_obs::current_ctx()
                     })
                 });
-                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    entry.reasoner.process_shared(window, Some(projections))
-                }))
+                std::panic::catch_unwind(AssertUnwindSafe(|| entry.reasoner.process(window)))
             };
             let latency = t0.elapsed();
             let panicked = caught.is_err();
@@ -326,14 +318,12 @@ impl MultiTenantEngine {
             } else {
                 0.0
             },
-            projections_computed: self.projections.computed(),
-            projections_reused: self.projections.reused(),
         }
     }
 
     /// Binds the scheduler's live state to `registry`: window/item/run
-    /// totals, the per-window latency histogram, the shared projection memo
-    /// and the shared partition cache. Collector closures capture `Arc`s,
+    /// totals, the per-window latency histogram and the shared partition
+    /// cache. Collector closures capture `Arc`s,
     /// so scrapes keep working (frozen) after the engine is dropped.
     pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
         use std::sync::atomic::Ordering;
@@ -358,7 +348,6 @@ impl MultiTenantEngine {
             &[],
             Arc::clone(&self.window_latency),
         );
-        self.projections.register_metrics(registry);
         self.cache().register_metrics(registry);
     }
 
@@ -574,36 +563,6 @@ mod tests {
         assert!(text.contains("sr_tenant_tenant_windows_total 4"), "{text}");
         assert!(text.contains("sr_tenant_window_latency_ms_count 2"), "{text}");
         assert!(text.contains("sr_cache_hits_total"), "the shared cache registers too: {text}");
-        assert!(text.contains("sr_projections_computed_total"), "{text}");
-    }
-
-    #[test]
-    fn shared_projection_memo_engages_across_matching_plans() {
-        // Two distinct programs over the same predicates can induce the
-        // same partitioning plan — their entries then share each window's
-        // delta projection through the memo.
-        let mut eng = MultiTenantEngine::new(ReasonerConfig {
-            incremental: true,
-            delta_ground: true,
-            mode: ParallelMode::Sequential,
-            ..Default::default()
-        });
-        eng.admit("t0", "jam(X) :- slow(X), busy(X).", TenantPartitioner::Dependency).unwrap();
-        eng.admit("t1", "calm(X) :- slow(X), not busy(X).", TenantPartitioner::Dependency).unwrap();
-        assert_eq!(eng.registry().program_count(), 2);
-        let mut windower = sr_stream::SlidingWindower::new(4, 2);
-        let stream: Vec<Triple> =
-            (0..16).map(|i| t(if i % 2 == 0 { "a" } else { "b" }, "slow")).collect();
-        for item in stream {
-            if let Some(w) = windower.push(item) {
-                eng.process(&w).unwrap();
-            }
-        }
-        let dedup = eng.dedup_snapshot();
-        assert!(
-            dedup.projections_reused > 0,
-            "matching routing signatures must share projections: {dedup:?}"
-        );
     }
 
     #[test]

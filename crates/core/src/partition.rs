@@ -17,26 +17,12 @@ pub trait Partitioner: Send + Sync {
     /// the partition indices `item` would land in (possibly several under
     /// duplication, possibly none under a drop policy), *independent of the
     /// window* the item arrives in. `None` means routing depends on window
-    /// context (e.g. the window-id-seeded random baseline), so window
-    /// deltas cannot be projected per partition and consumers such as
-    /// delta-driven grounding must fall back. When `Some`, the routes must
-    /// agree exactly with [`Partitioner::partition`].
+    /// context (e.g. the window-id-seeded random baseline). When `Some`, the
+    /// routes must agree exactly with [`Partitioner::partition`].
+    ///
+    /// Kept for the measured surface: the benchmark's layer replay projects
+    /// window deltas through it. No reasoner calls it.
     fn item_routes(&self, _item: &Triple) -> Option<Vec<u32>> {
-        None
-    }
-    /// True when [`Partitioner::item_routes`] returns `Some` for every item
-    /// (routing is a pure function of item content). Gate for consumers
-    /// that need stable per-partition deltas.
-    fn content_routed(&self) -> bool {
-        false
-    }
-    /// A stable identity of the *routing function*, when one exists: two
-    /// partitioners returning equal signatures **must** route every item
-    /// identically, so consumers may share per-item routing work (e.g. the
-    /// [`DeltaProjections`](sr_stream::DeltaProjections) memo used by the
-    /// multi-tenant scheduler). `None` when routing is not content-based or
-    /// the partitioner cannot summarize it — sharing is then simply skipped.
-    fn route_signature(&self) -> Option<u64> {
         None
     }
 }
@@ -117,28 +103,6 @@ impl Partitioner for PlanPartitioner {
                 UnknownPredicate::Broadcast => (0..self.plan.communities as u32).collect(),
             },
         })
-    }
-
-    fn content_routed(&self) -> bool {
-        true
-    }
-
-    fn route_signature(&self) -> Option<u64> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        // Routing is fully determined by (membership, community count,
-        // unknown-predicate policy); hash exactly those, over sorted keys so
-        // map iteration order never leaks into the signature.
-        let mut h = DefaultHasher::new();
-        self.plan.communities.hash(&mut h);
-        let mut names: Vec<&String> = self.plan.membership.keys().collect();
-        names.sort();
-        for name in names {
-            name.hash(&mut h);
-            self.plan.membership[name].hash(&mut h);
-        }
-        std::mem::discriminant(&self.unknown).hash(&mut h);
-        Some(h.finish())
     }
 }
 
@@ -265,29 +229,6 @@ mod tests {
         let p = RandomPartitioner::new(3, 42);
         let w = window(&["a"]);
         assert!(p.item_routes(&w.items[0]).is_none());
-        assert!(p.route_signature().is_none(), "window-seeded routing has no stable identity");
-    }
-
-    #[test]
-    fn route_signature_identifies_the_routing_function() {
-        let a = PlanPartitioner::new(plan2(), UnknownPredicate::Partition0);
-        let b = PlanPartitioner::new(plan2(), UnknownPredicate::Partition0);
-        assert_eq!(a.route_signature(), b.route_signature(), "equal plans, equal signatures");
-        let other_policy = PlanPartitioner::new(plan2(), UnknownPredicate::Broadcast);
-        assert_ne!(
-            a.route_signature(),
-            other_policy.route_signature(),
-            "the unknown-predicate policy changes routing and must change the signature"
-        );
-        let mut membership: FastMap<String, Vec<u32>> = FastMap::default();
-        membership.insert("a".into(), vec![1]);
-        membership.insert("b".into(), vec![0]);
-        membership.insert("dup".into(), vec![0, 1]);
-        let swapped = PlanPartitioner::new(
-            PartitioningPlan { communities: 2, membership },
-            UnknownPredicate::Partition0,
-        );
-        assert_ne!(a.route_signature(), swapped.route_signature(), "membership matters");
     }
 
     #[test]

@@ -25,9 +25,7 @@
 use crate::admission::{AdmissionPolicy, AdmitError, ProgramBounds};
 use crate::analysis::DependencyAnalysis;
 use crate::config::{AnalysisConfig, ReasonerConfig};
-use crate::incremental::{
-    delta_ground_supported, program_fingerprint, IncrementalReasoner, PartitionCache,
-};
+use crate::incremental::{program_fingerprint, IncrementalReasoner, PartitionCache};
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 use asp_core::{AspError, Symbols};
 use asp_parser::parse_program;
@@ -147,10 +145,8 @@ impl ProgramRegistry {
     /// program is parsed into a fresh `Symbols` store, analyzed, and gets
     /// its own [`IncrementalReasoner`] over the shared cache. Returns the
     /// program fingerprint. Fails with a structured [`AdmitError`] on a
-    /// duplicate tenant id, a program that does not parse/analyze, a
-    /// program outside the delta-grounding fragment when the registry's
-    /// [`ReasonerConfig::delta_ground`] is on, or a static bound over the
-    /// policy budget.
+    /// duplicate tenant id, a program that does not parse/analyze, or a
+    /// static bound over the policy budget.
     pub fn admit(
         &mut self,
         tenant: &str,
@@ -176,13 +172,6 @@ impl ProgramRegistry {
         }
         let analysis =
             DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())?;
-        if self.config.delta_ground && !delta_ground_supported(&syms, &program)? {
-            return Err(AdmitError::UnsupportedFragment {
-                reason: "program has multi-head, choice, or cyclic rules; delta grounding \
-                         would silently fall back to full re-grounding"
-                    .to_string(),
-            });
-        }
         // The admission bound is always the worst case: live RelationStats
         // are deliberately not consulted (a transiently small store must
         // not admit a program that can outgrow memory later).
@@ -377,24 +366,6 @@ mod tests {
         }
         assert!(err.to_string().contains("exceeds budget 10"), "{err}");
         assert!(reg.is_empty(), "rejected program left no entry");
-    }
-
-    #[test]
-    fn delta_ground_registry_refuses_programs_outside_the_fragment() {
-        let choice = "{ pick(X) } :- item(X).";
-        let mut delta = ProgramRegistry::new(ReasonerConfig {
-            incremental: true,
-            delta_ground: true,
-            mode: ParallelMode::Sequential,
-            ..Default::default()
-        });
-        let err = delta.admit("t0", choice, TenantPartitioner::Dependency).unwrap_err();
-        assert!(matches!(err, AdmitError::UnsupportedFragment { .. }), "{err}");
-        assert!(delta.is_empty(), "refused program left no entry");
-        delta.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-
-        let mut scratch = registry();
-        scratch.admit("t0", choice, TenantPartitioner::Dependency).unwrap();
     }
 
     #[test]

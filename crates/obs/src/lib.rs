@@ -14,8 +14,8 @@
 //!   bounded by [`Histogram::REL_ERROR`]. It replaces the engine's old
 //!   retain-every-sample `Vec<f64>` + re-sort summaries.
 //! * [`Tracer`] — per-window stage tracing. Spans are recorded per
-//!   lifecycle stage ([`Stage`]: windowing → partition → delta-project →
-//!   cache-lookup → ground/delta-ground → plan → solve → combine → emit),
+//!   lifecycle stage ([`Stage`]: windowing → partition → cache-lookup →
+//!   ground → plan → solve → combine → recover → emit),
 //!   tagged with the ambient [`TraceCtx`] (window id, lane, partition,
 //!   serving-entry fingerprint) that engine lanes and `WorkerPool` workers
 //!   install around each job. The disabled path is a single relaxed atomic

@@ -34,15 +34,11 @@ pub enum Stage {
     Windowing,
     /// Routing items into partitions.
     Partition,
-    /// Projecting the window delta per partition.
-    DeltaProject,
     /// Fingerprint + partition-cache probe.
     CacheLookup,
     /// Scratch (full) grounding, or perfect-model evaluation of a
     /// stratified program.
     Ground,
-    /// Incremental delta-grounding of a dirty partition.
-    DeltaGround,
     /// Cost-based join (re)planning.
     Plan,
     /// Solving the ground program with CDCL (non-stratified programs only).
@@ -50,7 +46,7 @@ pub enum Stage {
     /// Combining per-partition answers.
     Combine,
     /// Recovering from a failed partition job: retry attempts and the full
-    /// re-ground fallback after a worker panic or a corrupted delta.
+    /// re-ground fallback after a worker panic.
     Recover,
     /// Ordered emission out of the engine.
     Emit,
@@ -63,10 +59,8 @@ impl Stage {
             Stage::Window => "window",
             Stage::Windowing => "windowing",
             Stage::Partition => "partition",
-            Stage::DeltaProject => "delta_project",
             Stage::CacheLookup => "cache_lookup",
             Stage::Ground => "ground",
-            Stage::DeltaGround => "delta_ground",
             Stage::Plan => "plan",
             Stage::Solve => "solve",
             Stage::Combine => "combine",
@@ -81,10 +75,8 @@ impl Stage {
             Stage::Window,
             Stage::Windowing,
             Stage::Partition,
-            Stage::DeltaProject,
             Stage::CacheLookup,
             Stage::Ground,
-            Stage::DeltaGround,
             Stage::Plan,
             Stage::Solve,
             Stage::Combine,

@@ -5,7 +5,6 @@
 #![warn(missing_docs)]
 
 pub mod generator;
-pub mod projection;
 pub mod query;
 pub mod rng;
 pub mod source;
@@ -15,7 +14,6 @@ pub use generator::{
     paper_generator, BurstyGenerator, ChurnStream, CorrelatedConfig, CorrelatedGenerator,
     FaithfulGenerator, GeneratorKind, WorkloadGenerator, PAPER_PREDICATES,
 };
-pub use projection::DeltaProjections;
 pub use query::QueryProcessor;
 pub use rng::Pcg32;
 pub use source::{spawn_source, SourceConfig};

@@ -15,9 +15,8 @@ pub struct StreamItem {
 
 /// Change of a window relative to an earlier window on the same lane:
 /// `multiset(current) = multiset(base) - retracted + added`. Produced by
-/// [`SlidingWindower`] for overlapping windows; the incremental reasoning
-/// subsystem (`sr-core::incremental`) consumes it as telemetry and tests use
-/// it as ground truth for the overlap invariant.
+/// [`SlidingWindower`] for overlapping windows; tests use it as ground truth
+/// for the overlap invariant.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WindowDelta {
     /// Id of the window this delta is relative to (the previous emission).
@@ -34,42 +33,16 @@ impl WindowDelta {
         self.added.is_empty() && self.retracted.is_empty()
     }
 
-    /// Structural sanity check of the delta against the window content it
-    /// claims to produce: every `added` item must actually be present in
-    /// `current` (multiset-wise — duplicates need matching multiplicity).
-    /// `multiset(current) = multiset(base) - retracted + added` implies
-    /// `added ⊆ multiset(current)`; a delta violating that is corrupt and
-    /// must never be applied to a maintained grounding (the incremental
-    /// subsystem falls back to a full rebuild instead). The base side cannot
-    /// be checked here — `base` is gone by the time the delta is consumed —
-    /// which is exactly why consumers additionally pin `base_id`.
-    pub fn consistent_with(&self, current: &[Triple]) -> bool {
-        if self.added.is_empty() {
-            return true;
-        }
-        // Count multiplicities of the current window once, then consume.
-        let mut counts: std::collections::HashMap<&Triple, usize> =
-            std::collections::HashMap::new();
-        for item in current {
-            *counts.entry(item).or_insert(0) += 1;
-        }
-        self.added.iter().all(|item| match counts.get_mut(item) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                true
-            }
-            _ => false,
-        })
-    }
-
     /// Projects the delta onto `partitions` sub-streams through a per-item
     /// routing function (an item may be routed to several partitions —
     /// duplicated predicates — or to none). Valid only for *content-based*
     /// routing (the same item always takes the same routes): then each
     /// projected delta satisfies the window invariant per partition,
     /// `multiset(part_i(current)) = multiset(part_i(base)) - retracted_i +
-    /// added_i`, which is what partition-scoped incremental grounding
-    /// consumes.
+    /// added_i`.
+    ///
+    /// Kept for the measured surface: the benchmark's layer replay times it.
+    /// No reasoner consumes projected deltas.
     pub fn project(
         &self,
         partitions: usize,
@@ -303,19 +276,6 @@ mod tests {
 
     fn t(i: i64) -> Triple {
         Triple::new(Node::Int(i), Node::iri("p"), Node::Int(i))
-    }
-
-    #[test]
-    fn delta_consistency_check_catches_corruption() {
-        let current = vec![t(1), t(2), t(2)];
-        let ok = WindowDelta { base_id: 0, added: vec![t(2), t(2)], retracted: vec![t(9)] };
-        assert!(ok.consistent_with(&current), "added items present with multiplicity");
-        let empty = WindowDelta { base_id: 0, added: Vec::new(), retracted: vec![t(1)] };
-        assert!(empty.consistent_with(&current), "retract-only deltas are unchecked here");
-        let bogus = WindowDelta { base_id: 0, added: vec![t(7)], retracted: Vec::new() };
-        assert!(!bogus.consistent_with(&current), "an added item absent from the window");
-        let over = WindowDelta { base_id: 0, added: vec![t(1), t(1)], retracted: Vec::new() };
-        assert!(!over.consistent_with(&current), "multiplicity overflow is corruption");
     }
 
     #[test]

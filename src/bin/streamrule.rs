@@ -8,7 +8,7 @@
 //! streamrule run <program.lp> [--data data.nt] [--window N] [--windows K]
 //!                [--mode single|dep|random:K] [--in-flight L] [--rate R]
 //!                [--seed S] [--json out.json] [--trials T] [--events]
-//!                [--incremental] [--cache-size N] [--slide S] [--delta-ground]
+//!                [--incremental] [--cache-size N] [--slide S]
 //!                [--cost-planning] [--tenants N] [--dup-ratio R]
 //!                [--metrics-addr HOST:PORT] [--trace-out trace.json]
 //!                [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]
@@ -25,14 +25,11 @@
 //! `--slide S` cuts sliding windows (S < window re-processes the overlap)
 //! and `--incremental` reuses cached answer sets for partitions whose
 //! content fingerprint is unchanged, with `--cache-size N` bounding the
-//! partition cache (see `sr-core::incremental`). `--delta-ground` (implies
-//! `--incremental`) additionally maintains each dirty partition's grounding
-//! across windows, applying the partition-scoped window delta instead of
-//! re-grounding from scratch (dependency-partitioned modes only).
+//! partition cache (see `sr-core::incremental`). Dirty partitions are
+//! always reasoned from scratch.
 //! `--cost-planning` orders rule-body joins by estimated cost from live
-//! relation statistics instead of the syntactic heuristic (any mode; with
-//! `--delta-ground` it also replans the maintained grounder's seeded
-//! plans when cardinalities drift). Answers are identical either way.
+//! relation statistics instead of the syntactic heuristic (any mode).
+//! Answers are identical either way.
 //! `--tenants N` serves the program to `N` tenants through the
 //! multi-tenant scheduler (`sr-core::MultiTenantEngine`): `--dup-ratio R`
 //! (default 1.0) controls how many tenants run the program verbatim and
@@ -56,7 +53,7 @@
 //! `--tenants` the deadline instead scores overdue windows toward tenant
 //! quarantine. `--fault-spec SITE:RATE:SEED[,...]` installs a deterministic
 //! fault-injection plan (sites: `worker_panic`, `partition_slowdown`,
-//! `delta_corrupt`, `cache_invalidate`, `source_stall`) for chaos smoke
+//! `cache_invalidate`, `source_stall`) for chaos smoke
 //! runs; recovery counters appear in the report and the `--json` record
 //! only when injection or a deadline is active — never fabricated.
 
@@ -97,7 +94,7 @@ const USAGE: &str = "usage:
   streamrule generate --out data.nt [--kind faithful|correlated|sparse] [--size N] [--windows K] [--seed S]
   streamrule run <program.lp> [--data data.nt] [--window N] [--windows K] [--mode single|dep|random:K]
                  [--in-flight L] [--rate R] [--seed S] [--json out.json] [--trials T] [--events]
-                 [--incremental] [--cache-size N] [--slide S] [--delta-ground]
+                 [--incremental] [--cache-size N] [--slide S]
                  [--cost-planning] [--tenants N] [--dup-ratio R] [--admission-budget CELLS]
                  [--metrics-addr HOST:PORT] [--trace-out trace.json]
                  [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]";
@@ -397,35 +394,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .unwrap_or("256")
         .parse()
         .map_err(|_| "bad --cache-size")?;
-    let delta_ground = has_flag(args, "--delta-ground");
-    let incremental = has_flag(args, "--incremental") || delta_ground;
+    let incremental = has_flag(args, "--incremental");
     if incremental && matches!(mode, RunMode::Single) {
-        return Err("--incremental/--delta-ground cache per-partition results; they need a \
-                    partitioned mode (--mode dep or --mode random:K)"
+        return Err("--incremental caches per-partition results; it needs a partitioned mode \
+                    (--mode dep or --mode random:K)"
             .into());
-    }
-    if delta_ground && matches!(mode, RunMode::Random(_)) {
-        return Err("--delta-ground needs content-based routing (--mode dep); the window-seeded \
-                    random partitioner reshuffles items across windows"
-            .into());
-    }
-    if delta_ground && !delta_ground_supported(&syms, &program).map_err(|e| e.to_string())? {
-        // The third --delta-ground gate (the other two error out above):
-        // warn instead of letting the reasoner silently degrade, so bench
-        // numbers aren't misattributed to a path that never engaged.
-        eprintln!(
-            "warning: program is outside the delta-grounding fragment (single-head rules, \
-             acyclic dependencies); falling back to cache-only incremental reuse"
-        );
     }
     // --cost-planning composes with every mode: it changes join evaluation
     // order inside grounding, never the answers, so no flag-matrix
-    // restriction applies (unlike --incremental/--delta-ground above).
+    // restriction applies (unlike --incremental above).
     let cost_planning = has_flag(args, "--cost-planning");
     let reasoner_cfg = ReasonerConfig {
         incremental,
         cache_capacity: cache_size,
-        delta_ground,
         cost_planning,
         ..Default::default()
     };
@@ -776,14 +757,8 @@ fn run_tenants(
     }
     let dedup = stats.dedup.expect("multi-tenant stats always carry dedup counters");
     println!(
-        "dedup: {} tenant-windows -> {} program runs ({} saved, ratio {:.2}), \
-         {} projections computed / {} reused",
-        dedup.tenant_windows,
-        dedup.program_runs,
-        dedup.shared_runs_saved,
-        dedup.dedup_ratio,
-        dedup.projections_computed,
-        dedup.projections_reused
+        "dedup: {} tenant-windows -> {} program runs ({} saved, ratio {:.2})",
+        dedup.tenant_windows, dedup.program_runs, dedup.shared_runs_saved, dedup.dedup_ratio
     );
     if let Some(snapshot) = &stats.incremental {
         print_cache_line(snapshot);
@@ -840,12 +815,6 @@ fn print_cache_line(s: &IncrementalSnapshot) {
         "cache: {} hits, {} misses, {} evictions, dirty partition ratio {:.2}",
         s.hits, s.misses, s.evictions, s.dirty_partition_ratio
     );
-    if s.delta_applies + s.delta_regrounds > 0 {
-        println!(
-            "delta grounding: {} incremental applies, {} full regrounds",
-            s.delta_applies, s.delta_regrounds
-        );
-    }
     // Only printed when the cost-based planner actually ran (counters are
     // omitted, never fabricated, for syntactic-heuristic runs).
     if s.cost_planning {

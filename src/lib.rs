@@ -54,21 +54,20 @@ pub mod prelude {
     pub use asp_parser::{parse_program, parse_rule};
     pub use asp_solver::{solve, solve_ground, SolveResult, SolverConfig};
     pub use sr_core::{
-        answer_accuracy, atom_level_partition, delta_ground_supported, duration_ms, fault,
-        fingerprint_items, program_fingerprint, reasoner_pool, window_accuracy, AdmissionPolicy,
-        AdmissionSnapshot, AdmitError, AnalysisConfig, CombinePolicy, DedupSnapshot,
-        DependencyAnalysis, DominatingTerm, DuplicationPolicy, EngineConfig, EngineOutput,
-        EngineReport, EngineStats, FailureSnapshot, FaultPlan, FaultSite, IncrementalReasoner,
-        IncrementalSnapshot, LatencyStats, MultiTenantEngine, ParallelMode, ParallelReasoner,
-        PartitionCache, Partitioner, PartitioningPlan, PlanPartitioner, ProgramBounds,
-        ProgramRegistry, Projection, RandomPartitioner, Reasoner, ReasonerConfig, ReasonerOutput,
-        ReasonerPool, SingleReasoner, StreamEngine, TenantLatency, TenantOutput, TenantPartitioner,
-        UnknownPredicate, WindowSpec,
+        answer_accuracy, atom_level_partition, duration_ms, fault, fingerprint_items,
+        program_fingerprint, reasoner_pool, window_accuracy, AdmissionPolicy, AdmissionSnapshot,
+        AdmitError, AnalysisConfig, CombinePolicy, DedupSnapshot, DependencyAnalysis,
+        DominatingTerm, DuplicationPolicy, EngineConfig, EngineOutput, EngineReport, EngineStats,
+        FailureSnapshot, FaultPlan, FaultSite, IncrementalReasoner, IncrementalSnapshot,
+        LatencyStats, MultiTenantEngine, ParallelMode, ParallelReasoner, PartitionCache,
+        Partitioner, PartitioningPlan, PlanPartitioner, ProgramBounds, ProgramRegistry, Projection,
+        RandomPartitioner, Reasoner, ReasonerConfig, ReasonerOutput, ReasonerPool, SingleReasoner,
+        StreamEngine, TenantLatency, TenantOutput, TenantPartitioner, UnknownPredicate, WindowSpec,
     };
     pub use sr_rdf::{FormatConfig, FormatProcessor, Node, Triple};
     pub use sr_stream::{
-        paper_generator, BurstyGenerator, ChurnStream, CorrelatedGenerator, DeltaProjections,
-        FaithfulGenerator, GeneratorKind, QueryProcessor, SlidingWindower, StreamItem,
-        TupleWindower, Window, WindowDelta, Windower, WorkloadGenerator, PAPER_PREDICATES,
+        paper_generator, BurstyGenerator, ChurnStream, CorrelatedGenerator, FaithfulGenerator,
+        GeneratorKind, QueryProcessor, SlidingWindower, StreamItem, TupleWindower, Window,
+        WindowDelta, Windower, WorkloadGenerator, PAPER_PREDICATES,
     };
 }

@@ -1,10 +1,9 @@
 //! Static-analysis soundness properties:
 //!
-//! * **bound soundness** — on random churned sliding streams, the delta
-//!   grounder's observed per-partition state never exceeds the
+//! * **bound soundness** — on random churned sliding streams, the state a
+//!   per-partition `DeltaGrounder` facade holds never exceeds the
 //!   admission-time [`ProgramBounds`] computed before a single item
-//!   arrived, component by component (input facts, live instantiations,
-//!   tombstone slots, support atoms, relation slots);
+//!   arrived, component by component (the facade holds input facts only);
 //! * **uniform dominance** — the content-oblivious `uniform` bound (every
 //!   partition may see the whole window, the model for random
 //!   partitioning) dominates every per-community bound of the dependency
@@ -14,11 +13,11 @@ use proptest::prelude::*;
 use sr_bench::programs::LARGE_TRAFFIC;
 use sr_bench::PROGRAM_P;
 use std::sync::Arc;
+use stream_reasoner::asp_grounder::{DeltaGrounder, Grounder};
 use stream_reasoner::prelude::*;
 use stream_reasoner::sr_core::MemoryBound;
 
-/// Deterministic programs inside the delta-grounding fragment (observed
-/// state exists only where the delta lane engages).
+/// Stratified programs: the facade evaluates their perfect model.
 const DELTA_PROGRAMS: [&str; 2] = [PROGRAM_P, LARGE_TRAFFIC];
 
 /// `a ≤ b` on memory bounds: an unbounded `b` dominates everything.
@@ -72,14 +71,14 @@ fn community_groups(syms: &Symbols, analysis: &DependencyAnalysis) -> Vec<Vec<St
     groups
 }
 
-/// Runs a delta-grounding pass over churned sliding windows and checks the
-/// observed per-partition state against the statically predicted bound
-/// after every window.
+/// Feeds every window's partitions to one facade per partition, rebuilt
+/// from the partition's facts as the benchmark replay's fallback does, and
+/// checks the observed state against the statically predicted bound after
+/// every window.
 fn assert_bound_sound(
     source: &str,
     size: usize,
     slide: usize,
-    cache_capacity: usize,
     windows: impl FnOnce(&Symbols, &DependencyAnalysis) -> Vec<Window>,
 ) -> Result<(), TestCaseError> {
     let syms = Symbols::new();
@@ -88,27 +87,20 @@ fn assert_bound_sound(
         DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
     let spec = WindowSpec::sliding(size as u64, slide as u64);
     let bounds = ProgramBounds::analyze(&syms, &program, &analysis, &spec);
-    let partitioner: Arc<dyn Partitioner> =
-        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
-    let mut reasoner = IncrementalReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner,
-        ReasonerConfig {
-            mode: ParallelMode::Sequential,
-            incremental: true,
-            delta_ground: true,
-            cache_capacity,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    prop_assert!(reasoner.delta_ground_active(), "fragment programs engage the delta lane");
+    let partitioner = PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0);
+    let mut format =
+        FormatProcessor::new(&syms, &FormatConfig::from_input_signature(&syms, &analysis.inpre));
+    let grounder = Arc::new(Grounder::new(&syms, &program).unwrap());
+    let mut facades: Vec<DeltaGrounder> = (0..partitioner.partitions())
+        .map(|_| DeltaGrounder::new(Arc::clone(&grounder)).unwrap())
+        .collect();
 
     for window in windows(&syms, &analysis) {
-        reasoner.process(&window).unwrap();
-        for (i, observed) in reasoner.delta_state_sizes().into_iter().enumerate() {
+        for (i, items) in partitioner.partition(&window).into_iter().enumerate() {
+            let facade = &mut facades[i];
+            facade.reset().unwrap();
+            facade.apply(&format.window_to_facts(&items), &[]).unwrap();
+            let observed = facade.state_size();
             let state = &bounds.partitions[i].state;
             prop_assert!(
                 observed.within(state),
@@ -126,24 +118,21 @@ fn assert_bound_sound(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Observed delta-grounder state never exceeds the static bound, for
+    /// Observed facade state never exceeds the static bound, for
     /// random programs × window sizes × slides × churn fractions and for
     /// the bursty retraction-heavy workload at 1/8 and 1/2 slides.
     #[test]
     fn observed_state_never_exceeds_the_static_bound(case in bound_cases()) {
-        // Hold the process-global fault guard: a concurrent chaos test's
-        // installed plan would otherwise inject faults into this run.
-        let _guard = stream_reasoner::sr_core::fault::test_guard();
         match case {
             BoundCase::Paper { program_idx, size, slide, fraction, seed } => {
-                assert_bound_sound(DELTA_PROGRAMS[program_idx], size, slide, 16, |_, _| {
+                assert_bound_sound(DELTA_PROGRAMS[program_idx], size, slide, |_, _| {
                     let inner = paper_generator(GeneratorKind::CorrelatedSparse, seed);
                     ChurnStream::new(inner, size, slide, fraction, seed ^ 0xb0d).windows(4)
                 })?;
             }
             BoundCase::BurstyChurn => {
                 for slide in [320 / 8, 320 / 2] {
-                    assert_bound_sound(LARGE_TRAFFIC, 320, slide, 64, |syms, analysis| {
+                    assert_bound_sound(LARGE_TRAFFIC, 320, slide, |syms, analysis| {
                         let groups = community_groups(syms, analysis);
                         let burst = (slide / groups.len()).max(1);
                         let inner = BurstyGenerator::new(groups, burst, 320, 2017);

@@ -1,6 +1,6 @@
 //! Chaos proptests: the pipelined [`StreamEngine`] under randomized
-//! deterministic fault plans — worker panics, corrupted deltas, cache
-//! invalidations and partition slowdowns past the window deadline — across
+//! deterministic fault plans — worker panics, cache invalidations and
+//! partition slowdowns past the window deadline — across
 //! partitioner choices, slide/size combinations and in-flight depths. Three
 //! invariants must survive every plan:
 //!
@@ -59,7 +59,6 @@ proptest! {
         divisor_idx in 0usize..3,
         seed in 0u64..1_000,
         panic_pct in 0u32..50,
-        corrupt_pct in 0u32..50,
         invalidate_pct in 0u32..50,
         slowdown_pct in 0u32..20,
         in_flight in 1usize..=3,
@@ -100,7 +99,6 @@ proptest! {
         fault::install(
             FaultPlan::new()
                 .with_rule(FaultSite::WorkerPanic, f64::from(panic_pct) / 100.0, seed)
-                .with_rule(FaultSite::DeltaCorrupt, f64::from(corrupt_pct) / 100.0, seed.wrapping_add(1))
                 .with_rule(
                     FaultSite::CacheInvalidate,
                     f64::from(invalidate_pct) / 100.0,
@@ -161,8 +159,8 @@ proptest! {
 }
 
 /// The fixed seeded chaos case: 48 tumbling PR_Dep windows of the paper
-/// workload through two incremental lanes, 5% worker panics, delta
-/// corruptions and cache invalidations, and 5% partition slowdowns stalling
+/// workload through two incremental lanes, 5% worker panics and cache
+/// invalidations, and 5% partition slowdowns stalling
 /// past the window deadline, all seeded from one number. Clean windows stay
 /// byte-identical to the fault-free reference, every degraded window is
 /// flagged and counted, and at most half of the windows degrade.
@@ -196,7 +194,6 @@ fn seeded_chaos_run_degrades_at_most_half_the_windows() {
     fault::install(
         FaultPlan::new()
             .with_rule(FaultSite::WorkerPanic, FAULT_RATE, SEED)
-            .with_rule(FaultSite::DeltaCorrupt, FAULT_RATE, SEED + 1)
             .with_rule(FaultSite::CacheInvalidate, FAULT_RATE, SEED + 2)
             .with_rule(FaultSite::PartitionSlowdown, SLOWDOWN_RATE, SEED + 3)
             .with_stall(Duration::from_millis(400)),

@@ -60,8 +60,8 @@ fn assert_identical(
     assert_identical_with(source, partitioner_of, windows, capacity, false)
 }
 
-/// Like [`assert_identical`], optionally with delta-driven grounding inside
-/// dirty partitions enabled on the incremental side.
+/// Like [`assert_identical`], optionally with `delta_ground` set on the
+/// incremental side.
 fn assert_identical_with(
     source: &str,
     partitioner_of: impl Fn(&DependencyAnalysis) -> Arc<dyn Partitioner>,
@@ -109,9 +109,9 @@ fn assert_identical_with(
 }
 
 /// Cost-based join planning must never change a byte: the planner-on
-/// reasoners (full recompute *and* incremental, with or without delta
-/// grounding) against the planner-off full recompute reference, window by
-/// window.
+/// reasoners (full recompute *and* incremental, with or without
+/// `delta_ground`) against the planner-off full recompute reference, window
+/// by window.
 fn assert_planner_identity(
     source: &str,
     partitioner_of: impl Fn(&DependencyAnalysis) -> Arc<dyn Partitioner>,
@@ -172,15 +172,17 @@ fn assert_planner_identity(
     Ok(())
 }
 
-/// Deterministic (unique-answer-set) programs inside the delta-grounding
-/// fragment: what `ReasonerConfig::delta_ground` actually accelerates.
+/// Stratified programs: the [`DeltaGrounder`] facade evaluates their
+/// perfect model.
+///
+/// [`DeltaGrounder`]: stream_reasoner::asp_grounder::DeltaGrounder
 const DELTA_PROGRAMS: [&str; 2] = [PROGRAM_P, LARGE_TRAFFIC];
 
-/// Drives a random add/retract sequence through a [`DeltaGrounder`] and
-/// checks, after every step, that the maintained grounding is semantically
-/// equal to grounding the current fact multiset from scratch, that solving
-/// both ground programs yields byte-identical answer sets, and that the
-/// direct [`DeltaGrounder::answer`] extraction matches the solver.
+/// Drives a random add/retract sequence through a `DeltaGrounder` and
+/// checks, after every step, that its answer equals
+/// [`Grounder::perfect_model`] over the live fact multiset.
+///
+/// [`Grounder::perfect_model`]: stream_reasoner::asp_grounder::Grounder::perfect_model
 fn assert_delta_grounder_identity(
     source: &str,
     seed: u64,
@@ -189,24 +191,23 @@ fn assert_delta_grounder_identity(
     cost_planning: bool,
 ) -> Result<(), TestCaseError> {
     use stream_reasoner::asp_grounder::{DeltaGrounder, Grounder};
-    use stream_reasoner::asp_solver::solve_ground;
-    use stream_reasoner::sr_rdf::{FormatConfig, FormatProcessor};
 
     let syms = Symbols::new();
     let program = parse_program(&syms, source).unwrap();
     let inpre = program.edb_predicates();
     let mut planned = Grounder::new(&syms, &program).unwrap();
     planned.set_cost_planning(cost_planning);
-    let grounder = std::sync::Arc::new(planned);
-    prop_assert!(DeltaGrounder::supports(&grounder), "traffic programs are in the fragment");
-    let mut dg =
-        DeltaGrounder::with_cost_planning(std::sync::Arc::clone(&grounder), cost_planning).unwrap();
+    let grounder = Arc::new(planned);
+    let mut dg = DeltaGrounder::new(Arc::clone(&grounder)).unwrap();
 
     let mut format =
         FormatProcessor::new(&syms, &FormatConfig::from_input_signature(&syms, &inpre));
     let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, seed);
     let pool = format.window_to_facts(&generator.window(batch * steps + batch));
 
+    let rendered = |model: Option<Vec<GroundAtom>>| {
+        model.map(|atoms| AnswerSet::new(atoms, &syms).display(&syms).to_string())
+    };
     let mut rng = Pcg32::seed(seed ^ 0xd1fa);
     let mut current: Vec<GroundAtom> = Vec::new();
     let mut cursor = 0usize;
@@ -227,51 +228,43 @@ fn assert_delta_grounder_identity(
         current.extend_from_slice(added);
         dg.apply(added, &retracted).unwrap();
 
-        let scratch = grounder.ground(&current).unwrap();
-        let maintained = dg.ground_program();
         prop_assert_eq!(
-            maintained.canonical_form(&syms),
-            scratch.canonical_form(&syms),
-            "ground program diverged at step {} ({} facts)",
+            rendered(dg.answer()),
+            rendered(grounder.perfect_model(&current).unwrap()),
+            "facade answer diverged at step {} ({} facts)",
             step,
             current.len()
-        );
-
-        let solver = SolverConfig::default();
-        let from_scratch = solve_ground(&syms, &scratch, &solver).unwrap();
-        let from_maintained = solve_ground(&syms, &maintained, &solver).unwrap();
-        let rendered = |r: &stream_reasoner::asp_solver::SolveResult| {
-            r.answer_sets.iter().map(|a| a.display(&syms).to_string()).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(
-            rendered(&from_scratch),
-            rendered(&from_maintained),
-            "solver output diverged at step {}",
-            step
-        );
-
-        let direct = match dg.answer() {
-            Some(atoms) => vec![AnswerSet::new(atoms, &syms).display(&syms).to_string()],
-            None => Vec::new(),
-        };
-        prop_assert_eq!(
-            rendered(&from_scratch),
-            direct,
-            "direct answer extraction diverged at step {}",
-            step
         );
     }
     Ok(())
 }
 
+/// Retracting a fact the multiset never held breaks the delta chain, and
+/// the facade says so instead of answering from a wrong window.
+#[test]
+fn delta_grounder_rejects_retracting_an_absent_fact() {
+    use stream_reasoner::asp_grounder::{DeltaError, DeltaGrounder, Grounder};
+
+    let syms = Symbols::new();
+    let program = parse_program(&syms, PROGRAM_P).unwrap();
+    let grounder = Arc::new(Grounder::new(&syms, &program).unwrap());
+    let mut dg = DeltaGrounder::new(grounder).unwrap();
+    let inpre = program.edb_predicates();
+    let mut format =
+        FormatProcessor::new(&syms, &FormatConfig::from_input_signature(&syms, &inpre));
+    let facts =
+        format.window_to_facts(&paper_generator(GeneratorKind::CorrelatedSparse, 7).window(20));
+    dg.apply(&facts[..10], &[]).unwrap();
+    let absent = facts[10..].iter().find(|f| !facts[..10].contains(f)).expect("fresh fact");
+    assert_eq!(dg.apply(&[], std::slice::from_ref(absent)), Err(DeltaError::SupportUnderflow));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Tentpole invariant: random add/retract sequences through the
-    /// [`DeltaGrounder`] keep the maintained grounding semantically equal
-    /// to from-scratch grounding, with answer sets byte-identical both
-    /// through the solver and through the direct stratified extraction —
-    /// with cost-based planning of the seeded plans on or off.
+    /// Random add/retract sequences through the `DeltaGrounder` facade
+    /// answer what perfect-model evaluation of the live multiset answers,
+    /// with cost-based planning on or off.
     #[test]
     fn delta_grounder_matches_scratch_under_random_churn(
         program_idx in 0usize..2,
@@ -286,10 +279,9 @@ proptest! {
     }
 
     /// Cost-based join planning never changes output: planner-on full
-    /// recompute *and* planner-on incremental reasoning (delta grounding on
-    /// or off, so both the scratch plan cache and the maintained grounder's
-    /// seeded replan path are exercised) against the planner-off reference,
-    /// on churned sliding streams.
+    /// recompute *and* planner-on incremental reasoning (with or without
+    /// `delta_ground`) against the planner-off reference, on churned sliding
+    /// streams.
     #[test]
     fn cost_planning_is_byte_identical_end_to_end(
         program_idx in 0usize..2,
@@ -319,7 +311,7 @@ proptest! {
     }
 
     /// The same planner-on/off cross-check under the random partitioner
-    /// (content reshuffled every window, delta grounding gated off).
+    /// (content reshuffled every window).
     #[test]
     fn cost_planning_is_byte_identical_under_random_partitioner(
         program_idx in 0usize..2,
@@ -339,9 +331,9 @@ proptest! {
         )?;
     }
 
-    /// End-to-end: the delta-grounding incremental reasoner is byte-
-    /// identical to full recomputation on sliding streams (the same
-    /// harness as the partition-cache property above).
+    /// End-to-end: the incremental reasoner with `delta_ground` set (dirty
+    /// partitions on its own thread) is byte-identical to full
+    /// recomputation on sliding streams.
     #[test]
     fn delta_ground_reasoner_is_byte_identical(
         program_idx in 0usize..2,
@@ -366,10 +358,9 @@ proptest! {
     }
 
     /// Retraction-heavy streams: a fixed fraction of each slide's
-    /// retractions hits the live window interior ([`ChurnStream`]), the
-    /// regime where the DRed over-delete/re-derive path must tear down
-    /// derivation chains whose join partners are still live. Output must
-    /// stay byte-identical to full recomputation.
+    /// retractions hits the live window interior ([`ChurnStream`]). Output
+    /// with `delta_ground` set must stay byte-identical to full
+    /// recomputation.
     #[test]
     fn delta_ground_is_byte_identical_on_retraction_heavy_streams(
         program_idx in 0usize..2,
@@ -397,9 +388,8 @@ proptest! {
         )?;
     }
 
-    /// Requesting `delta_ground` under the window-seeded random partitioner
-    /// must gate the fast path off (no content routing) while staying
-    /// byte-identical — the delta-on vs -off × partitioner cross check.
+    /// `delta_ground` under the window-seeded random partitioner stays
+    /// byte-identical too.
     #[test]
     fn delta_ground_request_under_random_partitioner_is_byte_identical(
         program_idx in 0usize..2,

@@ -3,8 +3,8 @@
 //! single-program incremental pipeline over the same windows — across
 //! programs, partitioner choices (dependency plan and the random
 //! baseline), slide/size combinations, and admit/retire mid-stream. Work
-//! sharing (one program run per serving entry, one shared partition cache,
-//! shared delta projections) must never change what any tenant observes.
+//! sharing (one program run per serving entry, one shared partition cache)
+//! must never change what any tenant observes.
 
 use proptest::prelude::*;
 use sr_bench::programs::LARGE_TRAFFIC;
@@ -136,10 +136,8 @@ proptest! {
     }
 
     /// Admit/retire mid-stream: a tenant that joins at window `j` must see
-    /// exactly what a pipeline started at window `j` computes (its first
-    /// delta's base window was never observed — the broken chain must fall
-    /// back identically on both sides), and a tenant retired at window `r`
-    /// must have seen exactly the prefix.
+    /// exactly what a pipeline started at window `j` computes, and a tenant
+    /// retired at window `r` must have seen exactly the prefix.
     #[test]
     fn admit_and_retire_mid_stream_keep_byte_identity(
         size in 40usize..=80,
@@ -185,9 +183,8 @@ proptest! {
     }
 }
 
-/// Work sharing is observable, not just harmless: with shared delta
-/// projections and one run per entry, duplicated tenants literally receive
-/// the same allocation.
+/// Work sharing is observable, not just harmless: with one run per entry,
+/// duplicated tenants literally receive the same allocation.
 #[test]
 fn duplicated_tenants_share_allocations() {
     let windows = sliding_windows(7, 80, 20, 3);
