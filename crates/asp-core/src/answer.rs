@@ -1,30 +1,41 @@
 //! Answer sets (stable models) and projections over them.
+//!
+//! **The atom order.** An answer set keeps its atoms sorted by one total
+//! order: predicate name, then polarity (`p` before `-p`), then arguments
+//! left to right with int < const < func, integers by value, constants by
+//! name, function terms by name then arguments, and a shorter argument list
+//! before any longer one it is a prefix of. Names compare as strings, so
+//! the order does not depend on interning order.
+//!
+//! **How it is computed.** [`AnswerSet::new`], [`AnswerSet::union`] and
+//! [`AnswerSet::union_many`] resolve each distinct symbol of their input
+//! once, under one lock, and rank the symbols by name. Every atom then
+//! becomes a short key of `u64` words (`OrderKeys`) whose lexicographic
+//! order is the atom order, so sorting and merging compare integers only —
+//! no symbol lookups and no string comparisons per comparison.
 
 use crate::atom::{GroundAtom, Predicate};
-use crate::symbol::{FastSet, Sym, Symbols};
+use crate::symbol::{FastMap, FastSet, Sym, Symbols};
+use crate::term::GroundTerm;
 use std::fmt;
 
-/// One answer set: a set of ground atoms, stored sorted for deterministic
-/// display and fast intersection.
+/// One answer set: a set of ground atoms, stored sorted (see the module
+/// docs) for deterministic display and linear-time unions.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnswerSet {
     atoms: Vec<GroundAtom>,
 }
 
 impl AnswerSet {
-    /// Builds an answer set, sorting and deduplicating the atoms.
-    ///
-    /// Sorting compares atoms structurally through a per-call
-    /// symbol-resolution cache (`atom_cmp_cached`, the one total order
-    /// used by `new`, [`AnswerSet::union`] and [`AnswerSet::union_many`]):
-    /// each distinct symbol resolves exactly once — no per-comparison
-    /// locking of the shared symbol store, which measurably serializes the
-    /// parallel reasoner's workers on large windows — and no per-atom key
-    /// materialization, which dominated on integer-heavy windows (39
-    /// characters per integer argument).
+    /// Builds an answer set, sorting and deduplicating the atoms in the
+    /// answer-set order (see the module docs).
     pub fn new(mut atoms: Vec<GroundAtom>, syms: &Symbols) -> Self {
-        let mut cache: crate::symbol::FastMap<Sym, Box<str>> = crate::symbol::FastMap::default();
-        atoms.sort_by(|a, b| atom_cmp_cached(a, b, syms, &mut cache));
+        let keys = OrderKeys::new(&atoms, syms);
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        // Equal keys mean identical atoms, so an unstable sort is exact.
+        order.sort_unstable_by(|&a, &b| keys.key(a as usize).cmp(keys.key(b as usize)));
+        drop(keys);
+        permute(&mut atoms, &mut order);
         atoms.dedup();
         AnswerSet { atoms }
     }
@@ -62,13 +73,9 @@ impl AnswerSet {
 
     /// Union of two answer sets (used by the combining handler).
     ///
-    /// Both sides are already sorted by [`AnswerSet::new`]'s comparator, so
-    /// this is a linear merge rather than a re-sort — the combining handler
-    /// unions window-sized sets on the critical path. The merge uses the
-    /// same `atom_cmp_cached` order as `new`/[`AnswerSet::union_many`]: a
-    /// mixed regime (structural sort, string-key merge) would mis-order
-    /// unions for symbol names containing C0 control characters, and the
-    /// per-atom key materialization was the dominant combining cost anyway.
+    /// Both sides are already sorted, so this is a linear merge over the
+    /// same integer keys [`AnswerSet::new`] sorts by, rather than a re-sort —
+    /// the combining handler unions window-sized sets on the critical path.
     pub fn union(&self, other: &AnswerSet, syms: &Symbols) -> AnswerSet {
         if self.is_empty() {
             return other.clone();
@@ -76,11 +83,12 @@ impl AnswerSet {
         if other.is_empty() {
             return self.clone();
         }
-        let mut cache: crate::symbol::FastMap<Sym, Box<str>> = crate::symbol::FastMap::default();
+        let keys = OrderKeys::new(self.atoms.iter().chain(&other.atoms), syms);
+        let n = self.len();
         let mut atoms = Vec::with_capacity(self.len() + other.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < self.atoms.len() && j < other.atoms.len() {
-            match atom_cmp_cached(&self.atoms[i], &other.atoms[j], syms, &mut cache) {
+            match keys.key(i).cmp(keys.key(n + j)) {
                 std::cmp::Ordering::Less => {
                     atoms.push(self.atoms[i].clone());
                     i += 1;
@@ -90,7 +98,6 @@ impl AnswerSet {
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    // Interned symbols: comparing Equal means equal atoms.
                     atoms.push(self.atoms[i].clone());
                     i += 1;
                     j += 1;
@@ -106,11 +113,8 @@ impl AnswerSet {
     /// handler's fast path when every partition has a single answer set.
     ///
     /// Equivalent to folding [`AnswerSet::union`] pairwise (the
-    /// pairwise-fold equivalence test pins this down), with atoms compared
-    /// *structurally* (with a per-call symbol-resolution cache) instead of
-    /// through materialized string keys: building a key per atom per
-    /// window — 39 characters per integer argument alone — was the
-    /// dominant combining cost on window-sized answer sets.
+    /// pairwise-fold equivalence tests pin this down), over the same integer
+    /// keys.
     pub fn union_many(syms: &Symbols, sets: &[&AnswerSet]) -> AnswerSet {
         if sets.is_empty() {
             return AnswerSet::default();
@@ -118,39 +122,39 @@ impl AnswerSet {
         if sets.len() == 1 {
             return sets[0].clone();
         }
-        let mut cache: crate::symbol::FastMap<Sym, Box<str>> = crate::symbol::FastMap::default();
-        let mut heads = vec![0usize; sets.len()];
-        let mut atoms = Vec::with_capacity(sets.iter().map(|s| s.len()).sum());
+        let keys = OrderKeys::new(sets.iter().flat_map(|s| &s.atoms), syms);
+        // Set i's atoms are keys `starts[i]..ends[i]`; `heads[i]` is its
+        // next unmerged one.
+        let mut starts = Vec::with_capacity(sets.len());
+        let mut ends = Vec::with_capacity(sets.len());
+        let mut offset = 0;
+        for s in sets {
+            starts.push(offset);
+            offset += s.len();
+            ends.push(offset);
+        }
+        let mut heads = starts.clone();
+        let mut atoms = Vec::with_capacity(offset);
         loop {
             // Linear minimum over the k heads: k is the partition count,
             // which is small; a heap would cost more than it saves.
             let mut best: Option<usize> = None;
             for i in 0..sets.len() {
-                if heads[i] < sets[i].atoms.len()
-                    && best.is_none_or(|b| {
-                        atom_cmp_cached(
-                            &sets[i].atoms[heads[i]],
-                            &sets[b].atoms[heads[b]],
-                            syms,
-                            &mut cache,
-                        )
-                        .is_lt()
-                    })
+                if heads[i] < ends[i]
+                    && best.is_none_or(|b| keys.key(heads[i]) < keys.key(heads[b]))
                 {
                     best = Some(i);
                 }
             }
             let Some(b) = best else { break };
-            let pos = heads[b];
-            let atom = sets[b].atoms[pos].clone();
-            // Interned symbols make atom equality equivalent to key
-            // equality: advancing every equal head deduplicates.
-            for (i, head) in heads.iter_mut().enumerate() {
-                while *head < sets[i].atoms.len() && sets[i].atoms[*head] == atom {
+            let min = keys.key(heads[b]);
+            atoms.push(sets[b].atoms[heads[b] - starts[b]].clone());
+            // Advancing every head equal to the minimum deduplicates.
+            for (head, &end) in heads.iter_mut().zip(&ends) {
+                while *head < end && keys.key(*head) == min {
                     *head += 1;
                 }
             }
-            atoms.push(atom);
         }
         AnswerSet { atoms }
     }
@@ -168,46 +172,145 @@ impl AnswerSet {
     }
 }
 
-/// Structural comparison of two ground atoms — name, then polarity, then
-/// arguments left to right with int < const < func and
-/// shorter-argument-prefix first — resolving each symbol at most once
-/// through `cache`. Avoids materializing keys on the merge paths. This is
-/// *the* answer-set atom order (`new`/`union`/`union_many` all use it); it
-/// coincides with the legacy `sort_key` string order for symbol names free
-/// of C0 control characters (pinned by a test), but is the sole authority
-/// where the two diverge.
+/// Reorders `items` in place, cycle by cycle, so that `items[k]` becomes
+/// the old `items[order[k]]`; `order` is consumed as the visited marks.
+fn permute<T>(items: &mut [T], order: &mut [u32]) {
+    for start in 0..items.len() {
+        let mut k = start;
+        while order[k] as usize != k {
+            let src = order[k] as usize;
+            order[k] = k as u32;
+            if src == start {
+                break;
+            }
+            items.swap(k, src);
+            k = src;
+        }
+    }
+}
+
+/// Key-word tags of the three term kinds, in the order the kinds sort.
+/// The low 32 bits of a `CONST`/`FUNC` word hold the symbol's rank; an
+/// `INT` word is followed by the integer, sign bit flipped so it orders
+/// as unsigned. [`FUNC_END`] closes a function term's arguments and sorts
+/// below every tag, so `f(1)` comes before `f(1,2)`.
+const INT: u64 = 1 << 32;
+const CONST: u64 = 2 << 32;
+const FUNC: u64 = 3 << 32;
+const FUNC_END: u64 = 0;
+
+/// Integer sort keys for a batch of atoms: comparing two atoms' keys as
+/// `u64` slices (lexicographically, a prefix first) gives their answer-set
+/// order, and equal keys mean equal atoms.
+///
+/// A key is the word `rank(predicate) << 1 | strong_neg` followed by each
+/// argument's words (see [`INT`]). Ranks number the batch's distinct
+/// symbols in name order, so each symbol is resolved once per batch.
+struct OrderKeys {
+    words: Vec<u64>,
+    /// Atom `i`'s key is `words[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<u32>,
+}
+
+impl OrderKeys {
+    fn new<'a>(atoms: impl IntoIterator<Item = &'a GroundAtom> + Clone, syms: &Symbols) -> Self {
+        // Calls `f` on every symbol of `t`; returns `t`'s key length.
+        fn visit(t: &GroundTerm, f: &mut impl FnMut(Sym)) -> usize {
+            match t {
+                GroundTerm::Int(_) => 2,
+                GroundTerm::Const(s) => {
+                    f(*s);
+                    1
+                }
+                GroundTerm::Func(s, args) => {
+                    f(*s);
+                    2 + args.iter().map(|a| visit(a, f)).sum::<usize>()
+                }
+            }
+        }
+        fn encode(t: &GroundTerm, rank: &FastMap<Sym, u32>, out: &mut Vec<u64>) {
+            match t {
+                GroundTerm::Int(i) => out.extend([INT, (*i as u64) ^ (1 << 63)]),
+                GroundTerm::Const(s) => out.push(CONST | u64::from(rank[s])),
+                GroundTerm::Func(s, args) => {
+                    out.push(FUNC | u64::from(rank[s]));
+                    args.iter().for_each(|a| encode(a, rank, out));
+                    out.push(FUNC_END);
+                }
+            }
+        }
+
+        let mut rank: FastMap<Sym, u32> = FastMap::default();
+        let mut distinct: Vec<Sym> = Vec::new();
+        let mut atom_count = 0;
+        let mut word_count = 0;
+        for atom in atoms.clone() {
+            let mut note = |s: Sym| {
+                rank.entry(s).or_insert_with(|| {
+                    distinct.push(s);
+                    0
+                });
+            };
+            note(atom.pred);
+            word_count += 1 + atom.args.iter().map(|a| visit(a, &mut note)).sum::<usize>();
+            atom_count += 1;
+        }
+        syms.sort_by_name(&mut distinct);
+        for (r, s) in distinct.iter().enumerate() {
+            rank.insert(*s, r as u32);
+        }
+
+        let mut words = Vec::with_capacity(word_count);
+        let mut bounds = Vec::with_capacity(atom_count + 1);
+        bounds.push(0);
+        for atom in atoms {
+            words.push((u64::from(rank[&atom.pred]) << 1) | u64::from(atom.strong_neg));
+            atom.args.iter().for_each(|a| encode(a, &rank, &mut words));
+            bounds.push(u32::try_from(words.len()).expect("answer set too large to order"));
+        }
+        OrderKeys { words, bounds }
+    }
+
+    /// Number of atoms keyed.
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn key(&self, i: usize) -> &[u64] {
+        &self.words[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+}
+
+/// Structural comparison of two ground atoms in the answer-set order,
+/// resolving each symbol at most once through `cache`. The order's
+/// definition, written out term by term: the test oracle [`OrderKeys`] must
+/// agree with (and that itself coincides with `sort_key`'s string order on
+/// names free of C0 control characters).
+#[cfg(test)]
 fn atom_cmp_cached(
     a: &GroundAtom,
     b: &GroundAtom,
     syms: &Symbols,
-    cache: &mut crate::symbol::FastMap<Sym, Box<str>>,
+    cache: &mut FastMap<Sym, Box<str>>,
 ) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     if a == b {
         return Ordering::Equal;
     }
-    // Resolve both symbols (filling the cache), then reborrow shared — the
-    // comparison itself allocates nothing.
-    fn name_cmp(
-        s: Sym,
-        t: Sym,
-        syms: &Symbols,
-        cache: &mut crate::symbol::FastMap<Sym, Box<str>>,
-    ) -> std::cmp::Ordering {
+    fn name_cmp(s: Sym, t: Sym, syms: &Symbols, cache: &mut FastMap<Sym, Box<str>>) -> Ordering {
         if s == t {
-            return std::cmp::Ordering::Equal;
+            return Ordering::Equal;
         }
         cache.entry(s).or_insert_with(|| Box::from(&*syms.resolve(s)));
         cache.entry(t).or_insert_with(|| Box::from(&*syms.resolve(t)));
         cache[&s].cmp(&cache[&t])
     }
     fn term_cmp(
-        x: &crate::term::GroundTerm,
-        y: &crate::term::GroundTerm,
+        x: &GroundTerm,
+        y: &GroundTerm,
         syms: &Symbols,
-        cache: &mut crate::symbol::FastMap<Sym, Box<str>>,
-    ) -> std::cmp::Ordering {
-        use crate::term::GroundTerm;
+        cache: &mut FastMap<Sym, Box<str>>,
+    ) -> Ordering {
         // Tags mirror sort_key: int ('a') < const ('b') < func ('c').
         let tag = |t: &GroundTerm| match t {
             GroundTerm::Int(_) => 0u8,
@@ -221,7 +324,7 @@ fn atom_cmp_cached(
                 .then_with(|| {
                     for (xa, ya) in fa.iter().zip(ga.iter()) {
                         let o = term_cmp(xa, ya, syms, cache);
-                        if o != std::cmp::Ordering::Equal {
+                        if o != Ordering::Equal {
                             return o;
                         }
                     }
@@ -246,15 +349,10 @@ fn atom_cmp_cached(
 /// Injective, name-based sort key for a ground atom. Equal keys imply equal
 /// atoms (type tags disambiguate e.g. the integer `3` from a constant `"3"`),
 /// so ordering by this key is deterministic across runs regardless of symbol
-/// interning order. Test-only since `atom_cmp_cached` became the one
-/// production order: kept to pin the historical key order the structural
-/// comparator must match on control-character-free names.
+/// interning order. Test-only: it pins the historical key order the
+/// structural comparator matches on control-character-free names.
 #[cfg(test)]
-fn sort_key(
-    atom: &GroundAtom,
-    syms: &Symbols,
-    cache: &mut crate::symbol::FastMap<Sym, Box<str>>,
-) -> String {
+fn sort_key(atom: &GroundAtom, syms: &Symbols, cache: &mut FastMap<Sym, Box<str>>) -> String {
     use std::fmt::Write;
     let mut key = String::with_capacity(32);
     // Name first, polarity second: mirrors `ground_atom_cmp` so e.g. `-p`
@@ -271,18 +369,17 @@ fn sort_key(
     fn resolve_cached<'c>(
         s: Sym,
         syms: &Symbols,
-        cache: &'c mut crate::symbol::FastMap<Sym, Box<str>>,
+        cache: &'c mut FastMap<Sym, Box<str>>,
     ) -> &'c str {
         cache.entry(s).or_insert_with(|| Box::from(&*syms.resolve(s)))
     }
 
     fn term_key(
-        t: &crate::term::GroundTerm,
+        t: &GroundTerm,
         syms: &Symbols,
-        cache: &mut crate::symbol::FastMap<Sym, Box<str>>,
+        cache: &mut FastMap<Sym, Box<str>>,
         out: &mut String,
     ) {
-        use crate::term::GroundTerm;
         match t {
             // Zero-padded fixed width keeps integer order lexicographic;
             // the leading tag keeps types apart ('a' < 'b' < 'c' mirrors
@@ -332,7 +429,7 @@ impl fmt::Display for AnswerSetDisplay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::GroundTerm;
+    use proptest::prelude::*;
 
     fn ga(syms: &Symbols, name: &str, arg: &str) -> GroundAtom {
         GroundAtom::new(syms.intern(name), vec![GroundTerm::Const(syms.intern(arg))])
@@ -380,9 +477,9 @@ mod tests {
 
     #[test]
     fn structural_comparator_matches_sort_key_order() {
-        // The k-way merge compares structurally; the sets themselves are
-        // sorted by the string key. Any order disagreement between the two
-        // shows up as a mis-sorted or mis-deduplicated union.
+        // The structural oracle must agree with the historical string-key
+        // order on names free of C0 characters; any disagreement with the
+        // integer keys shows up as a mis-sorted or mis-deduplicated union.
         let syms = Symbols::new();
         let f = syms.intern("f");
         let mixed = |name: &str, args: Vec<GroundTerm>| GroundAtom::new(syms.intern(name), args);
@@ -399,13 +496,13 @@ mod tests {
             mixed("pq", vec![GroundTerm::Int(0)]),
             GroundAtom { strong_neg: true, ..mixed("p", vec![GroundTerm::Int(20)]) },
         ];
-        let mut cache = crate::symbol::FastMap::default();
+        let mut cache = FastMap::default();
         let sorted_by_key = {
             let mut v = atoms.clone();
             v.sort_by_cached_key(|a| sort_key(a, &syms, &mut cache));
             v
         };
-        let mut cache2 = crate::symbol::FastMap::default();
+        let mut cache2 = FastMap::default();
         let sorted_structurally = {
             let mut v = atoms.clone();
             v.sort_by(|a, b| atom_cmp_cached(a, b, &syms, &mut cache2));
@@ -437,5 +534,109 @@ mod tests {
         assert_eq!(many.display(&syms).to_string(), folded.display(&syms).to_string());
         assert!(AnswerSet::union_many(&syms, &[]).is_empty());
         assert_eq!(AnswerSet::union_many(&syms, &refs[..1]), sets[0]);
+    }
+
+    /// A ground term over [`NAMES`], before interning.
+    #[derive(Clone, Debug)]
+    enum TermSpec {
+        Int(i64),
+        Const(usize),
+        Func(usize, Vec<TermSpec>),
+    }
+
+    /// Names that share prefixes, hold C0 characters (below the `\u{1f}`
+    /// separators of `sort_key`) or are empty.
+    const NAMES: [&str; 9] = ["a", "ab", "a\u{1}", "a\u{1f}b", "b", "", "\u{0}", "ab\u{2}", "p"];
+
+    fn term_spec() -> impl Strategy<Value = TermSpec> {
+        let int = prop_oneof![
+            Just(i64::MIN),
+            Just(i64::MAX),
+            Just(i64::MIN + 1),
+            Just(0i64),
+            -3i64..3,
+            any::<i64>(),
+        ];
+        let leaf =
+            prop_oneof![int.prop_map(TermSpec::Int), (0..NAMES.len()).prop_map(TermSpec::Const)];
+        leaf.prop_recursive(3, 12, 3, |inner| {
+            (0..NAMES.len(), prop::collection::vec(inner, 0..3))
+                .prop_map(|(f, args)| TermSpec::Func(f, args))
+        })
+    }
+
+    /// `(name, strong negation, arguments)` of arity 0–3.
+    type AtomSpec = (usize, bool, Vec<TermSpec>);
+
+    fn atom_specs() -> impl Strategy<Value = Vec<AtomSpec>> {
+        let atom = (0..NAMES.len(), any::<bool>(), prop::collection::vec(term_spec(), 0..4));
+        // Append a prefix of the atoms again, so duplicates are common.
+        (prop::collection::vec(atom, 0..40), 0usize..12).prop_map(|(mut atoms, dups)| {
+            atoms.extend_from_within(..dups.min(atoms.len()));
+            atoms
+        })
+    }
+
+    fn build(syms: &Symbols, specs: &[AtomSpec]) -> Vec<GroundAtom> {
+        fn term(syms: &Symbols, t: &TermSpec) -> GroundTerm {
+            match t {
+                TermSpec::Int(i) => GroundTerm::Int(*i),
+                TermSpec::Const(c) => GroundTerm::Const(syms.intern(NAMES[*c])),
+                TermSpec::Func(f, args) => GroundTerm::Func(
+                    syms.intern(NAMES[*f]),
+                    args.iter().map(|a| term(syms, a)).collect(),
+                ),
+            }
+        }
+        specs
+            .iter()
+            .map(|(p, neg, args)| GroundAtom {
+                pred: syms.intern(NAMES[*p]),
+                args: args.iter().map(|a| term(syms, a)).collect(),
+                strong_neg: *neg,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn new_equals_the_structural_sort_plus_dedup(specs in atom_specs()) {
+            // Intern in reverse so symbol ids disagree with name order.
+            let syms = Symbols::new();
+            for name in NAMES.iter().rev() {
+                syms.intern(name);
+            }
+            let atoms = build(&syms, &specs);
+            let mut oracle = atoms.clone();
+            let mut cache = FastMap::default();
+            oracle.sort_by(|a, b| atom_cmp_cached(a, b, &syms, &mut cache));
+            oracle.dedup();
+            prop_assert_eq!(AnswerSet::new(atoms, &syms), AnswerSet { atoms: oracle });
+        }
+
+        #[test]
+        fn union_many_equals_the_pairwise_union_fold(
+            specs in atom_specs(),
+            cuts in prop::collection::vec(0usize..50, 0..5),
+        ) {
+            let syms = Symbols::new();
+            let atoms = build(&syms, &specs);
+            // Overlapping slices of one pool, so the sets share atoms.
+            let sets: Vec<AnswerSet> = cuts
+                .iter()
+                .map(|&c| {
+                    let lo = c.min(atoms.len());
+                    let hi = (lo + 15).min(atoms.len());
+                    AnswerSet::new(atoms[lo / 2..hi].to_vec(), &syms)
+                })
+                .collect();
+            let refs: Vec<&AnswerSet> = sets.iter().collect();
+            let folded = sets.iter().fold(AnswerSet::default(), |acc, s| acc.union(s, &syms));
+            prop_assert_eq!(AnswerSet::union_many(&syms, &refs), folded.clone());
+            let all: Vec<GroundAtom> = sets.iter().flat_map(|s| s.atoms.clone()).collect();
+            prop_assert_eq!(folded, AnswerSet::new(all, &syms));
+        }
     }
 }

@@ -137,6 +137,12 @@ impl Symbols {
         Arc::clone(&self.inner.read().names[sym.0 as usize])
     }
 
+    /// Sorts `syms` by name, resolving all of them under one lock.
+    pub(crate) fn sort_by_name(&self, syms: &mut [Sym]) {
+        let store = self.inner.read();
+        syms.sort_unstable_by(|a, b| store.names[a.0 as usize].cmp(&store.names[b.0 as usize]));
+    }
+
     /// Looks up an already-interned name without inserting.
     pub fn get(&self, name: &str) -> Option<Sym> {
         self.inner.read().map.get(name).copied()

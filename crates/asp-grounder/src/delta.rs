@@ -72,7 +72,7 @@ impl DeltaGrounder {
     pub fn reset(&mut self) -> Result<(), AspError> {
         self.facts.clear();
         self.input_facts = 0;
-        self.model = self.grounder.perfect_model(&[])?;
+        self.model = self.grounder.perfect_model(Vec::new())?;
         Ok(())
     }
 
@@ -99,7 +99,7 @@ impl DeltaGrounder {
             self.input_facts += 1;
         }
         let live: Vec<GroundAtom> = self.facts.keys().cloned().collect();
-        self.model = self.grounder.perfect_model(&live)?;
+        self.model = self.grounder.perfect_model(live)?;
         Ok(())
     }
 

@@ -14,6 +14,7 @@ use asp_core::{
     Symbols,
 };
 use sr_graph::{scc_ids, DiGraph};
+use std::borrow::Cow;
 use std::sync::{Mutex, PoisonError};
 
 /// Prefix marking internal complement atoms generated for choice heads.
@@ -287,7 +288,7 @@ impl Grounder {
     /// Instantiates the program against `facts` (the input window plus any
     /// extensional data), producing a simplified ground program.
     pub fn ground(&self, facts: &[GroundAtom]) -> Result<GroundProgram, AspError> {
-        let Evaluated { relations, proto, .. } = self.evaluate(facts, Mode::Ground)?;
+        let Evaluated { relations, proto, .. } = self.evaluate(facts.to_vec(), Mode::Ground)?;
         Ok(finalize(&relations, proto))
     }
 
@@ -303,7 +304,14 @@ impl Grounder {
     /// clauses or CDCL search are involved; the result equals solving
     /// [`Grounder::ground`]'s program. Fails when the program is not
     /// [stratified](Grounder::is_stratified).
-    pub fn perfect_model(&self, facts: &[GroundAtom]) -> Result<Option<Vec<GroundAtom>>, AspError> {
+    ///
+    /// Given the facts by value (a `Vec`), each fact's argument box moves
+    /// into its relation and from there into the model; a borrowed slice is
+    /// copied once first.
+    pub fn perfect_model<'f>(
+        &self,
+        facts: impl Into<Cow<'f, [GroundAtom]>>,
+    ) -> Result<Option<Vec<GroundAtom>>, AspError> {
         if !self.stratified {
             return Err(AspError::Internal(
                 "perfect-model evaluation needs a stratified program without choice or \
@@ -311,7 +319,8 @@ impl Grounder {
                     .into(),
             ));
         }
-        let Evaluated { relations, violated, .. } = self.evaluate(facts, Mode::Model)?;
+        let Evaluated { relations, violated, .. } =
+            self.evaluate(facts.into().into_owned(), Mode::Model)?;
         if violated {
             return Ok(None);
         }
@@ -340,14 +349,14 @@ impl Grounder {
     /// The evaluation `ground` and `perfect_model` share: rebase the cost
     /// planner, load the facts, run every component to its fixpoint
     /// (bodies before heads), then the integrity constraints.
-    fn evaluate(&self, facts: &[GroundAtom], mode: Mode) -> Result<Evaluated, AspError> {
+    fn evaluate(&self, facts: Vec<GroundAtom>, mode: Mode) -> Result<Evaluated, AspError> {
         // Cost planning: rebase the statistics from this window's facts and
         // rebuild plans only when the generation moved (drift hysteresis in
         // `RelationStats` bounds the replan rate).
         let mut guard =
             self.planner.as_ref().map(|m| m.lock().unwrap_or_else(PoisonError::into_inner));
         if let Some(cache) = guard.as_deref_mut() {
-            cache.stats.rebase(facts);
+            cache.stats.rebase(&facts);
             if cache.planned_gen != Some(cache.stats.generation()) {
                 let _span = sr_obs::span(sr_obs::Stage::Plan);
                 self.replan(cache);
@@ -365,18 +374,21 @@ impl Grounder {
             seen: FastSet::default(),
             delta: FastMap::default(),
             trail: Vec::new(),
+            keys: Vec::new(),
+            args: Vec::new(),
         };
 
         for f in facts {
-            let pred = f.predicate();
-            if ev.relations.entry(pred).or_default().insert(f.args.clone()).is_some()
-                && mode == Mode::Ground
-            {
-                ev.proto.push(ProtoRule {
-                    heads: vec![f.clone()],
-                    pos: Vec::new(),
-                    neg: Vec::new(),
-                });
+            let rel = ev.relations.entry(f.predicate()).or_default();
+            if let Some(id) = rel.insert(f.args) {
+                if mode == Mode::Ground {
+                    let fact = GroundAtom { args: rel.tuple(id).into(), ..f };
+                    ev.proto.push(ProtoRule {
+                        heads: vec![fact],
+                        pos: Vec::new(),
+                        neg: Vec::new(),
+                    });
+                }
             }
         }
 
@@ -455,6 +467,11 @@ struct Eval<'g, 'p> {
     seen: FastSet<(u32, Box<[GroundTerm]>)>,
     delta: FastMap<Predicate, (u32, u32)>,
     trail: Vec<u32>,
+    /// The bound values of every `Match` step on the current plan path,
+    /// stacked: each step pushes its probe key and pops it when done.
+    keys: Vec<GroundTerm>,
+    /// Scratch for one atom's arguments (`NegCheck` tests, model-mode heads).
+    args: Vec<GroundTerm>,
 }
 
 impl Eval<'_, '_> {
@@ -529,31 +546,38 @@ impl Eval<'_, '_> {
         };
         match step {
             Step::Match { atom, static_bound, source } => {
+                let base = self.keys.len();
                 let mut pattern = 0u64;
-                let mut keyvals: Vec<GroundTerm> = Vec::new();
                 for (i, (arg, b)) in atom.args.iter().zip(static_bound.iter()).enumerate() {
                     if *b && i < 64 {
                         pattern |= 1 << i;
-                        keyvals.push(arg.eval(subst)?);
+                        self.keys.push(arg.eval(subst)?);
                     }
                 }
                 let (lo, hi) = self.range(atom.pred, *source);
                 let rel = self.relations.entry(atom.pred).or_default();
-                let candidates = rel.lookup(pattern, &keyvals, lo, hi);
-                for c in candidates {
-                    // Clone the tuple: emitting may push into this relation
-                    // and reallocate its backing storage.
-                    let tuple: Box<[GroundTerm]> = self.relations[&atom.pred].tuple(c).into();
-                    let mark = self.trail.len();
-                    let ok = unify_args(&atom.args, &tuple, subst, &mut self.trail)?;
-                    if ok {
-                        self.step(rule, plan, idx + 1, subst, key)?;
+                let mut probe = rel.probe(pattern, &self.keys[base..], lo, hi);
+                let mark = self.trail.len();
+                loop {
+                    // Unify against the stored tuple in place; the borrow
+                    // ends before the recursive step, which may insert into
+                    // this very relation (the probe ignores such tuples).
+                    let rel = &self.relations[&atom.pred];
+                    let mut matched = false;
+                    while let Some(c) = rel.advance(&mut probe, &self.keys[base..]) {
+                        if unify_args(&atom.args, rel.tuple(c), subst, &mut self.trail)? {
+                            matched = true;
+                            break;
+                        }
+                        undo(subst, &mut self.trail, mark);
                     }
-                    while self.trail.len() > mark {
-                        let slot = self.trail.pop().expect("trail underflow");
-                        subst[slot as usize] = None;
+                    if !matched {
+                        break;
                     }
+                    self.step(rule, plan, idx + 1, subst, key)?;
+                    undo(subst, &mut self.trail, mark);
                 }
+                self.keys.truncate(base);
                 Ok(())
             }
             Step::Compare { lhs, op, rhs } => {
@@ -578,9 +602,8 @@ impl Eval<'_, '_> {
                 // mode the negated predicate lies in a lower, already final
                 // component, so the test is exact.
                 if self.mode == Mode::Model {
-                    let args: Vec<GroundTerm> =
-                        atom.args.iter().map(|t| t.eval(subst)).collect::<Result<_, _>>()?;
-                    if self.relations.get(&atom.pred).is_some_and(|r| r.contains(&args)) {
+                    eval_args(&atom.args, subst, &mut self.args)?;
+                    if self.relations.get(&atom.pred).is_some_and(|r| r.contains(&self.args)) {
                         return Ok(());
                     }
                 }
@@ -611,8 +634,8 @@ impl Eval<'_, '_> {
                 self.violated = true;
             }
             for h in &rule.heads {
-                let args = h.args.iter().map(|t| t.eval(subst)).collect::<Result<_, _>>()?;
-                self.relations.entry(h.pred).or_default().insert(args);
+                eval_args(&h.args, subst, &mut self.args)?;
+                self.relations.entry(h.pred).or_default().insert_slice(&self.args);
             }
             return Ok(());
         }
@@ -666,7 +689,7 @@ impl Eval<'_, '_> {
     }
 
     fn insert_possible(&mut self, atom: &GroundAtom) {
-        self.relations.entry(atom.predicate()).or_default().insert(atom.args.clone());
+        self.relations.entry(atom.predicate()).or_default().insert_slice(&atom.args);
     }
 
     fn complement(&self, atom: &GroundAtom) -> GroundAtom {
@@ -701,6 +724,26 @@ impl Eval<'_, '_> {
                 });
             }
         }
+    }
+}
+
+/// Evaluates a compiled atom's argument terms into `out`.
+fn eval_args(
+    args: &[crate::compile::CTerm],
+    subst: &[Option<GroundTerm>],
+    out: &mut Vec<GroundTerm>,
+) -> Result<(), AspError> {
+    out.clear();
+    for t in args {
+        out.push(t.eval(subst)?);
+    }
+    Ok(())
+}
+
+/// Unbinds every variable bound since the trail was `mark` long.
+fn undo(subst: &mut [Option<GroundTerm>], trail: &mut Vec<u32>, mark: usize) {
+    for slot in trail.drain(mark..) {
+        subst[slot as usize] = None;
     }
 }
 

@@ -4,7 +4,10 @@
 //! (the solvers StreamRule builds on): rules are compiled with a safety check
 //! and a greedy join order, predicates are stratified into strongly connected
 //! components of the dependency graph, and each component is evaluated with
-//! semi-naive iteration over binding-pattern hash indexes. A final
+//! semi-naive iteration over binding-pattern hash indexes. Relations store
+//! each tuple once: the indexes hold tuple ids keyed by a hash of the bound
+//! values, joins unify against the stored tuples in place, and a fact handed
+//! over by value moves into its relation without a copy. A final
 //! certain/possible simplification pass (see [`simplify`]) shrinks the ground
 //! program before it reaches the solver.
 //!
@@ -24,7 +27,7 @@ pub mod compile;
 pub mod delta;
 pub mod instantiate;
 pub mod planner;
-pub mod relation;
+mod relation;
 pub mod simplify;
 pub mod stats;
 

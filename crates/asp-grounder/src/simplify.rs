@@ -31,7 +31,10 @@ pub struct ProtoRule {
 
 /// Runs the certain/possible simplification and builds the final
 /// [`GroundProgram`].
-pub fn finalize(relations: &FastMap<Predicate, Relation>, proto: Vec<ProtoRule>) -> GroundProgram {
+pub(crate) fn finalize(
+    relations: &FastMap<Predicate, Relation>,
+    proto: Vec<ProtoRule>,
+) -> GroundProgram {
     let possible = |a: &GroundAtom| -> bool {
         relations.get(&a.predicate()).is_some_and(|r| r.contains(&a.args))
     };

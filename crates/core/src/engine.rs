@@ -279,6 +279,8 @@ pub struct StreamEngine {
     deadline: Option<Duration>,
     /// Submission metadata keyed by seq, kept only in deadline mode.
     meta: Arc<Mutex<BTreeMap<u64, PendingMeta>>>,
+    /// See [`StreamEngine::pool_workers`].
+    pool_workers: usize,
 }
 
 /// Sends `out` to the consumer in order, updating the deadline-mode
@@ -606,6 +608,7 @@ impl StreamEngine {
             failures,
             deadline,
             meta,
+            pool_workers: 0,
         })
     }
 
@@ -627,15 +630,14 @@ impl StreamEngine {
     ) -> Result<Self, AspError> {
         let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
         let solver = SolverConfig { max_models: reasoner_cfg.max_models, ..Default::default() };
-        let pool = Arc::new(reasoner_pool(
-            syms,
-            program,
-            inpre,
-            &solver,
-            workers,
-            reasoner_cfg.cost_planning,
-        )?);
+        let build_pool = || {
+            reasoner_pool(syms, program, inpre, &solver, workers, reasoner_cfg.cost_planning)
+                .map(Arc::new)
+        };
         if reasoner_cfg.incremental {
+            // `delta_ground` keeps every dirty partition on the lane thread,
+            // so such lanes get no pool at all.
+            let pool = if reasoner_cfg.delta_ground { None } else { Some(build_pool()?) };
             let cache = Arc::new(PartitionCache::new(reasoner_cfg.cache_capacity));
             let program_id = program_fingerprint(syms, program);
             let failures = Arc::new(FailureCounters::default());
@@ -660,21 +662,31 @@ impl StreamEngine {
                 Arc::clone(&failures),
             )?;
             engine.cache = Some(cache);
+            engine.pool_workers = pool.map_or(0, |p| p.workers());
             return Ok(engine);
         }
-        StreamEngine::new(config, |_lane| {
+        let pool = build_pool()?;
+        let mut engine = StreamEngine::new(config, |_lane| {
             Ok(Box::new(ParallelReasoner::with_pool(
                 syms,
                 partitioner.clone(),
                 reasoner_cfg.clone(),
                 pool.clone(),
             )) as Box<dyn Reasoner>)
-        })
+        })?;
+        engine.pool_workers = pool.workers();
+        Ok(engine)
     }
 
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
         self.lanes.len()
+    }
+
+    /// Worker threads of the partition pool the lanes share; 0 when the
+    /// lanes run their partitions themselves.
+    pub fn pool_workers(&self) -> usize {
+        self.pool_workers
     }
 
     /// Binds this engine's live state to `registry` so a Prometheus scrape
@@ -1332,6 +1344,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lanes_that_keep_partitions_home_spawn_no_pool_workers() {
+        use crate::analysis::DependencyAnalysis;
+        use crate::config::AnalysisConfig;
+        use crate::partition::PlanPartitioner;
+        use asp_parser::parse_program;
+
+        let syms = Symbols::new();
+        let program = parse_program(
+            &syms,
+            "jam(X) :- slow(X), busy(X), not light(X).\nfire(X) :- smoke(X), heat(X).",
+        )
+        .unwrap();
+        let analysis =
+            DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+        let partitioner: Arc<dyn Partitioner> = Arc::new(PlanPartitioner::new(
+            analysis.plan.clone(),
+            crate::config::UnknownPredicate::Partition0,
+        ));
+        let pool_workers = |incremental: bool, delta_ground: bool| {
+            let engine = StreamEngine::with_partitioned_lanes(
+                &syms,
+                &program,
+                Some(&analysis.inpre),
+                partitioner.clone(),
+                ReasonerConfig { incremental, delta_ground, ..Default::default() },
+                EngineConfig { in_flight: 2, queue_depth: 2, ..Default::default() },
+            )
+            .unwrap();
+            engine.pool_workers()
+        };
+        assert_eq!(pool_workers(true, true), 0, "delta_ground lanes never submit to a pool");
+        assert_eq!(pool_workers(true, false), 4, "2 partitions x 2 lanes");
+        assert_eq!(pool_workers(false, false), 4);
     }
 
     #[test]

@@ -319,12 +319,13 @@ impl IncrementalReasoner {
         })
     }
 
-    /// Builds the reasoner on top of an existing shared pool *and* shared
-    /// cache (Threads semantics, unless [`ReasonerConfig::delta_ground`]
-    /// keeps dirty partitions on the caller thread). The pool's workers must
-    /// have been built for the same `program`/signature; `program_id` scopes
-    /// the cache keys (see [`program_fingerprint`]). The program itself
-    /// builds the caller-thread scratch reasoner.
+    /// Builds the reasoner on an existing shared cache and, when given one,
+    /// an existing shared pool that serves its dirty partitions (Threads
+    /// semantics); without a pool they run on the caller thread, as
+    /// [`ReasonerConfig::delta_ground`] asks. The pool's workers must have
+    /// been built for the same `program`/signature; `program_id` scopes the
+    /// cache keys (see [`program_fingerprint`]). The program itself builds
+    /// the caller-thread scratch reasoner.
     #[allow(clippy::too_many_arguments)] // lane-construction plumbing: every argument is shared state
     pub fn with_pool(
         syms: &Symbols,
@@ -332,7 +333,7 @@ impl IncrementalReasoner {
         inpre: Option<&[Predicate]>,
         partitioner: Arc<dyn Partitioner>,
         config: ReasonerConfig,
-        pool: Arc<ReasonerPool>,
+        pool: Option<Arc<ReasonerPool>>,
         cache: Arc<PartitionCache>,
         program_id: u64,
     ) -> Result<Self, AspError> {
@@ -342,7 +343,7 @@ impl IncrementalReasoner {
         Ok(IncrementalReasoner {
             syms: syms.clone(),
             partitioner,
-            pool: (!config.delta_ground).then_some(pool),
+            pool,
             config,
             sequential: vec![scratch],
             cache,

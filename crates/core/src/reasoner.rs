@@ -182,7 +182,7 @@ impl SingleReasoner {
         if self.grounder.is_stratified() {
             let answers = {
                 let _span = sr_obs::span(sr_obs::Stage::Ground);
-                let model = self.grounder.perfect_model(&facts)?;
+                let model = self.grounder.perfect_model(facts)?;
                 model.map(|atoms| AnswerSet::new(atoms, &self.syms)).into_iter().collect()
             };
             let timing = Timing {

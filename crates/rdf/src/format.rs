@@ -4,7 +4,7 @@
 //! time to reasoning latency, so the processor is allocation-conscious and
 //! its cost is measured by the reasoners.
 
-use crate::model::{Node, Triple};
+use crate::model::{local_name, Node, Triple};
 use asp_core::{AspError, FastMap, GroundAtom, GroundTerm, Predicate, Program, Symbols};
 
 /// Translation of RDF nodes into ASP constants.
@@ -109,10 +109,7 @@ impl FormatProcessor {
         match n {
             Node::Int(i) => GroundTerm::Int(*i),
             Node::Iri(full) => match self.iri_mapping {
-                IriMapping::LocalName => {
-                    let local = Node::Iri(full.clone());
-                    GroundTerm::Const(self.intern_cached(local.local_name()))
-                }
+                IriMapping::LocalName => GroundTerm::Const(self.intern_cached(local_name(full))),
                 IriMapping::Full => GroundTerm::Const(self.intern_cached(full)),
             },
             Node::Literal(s) => {

@@ -30,14 +30,11 @@ impl Node {
         Node::Literal(Arc::from(s))
     }
 
-    /// The *local name* of an IRI: the part after the last `#` or `/`.
-    /// Returns the full text for literals.
+    /// The *local name* of an IRI: the part after the last `#` or `/`
+    /// (see [`local_name`]). Returns the full text for literals.
     pub fn local_name(&self) -> &str {
         match self {
-            Node::Iri(s) => {
-                let s: &str = s;
-                s.rsplit_once(['#', '/']).map_or(s, |(_, local)| local)
-            }
+            Node::Iri(s) => local_name(s),
             Node::Literal(s) => s,
             Node::Int(_) => "",
         }
@@ -67,6 +64,12 @@ impl fmt::Display for Node {
             Node::Int(i) => write!(f, "{i}"),
         }
     }
+}
+
+/// The local name of the IRI text `iri`: the part after its last `#` or
+/// `/`, or all of it when it has neither.
+pub fn local_name(iri: &str) -> &str {
+    iri.rsplit_once(['#', '/']).map_or(iri, |(_, local)| local)
 }
 
 /// An RDF triple `<s, p, o>`.
@@ -110,6 +113,8 @@ mod tests {
         assert_eq!(Node::iri("plain").local_name(), "plain");
         assert_eq!(Node::literal("high").local_name(), "high");
         assert_eq!(Node::Int(5).local_name(), "");
+        assert_eq!(local_name("http://ex.org/a#b/c"), "c");
+        assert_eq!(local_name("urn:x#"), "");
     }
 
     #[test]
