@@ -92,12 +92,15 @@ pub struct ReasonerConfig {
     pub unknown: UnknownPredicate,
     /// Combining semantics.
     pub combine: CombinePolicy,
-    /// Use the incremental reasoner ([`crate::incremental`]): reuse cached
-    /// answer sets for partitions whose content fingerprint is unchanged
-    /// (sliding windows with slide ≪ size) instead of re-solving them.
+    /// Use the incremental reasoner ([`crate::incremental`]): on a window
+    /// that carries a delta against the last window it answered, reuse the
+    /// answer sets of the communities the delta does not touch (sliding
+    /// windows with slide ≪ size) instead of re-solving them. Windows
+    /// without a delta recompute every partition.
     pub incremental: bool,
-    /// Capacity (entries) of the partition-level result cache used when
-    /// `incremental` is on. `0` disables caching (every partition misses).
+    /// Read by nothing. Kept for the measured surface, which still sets it;
+    /// incremental reasoning keeps one answer per community and has no
+    /// cache to size.
     pub cache_capacity: usize,
     /// Kept for the measured surface. An
     /// [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) with

@@ -12,10 +12,10 @@
 
 use crate::config::ReasonerConfig;
 use crate::fault::{self, FaultSite};
-use crate::incremental::{program_fingerprint, IncrementalReasoner, PartitionCache};
+use crate::incremental::IncrementalReasoner;
 use crate::metrics::{
-    duration_ms, DedupSnapshot, FailureCounters, FailureSnapshot, IncrementalSnapshot,
-    LatencyStats, TenantLatency,
+    duration_ms, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
+    IncrementalSnapshot, LatencyStats, TenantLatency,
 };
 use crate::parallel::{reasoner_pool, ParallelReasoner};
 use crate::partition::Partitioner;
@@ -126,8 +126,8 @@ pub struct EngineStats {
     /// the JSON then omits the key honestly instead of fabricating `0.0`,
     /// so record readers can tell "never blocked" from "not applicable".
     pub submit_blocked_ms: Option<f64>,
-    /// Partition-cache effectiveness when the lanes run the incremental
-    /// reasoner; `None` otherwise.
+    /// How many communities the lanes reused versus recomputed when they
+    /// run the incremental reasoner; `None` otherwise.
     pub incremental: Option<IncrementalSnapshot>,
     /// Per-lane occupancy (busy-time fraction over the run).
     pub lanes: Vec<LaneOccupancy>,
@@ -269,8 +269,8 @@ pub struct StreamEngine {
     started: Option<Instant>,
     /// Cumulative time `submit` spent blocked on backpressure.
     blocked: Duration,
-    /// The lanes' shared partition cache when they run incrementally.
-    cache: Option<Arc<PartitionCache>>,
+    /// The lanes' shared reuse counters when they run incrementally.
+    cache_counters: Option<Arc<CacheCounters>>,
     occupancy: Arc<OccupancyAcc>,
     /// Recovery counters shared with the lanes, the collector and (for
     /// incremental lanes) the reasoners' retry path.
@@ -603,7 +603,7 @@ impl StreamEngine {
             submitted: 0,
             started: None,
             blocked: Duration::ZERO,
-            cache: None,
+            cache_counters: None,
             occupancy,
             failures,
             deadline,
@@ -617,9 +617,11 @@ impl StreamEngine {
     /// window can fan out over its partitions concurrently. This is the
     /// standard construction for pipelined `PR` streaming (used by both the
     /// bench harness and the CLI). With [`ReasonerConfig::incremental`] set,
-    /// the lanes are [`IncrementalReasoner`]s sharing one partition-level
-    /// result cache on top of the pool, and [`EngineStats::incremental`]
-    /// reports the cache counters on [`StreamEngine::finish`].
+    /// the lanes are [`IncrementalReasoner`]s sharing the pool and one set
+    /// of [`CacheCounters`], which [`EngineStats::incremental`] reports on
+    /// [`StreamEngine::finish`]. Each lane reuses only what it computed
+    /// itself, so with several lanes a community is reused only when the
+    /// same lane answered the window the delta is based on.
     pub fn with_partitioned_lanes(
         syms: &Symbols,
         program: &Program,
@@ -638,8 +640,7 @@ impl StreamEngine {
             // `delta_ground` keeps every dirty partition on the lane thread,
             // so such lanes get no pool at all.
             let pool = if reasoner_cfg.delta_ground { None } else { Some(build_pool()?) };
-            let cache = Arc::new(PartitionCache::new(reasoner_cfg.cache_capacity));
-            let program_id = program_fingerprint(syms, program);
+            let counters = Arc::new(CacheCounters::default());
             let failures = Arc::new(FailureCounters::default());
             let mut engine = StreamEngine::new_inner(
                 config,
@@ -651,17 +652,16 @@ impl StreamEngine {
                         partitioner.clone(),
                         reasoner_cfg.clone(),
                         pool.clone(),
-                        cache.clone(),
-                        program_id,
                     )?;
                     // Lane-level retries/fallbacks count into the same
                     // snapshot as the engine's own degradations.
                     reasoner.set_failure_counters(Arc::clone(&failures));
+                    reasoner.set_cache_counters(Arc::clone(&counters));
                     Ok(Box::new(reasoner) as Box<dyn Reasoner>)
                 },
                 Arc::clone(&failures),
             )?;
-            engine.cache = Some(cache);
+            engine.cache_counters = Some(counters);
             engine.pool_workers = pool.map_or(0, |p| p.workers());
             return Ok(engine);
         }
@@ -694,7 +694,7 @@ impl StreamEngine {
     /// histogram, queue occupancy and per-lane busy time. Collector
     /// closures capture `Arc`s, so the bindings stay valid (frozen at their
     /// final values) after [`StreamEngine::finish`]. When the lanes run
-    /// incrementally the shared partition cache is registered too.
+    /// incrementally their shared reuse counters are registered too.
     pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
         let stats = Arc::clone(&self.stats);
         registry.register_counter_fn("sr_engine_windows_total", &[], move || {
@@ -755,8 +755,8 @@ impl StreamEngine {
                 move || occ.lane_windows[lane].load(std::sync::atomic::Ordering::Relaxed),
             );
         }
-        if let Some(cache) = &self.cache {
-            cache.register_metrics(registry);
+        if let Some(counters) = &self.cache_counters {
+            counters.register_metrics(registry);
         }
     }
 
@@ -886,7 +886,7 @@ impl StreamEngine {
             windows_per_sec: if elapsed_s > 0.0 { acc.windows as f64 / elapsed_s } else { 0.0 },
             items_per_sec: if elapsed_s > 0.0 { acc.items as f64 / elapsed_s } else { 0.0 },
             submit_blocked_ms: Some(duration_ms(self.blocked)),
-            incremental: self.cache.as_ref().map(|c| c.counters().snapshot()),
+            incremental: self.cache_counters.as_ref().map(|c| c.snapshot()),
             lanes,
             queue_high_water: self
                 .occupancy
@@ -1403,9 +1403,18 @@ mod tests {
             crate::config::UnknownPredicate::Partition0,
         ));
         let t = |s: &str, p: &str| sr_rdf::Triple::new(Node::iri(s), Node::iri(p), Node::Int(1));
-        let windows: Vec<Window> = (0..4)
-            .map(|id| Window::new(id, vec![t("a", "slow"), t("a", "busy"), t("b", "smoke")]))
-            .collect();
+        // Alternating two-item bursts per community through a 4-item window
+        // sliding by 2: each slide retracts and adds one community's burst,
+        // so the other community is reused.
+        let mut windower = sr_stream::SlidingWindower::new(4, 2);
+        let mut windows: Vec<Window> = Vec::new();
+        for s in ["a", "b", "c", "d", "e"] {
+            let burst = if s == "b" || s == "d" { ["smoke", "heat"] } else { ["slow", "busy"] };
+            for p in burst {
+                windows.extend(windower.push(t(s, p)));
+            }
+        }
+        assert_eq!(windows.len(), 4);
 
         let run = |incremental: bool| {
             let reasoner_cfg = ReasonerConfig { incremental, ..Default::default() };
@@ -1415,7 +1424,7 @@ mod tests {
                 Some(&analysis.inpre),
                 partitioner.clone(),
                 reasoner_cfg,
-                EngineConfig { in_flight: 2, queue_depth: 2, ..Default::default() },
+                EngineConfig { in_flight: 1, queue_depth: 2, ..Default::default() },
             )
             .unwrap();
             for w in &windows {
@@ -1441,8 +1450,8 @@ mod tests {
         assert_eq!(full, inc, "incremental lanes must be byte-identical");
         assert!(full_stats.incremental.is_none());
         let snap = inc_stats.incremental.expect("incremental lanes report cache stats");
-        assert!(snap.hits + snap.misses >= 8, "4 windows x 2 partitions counted");
-        assert!(snap.hits > 0, "repeated identical windows must hit");
+        assert_eq!(snap.misses, 2 + 3, "window 0 solves both, then one per slide");
+        assert_eq!(snap.hits, 3, "the community a slide leaves alone is reused");
         assert!(inc_stats.to_json().contains("\"dirty_partition_ratio\":"));
     }
 }

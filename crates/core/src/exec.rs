@@ -259,19 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_worker_panic_hits_every_job_then_clears() {
-        let _guard = fault::test_guard();
-        fault::clear();
-        let pool = squaring_pool(2);
-        fault::install(crate::fault::FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 3));
-        let out = pool.submit(5, vec![1, 2]).wait();
-        assert!(out.iter().all(Result::is_err), "rate-1.0 plan panics every job");
-        fault::clear();
-        let clean = pool.submit(6, vec![4]).wait();
-        assert_eq!(clean, vec![Ok(16)], "hooks are inert once the plan is cleared");
-    }
-
-    #[test]
     fn zero_workers_is_an_error() {
         assert!(WorkerPool::<u64, u64>::new("none", vec![]).is_err());
     }

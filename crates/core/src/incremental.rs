@@ -1,30 +1,40 @@
-//! Incremental reasoning over sliding windows: a partition-level result
-//! cache.
+//! Incremental reasoning over sliding windows: reuse the answers of the
+//! communities a slide did not touch.
 //!
 //! The paper's input-dependency partitioning makes partitions independent
-//! under the dependency graph, so a partition whose *content* is unchanged
-//! between two overlapping windows must yield the identical answer set.
-//! [`IncrementalReasoner`] exploits that: it re-partitions every window,
-//! fingerprints each partition's content, reuses the cached answer sets of
-//! partitions whose fingerprint is unchanged, and dispatches only the dirty
-//! partitions to the shared [`WorkerPool`](crate::exec::WorkerPool) (or the
-//! caller thread in [`ParallelMode::Sequential`], or when
-//! [`ReasonerConfig::delta_ground`] is set). The combined output is
-//! byte-identical to full recomputation — the cache changes *where* answers
-//! come from, never *what* they are.
+//! under the dependency graph, so a community whose input is unchanged
+//! between two windows must yield the identical answer set. The window
+//! itself says which communities changed: a sliding window carries a
+//! [`WindowDelta`](sr_stream::WindowDelta) against the window before it,
+//! and [`Partitioner::item_routes`] maps each added or retracted item to
+//! the communities it lands in. [`IncrementalReasoner`] keeps one slot per
+//! community holding its answers in the last window it answered. Community
+//! `c` is **clean** when the window's delta is based on that window, every
+//! item of the delta has routes, and none of them routes to `c`; a clean
+//! community's answers are reused, every other community is dirty and is
+//! reasoned from scratch on the shared
+//! [`WorkerPool`](crate::exec::WorkerPool) (or the caller thread in
+//! [`ParallelMode::Sequential`], or when [`ReasonerConfig::delta_ground`] is
+//! set). The combined output is byte-identical to full recomputation: reuse
+//! changes *where* answers come from, never *what* they are.
 //!
-//! A dirty partition is always reasoned from scratch. For a stratified
-//! program that means evaluating its perfect model bottom-up
-//! ([`asp_grounder::Grounder::perfect_model`]), which on sliding windows
-//! costs less than maintaining the partition's grounding across windows
-//! did. So the [`WindowDelta`](sr_stream::WindowDelta) a sliding window
-//! carries is not consumed here.
+//! This is sound for any delta producer that keeps the multiset invariant
+//! documented on [`Window::delta`](sr_stream::Window::delta), and for any
+//! partitioner: one whose routing depends on the window (the
+//! window-id-seeded random baseline) has no routes, and every one of its
+//! communities is dirty in every window. So is every community of a window
+//! without a delta (tumbling windows), of a window whose delta is based on a
+//! window this reasoner did not answer, and of the first window after an
+//! error.
 //!
-//! Content fingerprints are the correctness mechanism: they are sound for
-//! any [`Partitioner`] (including the window-id-seeded random baseline,
-//! whose splits change even when the window content does not). Cache keys are
-//! `(program fingerprint, partition fingerprint)`, so one cache can be
-//! shared across engine lanes — and across programs — without collisions.
+//! A dirty partition is evaluated from scratch. For a stratified program
+//! that means its perfect model, bottom-up
+//! ([`asp_grounder::Grounder::perfect_model`]).
+//!
+//! [`fingerprint_items`], [`program_fingerprint`] and [`PartitionCache`]
+//! are not on the reasoning path. The registry keys its serving entries by
+//! [`program_fingerprint`]; the other two are kept for the measured
+//! surface only.
 
 use crate::config::{ParallelMode, ReasonerConfig};
 use crate::fault::{self, FaultSite};
@@ -67,12 +77,12 @@ fn hash_triple(t: &Triple, seed: u64) -> u64 {
     hash_node(h, &t.o)
 }
 
-/// Order-independent 128-bit content fingerprint of a bag of triples.
-/// Multiset-equal inputs — and only those, up to hash collisions — map to
-/// the same fingerprint, so a partition whose items merely *moved* inside
-/// the window still hits the cache (answer sets are order-insensitive).
-/// 128 bits keep the collision probability negligible even across
-/// million-window streams.
+/// Order-independent 128-bit content fingerprint of a bag of triples:
+/// multiset-equal inputs — and only those, up to hash collisions — map to
+/// the same fingerprint.
+///
+/// Kept for the measured surface: the benchmark's layer replay times it. No
+/// reasoner calls it.
 pub fn fingerprint_items(items: &[Triple]) -> u128 {
     let mut per_triple: Vec<u128> = items
         .iter()
@@ -94,9 +104,9 @@ pub fn fingerprint_items(items: &[Triple]) -> u128 {
     (u128::from(h1) << 64) | u128::from(h2)
 }
 
-/// Stable fingerprint of a program (its rendered rules): the first half of
-/// every cache key, so caches shared across reasoners never serve answers
-/// computed under a different rule set.
+/// Stable fingerprint of a program (its rendered rules): the program half
+/// of the registry's serving key, independent of which `Symbols` store
+/// parsed the program.
 pub fn program_fingerprint(syms: &Symbols, program: &Program) -> u64 {
     fnv(FNV_OFFSET, program.display(syms).to_string().as_bytes())
 }
@@ -111,10 +121,12 @@ struct CacheState {
     tick: u64,
 }
 
-/// A bounded, LRU partition-level result cache keyed by
-/// `(program fingerprint, partition content fingerprint)`. Thread-safe:
-/// engine lanes processing different windows share one cache behind an
-/// `Arc`, so window `k+1` reuses entries window `k` inserted.
+/// A bounded, LRU result cache keyed by `(program fingerprint, content
+/// fingerprint)`, counting hits, misses and evictions.
+///
+/// Kept for the measured surface: the benchmark's layer replay times it. No
+/// reasoner, engine or registry uses it; [`IncrementalReasoner`] reuses
+/// clean communities from the window's own delta instead.
 pub struct PartitionCache {
     capacity: usize,
     state: Mutex<CacheState>,
@@ -122,9 +134,8 @@ pub struct PartitionCache {
 }
 
 impl PartitionCache {
-    /// A cache holding at most `capacity` partition results. Capacity `0`
-    /// disables caching entirely: every lookup misses and inserts are
-    /// dropped (the always-recompute baseline).
+    /// A cache holding at most `capacity` results. Capacity `0` disables
+    /// caching: every lookup misses and inserts are dropped.
     pub fn new(capacity: usize) -> Self {
         PartitionCache {
             capacity,
@@ -133,54 +144,12 @@ impl PartitionCache {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.state).map.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The live hit/miss/eviction counters.
     pub fn counters(&self) -> &CacheCounters {
         &self.counters
     }
 
-    /// Binds the live cache counters to `registry` as scrape-time collector
-    /// closures: the counters keep their `AtomicU64` field layout and the
-    /// hot path keeps its `fetch_add`s — nothing is double-counted and no
-    /// JSON snapshot shape changes. Planner metrics appear too (zero until
-    /// cost planning reports through the shared counters).
-    pub fn register_metrics(self: &Arc<Self>, registry: &sr_obs::MetricsRegistry) {
-        use std::sync::atomic::Ordering;
-        type CounterRead = fn(&CacheCounters) -> u64;
-        let counters: [(&str, CounterRead); 5] = [
-            ("sr_cache_hits_total", |c: &CacheCounters| c.hits.load(Ordering::Relaxed)),
-            ("sr_cache_misses_total", |c: &CacheCounters| c.misses.load(Ordering::Relaxed)),
-            ("sr_cache_evictions_total", |c: &CacheCounters| c.evictions.load(Ordering::Relaxed)),
-            ("sr_planner_replans_total", |c: &CacheCounters| {
-                c.planner_replans.load(Ordering::Relaxed)
-            }),
-            ("sr_planner_plans_reordered_total", |c: &CacheCounters| {
-                c.planner_plans_reordered.load(Ordering::Relaxed)
-            }),
-        ];
-        for (name, read) in counters {
-            let cache = Arc::clone(self);
-            registry.register_counter_fn(name, &[], move || read(cache.counters()));
-        }
-        let cache = Arc::clone(self);
-        registry.register_gauge_fn("sr_cache_entries", &[], move || cache.len() as f64);
-    }
-
-    /// Looks up a partition result, counting a hit or miss.
+    /// Looks up a result, counting a hit or miss.
     pub fn get(&self, program: u64, fingerprint: u128) -> Option<Arc<Vec<AnswerSet>>> {
         use std::sync::atomic::Ordering;
         if self.capacity == 0 {
@@ -203,8 +172,8 @@ impl PartitionCache {
         }
     }
 
-    /// Inserts a partition result, evicting the least-recently-used entry
-    /// when over capacity.
+    /// Inserts a result, evicting the least-recently-used entry when over
+    /// capacity.
     pub fn insert(&self, program: u64, fingerprint: u128, answers: Arc<Vec<AnswerSet>>) {
         use std::sync::atomic::Ordering;
         if self.capacity == 0 {
@@ -215,8 +184,6 @@ impl PartitionCache {
         let tick = state.tick;
         state.map.insert((program, fingerprint), CacheEntry { answers, last_used: tick });
         while state.map.len() > self.capacity {
-            // Linear LRU scan: capacities are small (hundreds) and eviction
-            // is off the solving critical path.
             let oldest = state
                 .map
                 .iter()
@@ -229,10 +196,11 @@ impl PartitionCache {
     }
 }
 
-/// The incremental parallel reasoner: partition → fingerprint → reuse clean
-/// partitions from the [`PartitionCache`], re-solve only dirty ones →
-/// combine. Implements [`Reasoner`], so it drops into the
-/// [`StreamEngine`](crate::engine::StreamEngine) unchanged.
+/// The incremental parallel reasoner: partition → mark the communities the
+/// window's delta touched dirty → reuse the clean ones' last answers,
+/// re-solve the dirty ones → combine. Implements [`Reasoner`], so it drops
+/// into the [`StreamEngine`](crate::engine::StreamEngine) unchanged. See the
+/// module docs for when a community is clean.
 pub struct IncrementalReasoner {
     syms: Symbols,
     partitioner: Arc<dyn Partitioner>,
@@ -244,14 +212,20 @@ pub struct IncrementalReasoner {
     /// The caller-thread scratch reasoner. In Sequential mode it serves
     /// every partition; in Threads mode it is the retry/fallback engine for
     /// partitions whose pooled job panicked (see
-    /// [`IncrementalReasoner::recover_partition`]). Always exactly one.
-    sequential: Vec<SingleReasoner>,
-    cache: Arc<PartitionCache>,
+    /// [`IncrementalReasoner::recover_partition`]).
+    scratch: SingleReasoner,
+    /// The id of the last window this reasoner answered, and each
+    /// community's answers in it. Written only after a successful window.
+    last: Option<(u64, Vec<Arc<Vec<AnswerSet>>>)>,
+    /// Reuse (`hits`) and recompute (`misses`) counters, shared across the
+    /// lanes of one engine or the entries of one registry via
+    /// [`IncrementalReasoner::set_cache_counters`]; a private default
+    /// otherwise.
+    counters: Arc<CacheCounters>,
     /// Shared failure counters (retries/fallbacks), handed in by the engine
     /// via [`IncrementalReasoner::set_failure_counters`]; a private default
     /// otherwise.
     failures: Arc<FailureCounters>,
-    program_id: u64,
     /// Planner counters already flushed from the sequential scratch
     /// reasoner, which reports cumulative totals. Pooled workers keep their
     /// plan caches on their own threads and are not aggregated.
@@ -261,8 +235,7 @@ pub struct IncrementalReasoner {
 impl IncrementalReasoner {
     /// Builds the incremental reasoner with its own worker pool (Threads
     /// mode without [`ReasonerConfig::delta_ground`]) or caller-thread
-    /// execution, and its own cache sized by
-    /// [`ReasonerConfig::cache_capacity`].
+    /// execution.
     pub fn new(
         syms: &Symbols,
         program: &Program,
@@ -270,26 +243,11 @@ impl IncrementalReasoner {
         partitioner: Arc<dyn Partitioner>,
         config: ReasonerConfig,
     ) -> Result<Self, AspError> {
-        let cache = Arc::new(PartitionCache::new(config.cache_capacity));
-        Self::with_cache(syms, program, inpre, partitioner, config, cache)
-    }
-
-    /// Like [`IncrementalReasoner::new`], but over an existing shared cache
-    /// (the construction used by engine lanes: one cache, many lanes).
-    pub fn with_cache(
-        syms: &Symbols,
-        program: &Program,
-        inpre: Option<&[Predicate]>,
-        partitioner: Arc<dyn Partitioner>,
-        config: ReasonerConfig,
-        cache: Arc<PartitionCache>,
-    ) -> Result<Self, AspError> {
-        let n = partitioner.partitions().max(1);
-        let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
-        let program_id = program_fingerprint(syms, program);
         let pool = match config.mode {
             ParallelMode::Threads if !config.delta_ground => {
+                let n = partitioner.partitions().max(1);
                 let workers = if config.workers == 0 { n } else { config.workers };
+                let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
                 Some(Arc::new(reasoner_pool(
                     syms,
                     program,
@@ -301,32 +259,16 @@ impl IncrementalReasoner {
             }
             _ => None,
         };
-        // The scratch reasoner exists in both modes: Sequential execution in
-        // one, the panicked-job retry/fallback path in the other
-        // (construction-time cost only — idle unless a pooled job fails).
-        let mut scratch = SingleReasoner::new(syms, program, inpre, solver)?;
-        scratch.set_cost_planning(config.cost_planning);
-        Ok(IncrementalReasoner {
-            syms: syms.clone(),
-            partitioner,
-            config,
-            pool,
-            sequential: vec![scratch],
-            cache,
-            failures: Arc::new(FailureCounters::default()),
-            program_id,
-            scratch_reported: (0, 0),
-        })
+        Self::with_pool(syms, program, inpre, partitioner, config, pool)
     }
 
-    /// Builds the reasoner on an existing shared cache and, when given one,
-    /// an existing shared pool that serves its dirty partitions (Threads
-    /// semantics); without a pool they run on the caller thread, as
-    /// [`ReasonerConfig::delta_ground`] asks. The pool's workers must have
-    /// been built for the same `program`/signature; `program_id` scopes the
-    /// cache keys (see [`program_fingerprint`]). The program itself builds
-    /// the caller-thread scratch reasoner.
-    #[allow(clippy::too_many_arguments)] // lane-construction plumbing: every argument is shared state
+    /// Builds the reasoner over an existing shared pool that serves its
+    /// dirty partitions (Threads semantics); without a pool they run on the
+    /// caller thread, as [`ReasonerConfig::delta_ground`] asks. The pool's
+    /// workers must have been built for the same `program`/signature. The
+    /// program itself builds the caller-thread scratch reasoner, which
+    /// exists in both cases: it runs every partition without a pool and the
+    /// panicked-job retry path with one.
     pub fn with_pool(
         syms: &Symbols,
         program: &Program,
@@ -334,8 +276,6 @@ impl IncrementalReasoner {
         partitioner: Arc<dyn Partitioner>,
         config: ReasonerConfig,
         pool: Option<Arc<ReasonerPool>>,
-        cache: Arc<PartitionCache>,
-        program_id: u64,
     ) -> Result<Self, AspError> {
         let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
         let mut scratch = SingleReasoner::new(syms, program, inpre, solver)?;
@@ -345,10 +285,10 @@ impl IncrementalReasoner {
             partitioner,
             pool,
             config,
-            sequential: vec![scratch],
-            cache,
+            scratch,
+            last: None,
+            counters: Arc::new(CacheCounters::default()),
             failures: Arc::new(FailureCounters::default()),
-            program_id,
             scratch_reported: (0, 0),
         })
     }
@@ -365,14 +305,22 @@ impl IncrementalReasoner {
         &self.failures
     }
 
+    /// Shares reuse/recompute and planner counters with this reasoner, so
+    /// the lanes of one engine (or the entries of one registry) report one
+    /// [`CacheCounters`] snapshot.
+    pub fn set_cache_counters(&mut self, counters: Arc<CacheCounters>) {
+        self.counters = counters;
+    }
+
+    /// The counters this reasoner reports reused (`hits`) and recomputed
+    /// (`misses`) communities into.
+    pub fn cache_counters(&self) -> &Arc<CacheCounters> {
+        &self.counters
+    }
+
     /// Number of parallel partitions.
     pub fn partitions(&self) -> usize {
         self.partitioner.partitions()
-    }
-
-    /// The shared partition cache.
-    pub fn cache(&self) -> &Arc<PartitionCache> {
-        &self.cache
     }
 
     /// How many times a failed partition job is retried on the scratch
@@ -400,7 +348,7 @@ impl IncrementalReasoner {
                 std::thread::sleep(std::time::Duration::from_millis(1u64 << attempt));
             }
             self.failures.retries.fetch_add(1, Ordering::Relaxed);
-            let reasoner = &mut self.sequential[0];
+            let reasoner = &mut self.scratch;
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 // Attempt-salted coordinate: distinct from the original
                 // job's roll, so injected faults are transient by default.
@@ -430,53 +378,73 @@ impl IncrementalReasoner {
         )))
     }
 
-    /// Processes one window: partition → fingerprint/lookup → solve dirty →
+    /// The answers this reasoner may reuse for each of `n` communities in
+    /// `window`: `Some` for a clean community, `None` for a dirty one (see
+    /// the module docs).
+    fn reusable(&self, window: &Window, n: usize) -> Vec<Option<Arc<Vec<AnswerSet>>>> {
+        let mut reuse = vec![None; n];
+        let (Some(delta), Some((last_id, answers))) = (&window.delta, &self.last) else {
+            return reuse;
+        };
+        if delta.base_id != *last_id {
+            return reuse;
+        }
+        let mut touched = vec![false; n];
+        for item in delta.added.iter().chain(&delta.retracted) {
+            let Some(routes) = self.partitioner.item_routes(item) else {
+                return reuse;
+            };
+            for c in routes {
+                touched[c as usize] = true;
+            }
+        }
+        for (c, slot) in reuse.iter_mut().enumerate() {
+            // Fault hook: force a clean community dirty — an
+            // identity-preserving fault (the recompute must yield the
+            // answers reuse would have served).
+            let invalidated = fault::injection_enabled()
+                && fault::fires(FaultSite::CacheInvalidate, window.id, c as u64);
+            if !touched[c] && !invalidated {
+                *slot = Some(Arc::clone(&answers[c]));
+            }
+        }
+        reuse
+    }
+
+    /// Processes one window: partition → dirty check → solve dirty →
     /// combine. Output is byte-identical to
     /// [`ParallelReasoner`](crate::parallel::ParallelReasoner) over the same
     /// partitioner.
     pub fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
+        use std::sync::atomic::Ordering;
         let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
             sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: window.id, ..sr_obs::current_ctx() })
         });
         let start = Instant::now();
         let t_part = Instant::now();
-        let (mut parts, fingerprints, partition_sizes) = {
+        let (mut parts, partition_sizes) = {
             let _span = sr_obs::span(sr_obs::Stage::Partition);
             let parts = self.partitioner.partition(window);
-            let fingerprints: Vec<u128> = parts.iter().map(|p| fingerprint_items(p)).collect();
             let partition_sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-            (parts, fingerprints, partition_sizes)
+            (parts, partition_sizes)
         };
 
-        // Clean partitions come straight from the cache; the rest are dirty.
+        // Clean communities reuse their last answers; the rest are dirty.
         let (mut per_partition, dirty) = {
             let _span = sr_obs::span(sr_obs::Stage::CacheLookup);
-            let per_partition: Vec<Option<Arc<Vec<AnswerSet>>>> = fingerprints
-                .iter()
-                .enumerate()
-                .map(|(i, &fp)| {
-                    // Fault hook: drop the cached entry on the floor — an
-                    // identity-preserving fault (the recompute must yield
-                    // the same answers the cache held).
-                    if fault::injection_enabled()
-                        && fault::fires(FaultSite::CacheInvalidate, window.id, i as u64)
-                    {
-                        return None;
-                    }
-                    self.cache.get(self.program_id, fp)
-                })
-                .collect();
+            let per_partition = self.reusable(window, parts.len());
             let dirty: Vec<usize> =
                 (0..parts.len()).filter(|&i| per_partition[i].is_none()).collect();
             (per_partition, dirty)
         };
-        // Fingerprinting + cache lookups are the incremental handler's
-        // overhead: account them to the partitioning stage.
+        self.counters.hits.fetch_add((parts.len() - dirty.len()) as u64, Ordering::Relaxed);
+        self.counters.misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
+        // The dirty check is the incremental handler's overhead: account it
+        // to the partitioning stage.
         let partition_time = t_part.elapsed();
 
         let mut stats = SolveStats::default();
         let mut critical = Timing::default();
-        let mut fresh: Vec<(usize, Vec<AnswerSet>)> = Vec::with_capacity(dirty.len());
 
         match self.pool.clone() {
             Some(pool) => {
@@ -500,13 +468,13 @@ impl IncrementalReasoner {
                     };
                     stats = merge_stats(stats, s);
                     pool_critical = max_timing(pool_critical, timing);
-                    fresh.push((dirty[k], answers));
+                    per_partition[dirty[k]] = Some(Arc::new(answers));
                 }
                 critical = sum_timing(critical, pool_critical);
             }
             None => {
                 for &i in &dirty {
-                    let reasoner = &mut self.sequential[0];
+                    let reasoner = &mut self.scratch;
                     let items = &parts[i];
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         // The sequential path hosts the same fault hooks the
@@ -532,7 +500,7 @@ impl IncrementalReasoner {
                     stats = merge_stats(stats, s);
                     // Sequential mode has no critical path: stages add up.
                     critical = sum_timing(critical, timing);
-                    fresh.push((i, answers));
+                    per_partition[i] = Some(Arc::new(answers));
                 }
             }
         }
@@ -541,11 +509,8 @@ impl IncrementalReasoner {
         // aggregated — nor is the scratch reasoner while a pool serves, when
         // it only runs the rare recovery path).
         if self.pool.is_none() {
-            if let Some((replans, reordered, generation)) =
-                self.sequential.first().and_then(SingleReasoner::planner_counters)
-            {
-                use std::sync::atomic::Ordering;
-                let c = self.cache.counters();
+            if let Some((replans, reordered, generation)) = self.scratch.planner_counters() {
+                let c = &self.counters;
                 c.planner_enabled.store(true, Ordering::Relaxed);
                 c.planner_replans.fetch_add(replans - self.scratch_reported.0, Ordering::Relaxed);
                 c.planner_plans_reordered
@@ -555,16 +520,12 @@ impl IncrementalReasoner {
             }
         }
 
-        for (i, answers) in fresh {
-            let answers = Arc::new(answers);
-            self.cache.insert(self.program_id, fingerprints[i], Arc::clone(&answers));
-            per_partition[i] = Some(answers);
-        }
-        // Combine over borrowed slices: cached answers never leave the Arc.
-        let borrowed: Vec<&[AnswerSet]> = per_partition
-            .iter()
-            .map(|p| p.as_ref().expect("every partition is cached or freshly solved").as_slice())
+        let per_partition: Vec<Arc<Vec<AnswerSet>>> = per_partition
+            .into_iter()
+            .map(|p| p.expect("every partition is reused or freshly solved"))
             .collect();
+        // Combine over borrowed slices: reused answers never leave the Arc.
+        let borrowed: Vec<&[AnswerSet]> = per_partition.iter().map(|p| p.as_slice()).collect();
 
         let t_combine = Instant::now();
         let (answers, unsat_partitions) = {
@@ -577,6 +538,7 @@ impl IncrementalReasoner {
             )
         };
         let combine_time = t_combine.elapsed();
+        self.last = Some((window.id, per_partition));
 
         Ok(ReasonerOutput {
             answers,
@@ -609,8 +571,8 @@ impl Reasoner for IncrementalReasoner {
     }
 
     fn recover(&mut self) -> bool {
-        // The partition cache is safe as-is — entries are inserted only
-        // after a successful solve — and the scratch reasoner is stateless.
+        // The reuse slots are safe as-is — they are written only after a
+        // successful window — and the scratch reasoner is stateless.
         true
     }
 }
@@ -624,7 +586,7 @@ mod tests {
     use crate::plan::PartitioningPlan;
     use asp_parser::parse_program;
     use sr_rdf::Node;
-    use sr_stream::SlidingWindower;
+    use sr_stream::{SlidingWindower, WindowDelta};
     use std::sync::atomic::Ordering;
 
     const PROGRAM_P: &str = r#"
@@ -692,7 +654,6 @@ mod tests {
         cache.insert(1, 20, ans.clone());
         assert!(cache.get(1, 10).is_some(), "entry 10 touched: now most recent");
         cache.insert(1, 30, ans.clone());
-        assert_eq!(cache.len(), 2);
         assert!(cache.get(1, 20).is_none(), "20 was the LRU entry and got evicted");
         assert!(cache.get(1, 10).is_some());
         assert!(cache.get(1, 30).is_some());
@@ -704,27 +665,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_metrics_scrape_matches_the_counters() {
-        let registry = sr_obs::MetricsRegistry::new();
-        let cache = Arc::new(PartitionCache::new(2));
-        cache.register_metrics(&registry);
-        let ans = Arc::new(vec![AnswerSet::default()]);
-        cache.insert(1, 10, ans);
-        assert!(cache.get(1, 10).is_some());
-        assert!(cache.get(1, 99).is_none());
-        let text = registry.render_prometheus();
-        assert!(text.contains("sr_cache_hits_total 1"), "{text}");
-        assert!(text.contains("sr_cache_misses_total 1"), "{text}");
-        assert!(text.contains("sr_cache_entries 1"), "{text}");
-        assert!(text.contains("sr_planner_replans_total 0"), "{text}");
-    }
-
-    #[test]
     fn zero_capacity_cache_always_misses() {
         let cache = PartitionCache::new(0);
         cache.insert(1, 10, Arc::new(vec![AnswerSet::default()]));
         assert!(cache.get(1, 10).is_none());
-        assert_eq!(cache.len(), 0);
         assert_eq!(cache.counters().misses.load(Ordering::Relaxed), 1);
         assert_eq!(cache.counters().hits.load(Ordering::Relaxed), 0);
     }
@@ -740,6 +684,11 @@ mod tests {
         (syms, pr, ir)
     }
 
+    /// `items` as window `id`, changed from window `base_id` by `retracted`.
+    fn after(id: u64, base_id: u64, items: Vec<Triple>, retracted: Vec<Triple>) -> Window {
+        Window::new(id, items).with_delta(WindowDelta { base_id, added: Vec::new(), retracted })
+    }
+
     #[test]
     fn identical_to_parallel_reasoner_and_second_window_hits() {
         let (syms, mut pr, mut ir) =
@@ -749,10 +698,10 @@ mod tests {
         let inc = ir.process(&window).unwrap();
         assert_eq!(render(&syms, &full), render(&syms, &inc));
         assert_eq!(inc.partition_sizes, full.partition_sizes);
-        // Same content again (new window id): both partitions are clean.
-        let again = ir.process(&Window::new(1, motivating_items())).unwrap();
+        // Window 1 changes nothing relative to window 0: both are clean.
+        let again = ir.process(&after(1, 0, motivating_items(), Vec::new())).unwrap();
         assert_eq!(render(&syms, &full), render(&syms, &again));
-        let snap = ir.cache().counters().snapshot();
+        let snap = ir.cache_counters().snapshot();
         assert_eq!(snap.misses, 2, "first window solves both partitions");
         assert_eq!(snap.hits, 2, "second window reuses both");
     }
@@ -763,22 +712,65 @@ mod tests {
             build_pair(ReasonerConfig { incremental: true, ..Default::default() });
         let w0 = Window::new(0, motivating_items());
         ir.process(&w0).unwrap();
-        // Drop the traffic light: community 0 changes (the jam now fires),
-        // community 1 (the car fire) is untouched and must come from cache.
+        // Retract the traffic light: community 0 changes (the jam now
+        // fires), community 1 (the car fire) is untouched and is reused.
         let mut items = motivating_items();
-        items.remove(2);
-        let w1 = Window::new(1, items.clone());
+        let light = items.remove(2);
+        let w1 = after(1, 0, items, vec![light]);
         let inc = ir.process(&w1).unwrap();
         pr.process(&w0).unwrap();
-        let full = pr.process(&Window::new(1, items)).unwrap();
+        let full = pr.process(&w1).unwrap();
         let rendered = render(&syms, &inc);
         assert_eq!(rendered, render(&syms, &full));
         assert!(rendered[0].contains("traffic_jam(newcastle)"), "{rendered:?}");
         assert!(rendered[0].contains("car_fire(dangan)"), "{rendered:?}");
-        let snap = ir.cache().counters().snapshot();
+        let snap = ir.cache_counters().snapshot();
         assert_eq!(snap.hits, 1, "car partition reused");
         assert_eq!(snap.misses, 3, "2 initial + dirty traffic partition");
         assert_eq!(snap.dirty_partition_ratio, 0.75);
+    }
+
+    #[test]
+    fn delta_on_a_window_this_reasoner_did_not_answer_recomputes_everything() {
+        let (syms, mut pr, mut ir) =
+            build_pair(ReasonerConfig { incremental: true, ..Default::default() });
+        // w1 retracts the traffic light (community 0); w2 adds a car reading
+        // (community 1) on top of w1.
+        let w0 = Window::new(0, motivating_items());
+        let mut items = motivating_items();
+        let light = items.remove(2);
+        let w1 = after(1, 0, items.clone(), vec![light]);
+        let car = t("car2", "car_speed", Node::Int(5));
+        items.push(car.clone());
+        let w2 = Window::new(2, items).with_delta(WindowDelta {
+            base_id: 1,
+            added: vec![car],
+            retracted: Vec::new(),
+        });
+        // Answer w0, skip w1, then w2: community 0 changed in w1, so w0's
+        // answers for it (no jam, the light was on) must not be reused.
+        ir.process(&w0).unwrap();
+        let inc = render(&syms, &ir.process(&w2).unwrap());
+        pr.process(&w1).unwrap();
+        assert_eq!(inc, render(&syms, &pr.process(&w2).unwrap()));
+        assert!(inc[0].contains("traffic_jam(newcastle)"), "{inc:?}");
+        let snap = ir.cache_counters().snapshot();
+        assert_eq!((snap.hits, snap.misses), (0, 4), "w2 cannot reuse w0: {snap:?}");
+    }
+
+    #[test]
+    fn cache_metrics_scrape_matches_the_counters() {
+        let (_syms, _pr, mut ir) =
+            build_pair(ReasonerConfig { incremental: true, ..Default::default() });
+        let registry = sr_obs::MetricsRegistry::new();
+        ir.cache_counters().register_metrics(&registry);
+        ir.process(&Window::new(0, motivating_items())).unwrap();
+        ir.process(&after(1, 0, motivating_items(), Vec::new())).unwrap();
+        let text = registry.render_prometheus();
+        assert!(text.contains("sr_cache_hits_total 2"), "{text}");
+        assert!(text.contains("sr_cache_misses_total 2"), "{text}");
+        assert!(text.contains("sr_planner_replans_total 0"), "{text}");
+        assert!(!text.contains("evictions") && !text.contains("entries"), "{text}");
     }
 
     #[test]
@@ -796,11 +788,10 @@ mod tests {
     }
 
     #[test]
-    fn random_partitioner_stays_identical_despite_per_window_reshuffling() {
-        // RandomPartitioner splits by (seed, window id): identical content
-        // under a different id partitions differently, so fingerprints must
-        // be computed from actual partition content, never reused by
-        // position. This is the regression guard for that design rule.
+    fn random_partitioner_windows_are_always_dirty_and_identical() {
+        // RandomPartitioner splits by (seed, window id), so it has no
+        // per-item routes: every partition of every window is dirty, even
+        // when the delta leaves most items in place.
         let syms = Symbols::new();
         let program = parse_program(&syms, PROGRAM_P).unwrap();
         let partitioner: Arc<dyn Partitioner> = Arc::new(RandomPartitioner::new(3, 11));
@@ -811,26 +802,18 @@ mod tests {
         let mut windower = SlidingWindower::new(4, 2);
         let mut stream = motivating_items();
         stream.extend(motivating_items());
+        let mut windows = 0u64;
         for item in stream {
             if let Some(w) = windower.push(item) {
                 let full = pr.process(&w).unwrap();
                 let inc = ir.process(&w).unwrap();
                 assert_eq!(render(&syms, &full), render(&syms, &inc), "window {}", w.id);
+                windows += 1;
             }
         }
-    }
-
-    #[test]
-    fn capacity_zero_reasoner_still_identical() {
-        let cfg = ReasonerConfig { incremental: true, cache_capacity: 0, ..Default::default() };
-        let (syms, mut pr, mut ir) = build_pair(cfg);
-        for id in 0..3 {
-            let w = Window::new(id, motivating_items());
-            let full = pr.process(&w).unwrap();
-            let inc = ir.process(&w).unwrap();
-            assert_eq!(render(&syms, &full), render(&syms, &inc));
-        }
-        assert_eq!(ir.cache().counters().snapshot().hits, 0, "capacity 0 never hits");
+        let snap = ir.cache_counters().snapshot();
+        assert!(windows > 1);
+        assert_eq!((snap.hits, snap.misses), (0, 3 * windows), "{snap:?}");
     }
 
     fn sliding_stream(copies: usize) -> Vec<Triple> {
@@ -857,7 +840,7 @@ mod tests {
                 assert_eq!(render(&syms, &full), render(&syms, &inc), "window {}", w.id);
             }
         }
-        assert!(ir.cache().counters().snapshot().misses > 0, "dirty partitions were solved");
+        assert!(ir.cache_counters().snapshot().misses > 0, "dirty partitions were solved");
     }
 
     #[test]
@@ -871,75 +854,6 @@ mod tests {
         let out = ir.process(&Window::new(0, motivating_items())).unwrap();
         assert!(out.solve_stats.vars > 0, "a negative cycle still reaches CDCL");
         assert!(!out.answers.is_empty());
-    }
-
-    fn seq_cfg() -> ReasonerConfig {
-        ReasonerConfig { incremental: true, mode: ParallelMode::Sequential, ..Default::default() }
-    }
-
-    #[test]
-    fn injected_panic_recovers_with_identical_output() {
-        let _guard = fault::test_guard();
-        fault::clear();
-        let (syms, mut pr, mut ir) = build_pair(seq_cfg());
-        let w = Window::new(0, motivating_items());
-        let expected = render(&syms, &pr.process(&w).unwrap());
-        // A seed whose fault fires at some original coordinate but at none
-        // of the attempt-salted retry coordinates: recovery must succeed.
-        let seed = (0..10_000)
-            .find(|&s| {
-                let plan = crate::fault::FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, s);
-                let fires = |p: u64| plan.fires(FaultSite::WorkerPanic, 0, p);
-                (0..2).any(&fires) && (0..2).all(|i| !fires(i) || !fires(i + (1 << 32)))
-            })
-            .expect("such a seed exists");
-        fault::install(crate::fault::FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, seed));
-        let recovered = ir.process(&w);
-        fault::clear();
-        assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
-        let snap = ir.failure_counters().snapshot();
-        assert!(snap.retries > 0, "the panicked partition was retried: {snap:?}");
-        assert!(snap.fallbacks > 0, "and recovered via the re-ground fallback: {snap:?}");
-    }
-
-    #[test]
-    fn retry_exhaustion_surfaces_window_and_partition() {
-        let _guard = fault::test_guard();
-        fault::clear();
-        let (_syms, _pr, mut ir) = build_pair(seq_cfg());
-        // Rate 1.0 fires at every coordinate, salted retries included: the
-        // bounded retries must exhaust and error out loudly.
-        fault::install(crate::fault::FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 1));
-        let err = ir.process(&Window::new(7, motivating_items()));
-        fault::clear();
-        let msg = format!("{:?}", err.expect_err("rate-1.0 panics exhaust the retries"));
-        assert!(msg.contains("window 7"), "error names the window: {msg}");
-        assert!(msg.contains("partition"), "error names the partition: {msg}");
-        assert!(msg.contains("retries"), "error names the retry policy: {msg}");
-        assert_eq!(
-            ir.failure_counters().snapshot().retries,
-            u64::from(IncrementalReasoner::MAX_PARTITION_RETRIES),
-            "every retry was counted"
-        );
-    }
-
-    #[test]
-    fn cache_invalidation_fault_recomputes_identically() {
-        let _guard = fault::test_guard();
-        fault::clear();
-        let (syms, mut pr, mut ir) = build_pair(seq_cfg());
-        let expected = render(&syms, &pr.process(&Window::new(0, motivating_items())).unwrap());
-        ir.process(&Window::new(0, motivating_items())).unwrap();
-        fault::install(crate::fault::FaultPlan::new().with_rule(
-            FaultSite::CacheInvalidate,
-            1.0,
-            4,
-        ));
-        let again = ir.process(&Window::new(1, motivating_items()));
-        fault::clear();
-        assert_eq!(render(&syms, &again.unwrap()), expected, "recompute must match the cache");
-        let snap = ir.cache().counters().snapshot();
-        assert_eq!(snap.hits, 0, "invalidation faults bypass the cache entirely: {snap:?}");
     }
 
     #[test]

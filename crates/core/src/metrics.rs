@@ -1,11 +1,11 @@
 //! Shared timing/metrics helpers: millisecond conversion, percentile
 //! estimation, the latency/throughput summaries reported by the
 //! [`StreamEngine`](crate::engine::StreamEngine) and the bench harness, and
-//! the cache counters of the incremental reasoning subsystem
-//! ([`crate::incremental`]).
+//! the reuse counters of incremental reasoning ([`crate::incremental`]).
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A duration in fractional milliseconds (the unit of every figure).
@@ -107,17 +107,18 @@ impl LatencyStats {
     }
 }
 
-/// Live counters of the partition-level result cache, shared (behind an
-/// `Arc`) between every [`IncrementalReasoner`](crate::incremental)
-/// instance over one stream and the engine that reports them. Atomics:
-/// engine lanes update them concurrently.
+/// Live counters of incremental reasoning, shared (behind an `Arc`) between
+/// the [`IncrementalReasoner`](crate::incremental::IncrementalReasoner)s of
+/// one engine or one registry and whoever reports them. Atomics: engine
+/// lanes update them concurrently.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    /// Partitions served from the cache (clean partitions).
+    /// Communities whose answers were reused (clean communities).
     pub hits: AtomicU64,
-    /// Partitions that had to be recomputed (dirty partitions).
+    /// Communities that had to be recomputed (dirty communities).
     pub misses: AtomicU64,
-    /// Entries evicted to respect the cache capacity.
+    /// Entries evicted by a [`PartitionCache`](crate::incremental::PartitionCache),
+    /// a measured-surface facade; incremental reasoning evicts nothing.
     pub evictions: AtomicU64,
     /// True when cost-based join planning ran on any lane (the planner
     /// counters below are only meaningful — and only reported — then).
@@ -148,19 +149,38 @@ impl CacheCounters {
             planner_generation: self.planner_generation.load(Ordering::Relaxed),
         }
     }
+
+    /// Binds the live counters to `registry` as scrape-time collector
+    /// closures (`sr_cache_{hits,misses}_total`, `sr_planner_*`): the hot
+    /// path keeps its `fetch_add`s and nothing is double-counted. Planner
+    /// metrics read zero until cost planning reports through the counters.
+    pub fn register_metrics(self: &Arc<Self>, registry: &sr_obs::MetricsRegistry) {
+        type Field = fn(&CacheCounters) -> &AtomicU64;
+        let counters: [(&str, Field); 4] = [
+            ("sr_cache_hits_total", |c| &c.hits),
+            ("sr_cache_misses_total", |c| &c.misses),
+            ("sr_planner_replans_total", |c| &c.planner_replans),
+            ("sr_planner_plans_reordered_total", |c| &c.planner_plans_reordered),
+        ];
+        for (name, field) in counters {
+            let shared = Arc::clone(self);
+            registry.register_counter_fn(name, &[], move || field(&shared).load(Ordering::Relaxed));
+        }
+    }
 }
 
-/// Snapshot of the incremental subsystem's cache effectiveness, embedded in
+/// Snapshot of how much incremental reasoning reused, embedded in
 /// [`EngineStats`](crate::engine::EngineStats) and the bench records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalSnapshot {
-    /// Partitions served from the cache.
+    /// Communities whose answers were reused.
     pub hits: u64,
-    /// Partitions recomputed.
+    /// Communities recomputed.
     pub misses: u64,
-    /// Cache entries evicted.
+    /// Entries a [`PartitionCache`](crate::incremental::PartitionCache)
+    /// facade evicted; not rendered by [`IncrementalSnapshot::to_json`].
     pub evictions: u64,
-    /// `misses / (hits + misses)` — the fraction of partition computations
+    /// `misses / (hits + misses)` — the fraction of community computations
     /// that were actually dirty (0 when nothing was processed).
     pub dirty_partition_ratio: f64,
     /// True when cost-based join planning was active; the `planner_*`
@@ -189,9 +209,8 @@ impl IncrementalSnapshot {
             String::new()
         };
         format!(
-            "{{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"dirty_partition_ratio\": {:.4}{planner}}}",
-            self.hits, self.misses, self.evictions, self.dirty_partition_ratio
+            "{{\"hits\": {}, \"misses\": {}, \"dirty_partition_ratio\": {:.4}{planner}}}",
+            self.hits, self.misses, self.dirty_partition_ratio
         )
     }
 }
@@ -475,6 +494,7 @@ mod tests {
         assert_eq!(s.dirty_partition_ratio, 0.25);
         let json = s.to_json();
         assert!(json.contains("\"dirty_partition_ratio\": 0.2500"), "{json}");
+        assert!(!json.contains("evictions"), "nothing evicts: key omitted: {json}");
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! window **once per distinct `(program, partitioner)` entry**, not once
 //! per tenant: every tenant attached to an entry receives the same
 //! `Arc`-shared [`ReasonerOutput`], so N tenants running the same rule set
-//! cost ~1 tenant. Within one entry the window is routed and its partition
-//! fingerprints are computed exactly once (that is what the entry's
+//! cost ~1 tenant. Within one entry the window is routed and its dirty
+//! communities are found exactly once (that is what the entry's
 //! [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) does);
-//! across entries the [`PartitionCache`] is shared (keys are
-//! program-scoped).
+//! across entries only the reuse counters are shared.
 //!
 //! Correctness bar: each tenant's output is byte-identical to running its
 //! own single-program pipeline over the same windows (property-tested in
@@ -20,7 +19,6 @@
 use crate::admission::{AdmissionSnapshot, AdmitError};
 use crate::engine::EngineStats;
 use crate::fault;
-use crate::incremental::PartitionCache;
 use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, TenantLatency};
 use crate::reasoner::ReasonerOutput;
 use crate::registry::{ProgramRegistry, TenantPartitioner};
@@ -201,11 +199,6 @@ impl MultiTenantEngine {
         &self.registry
     }
 
-    /// The cache shared by every admitted program.
-    pub fn cache(&self) -> &Arc<PartitionCache> {
-        self.registry.cache()
-    }
-
     /// Processes one window for every admitted tenant: each registry entry
     /// runs once, every tenant of the entry receives the shared result.
     /// Outputs are ordered deterministically (entries in first-admission
@@ -322,8 +315,8 @@ impl MultiTenantEngine {
     }
 
     /// Binds the scheduler's live state to `registry`: window/item/run
-    /// totals, the per-window latency histogram and the shared partition
-    /// cache. Collector closures capture `Arc`s,
+    /// totals, the per-window latency histogram and the entries' shared
+    /// reuse counters. Collector closures capture `Arc`s,
     /// so scrapes keep working (frozen) after the engine is dropped.
     pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
         use std::sync::atomic::Ordering;
@@ -348,7 +341,7 @@ impl MultiTenantEngine {
             &[],
             Arc::clone(&self.window_latency),
         );
-        self.cache().register_metrics(registry);
+        self.registry.counters.register_metrics(registry);
     }
 
     /// A throughput/latency report over everything processed so far:
@@ -372,7 +365,7 @@ impl MultiTenantEngine {
             windows_per_sec: if elapsed_s > 0.0 { windows as f64 / elapsed_s } else { 0.0 },
             items_per_sec: if elapsed_s > 0.0 { items as f64 / elapsed_s } else { 0.0 },
             submit_blocked_ms: None,
-            incremental: Some(self.cache().counters().snapshot()),
+            incremental: Some(self.registry.counters.snapshot()),
             lanes: Vec::new(),
             queue_high_water: 0,
             latency: LatencyStats::from_histogram(&self.window_latency),
@@ -499,7 +492,7 @@ mod tests {
         assert!(!json.contains("\"submit_blocked_ms\""), "{json}");
         assert!(
             stats.incremental.is_some(),
-            "shared cache counters surface through the usual field"
+            "shared reuse counters surface through the usual field"
         );
     }
 
@@ -509,36 +502,34 @@ mod tests {
         eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
         eng.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
         eng.process(&window(0)).unwrap();
-        let before = eng.cache().counters().snapshot();
-        assert!(before.hits + before.misses > 0, "window 0 touched the cache");
+        let counters = |eng: &MultiTenantEngine| eng.stats().incremental.unwrap();
+        let before = counters(&eng);
+        assert!(before.hits + before.misses > 0, "window 0 was counted");
 
         // t1 — and then t0, the *last* tenant of the program — retire
-        // mid-stream; the cache and its counters must stay consistent.
+        // mid-stream; the counters must stay consistent.
         eng.retire("t1").unwrap();
         let outputs = eng.process(&window(1)).unwrap();
         assert_eq!(outputs.len(), 1, "only t0 is served now");
         eng.retire("t0").unwrap();
         assert!(eng.registry().is_empty());
-        let after_drop = eng.cache().counters().snapshot();
+        let after_drop = counters(&eng);
         assert!(
             after_drop.hits >= before.hits && after_drop.misses >= before.misses,
             "dropping the last tenant never rolls counters back"
         );
-        assert!(!eng.cache().is_empty(), "entries stay and age out of the LRU");
 
         // Processing with no tenants is a no-op result, not an error.
         assert!(eng.process(&window(2)).unwrap().is_empty());
-        let unchanged = eng.cache().counters().snapshot();
-        assert_eq!(unchanged, after_drop, "no tenants, no cache traffic");
+        let unchanged = counters(&eng);
+        assert_eq!(unchanged, after_drop, "no tenants, no counter traffic");
 
-        // Re-admitting the program rehydrates from the surviving entries:
-        // window 2's content was never solved, but window 1's was.
         eng.admit("t2", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-        eng.process(&window(1)).unwrap();
-        let rehydrated = eng.cache().counters().snapshot();
+        eng.process(&window(3)).unwrap();
+        let readmitted = counters(&eng);
         assert!(
-            rehydrated.hits > unchanged.hits,
-            "the re-admitted program hits entries its predecessor cached: {rehydrated:?}"
+            readmitted.hits >= unchanged.hits && readmitted.misses > unchanged.misses,
+            "the re-admitted program counts into the same counters: {readmitted:?}"
         );
         let stats = eng.stats();
         assert_eq!(stats.tenants.len(), 3, "retired tenants keep their recorded history");
@@ -562,49 +553,7 @@ mod tests {
         assert!(text.contains("sr_tenant_program_runs_total 2"), "{text}");
         assert!(text.contains("sr_tenant_tenant_windows_total 4"), "{text}");
         assert!(text.contains("sr_tenant_window_latency_ms_count 2"), "{text}");
-        assert!(text.contains("sr_cache_hits_total"), "the shared cache registers too: {text}");
-    }
-
-    #[test]
-    fn repeated_failures_quarantine_the_entry_and_readmit_lifts_it() {
-        use crate::fault::{self, FaultPlan, FaultSite};
-
-        let _guard = fault::test_guard();
-        fault::clear();
-        let mut eng = engine();
-        eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-
-        // A rate-1.0 worker-panic plan makes every partition exhaust its
-        // retries: each window is a deterministic entry failure.
-        fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 11));
-        for id in 0..3 {
-            let outputs = eng.process(&window(id)).unwrap();
-            assert!(outputs.is_empty(), "a failing entry serves nothing, but the window survives");
-        }
-        assert_eq!(eng.quarantined_tenants(), vec!["t0".to_string()], "3 strikes by default");
-        fault::clear();
-
-        // Quarantined: skipped without even attempting (no new errors), and
-        // a freshly admitted healthy tenant is served in the same window.
-        eng.admit("t1", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
-        let outputs = eng.process(&window(3)).unwrap();
-        assert_eq!(outputs.len(), 1, "only the healthy entry runs");
-        assert_eq!(outputs[0].tenant, "t1");
-        let stats = eng.stats();
-        assert_eq!(stats.errors, 3, "one error per failed entry run");
-        let failure = stats.failure.expect("a quarantine forces the failure section");
-        assert_eq!(failure.quarantines, 1);
-        assert!(stats.to_json().contains("\"failure\": {"), "{}", stats.to_json());
-
-        // Re-admission restores service for every tenant of the entry.
-        eng.readmit("t0").unwrap();
-        assert!(eng.quarantined_tenants().is_empty());
-        let outputs = eng.process(&window(4)).unwrap();
-        let tenants: Vec<&str> = outputs.iter().map(|o| o.tenant.as_str()).collect();
-        assert_eq!(tenants, ["t0", "t1"]);
-        assert!(rendered(&outputs[0])[0].contains("jam(a)"), "{:?}", rendered(&outputs[0]));
-        assert!(eng.readmit("nobody").is_err());
-        fault::clear();
+        assert!(text.contains("sr_cache_hits_total"), "the reuse counters register too: {text}");
     }
 
     #[test]

@@ -20,8 +20,9 @@ pub trait Partitioner: Send + Sync {
     /// context (e.g. the window-id-seeded random baseline). When `Some`, the
     /// routes must agree exactly with [`Partitioner::partition`].
     ///
-    /// Kept for the measured surface: the benchmark's layer replay projects
-    /// window deltas through it. No reasoner calls it.
+    /// The [`IncrementalReasoner`](crate::incremental::IncrementalReasoner)
+    /// routes each window's delta through it to find the communities a
+    /// slide touched; `None` makes every community dirty in every window.
     fn item_routes(&self, _item: &Triple) -> Option<Vec<u32>> {
         None
     }

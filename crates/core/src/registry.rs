@@ -16,16 +16,17 @@
 //!
 //! Each admitted program gets its **own `Symbols` store** (pooled workers
 //! resolve symbol ids against the store their program was built from, so
-//! programs must never mix stores), while every
-//! program shares one [`PartitionCache`] — its keys are already
-//! program-scoped, so cross-program collisions cannot happen, and a
-//! re-admitted program can even rehydrate from entries an earlier tenant
-//! left behind.
+//! programs must never mix stores) and its own reasoner, which reuses the
+//! communities a window's delta leaves untouched from the last window *it*
+//! answered. Entries share nothing but one set of [`CacheCounters`], which
+//! reports reuse across the registry. A re-admitted program starts cold:
+//! its first window recomputes every community.
 
 use crate::admission::{AdmissionPolicy, AdmitError, ProgramBounds};
 use crate::analysis::DependencyAnalysis;
 use crate::config::{AnalysisConfig, ReasonerConfig};
-use crate::incremental::{program_fingerprint, IncrementalReasoner, PartitionCache};
+use crate::incremental::{program_fingerprint, IncrementalReasoner};
+use crate::metrics::CacheCounters;
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 use asp_core::{AspError, Symbols};
 use asp_parser::parse_program;
@@ -108,11 +109,12 @@ impl ProgramEntry {
     }
 }
 
-/// The registry: admit/retire tenants, dedup programs by serving key, share
-/// one [`PartitionCache`] across all of them. See the module docs.
+/// The registry: admit/retire tenants, dedup programs by serving key, count
+/// reuse across all of them. See the module docs.
 pub struct ProgramRegistry {
     config: ReasonerConfig,
-    cache: Arc<PartitionCache>,
+    /// Reuse and planner counters every entry's reasoner reports into.
+    pub(crate) counters: Arc<CacheCounters>,
     policy: AdmissionPolicy,
     /// Admitted programs in first-admission order — the deterministic
     /// scheduling order of the multi-tenant engine.
@@ -120,12 +122,15 @@ pub struct ProgramRegistry {
 }
 
 impl ProgramRegistry {
-    /// An empty registry. `config` applies to every admitted program;
-    /// `config.cache_capacity` sizes the single shared cache. The default
-    /// [`AdmissionPolicy`] admits everything (no budget).
+    /// An empty registry. `config` applies to every admitted program. The
+    /// default [`AdmissionPolicy`] admits everything (no budget).
     pub fn new(config: ReasonerConfig) -> Self {
-        let cache = Arc::new(PartitionCache::new(config.cache_capacity));
-        ProgramRegistry { config, cache, policy: AdmissionPolicy::default(), entries: Vec::new() }
+        ProgramRegistry {
+            config,
+            counters: Arc::new(CacheCounters::default()),
+            policy: AdmissionPolicy::default(),
+            entries: Vec::new(),
+        }
     }
 
     /// Replaces the admission policy. Applies to future admissions only —
@@ -143,7 +148,7 @@ impl ProgramRegistry {
     /// partitioner choice match an already-admitted entry, the tenant
     /// attaches to it (no new reasoner, pool, or store); otherwise the
     /// program is parsed into a fresh `Symbols` store, analyzed, and gets
-    /// its own [`IncrementalReasoner`] over the shared cache. Returns the
+    /// its own [`IncrementalReasoner`]. Returns the
     /// program fingerprint. Fails with a structured [`AdmitError`] on a
     /// duplicate tenant id, a program that does not parse/analyze, or a
     /// static bound over the policy budget.
@@ -199,15 +204,15 @@ impl ProgramRegistry {
             TenantPartitioner::Random { k, seed } => Arc::new(RandomPartitioner::new(k, seed)),
         };
         // One reasoner per program entry: its pool (Threads mode) and its
-        // cache slice are shared by every tenant that attaches later.
-        let reasoner = IncrementalReasoner::with_cache(
+        // reuse slots are shared by every tenant that attaches later.
+        let mut reasoner = IncrementalReasoner::new(
             &syms,
             &program,
             Some(&analysis.inpre),
             part,
             self.config.clone(),
-            Arc::clone(&self.cache),
         )?;
+        reasoner.set_cache_counters(Arc::clone(&self.counters));
         self.entries.push(ProgramEntry {
             fingerprint,
             partitioner,
@@ -222,10 +227,9 @@ impl ProgramRegistry {
     }
 
     /// Retires `tenant`, returning its program fingerprint. When the last
-    /// tenant of a program leaves, the whole entry — reasoner, pool, symbol
-    /// store — is dropped; the program's cache entries stay and simply age
-    /// out of the shared LRU (or serve a future re-admission), so the cache
-    /// counters remain consistent across the retirement.
+    /// tenant of a program leaves, the whole entry — reasoner, pool, reuse
+    /// slots, symbol store — is dropped; the shared counters keep what it
+    /// reported.
     pub fn retire(&mut self, tenant: &str) -> Result<u64, AspError> {
         for (idx, entry) in self.entries.iter_mut().enumerate() {
             if let Some(pos) = entry.tenants.iter().position(|t| t == tenant) {
@@ -269,11 +273,6 @@ impl ProgramRegistry {
     /// The serving entry `tenant` is attached to, if admitted.
     pub fn entry_of(&self, tenant: &str) -> Option<&ProgramEntry> {
         self.entries.iter().find(|e| e.tenants.iter().any(|t| t == tenant))
-    }
-
-    /// The cache shared by every admitted program.
-    pub fn cache(&self) -> &Arc<PartitionCache> {
-        &self.cache
     }
 }
 

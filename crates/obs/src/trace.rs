@@ -34,7 +34,7 @@ pub enum Stage {
     Windowing,
     /// Routing items into partitions.
     Partition,
-    /// Fingerprint + partition-cache probe.
+    /// Finding the dirty communities: routing the window's delta.
     CacheLookup,
     /// Scratch (full) grounding, or perfect-model evaluation of a
     /// stratified program.

@@ -13,10 +13,16 @@ pub struct StreamItem {
     pub timestamp_ms: u64,
 }
 
-/// Change of a window relative to an earlier window on the same lane:
+/// Change of a window relative to an earlier window of the same stream:
 /// `multiset(current) = multiset(base) - retracted + added`. Produced by
-/// [`SlidingWindower`] for overlapping windows; tests use it as ground truth
-/// for the overlap invariant.
+/// [`SlidingWindower`] and `ChurnStream` for overlapping windows.
+///
+/// The invariant is load-bearing: a consumer that answered the window
+/// `base_id` may reuse what it computed there for any part of the input the
+/// delta does not touch (the incremental reasoner reuses every community no
+/// added or retracted item routes to). A producer must therefore list every
+/// change, and must never attach a delta whose base is not the window it
+/// names.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WindowDelta {
     /// Id of the window this delta is relative to (the previous emission).
@@ -72,9 +78,12 @@ pub struct Window {
     pub id: u64,
     /// The data items.
     pub items: Vec<Triple>,
-    /// Change relative to the previous window on the same lane, when the
+    /// Change relative to the previous window of the stream, when the
     /// windower can produce one (overlapping sliding windows). `None` means
-    /// "unknown": consumers must treat the window as entirely new.
+    /// "unknown": consumers must treat the window as entirely new. When
+    /// `Some`, it must keep the [`WindowDelta`] multiset invariant exactly:
+    /// consumers reuse results computed for `base_id` on everything it does
+    /// not touch.
     pub delta: Option<WindowDelta>,
 }
 
@@ -84,7 +93,10 @@ impl Window {
         Window { id, items, delta: None }
     }
 
-    /// Attaches delta metadata (builder style).
+    /// Attaches delta metadata (builder style). The delta must satisfy the
+    /// [`WindowDelta`] multiset invariant against window `delta.base_id`:
+    /// consumers reuse what they computed for that window on anything the
+    /// delta does not touch, so a wrong delta yields wrong answers.
     pub fn with_delta(mut self, delta: WindowDelta) -> Self {
         self.delta = Some(delta);
         self

@@ -2,8 +2,8 @@
 //! sets subscribe to one shared stream through the `MultiTenantEngine`.
 //! Tenants whose program text renders identically share one serving entry —
 //! the scheduler runs each window once per entry, not once per tenant — and
-//! every entry shares one partition-level result cache. A tenant joins and
-//! another retires mid-stream to show runtime admission.
+//! each entry reuses the communities a slide leaves untouched. A tenant
+//! joins and another retires mid-stream to show runtime admission.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
@@ -30,11 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Eight tenants over three distinct programs: five watch traffic jams
     // (all five share ONE serving entry), two watch car fires, one watches
     // clear roads. Admission order is serving order.
-    let mut engine = MultiTenantEngine::new(ReasonerConfig {
-        incremental: true,
-        cache_capacity: 128,
-        ..Default::default()
-    });
+    let mut engine =
+        MultiTenantEngine::new(ReasonerConfig { incremental: true, ..Default::default() });
     for (tenant, program) in [
         ("city-ops", TRAFFIC),
         ("radio-a", TRAFFIC),
@@ -48,10 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.admit(tenant, program, TenantPartitioner::Dependency)?;
     }
     println!(
-        "{} tenants over {} serving entries (shared cache capacity {})",
+        "{} tenants over {} serving entries",
         engine.registry().tenant_count(),
-        engine.registry().program_count(),
-        engine.cache().capacity()
+        engine.registry().program_count()
     );
 
     // One shared sliding-window stream serves everyone.
@@ -108,10 +104,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({} saved, ratio {:.2})",
         dedup.tenant_windows, dedup.program_runs, dedup.shared_runs_saved, dedup.dedup_ratio
     );
-    if let Some(cache) = &stats.incremental {
+    if let Some(reuse) = &stats.incremental {
         println!(
-            "shared cache: {} hits, {} misses, {} evictions",
-            cache.hits, cache.misses, cache.evictions
+            "communities: {} reused, {} recomputed (dirty ratio {:.2})",
+            reuse.hits, reuse.misses, reuse.dirty_partition_ratio
         );
     }
     Ok(())

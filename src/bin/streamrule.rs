@@ -8,12 +8,15 @@
 //! streamrule run <program.lp> [--data data.nt] [--window N] [--windows K]
 //!                [--mode single|dep|random:K] [--in-flight L] [--rate R]
 //!                [--seed S] [--json out.json] [--trials T] [--events]
-//!                [--incremental] [--cache-size N] [--slide S]
+//!                [--incremental] [--slide S]
 //!                [--cost-planning] [--tenants N] [--dup-ratio R]
+//!                [--admission-budget CELLS]
 //!                [--metrics-addr HOST:PORT] [--trace-out trace.json]
 //!                [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]
 //! ```
 //!
+//! Each subcommand accepts exactly the flags listed for it; any other
+//! `--flag` is an error that names it.
 //! `run` streams tuple windows — read from an N-Triples file or generated
 //! synthetically — through the chosen reasoner. With `--in-flight L` the
 //! pipelined `StreamEngine` keeps `L` windows reasoning concurrently
@@ -23,10 +26,10 @@
 //! taking the best of `--trials T` engine and baseline passes (default 3)
 //! so one noisy sample can't skew the record.
 //! `--slide S` cuts sliding windows (S < window re-processes the overlap)
-//! and `--incremental` reuses cached answer sets for partitions whose
-//! content fingerprint is unchanged, with `--cache-size N` bounding the
-//! partition cache (see `sr-core::incremental`). Dirty partitions are
-//! always reasoned from scratch.
+//! and `--incremental` reuses the answers of every community a slide did
+//! not touch, as the window's delta tells (see `sr-core::incremental`).
+//! Windows without a delta, and dirty communities, are reasoned from
+//! scratch.
 //! `--cost-planning` orders rule-body joins by estimated cost from live
 //! relation statistics instead of the syntactic heuristic (any mode).
 //! Answers are identical either way.
@@ -35,12 +38,12 @@
 //! (default 1.0) controls how many tenants run the program verbatim and
 //! therefore share one program run per window; the rest get a unique
 //! `tenant_tag(<i>).` variant and their own serving entry. The run reports
-//! per-tenant latency percentiles, the dedup counters and the shared cache
-//! line. `--admission-budget CELLS` arms admission control: a program
+//! per-tenant latency percentiles and the dedup counters.
+//! `--admission-budget CELLS` arms admission control: a program
 //! whose static memory bound exceeds the budget is refused with an error
 //! naming the dominating term.
 //! `--metrics-addr HOST:PORT` (e.g. `127.0.0.1:9184`) serves the run's
-//! sr-obs metrics registry — engine/cache/planner/tenant counters and
+//! sr-obs metrics registry — engine/reuse/planner/tenant counters and
 //! latency histograms — as a Prometheus text endpoint for the duration of
 //! the run, self-scraping it once at the end; `--trace-out trace.json`
 //! enables per-window stage tracing and writes the spans as Chrome
@@ -94,10 +97,64 @@ const USAGE: &str = "usage:
   streamrule generate --out data.nt [--kind faithful|correlated|sparse] [--size N] [--windows K] [--seed S]
   streamrule run <program.lp> [--data data.nt] [--window N] [--windows K] [--mode single|dep|random:K]
                  [--in-flight L] [--rate R] [--seed S] [--json out.json] [--trials T] [--events]
-                 [--incremental] [--cache-size N] [--slide S]
+                 [--incremental] [--slide S]
                  [--cost-planning] [--tenants N] [--dup-ratio R] [--admission-budget CELLS]
                  [--metrics-addr HOST:PORT] [--trace-out trace.json]
                  [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]";
+
+/// One subcommand's flags: those that take a value, and switches.
+struct Flags {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+const SOLVE_FLAGS: Flags = Flags { values: &["--models", "--facts"], switches: &[] };
+const ANALYZE_FLAGS: Flags = Flags {
+    values: &["--resolution", "--window", "--slide"],
+    switches: &["--dot", "--weighted", "--json"],
+};
+const GENERATE_FLAGS: Flags =
+    Flags { values: &["--out", "--kind", "--size", "--windows", "--seed"], switches: &[] };
+const RUN_FLAGS: Flags = Flags {
+    values: &[
+        "--data",
+        "--window",
+        "--windows",
+        "--mode",
+        "--in-flight",
+        "--rate",
+        "--seed",
+        "--json",
+        "--trials",
+        "--slide",
+        "--tenants",
+        "--dup-ratio",
+        "--admission-budget",
+        "--metrics-addr",
+        "--trace-out",
+        "--deadline-ms",
+        "--fault-spec",
+    ],
+    switches: &["--events", "--incremental", "--cost-planning"],
+};
+
+/// Checks `args` against `flags`: every `--flag` must be listed, and one
+/// that takes a value must be followed by it. Returns the first positional
+/// argument, which is never a flag's value.
+fn check_flags<'a>(args: &'a [String], flags: &Flags) -> Result<Option<&'a str>, String> {
+    let mut positional = None;
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if flags.values.contains(&arg) {
+            rest.next().ok_or_else(|| format!("flag `{arg}` needs a value"))?;
+        } else if !arg.starts_with("--") {
+            positional = positional.or(Some(arg));
+        } else if !flags.switches.contains(&arg) {
+            return Err(format!("unknown flag `{arg}`\n{USAGE}"));
+        }
+    }
+    Ok(positional)
+}
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
@@ -107,10 +164,6 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn positional(args: &[String]) -> Option<&str> {
-    args.iter().find(|a| !a.starts_with("--")).map(String::as_str)
-}
-
 fn load_program(path: &str, syms: &Symbols) -> Result<Program, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_program(syms, &src).map_err(|e| format!("{path}: {e}"))
@@ -118,7 +171,7 @@ fn load_program(path: &str, syms: &Symbols) -> Result<Program, String> {
 
 /// `solve`: plain ASP solving (the engine standalone).
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("missing program file")?;
+    let path = check_flags(args, &SOLVE_FLAGS)?.ok_or("missing program file")?;
     let syms = Symbols::new();
     let mut program = load_program(path, &syms)?;
     if let Some(facts_path) = flag_value(args, "--facts") {
@@ -160,7 +213,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 /// against; `--json` emits only the machine-readable bound report (the
 /// golden-diffed format, see `tests/goldens/analysis/`).
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("missing program file")?;
+    let path = check_flags(args, &ANALYZE_FLAGS)?.ok_or("missing program file")?;
     let syms = Symbols::new();
     let program = load_program(path, &syms)?;
     let resolution: f64 = match flag_value(args, "--resolution") {
@@ -227,6 +280,7 @@ fn analyze_window_spec(args: &[String]) -> Result<WindowSpec, String> {
 
 /// `generate`: write a synthetic workload as N-Triples.
 fn cmd_generate(args: &[String]) -> Result<(), String> {
+    check_flags(args, &GENERATE_FLAGS)?;
     let out = flag_value(args, "--out").ok_or("missing --out file")?;
     let kind = match flag_value(args, "--kind").unwrap_or("sparse") {
         "faithful" => GeneratorKind::Faithful,
@@ -368,7 +422,7 @@ fn parse_mode(mode: &str) -> Result<RunMode, String> {
 /// window at a time (`--in-flight 0`, the default) or pipelined through the
 /// `StreamEngine` with `L` windows in flight.
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let path = positional(args).ok_or("missing program file")?;
+    let path = check_flags(args, &RUN_FLAGS)?.ok_or("missing program file")?;
     let syms = Symbols::new();
     let program = load_program(path, &syms)?;
     let window_size: usize =
@@ -390,13 +444,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         },
         None => None,
     };
-    let cache_size: usize = flag_value(args, "--cache-size")
-        .unwrap_or("256")
-        .parse()
-        .map_err(|_| "bad --cache-size")?;
     let incremental = has_flag(args, "--incremental");
     if incremental && matches!(mode, RunMode::Single) {
-        return Err("--incremental caches per-partition results; it needs a partitioned mode \
+        return Err("--incremental reuses per-community results; it needs a partitioned mode \
                     (--mode dep or --mode random:K)"
             .into());
     }
@@ -404,12 +454,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // order inside grounding, never the answers, so no flag-matrix
     // restriction applies (unlike --incremental above).
     let cost_planning = has_flag(args, "--cost-planning");
-    let reasoner_cfg = ReasonerConfig {
-        incremental,
-        cache_capacity: cache_size,
-        cost_planning,
-        ..Default::default()
-    };
+    let reasoner_cfg = ReasonerConfig { incremental, cost_planning, ..Default::default() };
 
     let windows = build_windows(args, window_size, slide, windows_cap, seed)?;
     let analysis = DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())
@@ -514,16 +559,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 "--json/--rate drive the pipelined engine; add --in-flight L (L >= 1)".into()
             );
         }
-        run_sequential(
-            &syms,
-            &program,
-            &analysis,
-            mode,
-            &reasoner_cfg,
-            &windows,
-            &projection,
-            obs.registry(),
-        )
+        run_sequential(&syms, &program, &analysis, mode, &reasoner_cfg, &windows, &projection)
     } else {
         if json_path.is_some() && rate > 0.0 {
             return Err("--json records sustained throughput against an unthrottled baseline; \
@@ -610,10 +646,6 @@ fn build_windows(
     Ok(windows)
 }
 
-/// A reasoning backend plus, for `--incremental` runs, the partition cache
-/// whose counters the caller reports.
-type BuiltReasoner = (Box<dyn Reasoner>, Option<Arc<PartitionCache>>);
-
 /// Builds the `--mode`-selected backend.
 fn build_reasoner(
     syms: &Symbols,
@@ -621,44 +653,25 @@ fn build_reasoner(
     analysis: &DependencyAnalysis,
     mode: RunMode,
     reasoner_cfg: &ReasonerConfig,
-) -> Result<BuiltReasoner, String> {
-    match mode.partitioner(analysis) {
+) -> Result<Box<dyn Reasoner>, AspError> {
+    let inpre = Some(analysis.inpre.as_slice());
+    let cfg = reasoner_cfg.clone();
+    Ok(match mode.partitioner(analysis) {
         None => {
-            let mut reasoner = SingleReasoner::new(syms, program, None, SolverConfig::default())
-                .map_err(|e| e.to_string())?;
+            let mut reasoner = SingleReasoner::new(syms, program, None, SolverConfig::default())?;
             reasoner.set_cost_planning(reasoner_cfg.cost_planning);
-            Ok((Box::new(reasoner), None))
+            Box::new(reasoner)
         }
         Some(partitioner) if reasoner_cfg.incremental => {
-            let reasoner = IncrementalReasoner::new(
-                syms,
-                program,
-                Some(&analysis.inpre),
-                partitioner,
-                reasoner_cfg.clone(),
-            )
-            .map_err(|e| e.to_string())?;
-            let cache = reasoner.cache().clone();
-            Ok((Box::new(reasoner), Some(cache)))
+            Box::new(IncrementalReasoner::new(syms, program, inpre, partitioner, cfg)?)
         }
-        Some(partitioner) => Ok((
-            Box::new(
-                ParallelReasoner::new(
-                    syms,
-                    program,
-                    Some(&analysis.inpre),
-                    partitioner,
-                    reasoner_cfg.clone(),
-                )
-                .map_err(|e| e.to_string())?,
-            ),
-            None,
-        )),
-    }
+        Some(partitioner) => {
+            Box::new(ParallelReasoner::new(syms, program, inpre, partitioner, cfg)?)
+        }
+    })
 }
 
 /// The window-at-a-time path (the original `run` behavior).
-#[allow(clippy::too_many_arguments)]
 fn run_sequential(
     syms: &Symbols,
     program: &Program,
@@ -667,12 +680,9 @@ fn run_sequential(
     reasoner_cfg: &ReasonerConfig,
     windows: &[Window],
     projection: &Projection,
-    registry: Option<&stream_reasoner::sr_obs::MetricsRegistry>,
 ) -> Result<(), String> {
-    let (mut reasoner, cache) = build_reasoner(syms, program, analysis, mode, reasoner_cfg)?;
-    if let (Some(registry), Some(cache)) = (registry, &cache) {
-        cache.register_metrics(registry);
-    }
+    let mut reasoner =
+        build_reasoner(syms, program, analysis, mode, reasoner_cfg).map_err(|e| e.to_string())?;
     for window in windows {
         let out = reasoner.process(window).map_err(|e| e.to_string())?;
         println!(
@@ -685,9 +695,6 @@ fn run_sequential(
         for ans in out.answers.iter().take(2) {
             print_answer(&projection.apply(ans, syms).display(syms).to_string());
         }
-    }
-    if let Some(cache) = cache {
-        print_cache_line(&cache.counters().snapshot());
     }
     Ok(())
 }
@@ -714,8 +721,8 @@ fn run_tenants(
         RunMode::Random(k) => TenantPartitioner::Random { k, seed: RANDOM_PARTITIONER_SEED },
         RunMode::Single => unreachable!("rejected in cmd_run"),
     };
-    // Serving is cache-backed by design: every entry shares one
-    // partition-level result cache sized by --cache-size.
+    // Serving is incremental by design: each entry reuses the communities
+    // a window's delta leaves untouched.
     let mut engine =
         MultiTenantEngine::new(ReasonerConfig { incremental: true, ..reasoner_cfg.clone() });
     engine.set_window_deadline_ms(deadline_ms);
@@ -761,7 +768,7 @@ fn run_tenants(
         dedup.tenant_windows, dedup.program_runs, dedup.shared_runs_saved, dedup.dedup_ratio
     );
     if let Some(snapshot) = &stats.incremental {
-        print_cache_line(snapshot);
+        print_planner_line(snapshot);
     }
     if let Some(f) = &stats.failure {
         print_failure_line(f);
@@ -809,14 +816,10 @@ fn print_failure_line(f: &FailureSnapshot) {
     );
 }
 
-/// Prints the partition-cache summary of an incremental run.
-fn print_cache_line(s: &IncrementalSnapshot) {
-    println!(
-        "cache: {} hits, {} misses, {} evictions, dirty partition ratio {:.2}",
-        s.hits, s.misses, s.evictions, s.dirty_partition_ratio
-    );
-    // Only printed when the cost-based planner actually ran (counters are
-    // omitted, never fabricated, for syntactic-heuristic runs).
+/// Prints the join-planning counters of an incremental run, only when the
+/// cost-based planner actually ran (counters are omitted, never fabricated,
+/// for syntactic-heuristic runs).
+fn print_planner_line(s: &IncrementalSnapshot) {
     if s.cost_planning {
         println!(
             "join planning: {} replans, {} plans reordered, stats generation {}",
@@ -857,7 +860,7 @@ fn run_engine(
             }),
             // Partitioned modes: all lanes share one worker pool sized so
             // each in-flight window can still fan out over its partitions
-            // (and, with --incremental, one partition-level result cache).
+            // (and, with --incremental, one set of reuse counters).
             Some(partitioner) => StreamEngine::with_partitioned_lanes(
                 syms,
                 program,
@@ -895,8 +898,9 @@ fn run_engine(
     let mut base_rendered: Vec<String> = Vec::new();
     for trial in 0..trials {
         // Fresh reasoner per pass: with --incremental, a reused one would
-        // replay warm caches and no longer measure the baseline.
-        let (mut baseline, _) = build_reasoner(syms, program, analysis, mode, reasoner_cfg)?;
+        // start warm and no longer measure the baseline.
+        let mut baseline = build_reasoner(syms, program, analysis, mode, reasoner_cfg)
+            .map_err(|e| e.to_string())?;
         let (stats, rendered) =
             sequential_baseline(syms, baseline.as_mut(), &windows).map_err(|e| e.to_string())?;
         if trial == 0 {
@@ -999,7 +1003,7 @@ fn print_engine_report(
         stats.submit_blocked_ms.unwrap_or(0.0)
     );
     if let Some(snapshot) = &stats.incremental {
-        print_cache_line(snapshot);
+        print_planner_line(snapshot);
     }
     if let Some(f) = &stats.failure {
         print_failure_line(f);

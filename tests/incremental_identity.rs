@@ -508,3 +508,81 @@ fn incremental_engine_matches_sequential_and_reports_cache() {
     assert_eq!(snapshot.hits + snapshot.misses, 2 * windows.len() as u64);
     assert!(report.stats.to_json().contains("\"incremental\": {"));
 }
+
+/// Exact reuse on P: alternating community bursts through a sliding
+/// window of an even number of slides, so each slide retracts and adds
+/// items of one community only. On one lane, after the first window exactly
+/// one of P's two communities is recomputed per window and the other is
+/// reused. On two lanes each lane answers every other window, so a lane's
+/// last window is never its next window's delta base: answers must stay
+/// identical all the same.
+#[test]
+fn alternating_community_bursts_recompute_exactly_one_community_per_slide() {
+    const SLIDE: usize = 50;
+    const SIZE: usize = 4 * SLIDE;
+    const WINDOWS: usize = 17;
+    let syms = Symbols::new();
+    let program = parse_program(&syms, PROGRAM_P).unwrap();
+    let analysis =
+        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+    assert_eq!(analysis.plan.communities, 2, "P splits into two communities");
+    let community = |t: &Triple| {
+        let routes = analysis.plan.communities_of(t.predicate_name()).expect("an input predicate");
+        assert_eq!(routes.len(), 1, "no duplicated predicate in P");
+        routes[0] as usize
+    };
+
+    // Bursts of SLIDE items, alternating between the two communities.
+    let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, 2017);
+    let mut queues: [Vec<Triple>; 2] = [Vec::new(), Vec::new()];
+    let mut stream = Vec::new();
+    for burst in 0..SIZE / SLIDE + WINDOWS - 1 {
+        let c = burst % 2;
+        while queues[c].len() < SLIDE {
+            for t in generator.window(SIZE) {
+                queues[community(&t)].push(t);
+            }
+        }
+        stream.extend(queues[c].drain(..SLIDE));
+    }
+    let mut windower = SlidingWindower::new(SIZE, SLIDE);
+    let windows: Vec<Window> = stream.into_iter().filter_map(|t| windower.push(t)).collect();
+    assert_eq!(windows.len(), WINDOWS);
+
+    let partitioner: Arc<dyn Partitioner> =
+        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+    let mut full = ParallelReasoner::new(
+        &syms,
+        &program,
+        Some(&analysis.inpre),
+        partitioner.clone(),
+        ReasonerConfig::default(),
+    )
+    .unwrap();
+    let expected: Vec<String> =
+        windows.iter().map(|w| render(&syms, &full.process(w).unwrap())).collect();
+    for in_flight in [1, 2] {
+        let mut engine = StreamEngine::with_partitioned_lanes(
+            &syms,
+            &program,
+            Some(&analysis.inpre),
+            partitioner.clone(),
+            ReasonerConfig { incremental: true, ..Default::default() },
+            EngineConfig { in_flight, queue_depth: 2, ..Default::default() },
+        )
+        .unwrap();
+        for w in &windows {
+            engine.submit(w.clone()).unwrap();
+        }
+        let report = engine.finish();
+        let actual: Vec<String> =
+            report.outputs.iter().map(|o| render(&syms, o.result.as_ref().unwrap())).collect();
+        assert_eq!(actual, expected, "reuse changed an answer ({in_flight} lanes)");
+        let reuse = report.stats.incremental.expect("incremental lanes report reuse");
+        if in_flight == 1 {
+            let slides = WINDOWS as u64 - 1;
+            assert_eq!(reuse.hits, slides, "one community reused per slide: {reuse:?}");
+            assert_eq!(reuse.misses, 2 + slides, "both at first, then one per slide: {reuse:?}");
+        }
+    }
+}

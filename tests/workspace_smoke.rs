@@ -102,3 +102,19 @@ fn run_truncates_multibyte_answers_at_a_char_boundary() {
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
     assert!(stdout.contains("...}"), "the answer set is shown truncated: {stdout}");
 }
+
+/// A misspelled or retired flag is an error that names it, not a flag
+/// silently ignored.
+#[test]
+fn run_rejects_unknown_flags_by_name() {
+    for flag in ["--incremantal", "--cache-size"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+            .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "1", flag])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("streamrule runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} was accepted: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{stderr}");
+    }
+}
