@@ -160,7 +160,7 @@ fn fault_pass(spec: &str, windows: &[Window]) {
         &program,
         Some(&analysis.inpre),
         Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0)),
-        ReasonerConfig { incremental: true, ..Default::default() },
+        ReasonerConfig::default(),
     )
     .expect("incremental reasoner");
     fault::install(plan);

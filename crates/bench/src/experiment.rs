@@ -213,20 +213,15 @@ impl ExperimentBench {
             }
             ParallelMode::Sequential => None,
         };
-        let build_pr = |partitioner: Arc<dyn sr_core::Partitioner>| match &pool {
-            Some(pool) => Ok(ParallelReasoner::with_pool(
-                &syms,
-                partitioner,
-                reasoner_cfg.clone(),
-                Arc::clone(pool),
-            )),
-            None => ParallelReasoner::new(
+        let build_pr = |partitioner: Arc<dyn sr_core::Partitioner>| {
+            ParallelReasoner::with_pool(
                 &syms,
                 &program,
                 Some(&analysis.inpre),
                 partitioner,
                 reasoner_cfg.clone(),
-            ),
+                pool.clone(),
+            )
         };
         let pr_dep = build_pr(dep_partitioner)?;
         let mut pr_ran = Vec::new();

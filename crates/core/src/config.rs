@@ -56,7 +56,9 @@ pub enum UnknownPredicate {
 /// How the parallel reasoner schedules its partitions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ParallelMode {
-    /// One long-lived worker thread per partition (the paper's Figure 6).
+    /// Dirty partitions run on a worker pool shared by the windows in
+    /// flight, sized by [`ReasonerConfig::workers`] (the paper's Figure 6
+    /// with one worker per partition).
     #[default]
     Threads,
     /// Process partitions sequentially in the caller thread — the
@@ -92,22 +94,20 @@ pub struct ReasonerConfig {
     pub unknown: UnknownPredicate,
     /// Combining semantics.
     pub combine: CombinePolicy,
-    /// Use the incremental reasoner ([`crate::incremental`]): on a window
-    /// that carries a delta against the last window it answered, reuse the
-    /// answer sets of the communities the delta does not touch (sliding
-    /// windows with slide ≪ size) instead of re-solving them. Windows
-    /// without a delta recompute every partition.
+    /// Read by nothing; kept for the measured surface, which still sets it.
+    /// Every partitioned reasoner reuses the communities a window's delta
+    /// leaves untouched, and recomputes every partition of a window without
+    /// a delta ([`crate::incremental`]).
     pub incremental: bool,
     /// Read by nothing. Kept for the measured surface, which still sets it;
     /// incremental reasoning keeps one answer per community and has no
     /// cache to size.
     pub cache_capacity: usize,
-    /// Kept for the measured surface. An
-    /// [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) with
-    /// this set serves its dirty partitions on its own thread, exactly as
+    /// Kept for the measured surface. A partitioned reasoner with this set
+    /// serves its dirty partitions on its own thread, exactly as
     /// [`ParallelMode::Sequential`] does, instead of on the worker pool.
     /// Each dirty partition is evaluated from scratch; no grounding is
-    /// maintained across windows. Other reasoners ignore it.
+    /// maintained across windows. The single reasoner ignores it.
     pub delta_ground: bool,
     /// Cost-based join planning in the grounder ([`asp_grounder::planner`]):
     /// order rule-body joins by estimated cost from live relation

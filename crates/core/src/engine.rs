@@ -12,7 +12,6 @@
 
 use crate::config::ReasonerConfig;
 use crate::fault::{self, FaultSite};
-use crate::incremental::IncrementalReasoner;
 use crate::metrics::{
     duration_ms, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
     IncrementalSnapshot, LatencyStats, TenantLatency,
@@ -127,7 +126,7 @@ pub struct EngineStats {
     /// so record readers can tell "never blocked" from "not applicable".
     pub submit_blocked_ms: Option<f64>,
     /// How many communities the lanes reused versus recomputed when they
-    /// run the incremental reasoner; `None` otherwise.
+    /// are partitioned; `None` for custom lanes.
     pub incremental: Option<IncrementalSnapshot>,
     /// Per-lane occupancy (busy-time fraction over the run).
     pub lanes: Vec<LaneOccupancy>,
@@ -269,11 +268,11 @@ pub struct StreamEngine {
     started: Option<Instant>,
     /// Cumulative time `submit` spent blocked on backpressure.
     blocked: Duration,
-    /// The lanes' shared reuse counters when they run incrementally.
+    /// The lanes' shared reuse counters when they are partitioned.
     cache_counters: Option<Arc<CacheCounters>>,
     occupancy: Arc<OccupancyAcc>,
     /// Recovery counters shared with the lanes, the collector and (for
-    /// incremental lanes) the reasoners' retry path.
+    /// partitioned lanes) the reasoners' retry path.
     failures: Arc<FailureCounters>,
     /// Per-window deadline; `None` disables degraded emission.
     deadline: Option<Duration>,
@@ -468,9 +467,8 @@ impl StreamEngine {
     }
 
     /// Like [`StreamEngine::new`] but sharing `failures` with the caller, so
-    /// lane reasoners that count their own retries/fallbacks (see
-    /// [`IncrementalReasoner::set_failure_counters`]) land in the same
-    /// snapshot as the engine-level degradations.
+    /// lane reasoners that count their own retries/fallbacks land in the
+    /// same snapshot as the engine-level degradations.
     fn new_inner(
         config: EngineConfig,
         mut factory: impl FnMut(usize) -> Result<Box<dyn Reasoner>, AspError>,
@@ -614,14 +612,13 @@ impl StreamEngine {
 
     /// Convenience: an engine whose lanes are [`ParallelReasoner`]s sharing
     /// one worker pool sized `partitions × in_flight`, so every in-flight
-    /// window can fan out over its partitions concurrently. This is the
-    /// standard construction for pipelined `PR` streaming (used by both the
-    /// bench harness and the CLI). With [`ReasonerConfig::incremental`] set,
-    /// the lanes are [`IncrementalReasoner`]s sharing the pool and one set
-    /// of [`CacheCounters`], which [`EngineStats::incremental`] reports on
-    /// [`StreamEngine::finish`]. Each lane reuses only what it computed
-    /// itself, so with several lanes a community is reused only when the
-    /// same lane answered the window the delta is based on.
+    /// window can fan out over its partitions concurrently, and one set of
+    /// [`CacheCounters`], which [`EngineStats::incremental`] reports on
+    /// [`StreamEngine::finish`]. This is the standard construction for
+    /// pipelined `PR` streaming (the CLI's and the benchmark's). Each lane
+    /// reuses only what it computed itself, so with several lanes a
+    /// community is reused only when the same lane answered the window the
+    /// delta is based on.
     pub fn with_partitioned_lanes(
         syms: &Symbols,
         program: &Program,
@@ -630,51 +627,39 @@ impl StreamEngine {
         reasoner_cfg: ReasonerConfig,
         config: EngineConfig,
     ) -> Result<Self, AspError> {
-        let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
-        let solver = SolverConfig { max_models: reasoner_cfg.max_models, ..Default::default() };
-        let build_pool = || {
-            reasoner_pool(syms, program, inpre, &solver, workers, reasoner_cfg.cost_planning)
-                .map(Arc::new)
+        // `delta_ground` keeps every dirty partition on the lane thread, so
+        // such lanes get no pool at all.
+        let pool = if reasoner_cfg.delta_ground {
+            None
+        } else {
+            let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
+            let solver = SolverConfig { max_models: reasoner_cfg.max_models, ..Default::default() };
+            let cost_planning = reasoner_cfg.cost_planning;
+            Some(Arc::new(reasoner_pool(syms, program, inpre, &solver, workers, cost_planning)?))
         };
-        if reasoner_cfg.incremental {
-            // `delta_ground` keeps every dirty partition on the lane thread,
-            // so such lanes get no pool at all.
-            let pool = if reasoner_cfg.delta_ground { None } else { Some(build_pool()?) };
-            let counters = Arc::new(CacheCounters::default());
-            let failures = Arc::new(FailureCounters::default());
-            let mut engine = StreamEngine::new_inner(
-                config,
-                |_lane| {
-                    let mut reasoner = IncrementalReasoner::with_pool(
-                        syms,
-                        program,
-                        inpre,
-                        partitioner.clone(),
-                        reasoner_cfg.clone(),
-                        pool.clone(),
-                    )?;
-                    // Lane-level retries/fallbacks count into the same
-                    // snapshot as the engine's own degradations.
-                    reasoner.set_failure_counters(Arc::clone(&failures));
-                    reasoner.set_cache_counters(Arc::clone(&counters));
-                    Ok(Box::new(reasoner) as Box<dyn Reasoner>)
-                },
-                Arc::clone(&failures),
-            )?;
-            engine.cache_counters = Some(counters);
-            engine.pool_workers = pool.map_or(0, |p| p.workers());
-            return Ok(engine);
-        }
-        let pool = build_pool()?;
-        let mut engine = StreamEngine::new(config, |_lane| {
-            Ok(Box::new(ParallelReasoner::with_pool(
-                syms,
-                partitioner.clone(),
-                reasoner_cfg.clone(),
-                pool.clone(),
-            )) as Box<dyn Reasoner>)
-        })?;
-        engine.pool_workers = pool.workers();
+        let counters = Arc::new(CacheCounters::default());
+        let failures = Arc::new(FailureCounters::default());
+        let mut engine = StreamEngine::new_inner(
+            config,
+            |_lane| {
+                let mut reasoner = ParallelReasoner::with_pool(
+                    syms,
+                    program,
+                    inpre,
+                    partitioner.clone(),
+                    reasoner_cfg.clone(),
+                    pool.clone(),
+                )?;
+                // Lane-level retries/fallbacks count into the same snapshot
+                // as the engine's own degradations.
+                reasoner.set_failure_counters(Arc::clone(&failures));
+                reasoner.set_cache_counters(Arc::clone(&counters));
+                Ok(Box::new(reasoner) as Box<dyn Reasoner>)
+            },
+            Arc::clone(&failures),
+        )?;
+        engine.cache_counters = Some(counters);
+        engine.pool_workers = pool.map_or(0, |p| p.workers());
         Ok(engine)
     }
 
@@ -694,7 +679,7 @@ impl StreamEngine {
     /// histogram, queue occupancy and per-lane busy time. Collector
     /// closures capture `Arc`s, so the bindings stay valid (frozen at their
     /// final values) after [`StreamEngine::finish`]. When the lanes run
-    /// incrementally their shared reuse counters are registered too.
+    /// partitioned their shared reuse counters are registered too.
     pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
         let stats = Arc::clone(&self.stats);
         registry.register_counter_fn("sr_engine_windows_total", &[], move || {
@@ -1365,21 +1350,20 @@ mod tests {
             analysis.plan.clone(),
             crate::config::UnknownPredicate::Partition0,
         ));
-        let pool_workers = |incremental: bool, delta_ground: bool| {
+        let pool_workers = |delta_ground: bool| {
             let engine = StreamEngine::with_partitioned_lanes(
                 &syms,
                 &program,
                 Some(&analysis.inpre),
                 partitioner.clone(),
-                ReasonerConfig { incremental, delta_ground, ..Default::default() },
+                ReasonerConfig { delta_ground, ..Default::default() },
                 EngineConfig { in_flight: 2, queue_depth: 2, ..Default::default() },
             )
             .unwrap();
             engine.pool_workers()
         };
-        assert_eq!(pool_workers(true, true), 0, "delta_ground lanes never submit to a pool");
-        assert_eq!(pool_workers(true, false), 4, "2 partitions x 2 lanes");
-        assert_eq!(pool_workers(false, false), 4);
+        assert_eq!(pool_workers(true), 0, "delta_ground lanes never submit to a pool");
+        assert_eq!(pool_workers(false), 4, "2 partitions x 2 lanes");
     }
 
     #[test]
@@ -1416,19 +1400,18 @@ mod tests {
         }
         assert_eq!(windows.len(), 4);
 
-        let run = |incremental: bool| {
-            let reasoner_cfg = ReasonerConfig { incremental, ..Default::default() };
+        let run = |windows: Vec<Window>| {
             let mut engine = StreamEngine::with_partitioned_lanes(
                 &syms,
                 &program,
                 Some(&analysis.inpre),
                 partitioner.clone(),
-                reasoner_cfg,
+                ReasonerConfig::default(),
                 EngineConfig { in_flight: 1, queue_depth: 2, ..Default::default() },
             )
             .unwrap();
-            for w in &windows {
-                engine.submit(w.clone()).unwrap();
+            for w in windows {
+                engine.submit(w).unwrap();
             }
             let report = engine.finish();
             let rendered: Vec<String> = report
@@ -1445,10 +1428,14 @@ mod tests {
                 .collect();
             (rendered, report.stats)
         };
-        let (full, full_stats) = run(false);
-        let (inc, inc_stats) = run(true);
+        // The same windows without their deltas: tumbling, so every
+        // community of every window is recomputed.
+        let (full, full_stats) =
+            run(windows.iter().map(|w| Window::new(w.id, w.items.clone())).collect());
+        let (inc, inc_stats) = run(windows.clone());
         assert_eq!(full, inc, "incremental lanes must be byte-identical");
-        assert!(full_stats.incremental.is_none());
+        let tumbling = full_stats.incremental.expect("partitioned lanes report cache stats");
+        assert_eq!((tumbling.hits, tumbling.misses), (0, 8), "tumbling lanes reuse nothing");
         let snap = inc_stats.incremental.expect("incremental lanes report cache stats");
         assert_eq!(snap.misses, 2 + 3, "window 0 solves both, then one per slide");
         assert_eq!(snap.hits, 3, "the community a slide leaves alone is reused");

@@ -1,5 +1,6 @@
-//! Incremental reasoning over sliding windows: reuse the answers of the
-//! communities a slide did not touch.
+//! The partitioned reasoner **PR** of the extended StreamRule (Figure 6):
+//! partitioning handler → copies of the reasoner `R` → combining handler,
+//! reusing the answers of the communities a slide did not touch.
 //!
 //! The paper's input-dependency partitioning makes partitions independent
 //! under the dependency graph, so a community whose input is unchanged
@@ -27,6 +28,11 @@
 //! window this reasoner did not answer, and of the first window after an
 //! error.
 //!
+//! The stream also decides what is held between windows: a window's answers
+//! are kept unless both it and the window answered before it came without a
+//! delta. A tumbling stream therefore holds nothing, while a sliding
+//! stream's first window, which has no delta, is held for its second.
+//!
 //! A dirty partition is evaluated from scratch. For a stratified program
 //! that means its perfect model, bottom-up
 //! ([`asp_grounder::Grounder::perfect_model`]).
@@ -39,7 +45,7 @@
 use crate::config::{ParallelMode, ReasonerConfig};
 use crate::fault::{self, FaultSite};
 use crate::metrics::{CacheCounters, FailureCounters};
-use crate::parallel::{max_timing, reasoner_pool, sum_timing, ReasonerPool};
+use crate::parallel::{reasoner_pool, ReasonerPool};
 use crate::partition::Partitioner;
 use crate::poison::lock_recover;
 use crate::reasoner::{merge_stats, Reasoner, ReasonerOutput, SingleReasoner, Timing};
@@ -196,11 +202,13 @@ impl PartitionCache {
     }
 }
 
-/// The incremental parallel reasoner: partition → mark the communities the
+/// The partitioned reasoner PR: partition → mark the communities the
 /// window's delta touched dirty → reuse the clean ones' last answers,
-/// re-solve the dirty ones → combine. Implements [`Reasoner`], so it drops
-/// into the [`StreamEngine`](crate::engine::StreamEngine) unchanged. See the
-/// module docs for when a community is clean.
+/// re-solve the dirty ones → combine. It is the only partitioned executor;
+/// [`ParallelReasoner`](crate::parallel::ParallelReasoner) is another name
+/// for it. Implements [`Reasoner`], so it drops into the
+/// [`StreamEngine`](crate::engine::StreamEngine) unchanged. See the module
+/// docs for when a community is clean and what is held between windows.
 pub struct IncrementalReasoner {
     syms: Symbols,
     partitioner: Arc<dyn Partitioner>,
@@ -215,8 +223,12 @@ pub struct IncrementalReasoner {
     /// [`IncrementalReasoner::recover_partition`]).
     scratch: SingleReasoner,
     /// The id of the last window this reasoner answered, and each
-    /// community's answers in it. Written only after a successful window.
+    /// community's answers in it. Written only after a successful window,
+    /// and `None` after two delta-less windows in a row.
     last: Option<(u64, Vec<Arc<Vec<AnswerSet>>>)>,
+    /// Whether the last window this reasoner answered came with a delta;
+    /// `true` before the first, so a stream's first window is held.
+    last_had_delta: bool,
     /// Reuse (`hits`) and recompute (`misses`) counters, shared across the
     /// lanes of one engine or the entries of one registry via
     /// [`IncrementalReasoner::set_cache_counters`]; a private default
@@ -233,9 +245,10 @@ pub struct IncrementalReasoner {
 }
 
 impl IncrementalReasoner {
-    /// Builds the incremental reasoner with its own worker pool (Threads
-    /// mode without [`ReasonerConfig::delta_ground`]) or caller-thread
-    /// execution.
+    /// Builds PR with its own worker pool sized by
+    /// [`ReasonerConfig::workers`] (`0` = one worker per partition, the
+    /// paper's Figure 6 degree of parallelism) in Threads mode without
+    /// [`ReasonerConfig::delta_ground`], or with caller-thread execution.
     pub fn new(
         syms: &Symbols,
         program: &Program,
@@ -287,6 +300,7 @@ impl IncrementalReasoner {
             config,
             scratch,
             last: None,
+            last_had_delta: true,
             counters: Arc::new(CacheCounters::default()),
             failures: Arc::new(FailureCounters::default()),
             scratch_reported: (0, 0),
@@ -321,6 +335,11 @@ impl IncrementalReasoner {
     /// Number of parallel partitions.
     pub fn partitions(&self) -> usize {
         self.partitioner.partitions()
+    }
+
+    /// Worker threads of the pool serving dirty partitions (0 without one).
+    pub fn workers(&self) -> usize {
+        self.pool.as_ref().map_or(0, |p| p.workers())
     }
 
     /// How many times a failed partition job is retried on the scratch
@@ -412,9 +431,7 @@ impl IncrementalReasoner {
     }
 
     /// Processes one window: partition → dirty check → solve dirty →
-    /// combine. Output is byte-identical to
-    /// [`ParallelReasoner`](crate::parallel::ParallelReasoner) over the same
-    /// partitioner.
+    /// combine. Output is byte-identical to recomputing every partition.
     pub fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
         use std::sync::atomic::Ordering;
         let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
@@ -538,7 +555,9 @@ impl IncrementalReasoner {
             )
         };
         let combine_time = t_combine.elapsed();
-        self.last = Some((window.id, per_partition));
+        let has_delta = window.delta.is_some();
+        self.last = (has_delta || self.last_had_delta).then_some((window.id, per_partition));
+        self.last_had_delta = has_delta;
 
         Ok(ReasonerOutput {
             answers,
@@ -557,9 +576,33 @@ impl IncrementalReasoner {
     }
 }
 
+/// Stage-wise maximum: the critical path of partitions run concurrently.
+fn max_timing(a: Timing, b: Timing) -> Timing {
+    Timing {
+        total: a.total.max(b.total),
+        partition: a.partition.max(b.partition),
+        transform: a.transform.max(b.transform),
+        ground: a.ground.max(b.ground),
+        solve: a.solve.max(b.solve),
+        combine: a.combine.max(b.combine),
+    }
+}
+
+/// Stage-wise sum: partitions run one after the other.
+fn sum_timing(a: Timing, b: Timing) -> Timing {
+    Timing {
+        total: a.total + b.total,
+        partition: a.partition + b.partition,
+        transform: a.transform + b.transform,
+        ground: a.ground + b.ground,
+        solve: a.solve + b.solve,
+        combine: a.combine + b.combine,
+    }
+}
+
 impl Reasoner for IncrementalReasoner {
     fn name(&self) -> &'static str {
-        "IR"
+        "PR"
     }
 
     fn partitions(&self) -> usize {
@@ -689,6 +732,11 @@ mod tests {
         Window::new(id, items).with_delta(WindowDelta { base_id, added: Vec::new(), retracted })
     }
 
+    /// `window` without its delta: the reference recomputes every partition.
+    fn tumbling(window: &Window) -> Window {
+        Window::new(window.id, window.items.clone())
+    }
+
     #[test]
     fn identical_to_parallel_reasoner_and_second_window_hits() {
         let (syms, mut pr, mut ir) =
@@ -719,7 +767,7 @@ mod tests {
         let w1 = after(1, 0, items, vec![light]);
         let inc = ir.process(&w1).unwrap();
         pr.process(&w0).unwrap();
-        let full = pr.process(&w1).unwrap();
+        let full = pr.process(&tumbling(&w1)).unwrap();
         let rendered = render(&syms, &inc);
         assert_eq!(rendered, render(&syms, &full));
         assert!(rendered[0].contains("traffic_jam(newcastle)"), "{rendered:?}");
@@ -752,10 +800,33 @@ mod tests {
         ir.process(&w0).unwrap();
         let inc = render(&syms, &ir.process(&w2).unwrap());
         pr.process(&w1).unwrap();
-        assert_eq!(inc, render(&syms, &pr.process(&w2).unwrap()));
+        assert_eq!(inc, render(&syms, &pr.process(&tumbling(&w2)).unwrap()));
         assert!(inc[0].contains("traffic_jam(newcastle)"), "{inc:?}");
         let snap = ir.cache_counters().snapshot();
         assert_eq!((snap.hits, snap.misses), (0, 4), "w2 cannot reuse w0: {snap:?}");
+    }
+
+    #[test]
+    fn delta_less_windows_hold_answers_only_for_a_sliding_successor() {
+        let (_syms, _pr, mut ir) = build_pair(ReasonerConfig::default());
+        // Tumbling: the first window is held, two delta-less windows in a
+        // row release it and hold nothing.
+        ir.process(&Window::new(0, motivating_items())).unwrap();
+        assert!(ir.last.is_some(), "a stream's first window is held");
+        ir.process(&Window::new(1, motivating_items())).unwrap();
+        assert!(ir.last.is_none(), "two delta-less windows in a row hold nothing");
+        ir.process(&Window::new(2, motivating_items())).unwrap();
+        assert!(ir.last.is_none());
+
+        // Sliding: the first window has no delta, yet it is held and its
+        // communities are reused by the second.
+        let (syms, _pr, mut ir) = build_pair(ReasonerConfig::default());
+        let first = render(&syms, &ir.process(&Window::new(0, motivating_items())).unwrap());
+        let second = ir.process(&after(1, 0, motivating_items(), Vec::new())).unwrap();
+        assert_eq!(render(&syms, &second), first);
+        let snap = ir.cache_counters().snapshot();
+        assert_eq!((snap.hits, snap.misses), (2, 2), "the second window reuses both: {snap:?}");
+        assert!(ir.last.is_some(), "a delta window is held");
     }
 
     #[test]
@@ -835,7 +906,7 @@ mod tests {
         let mut windower = SlidingWindower::new(6, 2);
         for item in sliding_stream(4) {
             if let Some(w) = windower.push(item) {
-                let full = pr.process(&w).unwrap();
+                let full = pr.process(&tumbling(&w)).unwrap();
                 let inc = ir.process(&w).unwrap();
                 assert_eq!(render(&syms, &full), render(&syms, &inc), "window {}", w.id);
             }

@@ -216,7 +216,7 @@ impl IncrementalSnapshot {
 }
 
 /// Live counters of the fault-tolerance machinery, shared (behind an `Arc`)
-/// between the engine collector, its lanes' incremental reasoners, and the
+/// between the engine collector, its lanes' partitioned reasoners, and the
 /// multi-tenant scheduler. Atomics: lanes and the collector update them
 /// concurrently.
 #[derive(Debug, Default)]

@@ -5,22 +5,18 @@
 //!
 //! Partition jobs run on a shared [`WorkerPool`] (see [`crate::exec`])
 //! instead of one dedicated thread per partition: the pool size is
-//! configurable via [`ReasonerConfig::workers`], results come back through
-//! reusable batch slots rather than a per-call reply channel, and the same
-//! pool can be shared by several `ParallelReasoner` instances (one per
-//! engine lane) via [`ParallelReasoner::with_pool`].
+//! configurable via [`ReasonerConfig::workers`](crate::ReasonerConfig),
+//! results come back through reusable batch slots rather than a per-call
+//! reply channel, and the same pool can be shared by several reasoners (one
+//! per engine lane) via [`IncrementalReasoner::with_pool`]. The executor
+//! itself lives in [`crate::incremental`].
 
-use crate::combine::combine;
-use crate::config::{ParallelMode, ReasonerConfig};
 use crate::exec::{WorkerFn, WorkerPool};
-use crate::partition::Partitioner;
-use crate::reasoner::{merge_stats, Reasoner, ReasonerOutput, SingleReasoner, Timing};
+use crate::incremental::IncrementalReasoner;
+use crate::reasoner::{SingleReasoner, Timing};
 use asp_core::{AnswerSet, AspError, Predicate, Program, Symbols};
 use asp_solver::{SolveStats, SolverConfig};
 use sr_rdf::Triple;
-use sr_stream::Window;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Result of reasoning over one partition's items.
 pub type PartOutcome = Result<(Vec<AnswerSet>, Timing, SolveStats), AspError>;
@@ -65,207 +61,23 @@ pub fn reasoner_pool(
     WorkerPool::new("pr-worker", fns)
 }
 
-/// The parallel reasoner.
-pub struct ParallelReasoner {
-    syms: Symbols,
-    partitioner: Arc<dyn Partitioner>,
-    config: ReasonerConfig,
-    /// Threads mode: the (possibly shared) worker pool.
-    pool: Option<Arc<ReasonerPool>>,
-    /// Sequential mode: one reasoner per partition, run in the caller.
-    sequential: Vec<SingleReasoner>,
-}
-
-impl ParallelReasoner {
-    /// Builds PR with its own worker pool sized by
-    /// [`ReasonerConfig::workers`] (`0` = one worker per partition, the
-    /// paper's Figure 6 degree of parallelism).
-    pub fn new(
-        syms: &Symbols,
-        program: &Program,
-        inpre: Option<&[Predicate]>,
-        partitioner: Arc<dyn Partitioner>,
-        config: ReasonerConfig,
-    ) -> Result<Self, AspError> {
-        let n = partitioner.partitions().max(1);
-        let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
-        match config.mode {
-            ParallelMode::Threads => {
-                let workers = if config.workers == 0 { n } else { config.workers };
-                let pool = Arc::new(reasoner_pool(
-                    syms,
-                    program,
-                    inpre,
-                    &solver,
-                    workers,
-                    config.cost_planning,
-                )?);
-                Ok(Self::assemble(syms, partitioner, config, Some(pool), Vec::new()))
-            }
-            ParallelMode::Sequential => {
-                let mut sequential = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut r = SingleReasoner::new(syms, program, inpre, solver.clone())?;
-                    r.set_cost_planning(config.cost_planning);
-                    sequential.push(r);
-                }
-                Ok(Self::assemble(syms, partitioner, config, None, sequential))
-            }
-        }
-    }
-
-    /// Builds PR on top of an existing shared pool (Threads semantics). The
-    /// pool's workers must have been built for the same program/signature.
-    pub fn with_pool(
-        syms: &Symbols,
-        partitioner: Arc<dyn Partitioner>,
-        config: ReasonerConfig,
-        pool: Arc<ReasonerPool>,
-    ) -> Self {
-        Self::assemble(syms, partitioner, config, Some(pool), Vec::new())
-    }
-
-    fn assemble(
-        syms: &Symbols,
-        partitioner: Arc<dyn Partitioner>,
-        config: ReasonerConfig,
-        pool: Option<Arc<ReasonerPool>>,
-        sequential: Vec<SingleReasoner>,
-    ) -> Self {
-        ParallelReasoner { syms: syms.clone(), partitioner, config, pool, sequential }
-    }
-
-    /// Number of parallel partitions.
-    pub fn partitions(&self) -> usize {
-        self.partitioner.partitions()
-    }
-
-    /// Worker threads backing the Threads mode (0 in Sequential mode).
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.workers())
-    }
-
-    /// Processes one window: partition → parallel reason → combine.
-    pub fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
-        // Caller-thread spans (partition/combine) attribute to this window;
-        // lane/tenant tags installed by outer scopes are preserved.
-        let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
-            sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: window.id, ..sr_obs::current_ctx() })
-        });
-        let start = Instant::now();
-        let t_part = Instant::now();
-        let parts = {
-            let _span = sr_obs::span(sr_obs::Stage::Partition);
-            self.partitioner.partition(window)
-        };
-        let partition_time = t_part.elapsed();
-        let partition_sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-
-        let mut per_partition: Vec<Vec<AnswerSet>> = vec![Vec::new(); parts.len()];
-        let mut stats = SolveStats::default();
-        let mut critical = Timing::default();
-
-        match &self.pool {
-            Some(pool) => {
-                let batch = pool.submit(window.id, parts);
-                for (idx, outcome) in batch.wait().into_iter().enumerate() {
-                    let result = outcome.map_err(|_| {
-                        AspError::Internal("parallel reasoner worker panicked".into())
-                    })?;
-                    let (answers, timing, s) = result?;
-                    per_partition[idx] = answers;
-                    stats = merge_stats(stats, s);
-                    critical = max_timing(critical, timing);
-                }
-            }
-            None => {
-                let n_reasoners = self.sequential.len();
-                for (i, items) in parts.into_iter().enumerate() {
-                    let reasoner = &mut self.sequential[i % n_reasoners];
-                    let (answers, timing, s) = reasoner.process_items(&items)?;
-                    per_partition[i] = answers;
-                    stats = merge_stats(stats, s);
-                    // Sequential mode has no critical path: stages add up.
-                    critical = sum_timing(critical, timing);
-                }
-            }
-        }
-
-        let t_combine = Instant::now();
-        let (answers, unsat_partitions) = {
-            let _span = sr_obs::span(sr_obs::Stage::Combine);
-            combine(&self.syms, &per_partition, self.config.combine, self.config.max_combined)
-        };
-        let combine_time = t_combine.elapsed();
-
-        Ok(ReasonerOutput {
-            answers,
-            timing: Timing {
-                total: start.elapsed(),
-                partition: partition_time,
-                transform: critical.transform,
-                ground: critical.ground,
-                solve: critical.solve,
-                combine: combine_time,
-            },
-            partition_sizes,
-            unsat_partitions,
-            solve_stats: stats,
-        })
-    }
-}
-
-impl Reasoner for ParallelReasoner {
-    fn name(&self) -> &'static str {
-        "PR"
-    }
-
-    fn partitions(&self) -> usize {
-        ParallelReasoner::partitions(self)
-    }
-
-    fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
-        ParallelReasoner::process(self, window)
-    }
-
-    fn recover(&mut self) -> bool {
-        // Pool workers catch their own panics and keep no cross-window
-        // state; the dispatcher side holds none either.
-        true
-    }
-}
-
-pub(crate) fn max_timing(a: Timing, b: Timing) -> Timing {
-    Timing {
-        total: a.total.max(b.total),
-        partition: a.partition.max(b.partition),
-        transform: a.transform.max(b.transform),
-        ground: a.ground.max(b.ground),
-        solve: a.solve.max(b.solve),
-        combine: a.combine.max(b.combine),
-    }
-}
-
-pub(crate) fn sum_timing(a: Timing, b: Timing) -> Timing {
-    Timing {
-        total: a.total + b.total,
-        partition: a.partition + b.partition,
-        transform: a.transform + b.transform,
-        ground: a.ground + b.ground,
-        solve: a.solve + b.solve,
-        combine: a.combine + b.combine,
-    }
-}
+/// The paper's name for the partitioned reasoner: one executor serves every
+/// partitioned window and reuses clean communities whenever the window's
+/// delta allows it.
+pub type ParallelReasoner = IncrementalReasoner;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::UnknownPredicate;
-    use crate::partition::{PlanPartitioner, RandomPartitioner};
+    use crate::config::{ParallelMode, ReasonerConfig, UnknownPredicate};
+    use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
     use crate::plan::PartitioningPlan;
+    use crate::reasoner::ReasonerOutput;
     use asp_core::FastMap;
     use asp_parser::parse_program;
     use sr_rdf::Node;
+    use sr_stream::Window;
+    use std::sync::Arc;
 
     const PROGRAM_P: &str = r#"
         very_slow_speed(X) :- average_speed(X,Y), Y < 20.
@@ -420,14 +232,13 @@ mod tests {
         );
         let partitioner =
             Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
-        let mut a = ParallelReasoner::with_pool(
-            &syms,
-            partitioner.clone(),
-            ReasonerConfig::default(),
-            pool.clone(),
-        );
-        let mut b =
-            ParallelReasoner::with_pool(&syms, partitioner, ReasonerConfig::default(), pool);
+        let build = |pool| {
+            let cfg = ReasonerConfig::default();
+            ParallelReasoner::with_pool(&syms, &program, None, partitioner.clone(), cfg, Some(pool))
+                .unwrap()
+        };
+        let mut a = build(pool.clone());
+        let mut b = build(pool);
         let out_a = a.process(&motivating_window()).unwrap();
         let out_b = b.process(&motivating_window()).unwrap();
         let render = |o: &ReasonerOutput| o.answers[0].display(&syms).to_string();

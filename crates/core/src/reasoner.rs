@@ -52,10 +52,12 @@ pub struct ReasonerOutput {
 }
 
 /// A pluggable reasoning backend: anything that can turn a window into
-/// answer sets. Implemented by [`SingleReasoner`] (the paper's `R`) and
-/// [`ParallelReasoner`](crate::parallel::ParallelReasoner) (the extended
-/// architecture's `PR`); the [`StreamEngine`](crate::engine::StreamEngine)
-/// is generic over it.
+/// answer sets. Implemented by [`SingleReasoner`] (the paper's `R`) and by
+/// the one partitioned executor,
+/// [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) (the
+/// extended architecture's `PR`, also named
+/// [`ParallelReasoner`](crate::parallel::ParallelReasoner)); the
+/// [`StreamEngine`](crate::engine::StreamEngine) is generic over it.
 pub trait Reasoner: Send {
     /// A short label for reports (`"R"`, `"PR"`, ...).
     fn name(&self) -> &'static str;

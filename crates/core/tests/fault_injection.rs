@@ -45,9 +45,8 @@ fn render(syms: &Symbols, out: &ReasonerOutput) -> Vec<String> {
     out.answers.iter().map(|a| a.display(syms).to_string()).collect()
 }
 
-/// P's two communities over the sequential scratch path, which hosts the
-/// same fault hooks the pool workers do.
-fn build_pair() -> (Symbols, ParallelReasoner, IncrementalReasoner) {
+/// P's two communities.
+fn paper_partitioner() -> Arc<dyn Partitioner> {
     let mut membership: FastMap<String, Vec<u32>> = FastMap::default();
     for p in ["average_speed", "car_number", "traffic_light"] {
         membership.insert(p.to_string(), vec![0]);
@@ -56,16 +55,34 @@ fn build_pair() -> (Symbols, ParallelReasoner, IncrementalReasoner) {
         membership.insert(p.to_string(), vec![1]);
     }
     let plan = PartitioningPlan { communities: 2, membership };
+    Arc::new(PlanPartitioner::new(plan, UnknownPredicate::Partition0))
+}
+
+/// P's two communities over the sequential scratch path, which hosts the
+/// same fault hooks the pool workers do.
+fn build_pair() -> (Symbols, ParallelReasoner, IncrementalReasoner) {
     let config =
         ReasonerConfig { incremental: true, mode: ParallelMode::Sequential, ..Default::default() };
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
-    let partitioner: Arc<dyn Partitioner> =
-        Arc::new(PlanPartitioner::new(plan, UnknownPredicate::Partition0));
+    let partitioner = paper_partitioner();
     let pr =
         ParallelReasoner::new(&syms, &program, None, partitioner.clone(), config.clone()).unwrap();
     let ir = IncrementalReasoner::new(&syms, &program, None, partitioner, config).unwrap();
     (syms, pr, ir)
+}
+
+/// A `WorkerPanic` seed that fires at some partition of window 0 but at none
+/// of the attempt-salted retry coordinates of a partition it hit, so a
+/// rate-0.5 plan with it is a transient fault.
+fn transient_panic_seed() -> u64 {
+    (0..10_000)
+        .find(|&s| {
+            let plan = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, s);
+            let fires = |p: u64| plan.fires(FaultSite::WorkerPanic, 0, p);
+            (0..2).any(&fires) && (0..2).all(|i| !fires(i) || !fires(i + (1 << 32)))
+        })
+        .expect("such a seed exists")
 }
 
 #[test]
@@ -90,22 +107,43 @@ fn injected_panic_recovers_with_identical_output() {
     let (syms, mut pr, mut ir) = build_pair();
     let w = Window::new(0, motivating_items());
     let expected = render(&syms, &pr.process(&w).unwrap());
-    // A seed whose fault fires at some original coordinate but at none of
-    // the attempt-salted retry coordinates: recovery must succeed.
-    let seed = (0..10_000)
-        .find(|&s| {
-            let plan = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, s);
-            let fires = |p: u64| plan.fires(FaultSite::WorkerPanic, 0, p);
-            (0..2).any(&fires) && (0..2).all(|i| !fires(i) || !fires(i + (1 << 32)))
-        })
-        .expect("such a seed exists");
-    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, seed));
+    // The fault is transient: recovery must succeed.
+    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, transient_panic_seed()));
     let recovered = ir.process(&w);
     fault::clear();
     assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
     let snap = ir.failure_counters().snapshot();
     assert!(snap.retries > 0, "the panicked partition was retried: {snap:?}");
     assert!(snap.fallbacks > 0, "and recovered via the re-ground fallback: {snap:?}");
+}
+
+#[test]
+fn pooled_panics_in_a_parallel_reasoner_are_retried_on_scratch() {
+    let _guard = fault::test_guard();
+    fault::clear();
+    // Threads mode with its own pool, built without `incremental`.
+    let syms = Symbols::new();
+    let program = parse_program(&syms, PROGRAM_P).unwrap();
+    let config = ReasonerConfig { mode: ParallelMode::Threads, ..Default::default() };
+    let mut pr = ParallelReasoner::new(&syms, &program, None, paper_partitioner(), config).unwrap();
+    assert_eq!(pr.workers(), 2, "one pooled worker per partition");
+    let w = Window::new(0, motivating_items());
+    let expected = render(&syms, &pr.process(&w).unwrap());
+
+    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, transient_panic_seed()));
+    let recovered = pr.process(&w);
+    fault::clear();
+    assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
+    let snap = pr.failure_counters().snapshot();
+    assert!(snap.retries > 0, "the panicked pooled job was retried: {snap:?}");
+
+    // Rate 1.0 also fires at every retry: the window errors, named.
+    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 1));
+    let err = pr.process(&Window::new(7, motivating_items()));
+    fault::clear();
+    let msg = format!("{:?}", err.expect_err("rate-1.0 panics exhaust the retries"));
+    assert!(msg.contains("window 7"), "error names the window: {msg}");
+    assert!(msg.contains("partition"), "error names the partition: {msg}");
 }
 
 #[test]

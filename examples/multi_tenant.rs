@@ -30,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Eight tenants over three distinct programs: five watch traffic jams
     // (all five share ONE serving entry), two watch car fires, one watches
     // clear roads. Admission order is serving order.
-    let mut engine =
-        MultiTenantEngine::new(ReasonerConfig { incremental: true, ..Default::default() });
+    let mut engine = MultiTenantEngine::new(ReasonerConfig::default());
     for (tenant, program) in [
         ("city-ops", TRAFFIC),
         ("radio-a", TRAFFIC),

@@ -40,10 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         |_lane| {
             Ok(Box::new(ParallelReasoner::with_pool(
                 &syms,
+                &program,
+                Some(&analysis.inpre),
                 partitioner.clone(),
                 ReasonerConfig::default(),
-                pool.clone(),
-            )) as Box<dyn Reasoner>)
+                Some(pool.clone()),
+            )?) as Box<dyn Reasoner>)
         },
     )?;
     println!(

@@ -8,7 +8,7 @@
 //! streamrule run <program.lp> [--data data.nt] [--window N] [--windows K]
 //!                [--mode single|dep|random:K] [--in-flight L] [--rate R]
 //!                [--seed S] [--json out.json] [--trials T] [--events]
-//!                [--incremental] [--slide S]
+//!                [--slide S]
 //!                [--cost-planning] [--tenants N] [--dup-ratio R]
 //!                [--admission-budget CELLS]
 //!                [--metrics-addr HOST:PORT] [--trace-out trace.json]
@@ -25,9 +25,9 @@
 //! sequential-baseline comparison) in the `BENCH_throughput.json` shape,
 //! taking the best of `--trials T` engine and baseline passes (default 3)
 //! so one noisy sample can't skew the record.
-//! `--slide S` cuts sliding windows (S < window re-processes the overlap)
-//! and `--incremental` reuses the answers of every community a slide did
-//! not touch, as the window's delta tells (see `sr-core::incremental`).
+//! `--slide S` cuts sliding windows (S < window re-processes the overlap);
+//! a partitioned mode then reuses the answers of every community a slide
+//! did not touch, as the window's delta tells (see `sr-core::incremental`).
 //! Windows without a delta, and dirty communities, are reasoned from
 //! scratch.
 //! `--cost-planning` orders rule-body joins by estimated cost from live
@@ -97,7 +97,7 @@ const USAGE: &str = "usage:
   streamrule generate --out data.nt [--kind faithful|correlated|sparse] [--size N] [--windows K] [--seed S]
   streamrule run <program.lp> [--data data.nt] [--window N] [--windows K] [--mode single|dep|random:K]
                  [--in-flight L] [--rate R] [--seed S] [--json out.json] [--trials T] [--events]
-                 [--incremental] [--slide S]
+                 [--slide S]
                  [--cost-planning] [--tenants N] [--dup-ratio R] [--admission-budget CELLS]
                  [--metrics-addr HOST:PORT] [--trace-out trace.json]
                  [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]";
@@ -135,7 +135,7 @@ const RUN_FLAGS: Flags = Flags {
         "--deadline-ms",
         "--fault-spec",
     ],
-    switches: &["--events", "--incremental", "--cost-planning"],
+    switches: &["--events", "--cost-planning"],
 };
 
 /// Checks `args` against `flags`: every `--flag` must be listed, and one
@@ -444,17 +444,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         },
         None => None,
     };
-    let incremental = has_flag(args, "--incremental");
-    if incremental && matches!(mode, RunMode::Single) {
-        return Err("--incremental reuses per-community results; it needs a partitioned mode \
-                    (--mode dep or --mode random:K)"
-            .into());
-    }
     // --cost-planning composes with every mode: it changes join evaluation
-    // order inside grounding, never the answers, so no flag-matrix
-    // restriction applies (unlike --incremental above).
+    // order inside grounding, never the answers.
     let cost_planning = has_flag(args, "--cost-planning");
-    let reasoner_cfg = ReasonerConfig { incremental, cost_planning, ..Default::default() };
+    let reasoner_cfg = ReasonerConfig { cost_planning, ..Default::default() };
 
     let windows = build_windows(args, window_size, slide, windows_cap, seed)?;
     let analysis = DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())
@@ -662,9 +655,6 @@ fn build_reasoner(
             reasoner.set_cost_planning(reasoner_cfg.cost_planning);
             Box::new(reasoner)
         }
-        Some(partitioner) if reasoner_cfg.incremental => {
-            Box::new(IncrementalReasoner::new(syms, program, inpre, partitioner, cfg)?)
-        }
         Some(partitioner) => {
             Box::new(ParallelReasoner::new(syms, program, inpre, partitioner, cfg)?)
         }
@@ -721,10 +711,9 @@ fn run_tenants(
         RunMode::Random(k) => TenantPartitioner::Random { k, seed: RANDOM_PARTITIONER_SEED },
         RunMode::Single => unreachable!("rejected in cmd_run"),
     };
-    // Serving is incremental by design: each entry reuses the communities
-    // a window's delta leaves untouched.
-    let mut engine =
-        MultiTenantEngine::new(ReasonerConfig { incremental: true, ..reasoner_cfg.clone() });
+    // Each serving entry reuses the communities a window's delta leaves
+    // untouched.
+    let mut engine = MultiTenantEngine::new(reasoner_cfg.clone());
     engine.set_window_deadline_ms(deadline_ms);
     if let Some(policy) = admission {
         engine.set_admission_policy(policy);
@@ -816,7 +805,7 @@ fn print_failure_line(f: &FailureSnapshot) {
     );
 }
 
-/// Prints the join-planning counters of an incremental run, only when the
+/// Prints the join-planning counters of a partitioned run, only when the
 /// cost-based planner actually ran (counters are omitted, never fabricated,
 /// for syntactic-heuristic runs).
 fn print_planner_line(s: &IncrementalSnapshot) {
@@ -859,8 +848,8 @@ fn run_engine(
                 Ok(Box::new(r) as Box<dyn Reasoner>)
             }),
             // Partitioned modes: all lanes share one worker pool sized so
-            // each in-flight window can still fan out over its partitions
-            // (and, with --incremental, one set of reuse counters).
+            // each in-flight window can still fan out over its partitions,
+            // and one set of reuse counters.
             Some(partitioner) => StreamEngine::with_partitioned_lanes(
                 syms,
                 program,
@@ -897,8 +886,8 @@ fn run_engine(
     let mut base_stats: Option<EngineStats> = None;
     let mut base_rendered: Vec<String> = Vec::new();
     for trial in 0..trials {
-        // Fresh reasoner per pass: with --incremental, a reused one would
-        // start warm and no longer measure the baseline.
+        // Fresh reasoner per pass: a reused one would start warm on sliding
+        // windows and no longer measure the baseline.
         let mut baseline = build_reasoner(syms, program, analysis, mode, reasoner_cfg)
             .map_err(|e| e.to_string())?;
         let (stats, rendered) =

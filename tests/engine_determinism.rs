@@ -124,10 +124,12 @@ fn engine_over_shared_pool_matches_per_lane_pools() {
         |_| {
             Ok(Box::new(ParallelReasoner::with_pool(
                 &syms,
+                &program,
+                Some(&analysis.inpre),
                 partitioner.clone(),
                 ReasonerConfig::default(),
-                pool.clone(),
-            )))
+                Some(pool.clone()),
+            )?))
         },
         &windows,
         2,

@@ -1,6 +1,7 @@
 //! Incremental reasoning correctness: the [`IncrementalReasoner`]'s output
-//! must be **byte-identical** to full recomputation — the plain
-//! [`ParallelReasoner`] over the same partitioner — across random programs,
+//! must be **byte-identical** to full recomputation — a
+//! [`ParallelReasoner`] over the same partitioner, given each window without
+//! its delta — across random programs,
 //! slide/size combinations and cache capacities (including capacity 0 =
 //! always miss), for both the dependency partitioning (`PR_Dep`) and the
 //! random baseline (`PR_Ran_k`), on sliding-window streams.
@@ -43,6 +44,12 @@ fn sliding_windows(
         windows.push(w);
     }
     windows
+}
+
+/// `window` without its delta: a reasoner given it recomputes every
+/// partition, which makes it the full-recomputation reference.
+fn tumbling(window: &Window) -> Window {
+    Window::new(window.id, window.items.clone())
 }
 
 fn render(syms: &Symbols, out: &ReasonerOutput) -> String {
@@ -95,7 +102,7 @@ fn assert_identical_with(
         IncrementalReasoner::new(&syms, &program, Some(&analysis.inpre), partitioner, inc_cfg)
             .unwrap();
     for window in windows {
-        let expected = render(&syms, &full.process(window).unwrap());
+        let expected = render(&syms, &full.process(&tumbling(window)).unwrap());
         let actual = render(&syms, &incremental.process(window).unwrap());
         prop_assert_eq!(
             &expected,
@@ -156,8 +163,8 @@ fn assert_planner_identity(
     )
     .unwrap();
     for window in windows {
-        let expected = render(&syms, &reference.process(window).unwrap());
-        let full = render(&syms, &planned_full.process(window).unwrap());
+        let expected = render(&syms, &reference.process(&tumbling(window)).unwrap());
+        let full = render(&syms, &planned_full.process(&tumbling(window)).unwrap());
         prop_assert_eq!(&expected, &full, "planner-on full recompute diverged at {}", window.id);
         let inc = render(&syms, &planned_inc.process(window).unwrap());
         prop_assert_eq!(
@@ -486,7 +493,7 @@ fn incremental_engine_matches_sequential_and_reports_cache() {
     )
     .unwrap();
     let expected: Vec<String> =
-        windows.iter().map(|w| render(&syms, &baseline.process(w).unwrap())).collect();
+        windows.iter().map(|w| render(&syms, &baseline.process(&tumbling(w)).unwrap())).collect();
 
     let mut engine = StreamEngine::with_partitioned_lanes(
         &syms,
@@ -560,7 +567,7 @@ fn alternating_community_bursts_recompute_exactly_one_community_per_slide() {
     )
     .unwrap();
     let expected: Vec<String> =
-        windows.iter().map(|w| render(&syms, &full.process(w).unwrap())).collect();
+        windows.iter().map(|w| render(&syms, &full.process(&tumbling(w)).unwrap())).collect();
     for in_flight in [1, 2] {
         let mut engine = StreamEngine::with_partitioned_lanes(
             &syms,

@@ -107,7 +107,7 @@ fn run_truncates_multibyte_answers_at_a_char_boundary() {
 /// silently ignored.
 #[test]
 fn run_rejects_unknown_flags_by_name() {
-    for flag in ["--incremantal", "--cache-size"] {
+    for flag in ["--incremantal", "--cache-size", "--incremental"] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
             .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "1", flag])
             .current_dir(env!("CARGO_MANIFEST_DIR"))
