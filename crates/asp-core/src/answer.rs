@@ -7,15 +7,23 @@
 //! before any longer one it is a prefix of. Names compare as strings, so
 //! the order does not depend on interning order.
 //!
-//! **How it is computed.** [`AnswerSet::new`], [`AnswerSet::union`] and
-//! [`AnswerSet::union_many`] resolve each distinct symbol of their input
-//! once, under one lock, and rank the symbols by name. Every atom then
-//! becomes a short key of `u64` words (`OrderKeys`) whose lexicographic
-//! order is the atom order, so sorting and merging compare integers only —
-//! no symbol lookups and no string comparisons per comparison.
+//! **How it is computed.** The [`Symbols`] store keeps one rank per symbol
+//! in name order and hands out a shared snapshot of it; a batch extends the
+//! snapshot only when it holds a symbol interned since, so a window that
+//! interns nothing compares no names. Every atom then becomes an integer
+//! key whose order is the atom order, and sorting and merging compare keys
+//! only. Almost every batch *packs*: its atoms have arity at most 2 over
+//! constants and integers, and the snapshot's size and the batch's integer
+//! span are small enough for one `u64` per atom — the predicate word
+//! `rank << 1 | strong_neg`, then one field per argument slot, a missing
+//! argument padded with 0. Any other batch (function terms, wider arity,
+//! integers spread too far) is keyed by a variable-length word encoding
+//! (`OrderKeys`) instead.
 
 use crate::atom::{GroundAtom, Predicate};
-use crate::symbol::{FastMap, FastSet, Sym, Symbols};
+#[cfg(test)]
+use crate::symbol::{FastMap, Sym};
+use crate::symbol::{FastSet, Symbols};
 use crate::term::GroundTerm;
 use std::fmt;
 
@@ -30,12 +38,19 @@ impl AnswerSet {
     /// Builds an answer set, sorting and deduplicating the atoms in the
     /// answer-set order (see the module docs).
     pub fn new(mut atoms: Vec<GroundAtom>, syms: &Symbols) -> Self {
-        let keys = OrderKeys::new(&atoms, syms);
-        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        // Equal keys mean identical atoms, so an unstable sort is exact.
-        order.sort_unstable_by(|&a, &b| keys.key(a as usize).cmp(keys.key(b as usize)));
-        drop(keys);
-        permute(&mut atoms, &mut order);
+        // Equal keys mean identical atoms, so unstable sorts are exact.
+        match Keys::new(&atoms, syms) {
+            Keys::Packed(mut keyed) => {
+                keyed.sort_unstable_by_key(|a| a.0);
+                permute(&mut atoms, &mut keyed, |(_, i)| i);
+            }
+            Keys::Words(keys) => {
+                let mut order: Vec<u32> = (0..atoms.len() as u32).collect();
+                order.sort_unstable_by(|&a, &b| keys.key(a as usize).cmp(keys.key(b as usize)));
+                drop(keys);
+                permute(&mut atoms, &mut order, |i| i);
+            }
+        }
         atoms.dedup();
         AnswerSet { atoms }
     }
@@ -62,8 +77,10 @@ impl AnswerSet {
     }
 
     /// Restricts the answer set to atoms whose predicate satisfies `keep`.
-    pub fn project(&self, syms: &Symbols, keep: impl Fn(&Predicate) -> bool) -> AnswerSet {
-        AnswerSet::new(self.atoms.iter().filter(|a| keep(&a.predicate())).cloned().collect(), syms)
+    /// A filtered sorted set is still sorted and duplicate-free, so this
+    /// needs no ordering and `_syms` goes unused.
+    pub fn project(&self, _syms: &Symbols, keep: impl Fn(&Predicate) -> bool) -> AnswerSet {
+        AnswerSet { atoms: self.atoms.iter().filter(|a| keep(&a.predicate())).cloned().collect() }
     }
 
     /// Restricts the answer set to the given predicates.
@@ -83,29 +100,11 @@ impl AnswerSet {
         if other.is_empty() {
             return self.clone();
         }
-        let keys = OrderKeys::new(self.atoms.iter().chain(&other.atoms), syms);
-        let n = self.len();
-        let mut atoms = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.atoms.len() && j < other.atoms.len() {
-            match keys.key(i).cmp(keys.key(n + j)) {
-                std::cmp::Ordering::Less => {
-                    atoms.push(self.atoms[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    atoms.push(other.atoms[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    atoms.push(self.atoms[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        atoms.extend_from_slice(&self.atoms[i..]);
-        atoms.extend_from_slice(&other.atoms[j..]);
+        let keys = Keys::new(self.atoms.iter().chain(&other.atoms), syms);
+        let atoms = match &keys {
+            Keys::Packed(k) => merge(&[self, other], |i| k[i].0),
+            Keys::Words(k) => merge(&[self, other], |i| k.key(i)),
+        };
         AnswerSet { atoms }
     }
 
@@ -122,40 +121,11 @@ impl AnswerSet {
         if sets.len() == 1 {
             return sets[0].clone();
         }
-        let keys = OrderKeys::new(sets.iter().flat_map(|s| &s.atoms), syms);
-        // Set i's atoms are keys `starts[i]..ends[i]`; `heads[i]` is its
-        // next unmerged one.
-        let mut starts = Vec::with_capacity(sets.len());
-        let mut ends = Vec::with_capacity(sets.len());
-        let mut offset = 0;
-        for s in sets {
-            starts.push(offset);
-            offset += s.len();
-            ends.push(offset);
-        }
-        let mut heads = starts.clone();
-        let mut atoms = Vec::with_capacity(offset);
-        loop {
-            // Linear minimum over the k heads: k is the partition count,
-            // which is small; a heap would cost more than it saves.
-            let mut best: Option<usize> = None;
-            for i in 0..sets.len() {
-                if heads[i] < ends[i]
-                    && best.is_none_or(|b| keys.key(heads[i]) < keys.key(heads[b]))
-                {
-                    best = Some(i);
-                }
-            }
-            let Some(b) = best else { break };
-            let min = keys.key(heads[b]);
-            atoms.push(sets[b].atoms[heads[b] - starts[b]].clone());
-            // Advancing every head equal to the minimum deduplicates.
-            for (head, &end) in heads.iter_mut().zip(&ends) {
-                while *head < end && keys.key(*head) == min {
-                    *head += 1;
-                }
-            }
-        }
+        let keys = Keys::new(sets.iter().flat_map(|s| &s.atoms), syms);
+        let atoms = match &keys {
+            Keys::Packed(k) => merge(sets, |i| k[i].0),
+            Keys::Words(k) => merge(sets, |i| k.key(i)),
+        };
         AnswerSet { atoms }
     }
 
@@ -172,19 +142,163 @@ impl AnswerSet {
     }
 }
 
+/// Merges sorted, duplicate-free `sets` into one, dropping duplicates;
+/// `key(i)` is the key of the `i`-th atom of the sets laid end to end.
+fn merge<K: Ord>(sets: &[&AnswerSet], key: impl Fn(usize) -> K) -> Vec<GroundAtom> {
+    // Set i's atoms are keys `starts[i]..ends[i]`; `heads[i]` is its next
+    // unmerged one.
+    let mut starts = Vec::with_capacity(sets.len());
+    let mut ends = Vec::with_capacity(sets.len());
+    let mut offset = 0;
+    for s in sets {
+        starts.push(offset);
+        offset += s.len();
+        ends.push(offset);
+    }
+    let mut heads = starts.clone();
+    let mut atoms = Vec::with_capacity(offset);
+    loop {
+        // Linear minimum over the k heads: k is the partition count, which
+        // is small; a heap would cost more than it saves.
+        let mut best: Option<(usize, K)> = None;
+        for i in 0..sets.len() {
+            if heads[i] < ends[i] {
+                let k = key(heads[i]);
+                if best.as_ref().is_none_or(|(_, min)| k < *min) {
+                    best = Some((i, k));
+                }
+            }
+        }
+        let Some((b, min)) = best else { break };
+        atoms.push(sets[b].atoms[heads[b] - starts[b]].clone());
+        // Advancing every head equal to the minimum deduplicates.
+        for (head, &end) in heads.iter_mut().zip(&ends) {
+            while *head < end && key(*head) == min {
+                *head += 1;
+            }
+        }
+    }
+    atoms
+}
+
 /// Reorders `items` in place, cycle by cycle, so that `items[k]` becomes
-/// the old `items[order[k]]`; `order` is consumed as the visited marks.
-fn permute<T>(items: &mut [T], order: &mut [u32]) {
+/// the old `items[*index(&mut order[k])]`; those indexes are consumed as
+/// the visited marks.
+fn permute<T, O>(items: &mut [T], order: &mut [O], index: impl Fn(&mut O) -> &mut u32) {
     for start in 0..items.len() {
         let mut k = start;
-        while order[k] as usize != k {
-            let src = order[k] as usize;
-            order[k] = k as u32;
+        while *index(&mut order[k]) as usize != k {
+            let src = *index(&mut order[k]) as usize;
+            *index(&mut order[k]) = k as u32;
             if src == start {
                 break;
             }
             items.swap(k, src);
             k = src;
+        }
+    }
+}
+
+/// What one pass over a batch finds: whether every atom is flat (arity at
+/// most 2, no function terms), how many symbols a rank snapshot must cover
+/// to rank them all, and the least and greatest integer argument.
+#[derive(Debug, PartialEq)]
+struct Survey {
+    flat: bool,
+    covering: usize,
+    ints: Option<(i64, i64)>,
+}
+
+fn survey<'a>(atoms: impl IntoIterator<Item = &'a GroundAtom>) -> Survey {
+    fn max_sym(t: &GroundTerm) -> u32 {
+        match t {
+            GroundTerm::Int(_) => 0,
+            GroundTerm::Const(s) => s.0,
+            GroundTerm::Func(s, args) => args.iter().map(max_sym).fold(s.0, u32::max),
+        }
+    }
+    let mut survey = Survey { flat: true, covering: 0, ints: None };
+    for atom in atoms {
+        survey.flat &= atom.args.len() <= 2;
+        for arg in atom.args.iter() {
+            match arg {
+                GroundTerm::Int(i) => {
+                    let (lo, hi) = survey.ints.get_or_insert((*i, *i));
+                    (*lo, *hi) = ((*lo).min(*i), (*hi).max(*i));
+                }
+                GroundTerm::Const(_) => {}
+                GroundTerm::Func(..) => survey.flat = false,
+            }
+        }
+        let max = atom.args.iter().map(max_sym).fold(atom.pred.0, u32::max);
+        survey.covering = survey.covering.max(max as usize + 1);
+    }
+    survey
+}
+
+/// How a batch of flat atoms packs into one `u64` key per atom: the
+/// predicate word `rank << 1 | strong_neg` in the top bits, then one
+/// `arg_bits`-wide field per argument slot. A field is 0 for a missing
+/// argument, `1 + (i - int_min)` for an integer and `const_base + rank` for
+/// a constant, so fields order as the atom order orders arguments, and
+/// padding with 0 sorts `p(1)` before `p(1,2)` and both before `p(5)`.
+#[derive(Clone, Copy)]
+struct Packing {
+    int_min: i64,
+    const_base: u64,
+    arg_bits: u32,
+}
+
+impl Packing {
+    /// The packing of a flat batch whose integers span `ints`, under a rank
+    /// snapshot of `ranked` symbols; `None` when a key would need more than
+    /// 64 bits.
+    fn fit(ints: Option<(i64, i64)>, ranked: usize) -> Option<Packing> {
+        let bits = |x: u64| u64::BITS - x.leading_zeros();
+        let (int_min, span) = match ints {
+            Some((lo, hi)) => (lo, u64::try_from(i128::from(hi) - i128::from(lo)).ok()?),
+            None => (0, 0),
+        };
+        // Integers take fields 1..=span + 1; constants follow.
+        let const_base = span.checked_add(2)?;
+        let arg_bits = bits(const_base.checked_add(ranked as u64)?);
+        let pred_bits = bits(ranked as u64) + 1;
+        (pred_bits + 2 * arg_bits <= u64::BITS).then_some(Packing { int_min, const_base, arg_bits })
+    }
+
+    fn key(self, atom: &GroundAtom, ranks: &[u32]) -> u64 {
+        let mut key = (u64::from(ranks[atom.pred.0 as usize]) << 1) | u64::from(atom.strong_neg);
+        for slot in 0..2 {
+            let field = match atom.args.get(slot) {
+                None => 0,
+                Some(GroundTerm::Int(i)) => i.wrapping_sub(self.int_min) as u64 + 1,
+                Some(GroundTerm::Const(s)) => self.const_base + u64::from(ranks[s.0 as usize]),
+                Some(GroundTerm::Func(..)) => unreachable!("flat atoms hold no function terms"),
+            };
+            key = (key << self.arg_bits) | field;
+        }
+        key
+    }
+}
+
+/// The keys of a batch of atoms: one packed word each when the batch packs
+/// (see [`Packing`]), variable-length otherwise.
+enum Keys {
+    /// Each key beside its atom's index in the batch, so [`AnswerSet::new`]
+    /// sorts the keys themselves rather than indexes into them.
+    Packed(Vec<(u64, u32)>),
+    Words(OrderKeys),
+}
+
+impl Keys {
+    fn new<'a>(atoms: impl IntoIterator<Item = &'a GroundAtom> + Clone, syms: &Symbols) -> Self {
+        let survey = survey(atoms.clone());
+        let ranks = syms.name_ranks(survey.covering);
+        match survey.flat.then(|| Packing::fit(survey.ints, ranks.len())).flatten() {
+            Some(packing) => Keys::Packed(
+                atoms.into_iter().zip(0..).map(|(a, i)| (packing.key(a, &ranks), i)).collect(),
+            ),
+            None => Keys::Words(OrderKeys::new(atoms, &ranks)),
         }
     }
 }
@@ -199,13 +313,14 @@ const CONST: u64 = 2 << 32;
 const FUNC: u64 = 3 << 32;
 const FUNC_END: u64 = 0;
 
-/// Integer sort keys for a batch of atoms: comparing two atoms' keys as
-/// `u64` slices (lexicographically, a prefix first) gives their answer-set
-/// order, and equal keys mean equal atoms.
+/// Variable-length integer sort keys for a batch of atoms that does not
+/// pack: comparing two atoms' keys as `u64` slices (lexicographically, a
+/// prefix first) gives their answer-set order, and equal keys mean equal
+/// atoms.
 ///
 /// A key is the word `rank(predicate) << 1 | strong_neg` followed by each
-/// argument's words (see [`INT`]). Ranks number the batch's distinct
-/// symbols in name order, so each symbol is resolved once per batch.
+/// argument's words (see [`INT`]), ranks taken from a snapshot of the
+/// store's name order.
 struct OrderKeys {
     words: Vec<u64>,
     /// Atom `i`'s key is `words[bounds[i]..bounds[i + 1]]`.
@@ -213,67 +328,40 @@ struct OrderKeys {
 }
 
 impl OrderKeys {
-    fn new<'a>(atoms: impl IntoIterator<Item = &'a GroundAtom> + Clone, syms: &Symbols) -> Self {
-        // Calls `f` on every symbol of `t`; returns `t`'s key length.
-        fn visit(t: &GroundTerm, f: &mut impl FnMut(Sym)) -> usize {
+    fn new<'a>(atoms: impl IntoIterator<Item = &'a GroundAtom> + Clone, ranks: &[u32]) -> Self {
+        fn len(t: &GroundTerm) -> usize {
             match t {
                 GroundTerm::Int(_) => 2,
-                GroundTerm::Const(s) => {
-                    f(*s);
-                    1
-                }
-                GroundTerm::Func(s, args) => {
-                    f(*s);
-                    2 + args.iter().map(|a| visit(a, f)).sum::<usize>()
-                }
+                GroundTerm::Const(_) => 1,
+                GroundTerm::Func(_, args) => 2 + args.iter().map(len).sum::<usize>(),
             }
         }
-        fn encode(t: &GroundTerm, rank: &FastMap<Sym, u32>, out: &mut Vec<u64>) {
+        fn encode(t: &GroundTerm, ranks: &[u32], out: &mut Vec<u64>) {
             match t {
                 GroundTerm::Int(i) => out.extend([INT, (*i as u64) ^ (1 << 63)]),
-                GroundTerm::Const(s) => out.push(CONST | u64::from(rank[s])),
+                GroundTerm::Const(s) => out.push(CONST | u64::from(ranks[s.0 as usize])),
                 GroundTerm::Func(s, args) => {
-                    out.push(FUNC | u64::from(rank[s]));
-                    args.iter().for_each(|a| encode(a, rank, out));
+                    out.push(FUNC | u64::from(ranks[s.0 as usize]));
+                    args.iter().for_each(|a| encode(a, ranks, out));
                     out.push(FUNC_END);
                 }
             }
         }
 
-        let mut rank: FastMap<Sym, u32> = FastMap::default();
-        let mut distinct: Vec<Sym> = Vec::new();
-        let mut atom_count = 0;
-        let mut word_count = 0;
+        let (mut atom_count, mut word_count) = (0, 0);
         for atom in atoms.clone() {
-            let mut note = |s: Sym| {
-                rank.entry(s).or_insert_with(|| {
-                    distinct.push(s);
-                    0
-                });
-            };
-            note(atom.pred);
-            word_count += 1 + atom.args.iter().map(|a| visit(a, &mut note)).sum::<usize>();
+            word_count += 1 + atom.args.iter().map(len).sum::<usize>();
             atom_count += 1;
         }
-        syms.sort_by_name(&mut distinct);
-        for (r, s) in distinct.iter().enumerate() {
-            rank.insert(*s, r as u32);
-        }
-
         let mut words = Vec::with_capacity(word_count);
         let mut bounds = Vec::with_capacity(atom_count + 1);
         bounds.push(0);
         for atom in atoms {
-            words.push((u64::from(rank[&atom.pred]) << 1) | u64::from(atom.strong_neg));
-            atom.args.iter().for_each(|a| encode(a, &rank, &mut words));
+            words.push((u64::from(ranks[atom.pred.0 as usize]) << 1) | u64::from(atom.strong_neg));
+            atom.args.iter().for_each(|a| encode(a, ranks, &mut words));
             bounds.push(u32::try_from(words.len()).expect("answer set too large to order"));
         }
         OrderKeys { words, bounds }
-    }
-
-    /// Number of atoms keyed.
-    fn len(&self) -> usize {
-        self.bounds.len() - 1
     }
 
     fn key(&self, i: usize) -> &[u64] {
@@ -283,9 +371,10 @@ impl OrderKeys {
 
 /// Structural comparison of two ground atoms in the answer-set order,
 /// resolving each symbol at most once through `cache`. The order's
-/// definition, written out term by term: the test oracle [`OrderKeys`] must
-/// agree with (and that itself coincides with `sort_key`'s string order on
-/// names free of C0 control characters).
+/// definition, written out term by term: the test oracle both key paths
+/// ([`Packing`] and [`OrderKeys`]) must agree with (and that itself
+/// coincides with `sort_key`'s string order on names free of C0 control
+/// characters).
 #[cfg(test)]
 fn atom_cmp_cached(
     a: &GroundAtom,
@@ -476,6 +565,53 @@ mod tests {
     }
 
     #[test]
+    fn a_shorter_atom_sorts_by_its_arguments_not_its_arity() {
+        let syms = Symbols::new();
+        let p = syms.intern("p");
+        let ints =
+            |xs: &[i64]| GroundAtom::new(p, xs.iter().map(|&i| GroundTerm::Int(i)).collect());
+        let ans = AnswerSet::new(vec![ints(&[5]), ints(&[1, 2]), ints(&[1]), ints(&[])], &syms);
+        assert_eq!(ans.display(&syms).to_string(), "{p p(1) p(1,2) p(5)}");
+        let short = AnswerSet::new(vec![ints(&[5])], &syms);
+        let long = AnswerSet::new(vec![ints(&[1, 2])], &syms);
+        assert_eq!(
+            short.union(&long, &syms),
+            AnswerSet::new(vec![ints(&[1, 2]), ints(&[5])], &syms)
+        );
+    }
+
+    #[test]
+    fn batches_pack_only_when_their_keys_fit_one_word() {
+        let syms = Symbols::new();
+        let (p, c) = (syms.intern("p"), GroundTerm::Const(syms.intern("c")));
+        let atom = |args: Vec<GroundTerm>| GroundAtom::new(p, args);
+        let ints = |xs: &[i64]| atom(xs.iter().map(|&i| GroundTerm::Int(i)).collect());
+        let flat = |a: GroundAtom| survey([&a]).flat;
+        assert!(flat(atom(vec![])));
+        assert!(flat(atom(vec![GroundTerm::Int(i64::MIN), c.clone()])));
+        assert!(!flat(atom(vec![c.clone(), c.clone(), c.clone()])));
+        assert!(!flat(atom(vec![GroundTerm::Func(p, Box::new([]))])));
+        let batch = [ints(&[7, -2]), atom(vec![c.clone()]), ints(&[3])];
+        assert_eq!(survey(&batch), Survey { flat: true, covering: 2, ints: Some((-2, 7)) });
+        assert_eq!(survey([]), Survey { flat: true, covering: 0, ints: None });
+
+        // One ranked symbol: a 2-bit predicate word leaves 31 bits per
+        // argument, enough for integers spanning up to 2^31 - 4.
+        let fits = |ints, ranked| Packing::fit(Some(ints), ranked).is_some();
+        assert!(fits((0, (1 << 31) - 4), 1));
+        assert!(!fits((0, (1 << 31) - 3), 1));
+        assert!(!fits((-(1 << 60), (1 << 60) - 1), 1));
+        assert!(!fits((i64::MIN, i64::MAX), 1), "a span of 2^64 - 1 must not overflow");
+        assert!(Packing::fit(None, 1 << 20).is_some());
+
+        assert!(matches!(Keys::new(&batch, &syms), Keys::Packed(_)));
+        let wide = [ints(&[-(1 << 60)]), ints(&[1 << 60])];
+        assert!(matches!(Keys::new(&wide, &syms), Keys::Words(_)));
+        let nested = [atom(vec![GroundTerm::Func(p, Box::new([GroundTerm::Int(1)]))])];
+        assert!(matches!(Keys::new(&nested, &syms), Keys::Words(_)));
+    }
+
+    #[test]
     fn structural_comparator_matches_sort_key_order() {
         // The structural oracle must agree with the historical string-key
         // order on names free of C0 characters; any disagreement with the
@@ -536,7 +672,7 @@ mod tests {
         assert_eq!(AnswerSet::union_many(&syms, &refs[..1]), sets[0]);
     }
 
-    /// A ground term over [`NAMES`], before interning.
+    /// A ground term over a name list, before interning.
     #[derive(Clone, Debug)]
     enum TermSpec {
         Int(i64),
@@ -565,55 +701,124 @@ mod tests {
         })
     }
 
-    /// `(name, strong negation, arguments)` of arity 0–3.
+    /// `(name, strong negation, arguments)`.
     type AtomSpec = (usize, bool, Vec<TermSpec>);
 
-    fn atom_specs() -> impl Strategy<Value = Vec<AtomSpec>> {
-        let atom = (0..NAMES.len(), any::<bool>(), prop::collection::vec(term_spec(), 0..4));
-        // Append a prefix of the atoms again, so duplicates are common.
+    /// Appends a prefix of the atoms again, so duplicates are common.
+    fn with_duplicates(
+        atom: impl Strategy<Value = AtomSpec>,
+    ) -> impl Strategy<Value = Vec<AtomSpec>> {
         (prop::collection::vec(atom, 0..40), 0usize..12).prop_map(|(mut atoms, dups)| {
             atoms.extend_from_within(..dups.min(atoms.len()));
             atoms
         })
     }
 
-    fn build(syms: &Symbols, specs: &[AtomSpec]) -> Vec<GroundAtom> {
-        fn term(syms: &Symbols, t: &TermSpec) -> GroundTerm {
+    /// Atoms of arity 0–3 with function terms: mostly the general keys.
+    fn atom_specs() -> impl Strategy<Value = Vec<AtomSpec>> {
+        with_duplicates((0..NAMES.len(), any::<bool>(), prop::collection::vec(term_spec(), 0..4)))
+    }
+
+    /// Flat atoms of arity 0–2 mixed under two predicates: mostly batches
+    /// that pack. About one integer in 50 is spread far enough — ±2^30,
+    /// the edges ±2^60 and 2^60 - 1, or beyond — to drop its batch to the
+    /// variable-length keys.
+    fn flat_atom_specs() -> impl Strategy<Value = Vec<AtomSpec>> {
+        let int = (0u32..200, -3i64..3, -1000i64..1000, -(1i64 << 30)..(1 << 30)).prop_map(
+            |(pick, small, medium, wide)| match pick {
+                0 => -(1 << 60),
+                1 => (1 << 60) - 1,
+                2 => 1 << 60,
+                3 => i64::MIN,
+                4..=7 => wide,
+                8..=40 => medium,
+                _ => small,
+            },
+        );
+        let arg =
+            prop_oneof![int.prop_map(TermSpec::Int), (0..NAMES.len()).prop_map(TermSpec::Const)];
+        with_duplicates((7usize..9, any::<bool>(), prop::collection::vec(arg, 0..3)))
+    }
+
+    /// Builds the atoms, name index `i` standing for `names[i % names.len()]`.
+    fn build(syms: &Symbols, names: &[&str], specs: &[AtomSpec]) -> Vec<GroundAtom> {
+        fn term(syms: &Symbols, names: &[&str], t: &TermSpec) -> GroundTerm {
             match t {
                 TermSpec::Int(i) => GroundTerm::Int(*i),
-                TermSpec::Const(c) => GroundTerm::Const(syms.intern(NAMES[*c])),
+                TermSpec::Const(c) => GroundTerm::Const(syms.intern(names[c % names.len()])),
                 TermSpec::Func(f, args) => GroundTerm::Func(
-                    syms.intern(NAMES[*f]),
-                    args.iter().map(|a| term(syms, a)).collect(),
+                    syms.intern(names[f % names.len()]),
+                    args.iter().map(|a| term(syms, names, a)).collect(),
                 ),
             }
         }
         specs
             .iter()
             .map(|(p, neg, args)| GroundAtom {
-                pred: syms.intern(NAMES[*p]),
-                args: args.iter().map(|a| term(syms, a)).collect(),
+                pred: syms.intern(names[p % names.len()]),
+                args: args.iter().map(|a| term(syms, names, a)).collect(),
                 strong_neg: *neg,
             })
             .collect()
     }
+
+    /// The atoms sorted by the structural comparator and deduplicated.
+    fn oracle(syms: &Symbols, atoms: &[GroundAtom]) -> AnswerSet {
+        let mut sorted = atoms.to_vec();
+        let mut cache = FastMap::default();
+        sorted.sort_by(|a, b| atom_cmp_cached(a, b, syms, &mut cache));
+        sorted.dedup();
+        AnswerSet { atoms: sorted }
+    }
+
+    fn check_new(specs: &[AtomSpec]) -> Result<(), TestCaseError> {
+        // Intern in reverse so symbol ids disagree with name order.
+        let syms = Symbols::new();
+        for name in NAMES.iter().rev() {
+            syms.intern(name);
+        }
+        let atoms = build(&syms, &NAMES, specs);
+        prop_assert_eq!(AnswerSet::new(atoms.clone(), &syms), oracle(&syms, &atoms));
+        Ok(())
+    }
+
+    fn check_union_many(specs: &[AtomSpec], cuts: &[usize]) -> Result<(), TestCaseError> {
+        let syms = Symbols::new();
+        let atoms = build(&syms, &NAMES, specs);
+        // Overlapping slices of one pool, so the sets share atoms.
+        let sets: Vec<AnswerSet> = cuts
+            .iter()
+            .map(|&c| {
+                let lo = c.min(atoms.len());
+                let hi = (lo + 15).min(atoms.len());
+                AnswerSet::new(atoms[lo / 2..hi].to_vec(), &syms)
+            })
+            .collect();
+        let refs: Vec<&AnswerSet> = sets.iter().collect();
+        let folded = sets.iter().fold(AnswerSet::default(), |acc, s| acc.union(s, &syms));
+        prop_assert_eq!(AnswerSet::union_many(&syms, &refs), folded.clone());
+        let all: Vec<GroundAtom> = sets.iter().flat_map(|s| s.atoms.clone()).collect();
+        prop_assert_eq!(folded, AnswerSet::new(all, &syms));
+        Ok(())
+    }
+
+    /// Names interned in this order, a few more before each set is built:
+    /// each batch sorts some before, between and after the names interned
+    /// before it.
+    const INTERN_ORDER: [&str; 12] =
+        ["m", "p", "mb", "a", "z", "ma", "n", "\u{0}", "zz", "mab", "", "pa"];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn new_equals_the_structural_sort_plus_dedup(specs in atom_specs()) {
-            // Intern in reverse so symbol ids disagree with name order.
-            let syms = Symbols::new();
-            for name in NAMES.iter().rev() {
-                syms.intern(name);
-            }
-            let atoms = build(&syms, &specs);
-            let mut oracle = atoms.clone();
-            let mut cache = FastMap::default();
-            oracle.sort_by(|a, b| atom_cmp_cached(a, b, &syms, &mut cache));
-            oracle.dedup();
-            prop_assert_eq!(AnswerSet::new(atoms, &syms), AnswerSet { atoms: oracle });
+            check_new(&specs)?;
+        }
+
+        #[test]
+        fn new_equals_the_structural_sort_plus_dedup_on_flat_atoms(specs in flat_atom_specs()) {
+            check_new(&specs)?;
         }
 
         #[test]
@@ -621,22 +826,61 @@ mod tests {
             specs in atom_specs(),
             cuts in prop::collection::vec(0usize..50, 0..5),
         ) {
+            check_union_many(&specs, &cuts)?;
+        }
+
+        #[test]
+        fn union_many_equals_the_pairwise_union_fold_on_flat_atoms(
+            specs in flat_atom_specs(),
+            cuts in prop::collection::vec(0usize..50, 0..5),
+        ) {
+            check_union_many(&specs, &cuts)?;
+        }
+
+        #[test]
+        fn unions_stay_exact_while_names_are_interned_between_sets(
+            sets in prop::collection::vec(prop_oneof![flat_atom_specs(), atom_specs()], 1..5),
+        ) {
             let syms = Symbols::new();
-            let atoms = build(&syms, &specs);
-            // Overlapping slices of one pool, so the sets share atoms.
-            let sets: Vec<AnswerSet> = cuts
-                .iter()
-                .map(|&c| {
-                    let lo = c.min(atoms.len());
-                    let hi = (lo + 15).min(atoms.len());
-                    AnswerSet::new(atoms[lo / 2..hi].to_vec(), &syms)
-                })
-                .collect();
-            let refs: Vec<&AnswerSet> = sets.iter().collect();
-            let folded = sets.iter().fold(AnswerSet::default(), |acc, s| acc.union(s, &syms));
+            let mut built = Vec::new();
+            let mut all = Vec::new();
+            for (k, specs) in sets.iter().enumerate() {
+                // Set k sees the first 3 + 3k names, the newest interned
+                // first (in reverse name order for some), then its atoms.
+                let names = &INTERN_ORDER[..(3 + 3 * k).min(INTERN_ORDER.len())];
+                for name in names.iter().rev() {
+                    syms.intern(name);
+                }
+                let atoms = build(&syms, names, specs);
+                let set = AnswerSet::new(atoms.clone(), &syms);
+                prop_assert_eq!(&set, &oracle(&syms, &atoms));
+                all.extend(atoms);
+                built.push(set);
+            }
+            let refs: Vec<&AnswerSet> = built.iter().collect();
+            let folded = built.iter().fold(AnswerSet::default(), |acc, s| acc.union(s, &syms));
             prop_assert_eq!(AnswerSet::union_many(&syms, &refs), folded.clone());
-            let all: Vec<GroundAtom> = sets.iter().flat_map(|s| s.atoms.clone()).collect();
-            prop_assert_eq!(folded, AnswerSet::new(all, &syms));
+            prop_assert_eq!(folded, oracle(&syms, &all));
+        }
+
+        #[test]
+        fn project_equals_new_over_the_filtered_atoms(
+            specs in prop_oneof![flat_atom_specs(), atom_specs()],
+            keep_mask in any::<u16>(),
+        ) {
+            let syms = Symbols::new();
+            let atoms = build(&syms, &NAMES, &specs);
+            let keep = |p: &Predicate| {
+                let name = syms.resolve(p.name);
+                let i = NAMES.iter().position(|n| **n == *name).unwrap();
+                keep_mask & (1 << i) != 0
+            };
+            let filtered: Vec<GroundAtom> =
+                atoms.iter().filter(|a| keep(&a.predicate())).cloned().collect();
+            prop_assert_eq!(
+                AnswerSet::new(atoms, &syms).project(&syms, keep),
+                AnswerSet::new(filtered, &syms)
+            );
         }
     }
 }

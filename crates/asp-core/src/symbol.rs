@@ -4,6 +4,13 @@
 //! the parallel reasoner's workers can translate stream items into atoms whose
 //! identifiers are comparable across threads — the combining handler relies on
 //! this to union answer sets without re-rendering atoms to strings.
+//!
+//! The store also owns the one name order every answer set sorts by: a
+//! rank per symbol, handed out as a shared snapshot
+//! (`Symbols::name_ranks`). A snapshot is extended only when asked for a
+//! symbol it does not cover, by merging the names interned since into the
+//! sorted order, so once a stream stops interning new names no name is
+//! compared again.
 
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -102,6 +109,37 @@ impl fmt::Debug for Sym {
 struct Store {
     map: FastMap<Arc<str>, Sym>,
     names: Vec<Arc<str>>,
+    /// The first `ranks.len()` symbols, sorted by name.
+    by_name: Vec<Sym>,
+    /// `ranks[s]` is symbol `s`'s position in `by_name`.
+    ranks: Arc<[u32]>,
+}
+
+impl Store {
+    /// Ranks every interned symbol: sorts the names interned since the last
+    /// snapshot (`k log k`) and merges them into the sorted order, each one
+    /// placed by binary search, then renumbers (`n`).
+    fn extend_ranks(&mut self) {
+        let names = &self.names;
+        let mut fresh: Vec<Sym> = (self.ranks.len()..names.len()).map(|i| Sym(i as u32)).collect();
+        fresh.sort_unstable_by(|a, b| names[a.0 as usize].cmp(&names[b.0 as usize]));
+        let mut merged = Vec::with_capacity(names.len());
+        let mut rest = &self.by_name[..];
+        for s in fresh {
+            let name = &names[s.0 as usize];
+            let at = rest.partition_point(|t| names[t.0 as usize] < *name);
+            merged.extend_from_slice(&rest[..at]);
+            merged.push(s);
+            rest = &rest[at..];
+        }
+        merged.extend_from_slice(rest);
+        let mut ranks = vec![0u32; names.len()];
+        for (r, s) in merged.iter().enumerate() {
+            ranks[s.0 as usize] = r as u32;
+        }
+        self.by_name = merged;
+        self.ranks = ranks.into();
+    }
 }
 
 /// Thread-safe, cheaply clonable symbol interner.
@@ -137,10 +175,24 @@ impl Symbols {
         Arc::clone(&self.inner.read().names[sym.0 as usize])
     }
 
-    /// Sorts `syms` by name, resolving all of them under one lock.
-    pub(crate) fn sort_by_name(&self, syms: &mut [Sym]) {
-        let store = self.inner.read();
-        syms.sort_unstable_by(|a, b| store.names[a.0 as usize].cmp(&store.names[b.0 as usize]));
+    /// A snapshot of the store's name order that covers every symbol below
+    /// `covering`: `ranks[s.0]` orders symbols as their names compare. Two
+    /// symbols' ranks compare the same in every snapshot; the numbers
+    /// themselves change as names are interned. Returns the current
+    /// snapshot (a shared `Arc`, no copy) unless it is too short, and then
+    /// extends it to every symbol interned so far.
+    pub(crate) fn name_ranks(&self, covering: usize) -> Arc<[u32]> {
+        {
+            let store = self.inner.read();
+            if store.ranks.len() >= covering {
+                return Arc::clone(&store.ranks);
+            }
+        }
+        let mut store = self.inner.write();
+        if store.ranks.len() < covering {
+            store.extend_ranks();
+        }
+        Arc::clone(&store.ranks)
     }
 
     /// Looks up an already-interned name without inserting.
@@ -212,6 +264,72 @@ mod tests {
             assert_eq!(w[0], w[1]);
         }
         assert_eq!(syms.len(), 100);
+    }
+
+    /// Checks that `ranks` orders every symbol of `syms` by name.
+    fn assert_ranks_follow_names(syms: &Symbols, ranks: &[u32]) {
+        assert_eq!(ranks.len(), syms.len(), "the snapshot covers every symbol");
+        let mut by_rank: Vec<Sym> = (0..syms.len() as u32).map(Sym).collect();
+        by_rank.sort_by_key(|s| ranks[s.0 as usize]);
+        let names: Vec<Arc<str>> = by_rank.iter().map(|&s| syms.resolve(s)).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "ranks follow names: {names:?}");
+    }
+
+    #[test]
+    fn a_snapshot_is_shared_until_a_new_symbol_needs_ranking() {
+        let syms = Symbols::new();
+        let a = syms.intern("a");
+        let first = syms.name_ranks(a.0 as usize + 1);
+        let again = syms.name_ranks(syms.len());
+        assert!(Arc::ptr_eq(&first, &again), "no interning in between: the same snapshot");
+        // A symbol interned since is not ranked until a batch holds it.
+        let b = syms.intern("0");
+        assert!(Arc::ptr_eq(&first, &syms.name_ranks(a.0 as usize + 1)));
+        let extended = syms.name_ranks(b.0 as usize + 1);
+        assert!(!Arc::ptr_eq(&first, &extended));
+        assert!(extended[b.0 as usize] < extended[a.0 as usize], "\"0\" sorts before \"a\"");
+        assert!(Arc::ptr_eq(&extended, &syms.name_ranks(syms.len())));
+    }
+
+    #[test]
+    fn ranks_follow_names_interned_in_descending_order() {
+        let syms = Symbols::new();
+        for name in ["z", "y", "m", "ma", "m", "b", "", "a\u{0}", "a"] {
+            syms.intern(name);
+            assert_ranks_follow_names(&syms, &syms.name_ranks(syms.len()));
+        }
+        // Several names at once merge into the order just as well.
+        for name in ["zz", "n", "\u{0}", "mb", "c"] {
+            syms.intern(name);
+        }
+        assert_ranks_follow_names(&syms, &syms.name_ranks(syms.len()));
+    }
+
+    #[test]
+    fn ranks_follow_names_while_two_threads_intern_at_once() {
+        let syms = Symbols::new();
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let syms = syms.clone();
+                std::thread::spawn(move || {
+                    for i in (0..200).rev() {
+                        let s = syms.intern(&format!("n{}", i * 2 + t));
+                        let ranks = syms.name_ranks(s.0 as usize + 1);
+                        assert!(ranks.len() > s.0 as usize, "the snapshot covers what was asked");
+                        let first = Sym(0);
+                        assert_eq!(
+                            ranks[s.0 as usize].cmp(&ranks[0]),
+                            syms.resolve(s).cmp(&syms.resolve(first)),
+                            "a snapshot taken mid-race orders names already"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_ranks_follow_names(&syms, &syms.name_ranks(syms.len()));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The original parallel reasoner dedicated one long-lived thread per
 //! partition and allocated a fresh reply channel on every `process` call.
 //! This module replaces that with a single size-configurable pool: jobs are
-//! tagged [`JobTag`] `(window_id, partition_idx)`, pushed onto one shared
-//! queue, and completed results land in per-submission [`BatchHandle`] slots
-//! (no channel allocation per window). Because the pool is shared behind an
+//! tagged [`JobTag`] `(window_id, partition_idx)` with the partition index
+//! the caller gives, pushed onto one shared queue, and completed results
+//! land in per-submission [`BatchHandle`] slots in submission order (no
+//! channel allocation per window). Because the pool is shared behind an
 //! `Arc`, several windows can have partition jobs in flight at once — the
 //! property the [`StreamEngine`](crate::engine::StreamEngine) builds on.
 
@@ -22,7 +23,8 @@ use std::thread::JoinHandle;
 pub struct JobTag {
     /// The window the job belongs to.
     pub window_id: u64,
-    /// The partition index within that window.
+    /// The partition (community) index within that window, as the caller
+    /// gave it — not the job's position in its batch.
     pub partition_idx: usize,
 }
 
@@ -44,6 +46,8 @@ pub type JobOutcome<R> = Result<R, JobPanicked>;
 
 struct Job<J, R> {
     tag: JobTag,
+    /// The job's position in its batch: where its outcome lands.
+    slot: usize,
     payload: J,
     batch: Arc<BatchShared<R>>,
 }
@@ -67,7 +71,7 @@ pub struct BatchHandle<R> {
 
 impl<R> BatchHandle<R> {
     /// Blocks until all jobs of the batch finished; outcomes are returned in
-    /// the order the payloads were submitted (i.e. by partition index).
+    /// the order the payloads were submitted.
     pub fn wait(self) -> Vec<JobOutcome<R>> {
         let mut state = lock_recover(&self.shared.state);
         while state.remaining > 0 {
@@ -123,7 +127,7 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
                             queue = wait_recover(&shared.available, queue);
                         }
                     };
-                    let Job { tag, payload, batch } = job;
+                    let Job { tag, slot, payload, batch } = job;
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         if fault::injection_enabled() {
                             let partition = tag.partition_idx as u64;
@@ -142,7 +146,7 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
                     }))
                     .map_err(|_| JobPanicked { tag });
                     let mut state = lock_recover(&batch.state);
-                    state.slots[tag.partition_idx] = Some(outcome);
+                    state.slots[slot] = Some(outcome);
                     state.remaining -= 1;
                     if state.remaining == 0 {
                         batch.done.notify_all();
@@ -159,22 +163,24 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
         self.handles.len()
     }
 
-    /// Enqueues one job per payload, tagged `(window_id, index)`, and returns
-    /// the batch handle. Takes `&self`: a pool behind an `Arc` accepts
-    /// concurrent submissions from several windows in flight.
-    pub fn submit(&self, window_id: u64, payloads: Vec<J>) -> BatchHandle<R> {
+    /// Enqueues one job per `(partition_idx, payload)`, tagged
+    /// `(window_id, partition_idx)`, and returns the batch handle. Takes
+    /// `&self`: a pool behind an `Arc` accepts concurrent submissions from
+    /// several windows in flight.
+    pub fn submit(&self, window_id: u64, jobs: Vec<(usize, J)>) -> BatchHandle<R> {
         let batch = Arc::new(BatchShared {
             state: Mutex::new(BatchState {
-                slots: (0..payloads.len()).map(|_| None).collect(),
-                remaining: payloads.len(),
+                slots: (0..jobs.len()).map(|_| None).collect(),
+                remaining: jobs.len(),
             }),
             done: Condvar::new(),
         });
-        if !payloads.is_empty() {
+        if !jobs.is_empty() {
             let mut queue = lock_recover(&self.shared.queue);
-            for (partition_idx, payload) in payloads.into_iter().enumerate() {
+            for (slot, (partition_idx, payload)) in jobs.into_iter().enumerate() {
                 queue.jobs.push_back(Job {
                     tag: JobTag { window_id, partition_idx },
+                    slot,
                     payload,
                     batch: Arc::clone(&batch),
                 });
@@ -200,6 +206,11 @@ impl<J: Send + 'static, R: Send + 'static> Drop for WorkerPool<J, R> {
 mod tests {
     use super::*;
 
+    /// `payloads` as jobs indexed by their position.
+    fn indexed(payloads: Vec<u64>) -> Vec<(usize, u64)> {
+        payloads.into_iter().enumerate().collect()
+    }
+
     fn squaring_pool(workers: usize) -> WorkerPool<u64, u64> {
         let fns: Vec<WorkerFn<u64, u64>> =
             (0..workers).map(|_| Box::new(|_tag: JobTag, x: u64| x * x) as _).collect();
@@ -209,9 +220,18 @@ mod tests {
     #[test]
     fn batch_results_keep_submission_order() {
         let pool = squaring_pool(3);
-        let out = pool.submit(7, vec![1, 2, 3, 4, 5]).wait();
+        let out = pool.submit(7, indexed(vec![1, 2, 3, 4, 5])).wait();
         let values: Vec<u64> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(values, vec![1, 4, 9, 16, 25]);
+    }
+
+    #[test]
+    fn jobs_carry_the_callers_index_and_land_in_submission_order() {
+        let fns: Vec<WorkerFn<u64, (usize, u64)>> =
+            (0..2).map(|_| Box::new(|tag: JobTag, x: u64| (tag.partition_idx, x)) as _).collect();
+        let pool = WorkerPool::new("tagged", fns).unwrap();
+        let out = pool.submit(3, vec![(5, 50), (1, 10), (3, 30)]).wait();
+        assert_eq!(out, vec![Ok((5, 50)), Ok((1, 10)), Ok((3, 30))]);
     }
 
     #[test]
@@ -227,7 +247,7 @@ mod tests {
             .map(|w| {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
-                    let out = pool.submit(w, vec![w, w + 1]).wait();
+                    let out = pool.submit(w, indexed(vec![w, w + 1])).wait();
                     out.into_iter().map(Result::unwrap).collect::<Vec<_>>()
                 })
             })
@@ -249,12 +269,12 @@ mod tests {
             })
             .collect();
         let pool = WorkerPool::new("panicky", fns).unwrap();
-        let out = pool.submit(1, vec![1, 13, 3]).wait();
+        let out = pool.submit(1, indexed(vec![1, 13, 3])).wait();
         assert_eq!(out[0], Ok(2));
         assert_eq!(out[1], Err(JobPanicked { tag: JobTag { window_id: 1, partition_idx: 1 } }));
         assert_eq!(out[2], Ok(4));
         // The pool keeps serving jobs after the panic.
-        let again = pool.submit(2, vec![10, 20]).wait();
+        let again = pool.submit(2, indexed(vec![10, 20])).wait();
         assert_eq!(again, vec![Ok(11), Ok(21)]);
     }
 
@@ -290,7 +310,7 @@ mod tests {
             .map(|w| {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
-                    pool.submit(w, (0..16).map(|i| w * 16 + i).collect()).wait()
+                    pool.submit(w, indexed((0..16).map(|i| w * 16 + i).collect())).wait()
                 })
             })
             .collect();

@@ -465,9 +465,11 @@ impl IncrementalReasoner {
 
         match self.pool.clone() {
             Some(pool) => {
-                let payloads: Vec<Vec<Triple>> =
-                    dirty.iter().map(|&i| std::mem::take(&mut parts[i])).collect();
-                let batch = pool.submit(window.id, payloads);
+                // Each job carries its community index, so the pool's fault
+                // hooks and trace spans agree with the sequential path.
+                let jobs: Vec<(usize, Vec<Triple>)> =
+                    dirty.iter().map(|&i| (i, std::mem::take(&mut parts[i]))).collect();
+                let batch = pool.submit(window.id, jobs);
                 // The pool batch is concurrent within itself (max); serial
                 // recoveries after it add to the critical path.
                 let mut pool_critical = Timing::default();

@@ -93,10 +93,10 @@ fn injected_worker_panic_hits_every_job_then_clears() {
         (0..2).map(|_| Box::new(|_tag: JobTag, x: u64| x * x) as _).collect();
     let pool = WorkerPool::new("sq", fns).unwrap();
     fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 3));
-    let out = pool.submit(5, vec![1, 2]).wait();
+    let out = pool.submit(5, vec![(0, 1), (1, 2)]).wait();
     assert!(out.iter().all(Result::is_err), "rate-1.0 plan panics every job");
     fault::clear();
-    let clean = pool.submit(6, vec![4]).wait();
+    let clean = pool.submit(6, vec![(0, 4)]).wait();
     assert_eq!(clean, vec![Ok(16)], "hooks are inert once the plan is cleared");
 }
 
@@ -144,6 +144,68 @@ fn pooled_panics_in_a_parallel_reasoner_are_retried_on_scratch() {
     let msg = format!("{:?}", err.expect_err("rate-1.0 panics exhaust the retries"));
     assert!(msg.contains("window 7"), "error names the window: {msg}");
     assert!(msg.contains("partition"), "error names the partition: {msg}");
+}
+
+/// Window 0 of P, then `slides` slides that each change only community 1's
+/// `car_speed` reading: community 0 stays clean on every slide.
+fn slides_dirtying_community_1(slides: u64) -> Vec<Window> {
+    let with_speed = |v: i64| {
+        let mut items = motivating_items();
+        items[4] = t("car1", "car_speed", Node::Int(v));
+        items
+    };
+    let speed = |id: u64| (id % 2) as i64;
+    let mut windows = vec![Window::new(0, with_speed(0))];
+    for id in 1..=slides {
+        windows.push(Window::new(id, with_speed(speed(id))).with_delta(WindowDelta {
+            base_id: id - 1,
+            added: vec![t("car1", "car_speed", Node::Int(speed(id)))],
+            retracted: vec![t("car1", "car_speed", Node::Int(speed(id - 1)))],
+        }));
+    }
+    windows
+}
+
+#[test]
+fn pooled_and_sequential_faults_hit_the_same_community() {
+    const SLIDES: u64 = 8;
+    // A rate-0.5 seed whose retries always recover, and under which some
+    // slide's dirty community 1 and the first batch slot (0) roll
+    // differently: a pool that tagged jobs by batch slot would panic (or
+    // not) where the sequential path does not.
+    let seed = (0..10_000)
+        .find(|&s| {
+            let plan = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, s);
+            let fires = |w: u64, p: u64| plan.fires(FaultSite::WorkerPanic, w, p);
+            let recovers = (0..=SLIDES)
+                .all(|w| (0..2).all(|i| !(fires(w, i + (1 << 32)) && fires(w, i + (2 << 32)))));
+            recovers && (1..=SLIDES).any(|w| fires(w, 1) != fires(w, 0))
+        })
+        .expect("such a seed exists");
+    let windows = slides_dirtying_community_1(SLIDES);
+
+    let _guard = fault::test_guard();
+    fault::clear();
+    let run = |mode: ParallelMode| {
+        let syms = Symbols::new();
+        let program = parse_program(&syms, PROGRAM_P).unwrap();
+        let config = ReasonerConfig { mode, ..Default::default() };
+        let mut pr =
+            ParallelReasoner::new(&syms, &program, None, paper_partitioner(), config).unwrap();
+        fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, seed));
+        let answers: Vec<Vec<String>> =
+            windows.iter().map(|w| render(&syms, &pr.process(w).unwrap())).collect();
+        fault::clear();
+        let reused = pr.cache_counters().snapshot().hits;
+        (answers, pr.failure_counters().snapshot().retries, reused)
+    };
+    let (threads, threads_retries, threads_reused) = run(ParallelMode::Threads);
+    let (sequential, sequential_retries, sequential_reused) = run(ParallelMode::Sequential);
+    assert_eq!(threads_reused, SLIDES, "community 0 is reused on every slide");
+    assert_eq!(sequential_reused, SLIDES);
+    assert!(sequential_retries > 0, "the plan fires at some community");
+    assert_eq!(threads_retries, sequential_retries, "pooled faults land where sequential ones do");
+    assert_eq!(threads, sequential, "and both recover to the same answers");
 }
 
 #[test]

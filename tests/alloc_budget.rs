@@ -47,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const WINDOW: usize = 10_000;
-const BUDGET_PER_ITEM: f64 = 1.5;
+const BUDGET_PER_ITEM: f64 = 1.25;
 
 #[test]
 fn single_reasoner_stays_within_its_allocation_budget() {
