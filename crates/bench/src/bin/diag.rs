@@ -134,13 +134,12 @@ fn main() {
 }
 
 /// Drives the incremental reasoner over `windows` with the given fault plan
-/// installed and reports its recovery counters on stderr. Per-window errors
-/// (retries exhausted) are loud, not fatal: the remaining windows still run
-/// so the counters reflect the whole pass.
+/// on its config and reports its recovery counters on stderr. Per-window
+/// errors (retries exhausted) are loud, not fatal: the remaining windows
+/// still run so the counters reflect the whole pass.
 fn fault_pass(spec: &str, windows: &[Window]) {
     use sr_core::{
-        fault, DependencyAnalysis, IncrementalReasoner, PlanPartitioner, ReasonerConfig,
-        UnknownPredicate,
+        DependencyAnalysis, IncrementalReasoner, PlanPartitioner, ReasonerConfig, UnknownPredicate,
     };
     use std::sync::Arc;
 
@@ -160,10 +159,9 @@ fn fault_pass(spec: &str, windows: &[Window]) {
         &program,
         Some(&analysis.inpre),
         Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0)),
-        ReasonerConfig::default(),
+        ReasonerConfig { faults: Some(Arc::new(plan)), ..Default::default() },
     )
     .expect("incremental reasoner");
-    fault::install(plan);
     let mut errors = 0usize;
     for window in windows {
         if let Err(e) = reasoner.process(window) {
@@ -171,7 +169,6 @@ fn fault_pass(spec: &str, windows: &[Window]) {
             eprintln!("fault pass: window {} failed loudly: {e}", window.id);
         }
     }
-    fault::clear();
     let f = reasoner.failure_counters().snapshot();
     eprintln!(
         "fault pass ({spec}): {} window(s), {} loud error(s), {} retries, {} fallbacks",

@@ -5,7 +5,7 @@
 use asp_core::{AspError, Program, Symbols};
 use asp_solver::SolverConfig;
 use sr_core::{
-    reasoner_pool, window_accuracy, AnalysisConfig, DependencyAnalysis, ParallelMode,
+    partition_pool, window_accuracy, AnalysisConfig, DependencyAnalysis, ParallelMode,
     ParallelReasoner, PlanPartitioner, Projection, RandomPartitioner, ReasonerConfig,
     ReasonerOutput, SingleReasoner, UnknownPredicate,
 };
@@ -193,26 +193,9 @@ impl ExperimentBench {
         // Threads mode: PR_Dep and every PR_Ran_k share one warm worker
         // pool (the `Arc` clone in `build_pr`), sized for the widest
         // partitioning in the sweep; Sequential mode needs no pool.
-        let pool = match config.mode {
-            ParallelMode::Threads => {
-                let workers = config
-                    .random_ks
-                    .iter()
-                    .copied()
-                    .chain([analysis.plan.communities])
-                    .max()
-                    .unwrap_or(1);
-                Some(Arc::new(reasoner_pool(
-                    &syms,
-                    &program,
-                    Some(&analysis.inpre),
-                    &SolverConfig::default(),
-                    workers,
-                    reasoner_cfg.cost_planning,
-                )?))
-            }
-            ParallelMode::Sequential => None,
-        };
+        let workers =
+            config.random_ks.iter().copied().chain([analysis.plan.communities]).max().unwrap_or(1);
+        let pool = partition_pool(&syms, &program, Some(&analysis.inpre), &reasoner_cfg, workers)?;
         let build_pr = |partitioner: Arc<dyn sr_core::Partitioner>| {
             ParallelReasoner::with_pool(
                 &syms,
@@ -316,9 +299,6 @@ mod tests {
 
     #[test]
     fn quick_grid_runs_and_prdep_is_exact() {
-        // Hold the process-global fault guard: a concurrent chaos test's
-        // installed plan would otherwise inject faults into this run.
-        let _guard = sr_core::fault::test_guard();
         let mut cfg = ExperimentConfig::quick(PROGRAM_P, GeneratorKind::Correlated);
         cfg.window_sizes = vec![500];
         cfg.reps = 1;
@@ -333,9 +313,6 @@ mod tests {
 
     #[test]
     fn p_prime_reports_duplication() {
-        // Hold the process-global fault guard: a concurrent chaos test's
-        // installed plan would otherwise inject faults into this run.
-        let _guard = sr_core::fault::test_guard();
         let mut cfg = ExperimentConfig::quick(&program_p_prime(), GeneratorKind::Correlated);
         cfg.window_sizes = vec![600];
         cfg.reps = 1;

@@ -91,9 +91,6 @@ mod tests {
 
     #[test]
     fn large_traffic_pr_dep_is_exact() {
-        // Hold the process-global fault guard: a concurrent chaos test's
-        // installed plan would otherwise inject faults into this run.
-        let _guard = sr_core::fault::test_guard();
         use asp_solver::SolverConfig;
         use sr_core::{
             window_accuracy, ParallelMode, ParallelReasoner, PlanPartitioner, Projection,

@@ -1,6 +1,8 @@
 //! Configuration knobs for the dependency analysis and the reasoners.
 
+use crate::fault::FaultPlan;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How to break ties (and optionally weigh costs) when choosing which
 /// boundary node set to duplicate in the decomposing process.
@@ -116,6 +118,12 @@ pub struct ReasonerConfig {
     /// reasoner grounds or evaluates. Output is identical either way — only
     /// join evaluation order changes.
     pub cost_planning: bool,
+    /// The fault plan every component built from this config injects
+    /// ([`crate::fault`]): pool workers and the caller-thread path at each
+    /// partition job, the reuse check, and a partitioned engine's `submit`.
+    /// `None`, the default, injects nothing. Not serialized.
+    #[serde(skip)]
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ReasonerConfig {
@@ -131,6 +139,7 @@ impl Default for ReasonerConfig {
             cache_capacity: 256,
             delta_ground: false,
             cost_planning: false,
+            faults: None,
         }
     }
 }

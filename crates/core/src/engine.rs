@@ -11,17 +11,16 @@
 //! [`StreamEngine::finish`].
 
 use crate::config::ReasonerConfig;
-use crate::fault::{self, FaultSite};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{
     duration_ms, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
     IncrementalSnapshot, LatencyStats, TenantLatency,
 };
-use crate::parallel::{reasoner_pool, ParallelReasoner};
+use crate::parallel::{partition_pool, ParallelReasoner};
 use crate::partition::Partitioner;
 use crate::poison::lock_recover;
 use crate::reasoner::{Reasoner, ReasonerOutput};
 use asp_core::{AspError, Predicate, Program, Symbols};
-use asp_solver::SolverConfig;
 use serde::{Deserialize, Serialize};
 use sr_stream::{StreamItem, Window, Windower};
 use std::collections::BTreeMap;
@@ -144,9 +143,9 @@ pub struct EngineStats {
     pub dedup: Option<DedupSnapshot>,
     /// Recovery counters (retries, fallbacks, degraded windows, quarantines).
     /// Present only when the run could have produced them — a deadline was
-    /// configured, fault injection was enabled, or some counter actually
-    /// fired; otherwise `None` and omitted from the JSON rather than
-    /// fabricated as a row of zeros.
+    /// configured, the reasoner config carried a fault plan, or some counter
+    /// actually fired; otherwise `None` and omitted from the JSON rather
+    /// than fabricated as a row of zeros.
     pub failure: Option<FailureSnapshot>,
     /// Admission-control counters (budget, admissions, rejections) of the
     /// multi-tenant scheduler. Present only when a budget is configured or
@@ -280,6 +279,9 @@ pub struct StreamEngine {
     meta: Arc<Mutex<BTreeMap<u64, PendingMeta>>>,
     /// See [`StreamEngine::pool_workers`].
     pool_workers: usize,
+    /// The lanes' fault plan, read by `submit` for `SourceStall`; set only
+    /// by [`StreamEngine::with_partitioned_lanes`].
+    faults: Option<Arc<FaultPlan>>,
 }
 
 /// Sends `out` to the consumer in order, updating the deadline-mode
@@ -607,18 +609,22 @@ impl StreamEngine {
             deadline,
             meta,
             pool_workers: 0,
+            faults: None,
         })
     }
 
     /// Convenience: an engine whose lanes are [`ParallelReasoner`]s sharing
-    /// one worker pool sized `partitions × in_flight`, so every in-flight
-    /// window can fan out over its partitions concurrently, and one set of
+    /// one worker pool sized `partitions × in_flight` (whatever
+    /// [`ReasonerConfig::workers`] says), so every in-flight window can fan
+    /// out over its partitions concurrently — or no pool, where
+    /// [`partition_pool`] keeps partitions on the lane thread — and one set of
     /// [`CacheCounters`], which [`EngineStats::incremental`] reports on
     /// [`StreamEngine::finish`]. This is the standard construction for
     /// pipelined `PR` streaming (the CLI's and the benchmark's). Each lane
     /// reuses only what it computed itself, so with several lanes a
     /// community is reused only when the same lane answered the window the
-    /// delta is based on.
+    /// delta is based on. `reasoner_cfg`'s fault plan reaches the lanes, the
+    /// pool and `submit`.
     pub fn with_partitioned_lanes(
         syms: &Symbols,
         program: &Program,
@@ -627,16 +633,9 @@ impl StreamEngine {
         reasoner_cfg: ReasonerConfig,
         config: EngineConfig,
     ) -> Result<Self, AspError> {
-        // `delta_ground` keeps every dirty partition on the lane thread, so
-        // such lanes get no pool at all.
-        let pool = if reasoner_cfg.delta_ground {
-            None
-        } else {
-            let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
-            let solver = SolverConfig { max_models: reasoner_cfg.max_models, ..Default::default() };
-            let cost_planning = reasoner_cfg.cost_planning;
-            Some(Arc::new(reasoner_pool(syms, program, inpre, &solver, workers, cost_planning)?))
-        };
+        let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
+        let pool = partition_pool(syms, program, inpre, &reasoner_cfg, workers)?;
+        let faults = reasoner_cfg.faults.clone();
         let counters = Arc::new(CacheCounters::default());
         let failures = Arc::new(FailureCounters::default());
         let mut engine = StreamEngine::new_inner(
@@ -660,6 +659,7 @@ impl StreamEngine {
         )?;
         engine.cache_counters = Some(counters);
         engine.pool_workers = pool.map_or(0, |p| p.workers());
+        engine.faults = faults;
         Ok(engine)
     }
 
@@ -758,8 +758,10 @@ impl StreamEngine {
             self.input.as_ref().ok_or_else(|| AspError::Internal("engine already shut".into()))?;
         // A stalled source is simulated *before* admission, so the window's
         // deadline clock starts at its real submission time.
-        if fault::injection_enabled() && fault::fires(FaultSite::SourceStall, window.id, 0) {
-            std::thread::sleep(fault::stall_duration());
+        if let Some(plan) =
+            self.faults.as_ref().filter(|p| p.fires(FaultSite::SourceStall, window.id, 0))
+        {
+            std::thread::sleep(plan.stall());
         }
         self.started.get_or_insert_with(Instant::now);
         let seq = self.submitted;
@@ -881,7 +883,7 @@ impl StreamEngine {
             tenants: Vec::new(),
             dedup: None,
             failure: (self.deadline.is_some()
-                || fault::injection_enabled()
+                || self.faults.is_some()
                 || self.failures.any_nonzero())
             .then(|| self.failures.snapshot()),
             admission: None,
@@ -1334,7 +1336,7 @@ mod tests {
     #[test]
     fn lanes_that_keep_partitions_home_spawn_no_pool_workers() {
         use crate::analysis::DependencyAnalysis;
-        use crate::config::AnalysisConfig;
+        use crate::config::{AnalysisConfig, ParallelMode};
         use crate::partition::PlanPartitioner;
         use asp_parser::parse_program;
 
@@ -1350,20 +1352,23 @@ mod tests {
             analysis.plan.clone(),
             crate::config::UnknownPredicate::Partition0,
         ));
-        let pool_workers = |delta_ground: bool| {
+        let pool_workers = |reasoner_cfg: ReasonerConfig| {
             let engine = StreamEngine::with_partitioned_lanes(
                 &syms,
                 &program,
                 Some(&analysis.inpre),
                 partitioner.clone(),
-                ReasonerConfig { delta_ground, ..Default::default() },
+                reasoner_cfg,
                 EngineConfig { in_flight: 2, queue_depth: 2, ..Default::default() },
             )
             .unwrap();
             engine.pool_workers()
         };
-        assert_eq!(pool_workers(true), 0, "delta_ground lanes never submit to a pool");
-        assert_eq!(pool_workers(false), 4, "2 partitions x 2 lanes");
+        let delta_ground = ReasonerConfig { delta_ground: true, ..Default::default() };
+        assert_eq!(pool_workers(delta_ground), 0, "delta_ground lanes never submit to a pool");
+        let sequential = ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() };
+        assert_eq!(pool_workers(sequential), 0, "Sequential lanes run partitions themselves");
+        assert_eq!(pool_workers(ReasonerConfig::default()), 4, "2 partitions x 2 lanes");
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! channel allocation per window). Because the pool is shared behind an
 //! `Arc`, several windows can have partition jobs in flight at once — the
 //! property the [`StreamEngine`](crate::engine::StreamEngine) builds on.
+//!
+//! The pool is generic and hosts no hooks of its own: a job runs exactly
+//! what its worker closure does. The reasoner pool's closures run the
+//! partition-job hook themselves ([`crate::parallel::reasoner_pool`]).
 
-use crate::fault::{self, FaultSite};
 use crate::poison::{lock_recover, wait_recover};
 use asp_core::AspError;
 use std::collections::VecDeque;
@@ -128,23 +131,8 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
                         }
                     };
                     let Job { tag, slot, payload, batch } = job;
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if fault::injection_enabled() {
-                            let partition = tag.partition_idx as u64;
-                            if fault::fires(FaultSite::PartitionSlowdown, tag.window_id, partition)
-                            {
-                                std::thread::sleep(fault::stall_duration());
-                            }
-                            if fault::fires(FaultSite::WorkerPanic, tag.window_id, partition) {
-                                panic!(
-                                    "injected worker fault (window {}, partition {})",
-                                    tag.window_id, tag.partition_idx
-                                );
-                            }
-                        }
-                        work(tag, payload)
-                    }))
-                    .map_err(|_| JobPanicked { tag });
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| work(tag, payload)))
+                        .map_err(|_| JobPanicked { tag });
                     let mut state = lock_recover(&batch.state);
                     state.slots[slot] = Some(outcome);
                     state.remaining -= 1;

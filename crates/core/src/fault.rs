@@ -9,17 +9,13 @@
 //! first retry and the harness measures the recovery path, not repeated
 //! injection.
 //!
-//! The hooks are zero-cost when off: every site first checks a single
-//! relaxed atomic load ([`injection_enabled`]) and bails. Installing a plan
-//! ([`install`]) flips that flag; [`clear`] turns injection back off.
-//! Plans are process-global — tests that install one must serialize via
-//! [`test_guard`].
+//! A plan is a value, not process state: it rides on
+//! [`ReasonerConfig::faults`](crate::ReasonerConfig::faults) to every
+//! reasoner, pool, engine and registry built from that config, and a
+//! component built without one checks a `None` and moves on. Two engines
+//! in one process therefore never see each other's faults.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
-
-use crate::poison::lock_recover;
 
 /// A named injection point in the pipeline. The discriminants feed the
 /// decision hash, so they are fixed: a seeded plan fires at the same
@@ -151,6 +147,20 @@ impl FaultPlan {
             (h % 1_000_000) < (r.rate * 1_000_000.0) as u64
         })
     }
+
+    /// The hook every partition job runs first, pooled or on the caller
+    /// thread, at its own `(window_id, partition)` coordinate: sleep for
+    /// [`FaultPlan::stall`] when `PartitionSlowdown` fires there, then panic
+    /// when `WorkerPanic` does.
+    pub fn before_partition(&self, window_id: u64, partition: usize) {
+        let coordinate = partition as u64;
+        if self.fires(FaultSite::PartitionSlowdown, window_id, coordinate) {
+            std::thread::sleep(self.stall);
+        }
+        if self.fires(FaultSite::WorkerPanic, window_id, coordinate) {
+            panic!("injected worker fault (window {window_id}, partition {partition})");
+        }
+    }
 }
 
 impl Default for FaultPlan {
@@ -171,64 +181,12 @@ fn decision_hash(seed: u64, site: FaultSite, window_id: u64, partition: u64) -> 
     h
 }
 
-/// Fast-path gate: one relaxed load when injection is off.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn plan_slot() -> &'static Mutex<Option<Arc<FaultPlan>>> {
-    static PLAN: OnceLock<Mutex<Option<Arc<FaultPlan>>>> = OnceLock::new();
-    PLAN.get_or_init(|| Mutex::new(None))
-}
-
-/// Whether a fault plan is installed. This is the zero-cost-when-off check:
-/// a single relaxed atomic load.
-#[inline]
+/// Always `false`: no process-wide plan exists any more. Kept for the
+/// measured surface, which asserts it before every run; that surface builds
+/// each `ReasonerConfig` with `..Default::default()`, so its `faults` is
+/// `None` and no fault can fire there.
 pub fn injection_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Install `plan` process-wide and enable injection.
-pub fn install(plan: FaultPlan) {
-    *lock_recover(plan_slot()) = Some(Arc::new(plan));
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Disable injection and drop the installed plan.
-pub fn clear() {
-    ENABLED.store(false, Ordering::Relaxed);
-    *lock_recover(plan_slot()) = None;
-}
-
-/// The currently installed plan, if any.
-pub fn active_plan() -> Option<Arc<FaultPlan>> {
-    if !injection_enabled() {
-        return None;
-    }
-    lock_recover(plan_slot()).clone()
-}
-
-/// Hook entry point: does `site` fire at `(window_id, partition)` under the
-/// installed plan? `false` (after one atomic load) when injection is off.
-#[inline]
-pub fn fires(site: FaultSite, window_id: u64, partition: u64) -> bool {
-    if !injection_enabled() {
-        return false;
-    }
-    match active_plan() {
-        Some(plan) => plan.fires(site, window_id, partition),
-        None => false,
-    }
-}
-
-/// Stall duration of the installed plan (default if none installed).
-pub fn stall_duration() -> Duration {
-    active_plan().map(|p| p.stall()).unwrap_or_else(|| FaultPlan::new().stall())
-}
-
-/// Serialize tests (across crates) that install the process-global plan.
-/// Hold the guard for the whole test, and `clear()` before releasing it.
-pub fn test_guard() -> MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    lock_recover(GUARD.get_or_init(|| Mutex::new(())))
+    false
 }
 
 #[cfg(test)]
@@ -266,16 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn global_install_gates_the_hook() {
-        let _guard = test_guard();
-        clear();
-        assert!(!injection_enabled());
-        assert!(!fires(FaultSite::WorkerPanic, 1, 0));
-        install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 9));
-        assert!(injection_enabled());
-        assert!(fires(FaultSite::WorkerPanic, 1, 0));
-        assert!(!fires(FaultSite::SourceStall, 1, 0));
-        clear();
-        assert!(!fires(FaultSite::WorkerPanic, 1, 0));
+    fn the_partition_hook_fires_only_at_planned_coordinates() {
+        let quiet = FaultPlan::new().with_rule(FaultSite::CacheInvalidate, 1.0, 9);
+        quiet.before_partition(1, 0);
+        let panicky = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 9);
+        let hit = std::panic::catch_unwind(|| panicky.before_partition(1, 3));
+        let msg = *hit.expect_err("rate 1.0 panics").downcast::<String>().unwrap();
+        assert_eq!(msg, "injected worker fault (window 1, partition 3)");
+        let slow = FaultPlan::new()
+            .with_rule(FaultSite::PartitionSlowdown, 1.0, 9)
+            .with_stall(Duration::from_millis(5));
+        let t0 = std::time::Instant::now();
+        slow.before_partition(1, 0);
+        assert!(t0.elapsed() >= Duration::from_millis(5), "a firing slowdown stalls");
     }
 }

@@ -14,10 +14,16 @@
 //! item of the delta has routes, and none of them routes to `c`; a clean
 //! community's answers are reused, every other community is dirty and is
 //! reasoned from scratch on the shared
-//! [`WorkerPool`](crate::exec::WorkerPool) (or the caller thread in
-//! [`ParallelMode::Sequential`], or when [`ReasonerConfig::delta_ground`] is
-//! set). The combined output is byte-identical to full recomputation: reuse
-//! changes *where* answers come from, never *what* they are.
+//! [`WorkerPool`](crate::exec::WorkerPool), or on the caller thread where
+//! [`partition_pool`] gives none. The combined output is byte-identical to
+//! full recomputation: reuse changes *where* answers come from, never *what*
+//! they are.
+//!
+//! Faults come from [`ReasonerConfig::faults`]: every dirty partition runs
+//! [`FaultPlan::before_partition`](crate::fault::FaultPlan::before_partition)
+//! at its community index, pooled or not, so both paths fail at the same
+//! coordinates; recovery re-rolls `WorkerPanic` at attempt-salted
+//! coordinates, and `CacheInvalidate` turns a clean community dirty.
 //!
 //! This is sound for any delta producer that keeps the multiset invariant
 //! documented on [`Window::delta`](sr_stream::Window::delta), and for any
@@ -42,10 +48,10 @@
 //! [`program_fingerprint`]; the other two are kept for the measured
 //! surface only.
 
-use crate::config::{ParallelMode, ReasonerConfig};
-use crate::fault::{self, FaultSite};
+use crate::config::ReasonerConfig;
+use crate::fault::FaultSite;
 use crate::metrics::{CacheCounters, FailureCounters};
-use crate::parallel::{reasoner_pool, ReasonerPool};
+use crate::parallel::{partition_pool, ReasonerPool};
 use crate::partition::Partitioner;
 use crate::poison::lock_recover;
 use crate::reasoner::{merge_stats, Reasoner, ReasonerOutput, SingleReasoner, Timing};
@@ -214,8 +220,7 @@ pub struct IncrementalReasoner {
     partitioner: Arc<dyn Partitioner>,
     config: ReasonerConfig,
     /// The (possibly shared) worker pool that serves dirty partitions;
-    /// `None` in Sequential mode and under [`ReasonerConfig::delta_ground`],
-    /// where they run on the caller thread.
+    /// `None` where [`partition_pool`] keeps them on the caller thread.
     pool: Option<Arc<ReasonerPool>>,
     /// The caller-thread scratch reasoner. In Sequential mode it serves
     /// every partition; in Threads mode it is the retry/fallback engine for
@@ -235,8 +240,8 @@ pub struct IncrementalReasoner {
     /// otherwise.
     counters: Arc<CacheCounters>,
     /// Shared failure counters (retries/fallbacks), handed in by the engine
-    /// via [`IncrementalReasoner::set_failure_counters`]; a private default
-    /// otherwise.
+    /// or the registry via [`IncrementalReasoner::set_failure_counters`]; a
+    /// private default otherwise.
     failures: Arc<FailureCounters>,
     /// Planner counters already flushed from the sequential scratch
     /// reasoner, which reports cumulative totals. Pooled workers keep their
@@ -247,8 +252,8 @@ pub struct IncrementalReasoner {
 impl IncrementalReasoner {
     /// Builds PR with its own worker pool sized by
     /// [`ReasonerConfig::workers`] (`0` = one worker per partition, the
-    /// paper's Figure 6 degree of parallelism) in Threads mode without
-    /// [`ReasonerConfig::delta_ground`], or with caller-thread execution.
+    /// paper's Figure 6 degree of parallelism), or with caller-thread
+    /// execution where [`partition_pool`] gives no pool.
     pub fn new(
         syms: &Symbols,
         program: &Program,
@@ -256,22 +261,11 @@ impl IncrementalReasoner {
         partitioner: Arc<dyn Partitioner>,
         config: ReasonerConfig,
     ) -> Result<Self, AspError> {
-        let pool = match config.mode {
-            ParallelMode::Threads if !config.delta_ground => {
-                let n = partitioner.partitions().max(1);
-                let workers = if config.workers == 0 { n } else { config.workers };
-                let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
-                Some(Arc::new(reasoner_pool(
-                    syms,
-                    program,
-                    inpre,
-                    &solver,
-                    workers,
-                    config.cost_planning,
-                )?))
-            }
-            _ => None,
+        let workers = match config.workers {
+            0 => partitioner.partitions().max(1),
+            n => n,
         };
+        let pool = partition_pool(syms, program, inpre, &config, workers)?;
         Self::with_pool(syms, program, inpre, partitioner, config, pool)
     }
 
@@ -307,9 +301,9 @@ impl IncrementalReasoner {
         })
     }
 
-    /// Shares the engine-wide failure counters with this reasoner so its
-    /// retries and fallbacks land in the same [`FailureCounters`] snapshot
-    /// the engine reports.
+    /// Shares the engine's (or the registry's) failure counters with this
+    /// reasoner so its retries and fallbacks land in the same
+    /// [`FailureCounters`] snapshot the engine reports.
     pub fn set_failure_counters(&mut self, failures: Arc<FailureCounters>) {
         self.failures = failures;
     }
@@ -368,11 +362,12 @@ impl IncrementalReasoner {
             }
             self.failures.retries.fetch_add(1, Ordering::Relaxed);
             let reasoner = &mut self.scratch;
+            let faults = self.config.faults.as_deref();
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 // Attempt-salted coordinate: distinct from the original
                 // job's roll, so injected faults are transient by default.
                 let salted = i as u64 + ((attempt as u64 + 1) << 32);
-                if fault::fires(FaultSite::WorkerPanic, window.id, salted) {
+                if faults.is_some_and(|p| p.fires(FaultSite::WorkerPanic, window.id, salted)) {
                     panic!(
                         "injected recovery fault (window {}, partition {i}, attempt {attempt})",
                         window.id
@@ -421,8 +416,11 @@ impl IncrementalReasoner {
             // Fault hook: force a clean community dirty — an
             // identity-preserving fault (the recompute must yield the
             // answers reuse would have served).
-            let invalidated = fault::injection_enabled()
-                && fault::fires(FaultSite::CacheInvalidate, window.id, c as u64);
+            let invalidated = self
+                .config
+                .faults
+                .as_ref()
+                .is_some_and(|p| p.fires(FaultSite::CacheInvalidate, window.id, c as u64));
             if !touched[c] && !invalidated {
                 *slot = Some(Arc::clone(&answers[c]));
             }
@@ -465,8 +463,8 @@ impl IncrementalReasoner {
 
         match self.pool.clone() {
             Some(pool) => {
-                // Each job carries its community index, so the pool's fault
-                // hooks and trace spans agree with the sequential path.
+                // Each job carries its community index, so the pool workers'
+                // fault hook and trace spans agree with the sequential path.
                 let jobs: Vec<(usize, Vec<Triple>)> =
                     dirty.iter().map(|&i| (i, std::mem::take(&mut parts[i]))).collect();
                 let batch = pool.submit(window.id, jobs);
@@ -494,21 +492,13 @@ impl IncrementalReasoner {
             None => {
                 for &i in &dirty {
                     let reasoner = &mut self.scratch;
+                    let faults = self.config.faults.as_deref();
                     let items = &parts[i];
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        // The sequential path hosts the same fault hooks the
-                        // pool workers do, so Sequential-mode lanes (and the
-                        // multi-tenant scheduler) see identical failures.
-                        if fault::injection_enabled() {
-                            if fault::fires(FaultSite::PartitionSlowdown, window.id, i as u64) {
-                                std::thread::sleep(fault::stall_duration());
-                            }
-                            if fault::fires(FaultSite::WorkerPanic, window.id, i as u64) {
-                                panic!(
-                                    "injected worker fault (window {}, partition {i})",
-                                    window.id
-                                );
-                            }
+                        // The same hook the pool workers run, so caller-thread
+                        // lanes (and tenant entries) see identical failures.
+                        if let Some(plan) = faults {
+                            plan.before_partition(window.id, i);
                         }
                         reasoner.process_items(items)
                     }));
@@ -625,7 +615,7 @@ impl Reasoner for IncrementalReasoner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::UnknownPredicate;
+    use crate::config::{ParallelMode, UnknownPredicate};
     use crate::parallel::ParallelReasoner;
     use crate::partition::{PlanPartitioner, RandomPartitioner};
     use crate::plan::PartitioningPlan;

@@ -66,7 +66,7 @@ pub use metrics::{
     IncrementalSnapshot, LatencyStats, TenantLatency,
 };
 pub use multi_tenant::{MultiTenantEngine, TenantOutput};
-pub use parallel::{reasoner_pool, ParallelReasoner, ReasonerPool};
+pub use parallel::{partition_pool, reasoner_pool, ParallelReasoner, ReasonerPool};
 pub use partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 pub use plan::PartitioningPlan;
 pub use poison::{lock_recover, poison_recoveries};

@@ -18,7 +18,6 @@
 
 use crate::admission::{AdmissionSnapshot, AdmitError};
 use crate::engine::EngineStats;
-use crate::fault;
 use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, TenantLatency};
 use crate::reasoner::ReasonerOutput;
 use crate::registry::{ProgramRegistry, TenantPartitioner};
@@ -84,8 +83,6 @@ pub struct MultiTenantEngine {
     deadline: Option<Duration>,
     /// Consecutive failed/overdue windows before an entry is quarantined.
     quarantine_threshold: u32,
-    /// Shared recovery counters (quarantines land here).
-    failures: Arc<FailureCounters>,
     /// Admissions that succeeded (attaches included).
     admitted: u64,
     /// Admissions refused with an [`AdmitError`].
@@ -105,7 +102,6 @@ impl MultiTenantEngine {
             last_done: None,
             deadline: None,
             quarantine_threshold: 3,
-            failures: Arc::new(FailureCounters::default()),
             admitted: 0,
             rejected: 0,
         }
@@ -157,11 +153,11 @@ impl MultiTenantEngine {
         Err(AspError::Internal(format!("tenant '{tenant}' is not admitted")))
     }
 
-    /// The scheduler's shared recovery counters (quarantines; also
-    /// snapshotted into [`EngineStats::failure`] by
-    /// [`MultiTenantEngine::stats`]).
+    /// The scheduler's shared recovery counters: the entries' retries and
+    /// fallbacks and the scheduler's quarantines (also snapshotted into
+    /// [`EngineStats::failure`] by [`MultiTenantEngine::stats`]).
     pub fn failure_counters(&self) -> &Arc<FailureCounters> {
-        &self.failures
+        &self.registry.failures
     }
 
     /// Admits a tenant (delegates to [`ProgramRegistry::admit`]); valid
@@ -222,6 +218,7 @@ impl MultiTenantEngine {
         let samples = &mut self.samples;
         let deadline = self.deadline;
         let threshold = self.quarantine_threshold;
+        let failures = Arc::clone(&self.registry.failures);
         for entry in self.registry.entries_mut() {
             if entry.quarantined {
                 continue;
@@ -255,7 +252,7 @@ impl MultiTenantEngine {
                     entry.consecutive_failures += 1;
                     if threshold > 0 && entry.consecutive_failures >= threshold {
                         entry.quarantined = true;
-                        self.failures.quarantines.fetch_add(1, Ordering::Relaxed);
+                        failures.quarantines.fetch_add(1, Ordering::Relaxed);
                     }
                     continue;
                 }
@@ -267,7 +264,7 @@ impl MultiTenantEngine {
                 entry.consecutive_failures += 1;
                 if threshold > 0 && entry.consecutive_failures >= threshold {
                     entry.quarantined = true;
-                    self.failures.quarantines.fetch_add(1, Ordering::Relaxed);
+                    failures.quarantines.fetch_add(1, Ordering::Relaxed);
                 }
             } else {
                 entry.consecutive_failures = 0;
@@ -332,7 +329,7 @@ impl MultiTenantEngine {
             let shared = Arc::clone(&self.counters);
             registry.register_counter_fn(name, &[], move || read(&shared));
         }
-        let failures = Arc::clone(&self.failures);
+        let failures = Arc::clone(&self.registry.failures);
         registry.register_counter_fn("sr_tenant_quarantines_total", &[], move || {
             failures.quarantines.load(Ordering::Relaxed)
         });
@@ -380,9 +377,9 @@ impl MultiTenantEngine {
                 .collect(),
             dedup: Some(self.dedup_snapshot()),
             failure: (self.deadline.is_some()
-                || fault::injection_enabled()
-                || self.failures.any_nonzero())
-            .then(|| self.failures.snapshot()),
+                || self.registry.config.faults.is_some()
+                || self.registry.failures.any_nonzero())
+            .then(|| self.registry.failures.snapshot()),
             admission: self.admission_snapshot(),
         }
     }

@@ -11,12 +11,14 @@
 //! per engine lane) via [`IncrementalReasoner::with_pool`]. The executor
 //! itself lives in [`crate::incremental`].
 
+use crate::config::{ParallelMode, ReasonerConfig};
 use crate::exec::{WorkerFn, WorkerPool};
 use crate::incremental::IncrementalReasoner;
 use crate::reasoner::{SingleReasoner, Timing};
 use asp_core::{AnswerSet, AspError, Predicate, Program, Symbols};
 use asp_solver::{SolveStats, SolverConfig};
 use sr_rdf::Triple;
+use std::sync::Arc;
 
 /// Result of reasoning over one partition's items.
 pub type PartOutcome = Result<(Vec<AnswerSet>, Timing, SolveStats), AspError>;
@@ -25,24 +27,26 @@ pub type PartOutcome = Result<(Vec<AnswerSet>, Timing, SolveStats), AspError>;
 /// copy and serves partition jobs from any window in flight.
 pub type ReasonerPool = WorkerPool<Vec<Triple>, PartOutcome>;
 
-/// Builds a [`ReasonerPool`] of `workers` reasoner copies over `program`.
-/// Wrap it in an `Arc` to share one pool across several
-/// [`ParallelReasoner`]s (e.g. the lanes of a
+/// Builds a [`ReasonerPool`] of `workers` reasoner copies over `program`,
+/// each solving with `config`'s model cap and join planning and running
+/// `config`'s fault plan before every job. Wrap it in an `Arc` to share one
+/// pool across several [`ParallelReasoner`]s (e.g. the lanes of a
 /// [`StreamEngine`](crate::engine::StreamEngine)).
 pub fn reasoner_pool(
     syms: &Symbols,
     program: &Program,
     inpre: Option<&[Predicate]>,
-    solver: &SolverConfig,
+    config: &ReasonerConfig,
     workers: usize,
-    cost_planning: bool,
 ) -> Result<ReasonerPool, AspError> {
+    let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
     let mut fns: Vec<WorkerFn<Vec<Triple>, PartOutcome>> = Vec::with_capacity(workers.max(1));
     for _ in 0..workers.max(1) {
         // Build the reasoner up front so construction errors surface here,
         // not inside the worker thread.
         let mut reasoner = SingleReasoner::new(syms, program, inpre, solver.clone())?;
-        reasoner.set_cost_planning(cost_planning);
+        reasoner.set_cost_planning(config.cost_planning);
+        let faults = config.faults.clone();
         fns.push(Box::new(move |tag, items: Vec<Triple>| {
             // Attribute spans recorded inside this job to its window +
             // partition even though the work crossed the pool boundary.
@@ -55,10 +59,31 @@ pub fn reasoner_pool(
                     ..sr_obs::current_ctx()
                 })
             });
+            if let Some(plan) = &faults {
+                plan.before_partition(tag.window_id, tag.partition_idx);
+            }
             reasoner.process_items(&items)
         }));
     }
     WorkerPool::new("pr-worker", fns)
+}
+
+/// The pool of `workers` reasoner copies that serves a partitioned
+/// reasoner's dirty partitions, or `None` when they run on the caller
+/// thread: in [`ParallelMode::Sequential`] and under
+/// [`ReasonerConfig::delta_ground`]. Every partitioned executor decides
+/// pool-or-caller here; the pool size stays the caller's.
+pub fn partition_pool(
+    syms: &Symbols,
+    program: &Program,
+    inpre: Option<&[Predicate]>,
+    config: &ReasonerConfig,
+    workers: usize,
+) -> Result<Option<Arc<ReasonerPool>>, AspError> {
+    if config.mode == ParallelMode::Sequential || config.delta_ground {
+        return Ok(None);
+    }
+    Ok(Some(Arc::new(reasoner_pool(syms, program, inpre, config, workers)?)))
 }
 
 /// The paper's name for the partitioned reasoner: one executor serves every
@@ -77,7 +102,6 @@ mod tests {
     use asp_parser::parse_program;
     use sr_rdf::Node;
     use sr_stream::Window;
-    use std::sync::Arc;
 
     const PROGRAM_P: &str = r#"
         very_slow_speed(X) :- average_speed(X,Y), Y < 20.
@@ -222,14 +246,10 @@ mod tests {
 
     #[test]
     fn one_pool_shared_by_two_reasoners() {
-        use crate::parallel::reasoner_pool;
-        use asp_solver::SolverConfig;
-
         let syms = Symbols::new();
         let program = parse_program(&syms, PROGRAM_P).unwrap();
-        let pool = Arc::new(
-            reasoner_pool(&syms, &program, None, &SolverConfig::default(), 2, false).unwrap(),
-        );
+        let pool =
+            Arc::new(reasoner_pool(&syms, &program, None, &ReasonerConfig::default(), 2).unwrap());
         let partitioner =
             Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
         let build = |pool| {

@@ -19,14 +19,15 @@
 //! programs must never mix stores) and its own reasoner, which reuses the
 //! communities a window's delta leaves untouched from the last window *it*
 //! answered. Entries share nothing but one set of [`CacheCounters`], which
-//! reports reuse across the registry. A re-admitted program starts cold:
-//! its first window recomputes every community.
+//! reports reuse across the registry, and one set of [`FailureCounters`],
+//! which counts their retries and fallbacks. A re-admitted program starts
+//! cold: its first window recomputes every community.
 
 use crate::admission::{AdmissionPolicy, AdmitError, ProgramBounds};
 use crate::analysis::DependencyAnalysis;
 use crate::config::{AnalysisConfig, ReasonerConfig};
 use crate::incremental::{program_fingerprint, IncrementalReasoner};
-use crate::metrics::CacheCounters;
+use crate::metrics::{CacheCounters, FailureCounters};
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 use asp_core::{AspError, Symbols};
 use asp_parser::parse_program;
@@ -112,9 +113,12 @@ impl ProgramEntry {
 /// The registry: admit/retire tenants, dedup programs by serving key, count
 /// reuse across all of them. See the module docs.
 pub struct ProgramRegistry {
-    config: ReasonerConfig,
+    pub(crate) config: ReasonerConfig,
     /// Reuse and planner counters every entry's reasoner reports into.
     pub(crate) counters: Arc<CacheCounters>,
+    /// Retry and fallback counters every entry's reasoner reports into; the
+    /// scheduler adds its quarantines.
+    pub(crate) failures: Arc<FailureCounters>,
     policy: AdmissionPolicy,
     /// Admitted programs in first-admission order — the deterministic
     /// scheduling order of the multi-tenant engine.
@@ -128,6 +132,7 @@ impl ProgramRegistry {
         ProgramRegistry {
             config,
             counters: Arc::new(CacheCounters::default()),
+            failures: Arc::new(FailureCounters::default()),
             policy: AdmissionPolicy::default(),
             entries: Vec::new(),
         }
@@ -213,6 +218,7 @@ impl ProgramRegistry {
             self.config.clone(),
         )?;
         reasoner.set_cache_counters(Arc::clone(&self.counters));
+        reasoner.set_failure_counters(Arc::clone(&self.failures));
         self.entries.push(ProgramEntry {
             fingerprint,
             partitioner,

@@ -1,17 +1,15 @@
-//! The tests that install the process-global fault plan
-//! ([`sr_core::fault::install`]). The plan is process-wide, so any test
-//! sharing a process with one of these would see its faults; they live in
-//! their own test binary for that reason, and each holds
-//! [`fault::test_guard`] so they never overlap one another.
+//! Recovery under injected faults: each test puts its [`FaultPlan`] on the
+//! [`ReasonerConfig`] of the reasoner, pool or engine it perturbs
+//! ([`ReasonerConfig::faults`]). A plan reaches nothing else, so these
+//! tests need no isolation from each other or from any other test.
 
 use asp_core::{FastMap, Symbols};
 use asp_parser::parse_program;
-use sr_core::exec::WorkerFn;
-use sr_core::fault::{self, FaultPlan, FaultSite};
+use sr_core::fault::{FaultPlan, FaultSite};
 use sr_core::{
-    IncrementalReasoner, JobTag, MultiTenantEngine, ParallelMode, ParallelReasoner, Partitioner,
-    PartitioningPlan, PlanPartitioner, ReasonerConfig, ReasonerOutput, TenantOutput,
-    TenantPartitioner, UnknownPredicate, WorkerPool,
+    reasoner_pool, IncrementalReasoner, MultiTenantEngine, ParallelMode, ParallelReasoner,
+    Partitioner, PartitioningPlan, PlanPartitioner, ReasonerConfig, ReasonerOutput, TenantOutput,
+    TenantPartitioner, UnknownPredicate,
 };
 use sr_rdf::{Node, Triple};
 use sr_stream::{Window, WindowDelta};
@@ -58,9 +56,15 @@ fn paper_partitioner() -> Arc<dyn Partitioner> {
     Arc::new(PlanPartitioner::new(plan, UnknownPredicate::Partition0))
 }
 
+/// `plan` as a config value.
+fn with_plan(plan: FaultPlan, config: ReasonerConfig) -> ReasonerConfig {
+    ReasonerConfig { faults: Some(Arc::new(plan)), ..config }
+}
+
 /// P's two communities over the sequential scratch path, which hosts the
-/// same fault hooks the pool workers do.
-fn build_pair() -> (Symbols, ParallelReasoner, IncrementalReasoner) {
+/// same fault hook the pool workers do: a plan-free reference and a
+/// reasoner under `plan`.
+fn build_pair(plan: FaultPlan) -> (Symbols, ParallelReasoner, IncrementalReasoner) {
     let config =
         ReasonerConfig { incremental: true, mode: ParallelMode::Sequential, ..Default::default() };
     let syms = Symbols::new();
@@ -68,7 +72,8 @@ fn build_pair() -> (Symbols, ParallelReasoner, IncrementalReasoner) {
     let partitioner = paper_partitioner();
     let pr =
         ParallelReasoner::new(&syms, &program, None, partitioner.clone(), config.clone()).unwrap();
-    let ir = IncrementalReasoner::new(&syms, &program, None, partitioner, config).unwrap();
+    let ir = IncrementalReasoner::new(&syms, &program, None, partitioner, with_plan(plan, config))
+        .unwrap();
     (syms, pr, ir)
 }
 
@@ -86,31 +91,26 @@ fn transient_panic_seed() -> u64 {
 }
 
 #[test]
-fn injected_worker_panic_hits_every_job_then_clears() {
-    let _guard = fault::test_guard();
-    fault::clear();
-    let fns: Vec<WorkerFn<u64, u64>> =
-        (0..2).map(|_| Box::new(|_tag: JobTag, x: u64| x * x) as _).collect();
-    let pool = WorkerPool::new("sq", fns).unwrap();
-    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 3));
-    let out = pool.submit(5, vec![(0, 1), (1, 2)]).wait();
+fn injected_worker_panic_hits_every_pooled_job() {
+    let syms = Symbols::new();
+    let program = parse_program(&syms, PROGRAM_P).unwrap();
+    let plan = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 3);
+    let faulty = reasoner_pool(&syms, &program, None, &with_plan(plan, Default::default()), 2);
+    let out = faulty.unwrap().submit(5, vec![(0, motivating_items()), (1, vec![])]).wait();
     assert!(out.iter().all(Result::is_err), "rate-1.0 plan panics every job");
-    fault::clear();
-    let clean = pool.submit(6, vec![(0, 4)]).wait();
-    assert_eq!(clean, vec![Ok(16)], "hooks are inert once the plan is cleared");
+    let clean = reasoner_pool(&syms, &program, None, &ReasonerConfig::default(), 2).unwrap();
+    let out = clean.submit(6, vec![(0, motivating_items())]).wait();
+    assert!(out[0].as_ref().is_ok_and(Result::is_ok), "a plan-free pool runs the same job");
 }
 
 #[test]
 fn injected_panic_recovers_with_identical_output() {
-    let _guard = fault::test_guard();
-    fault::clear();
-    let (syms, mut pr, mut ir) = build_pair();
+    // The fault is transient: recovery must succeed.
+    let plan = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, transient_panic_seed());
+    let (syms, mut pr, mut ir) = build_pair(plan);
     let w = Window::new(0, motivating_items());
     let expected = render(&syms, &pr.process(&w).unwrap());
-    // The fault is transient: recovery must succeed.
-    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, transient_panic_seed()));
     let recovered = ir.process(&w);
-    fault::clear();
     assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
     let snap = ir.failure_counters().snapshot();
     assert!(snap.retries > 0, "the panicked partition was retried: {snap:?}");
@@ -119,28 +119,27 @@ fn injected_panic_recovers_with_identical_output() {
 
 #[test]
 fn pooled_panics_in_a_parallel_reasoner_are_retried_on_scratch() {
-    let _guard = fault::test_guard();
-    fault::clear();
     // Threads mode with its own pool, built without `incremental`.
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
-    let config = ReasonerConfig { mode: ParallelMode::Threads, ..Default::default() };
-    let mut pr = ParallelReasoner::new(&syms, &program, None, paper_partitioner(), config).unwrap();
-    assert_eq!(pr.workers(), 2, "one pooled worker per partition");
+    let threads = ReasonerConfig { mode: ParallelMode::Threads, ..Default::default() };
+    let build = |config: ReasonerConfig| {
+        ParallelReasoner::new(&syms, &program, None, paper_partitioner(), config).unwrap()
+    };
     let w = Window::new(0, motivating_items());
-    let expected = render(&syms, &pr.process(&w).unwrap());
+    let expected = render(&syms, &build(threads.clone()).process(&w).unwrap());
 
-    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, transient_panic_seed()));
+    let transient = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, transient_panic_seed());
+    let mut pr = build(with_plan(transient, threads.clone()));
+    assert_eq!(pr.workers(), 2, "one pooled worker per partition");
     let recovered = pr.process(&w);
-    fault::clear();
     assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
     let snap = pr.failure_counters().snapshot();
     assert!(snap.retries > 0, "the panicked pooled job was retried: {snap:?}");
 
     // Rate 1.0 also fires at every retry: the window errors, named.
-    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 1));
-    let err = pr.process(&Window::new(7, motivating_items()));
-    fault::clear();
+    let always = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 1);
+    let err = build(with_plan(always, threads)).process(&Window::new(7, motivating_items()));
     let msg = format!("{:?}", err.expect_err("rate-1.0 panics exhaust the retries"));
     assert!(msg.contains("window 7"), "error names the window: {msg}");
     assert!(msg.contains("partition"), "error names the partition: {msg}");
@@ -184,18 +183,15 @@ fn pooled_and_sequential_faults_hit_the_same_community() {
         .expect("such a seed exists");
     let windows = slides_dirtying_community_1(SLIDES);
 
-    let _guard = fault::test_guard();
-    fault::clear();
     let run = |mode: ParallelMode| {
         let syms = Symbols::new();
         let program = parse_program(&syms, PROGRAM_P).unwrap();
-        let config = ReasonerConfig { mode, ..Default::default() };
+        let plan = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, seed);
+        let config = with_plan(plan, ReasonerConfig { mode, ..Default::default() });
         let mut pr =
             ParallelReasoner::new(&syms, &program, None, paper_partitioner(), config).unwrap();
-        fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, seed));
         let answers: Vec<Vec<String>> =
             windows.iter().map(|w| render(&syms, &pr.process(w).unwrap())).collect();
-        fault::clear();
         let reused = pr.cache_counters().snapshot().hits;
         (answers, pr.failure_counters().snapshot().retries, reused)
     };
@@ -210,14 +206,11 @@ fn pooled_and_sequential_faults_hit_the_same_community() {
 
 #[test]
 fn retry_exhaustion_surfaces_window_and_partition() {
-    let _guard = fault::test_guard();
-    fault::clear();
-    let (_syms, _pr, mut ir) = build_pair();
     // Rate 1.0 fires at every coordinate, salted retries included: the
     // bounded retries must exhaust and error out loudly.
-    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 1));
+    let (_syms, _pr, mut ir) =
+        build_pair(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 1));
     let err = ir.process(&Window::new(7, motivating_items()));
-    fault::clear();
     let msg = format!("{:?}", err.expect_err("rate-1.0 panics exhaust the retries"));
     assert!(msg.contains("window 7"), "error names the window: {msg}");
     assert!(msg.contains("partition"), "error names the partition: {msg}");
@@ -227,9 +220,16 @@ fn retry_exhaustion_surfaces_window_and_partition() {
 
 #[test]
 fn cache_invalidation_fault_recomputes_identically() {
-    let _guard = fault::test_guard();
-    fault::clear();
-    let (syms, mut pr, mut ir) = build_pair();
+    // A seed that invalidates both communities in window 1 and neither in
+    // window 2.
+    let invalidate = |seed: u64| FaultPlan::new().with_rule(FaultSite::CacheInvalidate, 0.5, seed);
+    let seed = (0..10_000)
+        .find(|&s| {
+            let fires = |w: u64, c: u64| invalidate(s).fires(FaultSite::CacheInvalidate, w, c);
+            (0..2).all(|c| fires(1, c) && !fires(2, c))
+        })
+        .expect("such a seed exists");
+    let (syms, mut pr, mut ir) = build_pair(invalidate(seed));
     let expected = render(&syms, &pr.process(&Window::new(0, motivating_items())).unwrap());
     ir.process(&Window::new(0, motivating_items())).unwrap();
     // Window 1 is unchanged from window 0, so both partitions would be
@@ -238,13 +238,11 @@ fn cache_invalidation_fault_recomputes_identically() {
         Window::new(id, motivating_items())
             .with_delta(WindowDelta { base_id: id - 1, ..Default::default() })
     };
-    fault::install(FaultPlan::new().with_rule(FaultSite::CacheInvalidate, 1.0, 4));
     let again = ir.process(&unchanged(1));
-    fault::clear();
     assert_eq!(render(&syms, &again.unwrap()), expected, "recompute must match reuse");
     let snap = ir.cache_counters().snapshot();
     assert_eq!((snap.hits, snap.misses), (0, 4), "invalidation forces recompute: {snap:?}");
-    // Without the fault the same change is reused.
+    // Where the plan does not fire, the same change is reused.
     ir.process(&unchanged(2)).unwrap();
     assert_eq!(ir.cache_counters().snapshot().hits, 2);
 }
@@ -261,28 +259,38 @@ fn repeated_failures_quarantine_the_entry_and_readmit_lifts_it() {
         out.output.answers.iter().map(|a| a.display(&out.syms).to_string()).collect()
     };
 
-    let _guard = fault::test_guard();
-    fault::clear();
+    // A rate-0.9 worker-panic seed under which the partition of windows
+    // 0..3 exhausts its retries (a deterministic entry failure), window 3's
+    // panics once and recovers on the first retry, and window 4's never
+    // panics.
+    let panics = |seed: u64| FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.9, seed);
+    let seed = (0..100_000)
+        .find(|&s| {
+            let fires =
+                |w: u64, attempt: u64| panics(s).fires(FaultSite::WorkerPanic, w, attempt << 32);
+            let exhausts = |w: u64| (0..3).all(|attempt| fires(w, attempt));
+            (0..3).all(exhausts) && fires(3, 0) && !fires(3, 1) && !fires(4, 0)
+        })
+        .expect("such a seed exists");
     let mut eng = MultiTenantEngine::new(ReasonerConfig {
         incremental: true,
         mode: ParallelMode::Sequential,
+        faults: Some(Arc::new(panics(seed))),
         ..Default::default()
     });
     eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+    assert_eq!(eng.registry().entry_of("t0").unwrap().partitions(), 1);
 
-    // A rate-1.0 worker-panic plan makes every partition exhaust its
-    // retries: each window is a deterministic entry failure.
-    fault::install(FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 11));
     for id in 0..3 {
         let outputs = eng.process(&window(id)).unwrap();
         assert!(outputs.is_empty(), "a failing entry serves nothing, but the window survives");
     }
     assert_eq!(eng.quarantined_tenants(), vec!["t0".to_string()], "3 strikes by default");
-    fault::clear();
 
     // Quarantined: skipped without even attempting (no new errors), and a
     // freshly admitted healthy tenant is served in the same window.
     eng.admit("t1", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
+    assert_eq!(eng.registry().entry_of("t1").unwrap().partitions(), 1);
     let outputs = eng.process(&window(3)).unwrap();
     assert_eq!(outputs.len(), 1, "only the healthy entry runs");
     assert_eq!(outputs[0].tenant, "t1");
@@ -290,6 +298,9 @@ fn repeated_failures_quarantine_the_entry_and_readmit_lifts_it() {
     assert_eq!(stats.errors, 3, "one error per failed entry run");
     let failure = stats.failure.expect("a quarantine forces the failure section");
     assert_eq!(failure.quarantines, 1);
+    // The entries' retries and fallbacks reach the tenant stats: two
+    // retries in each of windows 0..3, then t1's one retry and fallback.
+    assert_eq!((failure.retries, failure.fallbacks), (7, 1), "{failure:?}");
     assert!(stats.to_json().contains("\"failure\": {"), "{}", stats.to_json());
 
     // Re-admission restores service for every tenant of the entry.
@@ -300,5 +311,4 @@ fn repeated_failures_quarantine_the_entry_and_readmit_lifts_it() {
     assert_eq!(tenants, ["t0", "t1"]);
     assert!(rendered(&outputs[0])[0].contains("jam(a)"), "{:?}", rendered(&outputs[0]));
     assert!(eng.readmit("nobody").is_err());
-    fault::clear();
 }

@@ -31,9 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &syms,
         &program,
         Some(&analysis.inpre),
-        &SolverConfig::default(),
+        &ReasonerConfig::default(),
         partitioner.partitions() * in_flight,
-        false,
     )?);
     let mut engine = StreamEngine::new(
         EngineConfig { in_flight, queue_depth: in_flight, ..Default::default() },

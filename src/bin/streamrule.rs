@@ -54,11 +54,13 @@
 //! unfinished `D` ms after submission is emitted **degraded** (the last good
 //! answer, clearly tagged) instead of stalling ordered emission; with
 //! `--tenants` the deadline instead scores overdue windows toward tenant
-//! quarantine. `--fault-spec SITE:RATE:SEED[,...]` installs a deterministic
+//! quarantine. `--fault-spec SITE:RATE:SEED[,...]` puts a deterministic
 //! fault-injection plan (sites: `worker_panic`, `partition_slowdown`,
-//! `cache_invalidate`, `source_stall`) for chaos smoke
-//! runs; recovery counters appear in the report and the `--json` record
-//! only when injection or a deadline is active — never fabricated.
+//! `cache_invalidate`, `source_stall`) on the run's reasoner config for
+//! chaos smoke runs of a partitioned mode (`--mode single` rejects it: it
+//! hosts no fault hook); recovery counters appear in the report and the
+//! `--json` record only when injection or a deadline is active — never
+//! fabricated.
 
 use sr_bench::{
     outputs_match, sequential_baseline, throughput_json, ThroughputResult, ThroughputRun,
@@ -447,7 +449,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // --cost-planning composes with every mode: it changes join evaluation
     // order inside grounding, never the answers.
     let cost_planning = has_flag(args, "--cost-planning");
-    let reasoner_cfg = ReasonerConfig { cost_planning, ..Default::default() };
+    let mut reasoner_cfg = ReasonerConfig { cost_planning, ..Default::default() };
 
     let windows = build_windows(args, window_size, slide, windows_cap, seed)?;
     let analysis = DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())
@@ -502,9 +504,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .into());
     }
     if let Some(spec) = flag_value(args, "--fault-spec") {
+        if matches!(mode, RunMode::Single) {
+            return Err("--fault-spec injects into partition jobs and partitioned engine lanes; \
+                        --mode single has neither (use --mode dep or --mode random:K)"
+                .into());
+        }
         let plan = FaultPlan::parse_spec(spec).map_err(|e| format!("bad --fault-spec: {e}"))?;
         println!("fault injection: {spec}");
-        fault::install(plan);
+        reasoner_cfg.faults = Some(Arc::new(plan));
     }
     // Observability is orthogonal to the chosen path: the session outlives
     // the run and is finalized (self-scrape, trace write) after it.

@@ -10,6 +10,9 @@
 //!    **byte-identically** to the fault-free reference pass;
 //! 3. a window that could not produce its real answer is **flagged** —
 //!    degraded or a loud per-window error — never silently wrong.
+//!
+//! Each plan rides on the faulty engine's own `ReasonerConfig`, so these
+//! tests share their process with plan-free ones and with each other.
 
 use proptest::prelude::*;
 use sr_bench::PROGRAM_P;
@@ -39,8 +42,9 @@ fn render(syms: &Symbols, out: &ReasonerOutput) -> String {
     out.answers.iter().map(|a| a.display(syms).to_string()).collect::<Vec<_>>().join("\n")
 }
 
-/// Sequential-mode incremental config: the lanes recover partitions inline,
-/// so every fault site on the sequential path is exercised deterministically.
+/// Sequential-mode incremental config: the lanes get no pool and run and
+/// recover their partitions inline, so every fault site on the sequential
+/// path is exercised deterministically.
 fn chaos_config() -> ReasonerConfig {
     ReasonerConfig {
         mode: ParallelMode::Sequential,
@@ -65,9 +69,6 @@ proptest! {
         random_part in any::<bool>(),
         k in 2usize..=4,
     ) {
-        // The fault plan is process-global: serialize with every other test
-        // that installs one.
-        let _guard = fault::test_guard();
         let slide = (size / [2, 4, 8][divisor_idx]).max(1);
         let windows = sliding_windows(seed, size, slide, 3);
 
@@ -84,7 +85,6 @@ proptest! {
 
         // Fault-free reference: the same backend the lanes run, strictly
         // sequential.
-        fault::clear();
         let mut reference = IncrementalReasoner::new(
             &syms,
             &program,
@@ -96,27 +96,25 @@ proptest! {
         let expected: Vec<String> =
             windows.iter().map(|w| render(&syms, &reference.process(w).unwrap())).collect();
 
-        fault::install(
-            FaultPlan::new()
-                .with_rule(FaultSite::WorkerPanic, f64::from(panic_pct) / 100.0, seed)
-                .with_rule(
-                    FaultSite::CacheInvalidate,
-                    f64::from(invalidate_pct) / 100.0,
-                    seed.wrapping_add(2),
-                )
-                .with_rule(
-                    FaultSite::PartitionSlowdown,
-                    f64::from(slowdown_pct) / 100.0,
-                    seed.wrapping_add(3),
-                )
-                .with_stall(Duration::from_millis(350)),
-        );
+        let plan = FaultPlan::new()
+            .with_rule(FaultSite::WorkerPanic, f64::from(panic_pct) / 100.0, seed)
+            .with_rule(
+                FaultSite::CacheInvalidate,
+                f64::from(invalidate_pct) / 100.0,
+                seed.wrapping_add(2),
+            )
+            .with_rule(
+                FaultSite::PartitionSlowdown,
+                f64::from(slowdown_pct) / 100.0,
+                seed.wrapping_add(3),
+            )
+            .with_stall(Duration::from_millis(350));
         let mut engine = StreamEngine::with_partitioned_lanes(
             &syms,
             &program,
             Some(&analysis.inpre),
             partitioner,
-            chaos_config(),
+            ReasonerConfig { faults: Some(Arc::new(plan)), ..chaos_config() },
             EngineConfig { in_flight, queue_depth: in_flight, window_deadline_ms: Some(120) },
         )
         .unwrap();
@@ -124,7 +122,6 @@ proptest! {
             engine.submit(window.clone()).unwrap();
         }
         let report = engine.finish();
-        fault::clear();
 
         // (1) Termination + complete, ordered emission. Reaching this line
         // at all is the termination half; finish() would hang otherwise.
@@ -169,8 +166,6 @@ fn seeded_chaos_run_degrades_at_most_half_the_windows() {
     const SEED: u64 = 2017;
     const FAULT_RATE: f64 = 0.05;
     const SLOWDOWN_RATE: f64 = 0.05;
-    let _guard = fault::test_guard();
-    fault::clear();
     let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, SEED);
     let windows: Vec<Window> = (0..48).map(|i| Window::new(i, generator.window(300))).collect();
     let syms = Symbols::new();
@@ -191,19 +186,17 @@ fn seeded_chaos_run_degrades_at_most_half_the_windows() {
     let expected: Vec<String> =
         windows.iter().map(|w| render(&syms, &reference.process(w).unwrap())).collect();
 
-    fault::install(
-        FaultPlan::new()
-            .with_rule(FaultSite::WorkerPanic, FAULT_RATE, SEED)
-            .with_rule(FaultSite::CacheInvalidate, FAULT_RATE, SEED + 2)
-            .with_rule(FaultSite::PartitionSlowdown, SLOWDOWN_RATE, SEED + 3)
-            .with_stall(Duration::from_millis(400)),
-    );
+    let plan = FaultPlan::new()
+        .with_rule(FaultSite::WorkerPanic, FAULT_RATE, SEED)
+        .with_rule(FaultSite::CacheInvalidate, FAULT_RATE, SEED + 2)
+        .with_rule(FaultSite::PartitionSlowdown, SLOWDOWN_RATE, SEED + 3)
+        .with_stall(Duration::from_millis(400));
     let mut engine = StreamEngine::with_partitioned_lanes(
         &syms,
         &program,
         Some(&analysis.inpre),
         partitioner,
-        config,
+        ReasonerConfig { faults: Some(Arc::new(plan)), ..config },
         EngineConfig { in_flight: 2, queue_depth: 2, window_deadline_ms: Some(120) },
     )
     .unwrap();
@@ -211,7 +204,6 @@ fn seeded_chaos_run_degrades_at_most_half_the_windows() {
         engine.submit(window.clone()).unwrap();
     }
     let report = engine.finish();
-    fault::clear();
 
     assert_eq!(report.outputs.len(), windows.len());
     let mut degraded = 0u64;
@@ -235,8 +227,6 @@ fn seeded_chaos_run_degrades_at_most_half_the_windows() {
 /// deadline is armed.
 #[test]
 fn inert_hooks_change_nothing() {
-    let _guard = fault::test_guard();
-    fault::clear();
     let windows = sliding_windows(11, 80, 20, 3);
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
@@ -277,4 +267,67 @@ fn inert_hooks_change_nothing() {
         report.stats.failure.is_none(),
         "no deadline, no injection, no counters: the failure section must be omitted"
     );
+}
+
+/// Two engines on two threads of one process, one under a rate-1.0
+/// `worker_panic` + `partition_slowdown` plan, the other under none: the
+/// plan stays with the engine whose config carries it. The plan-free engine
+/// renders byte-identically to the reference and reports no failure
+/// section, while its neighbor fails every window.
+#[test]
+fn a_plan_stays_with_the_engine_whose_config_carries_it() {
+    let windows = sliding_windows(11, 80, 20, 3);
+    let syms = Symbols::new();
+    let program = parse_program(&syms, PROGRAM_P).unwrap();
+    let analysis =
+        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+    let partitioner: Arc<dyn Partitioner> =
+        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+    let mut reference = IncrementalReasoner::new(
+        &syms,
+        &program,
+        Some(&analysis.inpre),
+        partitioner.clone(),
+        chaos_config(),
+    )
+    .unwrap();
+    let expected: Vec<String> =
+        windows.iter().map(|w| render(&syms, &reference.process(w).unwrap())).collect();
+
+    let plan = FaultPlan::new()
+        .with_rule(FaultSite::WorkerPanic, 1.0, 5)
+        .with_rule(FaultSite::PartitionSlowdown, 1.0, 6)
+        .with_stall(Duration::from_millis(2));
+    let faulty_cfg = ReasonerConfig { faults: Some(Arc::new(plan)), ..Default::default() };
+    let start = std::sync::Barrier::new(2);
+    let run = |reasoner_cfg: ReasonerConfig| {
+        let mut engine = StreamEngine::with_partitioned_lanes(
+            &syms,
+            &program,
+            Some(&analysis.inpre),
+            partitioner.clone(),
+            reasoner_cfg,
+            EngineConfig { in_flight: 2, queue_depth: 2, window_deadline_ms: None },
+        )
+        .unwrap();
+        start.wait();
+        for window in &windows {
+            engine.submit(window.clone()).unwrap();
+        }
+        engine.finish()
+    };
+    let (faulty, clean) = std::thread::scope(|s| {
+        let faulty = s.spawn(|| run(faulty_cfg));
+        let clean = s.spawn(|| run(ReasonerConfig::default()));
+        (faulty.join().unwrap(), clean.join().unwrap())
+    });
+
+    assert!(faulty.outputs.iter().all(|o| o.result.is_err()), "rate 1.0 fails every window");
+    let failure = faulty.stats.failure.expect("a plan forces the failure section");
+    assert!(failure.retries > 0, "{failure:?}");
+    assert_eq!(clean.outputs.len(), windows.len());
+    for (i, out) in clean.outputs.iter().enumerate() {
+        assert_eq!(render(&syms, out.result.as_ref().unwrap()), expected[i], "window {i}");
+    }
+    assert!(clean.stats.failure.is_none(), "the plan-free engine saw no fault");
 }

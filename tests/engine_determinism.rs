@@ -116,7 +116,7 @@ fn engine_over_shared_pool_matches_per_lane_pools() {
         Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
 
     let pool = Arc::new(
-        reasoner_pool(&syms, &program, Some(&analysis.inpre), &SolverConfig::default(), 4, false)
+        reasoner_pool(&syms, &program, Some(&analysis.inpre), &ReasonerConfig::default(), 4)
             .unwrap(),
     );
     let shared = engine_rendered(

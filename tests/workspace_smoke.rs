@@ -118,3 +118,18 @@ fn run_rejects_unknown_flags_by_name() {
         assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{stderr}");
     }
 }
+
+/// `--mode single` hosts no fault hook, so a `--fault-spec` there would
+/// inject nothing: the run refuses it by name instead.
+#[test]
+fn run_rejects_a_fault_plan_that_single_mode_cannot_fire() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+        .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "1"])
+        .args(["--mode", "single", "--in-flight", "2", "--fault-spec", "worker_panic:1:1"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("streamrule runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the plan was accepted: {stderr}");
+    assert!(stderr.contains("--fault-spec") && stderr.contains("--mode single"), "{stderr}");
+}
