@@ -169,7 +169,7 @@ fn fault_pass(spec: &str, windows: &[Window]) {
             eprintln!("fault pass: window {} failed loudly: {e}", window.id);
         }
     }
-    let f = reasoner.failure_counters().snapshot();
+    let f = reasoner.ctx().failures.snapshot();
     eprintln!(
         "fault pass ({spec}): {} window(s), {} loud error(s), {} retries, {} fallbacks",
         windows.len(),

@@ -5,7 +5,7 @@
 use asp_core::{AspError, Program, Symbols};
 use asp_solver::SolverConfig;
 use sr_core::{
-    partition_pool, window_accuracy, AnalysisConfig, DependencyAnalysis, ParallelMode,
+    partition_pool, window_accuracy, AnalysisConfig, DependencyAnalysis, ExecCtx, ParallelMode,
     ParallelReasoner, PlanPartitioner, Projection, RandomPartitioner, ReasonerConfig,
     ReasonerOutput, SingleReasoner, UnknownPredicate,
 };
@@ -195,15 +195,15 @@ impl ExperimentBench {
         // partitioning in the sweep; Sequential mode needs no pool.
         let workers =
             config.random_ks.iter().copied().chain([analysis.plan.communities]).max().unwrap_or(1);
-        let pool = partition_pool(&syms, &program, Some(&analysis.inpre), &reasoner_cfg, workers)?;
+        let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
         let build_pr = |partitioner: Arc<dyn sr_core::Partitioner>| {
-            ParallelReasoner::with_pool(
+            ParallelReasoner::with_ctx(
                 &syms,
                 &program,
                 Some(&analysis.inpre),
                 partitioner,
                 reasoner_cfg.clone(),
-                pool.clone(),
+                ctx.clone(),
             )
         };
         let pr_dep = build_pr(dep_partitioner)?;

@@ -58,9 +58,10 @@ pub enum UnknownPredicate {
 /// How the parallel reasoner schedules its partitions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ParallelMode {
-    /// Dirty partitions run on a worker pool shared by the windows in
-    /// flight, sized by [`ReasonerConfig::workers`] (the paper's Figure 6
-    /// with one worker per partition).
+    /// Each dirty partition runs as one job, on its community's own copy of
+    /// the reasoner, on a worker pool shared by the windows in flight (the
+    /// paper's Figure 6); [`ReasonerConfig::workers`] says how the pool is
+    /// sized.
     #[default]
     Threads,
     /// Process partitions sequentially in the caller thread — the
@@ -89,8 +90,12 @@ pub struct ReasonerConfig {
     pub max_combined: usize,
     /// Scheduling mode.
     pub mode: ParallelMode,
-    /// Worker threads in the shared partition pool (Threads mode only);
-    /// `0` sizes the pool to one worker per partition.
+    /// Worker threads of the pool a stand-alone partitioned reasoner or a
+    /// [`ProgramRegistry`](crate::registry::ProgramRegistry) builds (Threads
+    /// mode only); `0` sizes it to one worker per partition of the reasoner
+    /// (of the registry's first admitted program). A partitioned
+    /// [`StreamEngine`](crate::engine::StreamEngine) ignores it and sizes its
+    /// pool `partitions × in_flight`.
     pub workers: usize,
     /// Unknown-predicate routing.
     pub unknown: UnknownPredicate,
@@ -119,8 +124,8 @@ pub struct ReasonerConfig {
     /// join evaluation order changes.
     pub cost_planning: bool,
     /// The fault plan every component built from this config injects
-    /// ([`crate::fault`]): pool workers and the caller-thread path at each
-    /// partition job, the reuse check, and a partitioned engine's `submit`.
+    /// ([`crate::fault`]): every partition job, pooled or on the caller
+    /// thread, the reuse check, and a partitioned engine's `submit`.
     /// `None`, the default, injects nothing. Not serialized.
     #[serde(skip)]
     pub faults: Option<Arc<FaultPlan>>,

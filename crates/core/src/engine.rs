@@ -11,10 +11,11 @@
 //! [`StreamEngine::finish`].
 
 use crate::config::ReasonerConfig;
+use crate::exec::ExecCtx;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{
-    duration_ms, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
-    IncrementalSnapshot, LatencyStats, TenantLatency,
+    duration_ms, DedupSnapshot, FailureCounters, FailureSnapshot, IncrementalSnapshot,
+    LatencyStats, TenantLatency,
 };
 use crate::parallel::{partition_pool, ParallelReasoner};
 use crate::partition::Partitioner;
@@ -267,18 +268,17 @@ pub struct StreamEngine {
     started: Option<Instant>,
     /// Cumulative time `submit` spent blocked on backpressure.
     blocked: Duration,
-    /// The lanes' shared reuse counters when they are partitioned.
-    cache_counters: Option<Arc<CacheCounters>>,
+    /// Whether the lanes are partitioned reasoners reporting into `ctx`'s
+    /// reuse and planner counters.
+    partitioned: bool,
     occupancy: Arc<OccupancyAcc>,
-    /// Recovery counters shared with the lanes, the collector and (for
-    /// partitioned lanes) the reasoners' retry path.
-    failures: Arc<FailureCounters>,
+    /// The partitioned lanes' shared pool and counters; its recovery
+    /// counters are shared with every lane and the collector either way.
+    ctx: ExecCtx,
     /// Per-window deadline; `None` disables degraded emission.
     deadline: Option<Duration>,
     /// Submission metadata keyed by seq, kept only in deadline mode.
     meta: Arc<Mutex<BTreeMap<u64, PendingMeta>>>,
-    /// See [`StreamEngine::pool_workers`].
-    pool_workers: usize,
     /// The lanes' fault plan, read by `submit` for `SourceStall`; set only
     /// by [`StreamEngine::with_partitioned_lanes`].
     faults: Option<Arc<FaultPlan>>,
@@ -465,16 +465,16 @@ impl StreamEngine {
         config: EngineConfig,
         factory: impl FnMut(usize) -> Result<Box<dyn Reasoner>, AspError>,
     ) -> Result<Self, AspError> {
-        StreamEngine::new_inner(config, factory, Arc::new(FailureCounters::default()))
+        StreamEngine::new_inner(config, factory, ExecCtx::default())
     }
 
-    /// Like [`StreamEngine::new`] but sharing `failures` with the caller, so
+    /// Like [`StreamEngine::new`] but sharing `ctx` with the caller, so
     /// lane reasoners that count their own retries/fallbacks land in the
     /// same snapshot as the engine-level degradations.
     fn new_inner(
         config: EngineConfig,
         mut factory: impl FnMut(usize) -> Result<Box<dyn Reasoner>, AspError>,
-        failures: Arc<FailureCounters>,
+        ctx: ExecCtx,
     ) -> Result<Self, AspError> {
         let lanes_n = config.in_flight.max(1);
         let mut reasoners = Vec::with_capacity(lanes_n);
@@ -494,7 +494,7 @@ impl StreamEngine {
             let input_rx = Arc::clone(&input_rx);
             let result_tx = result_tx.clone();
             let occ = Arc::clone(&occupancy);
-            let fail = Arc::clone(&failures);
+            let fail = Arc::clone(&ctx.failures);
             let handle = std::thread::Builder::new()
                 .name(format!("engine-lane-{i}"))
                 .spawn(move || loop {
@@ -577,7 +577,7 @@ impl StreamEngine {
         let deadline = config.window_deadline_ms.map(Duration::from_millis);
         let meta: Arc<Mutex<BTreeMap<u64, PendingMeta>>> = Arc::new(Mutex::new(BTreeMap::new()));
         let collector_meta = Arc::clone(&meta);
-        let collector_fail = Arc::clone(&failures);
+        let collector_fail = Arc::clone(&ctx.failures);
         let collector = std::thread::Builder::new()
             .name("engine-collector".into())
             .spawn(move || {
@@ -603,28 +603,27 @@ impl StreamEngine {
             submitted: 0,
             started: None,
             blocked: Duration::ZERO,
-            cache_counters: None,
+            partitioned: false,
             occupancy,
-            failures,
+            ctx,
             deadline,
             meta,
-            pool_workers: 0,
             faults: None,
         })
     }
 
     /// Convenience: an engine whose lanes are [`ParallelReasoner`]s sharing
-    /// one worker pool sized `partitions × in_flight` (whatever
-    /// [`ReasonerConfig::workers`] says), so every in-flight window can fan
-    /// out over its partitions concurrently — or no pool, where
+    /// one [`ExecCtx`]: one worker pool sized `partitions × in_flight`
+    /// (whatever [`ReasonerConfig::workers`] says), so every in-flight window
+    /// can fan out over its partitions concurrently — or no pool, where
     /// [`partition_pool`] keeps partitions on the lane thread — and one set of
-    /// [`CacheCounters`], which [`EngineStats::incremental`] reports on
-    /// [`StreamEngine::finish`]. This is the standard construction for
-    /// pipelined `PR` streaming (the CLI's and the benchmark's). Each lane
-    /// reuses only what it computed itself, so with several lanes a
-    /// community is reused only when the same lane answered the window the
-    /// delta is based on. `reasoner_cfg`'s fault plan reaches the lanes, the
-    /// pool and `submit`.
+    /// counters, which [`EngineStats::incremental`] and
+    /// [`EngineStats::failure`] report on [`StreamEngine::finish`]. This is
+    /// the standard construction for pipelined `PR` streaming (the CLI's and
+    /// the benchmark's). Each lane reuses only what it computed itself, so
+    /// with several lanes a community is reused only when the same lane
+    /// answered the window the delta is based on. `reasoner_cfg`'s fault plan
+    /// reaches every partition job and `submit`.
     pub fn with_partitioned_lanes(
         syms: &Symbols,
         program: &Program,
@@ -634,31 +633,24 @@ impl StreamEngine {
         config: EngineConfig,
     ) -> Result<Self, AspError> {
         let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
-        let pool = partition_pool(syms, program, inpre, &reasoner_cfg, workers)?;
+        let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
         let faults = reasoner_cfg.faults.clone();
-        let counters = Arc::new(CacheCounters::default());
-        let failures = Arc::new(FailureCounters::default());
         let mut engine = StreamEngine::new_inner(
             config,
             |_lane| {
-                let mut reasoner = ParallelReasoner::with_pool(
+                let reasoner = ParallelReasoner::with_ctx(
                     syms,
                     program,
                     inpre,
                     partitioner.clone(),
                     reasoner_cfg.clone(),
-                    pool.clone(),
+                    ctx.clone(),
                 )?;
-                // Lane-level retries/fallbacks count into the same snapshot
-                // as the engine's own degradations.
-                reasoner.set_failure_counters(Arc::clone(&failures));
-                reasoner.set_cache_counters(Arc::clone(&counters));
                 Ok(Box::new(reasoner) as Box<dyn Reasoner>)
             },
-            Arc::clone(&failures),
+            ctx.clone(),
         )?;
-        engine.cache_counters = Some(counters);
-        engine.pool_workers = pool.map_or(0, |p| p.workers());
+        engine.partitioned = true;
         engine.faults = faults;
         Ok(engine)
     }
@@ -671,7 +663,7 @@ impl StreamEngine {
     /// Worker threads of the partition pool the lanes share; 0 when the
     /// lanes run their partitions themselves.
     pub fn pool_workers(&self) -> usize {
-        self.pool_workers
+        self.ctx.workers()
     }
 
     /// Binds this engine's live state to `registry` so a Prometheus scrape
@@ -702,7 +694,7 @@ impl StreamEngine {
             ("sr_engine_late_recoveries_total", |f| &f.late_recoveries),
             ("sr_engine_lane_rebuilds_total", |f| &f.lane_rebuilds),
         ] {
-            let failures = Arc::clone(&self.failures);
+            let failures = Arc::clone(&self.ctx.failures);
             registry.register_counter_fn(name, &[], move || {
                 pick(&failures).load(std::sync::atomic::Ordering::Relaxed)
             });
@@ -740,8 +732,8 @@ impl StreamEngine {
                 move || occ.lane_windows[lane].load(std::sync::atomic::Ordering::Relaxed),
             );
         }
-        if let Some(counters) = &self.cache_counters {
-            counters.register_metrics(registry);
+        if self.partitioned {
+            self.ctx.counters.register_metrics(registry);
         }
     }
 
@@ -873,7 +865,7 @@ impl StreamEngine {
             windows_per_sec: if elapsed_s > 0.0 { acc.windows as f64 / elapsed_s } else { 0.0 },
             items_per_sec: if elapsed_s > 0.0 { acc.items as f64 / elapsed_s } else { 0.0 },
             submit_blocked_ms: Some(duration_ms(self.blocked)),
-            incremental: self.cache_counters.as_ref().map(|c| c.snapshot()),
+            incremental: self.partitioned.then(|| self.ctx.counters.snapshot()),
             lanes,
             queue_high_water: self
                 .occupancy
@@ -884,8 +876,8 @@ impl StreamEngine {
             dedup: None,
             failure: (self.deadline.is_some()
                 || self.faults.is_some()
-                || self.failures.any_nonzero())
-            .then(|| self.failures.snapshot()),
+                || self.ctx.failures.any_nonzero())
+            .then(|| self.ctx.failures.snapshot()),
             admission: None,
         };
         EngineReport { outputs, stats }
@@ -894,7 +886,7 @@ impl StreamEngine {
     /// The engine's shared recovery counters (live; also snapshotted into
     /// [`EngineStats::failure`] by [`StreamEngine::finish`]).
     pub fn failure_counters(&self) -> &Arc<FailureCounters> {
-        &self.failures
+        &self.ctx.failures
     }
 }
 

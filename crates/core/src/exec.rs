@@ -1,19 +1,21 @@
-//! Shared worker-pool executor for partition jobs.
+//! The shared worker pool partition jobs run on, and the execution context
+//! that carries it.
 //!
-//! The original parallel reasoner dedicated one long-lived thread per
-//! partition and allocated a fresh reply channel on every `process` call.
-//! This module replaces that with a single size-configurable pool: jobs are
-//! tagged [`JobTag`] `(window_id, partition_idx)` with the partition index
-//! the caller gives, pushed onto one shared queue, and completed results
-//! land in per-submission [`BatchHandle`] slots in submission order (no
-//! channel allocation per window). Because the pool is shared behind an
-//! `Arc`, several windows can have partition jobs in flight at once — the
-//! property the [`StreamEngine`](crate::engine::StreamEngine) builds on.
+//! A [`WorkerPool`] is `n` identical threads draining one queue of boxed
+//! jobs. It knows nothing of programs or reasoners: a job carries what it
+//! works on (a partitioned reasoner's job carries its community's reasoner
+//! and items, see [`crate::incremental`]), so one pool serves any number of
+//! reasoners over any number of programs. Outcomes land in per-submission
+//! [`BatchHandle`] slots in submission order (no channel allocation per
+//! window), and because the pool is shared behind an `Arc`, several windows
+//! can have jobs in flight at once — the property the
+//! [`StreamEngine`](crate::engine::StreamEngine) builds on.
 //!
-//! The pool is generic and hosts no hooks of its own: a job runs exactly
-//! what its worker closure does. The reasoner pool's closures run the
-//! partition-job hook themselves ([`crate::parallel::reasoner_pool`]).
+//! [`ExecCtx`] is the one value the reasoners of an engine or a registry
+//! share: the pool (or none, for caller-thread execution) and the counters
+//! they report reuse, planning and recovery into.
 
+use crate::metrics::{CacheCounters, FailureCounters};
 use crate::poison::{lock_recover, wait_recover};
 use asp_core::AspError;
 use std::collections::VecDeque;
@@ -21,38 +23,21 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Identifies one partition job of one window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct JobTag {
-    /// The window the job belongs to.
-    pub window_id: u64,
-    /// The partition (community) index within that window, as the caller
-    /// gave it — not the job's position in its batch.
-    pub partition_idx: usize,
-}
+/// One unit of work: everything it needs is inside the closure.
+pub type Job<R> = Box<dyn FnOnce() -> R + Send>;
 
-/// Error marker returned for a job whose worker closure panicked. The pool
-/// itself survives: the worker thread catches the unwind and keeps serving
-/// jobs, so one poisoned partition can never deadlock a batch.
+/// Error marker for a job that panicked. The pool itself survives: the
+/// unwind is caught and the worker keeps serving jobs, so one poisoned
+/// partition can never deadlock a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobPanicked {
-    /// The job that panicked.
-    pub tag: JobTag,
-}
+pub struct JobPanicked;
 
-/// A worker closure: per-worker mutable state (e.g. a reasoner instance)
-/// lives inside the closure's captures.
-pub type WorkerFn<J, R> = Box<dyn FnMut(JobTag, J) -> R + Send>;
-
-/// Outcome of one job: the closure's result, or the panic marker.
+/// Outcome of one job: its result, or the panic marker.
 pub type JobOutcome<R> = Result<R, JobPanicked>;
 
-struct Job<J, R> {
-    tag: JobTag,
-    /// The job's position in its batch: where its outcome lands.
-    slot: usize,
-    payload: J,
-    batch: Arc<BatchShared<R>>,
+/// Runs `job` on the current thread, catching a panic.
+fn run_caught<R>(job: Job<R>) -> JobOutcome<R> {
+    std::panic::catch_unwind(AssertUnwindSafe(job)).map_err(|_| JobPanicked)
 }
 
 struct BatchState<R> {
@@ -74,7 +59,7 @@ pub struct BatchHandle<R> {
 
 impl<R> BatchHandle<R> {
     /// Blocks until all jobs of the batch finished; outcomes are returned in
-    /// the order the payloads were submitted.
+    /// the order the jobs were submitted.
     pub fn wait(self) -> Vec<JobOutcome<R>> {
         let mut state = lock_recover(&self.shared.state);
         while state.remaining > 0 {
@@ -84,45 +69,48 @@ impl<R> BatchHandle<R> {
     }
 }
 
-struct QueueState<J, R> {
-    jobs: VecDeque<Job<J, R>>,
+/// A queued job, already wrapped to report into its batch slot.
+type Task = Box<dyn FnOnce() + Send>;
+
+struct QueueState {
+    tasks: VecDeque<Task>,
     shutdown: bool,
 }
 
-struct PoolShared<J, R> {
-    queue: Mutex<QueueState<J, R>>,
+struct PoolShared {
+    queue: Mutex<QueueState>,
     available: Condvar,
 }
 
-/// A fixed-size pool of worker threads draining one shared job queue.
-pub struct WorkerPool<J: Send + 'static, R: Send + 'static> {
-    shared: Arc<PoolShared<J, R>>,
+/// A fixed-size pool of identical worker threads draining one shared job
+/// queue.
+pub struct WorkerPool {
+    shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
-    /// Spawns one thread per entry of `workers` (named `{name}-{i}`). Each
-    /// closure owns its worker-local state; jobs are handed to whichever
-    /// worker frees up first.
-    pub fn new(name: &str, workers: Vec<WorkerFn<J, R>>) -> Result<Self, AspError> {
-        if workers.is_empty() {
+impl WorkerPool {
+    /// Spawns `workers` threads named `{name}-{i}`; jobs are handed to
+    /// whichever worker frees up first.
+    pub fn new(name: &str, workers: usize) -> Result<Self, AspError> {
+        if workers == 0 {
             return Err(AspError::Internal("worker pool needs at least one worker".into()));
         }
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
+            queue: Mutex::new(QueueState { tasks: VecDeque::new(), shutdown: false }),
             available: Condvar::new(),
         });
-        let mut handles = Vec::with_capacity(workers.len());
-        for (i, mut work) in workers.into_iter().enumerate() {
+        let mut handles = Vec::with_capacity(workers);
+        for i in 0..workers {
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
                 .spawn(move || loop {
-                    let job = {
+                    let task = {
                         let mut queue = lock_recover(&shared.queue);
                         loop {
-                            if let Some(job) = queue.jobs.pop_front() {
-                                break job;
+                            if let Some(task) = queue.tasks.pop_front() {
+                                break task;
                             }
                             if queue.shutdown {
                                 return;
@@ -130,15 +118,7 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
                             queue = wait_recover(&shared.available, queue);
                         }
                     };
-                    let Job { tag, slot, payload, batch } = job;
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| work(tag, payload)))
-                        .map_err(|_| JobPanicked { tag });
-                    let mut state = lock_recover(&batch.state);
-                    state.slots[slot] = Some(outcome);
-                    state.remaining -= 1;
-                    if state.remaining == 0 {
-                        batch.done.notify_all();
-                    }
+                    task();
                 })
                 .map_err(|e| AspError::Internal(format!("cannot spawn worker: {e}")))?;
             handles.push(handle);
@@ -151,11 +131,10 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
         self.handles.len()
     }
 
-    /// Enqueues one job per `(partition_idx, payload)`, tagged
-    /// `(window_id, partition_idx)`, and returns the batch handle. Takes
-    /// `&self`: a pool behind an `Arc` accepts concurrent submissions from
-    /// several windows in flight.
-    pub fn submit(&self, window_id: u64, jobs: Vec<(usize, J)>) -> BatchHandle<R> {
+    /// Enqueues `jobs` and returns the batch handle. Takes `&self`: a pool
+    /// behind an `Arc` accepts concurrent submissions from several windows
+    /// in flight.
+    pub fn submit<R: Send + 'static>(&self, jobs: Vec<Job<R>>) -> BatchHandle<R> {
         let batch = Arc::new(BatchShared {
             state: Mutex::new(BatchState {
                 slots: (0..jobs.len()).map(|_| None).collect(),
@@ -165,13 +144,17 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
         });
         if !jobs.is_empty() {
             let mut queue = lock_recover(&self.shared.queue);
-            for (slot, (partition_idx, payload)) in jobs.into_iter().enumerate() {
-                queue.jobs.push_back(Job {
-                    tag: JobTag { window_id, partition_idx },
-                    slot,
-                    payload,
-                    batch: Arc::clone(&batch),
-                });
+            for (slot, job) in jobs.into_iter().enumerate() {
+                let batch = Arc::clone(&batch);
+                queue.tasks.push_back(Box::new(move || {
+                    let outcome = run_caught(job);
+                    let mut state = lock_recover(&batch.state);
+                    state.slots[slot] = Some(outcome);
+                    state.remaining -= 1;
+                    if state.remaining == 0 {
+                        batch.done.notify_all();
+                    }
+                }));
             }
             drop(queue);
             self.shared.available.notify_all();
@@ -180,7 +163,7 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
     }
 }
 
-impl<J: Send + 'static, R: Send + 'static> Drop for WorkerPool<J, R> {
+impl Drop for WorkerPool {
     fn drop(&mut self) {
         lock_recover(&self.shared.queue).shutdown = true;
         self.shared.available.notify_all();
@@ -190,52 +173,80 @@ impl<J: Send + 'static, R: Send + 'static> Drop for WorkerPool<J, R> {
     }
 }
 
+/// What the partitioned reasoners of one engine, one registry or one
+/// stand-alone reasoner share: the pool that runs their dirty partitions
+/// (`None`: each runs them on its own thread, see
+/// [`partition_pool`](crate::parallel::partition_pool)), the reuse and
+/// planner counters and the retry/fallback counters they report into.
+/// Cloning shares all three. The default has no pool and fresh counters.
+#[derive(Clone, Default)]
+pub struct ExecCtx {
+    /// The shared pool; `None` runs jobs on the caller thread.
+    pub pool: Option<Arc<WorkerPool>>,
+    /// Reused/recomputed communities and join-planner counters.
+    pub counters: Arc<CacheCounters>,
+    /// Retries and fallbacks of panicked partition jobs.
+    pub failures: Arc<FailureCounters>,
+}
+
+impl ExecCtx {
+    /// Runs `jobs` on the pool, or one after another on the caller thread
+    /// without one, and returns their outcomes in submission order. A
+    /// panicking job yields [`JobPanicked`] either way.
+    pub fn run<R: Send + 'static>(&self, jobs: Vec<Job<R>>) -> Vec<JobOutcome<R>> {
+        match &self.pool {
+            Some(pool) => pool.submit(jobs).wait(),
+            None => jobs.into_iter().map(run_caught).collect(),
+        }
+    }
+
+    /// Worker threads of the pool (0 without one).
+    pub fn workers(&self) -> usize {
+        self.pool.as_ref().map_or(0, |p| p.workers())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `payloads` as jobs indexed by their position.
-    fn indexed(payloads: Vec<u64>) -> Vec<(usize, u64)> {
-        payloads.into_iter().enumerate().collect()
-    }
-
-    fn squaring_pool(workers: usize) -> WorkerPool<u64, u64> {
-        let fns: Vec<WorkerFn<u64, u64>> =
-            (0..workers).map(|_| Box::new(|_tag: JobTag, x: u64| x * x) as _).collect();
-        WorkerPool::new("sq", fns).unwrap()
+    /// One squaring job per payload.
+    fn squares(payloads: Vec<u64>) -> Vec<Job<u64>> {
+        payloads.into_iter().map(|x| Box::new(move || x * x) as Job<u64>).collect()
     }
 
     #[test]
     fn batch_results_keep_submission_order() {
-        let pool = squaring_pool(3);
-        let out = pool.submit(7, indexed(vec![1, 2, 3, 4, 5])).wait();
+        let pool = WorkerPool::new("sq", 3).unwrap();
+        let out = pool.submit(squares(vec![1, 2, 3, 4, 5])).wait();
         let values: Vec<u64> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(values, vec![1, 4, 9, 16, 25]);
     }
 
     #[test]
     fn jobs_carry_the_callers_index_and_land_in_submission_order() {
-        let fns: Vec<WorkerFn<u64, (usize, u64)>> =
-            (0..2).map(|_| Box::new(|tag: JobTag, x: u64| (tag.partition_idx, x)) as _).collect();
-        let pool = WorkerPool::new("tagged", fns).unwrap();
-        let out = pool.submit(3, vec![(5, 50), (1, 10), (3, 30)]).wait();
+        let pool = WorkerPool::new("tagged", 2).unwrap();
+        let tagged: [(usize, u64); 3] = [(5, 50), (1, 10), (3, 30)];
+        let jobs: Vec<Job<(usize, u64)>> =
+            tagged.into_iter().map(|job| Box::new(move || job) as _).collect();
+        let out = pool.submit(jobs).wait();
         assert_eq!(out, vec![Ok((5, 50)), Ok((1, 10)), Ok((3, 30))]);
     }
 
     #[test]
     fn empty_batch_completes_immediately() {
-        let pool = squaring_pool(1);
-        assert!(pool.submit(0, vec![]).wait().is_empty());
+        let pool = WorkerPool::new("sq", 1).unwrap();
+        assert!(pool.submit(squares(vec![])).wait().is_empty());
     }
 
     #[test]
     fn concurrent_batches_from_multiple_windows_interleave() {
-        let pool = Arc::new(squaring_pool(2));
+        let pool = Arc::new(WorkerPool::new("sq", 2).unwrap());
         let handles: Vec<_> = (0..8u64)
             .map(|w| {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
-                    let out = pool.submit(w, indexed(vec![w, w + 1])).wait();
+                    let out = pool.submit(squares(vec![w, w + 1])).wait();
                     out.into_iter().map(Result::unwrap).collect::<Vec<_>>()
                 })
             })
@@ -246,60 +257,73 @@ mod tests {
         }
     }
 
+    /// `x + 1` per payload, panicking on 13.
+    fn unlucky(payloads: Vec<u64>) -> Vec<Job<u64>> {
+        let job = |x: u64| {
+            Box::new(move || {
+                assert!(x != 13, "unlucky payload");
+                x + 1
+            }) as Job<u64>
+        };
+        payloads.into_iter().map(job).collect()
+    }
+
     #[test]
     fn panicking_job_does_not_deadlock_the_pool() {
-        let fns: Vec<WorkerFn<u64, u64>> = (0..2)
-            .map(|_| {
-                Box::new(|tag: JobTag, x: u64| {
-                    assert!(x != 13, "unlucky payload in window {}", tag.window_id);
-                    x + 1
-                }) as _
-            })
-            .collect();
-        let pool = WorkerPool::new("panicky", fns).unwrap();
-        let out = pool.submit(1, indexed(vec![1, 13, 3])).wait();
-        assert_eq!(out[0], Ok(2));
-        assert_eq!(out[1], Err(JobPanicked { tag: JobTag { window_id: 1, partition_idx: 1 } }));
-        assert_eq!(out[2], Ok(4));
+        let pool = WorkerPool::new("panicky", 2).unwrap();
+        let out = pool.submit(unlucky(vec![1, 13, 3])).wait();
+        assert_eq!(out, vec![Ok(2), Err(JobPanicked), Ok(4)]);
         // The pool keeps serving jobs after the panic.
-        let again = pool.submit(2, indexed(vec![10, 20])).wait();
+        let again = pool.submit(unlucky(vec![10, 20])).wait();
         assert_eq!(again, vec![Ok(11), Ok(21)]);
     }
 
     #[test]
+    fn caller_thread_context_runs_the_same_jobs_with_the_same_outcomes() {
+        let pooled = ExecCtx {
+            pool: Some(Arc::new(WorkerPool::new("ctx", 2).unwrap())),
+            ..Default::default()
+        };
+        let inline = ExecCtx::default();
+        assert_eq!((pooled.workers(), inline.workers()), (2, 0));
+        let expected = vec![Ok(2), Err(JobPanicked), Ok(4)];
+        assert_eq!(pooled.run(unlucky(vec![1, 13, 3])), expected);
+        assert_eq!(inline.run(unlucky(vec![1, 13, 3])), expected);
+    }
+
+    #[test]
     fn zero_workers_is_an_error() {
-        assert!(WorkerPool::<u64, u64>::new("none", vec![]).is_err());
+        assert!(WorkerPool::new("none", 0).is_err());
     }
 
     #[test]
     fn pool_workers_update_shared_registry_metrics_concurrently() {
-        // Worker closures share one registry handle exactly the way the
-        // engine's lanes do: every update from every pool thread must land
-        // in one scrape, with the histogram count matching the job count.
+        // Jobs share one registry handle exactly the way the engine's lanes
+        // do: every update from every pool thread must land in one scrape,
+        // with the histogram count matching the job count.
         use std::sync::atomic::Ordering;
 
         let registry = Arc::new(sr_obs::MetricsRegistry::new());
         let jobs_done = registry.counter("sr_test_jobs_total", &[]);
         let payload_hist = registry.histogram("sr_test_payload", &[]);
-        let fns: Vec<WorkerFn<u64, u64>> = (0..4)
-            .map(|_| {
-                let jobs_done = Arc::clone(&jobs_done);
-                let payload_hist = Arc::clone(&payload_hist);
-                Box::new(move |_tag: JobTag, x: u64| {
-                    jobs_done.fetch_add(1, Ordering::Relaxed);
-                    payload_hist.record(x as f64);
-                    x
-                }) as _
-            })
-            .collect();
-        let pool = Arc::new(WorkerPool::new("metered", fns).unwrap());
+        let pool = Arc::new(WorkerPool::new("metered", 4).unwrap());
 
         let submitters: Vec<_> = (0..8u64)
             .map(|w| {
                 let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    pool.submit(w, indexed((0..16).map(|i| w * 16 + i).collect())).wait()
-                })
+                let jobs: Vec<Job<u64>> = (0..16)
+                    .map(|i| {
+                        let jobs_done = Arc::clone(&jobs_done);
+                        let payload_hist = Arc::clone(&payload_hist);
+                        let x = w * 16 + i;
+                        Box::new(move || {
+                            jobs_done.fetch_add(1, Ordering::Relaxed);
+                            payload_hist.record(x as f64);
+                            x
+                        }) as _
+                    })
+                    .collect();
+                std::thread::spawn(move || pool.submit(jobs).wait())
             })
             .collect();
         for h in submitters {

@@ -22,8 +22,9 @@ use std::time::Duration;
 /// coordinates across releases (2 belonged to a retired site).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Panic inside a worker/partition closure (including a serving entry's
-    /// partitions in the multi-tenant scheduler).
+    /// Panic inside a partition job, pooled or on the caller thread
+    /// (including a serving entry's partitions in the multi-tenant
+    /// scheduler).
     WorkerPanic = 0,
     /// Sleep inside a partition job before doing its work, simulating a
     /// wedged solver; combined with a window deadline this forces the

@@ -8,22 +8,24 @@
 //! itself says which communities changed: a sliding window carries a
 //! [`WindowDelta`](sr_stream::WindowDelta) against the window before it,
 //! and [`Partitioner::item_routes`] maps each added or retracted item to
-//! the communities it lands in. [`IncrementalReasoner`] keeps one slot per
-//! community holding its answers in the last window it answered. Community
-//! `c` is **clean** when the window's delta is based on that window, every
-//! item of the delta has routes, and none of them routes to `c`; a clean
-//! community's answers are reused, every other community is dirty and is
-//! reasoned from scratch on the shared
-//! [`WorkerPool`](crate::exec::WorkerPool), or on the caller thread where
-//! [`partition_pool`] gives none. The combined output is byte-identical to
-//! full recomputation: reuse changes *where* answers come from, never *what*
-//! they are.
+//! the communities it lands in. [`IncrementalReasoner`] owns one reasoner
+//! `R` per community and one slot holding the community's answers in the
+//! last window it answered. Community `c` is **clean** when the window's
+//! delta is based on that window, every item of the delta has routes, and
+//! none of them routes to `c`; a clean community's answers are reused. Every
+//! other community is dirty: it becomes one job that carries the
+//! community's reasoner and items and is reasoned from scratch, on the
+//! [`ExecCtx`]'s shared [`WorkerPool`](crate::exec::WorkerPool), or on the
+//! caller thread where [`partition_pool`] gives none. The combined output is
+//! byte-identical to full recomputation: reuse changes *where* answers come
+//! from, never *what* they are.
 //!
-//! Faults come from [`ReasonerConfig::faults`]: every dirty partition runs
-//! [`FaultPlan::before_partition`](crate::fault::FaultPlan::before_partition)
-//! at its community index, pooled or not, so both paths fail at the same
-//! coordinates; recovery re-rolls `WorkerPanic` at attempt-salted
-//! coordinates, and `CacheInvalidate` turns a clean community dirty.
+//! Faults come from [`ReasonerConfig::faults`]: every job runs
+//! [`FaultPlan::before_partition`] at its community index, pooled or not, so
+//! both paths fail at the same coordinates. A panicked job is retried on its
+//! own community's reasoner with the items it already had; recovery
+//! re-rolls `WorkerPanic` at attempt-salted coordinates, and
+//! `CacheInvalidate` turns a clean community dirty.
 //!
 //! This is sound for any delta producer that keeps the multiset invariant
 //! documented on [`Window::delta`](sr_stream::Window::delta), and for any
@@ -49,9 +51,10 @@
 //! surface only.
 
 use crate::config::ReasonerConfig;
-use crate::fault::FaultSite;
+use crate::exec::{ExecCtx, Job, JobPanicked};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{CacheCounters, FailureCounters};
-use crate::parallel::{partition_pool, ReasonerPool};
+use crate::parallel::partition_pool;
 use crate::partition::Partitioner;
 use crate::poison::lock_recover;
 use crate::reasoner::{merge_stats, Reasoner, ReasonerOutput, SingleReasoner, Timing};
@@ -208,6 +211,102 @@ impl PartitionCache {
     }
 }
 
+/// One dirty partition of one window: its community's reasoner and items.
+/// The same body runs on the pool or on the caller thread, and a job that
+/// panicked is retried on the same reasoner with the same items.
+struct PartitionJob {
+    window_id: u64,
+    community: usize,
+    reasoner: Arc<Mutex<SingleReasoner>>,
+    /// Emptied by the first run that returns; a job that panicked still
+    /// has them for its retries.
+    items: Mutex<Vec<Triple>>,
+    faults: Option<Arc<FaultPlan>>,
+    /// The caller's trace attribution tagged with this partition, carried
+    /// across the pool boundary; `None` while tracing is off, which keeps
+    /// the off path free of thread-local traffic.
+    trace: Option<sr_obs::TraceCtx>,
+}
+
+type PartOutcome = Result<(Vec<AnswerSet>, Timing, SolveStats), AspError>;
+
+impl PartitionJob {
+    /// How many times a panicked job is retried before the window errors
+    /// out.
+    const MAX_RETRIES: u32 = 2;
+
+    /// The fault hook at the job's `(window, community)` coordinate, then
+    /// its community's reasoner over its items.
+    fn run(&self) -> PartOutcome {
+        let _trace_ctx = self.trace.map(sr_obs::ctx_scope);
+        if let Some(plan) = &self.faults {
+            plan.before_partition(self.window_id, self.community);
+        }
+        self.process()
+    }
+
+    /// The community's reasoner over the items, which are then freed on the
+    /// thread that used them rather than serially on the caller's.
+    fn process(&self) -> PartOutcome {
+        let mut items = lock_recover(&self.items);
+        let out = lock_recover(&self.reasoner).process_items(&items);
+        drop(std::mem::take(&mut *items));
+        out
+    }
+
+    /// Recovers a job that panicked: bounded retries with exponential
+    /// backoff, each a full re-ground of the job's items on its community's
+    /// reasoner. Recovery attempts re-roll the `WorkerPanic` fault at an
+    /// attempt-salted coordinate, so a sub-1.0 injection rate models a
+    /// transient fault (recovery succeeds) while a rate-1.0 plan
+    /// deterministically exhausts the retries and surfaces the error with
+    /// the window id and partition index.
+    fn recover(&self, failures: &FailureCounters) -> PartOutcome {
+        use std::sync::atomic::Ordering;
+        let _span = sr_obs::span(sr_obs::Stage::Recover);
+        let (window, i) = (self.window_id, self.community);
+        for attempt in 0..Self::MAX_RETRIES {
+            if attempt > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1u64 << attempt));
+            }
+            failures.retries.fetch_add(1, Ordering::Relaxed);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                // Attempt-salted coordinate: distinct from the original
+                // job's roll, so injected faults are transient by default.
+                let salted = i as u64 + ((attempt as u64 + 1) << 32);
+                if self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|p| p.fires(FaultSite::WorkerPanic, window, salted))
+                {
+                    panic!(
+                        "injected recovery fault (window {window}, partition {i}, attempt {attempt})"
+                    );
+                }
+                self.process()
+            }));
+            if let Ok(result) = outcome {
+                let out = result?;
+                failures.fallbacks.fetch_add(1, Ordering::Relaxed);
+                return Ok(out);
+            }
+        }
+        Err(AspError::Internal(format!(
+            "partition {i} of window {window} failed: worker panicked and {} re-ground retries \
+             were exhausted",
+            Self::MAX_RETRIES
+        )))
+    }
+}
+
+/// One community's copy of `R`, and what it has reported so far.
+struct Community {
+    reasoner: Arc<Mutex<SingleReasoner>>,
+    /// Planner counters `(replans, plans_reordered)` of `reasoner` already
+    /// added to the shared counters (the reasoner reports running totals).
+    reported: (u64, u64),
+}
+
 /// The partitioned reasoner PR: partition → mark the communities the
 /// window's delta touched dirty → reuse the clean ones' last answers,
 /// re-solve the dirty ones → combine. It is the only partitioned executor;
@@ -219,14 +318,12 @@ pub struct IncrementalReasoner {
     syms: Symbols,
     partitioner: Arc<dyn Partitioner>,
     config: ReasonerConfig,
-    /// The (possibly shared) worker pool that serves dirty partitions;
-    /// `None` where [`partition_pool`] keeps them on the caller thread.
-    pool: Option<Arc<ReasonerPool>>,
-    /// The caller-thread scratch reasoner. In Sequential mode it serves
-    /// every partition; in Threads mode it is the retry/fallback engine for
-    /// partitions whose pooled job panicked (see
-    /// [`IncrementalReasoner::recover_partition`]).
-    scratch: SingleReasoner,
+    /// The pool serving dirty partitions and the counters this reasoner
+    /// reports into, possibly shared with other reasoners.
+    ctx: ExecCtx,
+    /// One reasoner per community (per partition index), so each plans its
+    /// joins against its own relation statistics.
+    communities: Vec<Community>,
     /// The id of the last window this reasoner answered, and each
     /// community's answers in it. Written only after a successful window,
     /// and `None` after two delta-less windows in a row.
@@ -234,26 +331,14 @@ pub struct IncrementalReasoner {
     /// Whether the last window this reasoner answered came with a delta;
     /// `true` before the first, so a stream's first window is held.
     last_had_delta: bool,
-    /// Reuse (`hits`) and recompute (`misses`) counters, shared across the
-    /// lanes of one engine or the entries of one registry via
-    /// [`IncrementalReasoner::set_cache_counters`]; a private default
-    /// otherwise.
-    counters: Arc<CacheCounters>,
-    /// Shared failure counters (retries/fallbacks), handed in by the engine
-    /// or the registry via [`IncrementalReasoner::set_failure_counters`]; a
-    /// private default otherwise.
-    failures: Arc<FailureCounters>,
-    /// Planner counters already flushed from the sequential scratch
-    /// reasoner, which reports cumulative totals. Pooled workers keep their
-    /// plan caches on their own threads and are not aggregated.
-    scratch_reported: (u64, u64),
 }
 
 impl IncrementalReasoner {
     /// Builds PR with its own worker pool sized by
     /// [`ReasonerConfig::workers`] (`0` = one worker per partition, the
     /// paper's Figure 6 degree of parallelism), or with caller-thread
-    /// execution where [`partition_pool`] gives no pool.
+    /// execution where [`partition_pool`] gives no pool, and private
+    /// counters.
     pub fn new(
         syms: &Symbols,
         program: &Program,
@@ -262,68 +347,49 @@ impl IncrementalReasoner {
         config: ReasonerConfig,
     ) -> Result<Self, AspError> {
         let workers = match config.workers {
-            0 => partitioner.partitions().max(1),
+            0 => partitioner.partitions(),
             n => n,
         };
-        let pool = partition_pool(syms, program, inpre, &config, workers)?;
-        Self::with_pool(syms, program, inpre, partitioner, config, pool)
+        let ctx = ExecCtx { pool: partition_pool(&config, workers)?, ..Default::default() };
+        Self::with_ctx(syms, program, inpre, partitioner, config, ctx)
     }
 
-    /// Builds the reasoner over an existing shared pool that serves its
-    /// dirty partitions (Threads semantics); without a pool they run on the
-    /// caller thread, as [`ReasonerConfig::delta_ground`] asks. The pool's
-    /// workers must have been built for the same `program`/signature. The
-    /// program itself builds the caller-thread scratch reasoner, which
-    /// exists in both cases: it runs every partition without a pool and the
-    /// panicked-job retry path with one.
-    pub fn with_pool(
+    /// Builds PR over a shared execution context: its dirty partitions run
+    /// on `ctx.pool` (or on the caller thread without one) and it reports
+    /// into `ctx`'s counters. The pool is program-agnostic, so one context
+    /// serves reasoners over different programs.
+    pub fn with_ctx(
         syms: &Symbols,
         program: &Program,
         inpre: Option<&[Predicate]>,
         partitioner: Arc<dyn Partitioner>,
         config: ReasonerConfig,
-        pool: Option<Arc<ReasonerPool>>,
+        ctx: ExecCtx,
     ) -> Result<Self, AspError> {
         let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
-        let mut scratch = SingleReasoner::new(syms, program, inpre, solver)?;
-        scratch.set_cost_planning(config.cost_planning);
+        let communities = (0..partitioner.partitions())
+            .map(|_| {
+                let mut reasoner = SingleReasoner::new(syms, program, inpre, solver.clone())?;
+                reasoner.set_cost_planning(config.cost_planning);
+                Ok(Community { reasoner: Arc::new(Mutex::new(reasoner)), reported: (0, 0) })
+            })
+            .collect::<Result<_, AspError>>()?;
         Ok(IncrementalReasoner {
             syms: syms.clone(),
             partitioner,
-            pool,
             config,
-            scratch,
+            ctx,
+            communities,
             last: None,
             last_had_delta: true,
-            counters: Arc::new(CacheCounters::default()),
-            failures: Arc::new(FailureCounters::default()),
-            scratch_reported: (0, 0),
         })
     }
 
-    /// Shares the engine's (or the registry's) failure counters with this
-    /// reasoner so its retries and fallbacks land in the same
-    /// [`FailureCounters`] snapshot the engine reports.
-    pub fn set_failure_counters(&mut self, failures: Arc<FailureCounters>) {
-        self.failures = failures;
-    }
-
-    /// The failure counters this reasoner reports into.
-    pub fn failure_counters(&self) -> &Arc<FailureCounters> {
-        &self.failures
-    }
-
-    /// Shares reuse/recompute and planner counters with this reasoner, so
-    /// the lanes of one engine (or the entries of one registry) report one
-    /// [`CacheCounters`] snapshot.
-    pub fn set_cache_counters(&mut self, counters: Arc<CacheCounters>) {
-        self.counters = counters;
-    }
-
-    /// The counters this reasoner reports reused (`hits`) and recomputed
-    /// (`misses`) communities into.
-    pub fn cache_counters(&self) -> &Arc<CacheCounters> {
-        &self.counters
+    /// The execution context: the pool serving dirty partitions and the
+    /// counters this reasoner reports reused (`hits`) and recomputed
+    /// (`misses`) communities, planning and recovery into.
+    pub fn ctx(&self) -> &ExecCtx {
+        &self.ctx
     }
 
     /// Number of parallel partitions.
@@ -333,63 +399,7 @@ impl IncrementalReasoner {
 
     /// Worker threads of the pool serving dirty partitions (0 without one).
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.workers())
-    }
-
-    /// How many times a failed partition job is retried on the scratch
-    /// reasoner before the window errors out.
-    const MAX_PARTITION_RETRIES: u32 = 2;
-
-    /// Recovers one partition whose job panicked (pooled worker or the
-    /// sequential path): bounded retries with exponential backoff, each
-    /// attempt a full re-ground of the partition content on the caller's
-    /// scratch reasoner. Recovery attempts re-roll the `WorkerPanic` fault at
-    /// an attempt-salted coordinate, so a sub-1.0 injection rate models a
-    /// transient fault (recovery succeeds) while a rate-1.0 plan
-    /// deterministically exhausts the retries and surfaces the error with
-    /// the window id and partition index.
-    fn recover_partition(
-        &mut self,
-        window: &Window,
-        i: usize,
-    ) -> Result<(Vec<AnswerSet>, Timing, SolveStats), AspError> {
-        use std::sync::atomic::Ordering;
-        let _span = sr_obs::span(sr_obs::Stage::Recover);
-        let items = self.partitioner.partition(window).into_iter().nth(i).unwrap_or_default();
-        for attempt in 0..Self::MAX_PARTITION_RETRIES {
-            if attempt > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(1u64 << attempt));
-            }
-            self.failures.retries.fetch_add(1, Ordering::Relaxed);
-            let reasoner = &mut self.scratch;
-            let faults = self.config.faults.as_deref();
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                // Attempt-salted coordinate: distinct from the original
-                // job's roll, so injected faults are transient by default.
-                let salted = i as u64 + ((attempt as u64 + 1) << 32);
-                if faults.is_some_and(|p| p.fires(FaultSite::WorkerPanic, window.id, salted)) {
-                    panic!(
-                        "injected recovery fault (window {}, partition {i}, attempt {attempt})",
-                        window.id
-                    );
-                }
-                reasoner.process_items(&items)
-            }));
-            match outcome {
-                Ok(result) => {
-                    let out = result?;
-                    self.failures.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    return Ok(out);
-                }
-                Err(_) => continue,
-            }
-        }
-        Err(AspError::Internal(format!(
-            "partition {i} of window {} failed: worker panicked and {} re-ground retries were \
-             exhausted",
-            window.id,
-            Self::MAX_PARTITION_RETRIES
-        )))
+        self.ctx.workers()
     }
 
     /// The answers this reasoner may reuse for each of `n` communities in
@@ -428,11 +438,32 @@ impl IncrementalReasoner {
         reuse
     }
 
+    /// Adds what every community's planner did since the last report to the
+    /// shared counters.
+    fn report_planner(&mut self) {
+        use std::sync::atomic::Ordering;
+        let c = &self.ctx.counters;
+        for community in &mut self.communities {
+            let Some((replans, reordered, generation)) =
+                lock_recover(&community.reasoner).planner_counters()
+            else {
+                continue;
+            };
+            c.planner_enabled.store(true, Ordering::Relaxed);
+            c.planner_replans.fetch_add(replans - community.reported.0, Ordering::Relaxed);
+            c.planner_plans_reordered
+                .fetch_add(reordered - community.reported.1, Ordering::Relaxed);
+            c.planner_generation.fetch_max(generation, Ordering::Relaxed);
+            community.reported = (replans, reordered);
+        }
+    }
+
     /// Processes one window: partition → dirty check → solve dirty →
     /// combine. Output is byte-identical to recomputing every partition.
     pub fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
         use std::sync::atomic::Ordering;
-        let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
+        let tracing = sr_obs::tracer().is_enabled();
+        let _trace_ctx = tracing.then(|| {
             sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: window.id, ..sr_obs::current_ctx() })
         });
         let start = Instant::now();
@@ -452,82 +483,58 @@ impl IncrementalReasoner {
                 (0..parts.len()).filter(|&i| per_partition[i].is_none()).collect();
             (per_partition, dirty)
         };
-        self.counters.hits.fetch_add((parts.len() - dirty.len()) as u64, Ordering::Relaxed);
-        self.counters.misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
+        let counters = &self.ctx.counters;
+        counters.hits.fetch_add((parts.len() - dirty.len()) as u64, Ordering::Relaxed);
+        counters.misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
         // The dirty check is the incremental handler's overhead: account it
         // to the partitioning stage.
         let partition_time = t_part.elapsed();
 
+        let jobs: Vec<Arc<PartitionJob>> = dirty
+            .iter()
+            .map(|&i| {
+                Arc::new(PartitionJob {
+                    window_id: window.id,
+                    community: i,
+                    reasoner: Arc::clone(&self.communities[i].reasoner),
+                    items: Mutex::new(std::mem::take(&mut parts[i])),
+                    faults: self.config.faults.clone(),
+                    trace: tracing.then(|| sr_obs::TraceCtx {
+                        partition: Some(i as u32),
+                        ..sr_obs::current_ctx()
+                    }),
+                })
+            })
+            .collect();
+        let outcomes = self.ctx.run(
+            jobs.iter()
+                .map(|job| {
+                    let job = Arc::clone(job);
+                    Box::new(move || job.run()) as Job<PartOutcome>
+                })
+                .collect(),
+        );
+        // Pooled jobs run concurrently (their critical path is the max),
+        // caller-thread jobs one after another (sum); recoveries run
+        // serially after the batch and always add up.
+        let pooled = self.ctx.pool.is_some();
         let mut stats = SolveStats::default();
-        let mut critical = Timing::default();
-
-        match self.pool.clone() {
-            Some(pool) => {
-                // Each job carries its community index, so the pool workers'
-                // fault hook and trace spans agree with the sequential path.
-                let jobs: Vec<(usize, Vec<Triple>)> =
-                    dirty.iter().map(|&i| (i, std::mem::take(&mut parts[i]))).collect();
-                let batch = pool.submit(window.id, jobs);
-                // The pool batch is concurrent within itself (max); serial
-                // recoveries after it add to the critical path.
-                let mut pool_critical = Timing::default();
-                for (k, outcome) in batch.wait().into_iter().enumerate() {
-                    let (answers, timing, s) = match outcome {
-                        Ok(result) => result?,
-                        Err(_panicked) => {
-                            // The pooled job panicked: retry on the scratch
-                            // reasoner (serial, after the batch — account it
-                            // additively, not into the concurrent max).
-                            let (answers, rt, s) = self.recover_partition(window, dirty[k])?;
-                            critical = sum_timing(critical, rt);
-                            (answers, Timing::default(), s)
-                        }
-                    };
-                    stats = merge_stats(stats, s);
-                    pool_critical = max_timing(pool_critical, timing);
-                    per_partition[dirty[k]] = Some(Arc::new(answers));
+        let (mut batch, mut recovery) = (Timing::default(), Timing::default());
+        for (job, outcome) in jobs.iter().zip(outcomes) {
+            let (answers, timing, s) = match outcome {
+                Ok(result) => result?,
+                Err(JobPanicked) => {
+                    let (answers, rt, s) = job.recover(&self.ctx.failures)?;
+                    recovery = sum_timing(recovery, rt);
+                    (answers, Timing::default(), s)
                 }
-                critical = sum_timing(critical, pool_critical);
-            }
-            None => {
-                for &i in &dirty {
-                    let reasoner = &mut self.scratch;
-                    let faults = self.config.faults.as_deref();
-                    let items = &parts[i];
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        // The same hook the pool workers run, so caller-thread
-                        // lanes (and tenant entries) see identical failures.
-                        if let Some(plan) = faults {
-                            plan.before_partition(window.id, i);
-                        }
-                        reasoner.process_items(items)
-                    }));
-                    let (answers, timing, s) = match outcome {
-                        Ok(result) => result?,
-                        Err(_) => self.recover_partition(window, i)?,
-                    };
-                    stats = merge_stats(stats, s);
-                    // Sequential mode has no critical path: stages add up.
-                    critical = sum_timing(critical, timing);
-                    per_partition[i] = Some(Arc::new(answers));
-                }
-            }
+            };
+            stats = merge_stats(stats, s);
+            batch = if pooled { max_timing(batch, timing) } else { sum_timing(batch, timing) };
+            per_partition[job.community] = Some(Arc::new(answers));
         }
-        // Flush planner counters from the sequential scratch reasoner (pooled
-        // workers keep their plan caches on their threads and are not
-        // aggregated — nor is the scratch reasoner while a pool serves, when
-        // it only runs the rare recovery path).
-        if self.pool.is_none() {
-            if let Some((replans, reordered, generation)) = self.scratch.planner_counters() {
-                let c = &self.counters;
-                c.planner_enabled.store(true, Ordering::Relaxed);
-                c.planner_replans.fetch_add(replans - self.scratch_reported.0, Ordering::Relaxed);
-                c.planner_plans_reordered
-                    .fetch_add(reordered - self.scratch_reported.1, Ordering::Relaxed);
-                c.planner_generation.fetch_max(generation, Ordering::Relaxed);
-                self.scratch_reported = (replans, reordered);
-            }
-        }
+        let critical = sum_timing(batch, recovery);
+        self.report_planner();
 
         let per_partition: Vec<Arc<Vec<AnswerSet>>> = per_partition
             .into_iter()
@@ -607,7 +614,8 @@ impl Reasoner for IncrementalReasoner {
 
     fn recover(&mut self) -> bool {
         // The reuse slots are safe as-is — they are written only after a
-        // successful window — and the scratch reasoner is stateless.
+        // successful window — and every community reasoner grounds each
+        // partition from scratch.
         true
     }
 }
@@ -741,7 +749,7 @@ mod tests {
         // Window 1 changes nothing relative to window 0: both are clean.
         let again = ir.process(&after(1, 0, motivating_items(), Vec::new())).unwrap();
         assert_eq!(render(&syms, &full), render(&syms, &again));
-        let snap = ir.cache_counters().snapshot();
+        let snap = ir.ctx().counters.snapshot();
         assert_eq!(snap.misses, 2, "first window solves both partitions");
         assert_eq!(snap.hits, 2, "second window reuses both");
     }
@@ -764,7 +772,7 @@ mod tests {
         assert_eq!(rendered, render(&syms, &full));
         assert!(rendered[0].contains("traffic_jam(newcastle)"), "{rendered:?}");
         assert!(rendered[0].contains("car_fire(dangan)"), "{rendered:?}");
-        let snap = ir.cache_counters().snapshot();
+        let snap = ir.ctx().counters.snapshot();
         assert_eq!(snap.hits, 1, "car partition reused");
         assert_eq!(snap.misses, 3, "2 initial + dirty traffic partition");
         assert_eq!(snap.dirty_partition_ratio, 0.75);
@@ -794,7 +802,7 @@ mod tests {
         pr.process(&w1).unwrap();
         assert_eq!(inc, render(&syms, &pr.process(&tumbling(&w2)).unwrap()));
         assert!(inc[0].contains("traffic_jam(newcastle)"), "{inc:?}");
-        let snap = ir.cache_counters().snapshot();
+        let snap = ir.ctx().counters.snapshot();
         assert_eq!((snap.hits, snap.misses), (0, 4), "w2 cannot reuse w0: {snap:?}");
     }
 
@@ -816,7 +824,7 @@ mod tests {
         let first = render(&syms, &ir.process(&Window::new(0, motivating_items())).unwrap());
         let second = ir.process(&after(1, 0, motivating_items(), Vec::new())).unwrap();
         assert_eq!(render(&syms, &second), first);
-        let snap = ir.cache_counters().snapshot();
+        let snap = ir.ctx().counters.snapshot();
         assert_eq!((snap.hits, snap.misses), (2, 2), "the second window reuses both: {snap:?}");
         assert!(ir.last.is_some(), "a delta window is held");
     }
@@ -826,7 +834,7 @@ mod tests {
         let (_syms, _pr, mut ir) =
             build_pair(ReasonerConfig { incremental: true, ..Default::default() });
         let registry = sr_obs::MetricsRegistry::new();
-        ir.cache_counters().register_metrics(&registry);
+        ir.ctx().counters.register_metrics(&registry);
         ir.process(&Window::new(0, motivating_items())).unwrap();
         ir.process(&after(1, 0, motivating_items(), Vec::new())).unwrap();
         let text = registry.render_prometheus();
@@ -874,7 +882,7 @@ mod tests {
                 windows += 1;
             }
         }
-        let snap = ir.cache_counters().snapshot();
+        let snap = ir.ctx().counters.snapshot();
         assert!(windows > 1);
         assert_eq!((snap.hits, snap.misses), (0, 3 * windows), "{snap:?}");
     }
@@ -894,7 +902,7 @@ mod tests {
     fn delta_ground_serves_dirty_partitions_on_the_caller_thread() {
         let cfg = ReasonerConfig { incremental: true, delta_ground: true, ..Default::default() };
         let (syms, mut pr, mut ir) = build_pair(cfg);
-        assert!(ir.pool.is_none(), "no pool: dirty partitions run on the caller");
+        assert!(ir.ctx.pool.is_none(), "no pool: dirty partitions run on the caller");
         let mut windower = SlidingWindower::new(6, 2);
         for item in sliding_stream(4) {
             if let Some(w) = windower.push(item) {
@@ -903,7 +911,7 @@ mod tests {
                 assert_eq!(render(&syms, &full), render(&syms, &inc), "window {}", w.id);
             }
         }
-        assert!(ir.cache_counters().snapshot().misses > 0, "dirty partitions were solved");
+        assert!(ir.ctx().counters.snapshot().misses > 0, "dirty partitions were solved");
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use decompose::{decompose, to_plan, Decomposition, DecompositionMethod};
 pub use engine::{
     EngineConfig, EngineOutput, EngineReport, EngineStats, LaneOccupancy, StreamEngine,
 };
-pub use exec::{BatchHandle, JobPanicked, JobTag, WorkerPool};
+pub use exec::{BatchHandle, ExecCtx, Job, JobOutcome, JobPanicked, WorkerPool};
 pub use extended::ExtendedDepGraph;
 pub use fault::{FaultPlan, FaultRule, FaultSite};
 pub use incremental::{
@@ -66,7 +66,7 @@ pub use metrics::{
     IncrementalSnapshot, LatencyStats, TenantLatency,
 };
 pub use multi_tenant::{MultiTenantEngine, TenantOutput};
-pub use parallel::{partition_pool, reasoner_pool, ParallelReasoner, ReasonerPool};
+pub use parallel::{partition_pool, ParallelReasoner};
 pub use partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 pub use plan::PartitioningPlan;
 pub use poison::{lock_recover, poison_recoveries};

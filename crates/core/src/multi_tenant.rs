@@ -8,7 +8,7 @@
 //! cost ~1 tenant. Within one entry the window is routed and its dirty
 //! communities are found exactly once (that is what the entry's
 //! [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) does);
-//! across entries only the reuse counters are shared.
+//! across entries only the worker pool and the counters are shared.
 //!
 //! Correctness bar: each tenant's output is byte-identical to running its
 //! own single-program pipeline over the same windows (property-tested in
@@ -157,7 +157,7 @@ impl MultiTenantEngine {
     /// fallbacks and the scheduler's quarantines (also snapshotted into
     /// [`EngineStats::failure`] by [`MultiTenantEngine::stats`]).
     pub fn failure_counters(&self) -> &Arc<FailureCounters> {
-        &self.registry.failures
+        &self.registry.ctx.failures
     }
 
     /// Admits a tenant (delegates to [`ProgramRegistry::admit`]); valid
@@ -218,7 +218,7 @@ impl MultiTenantEngine {
         let samples = &mut self.samples;
         let deadline = self.deadline;
         let threshold = self.quarantine_threshold;
-        let failures = Arc::clone(&self.registry.failures);
+        let failures = Arc::clone(&self.registry.ctx.failures);
         for entry in self.registry.entries_mut() {
             if entry.quarantined {
                 continue;
@@ -329,7 +329,7 @@ impl MultiTenantEngine {
             let shared = Arc::clone(&self.counters);
             registry.register_counter_fn(name, &[], move || read(&shared));
         }
-        let failures = Arc::clone(&self.registry.failures);
+        let failures = Arc::clone(&self.registry.ctx.failures);
         registry.register_counter_fn("sr_tenant_quarantines_total", &[], move || {
             failures.quarantines.load(Ordering::Relaxed)
         });
@@ -338,7 +338,7 @@ impl MultiTenantEngine {
             &[],
             Arc::clone(&self.window_latency),
         );
-        self.registry.counters.register_metrics(registry);
+        self.registry.ctx.counters.register_metrics(registry);
     }
 
     /// A throughput/latency report over everything processed so far:
@@ -362,7 +362,7 @@ impl MultiTenantEngine {
             windows_per_sec: if elapsed_s > 0.0 { windows as f64 / elapsed_s } else { 0.0 },
             items_per_sec: if elapsed_s > 0.0 { items as f64 / elapsed_s } else { 0.0 },
             submit_blocked_ms: None,
-            incremental: Some(self.registry.counters.snapshot()),
+            incremental: Some(self.registry.ctx.counters.snapshot()),
             lanes: Vec::new(),
             queue_high_water: 0,
             latency: LatencyStats::from_histogram(&self.window_latency),
@@ -378,8 +378,8 @@ impl MultiTenantEngine {
             dedup: Some(self.dedup_snapshot()),
             failure: (self.deadline.is_some()
                 || self.registry.config.faults.is_some()
-                || self.registry.failures.any_nonzero())
-            .then(|| self.registry.failures.snapshot()),
+                || self.registry.ctx.failures.any_nonzero())
+            .then(|| self.registry.ctx.failures.snapshot()),
             admission: self.admission_snapshot(),
         }
     }

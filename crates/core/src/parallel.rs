@@ -3,87 +3,33 @@
 //! own data-format processor, per the architecture diagram) → combining
 //! handler.
 //!
-//! Partition jobs run on a shared [`WorkerPool`] (see [`crate::exec`])
-//! instead of one dedicated thread per partition: the pool size is
-//! configurable via [`ReasonerConfig::workers`](crate::ReasonerConfig),
-//! results come back through reusable batch slots rather than a per-call
-//! reply channel, and the same pool can be shared by several reasoners (one
-//! per engine lane) via [`IncrementalReasoner::with_pool`]. The executor
-//! itself lives in [`crate::incremental`].
+//! Each community owns its copy of `R` ([`IncrementalReasoner`] is the
+//! executor). A dirty partition runs as one job on a shared, program-agnostic
+//! [`WorkerPool`] (see [`crate::exec`]), or on the caller thread where
+//! [`partition_pool`] gives no pool. The pool size is the caller's: a
+//! stand-alone reasoner and a registry use
+//! [`ReasonerConfig::workers`](crate::ReasonerConfig), an engine one worker
+//! per partition per lane.
 
 use crate::config::{ParallelMode, ReasonerConfig};
-use crate::exec::{WorkerFn, WorkerPool};
+use crate::exec::WorkerPool;
 use crate::incremental::IncrementalReasoner;
-use crate::reasoner::{SingleReasoner, Timing};
-use asp_core::{AnswerSet, AspError, Predicate, Program, Symbols};
-use asp_solver::{SolveStats, SolverConfig};
-use sr_rdf::Triple;
+use asp_core::AspError;
 use std::sync::Arc;
 
-/// Result of reasoning over one partition's items.
-pub type PartOutcome = Result<(Vec<AnswerSet>, Timing, SolveStats), AspError>;
-
-/// A shared pool of reasoner workers: each worker owns one [`SingleReasoner`]
-/// copy and serves partition jobs from any window in flight.
-pub type ReasonerPool = WorkerPool<Vec<Triple>, PartOutcome>;
-
-/// Builds a [`ReasonerPool`] of `workers` reasoner copies over `program`,
-/// each solving with `config`'s model cap and join planning and running
-/// `config`'s fault plan before every job. Wrap it in an `Arc` to share one
-/// pool across several [`ParallelReasoner`]s (e.g. the lanes of a
-/// [`StreamEngine`](crate::engine::StreamEngine)).
-pub fn reasoner_pool(
-    syms: &Symbols,
-    program: &Program,
-    inpre: Option<&[Predicate]>,
-    config: &ReasonerConfig,
-    workers: usize,
-) -> Result<ReasonerPool, AspError> {
-    let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
-    let mut fns: Vec<WorkerFn<Vec<Triple>, PartOutcome>> = Vec::with_capacity(workers.max(1));
-    for _ in 0..workers.max(1) {
-        // Build the reasoner up front so construction errors surface here,
-        // not inside the worker thread.
-        let mut reasoner = SingleReasoner::new(syms, program, inpre, solver.clone())?;
-        reasoner.set_cost_planning(config.cost_planning);
-        let faults = config.faults.clone();
-        fns.push(Box::new(move |tag, items: Vec<Triple>| {
-            // Attribute spans recorded inside this job to its window +
-            // partition even though the work crossed the pool boundary.
-            // The scope is only installed when tracing is live, keeping
-            // the off path free of thread-local traffic.
-            let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
-                sr_obs::ctx_scope(sr_obs::TraceCtx {
-                    window_id: tag.window_id,
-                    partition: Some(tag.partition_idx as u32),
-                    ..sr_obs::current_ctx()
-                })
-            });
-            if let Some(plan) = &faults {
-                plan.before_partition(tag.window_id, tag.partition_idx);
-            }
-            reasoner.process_items(&items)
-        }));
-    }
-    WorkerPool::new("pr-worker", fns)
-}
-
-/// The pool of `workers` reasoner copies that serves a partitioned
-/// reasoner's dirty partitions, or `None` when they run on the caller
-/// thread: in [`ParallelMode::Sequential`] and under
-/// [`ReasonerConfig::delta_ground`]. Every partitioned executor decides
-/// pool-or-caller here; the pool size stays the caller's.
+/// The pool of `workers` threads that serves partitioned reasoners' dirty
+/// partitions, or `None` when they run on the caller thread: in
+/// [`ParallelMode::Sequential`] and under [`ReasonerConfig::delta_ground`].
+/// Every partitioned executor decides pool-or-caller here; the pool size
+/// stays the caller's.
 pub fn partition_pool(
-    syms: &Symbols,
-    program: &Program,
-    inpre: Option<&[Predicate]>,
     config: &ReasonerConfig,
     workers: usize,
-) -> Result<Option<Arc<ReasonerPool>>, AspError> {
+) -> Result<Option<Arc<WorkerPool>>, AspError> {
     if config.mode == ParallelMode::Sequential || config.delta_ground {
         return Ok(None);
     }
-    Ok(Some(Arc::new(reasoner_pool(syms, program, inpre, config, workers)?)))
+    Ok(Some(Arc::new(WorkerPool::new("pr-worker", workers.max(1))?)))
 }
 
 /// The paper's name for the partitioned reasoner: one executor serves every
@@ -94,13 +40,14 @@ pub type ParallelReasoner = IncrementalReasoner;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ParallelMode, ReasonerConfig, UnknownPredicate};
+    use crate::config::UnknownPredicate;
+    use crate::exec::ExecCtx;
     use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
     use crate::plan::PartitioningPlan;
     use crate::reasoner::ReasonerOutput;
-    use asp_core::FastMap;
+    use asp_core::{FastMap, Symbols};
     use asp_parser::parse_program;
-    use sr_rdf::Node;
+    use sr_rdf::{Node, Triple};
     use sr_stream::Window;
 
     const PROGRAM_P: &str = r#"
@@ -248,22 +195,29 @@ mod tests {
     fn one_pool_shared_by_two_reasoners() {
         let syms = Symbols::new();
         let program = parse_program(&syms, PROGRAM_P).unwrap();
-        let pool =
-            Arc::new(reasoner_pool(&syms, &program, None, &ReasonerConfig::default(), 2).unwrap());
+        let config = ReasonerConfig::default();
+        let ctx = ExecCtx { pool: partition_pool(&config, 2).unwrap(), ..Default::default() };
         let partitioner =
             Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
-        let build = |pool| {
-            let cfg = ReasonerConfig::default();
-            ParallelReasoner::with_pool(&syms, &program, None, partitioner.clone(), cfg, Some(pool))
-                .unwrap()
+        let build = |ctx| {
+            ParallelReasoner::with_ctx(
+                &syms,
+                &program,
+                None,
+                partitioner.clone(),
+                config.clone(),
+                ctx,
+            )
+            .unwrap()
         };
-        let mut a = build(pool.clone());
-        let mut b = build(pool);
+        let mut a = build(ctx.clone());
+        let mut b = build(ctx.clone());
         let out_a = a.process(&motivating_window()).unwrap();
         let out_b = b.process(&motivating_window()).unwrap();
         let render = |o: &ReasonerOutput| o.answers[0].display(&syms).to_string();
         assert_eq!(render(&out_a), render(&out_b));
         assert_eq!(a.workers(), 2);
+        assert_eq!(ctx.counters.snapshot().misses, 4, "both report into the shared counters");
     }
 
     #[test]

@@ -11,7 +11,8 @@ use sr_stream::{Pcg32, Window};
 pub trait Partitioner: Send + Sync {
     /// Number of partitions produced.
     fn partitions(&self) -> usize;
-    /// Splits a window. Every returned vector feeds one parallel reasoner.
+    /// Splits a window into exactly [`Partitioner::partitions`] vectors;
+    /// vector `i` always feeds the same reasoner, community `i`'s.
     fn partition(&self, window: &Window) -> Vec<Vec<Triple>>;
     /// Content-based per-item routing, when the partitioner supports it:
     /// the partition indices `item` would land in (possibly several under

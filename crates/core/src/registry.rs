@@ -8,26 +8,30 @@
 //! [`program_fingerprint`] — the
 //! fingerprint hashes the rendered rules, so it is independent of which
 //! `Symbols` store parsed them) and who ask for the same partitioning share
-//! one [`IncrementalReasoner`], its worker pool, and its per-window result.
+//! one [`IncrementalReasoner`] and its per-window result.
 //! The partitioner is part of the key because partitioning can change
 //! answers (the paper's random baseline trades accuracy for balance);
 //! sharing across different partitioners would silently change a tenant's
 //! output.
 //!
-//! Each admitted program gets its **own `Symbols` store** (pooled workers
-//! resolve symbol ids against the store their program was built from, so
-//! programs must never mix stores) and its own reasoner, which reuses the
-//! communities a window's delta leaves untouched from the last window *it*
-//! answered. Entries share nothing but one set of [`CacheCounters`], which
-//! reports reuse across the registry, and one set of [`FailureCounters`],
-//! which counts their retries and fallbacks. A re-admitted program starts
-//! cold: its first window recomputes every community.
+//! Each admitted program gets its **own `Symbols` store** (its community
+//! reasoners resolve symbol ids against the store their program was built
+//! from, so programs must never mix stores) and its own reasoner, which
+//! reuses the communities a window's delta leaves untouched from the last
+//! window *it* answered. Entries share one [`ExecCtx`]: one worker pool,
+//! sized [`ReasonerConfig::workers`] (or the first admitted program's
+//! partition count when that is `0`) and built at the first admission that
+//! needs one — the scheduler runs entries one at a time, so each window
+//! still fans out over the whole pool — plus the reuse, planner and
+//! retry/fallback counters every entry reports into. A re-admitted program
+//! starts cold: its first window recomputes every community.
 
 use crate::admission::{AdmissionPolicy, AdmitError, ProgramBounds};
 use crate::analysis::DependencyAnalysis;
 use crate::config::{AnalysisConfig, ReasonerConfig};
+use crate::exec::ExecCtx;
 use crate::incremental::{program_fingerprint, IncrementalReasoner};
-use crate::metrics::{CacheCounters, FailureCounters};
+use crate::parallel::partition_pool;
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 use asp_core::{AspError, Symbols};
 use asp_parser::parse_program;
@@ -114,11 +118,9 @@ impl ProgramEntry {
 /// reuse across all of them. See the module docs.
 pub struct ProgramRegistry {
     pub(crate) config: ReasonerConfig,
-    /// Reuse and planner counters every entry's reasoner reports into.
-    pub(crate) counters: Arc<CacheCounters>,
-    /// Retry and fallback counters every entry's reasoner reports into; the
-    /// scheduler adds its quarantines.
-    pub(crate) failures: Arc<FailureCounters>,
+    /// The pool and counters every entry's reasoner shares; the scheduler
+    /// adds its quarantines to the failure counters.
+    pub(crate) ctx: ExecCtx,
     policy: AdmissionPolicy,
     /// Admitted programs in first-admission order — the deterministic
     /// scheduling order of the multi-tenant engine.
@@ -131,8 +133,7 @@ impl ProgramRegistry {
     pub fn new(config: ReasonerConfig) -> Self {
         ProgramRegistry {
             config,
-            counters: Arc::new(CacheCounters::default()),
-            failures: Arc::new(FailureCounters::default()),
+            ctx: ExecCtx::default(),
             policy: AdmissionPolicy::default(),
             entries: Vec::new(),
         }
@@ -151,7 +152,7 @@ impl ProgramRegistry {
 
     /// Admits `tenant` with `source`. If the rendered program and the
     /// partitioner choice match an already-admitted entry, the tenant
-    /// attaches to it (no new reasoner, pool, or store); otherwise the
+    /// attaches to it (no new reasoner or store); otherwise the
     /// program is parsed into a fresh `Symbols` store, analyzed, and gets
     /// its own [`IncrementalReasoner`]. Returns the
     /// program fingerprint. Fails with a structured [`AdmitError`] on a
@@ -208,17 +209,23 @@ impl ProgramRegistry {
             }
             TenantPartitioner::Random { k, seed } => Arc::new(RandomPartitioner::new(k, seed)),
         };
-        // One reasoner per program entry: its pool (Threads mode) and its
-        // reuse slots are shared by every tenant that attaches later.
-        let mut reasoner = IncrementalReasoner::new(
+        if self.ctx.pool.is_none() {
+            let workers = match self.config.workers {
+                0 => part.partitions(),
+                n => n,
+            };
+            self.ctx.pool = partition_pool(&self.config, workers)?;
+        }
+        // One reasoner per program entry: its reuse slots are shared by
+        // every tenant that attaches later.
+        let reasoner = IncrementalReasoner::with_ctx(
             &syms,
             &program,
             Some(&analysis.inpre),
             part,
             self.config.clone(),
+            self.ctx.clone(),
         )?;
-        reasoner.set_cache_counters(Arc::clone(&self.counters));
-        reasoner.set_failure_counters(Arc::clone(&self.failures));
         self.entries.push(ProgramEntry {
             fingerprint,
             partitioner,
@@ -233,9 +240,8 @@ impl ProgramRegistry {
     }
 
     /// Retires `tenant`, returning its program fingerprint. When the last
-    /// tenant of a program leaves, the whole entry — reasoner, pool, reuse
-    /// slots, symbol store — is dropped; the shared counters keep what it
-    /// reported.
+    /// tenant of a program leaves, the whole entry — reasoner, reuse slots,
+    /// symbol store — is dropped; the shared pool and counters stay.
     pub fn retire(&mut self, tenant: &str) -> Result<u64, AspError> {
         for (idx, entry) in self.entries.iter_mut().enumerate() {
             if let Some(pos) = entry.tenants.iter().position(|t| t == tenant) {
@@ -325,6 +331,22 @@ mod tests {
         reg.admit("ran2", PROGRAM_A, TenantPartitioner::Random { k: 2, seed: 7 }).unwrap();
         assert_eq!(reg.program_count(), 2, "identical random choice does share");
         assert_eq!(reg.entry_of("ran2").unwrap().tenants(), ["ran", "ran2"]);
+    }
+
+    #[test]
+    fn entries_share_one_pool_sized_by_workers() {
+        let mut reg = ProgramRegistry::new(ReasonerConfig { workers: 2, ..Default::default() });
+        for i in 0..4 {
+            let source = format!("{PROGRAM_A}\ntenant_tag({i}).");
+            reg.admit(&format!("t{i}"), &source, TenantPartitioner::Dependency).unwrap();
+        }
+        assert_eq!(reg.program_count(), 4, "four distinct programs, four entries");
+        let pool = reg.ctx.pool.clone().expect("Threads mode builds a pool");
+        assert_eq!(pool.workers(), 2, "one 2-worker pool, not one per entry");
+        for entry in reg.entries() {
+            let entry_pool = entry.reasoner.ctx().pool.as_ref().expect("entries use the pool");
+            assert!(Arc::ptr_eq(entry_pool, &pool), "every entry runs on the registry's pool");
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Recovery under injected faults: each test puts its [`FaultPlan`] on the
-//! [`ReasonerConfig`] of the reasoner, pool or engine it perturbs
-//! ([`ReasonerConfig::faults`]). A plan reaches nothing else, so these
-//! tests need no isolation from each other or from any other test.
+//! [`ReasonerConfig`] of the reasoner or engine it perturbs
+//! ([`ReasonerConfig::faults`]). A plan reaches nothing else, not even a
+//! reasoner sharing the same pool, so these tests need no isolation from
+//! each other or from any other test.
 
 use asp_core::{FastMap, Symbols};
 use asp_parser::parse_program;
 use sr_core::fault::{FaultPlan, FaultSite};
 use sr_core::{
-    reasoner_pool, IncrementalReasoner, MultiTenantEngine, ParallelMode, ParallelReasoner,
-    Partitioner, PartitioningPlan, PlanPartitioner, ReasonerConfig, ReasonerOutput, TenantOutput,
-    TenantPartitioner, UnknownPredicate,
+    partition_pool, ExecCtx, IncrementalReasoner, MultiTenantEngine, ParallelMode,
+    ParallelReasoner, Partitioner, PartitioningPlan, PlanPartitioner, ReasonerConfig,
+    ReasonerOutput, TenantOutput, TenantPartitioner, UnknownPredicate,
 };
 use sr_rdf::{Node, Triple};
 use sr_stream::{Window, WindowDelta};
@@ -61,9 +62,8 @@ fn with_plan(plan: FaultPlan, config: ReasonerConfig) -> ReasonerConfig {
     ReasonerConfig { faults: Some(Arc::new(plan)), ..config }
 }
 
-/// P's two communities over the sequential scratch path, which hosts the
-/// same fault hook the pool workers do: a plan-free reference and a
-/// reasoner under `plan`.
+/// P's two communities on the caller thread, which runs the same job body
+/// the pool does: a plan-free reference and a reasoner under `plan`.
 fn build_pair(plan: FaultPlan) -> (Symbols, ParallelReasoner, IncrementalReasoner) {
     let config =
         ReasonerConfig { incremental: true, mode: ParallelMode::Sequential, ..Default::default() };
@@ -92,15 +92,38 @@ fn transient_panic_seed() -> u64 {
 
 #[test]
 fn injected_worker_panic_hits_every_pooled_job() {
+    // A seed that panics both of window 5's jobs and neither first retry.
+    let panics = |seed: u64| FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, seed);
+    let seed = (0..10_000)
+        .find(|&s| {
+            let fires = |p: u64| panics(s).fires(FaultSite::WorkerPanic, 5, p);
+            (0..2).all(|p| fires(p) && !fires(p + (1 << 32)))
+        })
+        .expect("such a seed exists");
+    // A faulty and a plan-free reasoner over one pool, each with its own
+    // counters.
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
-    let plan = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 3);
-    let faulty = reasoner_pool(&syms, &program, None, &with_plan(plan, Default::default()), 2);
-    let out = faulty.unwrap().submit(5, vec![(0, motivating_items()), (1, vec![])]).wait();
-    assert!(out.iter().all(Result::is_err), "rate-1.0 plan panics every job");
-    let clean = reasoner_pool(&syms, &program, None, &ReasonerConfig::default(), 2).unwrap();
-    let out = clean.submit(6, vec![(0, motivating_items())]).wait();
-    assert!(out[0].as_ref().is_ok_and(Result::is_ok), "a plan-free pool runs the same job");
+    let threads = ReasonerConfig::default();
+    let pool = partition_pool(&threads, 2).unwrap();
+    let build = |config: ReasonerConfig| {
+        let ctx = ExecCtx { pool: pool.clone(), ..Default::default() };
+        ParallelReasoner::with_ctx(&syms, &program, None, paper_partitioner(), config, ctx).unwrap()
+    };
+    let mut faulty = build(with_plan(panics(seed), threads.clone()));
+    let mut clean = build(threads);
+    let shared = |r: &ParallelReasoner| r.ctx().pool.clone().expect("Threads mode has a pool");
+    assert!(Arc::ptr_eq(&shared(&faulty), &shared(&clean)), "one pool serves both");
+
+    let w = Window::new(5, motivating_items());
+    let expected = render(&syms, &clean.process(&w).unwrap());
+    assert_eq!(render(&syms, &faulty.process(&w).unwrap()), expected, "recovery is lossless");
+    let snap = faulty.ctx().failures.snapshot();
+    assert_eq!((snap.retries, snap.fallbacks), (2, 2), "both pooled jobs panicked: {snap:?}");
+    let snap = clean.ctx().failures.snapshot();
+    assert_eq!(snap.retries, 0, "the plan-free reasoner's jobs never panic: {snap:?}");
+    clean.process(&Window::new(6, motivating_items())).unwrap();
+    assert_eq!(clean.ctx().failures.snapshot().retries, 0, "not after the faulty one either");
 }
 
 #[test]
@@ -112,13 +135,13 @@ fn injected_panic_recovers_with_identical_output() {
     let expected = render(&syms, &pr.process(&w).unwrap());
     let recovered = ir.process(&w);
     assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
-    let snap = ir.failure_counters().snapshot();
+    let snap = ir.ctx().failures.snapshot();
     assert!(snap.retries > 0, "the panicked partition was retried: {snap:?}");
     assert!(snap.fallbacks > 0, "and recovered via the re-ground fallback: {snap:?}");
 }
 
 #[test]
-fn pooled_panics_in_a_parallel_reasoner_are_retried_on_scratch() {
+fn pooled_panics_in_a_parallel_reasoner_are_retried_on_their_community() {
     // Threads mode with its own pool, built without `incremental`.
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
@@ -134,7 +157,7 @@ fn pooled_panics_in_a_parallel_reasoner_are_retried_on_scratch() {
     assert_eq!(pr.workers(), 2, "one pooled worker per partition");
     let recovered = pr.process(&w);
     assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
-    let snap = pr.failure_counters().snapshot();
+    let snap = pr.ctx().failures.snapshot();
     assert!(snap.retries > 0, "the panicked pooled job was retried: {snap:?}");
 
     // Rate 1.0 also fires at every retry: the window errors, named.
@@ -192,8 +215,8 @@ fn pooled_and_sequential_faults_hit_the_same_community() {
             ParallelReasoner::new(&syms, &program, None, paper_partitioner(), config).unwrap();
         let answers: Vec<Vec<String>> =
             windows.iter().map(|w| render(&syms, &pr.process(w).unwrap())).collect();
-        let reused = pr.cache_counters().snapshot().hits;
-        (answers, pr.failure_counters().snapshot().retries, reused)
+        let reused = pr.ctx().counters.snapshot().hits;
+        (answers, pr.ctx().failures.snapshot().retries, reused)
     };
     let (threads, threads_retries, threads_reused) = run(ParallelMode::Threads);
     let (sequential, sequential_retries, sequential_reused) = run(ParallelMode::Sequential);
@@ -215,7 +238,7 @@ fn retry_exhaustion_surfaces_window_and_partition() {
     assert!(msg.contains("window 7"), "error names the window: {msg}");
     assert!(msg.contains("partition"), "error names the partition: {msg}");
     assert!(msg.contains("2 re-ground retries"), "error names the retry policy: {msg}");
-    assert_eq!(ir.failure_counters().snapshot().retries, 2, "every retry was counted");
+    assert_eq!(ir.ctx().failures.snapshot().retries, 2, "every retry was counted");
 }
 
 #[test]
@@ -240,11 +263,11 @@ fn cache_invalidation_fault_recomputes_identically() {
     };
     let again = ir.process(&unchanged(1));
     assert_eq!(render(&syms, &again.unwrap()), expected, "recompute must match reuse");
-    let snap = ir.cache_counters().snapshot();
+    let snap = ir.ctx().counters.snapshot();
     assert_eq!((snap.hits, snap.misses), (0, 4), "invalidation forces recompute: {snap:?}");
     // Where the plan does not fire, the same change is reused.
     ir.process(&unchanged(2)).unwrap();
-    assert_eq!(ir.cache_counters().snapshot().hits, 2);
+    assert_eq!(ir.ctx().counters.snapshot().hits, 2);
 }
 
 #[test]

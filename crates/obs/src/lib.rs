@@ -17,8 +17,8 @@
 //!   lifecycle stage ([`Stage`]: windowing → partition → cache-lookup →
 //!   ground → plan → solve → combine → recover → emit),
 //!   tagged with the ambient [`TraceCtx`] (window id, lane, partition,
-//!   serving-entry fingerprint) that engine lanes and `WorkerPool` workers
-//!   install around each job. The disabled path is a single relaxed atomic
+//!   serving-entry fingerprint) that engine lanes and partition jobs
+//!   install. The disabled path is a single relaxed atomic
 //!   load — tracing off costs ~one branch.
 //!
 //! Exporters: [`render_prometheus`](MetricsRegistry::render_prometheus)

@@ -3,10 +3,10 @@
 //! A [`Tracer`] records [`SpanRecord`]s — one per lifecycle [`Stage`]
 //! execution — tagged with the ambient [`TraceCtx`] (window id, lane,
 //! partition index, serving-entry fingerprint). The context is a
-//! thread-local that engine lanes and `WorkerPool` workers install with
-//! [`ctx_scope`] around each job, so spans recorded deep inside a pool
-//! worker still attribute to the right window and partition even though
-//! the work crossed a job boundary.
+//! thread-local that engine lanes install and partition jobs carry onto
+//! `WorkerPool` workers with [`ctx_scope`], so spans recorded deep inside a
+//! pool worker still attribute to the right window and partition even
+//! though the work crossed a job boundary.
 //!
 //! Tracing is off by default. The disabled fast path —
 //! [`span`] returning `None` — is a single relaxed atomic load and a

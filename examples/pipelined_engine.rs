@@ -25,25 +25,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let partitioner: Arc<dyn Partitioner> =
         Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
 
-    // One shared worker pool serves the partition jobs of every lane.
+    // One shared execution context: its worker pool serves the partition
+    // jobs of every lane, and every lane reports into its counters.
     let in_flight = 3;
-    let pool = Arc::new(reasoner_pool(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        &ReasonerConfig::default(),
-        partitioner.partitions() * in_flight,
-    )?);
+    let config = ReasonerConfig::default();
+    let ctx = ExecCtx {
+        pool: partition_pool(&config, partitioner.partitions() * in_flight)?,
+        ..Default::default()
+    };
     let mut engine = StreamEngine::new(
         EngineConfig { in_flight, queue_depth: in_flight, ..Default::default() },
         |_lane| {
-            Ok(Box::new(ParallelReasoner::with_pool(
+            Ok(Box::new(ParallelReasoner::with_ctx(
                 &syms,
                 &program,
                 Some(&analysis.inpre),
                 partitioner.clone(),
-                ReasonerConfig::default(),
-                Some(pool.clone()),
+                config.clone(),
+                ctx.clone(),
             )?) as Box<dyn Reasoner>)
         },
     )?;
@@ -51,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine ready: {} lanes x {} partitions over a {}-worker pool",
         engine.lanes(),
         partitioner.partitions(),
-        pool.workers()
+        ctx.workers()
     );
 
     // A timestamped synthetic stream, cut generically through the
@@ -83,5 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "throughput: {:.2} windows/s, {:.0} items/s | latency p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms",
         s.windows_per_sec, s.items_per_sec, s.latency.p50_ms, s.latency.p95_ms, s.latency.p99_ms
     );
+    let reuse = ctx.counters.snapshot();
+    println!("communities: {} recomputed, {} reused", reuse.misses, reuse.hits);
     Ok(())
 }

@@ -646,13 +646,15 @@ fn build_windows(
     Ok(windows)
 }
 
-/// Builds the `--mode`-selected backend.
+/// Builds the `--mode`-selected backend. A partitioned one gets its own
+/// pool, one worker per partition, and reports into `ctx`'s counters.
 fn build_reasoner(
     syms: &Symbols,
     program: &Program,
     analysis: &DependencyAnalysis,
     mode: RunMode,
     reasoner_cfg: &ReasonerConfig,
+    ctx: &ExecCtx,
 ) -> Result<Box<dyn Reasoner>, AspError> {
     let inpre = Some(analysis.inpre.as_slice());
     let cfg = reasoner_cfg.clone();
@@ -663,7 +665,9 @@ fn build_reasoner(
             Box::new(reasoner)
         }
         Some(partitioner) => {
-            Box::new(ParallelReasoner::new(syms, program, inpre, partitioner, cfg)?)
+            let pool = partition_pool(reasoner_cfg, partitioner.partitions())?;
+            let ctx = ExecCtx { pool, ..ctx.clone() };
+            Box::new(ParallelReasoner::with_ctx(syms, program, inpre, partitioner, cfg, ctx)?)
         }
     })
 }
@@ -678,8 +682,9 @@ fn run_sequential(
     windows: &[Window],
     projection: &Projection,
 ) -> Result<(), String> {
-    let mut reasoner =
-        build_reasoner(syms, program, analysis, mode, reasoner_cfg).map_err(|e| e.to_string())?;
+    let ctx = ExecCtx::default();
+    let mut reasoner = build_reasoner(syms, program, analysis, mode, reasoner_cfg, &ctx)
+        .map_err(|e| e.to_string())?;
     for window in windows {
         let out = reasoner.process(window).map_err(|e| e.to_string())?;
         println!(
@@ -692,6 +697,11 @@ fn run_sequential(
         for ans in out.answers.iter().take(2) {
             print_answer(&projection.apply(ans, syms).display(syms).to_string());
         }
+    }
+    // The same summary lines the engine path prints, under the same rules.
+    print_planner_line(&ctx.counters.snapshot());
+    if reasoner_cfg.faults.is_some() || ctx.failures.any_nonzero() {
+        print_failure_line(&ctx.failures.snapshot());
     }
     Ok(())
 }
@@ -895,8 +905,9 @@ fn run_engine(
     for trial in 0..trials {
         // Fresh reasoner per pass: a reused one would start warm on sliding
         // windows and no longer measure the baseline.
-        let mut baseline = build_reasoner(syms, program, analysis, mode, reasoner_cfg)
-            .map_err(|e| e.to_string())?;
+        let mut baseline =
+            build_reasoner(syms, program, analysis, mode, reasoner_cfg, &ExecCtx::default())
+                .map_err(|e| e.to_string())?;
         let (stats, rendered) =
             sequential_baseline(syms, baseline.as_mut(), &windows).map_err(|e| e.to_string())?;
         if trial == 0 {

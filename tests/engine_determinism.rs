@@ -115,20 +115,18 @@ fn engine_over_shared_pool_matches_per_lane_pools() {
     let partitioner: Arc<dyn Partitioner> =
         Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
 
-    let pool = Arc::new(
-        reasoner_pool(&syms, &program, Some(&analysis.inpre), &ReasonerConfig::default(), 4)
-            .unwrap(),
-    );
+    let config = ReasonerConfig::default();
+    let ctx = ExecCtx { pool: partition_pool(&config, 4).unwrap(), ..Default::default() };
     let shared = engine_rendered(
         &syms,
         |_| {
-            Ok(Box::new(ParallelReasoner::with_pool(
+            Ok(Box::new(ParallelReasoner::with_ctx(
                 &syms,
                 &program,
                 Some(&analysis.inpre),
                 partitioner.clone(),
-                ReasonerConfig::default(),
-                Some(pool.clone()),
+                config.clone(),
+                ctx.clone(),
             )?))
         },
         &windows,

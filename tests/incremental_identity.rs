@@ -593,3 +593,36 @@ fn alternating_community_bursts_recompute_exactly_one_community_per_slide() {
         }
     }
 }
+
+/// Each community reasoner plans its joins against its own relation
+/// statistics, so over 40 windows of P the planner replans at most twice
+/// per community, pooled or on the caller thread, and the counters reach the
+/// reasoner's context either way.
+#[test]
+fn planner_replans_stay_per_community_in_both_modes() {
+    let syms = Symbols::new();
+    let program = parse_program(&syms, include_str!("../assets/traffic_p.lp")).unwrap();
+    let analysis =
+        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+    let communities = analysis.plan.communities as u64;
+    let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, 2017);
+    let windows: Vec<Window> =
+        (0..40).map(|id| Window::new(id, generator.window(10_000))).collect();
+    for mode in [ParallelMode::Sequential, ParallelMode::Threads] {
+        let partitioner =
+            Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+        let config = ReasonerConfig { mode, cost_planning: true, ..Default::default() };
+        let inpre = Some(analysis.inpre.as_slice());
+        let mut pr = ParallelReasoner::new(&syms, &program, inpre, partitioner, config).unwrap();
+        for window in &windows {
+            pr.process(window).unwrap();
+        }
+        let snap = pr.ctx().counters.snapshot();
+        assert!(snap.cost_planning, "{mode:?}: the planner's counters were reported");
+        assert!(
+            snap.planner_replans <= 2 * communities,
+            "{mode:?}: {} replans over {communities} communities",
+            snap.planner_replans
+        );
+    }
+}
