@@ -90,12 +90,12 @@ pub struct ReasonerConfig {
     pub max_combined: usize,
     /// Scheduling mode.
     pub mode: ParallelMode,
-    /// Worker threads of the pool a stand-alone partitioned reasoner or a
-    /// [`ProgramRegistry`](crate::registry::ProgramRegistry) builds (Threads
-    /// mode only); `0` sizes it to one worker per partition of the reasoner
-    /// (of the registry's first admitted program). A partitioned
-    /// [`StreamEngine`](crate::engine::StreamEngine) ignores it and sizes its
-    /// pool `partitions × in_flight`.
+    /// Worker threads of the pool a stand-alone partitioned reasoner, a
+    /// [`ProgramRegistry`](crate::registry::ProgramRegistry) or a partitioned
+    /// [`StreamEngine`](crate::engine::StreamEngine) builds (Threads mode
+    /// only). `0` sizes it from the work: one worker per partition of the
+    /// reasoner (of the registry's first admitted program; per partition per
+    /// lane for an engine).
     pub workers: usize,
     /// Unknown-predicate routing.
     pub unknown: UnknownPredicate,

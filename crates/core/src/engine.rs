@@ -613,9 +613,9 @@ impl StreamEngine {
     }
 
     /// Convenience: an engine whose lanes are [`ParallelReasoner`]s sharing
-    /// one [`ExecCtx`]: one worker pool sized `partitions × in_flight`
-    /// (whatever [`ReasonerConfig::workers`] says), so every in-flight window
-    /// can fan out over its partitions concurrently — or no pool, where
+    /// one [`ExecCtx`]: one worker pool of [`ReasonerConfig::workers`]
+    /// threads (`0`: `partitions × in_flight`, so every in-flight window can
+    /// fan out over all its partitions at once) — or no pool, where
     /// [`partition_pool`] keeps partitions on the lane thread — and one set of
     /// counters, which [`EngineStats::incremental`] and
     /// [`EngineStats::failure`] report on [`StreamEngine::finish`]. This is
@@ -632,7 +632,10 @@ impl StreamEngine {
         reasoner_cfg: ReasonerConfig,
         config: EngineConfig,
     ) -> Result<Self, AspError> {
-        let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
+        let workers = match reasoner_cfg.workers {
+            0 => partitioner.partitions().max(1) * config.in_flight.max(1),
+            n => n,
+        };
         let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
         let faults = reasoner_cfg.faults.clone();
         let mut engine = StreamEngine::new_inner(
@@ -1361,6 +1364,8 @@ mod tests {
         let sequential = ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() };
         assert_eq!(pool_workers(sequential), 0, "Sequential lanes run partitions themselves");
         assert_eq!(pool_workers(ReasonerConfig::default()), 4, "2 partitions x 2 lanes");
+        let two = ReasonerConfig { workers: 2, ..Default::default() };
+        assert_eq!(pool_workers(two), 2, "an explicit worker count sizes the pool");
     }
 
     #[test]

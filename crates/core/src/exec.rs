@@ -11,6 +11,16 @@
 //! can have jobs in flight at once — the property the
 //! [`StreamEngine`](crate::engine::StreamEngine) builds on.
 //!
+//! A job may itself submit a batch to the pool it runs on and wait for it:
+//! a multi-tenant serving entry runs as one job and fans its dirty
+//! partitions out over the same pool. [`BatchHandle::wait`] called on one of
+//! the pool's workers therefore claims the batch's jobs no worker has
+//! started yet and runs them itself before it blocks, so a waiting worker
+//! never holds a thread its batch needs and nested batches cannot
+//! deadlock, however few workers there are. Each job runs exactly once,
+//! on whichever thread claims it first. A thread outside the pool only
+//! waits.
+//!
 //! [`ExecCtx`] is the one value the reasoners of an engine or a registry
 //! share: the pool (or none, for caller-thread execution) and the counters
 //! they report reuse, planning and recovery into.
@@ -21,7 +31,7 @@ use asp_core::AspError;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 
 /// One unit of work: everything it needs is inside the closure.
 pub type Job<R> = Box<dyn FnOnce() -> R + Send>;
@@ -41,6 +51,9 @@ fn run_caught<R>(job: Job<R>) -> JobOutcome<R> {
 }
 
 struct BatchState<R> {
+    /// Jobs nobody has claimed yet; a worker or the waiter takes one out
+    /// before running it, so each runs once.
+    jobs: Vec<Option<Job<R>>>,
     slots: Vec<Option<JobOutcome<R>>>,
     remaining: usize,
 }
@@ -50,17 +63,44 @@ struct BatchShared<R> {
     done: Condvar,
 }
 
+impl<R> BatchShared<R> {
+    /// Runs job `slot` and stores its outcome, unless another thread
+    /// claimed it first.
+    fn run_slot(&self, slot: usize) {
+        let Some(job) = lock_recover(&self.state).jobs[slot].take() else {
+            return;
+        };
+        let outcome = run_caught(job);
+        let mut state = lock_recover(&self.state);
+        state.slots[slot] = Some(outcome);
+        state.remaining -= 1;
+        if state.remaining == 0 {
+            self.done.notify_all();
+        }
+    }
+}
+
 /// Handle to one submitted batch of jobs; [`BatchHandle::wait`] blocks until
 /// every job completed and returns the outcomes in submission order.
 #[must_use = "a batch handle must be waited on to observe the results"]
 pub struct BatchHandle<R> {
     shared: Arc<BatchShared<R>>,
+    /// The threads of the pool the batch was submitted to.
+    workers: Arc<[ThreadId]>,
 }
 
 impl<R> BatchHandle<R> {
     /// Blocks until all jobs of the batch finished; outcomes are returned in
-    /// the order the jobs were submitted.
+    /// the order the jobs were submitted. Called on one of the pool's own
+    /// workers, it first runs every job of the batch no worker has started
+    /// (see the module docs).
     pub fn wait(self) -> Vec<JobOutcome<R>> {
+        if self.workers.contains(&std::thread::current().id()) {
+            let jobs = lock_recover(&self.shared.state).jobs.len();
+            for slot in 0..jobs {
+                self.shared.run_slot(slot);
+            }
+        }
         let mut state = lock_recover(&self.shared.state);
         while state.remaining > 0 {
             state = wait_recover(&self.shared.done, state);
@@ -69,7 +109,7 @@ impl<R> BatchHandle<R> {
     }
 }
 
-/// A queued job, already wrapped to report into its batch slot.
+/// A queued job: claims and runs one slot of its batch.
 type Task = Box<dyn FnOnce() + Send>;
 
 struct QueueState {
@@ -87,6 +127,8 @@ struct PoolShared {
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
+    /// The ids of `handles`' threads, shared with every batch handle.
+    ids: Arc<[ThreadId]>,
 }
 
 impl WorkerPool {
@@ -123,7 +165,8 @@ impl WorkerPool {
                 .map_err(|e| AspError::Internal(format!("cannot spawn worker: {e}")))?;
             handles.push(handle);
         }
-        Ok(WorkerPool { shared, handles })
+        let ids = handles.iter().map(|h| h.thread().id()).collect();
+        Ok(WorkerPool { shared, handles, ids })
     }
 
     /// Number of worker threads.
@@ -135,31 +178,25 @@ impl WorkerPool {
     /// behind an `Arc` accepts concurrent submissions from several windows
     /// in flight.
     pub fn submit<R: Send + 'static>(&self, jobs: Vec<Job<R>>) -> BatchHandle<R> {
+        let n = jobs.len();
         let batch = Arc::new(BatchShared {
             state: Mutex::new(BatchState {
-                slots: (0..jobs.len()).map(|_| None).collect(),
-                remaining: jobs.len(),
+                jobs: jobs.into_iter().map(Some).collect(),
+                slots: (0..n).map(|_| None).collect(),
+                remaining: n,
             }),
             done: Condvar::new(),
         });
-        if !jobs.is_empty() {
+        if n > 0 {
             let mut queue = lock_recover(&self.shared.queue);
-            for (slot, job) in jobs.into_iter().enumerate() {
+            for slot in 0..n {
                 let batch = Arc::clone(&batch);
-                queue.tasks.push_back(Box::new(move || {
-                    let outcome = run_caught(job);
-                    let mut state = lock_recover(&batch.state);
-                    state.slots[slot] = Some(outcome);
-                    state.remaining -= 1;
-                    if state.remaining == 0 {
-                        batch.done.notify_all();
-                    }
-                }));
+                queue.tasks.push_back(Box::new(move || batch.run_slot(slot)));
             }
             drop(queue);
             self.shared.available.notify_all();
         }
-        BatchHandle { shared: batch }
+        BatchHandle { shared: batch, workers: Arc::clone(&self.ids) }
     }
 }
 
@@ -275,6 +312,54 @@ mod tests {
         assert_eq!(out, vec![Ok(2), Err(JobPanicked), Ok(4)]);
         // The pool keeps serving jobs after the panic.
         let again = pool.submit(unlucky(vec![10, 20])).wait();
+        assert_eq!(again, vec![Ok(11), Ok(21)]);
+    }
+
+    /// Runs `f` on a fresh thread and fails, instead of hanging, when it
+    /// has not returned within ten seconds.
+    fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10)).expect("the batch deadlocked")
+    }
+
+    #[test]
+    fn a_job_waiting_on_a_nested_batch_of_its_own_pool_completes() {
+        let outer = within_timeout(|| {
+            let pool = Arc::new(WorkerPool::new("nested", 1).unwrap());
+            let inner_pool = Arc::clone(&pool);
+            let job: Job<Vec<JobOutcome<u64>>> =
+                Box::new(move || inner_pool.submit(squares(vec![2, 3])).wait());
+            pool.submit(vec![job]).wait()
+        });
+        assert_eq!(outer, vec![Ok(vec![Ok(4), Ok(9)])]);
+    }
+
+    #[test]
+    fn a_thread_outside_the_pool_only_waits() {
+        let names = within_timeout(|| {
+            let pool = WorkerPool::new("outside", 1).unwrap();
+            let name = || std::thread::current().name().map(str::to_string);
+            let jobs: Vec<Job<Option<String>>> =
+                (0..4).map(|_| Box::new(name) as Job<Option<String>>).collect();
+            pool.submit(jobs).wait()
+        });
+        assert_eq!(names, vec![Ok(Some("outside-0".to_string())); 4]);
+    }
+
+    #[test]
+    fn a_panicking_nested_job_is_reported_and_the_pool_keeps_serving() {
+        let (nested, again) = within_timeout(|| {
+            let pool = Arc::new(WorkerPool::new("nested-panic", 1).unwrap());
+            let inner_pool = Arc::clone(&pool);
+            let job: Job<Vec<JobOutcome<u64>>> =
+                Box::new(move || inner_pool.submit(unlucky(vec![1, 13, 3])).wait());
+            let nested = pool.submit(vec![job]).wait();
+            (nested, pool.submit(unlucky(vec![10, 20])).wait())
+        });
+        assert_eq!(nested, vec![Ok(vec![Ok(2), Err(JobPanicked), Ok(4)])]);
         assert_eq!(again, vec![Ok(11), Ok(21)]);
     }
 

@@ -10,26 +10,41 @@
 //! [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) does);
 //! across entries only the worker pool and the counters are shared.
 //!
+//! Execution model: each live (not quarantined) entry becomes one job on the
+//! registry's [`ExecCtx`](crate::exec::ExecCtx), which all entries share.
+//! Under [`ParallelMode::Threads`](crate::config::ParallelMode) the jobs run
+//! concurrently on the shared worker pool, at most `workers` at once; an
+//! entry's job fans its dirty partitions out over the same pool and runs the
+//! ones no other worker has picked up itself (see [`crate::exec`]). The
+//! caller thread only waits. Without a pool (Sequential mode) the entries
+//! run on the caller thread one after another. Either way the bookkeeping —
+//! errors, panic recovery, quarantine and deadline scoring, latency samples
+//! and outputs — runs serially after the batch, in first-admission order.
+//!
 //! Correctness bar: each tenant's output is byte-identical to running its
 //! own single-program pipeline over the same windows (property-tested in
-//! `tests/multi_tenant_identity.rs`, including admit/retire mid-stream).
-//! Scheduling is deterministic: entries run in first-admission order and
-//! tenants emit in admission order within their entry.
+//! `tests/multi_tenant_identity.rs`, in both modes, including admit/retire
+//! mid-stream). Outputs are deterministic whatever the interleaving:
+//! entries emit in first-admission order and tenants in admission order
+//! within their entry.
 
 use crate::admission::{AdmissionSnapshot, AdmitError};
 use crate::engine::EngineStats;
+use crate::exec::Job;
 use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, TenantLatency};
-use crate::reasoner::ReasonerOutput;
-use crate::registry::{ProgramRegistry, TenantPartitioner};
+use crate::poison::lock_recover;
+use crate::reasoner::{Reasoner, ReasonerOutput};
+use crate::registry::{ProgramEntry, ProgramRegistry, TenantPartitioner};
 use asp_core::{AspError, Symbols};
 use sr_stream::Window;
-use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// What one entry's job returns: its output and its own run time.
+type EntryRun = (Result<ReasonerOutput, AspError>, Duration);
+
 /// One tenant's view of a processed window. Tenants deduplicated onto the
-/// same program run share the `Arc` (and record the same latency — the
-/// wall clock until their program's result was ready).
+/// same program run share the `Arc` (and record the same latency).
 pub struct TenantOutput {
     /// The tenant id.
     pub tenant: String,
@@ -37,7 +52,9 @@ pub struct TenantOutput {
     pub program: u64,
     /// The program-scoped symbol store (renders `output`'s answer sets).
     pub syms: Symbols,
-    /// Wall-clock latency until this result was ready.
+    /// The entry's own run time for this window: from the moment its job
+    /// started to the moment its output was ready. Time the job waited for
+    /// a worker is not included.
     pub latency: Duration,
     /// The shared reasoner output.
     pub output: Arc<ReasonerOutput>,
@@ -196,7 +213,8 @@ impl MultiTenantEngine {
     }
 
     /// Processes one window for every admitted tenant: each registry entry
-    /// runs once, every tenant of the entry receives the shared result.
+    /// runs once, as one job on the shared pool (see the module docs), and
+    /// every tenant of the entry receives the shared result.
     /// Outputs are ordered deterministically (entries in first-admission
     /// order, tenants in admission order within their entry). An empty
     /// registry yields an empty vector — the window still counts.
@@ -213,59 +231,61 @@ impl MultiTenantEngine {
         let t_window = Instant::now();
         self.started.get_or_insert(t_window);
         let mut outputs = Vec::with_capacity(self.registry.tenant_count());
-        // Split borrows: the registry's reasoners need `&mut`, the sample
-        // sink is a sibling field.
+        let live: Vec<usize> = (0..self.registry.entries().len())
+            .filter(|&i| !self.registry.entries()[i].quarantined)
+            .collect();
+        let shared_window = Arc::new(window.clone());
+        let trace = sr_obs::tracer().is_enabled().then(sr_obs::current_ctx);
+        let jobs = live
+            .iter()
+            .map(|&i| {
+                let entry = &self.registry.entries()[i];
+                let reasoner = Arc::clone(&entry.reasoner);
+                let window = Arc::clone(&shared_window);
+                // Spans recorded under this entry carry its serving-entry
+                // fingerprint, so a trace distinguishes tenants' programs.
+                let trace = trace.map(|ctx| sr_obs::TraceCtx {
+                    window_id: window.id,
+                    entry_fp: Some(entry.fingerprint),
+                    ..ctx
+                });
+                Box::new(move || {
+                    let _trace_ctx = trace.map(sr_obs::ctx_scope);
+                    let t0 = Instant::now();
+                    let output = lock_recover(&reasoner).process(&window);
+                    (output, t0.elapsed())
+                }) as Job<EntryRun>
+            })
+            .collect();
+        let runs = self.registry.ctx.run(jobs);
+
+        // Bookkeeping runs serially, in first-admission order.
         let samples = &mut self.samples;
         let deadline = self.deadline;
         let threshold = self.quarantine_threshold;
         let failures = Arc::clone(&self.registry.ctx.failures);
-        for entry in self.registry.entries_mut() {
-            if entry.quarantined {
-                continue;
-            }
-            let t0 = Instant::now();
-            let caught = {
-                // Spans recorded under this entry carry its serving-entry
-                // fingerprint, so a trace distinguishes tenants' programs.
-                let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
-                    sr_obs::ctx_scope(sr_obs::TraceCtx {
-                        window_id: window.id,
-                        entry_fp: Some(entry.fingerprint),
-                        ..sr_obs::current_ctx()
-                    })
-                });
-                std::panic::catch_unwind(AssertUnwindSafe(|| entry.reasoner.process(window)))
-            };
-            let latency = t0.elapsed();
-            let panicked = caught.is_err();
-            let output = match caught {
-                Ok(Ok(output)) => output,
-                Ok(Err(_)) | Err(_) => {
+        let entries = self.registry.entries_mut();
+        for (i, run) in live.into_iter().zip(runs) {
+            let entry = &mut entries[i];
+            let (output, latency) = match run {
+                Ok((Ok(output), latency)) => (output, latency),
+                failed => {
                     // This entry's failure stays its own: count it, score
                     // it toward quarantine, keep serving the other entries.
                     self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    if panicked {
+                    if failed.is_err() {
                         // A panic may have poisoned the reasoner's
                         // incremental state; invalidate it before reuse.
-                        let _ = crate::reasoner::Reasoner::recover(&mut entry.reasoner);
+                        let _ = Reasoner::recover(&mut *lock_recover(&entry.reasoner));
                     }
-                    entry.consecutive_failures += 1;
-                    if threshold > 0 && entry.consecutive_failures >= threshold {
-                        entry.quarantined = true;
-                        failures.quarantines.fetch_add(1, Ordering::Relaxed);
-                    }
+                    strike(entry, threshold, &failures);
                     continue;
                 }
             };
-            let overdue = deadline.is_some_and(|d| latency > d);
-            if overdue {
+            if deadline.is_some_and(|d| latency > d) {
                 // Served, but too slow: score toward quarantine so a
                 // chronically overdue program stops hurting its cohort.
-                entry.consecutive_failures += 1;
-                if threshold > 0 && entry.consecutive_failures >= threshold {
-                    entry.quarantined = true;
-                    failures.quarantines.fetch_add(1, Ordering::Relaxed);
-                }
+                strike(entry, threshold, &failures);
             } else {
                 entry.consecutive_failures = 0;
             }
@@ -343,8 +363,9 @@ impl MultiTenantEngine {
 
     /// A throughput/latency report over everything processed so far:
     /// overall stats plus per-tenant latency p50/p95/p99 (`tenants`) and
-    /// the dedup counters (`dedup`). `submit_blocked_ms` is `None` — the
-    /// scheduler runs in the caller, there is no submit queue to block on.
+    /// the dedup counters (`dedup`). `submit_blocked_ms` is `None` —
+    /// [`MultiTenantEngine::process`] returns when the window is served,
+    /// there is no submit queue to block on.
     pub fn stats(&self) -> EngineStats {
         let elapsed = match (self.started, self.last_done) {
             (Some(t0), Some(t1)) => t1.saturating_duration_since(t0),
@@ -397,6 +418,16 @@ impl MultiTenantEngine {
     }
 }
 
+/// Scores one failed or overdue window against `entry`, quarantining it at
+/// `threshold` consecutive strikes (`0` never quarantines).
+fn strike(entry: &mut ProgramEntry, threshold: u32, failures: &FailureCounters) {
+    entry.consecutive_failures += 1;
+    if threshold > 0 && entry.consecutive_failures >= threshold {
+        entry.quarantined = true;
+        failures.quarantines.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
 fn record(samples: &mut Vec<TenantSamples>, tenant: &str, program: u64, latency_ms: f64) {
     match samples.iter_mut().find(|s| s.tenant == tenant) {
         Some(s) => {
@@ -430,6 +461,13 @@ mod tests {
         })
     }
 
+    /// The caller-thread engine and one whose entries run on a 2-worker
+    /// pool.
+    fn engines() -> [MultiTenantEngine; 2] {
+        let pooled = ReasonerConfig { incremental: true, workers: 2, ..Default::default() };
+        [engine(), MultiTenantEngine::new(pooled)]
+    }
+
     fn t(s: &str, p: &str) -> Triple {
         Triple::new(Node::iri(s), Node::iri(p), Node::Int(1))
     }
@@ -444,26 +482,26 @@ mod tests {
 
     #[test]
     fn duplicate_tenants_share_one_program_run() {
-        let mut eng = engine();
-        eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-        eng.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-        eng.admit("t2", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
-        let outputs = eng.process(&window(0)).unwrap();
-        assert_eq!(outputs.len(), 3, "every tenant gets a result");
-        assert_eq!(outputs[0].tenant, "t0");
-        assert_eq!(outputs[1].tenant, "t1");
-        assert!(
-            Arc::ptr_eq(&outputs[0].output, &outputs[1].output),
-            "tenants of one program share the same Arc"
-        );
-        assert!(!Arc::ptr_eq(&outputs[0].output, &outputs[2].output));
-        assert!(rendered(&outputs[0])[0].contains("jam(a)"), "{:?}", rendered(&outputs[0]));
-        assert!(rendered(&outputs[2])[0].contains("fire(b)"), "{:?}", rendered(&outputs[2]));
-        let dedup = eng.dedup_snapshot();
-        assert_eq!(dedup.tenant_windows, 3);
-        assert_eq!(dedup.program_runs, 2, "two distinct programs ran");
-        assert_eq!(dedup.shared_runs_saved, 1);
-        assert!((dedup.dedup_ratio - 1.0 / 3.0).abs() < 1e-9);
+        for mut eng in engines() {
+            eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+            eng.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+            eng.admit("t2", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
+            let outputs = eng.process(&window(0)).unwrap();
+            let tenants: Vec<&str> = outputs.iter().map(|o| o.tenant.as_str()).collect();
+            assert_eq!(tenants, ["t0", "t1", "t2"], "every tenant, in admission order");
+            assert!(
+                Arc::ptr_eq(&outputs[0].output, &outputs[1].output),
+                "tenants of one program share the same Arc"
+            );
+            assert!(!Arc::ptr_eq(&outputs[0].output, &outputs[2].output));
+            assert!(rendered(&outputs[0])[0].contains("jam(a)"), "{:?}", rendered(&outputs[0]));
+            assert!(rendered(&outputs[2])[0].contains("fire(b)"), "{:?}", rendered(&outputs[2]));
+            let dedup = eng.dedup_snapshot();
+            assert_eq!(dedup.tenant_windows, 3);
+            assert_eq!(dedup.program_runs, 2, "two distinct programs ran");
+            assert_eq!(dedup.shared_runs_saved, 1);
+            assert!((dedup.dedup_ratio - 1.0 / 3.0).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -555,19 +593,21 @@ mod tests {
 
     #[test]
     fn overdue_windows_score_toward_quarantine_but_still_serve() {
-        let mut eng = engine();
-        eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-        eng.set_window_deadline_ms(Some(0)); // every real window is overdue
-        eng.set_quarantine_threshold(2);
-        let first = eng.process(&window(0)).unwrap();
-        assert_eq!(first.len(), 1, "an overdue window still serves its result");
-        assert!(eng.quarantined_tenants().is_empty(), "one strike is not enough");
-        let second = eng.process(&window(1)).unwrap();
-        assert_eq!(second.len(), 1);
-        assert_eq!(eng.quarantined_tenants(), vec!["t0".to_string()], "two strikes at threshold 2");
-        let stats = eng.stats();
-        assert_eq!(stats.errors, 0, "overdue is not an error");
-        assert_eq!(stats.failure.expect("deadline configured").quarantines, 1);
+        for mut eng in engines() {
+            eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+            eng.set_window_deadline_ms(Some(0)); // every real window is overdue
+            eng.set_quarantine_threshold(2);
+            let first = eng.process(&window(0)).unwrap();
+            assert_eq!(first.len(), 1, "an overdue window still serves its result");
+            assert!(eng.quarantined_tenants().is_empty(), "one strike is not enough");
+            let second = eng.process(&window(1)).unwrap();
+            assert_eq!(second.len(), 1);
+            assert_eq!(eng.quarantined_tenants(), ["t0"], "two strikes at threshold 2");
+            assert!(eng.process(&window(2)).unwrap().is_empty(), "a quarantined entry is skipped");
+            let stats = eng.stats();
+            assert_eq!(stats.errors, 0, "overdue is not an error");
+            assert_eq!(stats.failure.expect("deadline configured").quarantines, 1);
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! Each community owns its copy of `R` ([`IncrementalReasoner`] is the
 //! executor). A dirty partition runs as one job on a shared, program-agnostic
 //! [`WorkerPool`] (see [`crate::exec`]), or on the caller thread where
-//! [`partition_pool`] gives no pool. The pool size is the caller's: a
-//! stand-alone reasoner and a registry use
-//! [`ReasonerConfig::workers`](crate::ReasonerConfig), an engine one worker
-//! per partition per lane.
+//! [`partition_pool`] gives no pool. Every pool — a stand-alone reasoner's,
+//! a registry's, an engine's — is sized by
+//! [`ReasonerConfig::workers`](crate::ReasonerConfig); `0` gives one worker
+//! per partition (per partition per lane in an engine).
 
 use crate::config::{ParallelMode, ReasonerConfig};
 use crate::exec::WorkerPool;

@@ -21,10 +21,11 @@
 //! window *it* answered. Entries share one [`ExecCtx`]: one worker pool,
 //! sized [`ReasonerConfig::workers`] (or the first admitted program's
 //! partition count when that is `0`) and built at the first admission that
-//! needs one — the scheduler runs entries one at a time, so each window
-//! still fans out over the whole pool — plus the reuse, planner and
-//! retry/fallback counters every entry reports into. A re-admitted program
-//! starts cold: its first window recomputes every community.
+//! needs one — the scheduler runs each entry as one job on it, and the
+//! entry's dirty partitions fan out over the same pool — plus the reuse,
+//! planner and retry/fallback counters every entry reports into. A
+//! re-admitted program starts cold: its first window recomputes every
+//! community.
 
 use crate::admission::{AdmissionPolicy, AdmitError, ProgramBounds};
 use crate::analysis::DependencyAnalysis;
@@ -33,9 +34,10 @@ use crate::exec::ExecCtx;
 use crate::incremental::{program_fingerprint, IncrementalReasoner};
 use crate::parallel::partition_pool;
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
+use crate::poison::lock_recover;
 use asp_core::{AspError, Symbols};
 use asp_parser::parse_program;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How a tenant's window partitioning is chosen at admission. Part of the
 /// serving key: tenants only share work when both the program fingerprint
@@ -58,13 +60,14 @@ pub enum TenantPartitioner {
 }
 
 /// One admitted program: its private `Symbols` store, its shared
-/// [`IncrementalReasoner`] and the tenants subscribed to it (admission
-/// order).
+/// [`IncrementalReasoner`] (behind a mutex, so the scheduler's job for the
+/// entry can carry it to a pool worker) and the tenants subscribed to it
+/// (admission order).
 pub struct ProgramEntry {
     pub(crate) fingerprint: u64,
     pub(crate) partitioner: TenantPartitioner,
     pub(crate) syms: Symbols,
-    pub(crate) reasoner: IncrementalReasoner,
+    pub(crate) reasoner: Arc<Mutex<IncrementalReasoner>>,
     pub(crate) tenants: Vec<String>,
     /// Windows this entry failed (panic/error) or blew its deadline on,
     /// consecutively; reset on a healthy window.
@@ -99,7 +102,7 @@ impl ProgramEntry {
 
     /// Number of partitions the program's reasoner fans out over.
     pub fn partitions(&self) -> usize {
-        self.reasoner.partitions()
+        lock_recover(&self.reasoner).partitions()
     }
 
     /// True when the scheduler has quarantined this entry (see
@@ -230,7 +233,7 @@ impl ProgramRegistry {
             fingerprint,
             partitioner,
             syms,
-            reasoner,
+            reasoner: Arc::new(Mutex::new(reasoner)),
             tenants: vec![tenant.to_string()],
             consecutive_failures: 0,
             quarantined: false,
@@ -276,8 +279,7 @@ impl ProgramRegistry {
         &self.entries
     }
 
-    /// Mutable entry access for the scheduler (reasoners need `&mut` to
-    /// process a window).
+    /// Mutable entry access for the scheduler's per-entry bookkeeping.
     pub(crate) fn entries_mut(&mut self) -> &mut [ProgramEntry] {
         &mut self.entries
     }
@@ -344,7 +346,8 @@ mod tests {
         let pool = reg.ctx.pool.clone().expect("Threads mode builds a pool");
         assert_eq!(pool.workers(), 2, "one 2-worker pool, not one per entry");
         for entry in reg.entries() {
-            let entry_pool = entry.reasoner.ctx().pool.as_ref().expect("entries use the pool");
+            let reasoner = lock_recover(&entry.reasoner);
+            let entry_pool = reasoner.ctx().pool.as_ref().expect("entries use the pool");
             assert!(Arc::ptr_eq(entry_pool, &pool), "every entry runs on the registry's pool");
         }
     }

@@ -529,7 +529,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             || rate > 0.0
             || flag_value(args, "--trials").is_some()
         {
-            return Err("--tenants drives the multi-tenant scheduler in the caller thread; \
+            return Err("--tenants drives the multi-tenant scheduler window by window; \
                         it is incompatible with --json/--in-flight/--rate/--trials"
                 .into());
         }

@@ -4,7 +4,9 @@
 //! programs, partitioner choices (dependency plan and the random
 //! baseline), slide/size combinations, and admit/retire mid-stream. Work
 //! sharing (one program run per serving entry, one shared partition cache)
-//! must never change what any tenant observes.
+//! must never change what any tenant observes, and neither may running the
+//! serving entries concurrently on the shared pool: every property runs
+//! with entries on the caller thread and on a 2-worker pool.
 
 use proptest::prelude::*;
 use sr_bench::programs::LARGE_TRAFFIC;
@@ -35,8 +37,8 @@ fn render(syms: &Symbols, out: &ReasonerOutput) -> String {
     out.answers.iter().map(|a| a.display(syms).to_string()).collect::<Vec<_>>().join("\n")
 }
 
-/// The shared-engine config every property uses: sequential scheduling for
-/// determinism and speed, one shared cache.
+/// The caller-thread config the references use: sequential scheduling for
+/// determinism and speed.
 fn serving_config() -> ReasonerConfig {
     ReasonerConfig {
         mode: ParallelMode::Sequential,
@@ -44,6 +46,28 @@ fn serving_config() -> ReasonerConfig {
         cache_capacity: 64,
         ..Default::default()
     }
+}
+
+/// The configs every property serves under: entries on the caller thread,
+/// and entries as jobs on a 2-worker pool.
+fn serving_configs() -> [ReasonerConfig; 2] {
+    let pooled = ReasonerConfig { mode: ParallelMode::Threads, workers: 2, ..serving_config() };
+    [serving_config(), pooled]
+}
+
+/// Serves one window, appends each tenant's rendered output to `got`, and
+/// returns the tenants in the order their outputs came back.
+fn serve(
+    engine: &mut MultiTenantEngine,
+    window: &Window,
+    got: &mut HashMap<String, Vec<String>>,
+) -> Vec<String> {
+    let mut tenants = Vec::new();
+    for out in engine.process(window).unwrap() {
+        got.entry(out.tenant.clone()).or_default().push(render(&out.syms, &out.output));
+        tenants.push(out.tenant);
+    }
+    tenants
 }
 
 /// One tenant's independent reference: an [`IncrementalReasoner`] built
@@ -98,41 +122,45 @@ proptest! {
             TenantPartitioner::Random { k, seed: seed ^ 0xabcd },
         ));
 
-        let mut engine = MultiTenantEngine::new(serving_config());
-        for (tenant, source, partitioner) in &population {
-            engine.admit(tenant, source, *partitioner).unwrap();
-        }
-        prop_assert_eq!(
-            engine.registry().program_count(),
-            3,
-            "dup tenants share one entry; the random choice gets its own"
-        );
-
-        let mut got: HashMap<String, Vec<String>> = HashMap::new();
-        for window in &windows {
-            for out in engine.process(window).unwrap() {
-                got.entry(out.tenant.clone())
-                    .or_default()
-                    .push(render(&out.syms, &out.output));
+        let admission_order: Vec<String> = population.iter().map(|p| p.0.clone()).collect();
+        let expected: Vec<Vec<String>> = population
+            .iter()
+            .map(|(_, source, partitioner)| reference_outputs(source, *partitioner, &windows))
+            .collect();
+        for config in serving_configs() {
+            let mut engine = MultiTenantEngine::new(config.clone());
+            for (tenant, source, partitioner) in &population {
+                engine.admit(tenant, source, *partitioner).unwrap();
             }
-        }
-        for (tenant, source, partitioner) in &population {
-            let expected = reference_outputs(source, *partitioner, &windows);
             prop_assert_eq!(
-                &got[tenant],
-                &expected,
-                "tenant {} diverged from its own pipeline (slide {})",
-                tenant,
-                slide
+                engine.registry().program_count(),
+                3,
+                "dup tenants share one entry; the random choice gets its own"
             );
+
+            let mut got: HashMap<String, Vec<String>> = HashMap::new();
+            for window in &windows {
+                let order = serve(&mut engine, window, &mut got);
+                prop_assert_eq!(&order, &admission_order, "{:?}: outputs out of order", config.mode);
+            }
+            for ((tenant, _, _), expected) in population.iter().zip(&expected) {
+                prop_assert_eq!(
+                    &got[tenant],
+                    expected,
+                    "{:?}: tenant {} diverged from its own pipeline (slide {})",
+                    config.mode,
+                    tenant,
+                    slide
+                );
+            }
+            let dedup = engine.dedup_snapshot();
+            prop_assert_eq!(
+                dedup.program_runs,
+                3 * windows.len() as u64,
+                "one run per serving entry per window"
+            );
+            prop_assert_eq!(dedup.tenant_windows, (dup as u64 + 2) * windows.len() as u64);
         }
-        let dedup = engine.dedup_snapshot();
-        prop_assert_eq!(
-            dedup.program_runs,
-            3 * windows.len() as u64,
-            "one run per serving entry per window"
-        );
-        prop_assert_eq!(dedup.tenant_windows, (dup as u64 + 2) * windows.len() as u64);
     }
 
     /// Admit/retire mid-stream: a tenant that joins at window `j` must see
@@ -151,35 +179,55 @@ proptest! {
         let join = 1 + join_pick % (windows.len() - 1);
         let retire = retire_pick % windows.len();
 
-        let mut engine = MultiTenantEngine::new(serving_config());
-        engine.admit("steady", PROGRAM_P, TenantPartitioner::Dependency).unwrap();
-        engine.admit("leaver", LARGE_TRAFFIC, TenantPartitioner::Dependency).unwrap();
-        let mut got: HashMap<String, Vec<String>> = HashMap::new();
-        for (i, window) in windows.iter().enumerate() {
-            if i == join {
-                engine.admit("joiner", &program_p_prime(), TenantPartitioner::Dependency).unwrap();
-            }
-            for out in engine.process(window).unwrap() {
-                got.entry(out.tenant.clone())
-                    .or_default()
-                    .push(render(&out.syms, &out.output));
-            }
-            if i == retire {
-                engine.retire("leaver").unwrap();
-            }
-        }
-
         let steady = reference_outputs(PROGRAM_P, TenantPartitioner::Dependency, &windows);
-        prop_assert_eq!(&got["steady"], &steady, "steady tenant diverged");
         let leaver =
             reference_outputs(LARGE_TRAFFIC, TenantPartitioner::Dependency, &windows[..=retire]);
-        prop_assert_eq!(&got["leaver"], &leaver, "retired tenant saw a different prefix");
         let joiner = reference_outputs(
             &program_p_prime(),
             TenantPartitioner::Dependency,
             &windows[join..],
         );
-        prop_assert_eq!(&got["joiner"], &joiner, "late joiner diverged (joined at {})", join);
+        for config in serving_configs() {
+            let mut engine = MultiTenantEngine::new(config.clone());
+            engine.admit("steady", PROGRAM_P, TenantPartitioner::Dependency).unwrap();
+            engine.admit("leaver", LARGE_TRAFFIC, TenantPartitioner::Dependency).unwrap();
+            let mut got: HashMap<String, Vec<String>> = HashMap::new();
+            for (i, window) in windows.iter().enumerate() {
+                if i == join {
+                    engine
+                        .admit("joiner", &program_p_prime(), TenantPartitioner::Dependency)
+                        .unwrap();
+                }
+                let order = serve(&mut engine, window, &mut got);
+                let admitted: Vec<&str> = ["steady", "leaver", "joiner"]
+                    .into_iter()
+                    .filter(|t| match *t {
+                        "leaver" => i <= retire,
+                        "joiner" => i >= join,
+                        _ => true,
+                    })
+                    .collect();
+                prop_assert_eq!(&order, &admitted, "{:?}: outputs out of order", config.mode);
+                if i == retire {
+                    engine.retire("leaver").unwrap();
+                }
+            }
+
+            prop_assert_eq!(&got["steady"], &steady, "{:?}: steady tenant diverged", config.mode);
+            prop_assert_eq!(
+                &got["leaver"],
+                &leaver,
+                "{:?}: retired tenant saw a different prefix",
+                config.mode
+            );
+            prop_assert_eq!(
+                &got["joiner"],
+                &joiner,
+                "{:?}: late joiner diverged (joined at {})",
+                config.mode,
+                join
+            );
+        }
     }
 }
 
@@ -202,4 +250,58 @@ fn duplicated_tenants_share_allocations() {
     let dedup = engine.dedup_snapshot();
     assert_eq!(dedup.program_runs, windows.len() as u64);
     assert_eq!(dedup.shared_runs_saved, windows.len() as u64);
+}
+
+/// Under `Threads` every span recorded while an entry is served on a pool
+/// worker carries that entry's fingerprint and the window id, and each
+/// entry's own stages and its partitions' stages are attributed to it.
+#[test]
+fn spans_of_pooled_entries_carry_their_entry_and_window() {
+    use stream_reasoner::sr_obs::{self, Stage};
+    // Window ids no other test in this binary uses, so spans recorded by
+    // concurrently running tests while the global tracer is on can be
+    // filtered out.
+    const BASE: u64 = 9_880_000;
+    let config = ReasonerConfig { mode: ParallelMode::Threads, workers: 2, ..serving_config() };
+    let mut engine = MultiTenantEngine::new(config);
+    let a = engine.admit("a", PROGRAM_P, TenantPartitioner::Dependency).unwrap();
+    let b = engine.admit("b", &program_p_prime(), TenantPartitioner::Dependency).unwrap();
+    let windows: Vec<Window> = sliding_windows(3, 80, 20, 2)
+        .into_iter()
+        .map(|w| Window::new(BASE + w.id, w.items))
+        .collect();
+    let tracer = sr_obs::tracer();
+    tracer.set_enabled(true);
+    for window in &windows {
+        assert_eq!(engine.process(window).unwrap().len(), 2);
+    }
+    tracer.set_enabled(false);
+    let ids = BASE..BASE + windows.len() as u64;
+    let spans: Vec<sr_obs::SpanRecord> =
+        tracer.drain().into_iter().filter(|s| ids.contains(&s.ctx.window_id)).collect();
+    assert!(!spans.is_empty(), "the traced run recorded no spans");
+    for s in &spans {
+        assert!(
+            s.ctx.entry_fp == Some(a) || s.ctx.entry_fp == Some(b),
+            "span {s:?} carries no serving entry"
+        );
+    }
+    for id in ids {
+        for fp in [a, b] {
+            let of_entry: Vec<_> = spans
+                .iter()
+                .filter(|s| s.ctx.window_id == id && s.ctx.entry_fp == Some(fp))
+                .collect();
+            for stage in [Stage::Partition, Stage::Combine] {
+                assert!(
+                    of_entry.iter().any(|s| s.stage == stage && s.ctx.partition.is_none()),
+                    "window {id}, entry {fp:016x}: no entry-level {stage:?} span"
+                );
+            }
+            assert!(
+                of_entry.iter().any(|s| s.stage == Stage::Ground && s.ctx.partition.is_some()),
+                "window {id}, entry {fp:016x}: no partition job span"
+            );
+        }
+    }
 }
