@@ -1,8 +1,9 @@
 //! Stage-trace diagnostics: per-stage breakdown for R and PR_Dep across
 //! window sizes, reconstructed from sr-obs span traces (the same
-//! instrumentation `streamrule run --trace-out` exports) rather than the
-//! reasoners' ad-hoc timing structs. Not part of the figure reproduction;
-//! used to validate the latency model.
+//! instrumentation `streamrule run --trace-out` exports) — the only
+//! per-stage breakdown the reasoners give; each pass's total is timed here
+//! around the call. Not part of the figure reproduction; used to validate
+//! the latency model.
 //!
 //! ```text
 //! cargo run --release -p sr-bench --bin diag              # default sizes

@@ -255,10 +255,12 @@ fn ablations(quick: bool) {
     {
         use asp_solver::SolverConfig;
         use sr_core::{
-            ParallelReasoner, PlanPartitioner, ReasonerConfig, SingleReasoner, UnknownPredicate,
+            duration_ms, ParallelReasoner, PlanPartitioner, ReasonerConfig, SingleReasoner,
+            UnknownPredicate,
         };
         use sr_stream::{FaithfulGenerator, Window, WorkloadGenerator};
         use std::sync::Arc;
+        use std::time::Instant;
 
         let program = parse_program(&syms, sr_bench::programs::LARGE_TRAFFIC).unwrap();
         let a =
@@ -285,11 +287,13 @@ fn ablations(quick: bool) {
         let mut pr_ms = Vec::new();
         for rep in 0..4u64 {
             let window = Window::new(rep, generator.window(size));
-            let out_r = r.process(&window).unwrap();
-            let out_pr = pr.process(&window).unwrap();
+            let t0 = Instant::now();
+            r.process(&window).unwrap();
+            let t1 = Instant::now();
+            pr.process(&window).unwrap();
             if rep > 0 {
-                r_ms.push(out_r.timing.total.as_secs_f64() * 1e3);
-                pr_ms.push(out_pr.timing.total.as_secs_f64() * 1e3);
+                r_ms.push(duration_ms(t1 - t0));
+                pr_ms.push(duration_ms(t1.elapsed()));
             }
         }
         let med = |mut v: Vec<f64>| {

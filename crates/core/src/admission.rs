@@ -17,6 +17,7 @@
 //! taken on a transiently small store would be a lie).
 
 use crate::analysis::DependencyAnalysis;
+use crate::metrics::json_string;
 use crate::plan::PartitioningPlan;
 use asp_core::{AspError, Program, Symbols};
 use asp_grounder::analysis::{grounding_bounds, DeltaStateBound, EvalStratum, MemoryBound};
@@ -122,10 +123,10 @@ fn bound_json(b: MemoryBound) -> String {
 
 fn dominating_json(d: &DominatingTerm) -> String {
     format!(
-        "{{\"partition\": {}, \"component\": \"{}\", \"detail\": \"{}\", \"cells\": {}}}",
+        "{{\"partition\": {}, \"component\": {}, \"detail\": {}, \"cells\": {}}}",
         d.partition,
-        d.component,
-        d.detail.replace('"', "'"),
+        json_string(d.component),
+        json_string(&d.detail),
         bound_json(d.cells)
     )
 }
@@ -146,8 +147,7 @@ impl ProgramBounds {
     }
 
     /// [`ProgramBounds::analyze`] against an explicit plan + input
-    /// signature (the registry path, where the analysis artifact may not
-    /// be retained).
+    /// signature (for callers that do not retain the analysis artifact).
     pub fn from_plan(
         syms: &Symbols,
         program: &Program,
@@ -390,7 +390,7 @@ fn partition_dominating(
 }
 
 /// The admission policy checked by
-/// [`ProgramRegistry::admit`](crate::registry::ProgramRegistry::admit).
+/// [`MultiTenantEngine::admit`](crate::multi_tenant::MultiTenantEngine::admit).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// The window-capacity model bounds are computed against.

@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn two_level_partitioner_preserves_answers_on_p() {
         use crate::config::{ParallelMode, ReasonerConfig};
-        use crate::parallel::ParallelReasoner;
+        use crate::incremental::ParallelReasoner;
         use crate::reasoner::SingleReasoner;
         use crate::AnalysisConfig;
         use std::sync::Arc;

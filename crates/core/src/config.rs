@@ -91,11 +91,11 @@ pub struct ReasonerConfig {
     /// Scheduling mode.
     pub mode: ParallelMode,
     /// Worker threads of the pool a stand-alone partitioned reasoner, a
-    /// [`ProgramRegistry`](crate::registry::ProgramRegistry) or a partitioned
-    /// [`StreamEngine`](crate::engine::StreamEngine) builds (Threads mode
-    /// only). `0` sizes it from the work: one worker per partition of the
-    /// reasoner (of the registry's first admitted program; per partition per
-    /// lane for an engine).
+    /// [`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine) or a
+    /// partitioned [`StreamEngine`](crate::engine::StreamEngine) builds
+    /// (Threads mode only). `0` sizes it from the work: one worker per
+    /// partition of the reasoner (of the first admitted program for a
+    /// multi-tenant engine; per partition per lane for a stream engine).
     pub workers: usize,
     /// Unknown-predicate routing.
     pub unknown: UnknownPredicate,

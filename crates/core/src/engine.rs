@@ -11,13 +11,13 @@
 //! [`StreamEngine::finish`].
 
 use crate::config::ReasonerConfig;
-use crate::exec::ExecCtx;
+use crate::exec::{partition_pool, ExecCtx};
 use crate::fault::{FaultPlan, FaultSite};
+use crate::incremental::ParallelReasoner;
 use crate::metrics::{
     duration_ms, DedupSnapshot, FailureCounters, FailureSnapshot, IncrementalSnapshot,
     LatencyStats, TenantLatency,
 };
-use crate::parallel::{partition_pool, ParallelReasoner};
 use crate::partition::Partitioner;
 use crate::poison::lock_recover;
 use crate::reasoner::{Reasoner, ReasonerOutput};
@@ -522,27 +522,18 @@ impl StreamEngine {
                         let _span = sr_obs::span(sr_obs::Stage::Window);
                         std::panic::catch_unwind(AssertUnwindSafe(|| reasoner.process(&window)))
                     };
-                    // Lane supervision: a panic may have poisoned the
-                    // backend's state. `Reasoner::recover` rebuilds it when
-                    // it can; otherwise this lane stops (sibling lanes keep
-                    // draining the shared input, so the engine survives).
-                    let (result, lane_dies) = match caught {
-                        Ok(result) => (result, false),
-                        Err(_) => {
-                            let rebuilt = reasoner.recover();
-                            if rebuilt {
-                                fail.lane_rebuilds.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let detail = if rebuilt { "lane state rebuilt" } else { "lane stopped" };
-                            (
-                                Err(AspError::Internal(format!(
-                                    "engine lane {i} reasoner panicked on window {} (seq {seq}); {detail}",
-                                    window.id
-                                ))),
-                                !rebuilt,
-                            )
-                        }
-                    };
+                    // Lane supervision: a panic becomes this window's error
+                    // and the lane keeps serving. Every backend stays usable
+                    // after one: `R` grounds each window from scratch, and
+                    // PR writes its reuse slots only after a window succeeds.
+                    let result = caught.unwrap_or_else(|_| {
+                        fail.lane_rebuilds.fetch_add(1, Ordering::Relaxed);
+                        Err(AspError::Internal(format!(
+                            "engine lane {i} reasoner panicked on window {} (seq {seq}); \
+                             the lane keeps serving",
+                            window.id
+                        )))
+                    });
                     let latency = t0.elapsed();
                     occ.busy_ns[i].fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
                     occ.lane_windows[i].fetch_add(1, Ordering::Relaxed);
@@ -556,9 +547,6 @@ impl StreamEngine {
                     };
                     if result_tx.send(LaneResult { seq, output }).is_err() {
                         return; // collector gone: shutting down
-                    }
-                    if lane_dies {
-                        return; // unrecoverable backend: stop driving it
                     }
                 })
                 .map_err(|e| AspError::Internal(format!("cannot spawn engine lane: {e}")))?;
@@ -740,11 +728,6 @@ impl StreamEngine {
         }
     }
 
-    /// Windows submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
     /// Submits one window; blocks when `in_flight + queue_depth` windows are
     /// already admitted (backpressure). Time spent blocked is accumulated
     /// and reported as [`EngineStats::submit_blocked_ms`].
@@ -885,12 +868,6 @@ impl StreamEngine {
         };
         EngineReport { outputs, stats }
     }
-
-    /// The engine's shared recovery counters (live; also snapshotted into
-    /// [`EngineStats::failure`] by [`StreamEngine::finish`]).
-    pub fn failure_counters(&self) -> &Arc<FailureCounters> {
-        &self.ctx.failures
-    }
 }
 
 impl Drop for StreamEngine {
@@ -908,8 +885,6 @@ impl Drop for StreamEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reasoner::Timing;
-    use asp_solver::SolveStats;
 
     /// A fake backend that reverses nothing but records and sleeps: lets the
     /// tests exercise ordering without a full ASP stack.
@@ -917,14 +892,9 @@ mod tests {
         lane: usize,
         delay: Duration,
         panic_on_window: Option<u64>,
-        recoverable: bool,
     }
 
     impl Reasoner for FakeReasoner {
-        fn name(&self) -> &'static str {
-            "fake"
-        }
-
         fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
             if self.panic_on_window == Some(window.id) {
                 panic!("lane {} poisoned by window {}", self.lane, window.id);
@@ -932,17 +902,7 @@ mod tests {
             // Earlier windows sleep longer, forcing out-of-order completion.
             let scale = 5u64.saturating_sub(window.id.min(5));
             std::thread::sleep(self.delay * scale as u32);
-            Ok(ReasonerOutput {
-                answers: Vec::new(),
-                timing: Timing::default(),
-                partition_sizes: vec![window.len()],
-                unsat_partitions: 0,
-                solve_stats: SolveStats::default(),
-            })
-        }
-
-        fn recover(&mut self) -> bool {
-            self.recoverable
+            Ok(ReasonerOutput { partition_sizes: vec![window.len()], ..Default::default() })
         }
     }
 
@@ -955,7 +915,6 @@ mod tests {
                 lane,
                 delay: Duration::from_millis(delay_ms),
                 panic_on_window,
-                recoverable: false,
             }) as Box<dyn Reasoner>)
         }
     }
@@ -968,23 +927,13 @@ mod tests {
     }
 
     impl Reasoner for SlowOnSome {
-        fn name(&self) -> &'static str {
-            "slow-on-some"
-        }
-
         fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
             if self.slow_windows.contains(&window.id) {
                 std::thread::sleep(self.slow);
             }
-            Ok(ReasonerOutput {
-                answers: Vec::new(),
-                timing: Timing::default(),
-                // Tag the output with the window id so tests can tell whose
-                // result a degraded placeholder replayed.
-                partition_sizes: vec![window.id as usize],
-                unsat_partitions: 0,
-                solve_stats: SolveStats::default(),
-            })
+            // Tag the output with the window id so tests can tell whose
+            // result a degraded placeholder replayed.
+            Ok(ReasonerOutput { partition_sizes: vec![window.id as usize], ..Default::default() })
         }
     }
 
@@ -1168,15 +1117,7 @@ mod tests {
     #[test]
     fn recoverable_lane_panic_rebuilds_and_the_lane_continues() {
         let cfg = EngineConfig { in_flight: 1, queue_depth: 3, ..Default::default() };
-        let mut engine = StreamEngine::new(cfg, |lane| {
-            Ok(Box::new(FakeReasoner {
-                lane,
-                delay: Duration::ZERO,
-                panic_on_window: Some(1),
-                recoverable: true,
-            }) as Box<dyn Reasoner>)
-        })
-        .unwrap();
+        let mut engine = StreamEngine::new(cfg, fake_factory(0, Some(1))).unwrap();
         for w in windows(4) {
             engine.submit(w).unwrap();
         }
@@ -1185,32 +1126,11 @@ mod tests {
         let err = report.outputs[1].result.as_ref().unwrap_err().to_string();
         assert!(err.contains("lane 0"), "names the lane: {err}");
         assert!(err.contains("window 1"), "names the window: {err}");
-        assert!(err.contains("rebuilt"), "says what the supervisor did: {err}");
-        assert!(report.outputs[3].result.is_ok(), "the rebuilt lane keeps serving");
+        assert!(err.contains("keeps serving"), "says what the supervisor did: {err}");
+        assert!(report.outputs[3].result.is_ok(), "the lane keeps serving");
         assert_eq!(report.stats.errors, 1);
         let failure = report.stats.failure.expect("a rebuild forces the failure section");
         assert_eq!(failure.lane_rebuilds, 1);
-    }
-
-    #[test]
-    fn unrecoverable_single_lane_death_is_loud_not_wedged() {
-        let cfg = EngineConfig { in_flight: 1, queue_depth: 3, ..Default::default() };
-        let mut engine = StreamEngine::new(cfg, fake_factory(0, Some(1))).unwrap();
-        for w in windows(4) {
-            // The lane dies on window 1; a later submit may race its death
-            // and be refused loudly — both outcomes are "not wedged".
-            if engine.submit(w).is_err() {
-                break;
-            }
-        }
-        let report = engine.finish();
-        // Windows 2 and 3 were never claimed (refused at submit or drained
-        // unclaimed on shutdown) — nothing is fabricated for them.
-        assert_eq!(report.outputs.len(), 2);
-        assert!(report.outputs[0].result.is_ok());
-        let err = report.outputs[1].result.as_ref().unwrap_err().to_string();
-        assert!(err.contains("lane stopped"), "the error says the lane is gone: {err}");
-        assert_eq!(report.stats.errors, 1);
     }
 
     #[test]

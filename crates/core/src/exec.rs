@@ -21,10 +21,16 @@
 //! on whichever thread claims it first. A thread outside the pool only
 //! waits.
 //!
-//! [`ExecCtx`] is the one value the reasoners of an engine or a registry
-//! share: the pool (or none, for caller-thread execution) and the counters
-//! they report reuse, planning and recovery into.
+//! [`ExecCtx`] is the one value the reasoners of an engine or a
+//! multi-tenant engine share: the pool (or none, for caller-thread
+//! execution) and the counters they report reuse, planning and recovery
+//! into. [`partition_pool`] decides pool-or-caller for every partitioned
+//! executor; every pool — a stand-alone reasoner's, a multi-tenant
+//! engine's, a stream engine's — is sized by
+//! [`ReasonerConfig::workers`](crate::ReasonerConfig), where `0` gives one
+//! worker per partition (per partition per lane in a stream engine).
 
+use crate::config::{ParallelMode, ReasonerConfig};
 use crate::metrics::{CacheCounters, FailureCounters};
 use crate::poison::{lock_recover, wait_recover};
 use asp_core::AspError;
@@ -210,11 +216,26 @@ impl Drop for WorkerPool {
     }
 }
 
-/// What the partitioned reasoners of one engine, one registry or one
-/// stand-alone reasoner share: the pool that runs their dirty partitions
-/// (`None`: each runs them on its own thread, see
-/// [`partition_pool`](crate::parallel::partition_pool)), the reuse and
-/// planner counters and the retry/fallback counters they report into.
+/// The pool of `workers` threads that serves partitioned reasoners' dirty
+/// partitions, or `None` when they run on the caller thread: in
+/// [`ParallelMode::Sequential`] and under [`ReasonerConfig::delta_ground`].
+/// Every partitioned executor decides pool-or-caller here; the pool size
+/// stays the caller's.
+pub fn partition_pool(
+    config: &ReasonerConfig,
+    workers: usize,
+) -> Result<Option<Arc<WorkerPool>>, AspError> {
+    if config.mode == ParallelMode::Sequential || config.delta_ground {
+        return Ok(None);
+    }
+    Ok(Some(Arc::new(WorkerPool::new("pr-worker", workers.max(1))?)))
+}
+
+/// What the partitioned reasoners of one engine, one multi-tenant engine or
+/// one stand-alone reasoner share: the pool that runs their dirty partitions
+/// (`None`: each runs them on its own thread, see [`partition_pool`]), the
+/// reuse and planner counters and the retry/fallback counters they report
+/// into.
 /// Cloning shares all three. The default has no pool and fresh counters.
 #[derive(Clone, Default)]
 pub struct ExecCtx {

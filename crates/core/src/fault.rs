@@ -11,7 +11,7 @@
 //!
 //! A plan is a value, not process state: it rides on
 //! [`ReasonerConfig::faults`](crate::ReasonerConfig::faults) to every
-//! reasoner, pool, engine and registry built from that config, and a
+//! reasoner, pool and engine built from that config, and a
 //! component built without one checks a `None` and moves on. Two engines
 //! in one process therefore never see each other's faults.
 

@@ -45,26 +45,30 @@
 //! that means its perfect model, bottom-up
 //! ([`asp_grounder::Grounder::perfect_model`]).
 //!
+//! The reasoner keeps no clock: its caller times
+//! [`IncrementalReasoner::process`], and the per-stage breakdown is in the
+//! `sr_obs` spans it records — the caller's `Partition`, `CacheLookup` and
+//! `Combine`, and each dirty partition's `Windowing`, `Ground` and `Solve`,
+//! tagged with its index. [`ParallelReasoner`] is the paper's name for it.
+//!
 //! [`fingerprint_items`], [`program_fingerprint`] and [`PartitionCache`]
-//! are not on the reasoning path. The registry keys its serving entries by
-//! [`program_fingerprint`]; the other two are kept for the measured
-//! surface only.
+//! are not on the reasoning path. The multi-tenant engine keys its serving
+//! entries by [`program_fingerprint`]; the other two are kept for the
+//! measured surface only.
 
 use crate::config::ReasonerConfig;
-use crate::exec::{ExecCtx, Job, JobPanicked};
+use crate::exec::{partition_pool, ExecCtx, Job, JobPanicked};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{CacheCounters, FailureCounters};
-use crate::parallel::partition_pool;
 use crate::partition::Partitioner;
 use crate::poison::lock_recover;
-use crate::reasoner::{merge_stats, Reasoner, ReasonerOutput, SingleReasoner, Timing};
+use crate::reasoner::{merge_stats, Reasoner, ReasonerOutput, SingleReasoner};
 use asp_core::{AnswerSet, AspError, FastMap, Predicate, Program, Symbols};
 use asp_solver::{SolveStats, SolverConfig};
 use sr_rdf::{Node, Triple};
 use sr_stream::Window;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -120,8 +124,8 @@ pub fn fingerprint_items(items: &[Triple]) -> u128 {
 }
 
 /// Stable fingerprint of a program (its rendered rules): the program half
-/// of the registry's serving key, independent of which `Symbols` store
-/// parsed the program.
+/// of the multi-tenant engine's serving key, independent of which `Symbols`
+/// store parsed the program.
 pub fn program_fingerprint(syms: &Symbols, program: &Program) -> u64 {
     fnv(FNV_OFFSET, program.display(syms).to_string().as_bytes())
 }
@@ -140,7 +144,7 @@ struct CacheState {
 /// fingerprint)`, counting hits, misses and evictions.
 ///
 /// Kept for the measured surface: the benchmark's layer replay times it. No
-/// reasoner, engine or registry uses it; [`IncrementalReasoner`] reuses
+/// reasoner or engine uses it; [`IncrementalReasoner`] reuses
 /// clean communities from the window's own delta instead.
 pub struct PartitionCache {
     capacity: usize,
@@ -228,7 +232,7 @@ struct PartitionJob {
     trace: Option<sr_obs::TraceCtx>,
 }
 
-type PartOutcome = Result<(Vec<AnswerSet>, Timing, SolveStats), AspError>;
+type PartOutcome = Result<(Vec<AnswerSet>, SolveStats), AspError>;
 
 impl PartitionJob {
     /// How many times a panicked job is retried before the window errors
@@ -310,10 +314,10 @@ struct Community {
 /// The partitioned reasoner PR: partition → mark the communities the
 /// window's delta touched dirty → reuse the clean ones' last answers,
 /// re-solve the dirty ones → combine. It is the only partitioned executor;
-/// [`ParallelReasoner`](crate::parallel::ParallelReasoner) is another name
-/// for it. Implements [`Reasoner`], so it drops into the
-/// [`StreamEngine`](crate::engine::StreamEngine) unchanged. See the module
-/// docs for when a community is clean and what is held between windows.
+/// [`ParallelReasoner`] is another name for it. Implements [`Reasoner`], so
+/// it drops into the [`StreamEngine`](crate::engine::StreamEngine)
+/// unchanged. See the module docs for when a community is clean and what is
+/// held between windows.
 pub struct IncrementalReasoner {
     syms: Symbols,
     partitioner: Arc<dyn Partitioner>,
@@ -466,8 +470,6 @@ impl IncrementalReasoner {
         let _trace_ctx = tracing.then(|| {
             sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: window.id, ..sr_obs::current_ctx() })
         });
-        let start = Instant::now();
-        let t_part = Instant::now();
         let (mut parts, partition_sizes) = {
             let _span = sr_obs::span(sr_obs::Stage::Partition);
             let parts = self.partitioner.partition(window);
@@ -486,9 +488,6 @@ impl IncrementalReasoner {
         let counters = &self.ctx.counters;
         counters.hits.fetch_add((parts.len() - dirty.len()) as u64, Ordering::Relaxed);
         counters.misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
-        // The dirty check is the incremental handler's overhead: account it
-        // to the partitioning stage.
-        let partition_time = t_part.elapsed();
 
         let jobs: Vec<Arc<PartitionJob>> = dirty
             .iter()
@@ -514,26 +513,15 @@ impl IncrementalReasoner {
                 })
                 .collect(),
         );
-        // Pooled jobs run concurrently (their critical path is the max),
-        // caller-thread jobs one after another (sum); recoveries run
-        // serially after the batch and always add up.
-        let pooled = self.ctx.pool.is_some();
         let mut stats = SolveStats::default();
-        let (mut batch, mut recovery) = (Timing::default(), Timing::default());
         for (job, outcome) in jobs.iter().zip(outcomes) {
-            let (answers, timing, s) = match outcome {
+            let (answers, s) = match outcome {
                 Ok(result) => result?,
-                Err(JobPanicked) => {
-                    let (answers, rt, s) = job.recover(&self.ctx.failures)?;
-                    recovery = sum_timing(recovery, rt);
-                    (answers, Timing::default(), s)
-                }
+                Err(JobPanicked) => job.recover(&self.ctx.failures)?,
             };
             stats = merge_stats(stats, s);
-            batch = if pooled { max_timing(batch, timing) } else { sum_timing(batch, timing) };
             per_partition[job.community] = Some(Arc::new(answers));
         }
-        let critical = sum_timing(batch, recovery);
         self.report_planner();
 
         let per_partition: Vec<Arc<Vec<AnswerSet>>> = per_partition
@@ -543,8 +531,7 @@ impl IncrementalReasoner {
         // Combine over borrowed slices: reused answers never leave the Arc.
         let borrowed: Vec<&[AnswerSet]> = per_partition.iter().map(|p| p.as_slice()).collect();
 
-        let t_combine = Instant::now();
-        let (answers, unsat_partitions) = {
+        let (answers, _) = {
             let _span = sr_obs::span(sr_obs::Stage::Combine);
             crate::combine::combine(
                 &self.syms,
@@ -553,78 +540,29 @@ impl IncrementalReasoner {
                 self.config.max_combined,
             )
         };
-        let combine_time = t_combine.elapsed();
         let has_delta = window.delta.is_some();
         self.last = (has_delta || self.last_had_delta).then_some((window.id, per_partition));
         self.last_had_delta = has_delta;
 
-        Ok(ReasonerOutput {
-            answers,
-            timing: Timing {
-                total: start.elapsed(),
-                partition: partition_time,
-                transform: critical.transform,
-                ground: critical.ground,
-                solve: critical.solve,
-                combine: combine_time,
-            },
-            partition_sizes,
-            unsat_partitions,
-            solve_stats: stats,
-        })
-    }
-}
-
-/// Stage-wise maximum: the critical path of partitions run concurrently.
-fn max_timing(a: Timing, b: Timing) -> Timing {
-    Timing {
-        total: a.total.max(b.total),
-        partition: a.partition.max(b.partition),
-        transform: a.transform.max(b.transform),
-        ground: a.ground.max(b.ground),
-        solve: a.solve.max(b.solve),
-        combine: a.combine.max(b.combine),
-    }
-}
-
-/// Stage-wise sum: partitions run one after the other.
-fn sum_timing(a: Timing, b: Timing) -> Timing {
-    Timing {
-        total: a.total + b.total,
-        partition: a.partition + b.partition,
-        transform: a.transform + b.transform,
-        ground: a.ground + b.ground,
-        solve: a.solve + b.solve,
-        combine: a.combine + b.combine,
+        Ok(ReasonerOutput { answers, partition_sizes, solve_stats: stats })
     }
 }
 
 impl Reasoner for IncrementalReasoner {
-    fn name(&self) -> &'static str {
-        "PR"
-    }
-
-    fn partitions(&self) -> usize {
-        IncrementalReasoner::partitions(self)
-    }
-
     fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
         IncrementalReasoner::process(self, window)
     }
-
-    fn recover(&mut self) -> bool {
-        // The reuse slots are safe as-is — they are written only after a
-        // successful window — and every community reasoner grounds each
-        // partition from scratch.
-        true
-    }
 }
+
+/// The paper's name for the partitioned reasoner: one executor serves every
+/// partitioned window and reuses clean communities whenever the window's
+/// delta allows it.
+pub type ParallelReasoner = IncrementalReasoner;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ParallelMode, UnknownPredicate};
-    use crate::parallel::ParallelReasoner;
     use crate::partition::{PlanPartitioner, RandomPartitioner};
     use crate::plan::PartitioningPlan;
     use asp_parser::parse_program;
@@ -925,6 +863,96 @@ mod tests {
         let out = ir.process(&Window::new(0, motivating_items())).unwrap();
         assert!(out.solve_stats.vars > 0, "a negative cycle still reaches CDCL");
         assert!(!out.answers.is_empty());
+    }
+
+    #[test]
+    fn dependency_partitioning_matches_single_reasoner() {
+        let (syms, mut pr, _) = build_pair(ReasonerConfig::default());
+        let out = pr.process(&Window::new(0, motivating_items())).unwrap();
+        assert_eq!(out.answers.len(), 1);
+        let rendered = out.answers[0].display(&syms).to_string();
+        assert!(rendered.contains("car_fire(dangan)"));
+        assert!(rendered.contains("give_notification(dangan)"));
+        assert!(!rendered.contains("traffic_jam"), "{rendered}");
+        assert_eq!(out.partition_sizes, vec![3, 3]);
+    }
+
+    #[test]
+    fn random_partitioning_can_produce_the_papers_wrong_answer() {
+        // The motivating example: splitting the window so that the
+        // traffic_light triple is separated from average_speed/car_number
+        // produces the spurious traffic_jam(newcastle).
+        let syms = Symbols::new();
+        let program = parse_program(&syms, PROGRAM_P).unwrap();
+        let window = Window::new(0, motivating_items());
+        let names =
+            |v: &Vec<Triple>| v.iter().map(|t| t.predicate_name().to_string()).collect::<Vec<_>>();
+        // Find a seed where one side gets speed+number but not the light.
+        let seed = (0..64)
+            .find(|&seed| {
+                RandomPartitioner::new(2, seed).partition(&window).iter().map(names).any(|n| {
+                    n.contains(&"average_speed".to_string())
+                        && n.contains(&"car_number".to_string())
+                        && !n.contains(&"traffic_light".to_string())
+                })
+            })
+            .expect("no seed split speed/number away from the light in 64 tries");
+        let partitioner = Arc::new(RandomPartitioner::new(2, seed));
+        let mut pr =
+            ParallelReasoner::new(&syms, &program, None, partitioner, ReasonerConfig::default())
+                .unwrap();
+        let rendered = pr.process(&window).unwrap().answers[0].display(&syms).to_string();
+        assert!(
+            rendered.contains("traffic_jam(newcastle)"),
+            "expected the spurious jam: {rendered}"
+        );
+    }
+
+    #[test]
+    fn undersized_pool_still_processes_every_partition() {
+        let (syms, mut pr, _) = build_pair(ReasonerConfig { workers: 1, ..Default::default() });
+        assert_eq!(pr.workers(), 1, "pool smaller than the 2 partitions");
+        let out = pr.process(&Window::new(0, motivating_items())).unwrap();
+        assert_eq!(out.partition_sizes, vec![3, 3]);
+        let rendered = out.answers[0].display(&syms).to_string();
+        assert!(rendered.contains("car_fire(dangan)"));
+    }
+
+    #[test]
+    fn one_pool_shared_by_two_reasoners() {
+        let syms = Symbols::new();
+        let program = parse_program(&syms, PROGRAM_P).unwrap();
+        let config = ReasonerConfig::default();
+        let ctx = ExecCtx { pool: partition_pool(&config, 2).unwrap(), ..Default::default() };
+        let partitioner: Arc<dyn Partitioner> =
+            Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
+        let build = |ctx| {
+            ParallelReasoner::with_ctx(
+                &syms,
+                &program,
+                None,
+                partitioner.clone(),
+                config.clone(),
+                ctx,
+            )
+            .unwrap()
+        };
+        let mut a = build(ctx.clone());
+        let mut b = build(ctx.clone());
+        let window = Window::new(0, motivating_items());
+        let out_a = a.process(&window).unwrap();
+        let out_b = b.process(&window).unwrap();
+        assert_eq!(render(&syms, &out_a), render(&syms, &out_b));
+        assert_eq!(a.workers(), 2);
+        assert_eq!(ctx.counters.snapshot().misses, 4, "both report into the shared counters");
+    }
+
+    #[test]
+    fn reusable_across_windows_and_deterministic() {
+        let (syms, mut pr, _) = build_pair(ReasonerConfig::default());
+        let o1 = pr.process(&Window::new(0, motivating_items())).unwrap();
+        let o2 = pr.process(&Window::new(0, motivating_items())).unwrap();
+        assert_eq!(render(&syms, &o1), render(&syms, &o2));
     }
 
     #[test]

@@ -27,12 +27,10 @@ pub mod incremental;
 pub mod input_graph;
 pub mod metrics;
 pub mod multi_tenant;
-pub mod parallel;
 pub mod partition;
 pub mod plan;
 pub mod poison;
 pub mod reasoner;
-pub mod registry;
 
 pub use accuracy::{answer_accuracy, window_accuracy, Projection};
 // Re-export the grounding-level bound types so downstream crates (bench,
@@ -54,21 +52,19 @@ pub use decompose::{decompose, to_plan, Decomposition, DecompositionMethod};
 pub use engine::{
     EngineConfig, EngineOutput, EngineReport, EngineStats, LaneOccupancy, StreamEngine,
 };
-pub use exec::{BatchHandle, ExecCtx, Job, JobOutcome, JobPanicked, WorkerPool};
+pub use exec::{partition_pool, BatchHandle, ExecCtx, Job, JobOutcome, JobPanicked, WorkerPool};
 pub use extended::ExtendedDepGraph;
 pub use fault::{FaultPlan, FaultRule, FaultSite};
 pub use incremental::{
-    fingerprint_items, program_fingerprint, IncrementalReasoner, PartitionCache,
+    fingerprint_items, program_fingerprint, IncrementalReasoner, ParallelReasoner, PartitionCache,
 };
 pub use input_graph::InputDepGraph;
 pub use metrics::{
     duration_ms, percentile, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
     IncrementalSnapshot, LatencyStats, TenantLatency,
 };
-pub use multi_tenant::{MultiTenantEngine, TenantOutput};
-pub use parallel::{partition_pool, ParallelReasoner};
+pub use multi_tenant::{MultiTenantEngine, ProgramEntry, TenantOutput, TenantPartitioner};
 pub use partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 pub use plan::PartitioningPlan;
 pub use poison::{lock_recover, poison_recoveries};
-pub use reasoner::{Reasoner, ReasonerOutput, SingleReasoner, Timing};
-pub use registry::{ProgramEntry, ProgramRegistry, TenantPartitioner};
+pub use reasoner::{Reasoner, ReasonerOutput, SingleReasoner};

@@ -8,6 +8,29 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `s` as a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped. The one escaper behind the hand-rolled JSON writers.
+pub(crate) fn json_string(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// A duration in fractional milliseconds (the unit of every figure).
 pub fn duration_ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -109,8 +132,8 @@ impl LatencyStats {
 
 /// Live counters of incremental reasoning, shared (behind an `Arc`) between
 /// the [`IncrementalReasoner`](crate::incremental::IncrementalReasoner)s of
-/// one engine or one registry and whoever reports them. Atomics: engine
-/// lanes update them concurrently.
+/// one engine or one multi-tenant engine and whoever reports them.
+/// Atomics: engine lanes update them concurrently.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     /// Communities whose answers were reused (clean communities).
@@ -231,7 +254,8 @@ pub struct FailureCounters {
     /// Degraded windows whose real result later arrived (and was discarded
     /// to preserve ordered emission).
     pub late_recoveries: AtomicU64,
-    /// Engine lanes rebuilt by supervision after a reasoner panic.
+    /// Reasoner panics an engine lane caught and turned into that window's
+    /// error; the lane kept serving.
     pub lane_rebuilds: AtomicU64,
     /// Serving entries quarantined by the multi-tenant scheduler.
     pub quarantines: AtomicU64,
@@ -275,7 +299,7 @@ pub struct FailureSnapshot {
     pub degraded_windows: u64,
     /// Degraded windows whose real result later arrived.
     pub late_recoveries: u64,
-    /// Lanes rebuilt by supervision.
+    /// Reasoner panics caught by engine lanes (the lane kept serving).
     pub lane_rebuilds: u64,
     /// Serving entries quarantined.
     pub quarantines: u64,
@@ -306,7 +330,7 @@ impl FailureSnapshot {
 /// sample.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantLatency {
-    /// Tenant id (a plain identifier; rendered unescaped into JSON).
+    /// Tenant id (any string; escaped when rendered into JSON).
     pub tenant: String,
     /// Fingerprint of the program the tenant is subscribed to (see
     /// [`program_fingerprint`](crate::incremental::program_fingerprint)).
@@ -320,8 +344,8 @@ impl TenantLatency {
     /// [`LatencyStats::to_json`]).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"tenant\": \"{}\", \"program\": {}, \"latency\": {}}}",
-            self.tenant,
+            "{{\"tenant\": {}, \"program\": {}, \"latency\": {}}}",
+            json_string(&self.tenant),
             self.program,
             self.latency.to_json()
         )
@@ -452,6 +476,9 @@ mod tests {
         assert!(json.contains("\"tenant\": \"t0\""), "{json}");
         assert!(json.contains("\"program\": 42"), "{json}");
         assert!(json.contains("\"p99_ms\": 2.0000"), "{json}");
+        let quoted = TenantLatency { tenant: r#"a"b\c"#.into(), ..t };
+        assert!(quoted.to_json().contains(r#""tenant": "a\"b\\c""#), "{}", quoted.to_json());
+        assert_eq!(json_string("\u{1}\n"), r#""\u0001\n""#);
         let d = DedupSnapshot {
             tenants: 8,
             programs: 3,

@@ -1,17 +1,37 @@
 //! The multi-tenant scheduler: N tenant programs served over one shared
 //! stream, with per-window work deduplicated by serving key.
 //!
-//! [`MultiTenantEngine`] wraps a [`ProgramRegistry`] and processes each
-//! window **once per distinct `(program, partitioner)` entry**, not once
-//! per tenant: every tenant attached to an entry receives the same
-//! `Arc`-shared [`ReasonerOutput`], so N tenants running the same rule set
-//! cost ~1 tenant. Within one entry the window is routed and its dirty
-//! communities are found exactly once (that is what the entry's
-//! [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) does);
-//! across entries only the worker pool and the counters are shared.
+//! The ROADMAP north-star is many concurrent *programs* (per-user
+//! monitoring rules) subscribed to one stream. [`MultiTenantEngine`] admits
+//! and retires tenant programs at runtime and deduplicates them by
+//! **serving key** `(program fingerprint, partitioner)`: tenants whose
+//! program text renders identically (see [`program_fingerprint`] — the
+//! fingerprint hashes the rendered rules, so it is independent of which
+//! `Symbols` store parsed them) and who ask for the same partitioning share
+//! one [`ProgramEntry`]. The partitioner is part of the key because
+//! partitioning can change answers (the paper's random baseline trades
+//! accuracy for balance); sharing across different partitioners would
+//! silently change a tenant's output.
 //!
-//! Execution model: each live (not quarantined) entry becomes one job on the
-//! registry's [`ExecCtx`](crate::exec::ExecCtx), which all entries share.
+//! Each entry gets its **own `Symbols` store** (its community reasoners
+//! resolve symbol ids against the store their program was built from, so
+//! programs must never mix stores) and its own [`IncrementalReasoner`],
+//! which reuses the communities a window's delta leaves untouched from the
+//! last window *it* answered. A re-admitted program starts cold: its first
+//! window recomputes every community.
+//!
+//! The engine processes each window **once per entry**, not once per
+//! tenant: every tenant attached to an entry receives the same `Arc`-shared
+//! [`ReasonerOutput`], so N tenants running the same rule set cost ~1
+//! tenant. Within one entry the window is routed and its dirty communities
+//! are found exactly once (that is what the entry's reasoner does); across
+//! entries only the worker pool and the counters are shared.
+//!
+//! Execution model: entries share one [`ExecCtx`]: one worker pool, sized
+//! [`ReasonerConfig::workers`] (or the first admitted program's partition
+//! count when that is `0`) and built at the first admission that needs one,
+//! plus the reuse, planner and retry/fallback counters every entry reports
+//! into. Each live (not quarantined) entry becomes one job on it.
 //! Under [`ParallelMode::Threads`](crate::config::ParallelMode) the jobs run
 //! concurrently on the shared worker pool, at most `workers` at once; an
 //! entry's job fans its dirty partitions out over the same pool and runs the
@@ -28,17 +48,70 @@
 //! entries emit in first-admission order and tenants in admission order
 //! within their entry.
 
-use crate::admission::{AdmissionSnapshot, AdmitError};
+use crate::admission::{AdmissionPolicy, AdmissionSnapshot, AdmitError, ProgramBounds};
+use crate::analysis::DependencyAnalysis;
+use crate::config::{AnalysisConfig, ReasonerConfig};
 use crate::engine::EngineStats;
-use crate::exec::Job;
+use crate::exec::{partition_pool, ExecCtx, Job};
+use crate::incremental::{program_fingerprint, IncrementalReasoner};
 use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, TenantLatency};
+use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 use crate::poison::lock_recover;
-use crate::reasoner::{Reasoner, ReasonerOutput};
-use crate::registry::{ProgramEntry, ProgramRegistry, TenantPartitioner};
+use crate::reasoner::ReasonerOutput;
 use asp_core::{AspError, Symbols};
+use asp_parser::parse_program;
 use sr_stream::Window;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// How a tenant's window partitioning is chosen at admission. Part of the
+/// serving key: tenants only share work when both the program fingerprint
+/// *and* the partitioner choice match.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum TenantPartitioner {
+    /// Run the paper's input-dependency analysis and partition by the
+    /// resulting plan (content-routed; exact answers).
+    #[default]
+    Dependency,
+    /// The random k-way baseline (window-seeded; answers may differ from
+    /// the dependency plan's, which is exactly why this is part of the
+    /// serving key).
+    Random {
+        /// Number of partitions.
+        k: usize,
+        /// PRNG seed.
+        seed: u64,
+    },
+}
+
+/// One serving entry: an admitted program's private `Symbols` store, its
+/// shared [`IncrementalReasoner`] (behind a mutex, so the scheduler's job
+/// for the entry can carry it to a pool worker) and the tenants subscribed
+/// to it (admission order).
+pub struct ProgramEntry {
+    fingerprint: u64,
+    partitioner: TenantPartitioner,
+    syms: Symbols,
+    reasoner: Arc<Mutex<IncrementalReasoner>>,
+    tenants: Vec<String>,
+    /// Windows this entry failed (panic/error) or blew its deadline on,
+    /// consecutively; reset on a healthy window.
+    consecutive_failures: u32,
+    /// A quarantined entry is skipped by the scheduler until readmitted.
+    quarantined: bool,
+}
+
+impl ProgramEntry {
+    /// Tenants subscribed to this program, in admission order.
+    pub fn tenants(&self) -> &[String] {
+        &self.tenants
+    }
+
+    /// Number of partitions the program's reasoner fans out over.
+    pub fn partitions(&self) -> usize {
+        lock_recover(&self.reasoner).partitions()
+    }
+}
 
 /// What one entry's job returns: its output and its own run time.
 type EntryRun = (Result<ReasonerOutput, AspError>, Duration);
@@ -87,9 +160,18 @@ struct SchedulerCounters {
     errors: std::sync::atomic::AtomicU64,
 }
 
-/// The scheduler. See the module docs for the execution model.
+/// The scheduler: admits and retires tenants, dedups programs by serving
+/// key and serves every entry once per window. See the module docs.
 pub struct MultiTenantEngine {
-    registry: ProgramRegistry,
+    /// Applies to every admitted program.
+    config: ReasonerConfig,
+    /// The pool and counters every entry's reasoner shares; the scheduler
+    /// adds its quarantines to the failure counters.
+    ctx: ExecCtx,
+    policy: AdmissionPolicy,
+    /// Admitted programs in first-admission order — the deterministic
+    /// scheduling order.
+    entries: Vec<ProgramEntry>,
     samples: Vec<TenantSamples>,
     window_latency: Arc<sr_obs::Histogram>,
     counters: Arc<SchedulerCounters>,
@@ -108,10 +190,14 @@ pub struct MultiTenantEngine {
 
 impl MultiTenantEngine {
     /// An engine with no tenants. `config` applies to every admitted
-    /// program (see [`ProgramRegistry::new`]).
-    pub fn new(config: crate::config::ReasonerConfig) -> Self {
+    /// program. The default [`AdmissionPolicy`] admits everything (no
+    /// budget).
+    pub fn new(config: ReasonerConfig) -> Self {
         MultiTenantEngine {
-            registry: ProgramRegistry::new(config),
+            config,
+            ctx: ExecCtx::default(),
+            policy: AdmissionPolicy::default(),
+            entries: Vec::new(),
             samples: Vec::new(),
             window_latency: Arc::new(sr_obs::Histogram::new()),
             counters: Arc::new(SchedulerCounters::default()),
@@ -124,10 +210,10 @@ impl MultiTenantEngine {
         }
     }
 
-    /// Replaces the admission policy on the underlying registry. Applies
-    /// to future admissions only.
-    pub fn set_admission_policy(&mut self, policy: crate::admission::AdmissionPolicy) {
-        self.registry.set_policy(policy);
+    /// Replaces the admission policy. Applies to future admissions only —
+    /// already-admitted entries are never retroactively rejected.
+    pub fn set_admission_policy(&mut self, policy: AdmissionPolicy) {
+        self.policy = policy;
     }
 
     /// Sets (or clears) the per-entry serving deadline. A successful window
@@ -147,11 +233,10 @@ impl MultiTenantEngine {
     /// Tenants currently attached to quarantined entries (each stops
     /// receiving outputs until [`MultiTenantEngine::readmit`]).
     pub fn quarantined_tenants(&self) -> Vec<String> {
-        self.registry
-            .entries()
+        self.entries
             .iter()
-            .filter(|e| e.is_quarantined())
-            .flat_map(|e| e.tenants().iter().cloned())
+            .filter(|e| e.quarantined)
+            .flat_map(|e| e.tenants.iter().cloned())
             .collect()
     }
 
@@ -160,7 +245,7 @@ impl MultiTenantEngine {
     /// from zero). Errors when the tenant is unknown; a no-op when its
     /// entry is not quarantined.
     pub fn readmit(&mut self, tenant: &str) -> Result<(), AspError> {
-        for entry in self.registry.entries_mut() {
+        for entry in &mut self.entries {
             if entry.tenants.iter().any(|t| t == tenant) {
                 entry.quarantined = false;
                 entry.consecutive_failures = 0;
@@ -170,54 +255,145 @@ impl MultiTenantEngine {
         Err(AspError::Internal(format!("tenant '{tenant}' is not admitted")))
     }
 
-    /// The scheduler's shared recovery counters: the entries' retries and
-    /// fallbacks and the scheduler's quarantines (also snapshotted into
-    /// [`EngineStats::failure`] by [`MultiTenantEngine::stats`]).
-    pub fn failure_counters(&self) -> &Arc<FailureCounters> {
-        &self.registry.ctx.failures
-    }
-
-    /// Admits a tenant (delegates to [`ProgramRegistry::admit`]); valid
-    /// mid-stream — the tenant joins at the next window. Failures come
-    /// back as a structured [`AdmitError`] (duplicate tenant, bad program,
-    /// over budget with the dominating term named) and are counted into
-    /// [`EngineStats::admission`].
+    /// Admits `tenant` with `source`; valid mid-stream — the tenant joins
+    /// at the next window. If the rendered program and the partitioner
+    /// choice match an admitted entry, the tenant attaches to it (no new
+    /// reasoner or store); otherwise the program is parsed into a fresh
+    /// `Symbols` store, analyzed, checked against the admission policy and
+    /// gets its own [`IncrementalReasoner`]. Returns the program
+    /// fingerprint. Fails with a structured [`AdmitError`] on a duplicate
+    /// tenant id, a program that does not parse/analyze, or a static bound
+    /// over the policy budget (the dominating term named). Admissions and
+    /// rejections are counted into [`EngineStats::admission`].
     pub fn admit(
         &mut self,
         tenant: &str,
         source: &str,
         partitioner: TenantPartitioner,
     ) -> Result<u64, AdmitError> {
-        match self.registry.admit(tenant, source, partitioner) {
-            Ok(fp) => {
-                self.admitted += 1;
-                Ok(fp)
+        let result = (|| {
+            if self.entry_of(tenant).is_some() {
+                return Err(AdmitError::DuplicateTenant { tenant: tenant.to_string() });
             }
-            Err(err) => {
-                self.rejected += 1;
-                Err(err)
+            let syms = Symbols::new();
+            let program = parse_program(&syms, source)?;
+            let fingerprint = program_fingerprint(&syms, &program);
+            if let Some(entry) = self
+                .entries
+                .iter_mut()
+                .find(|e| e.fingerprint == fingerprint && e.partitioner == partitioner)
+            {
+                // Duplicate program: attach the tenant, drop the scratch
+                // store. The entry already passed this policy (or a prior
+                // one) at first admission; attaching adds no state.
+                entry.tenants.push(tenant.to_string());
+                return Ok(fingerprint);
+            }
+            let analysis =
+                DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())?;
+            if let Some(budget) = self.policy.budget_cells {
+                // The admission bound is always the worst case: live
+                // RelationStats are deliberately not consulted (a
+                // transiently small store must not admit a program that
+                // can outgrow memory later).
+                let window = &self.policy.window;
+                let bounds = match partitioner {
+                    TenantPartitioner::Dependency => {
+                        ProgramBounds::analyze(&syms, &program, &analysis, window)
+                    }
+                    TenantPartitioner::Random { k, .. } => {
+                        ProgramBounds::uniform(&syms, &program, &analysis.inpre, k, window)
+                    }
+                };
+                if bounds.total_cells.exceeds(budget) {
+                    return Err(AdmitError::OverBudget {
+                        bound: bounds.total_cells,
+                        budget,
+                        dominating: bounds.dominating,
+                    });
+                }
+            }
+            let part: Arc<dyn Partitioner> = match partitioner {
+                TenantPartitioner::Dependency => {
+                    Arc::new(PlanPartitioner::new(analysis.plan.clone(), self.config.unknown))
+                }
+                TenantPartitioner::Random { k, seed } => Arc::new(RandomPartitioner::new(k, seed)),
+            };
+            if self.ctx.pool.is_none() {
+                let workers = match self.config.workers {
+                    0 => part.partitions(),
+                    n => n,
+                };
+                self.ctx.pool = partition_pool(&self.config, workers)?;
+            }
+            // One reasoner per entry: its reuse slots are shared by every
+            // tenant that attaches later.
+            let reasoner = IncrementalReasoner::with_ctx(
+                &syms,
+                &program,
+                Some(&analysis.inpre),
+                part,
+                self.config.clone(),
+                self.ctx.clone(),
+            )?;
+            self.entries.push(ProgramEntry {
+                fingerprint,
+                partitioner,
+                syms,
+                reasoner: Arc::new(Mutex::new(reasoner)),
+                tenants: vec![tenant.to_string()],
+                consecutive_failures: 0,
+                quarantined: false,
+            });
+            Ok(fingerprint)
+        })();
+        match result {
+            Ok(_) => self.admitted += 1,
+            Err(_) => self.rejected += 1,
+        }
+        result
+    }
+
+    /// Retires `tenant`, returning its program fingerprint; valid
+    /// mid-stream. When the last tenant of a program leaves, the whole
+    /// entry — reasoner, reuse slots, symbol store — is dropped; the shared
+    /// pool and counters stay, and the tenant's recorded latency history is
+    /// kept for the final report.
+    pub fn retire(&mut self, tenant: &str) -> Result<u64, AspError> {
+        for (idx, entry) in self.entries.iter_mut().enumerate() {
+            if let Some(pos) = entry.tenants.iter().position(|t| t == tenant) {
+                entry.tenants.remove(pos);
+                let fingerprint = entry.fingerprint;
+                if entry.tenants.is_empty() {
+                    self.entries.remove(idx);
+                }
+                return Ok(fingerprint);
             }
         }
+        Err(AspError::Internal(format!("tenant '{tenant}' is not admitted")))
     }
 
-    /// Retires a tenant (delegates to [`ProgramRegistry::retire`]); valid
-    /// mid-stream — the tenant's recorded latency history is kept for the
-    /// final report.
-    pub fn retire(&mut self, tenant: &str) -> Result<u64, AspError> {
-        self.registry.retire(tenant)
+    /// Tenants currently admitted.
+    pub fn tenant_count(&self) -> usize {
+        self.entries.iter().map(|e| e.tenants.len()).sum()
     }
 
-    /// The underlying registry (tenant/program introspection).
-    pub fn registry(&self) -> &ProgramRegistry {
-        &self.registry
+    /// Distinct serving entries (programs × partitioner choices) admitted.
+    pub fn program_count(&self) -> usize {
+        self.entries.len()
     }
 
-    /// Processes one window for every admitted tenant: each registry entry
+    /// The serving entry `tenant` is attached to, if admitted.
+    pub fn entry_of(&self, tenant: &str) -> Option<&ProgramEntry> {
+        self.entries.iter().find(|e| e.tenants.iter().any(|t| t == tenant))
+    }
+
+    /// Processes one window for every admitted tenant: each serving entry
     /// runs once, as one job on the shared pool (see the module docs), and
     /// every tenant of the entry receives the shared result.
     /// Outputs are ordered deterministically (entries in first-admission
-    /// order, tenants in admission order within their entry). An empty
-    /// registry yields an empty vector — the window still counts.
+    /// order, tenants in admission order within their entry). An engine
+    /// without tenants yields an empty vector — the window still counts.
     ///
     /// **Tenant isolation:** an entry whose reasoner errors or panics no
     /// longer aborts the whole window — its tenants just get no output for
@@ -230,16 +406,15 @@ impl MultiTenantEngine {
         use std::sync::atomic::Ordering;
         let t_window = Instant::now();
         self.started.get_or_insert(t_window);
-        let mut outputs = Vec::with_capacity(self.registry.tenant_count());
-        let live: Vec<usize> = (0..self.registry.entries().len())
-            .filter(|&i| !self.registry.entries()[i].quarantined)
-            .collect();
+        let mut outputs = Vec::with_capacity(self.tenant_count());
+        let live: Vec<usize> =
+            (0..self.entries.len()).filter(|&i| !self.entries[i].quarantined).collect();
         let shared_window = Arc::new(window.clone());
         let trace = sr_obs::tracer().is_enabled().then(sr_obs::current_ctx);
         let jobs = live
             .iter()
             .map(|&i| {
-                let entry = &self.registry.entries()[i];
+                let entry = &self.entries[i];
                 let reasoner = Arc::clone(&entry.reasoner);
                 let window = Arc::clone(&shared_window);
                 // Spans recorded under this entry carry its serving-entry
@@ -257,35 +432,24 @@ impl MultiTenantEngine {
                 }) as Job<EntryRun>
             })
             .collect();
-        let runs = self.registry.ctx.run(jobs);
+        let runs = self.ctx.run(jobs);
 
         // Bookkeeping runs serially, in first-admission order.
-        let samples = &mut self.samples;
-        let deadline = self.deadline;
-        let threshold = self.quarantine_threshold;
-        let failures = Arc::clone(&self.registry.ctx.failures);
-        let entries = self.registry.entries_mut();
         for (i, run) in live.into_iter().zip(runs) {
-            let entry = &mut entries[i];
-            let (output, latency) = match run {
-                Ok((Ok(output), latency)) => (output, latency),
-                failed => {
-                    // This entry's failure stays its own: count it, score
-                    // it toward quarantine, keep serving the other entries.
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    if failed.is_err() {
-                        // A panic may have poisoned the reasoner's
-                        // incremental state; invalidate it before reuse.
-                        let _ = Reasoner::recover(&mut *lock_recover(&entry.reasoner));
-                    }
-                    strike(entry, threshold, &failures);
-                    continue;
-                }
+            let entry = &mut self.entries[i];
+            let Ok((Ok(output), latency)) = run else {
+                // This entry's failure (an error, or a panic — the
+                // reasoner's reuse slots are written only after a
+                // successful window) stays its own: count it, score it
+                // toward quarantine, keep serving the other entries.
+                self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                strike(entry, self.quarantine_threshold, &self.ctx.failures);
+                continue;
             };
-            if deadline.is_some_and(|d| latency > d) {
+            if self.deadline.is_some_and(|d| latency > d) {
                 // Served, but too slow: score toward quarantine so a
                 // chronically overdue program stops hurting its cohort.
-                strike(entry, threshold, &failures);
+                strike(entry, self.quarantine_threshold, &self.ctx.failures);
             } else {
                 entry.consecutive_failures = 0;
             }
@@ -293,7 +457,7 @@ impl MultiTenantEngine {
             let shared = Arc::new(output);
             for tenant in &entry.tenants {
                 self.counters.tenant_windows.fetch_add(1, Ordering::Relaxed);
-                record(samples, tenant, entry.fingerprint, duration_ms(latency));
+                record(&mut self.samples, tenant, entry.fingerprint, duration_ms(latency));
                 outputs.push(TenantOutput {
                     tenant: tenant.clone(),
                     program: entry.fingerprint,
@@ -317,8 +481,8 @@ impl MultiTenantEngine {
         let tenant_windows = self.counters.tenant_windows.load(Ordering::Relaxed);
         let saved = tenant_windows - self.counters.program_runs.load(Ordering::Relaxed);
         DedupSnapshot {
-            tenants: self.registry.tenant_count() as u64,
-            programs: self.registry.program_count() as u64,
+            tenants: self.tenant_count() as u64,
+            programs: self.program_count() as u64,
             windows: self.counters.windows.load(Ordering::Relaxed),
             tenant_windows,
             program_runs: self.counters.program_runs.load(Ordering::Relaxed),
@@ -349,7 +513,7 @@ impl MultiTenantEngine {
             let shared = Arc::clone(&self.counters);
             registry.register_counter_fn(name, &[], move || read(&shared));
         }
-        let failures = Arc::clone(&self.registry.ctx.failures);
+        let failures = Arc::clone(&self.ctx.failures);
         registry.register_counter_fn("sr_tenant_quarantines_total", &[], move || {
             failures.quarantines.load(Ordering::Relaxed)
         });
@@ -358,7 +522,7 @@ impl MultiTenantEngine {
             &[],
             Arc::clone(&self.window_latency),
         );
-        self.registry.ctx.counters.register_metrics(registry);
+        self.ctx.counters.register_metrics(registry);
     }
 
     /// A throughput/latency report over everything processed so far:
@@ -383,7 +547,7 @@ impl MultiTenantEngine {
             windows_per_sec: if elapsed_s > 0.0 { windows as f64 / elapsed_s } else { 0.0 },
             items_per_sec: if elapsed_s > 0.0 { items as f64 / elapsed_s } else { 0.0 },
             submit_blocked_ms: None,
-            incremental: Some(self.registry.ctx.counters.snapshot()),
+            incremental: Some(self.ctx.counters.snapshot()),
             lanes: Vec::new(),
             queue_high_water: 0,
             latency: LatencyStats::from_histogram(&self.window_latency),
@@ -398,9 +562,9 @@ impl MultiTenantEngine {
                 .collect(),
             dedup: Some(self.dedup_snapshot()),
             failure: (self.deadline.is_some()
-                || self.registry.config.faults.is_some()
-                || self.registry.ctx.failures.any_nonzero())
-            .then(|| self.registry.ctx.failures.snapshot()),
+                || self.config.faults.is_some()
+                || self.ctx.failures.any_nonzero())
+            .then(|| self.ctx.failures.snapshot()),
             admission: self.admission_snapshot(),
         }
     }
@@ -409,7 +573,7 @@ impl MultiTenantEngine {
     /// engaged (no budget configured, nothing rejected) — the JSON then
     /// omits the section instead of fabricating zeros.
     pub fn admission_snapshot(&self) -> Option<AdmissionSnapshot> {
-        let budget = self.registry.policy().budget_cells;
+        let budget = self.policy.budget_cells;
         (budget.is_some() || self.rejected > 0).then_some(AdmissionSnapshot {
             budget_cells: budget,
             admitted: self.admitted,
@@ -483,9 +647,11 @@ mod tests {
     #[test]
     fn duplicate_tenants_share_one_program_run() {
         for mut eng in engines() {
-            eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-            eng.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-            eng.admit("t2", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
+            let fp_a = eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+            let fp_dup = eng.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+            assert_eq!(fp_a, fp_dup, "identical source renders to one fingerprint");
+            let fp_b = eng.admit("t2", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
+            assert_ne!(fp_a, fp_b);
             let outputs = eng.process(&window(0)).unwrap();
             let tenants: Vec<&str> = outputs.iter().map(|o| o.tenant.as_str()).collect();
             assert_eq!(tenants, ["t0", "t1", "t2"], "every tenant, in admission order");
@@ -496,6 +662,8 @@ mod tests {
             assert!(!Arc::ptr_eq(&outputs[0].output, &outputs[2].output));
             assert!(rendered(&outputs[0])[0].contains("jam(a)"), "{:?}", rendered(&outputs[0]));
             assert!(rendered(&outputs[2])[0].contains("fire(b)"), "{:?}", rendered(&outputs[2]));
+            assert_eq!(eng.program_count(), 2, "the duplicate attached, no second entry");
+            assert_eq!(eng.entry_of("t1").unwrap().tenants(), ["t0", "t1"]);
             let dedup = eng.dedup_snapshot();
             assert_eq!(dedup.tenant_windows, 3);
             assert_eq!(dedup.program_runs, 2, "two distinct programs ran");
@@ -547,7 +715,7 @@ mod tests {
         let outputs = eng.process(&window(1)).unwrap();
         assert_eq!(outputs.len(), 1, "only t0 is served now");
         eng.retire("t0").unwrap();
-        assert!(eng.registry().is_empty());
+        assert_eq!(eng.program_count(), 0);
         let after_drop = counters(&eng);
         assert!(
             after_drop.hits >= before.hits && after_drop.misses >= before.misses,
@@ -629,12 +797,81 @@ mod tests {
         eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
         eng.set_admission_policy(AdmissionPolicy::with_budget(WindowSpec::tuple(1000), 10));
         let err = eng.admit("t1", PROGRAM_B, TenantPartitioner::Dependency).unwrap_err();
-        assert!(matches!(err, AdmitError::OverBudget { .. }), "{err}");
+        match &err {
+            AdmitError::OverBudget { budget, dominating, .. } => {
+                assert_eq!(*budget, 10);
+                assert!(!dominating.component.is_empty());
+            }
+            other => panic!("expected OverBudget, got {other}"),
+        }
+        assert!(err.to_string().contains("exceeds budget 10"), "{err}");
+        assert!(eng.entry_of("t1").is_none(), "rejected program left no entry");
         let outputs = eng.process(&window(0)).unwrap();
         assert_eq!(outputs.len(), 1, "only the admitted tenant is served");
         let stats = eng.stats();
         let adm = stats.admission.expect("a budget is configured");
         assert_eq!((adm.budget_cells, adm.admitted, adm.rejected), (Some(10), 1, 1));
         assert!(stats.to_json().contains("\"admission\": {"), "{}", stats.to_json());
+    }
+
+    #[test]
+    fn partitioner_choice_is_part_of_the_serving_key() {
+        let mut eng = engine();
+        eng.admit("dep", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+        eng.admit("ran", PROGRAM_A, TenantPartitioner::Random { k: 2, seed: 7 }).unwrap();
+        assert_eq!(
+            eng.program_count(),
+            2,
+            "same program under a different partitioner must not share results"
+        );
+        eng.admit("ran2", PROGRAM_A, TenantPartitioner::Random { k: 2, seed: 7 }).unwrap();
+        assert_eq!(eng.program_count(), 2, "identical random choice does share");
+        assert_eq!(eng.entry_of("ran2").unwrap().tenants(), ["ran", "ran2"]);
+    }
+
+    #[test]
+    fn entries_share_one_pool_sized_by_workers() {
+        let mut eng = MultiTenantEngine::new(ReasonerConfig { workers: 2, ..Default::default() });
+        for i in 0..4 {
+            let source = format!("{PROGRAM_A}\ntenant_tag({i}).");
+            eng.admit(&format!("t{i}"), &source, TenantPartitioner::Dependency).unwrap();
+        }
+        assert_eq!(eng.program_count(), 4, "four distinct programs, four entries");
+        let pool = eng.ctx.pool.clone().expect("Threads mode builds a pool");
+        assert_eq!(pool.workers(), 2, "one 2-worker pool, not one per entry");
+        for entry in &eng.entries {
+            let reasoner = lock_recover(&entry.reasoner);
+            let entry_pool = reasoner.ctx().pool.as_ref().expect("entries use the pool");
+            assert!(Arc::ptr_eq(entry_pool, &pool), "every entry runs on the engine's pool");
+        }
+    }
+
+    #[test]
+    fn duplicate_tenant_id_is_rejected() {
+        let mut eng = engine();
+        eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+        let err = eng.admit("t0", PROGRAM_B, TenantPartitioner::Dependency).unwrap_err();
+        assert!(err.to_string().contains("already admitted"), "{err}");
+        assert_eq!(eng.tenant_count(), 1, "the failed admission left no trace");
+    }
+
+    #[test]
+    fn retiring_the_last_tenant_drops_the_entry() {
+        let mut eng = engine();
+        eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+        eng.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+        eng.retire("t0").unwrap();
+        assert_eq!(eng.program_count(), 1, "t1 still holds the program");
+        assert_eq!(eng.tenant_count(), 1);
+        eng.retire("t1").unwrap();
+        assert_eq!(eng.program_count(), 0, "last tenant out, entry dropped");
+        assert!(eng.retire("t1").is_err(), "retiring twice fails");
+    }
+
+    #[test]
+    fn bad_programs_are_rejected_at_admission() {
+        let mut eng = engine();
+        assert!(eng.admit("t0", "jam(X :-", TenantPartitioner::Dependency).is_err());
+        assert_eq!(eng.program_count(), 0, "nothing admitted");
     }
 }

@@ -3,49 +3,30 @@
 //! program (every program the paper streams) has exactly one answer set per
 //! window, its perfect model, which the grounder evaluates bottom-up
 //! ([`Grounder::perfect_model`]); only programs with choice, disjunction or
-//! a negative cycle are grounded and handed to CDCL. Its latency includes
-//! the RDF→ASP transformation time, as the paper insists ("performance of
-//! the reasoning subprocess should be measured by not only the processing
-//! time of the solver but also the time required for data
-//! transformation").
+//! a negative cycle are grounded and handed to CDCL.
+//!
+//! A reasoner keeps no clock. Its latency is the wall clock its caller
+//! measures around [`Reasoner::process`], which includes the RDF→ASP
+//! transformation time, as the paper insists ("performance of the reasoning
+//! subprocess should be measured by not only the processing time of the
+//! solver but also the time required for data transformation"). The
+//! per-stage breakdown comes from the `sr_obs` spans each stage records
+//! (`Windowing`, `Ground`, `Solve`; `Partition`, `CacheLookup` and `Combine`
+//! for PR) while the tracer is on.
 
 use asp_core::{AnswerSet, AspError, Predicate, Program, Symbols};
 use asp_grounder::Grounder;
 use asp_solver::{solve_ground, SolveStats, SolverConfig};
 use sr_rdf::{FormatConfig, FormatProcessor, Triple};
 use sr_stream::Window;
-use std::time::{Duration, Instant};
-
-/// Wall-clock breakdown of one window.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Timing {
-    /// End-to-end reasoning latency (what Figures 7/9 plot).
-    pub total: Duration,
-    /// Partitioning handler time (zero for `R`).
-    pub partition: Duration,
-    /// RDF→ASP transformation (critical path over workers for PR).
-    pub transform: Duration,
-    /// Grounding, or perfect-model evaluation for a stratified program
-    /// (critical path over workers for PR).
-    pub ground: Duration,
-    /// CDCL solving, non-stratified programs only (critical path over
-    /// workers for PR).
-    pub solve: Duration,
-    /// Combining handler time (zero for `R`).
-    pub combine: Duration,
-}
 
 /// Output of a reasoner for one window.
 #[derive(Clone, Debug, Default)]
 pub struct ReasonerOutput {
     /// The answer sets (combined, for PR).
     pub answers: Vec<AnswerSet>,
-    /// Timing breakdown.
-    pub timing: Timing,
     /// Sub-window sizes (singleton for `R`).
     pub partition_sizes: Vec<usize>,
-    /// Partitions that had no answer set.
-    pub unsat_partitions: usize,
     /// Solver statistics aggregated over partitions (all zero when no
     /// partition needed the solver).
     pub solve_stats: SolveStats,
@@ -56,41 +37,16 @@ pub struct ReasonerOutput {
 /// the one partitioned executor,
 /// [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) (the
 /// extended architecture's `PR`, also named
-/// [`ParallelReasoner`](crate::parallel::ParallelReasoner)); the
+/// [`ParallelReasoner`](crate::incremental::ParallelReasoner)); the
 /// [`StreamEngine`](crate::engine::StreamEngine) is generic over it.
 pub trait Reasoner: Send {
-    /// A short label for reports (`"R"`, `"PR"`, ...).
-    fn name(&self) -> &'static str;
-
-    /// Number of sub-windows the backend splits each window into.
-    fn partitions(&self) -> usize {
-        1
-    }
-
     /// Processes one window end to end.
     fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError>;
-
-    /// Attempts to restore a usable state after `process` panicked (lane
-    /// supervision calls this before retrying the next window). Returns
-    /// `true` when the backend is safe to keep using; the default `false`
-    /// tells the supervisor to stop driving this instance.
-    fn recover(&mut self) -> bool {
-        false
-    }
 }
 
 impl Reasoner for SingleReasoner {
-    fn name(&self) -> &'static str {
-        "R"
-    }
-
     fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
         SingleReasoner::process(self, window)
-    }
-
-    fn recover(&mut self) -> bool {
-        // Stateless across windows: every `process` grounds from scratch.
-        true
     }
 }
 
@@ -129,11 +85,6 @@ impl SingleReasoner {
         })
     }
 
-    /// The symbol store.
-    pub fn symbols(&self) -> &Symbols {
-        &self.syms
-    }
-
     /// Enables or disables cost-based join planning in the grounder (see
     /// [`asp_grounder::planner`]). Answer sets are identical either way —
     /// only the join evaluation order inside grounding changes.
@@ -153,17 +104,8 @@ impl SingleReasoner {
         let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
             sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: window.id, ..sr_obs::current_ctx() })
         });
-        let start = Instant::now();
-        let (answers, timing, stats) = self.process_items(&window.items)?;
-        let mut timing = timing;
-        timing.total = start.elapsed();
-        Ok(ReasonerOutput {
-            unsat_partitions: usize::from(answers.is_empty()),
-            answers,
-            timing,
-            partition_sizes: vec![window.len()],
-            solve_stats: stats,
-        })
+        let (answers, solve_stats) = self.process_items(&window.items)?;
+        Ok(ReasonerOutput { answers, partition_sizes: vec![window.len()], solve_stats })
     }
 
     /// Transform → perfect model, or transform → ground → solve when the
@@ -172,50 +114,25 @@ impl SingleReasoner {
     pub fn process_items(
         &mut self,
         items: &[Triple],
-    ) -> Result<(Vec<AnswerSet>, Timing, SolveStats), AspError> {
-        let t0 = Instant::now();
+    ) -> Result<(Vec<AnswerSet>, SolveStats), AspError> {
         let facts = {
             let _span = sr_obs::span(sr_obs::Stage::Windowing);
             self.format.window_to_facts(items)
         };
-        let transform = t0.elapsed();
-
-        let t1 = Instant::now();
         if self.grounder.is_stratified() {
-            let answers = {
-                let _span = sr_obs::span(sr_obs::Stage::Ground);
-                let model = self.grounder.perfect_model(facts)?;
-                model.map(|atoms| AnswerSet::new(atoms, &self.syms)).into_iter().collect()
-            };
-            let timing = Timing {
-                total: t0.elapsed(),
-                transform,
-                ground: t1.elapsed(),
-                ..Default::default()
-            };
-            return Ok((answers, timing, SolveStats::default()));
+            let _span = sr_obs::span(sr_obs::Stage::Ground);
+            let model = self.grounder.perfect_model(facts)?;
+            let answers =
+                model.map(|atoms| AnswerSet::new(atoms, &self.syms)).into_iter().collect();
+            return Ok((answers, SolveStats::default()));
         }
         let ground = {
             let _span = sr_obs::span(sr_obs::Stage::Ground);
             self.grounder.ground(&facts)?
         };
-        let ground_time = t1.elapsed();
-
-        let t2 = Instant::now();
-        let result = {
-            let _span = sr_obs::span(sr_obs::Stage::Solve);
-            solve_ground(&self.syms, &ground, &self.solver)?
-        };
-        let solve_time = t2.elapsed();
-
-        let timing = Timing {
-            total: t0.elapsed(),
-            transform,
-            ground: ground_time,
-            solve: solve_time,
-            ..Default::default()
-        };
-        Ok((result.answer_sets, timing, result.stats))
+        let _span = sr_obs::span(sr_obs::Stage::Solve);
+        let result = solve_ground(&self.syms, &ground, &self.solver)?;
+        Ok((result.answer_sets, result.stats))
     }
 }
 
@@ -276,18 +193,7 @@ mod tests {
         assert!(rendered.contains("give_notification(dangan)"));
         assert!(!rendered.contains("traffic_jam"), "light blocks the jam: {rendered}");
         assert!(!rendered.contains("give_notification(newcastle)"));
-    }
-
-    #[test]
-    fn timing_breakdown_is_recorded() {
-        let syms = Symbols::new();
-        let program = parse_program(&syms, PROGRAM_P).unwrap();
-        let mut r = SingleReasoner::new(&syms, &program, None, SolverConfig::default()).unwrap();
-        let out = r.process(&motivating_window()).unwrap();
-        assert!(out.timing.total >= out.timing.transform);
-        assert!(out.timing.total >= out.timing.ground + out.timing.solve);
-        assert_eq!(out.partition_sizes, vec![6]);
-        assert_eq!(out.unsat_partitions, 0);
+        assert_eq!(out.partition_sizes, vec![6], "R reasons over one sub-window");
     }
 
     #[test]

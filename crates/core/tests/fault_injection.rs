@@ -302,7 +302,7 @@ fn repeated_failures_quarantine_the_entry_and_readmit_lifts_it() {
         ..Default::default()
     });
     eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-    assert_eq!(eng.registry().entry_of("t0").unwrap().partitions(), 1);
+    assert_eq!(eng.entry_of("t0").unwrap().partitions(), 1);
 
     for id in 0..3 {
         let outputs = eng.process(&window(id)).unwrap();
@@ -313,7 +313,7 @@ fn repeated_failures_quarantine_the_entry_and_readmit_lifts_it() {
     // Quarantined: skipped without even attempting (no new errors), and a
     // freshly admitted healthy tenant is served in the same window.
     eng.admit("t1", PROGRAM_B, TenantPartitioner::Dependency).unwrap();
-    assert_eq!(eng.registry().entry_of("t1").unwrap().partitions(), 1);
+    assert_eq!(eng.entry_of("t1").unwrap().partitions(), 1);
     let outputs = eng.process(&window(3)).unwrap();
     assert_eq!(outputs.len(), 1, "only the healthy entry runs");
     assert_eq!(outputs[0].tenant, "t1");

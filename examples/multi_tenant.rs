@@ -43,11 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         engine.admit(tenant, program, TenantPartitioner::Dependency)?;
     }
-    println!(
-        "{} tenants over {} serving entries",
-        engine.registry().tenant_count(),
-        engine.registry().program_count()
-    );
+    println!("{} tenants over {} serving entries", engine.tenant_count(), engine.program_count());
 
     // One shared sliding-window stream serves everyone.
     let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, 2017);

@@ -686,13 +686,15 @@ fn run_sequential(
     let mut reasoner = build_reasoner(syms, program, analysis, mode, reasoner_cfg, &ctx)
         .map_err(|e| e.to_string())?;
     for window in windows {
+        let t0 = std::time::Instant::now();
         let out = reasoner.process(window).map_err(|e| e.to_string())?;
+        let latency = t0.elapsed();
         println!(
             "window {} ({} items): {} answer set(s) in {:.2} ms",
             window.id,
             window.len(),
             out.answers.len(),
-            duration_ms(out.timing.total)
+            duration_ms(latency)
         );
         for ans in out.answers.iter().take(2) {
             print_answer(&projection.apply(ans, syms).display(syms).to_string());
@@ -743,8 +745,8 @@ fn run_tenants(
     }
     println!(
         "serving {tenants} tenant(s) over {} serving entr{} ({n_dup} duplicated)",
-        engine.registry().program_count(),
-        if engine.registry().program_count() == 1 { "y" } else { "ies" }
+        engine.program_count(),
+        if engine.program_count() == 1 { "y" } else { "ies" }
     );
     if let Some(metrics) = registry {
         engine.register_metrics(metrics);

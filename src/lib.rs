@@ -60,9 +60,9 @@ pub mod prelude {
         DominatingTerm, DuplicationPolicy, EngineConfig, EngineOutput, EngineReport, EngineStats,
         ExecCtx, FailureSnapshot, FaultPlan, FaultSite, IncrementalReasoner, IncrementalSnapshot,
         LatencyStats, MultiTenantEngine, ParallelMode, ParallelReasoner, Partitioner,
-        PartitioningPlan, PlanPartitioner, ProgramBounds, ProgramRegistry, Projection,
-        RandomPartitioner, Reasoner, ReasonerConfig, ReasonerOutput, SingleReasoner, StreamEngine,
-        TenantLatency, TenantOutput, TenantPartitioner, UnknownPredicate, WindowSpec,
+        PartitioningPlan, PlanPartitioner, ProgramBounds, Projection, RandomPartitioner, Reasoner,
+        ReasonerConfig, ReasonerOutput, SingleReasoner, StreamEngine, TenantLatency, TenantOutput,
+        TenantPartitioner, UnknownPredicate, WindowSpec,
     };
     pub use sr_rdf::{FormatConfig, FormatProcessor, Node, Triple};
     pub use sr_stream::{

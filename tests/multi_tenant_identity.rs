@@ -133,7 +133,7 @@ proptest! {
                 engine.admit(tenant, source, *partitioner).unwrap();
             }
             prop_assert_eq!(
-                engine.registry().program_count(),
+                engine.program_count(),
                 3,
                 "dup tenants share one entry; the random choice gets its own"
             );
