@@ -34,7 +34,6 @@
 //! instead of wrapping: a bound too large to represent is reported as
 //! unbounded, never as a small lie.
 
-use crate::stats::RelationStats;
 use asp_core::{FastMap, Predicate, Program, Symbols, Term};
 use sr_graph::{tarjan_scc, DiGraph};
 use std::fmt;
@@ -65,15 +64,6 @@ impl MemoryBound {
             acc = acc * self;
         }
         acc
-    }
-
-    /// The smaller of the two bounds (`Unbounded` is the top element).
-    pub fn tighten(self, other: MemoryBound) -> MemoryBound {
-        match (self, other) {
-            (MemoryBound::Bounded(a), MemoryBound::Bounded(b)) => MemoryBound::Bounded(a.min(b)),
-            (MemoryBound::Bounded(a), _) | (_, MemoryBound::Bounded(a)) => MemoryBound::Bounded(a),
-            _ => MemoryBound::Unbounded,
-        }
     }
 
     /// True when the bound exceeds `budget` cells (`Unbounded` always does).
@@ -328,16 +318,11 @@ fn program_constants(program: &Program) -> u64 {
 ///   at `n` facts (`None` means `p` is derived-only). Callers model
 ///   partitioning here: a predicate routed to another partition gets
 ///   `Some(0)`.
-/// * `stats` — live [`RelationStats`], when available, tighten input
-///   extents to the currently observed cardinalities. The tightened bound
-///   is sound **for the current fact multiset only**; admission-time and
-///   CI bounds must pass `None` to keep the worst-case guarantee.
 pub fn grounding_bounds(
     syms: &Symbols,
     program: &Program,
     window_capacity: u64,
     input_extent: &dyn Fn(&Predicate) -> Option<u64>,
-    stats: Option<&RelationStats>,
 ) -> GroundingBounds {
     let preds = program.predicates();
     let mut index: FastMap<Predicate, usize> = FastMap::default();
@@ -384,13 +369,7 @@ pub fn grounding_bounds(
         c
     };
 
-    let input_of = |p: &Predicate| -> u64 {
-        let raw = input_extent(p).unwrap_or(0).min(window_capacity);
-        match stats.and_then(|s| s.cardinality(*p)) {
-            Some(live) if input_extent(p).is_some() => raw.min(live),
-            _ => raw,
-        }
-    };
+    let input_of = |p: &Predicate| input_extent(p).unwrap_or(0).min(window_capacity);
 
     // Rule instantiation bound given the current extent table: product of
     // the positive body atoms that carry variables (bindings come only
@@ -521,13 +500,8 @@ mod tests {
         let syms = Symbols::new();
         let program = parse_program(&syms, src).unwrap();
         let edb = program.edb_predicates();
-        let b = grounding_bounds(
-            &syms,
-            &program,
-            capacity,
-            &|p| edb.contains(p).then_some(capacity),
-            None,
-        );
+        let b =
+            grounding_bounds(&syms, &program, capacity, &|p| edb.contains(p).then_some(capacity));
         (syms, b)
     }
 
@@ -598,42 +572,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_tighten_input_extents() {
-        let syms = Symbols::new();
-        let program = parse_program(&syms, PROGRAM_P).unwrap();
-        let edb = program.edb_predicates();
-        let loose =
-            grounding_bounds(&syms, &program, 1000, &|p| edb.contains(p).then_some(1000), None);
-        let mut stats = RelationStats::new();
-        // Live store holds only 2 average_speed facts.
-        let speed = edb.iter().find(|p| &*syms.resolve(p.name) == "average_speed").unwrap();
-        use asp_core::GroundTerm;
-        stats.insert(*speed, &[GroundTerm::Int(1), GroundTerm::Int(10)]);
-        stats.insert(*speed, &[GroundTerm::Int(2), GroundTerm::Int(15)]);
-        let tight = grounding_bounds(
-            &syms,
-            &program,
-            1000,
-            &|p| edb.contains(p).then_some(1000),
-            Some(&stats),
-        );
-        let ext = |b: &GroundingBounds, name: &str| {
-            b.extents.iter().find(|e| e.name == name).unwrap().input
-        };
-        assert_eq!(ext(&loose, "average_speed"), 1000);
-        assert_eq!(ext(&tight, "average_speed"), 2);
-        assert_eq!(ext(&tight, "car_number"), 1000, "no stats entry leaves the cap");
-    }
-
-    #[test]
     fn bound_arithmetic_is_saturating() {
         let top = MemoryBound::Bounded(u128::MAX);
         assert_eq!(top + MemoryBound::Bounded(1), MemoryBound::Unbounded);
         assert_eq!(top * MemoryBound::Bounded(2), MemoryBound::Unbounded);
-        assert_eq!(
-            MemoryBound::Unbounded.tighten(MemoryBound::Bounded(4)),
-            MemoryBound::Bounded(4)
-        );
         assert!(MemoryBound::Unbounded.exceeds(u64::MAX));
         assert!(!MemoryBound::Bounded(10).exceeds(10));
         assert!(MemoryBound::Bounded(11).exceeds(10));

@@ -911,7 +911,7 @@ mod tests {
                 Head::Choice(_) => false,
                 Head::Disjunction(atoms) => atoms.len() <= 1,
             });
-            let analysis = grounding_bounds(&syms, &program, 64, &|_| Some(64), None);
+            let analysis = grounding_bounds(&syms, &program, 64, &|_| Some(64));
             assert_eq!(
                 Grounder::new(&syms, &program).unwrap().is_stratified(),
                 analysis.stratified && no_branching,

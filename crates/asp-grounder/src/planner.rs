@@ -230,12 +230,17 @@ mod tests {
         (syms, c)
     }
 
-    fn fill(stats: &mut RelationStats, syms: &Symbols, name: &str, tuples: &[&[i64]]) {
-        for t in tuples {
-            let f =
-                GroundAtom::new(syms.intern(name), t.iter().map(|&a| GroundTerm::Int(a)).collect());
-            stats.insert(f.predicate(), &f.args);
-        }
+    fn fill(facts: &mut Vec<GroundAtom>, syms: &Symbols, name: &str, tuples: &[&[i64]]) {
+        facts.extend(tuples.iter().map(|t| {
+            GroundAtom::new(syms.intern(name), t.iter().map(|&a| GroundTerm::Int(a)).collect())
+        }));
+    }
+
+    /// Statistics of one fact window, built as scratch grounding builds them.
+    fn rebased(facts: &[GroundAtom]) -> RelationStats {
+        let mut stats = RelationStats::new();
+        stats.rebase(facts);
+        stats
     }
 
     fn pred_names(syms: &Symbols, plan: &[Step]) -> Vec<String> {
@@ -245,11 +250,12 @@ mod tests {
     #[test]
     fn cheapest_relation_leads_the_join() {
         let (syms, c) = compiled("h(X,Y) :- big(X,Z), small(Z,Y).");
-        let mut stats = RelationStats::new();
+        let mut facts = Vec::new();
         let big: Vec<Vec<i64>> = (0..50).map(|i| vec![i, i % 10]).collect();
         let big_refs: Vec<&[i64]> = big.iter().map(Vec::as_slice).collect();
-        fill(&mut stats, &syms, "big", &big_refs);
-        fill(&mut stats, &syms, "small", &[&[1, 7], &[2, 8]]);
+        fill(&mut facts, &syms, "big", &big_refs);
+        fill(&mut facts, &syms, "small", &[&[1, 7], &[2, 8]]);
+        let stats = rebased(&facts);
         let plan = plan(&c.body, c.var_count, None, &stats).unwrap();
         assert_eq!(pred_names(&syms, &plan), vec!["small", "big"], "2 tuples beat 50");
         // The syntactic heuristic would have kept source order here.
@@ -264,14 +270,15 @@ mod tests {
         // X values estimates at 1 tuple — cheaper than dst with 20 tuples
         // and nothing bound.
         let (syms, c) = compiled("h(X,Y) :- watch(X), dst(W,Y), src(X,W).");
-        let mut stats = RelationStats::new();
-        fill(&mut stats, &syms, "watch", &[&[1], &[2]]);
+        let mut facts = Vec::new();
+        fill(&mut facts, &syms, "watch", &[&[1], &[2]]);
         let src: Vec<Vec<i64>> = (0..50).map(|i| vec![i, i + 100]).collect();
         let src_refs: Vec<&[i64]> = src.iter().map(Vec::as_slice).collect();
-        fill(&mut stats, &syms, "src", &src_refs);
+        fill(&mut facts, &syms, "src", &src_refs);
         let dst: Vec<Vec<i64>> = (0..20).map(|i| vec![i + 100, i]).collect();
         let dst_refs: Vec<&[i64]> = dst.iter().map(Vec::as_slice).collect();
-        fill(&mut stats, &syms, "dst", &dst_refs);
+        fill(&mut facts, &syms, "dst", &dst_refs);
+        let stats = rebased(&facts);
         let plan = plan(&c.body, c.var_count, None, &stats).unwrap();
         assert_eq!(pred_names(&syms, &plan), vec!["watch", "src", "dst"]);
     }
@@ -279,12 +286,13 @@ mod tests {
     #[test]
     fn equal_estimates_reproduce_source_order() {
         let (syms, c) = compiled("h(X,Y) :- a(X), b(Y), c(X,Y).");
-        let mut stats = RelationStats::new();
-        fill(&mut stats, &syms, "a", &[&[1], &[2], &[3]]);
-        fill(&mut stats, &syms, "b", &[&[4], &[5], &[6]]);
+        let mut facts = Vec::new();
+        fill(&mut facts, &syms, "a", &[&[1], &[2], &[3]]);
+        fill(&mut facts, &syms, "b", &[&[4], &[5], &[6]]);
         let cs: Vec<Vec<i64>> = (0..9).map(|i| vec![i % 3 + 1, i / 3 + 4]).collect();
         let c_refs: Vec<&[i64]> = cs.iter().map(Vec::as_slice).collect();
-        fill(&mut stats, &syms, "c", &c_refs);
+        fill(&mut facts, &syms, "c", &c_refs);
+        let stats = rebased(&facts);
         let plan = plan(&c.body, c.var_count, None, &stats).unwrap();
         // First pick: a and b tie at cost 3, a wins by source order. After X
         // is bound, b (3 tuples) ties with c (9 / 3 distinct X values): b
@@ -297,8 +305,9 @@ mod tests {
         // `derived` never appears in the stats (an IDB predicate during
         // scratch grounding): it must not jump ahead of known relations.
         let (syms, c) = compiled("h(X) :- derived(X), known(X).");
-        let mut stats = RelationStats::new();
-        fill(&mut stats, &syms, "known", &[&[1], &[2], &[3], &[4]]);
+        let mut facts = Vec::new();
+        fill(&mut facts, &syms, "known", &[&[1], &[2], &[3], &[4]]);
+        let stats = rebased(&facts);
         let plan = plan(&c.body, c.var_count, None, &stats).unwrap();
         assert_eq!(pred_names(&syms, &plan), vec!["known", "derived"]);
     }
@@ -318,11 +327,12 @@ mod tests {
     #[test]
     fn negation_and_comparisons_keep_their_phases() {
         let (syms, c) = compiled("h(X) :- not blocked(X), obs(X,Y), Y < 20, tiny(X).");
-        let mut stats = RelationStats::new();
+        let mut facts = Vec::new();
         let obs: Vec<Vec<i64>> = (0..40).map(|i| vec![i, i]).collect();
         let obs_refs: Vec<&[i64]> = obs.iter().map(Vec::as_slice).collect();
-        fill(&mut stats, &syms, "obs", &obs_refs);
-        fill(&mut stats, &syms, "tiny", &[&[1]]);
+        fill(&mut facts, &syms, "obs", &obs_refs);
+        fill(&mut facts, &syms, "tiny", &[&[1]]);
+        let stats = rebased(&facts);
         let plan = plan(&c.body, c.var_count, None, &stats).unwrap();
         assert_eq!(pred_names(&syms, &plan), vec!["tiny", "obs"]);
         assert!(

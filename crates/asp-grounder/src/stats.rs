@@ -3,20 +3,19 @@
 //!
 //! [`RelationStats`] tracks, per predicate, the tuple cardinality and the
 //! number of distinct values at every argument position. Both are rebuilt
-//! in one pass over a fact window ([`RelationStats::rebase`]) or grown one
-//! tuple at a time ([`RelationStats::insert`]). A generation counter tells consumers when
-//! the numbers have drifted far enough that plans built against older stats
-//! are worth rebuilding; the 2×-with-slack hysteresis of
-//! `RelationStats::drifted` bounds the replan rate — a relation growing
-//! 0 → N bumps the generation O(log N) times, and windows with stable
-//! cardinalities never bump it at all.
+//! in one pass over a fact window ([`RelationStats::rebase`]). A generation
+//! counter tells consumers when the numbers have drifted far enough that
+//! plans built against older stats are worth rebuilding; the 2×-with-slack
+//! hysteresis of `RelationStats::drifted` bounds the replan rate — a
+//! relation growing 0 → N bumps the generation O(log N) times, and windows
+//! with stable cardinalities never bump it at all.
 
 use asp_core::{FastMap, GroundAtom, GroundTerm, Predicate};
 use std::hash::{Hash, Hasher};
 
 /// Additive slack in the drift test: relations this small never trigger a
 /// replan on their own (the syntactic plan is fine for toy cardinalities,
-/// and without slack every 0 → 1 insert would bump the generation).
+/// and without slack every 0 → 1 window would bump the generation).
 const DRIFT_SLACK: u64 = 8;
 
 /// Per-predicate counters. `positions[i]` maps a value hash to its
@@ -65,20 +64,6 @@ impl RelationStats {
     /// enough from `planned` that plans built against `planned` are stale.
     fn drifted(current: u64, planned: u64) -> bool {
         current > planned * 2 + DRIFT_SLACK || planned > current * 2 + DRIFT_SLACK
-    }
-
-    /// Records one inserted tuple, bumping the generation when the
-    /// predicate's cardinality drifts past the hysteresis threshold.
-    pub fn insert(&mut self, pred: Predicate, args: &[GroundTerm]) {
-        let s = self.per_pred.entry(pred).or_insert_with(|| PredStats::with_arity(args.len()));
-        s.cardinality += 1;
-        for (pos, t) in args.iter().enumerate() {
-            *s.positions[pos].entry(term_key(t)).or_insert(0) += 1;
-        }
-        if Self::drifted(s.cardinality, s.planned) {
-            s.planned = s.cardinality;
-            self.generation += 1;
-        }
     }
 
     /// Rebuilds the counters from a full fact window in one pass (the
@@ -155,8 +140,7 @@ mod tests {
         let mut stats = RelationStats::new();
         let a = atom(&syms, "edge", &[1, 2]);
         let b = atom(&syms, "edge", &[1, 3]);
-        stats.insert(a.predicate(), &a.args);
-        stats.insert(b.predicate(), &b.args);
+        stats.rebase(&[a.clone(), b]);
         assert_eq!(stats.cardinality(a.predicate()), Some(2));
         assert_eq!(stats.distinct(a.predicate(), 0), 1, "both tuples share position 0");
         assert_eq!(stats.distinct(a.predicate(), 1), 2);
@@ -167,10 +151,10 @@ mod tests {
     fn generation_bumps_are_logarithmic_in_growth() {
         let syms = Symbols::new();
         let mut stats = RelationStats::new();
-        let pred = atom(&syms, "p", &[0]).predicate();
-        for i in 0..10_000i64 {
-            let f = atom(&syms, "p", &[i]);
-            stats.insert(pred, &f.args);
+        // A window growing by 50 facts at a time, from 50 to 10k.
+        let facts: Vec<GroundAtom> = (0..10_000i64).map(|i| atom(&syms, "p", &[i])).collect();
+        for n in (50..=facts.len()).step_by(50) {
+            stats.rebase(&facts[..n]);
         }
         let gen = stats.generation();
         assert!(gen >= 1, "growing 0 -> 10k must drift at least once");
@@ -181,9 +165,9 @@ mod tests {
     fn small_relations_never_bump_the_generation() {
         let syms = Symbols::new();
         let mut stats = RelationStats::new();
-        for i in 0..8i64 {
-            let f = atom(&syms, "tiny", &[i]);
-            stats.insert(f.predicate(), &f.args);
+        let facts: Vec<GroundAtom> = (0..8i64).map(|i| atom(&syms, "tiny", &[i])).collect();
+        for n in 1..=facts.len() {
+            stats.rebase(&facts[..n]);
         }
         assert_eq!(stats.generation(), 0, "within the slack no replan is worth it");
     }

@@ -9,34 +9,24 @@ use crate::clause::{ClauseDb, ClauseRef, Watcher};
 use crate::heap::VarOrder;
 use crate::lit::{LBool, Lit, Var};
 
-/// Tunables for the engine. Defaults follow MiniSat-era folklore.
+/// Activity decay factor per conflict (MiniSat-era folklore).
+const VAR_DECAY: f64 = 0.95;
+/// Growth factor of the learnt budget after each reduction.
+const LEARNT_LIMIT_GROWTH: f64 = 1.3;
+
+/// Tunables for the engine. Defaults follow MiniSat-era folklore. The search
+/// is deterministic: decisions take the saved phase, never a random one.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Activity decay factor per conflict.
-    pub var_decay: f64,
     /// Conflicts per Luby restart unit.
     pub restart_base: u64,
     /// Initial learnt-clause budget before reduction kicks in.
     pub learnt_limit: usize,
-    /// Growth factor of the learnt budget after each reduction.
-    pub learnt_limit_growth: f64,
-    /// Seed for polarity jitter; 0 disables randomization entirely, keeping
-    /// the search fully deterministic.
-    pub seed: u64,
-    /// Probability (0..1) of choosing a random polarity at a decision.
-    pub random_polarity: f64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            var_decay: 0.95,
-            restart_base: 128,
-            learnt_limit: 4000,
-            learnt_limit_growth: 1.3,
-            seed: 0,
-            random_polarity: 0.0,
-        }
+        EngineConfig { restart_base: 128, learnt_limit: 4000 }
     }
 }
 
@@ -82,7 +72,6 @@ pub struct Engine {
     polarity: Vec<bool>,
     seen: Vec<bool>,
     cfg: EngineConfig,
-    rng_state: u64,
     learnt_limit: usize,
     conflicts_since_restart: u64,
     restart_count: u64,
@@ -114,7 +103,6 @@ impl Engine {
             order,
             polarity: vec![false; n_vars],
             seen: vec![false; n_vars],
-            rng_state: cfg.seed | 1,
             learnt_limit: cfg.learnt_limit,
             cfg,
             conflicts_since_restart: 0,
@@ -450,10 +438,7 @@ impl Engine {
             if self.value(v) == LBool::Undef {
                 self.stats.decisions += 1;
                 self.trail_lim.push(self.trail.len());
-                let mut negative = !self.polarity[v.idx()];
-                if self.cfg.random_polarity > 0.0 && self.next_f64() < self.cfg.random_polarity {
-                    negative = self.next_f64() < 0.5;
-                }
+                let negative = !self.polarity[v.idx()];
                 self.unchecked_enqueue(Lit::new(v, negative), ClauseRef::NONE);
                 return;
             }
@@ -473,7 +458,7 @@ impl Engine {
     }
 
     fn decay_activities(&mut self) {
-        self.act_inc /= self.cfg.var_decay;
+        self.act_inc /= VAR_DECAY;
     }
 
     fn should_restart(&self) -> bool {
@@ -502,17 +487,7 @@ impl Engine {
             self.stats.deleted_clauses += 1;
         }
         self.db.rebuild_watches();
-        self.learnt_limit = (self.learnt_limit as f64 * self.cfg.learnt_limit_growth) as usize;
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        // xorshift64*
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        self.learnt_limit = (self.learnt_limit as f64 * LEARNT_LIMIT_GROWTH) as usize;
     }
 }
 
@@ -635,7 +610,7 @@ mod reduction_tests {
     /// in without compromising the UNSAT result.
     #[test]
     fn clause_reduction_preserves_unsat() {
-        let cfg = EngineConfig { learnt_limit: 4, restart_base: 8, ..Default::default() };
+        let cfg = EngineConfig { learnt_limit: 4, restart_base: 8 };
         // 6 pigeons into 5 holes.
         let (p, h) = (6u32, 5u32);
         let var = |pi: u32, hi: u32| pi * h + hi;

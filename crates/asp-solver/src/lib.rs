@@ -33,15 +33,8 @@ use lit::{LBool, Lit, Var};
 pub struct SolverConfig {
     /// Maximum number of answer sets to enumerate; 0 means all.
     pub max_models: usize,
-    /// Engine tunables (seed, decay, restarts...).
+    /// Engine tunables (restarts, learnt-clause budget).
     pub engine: EngineConfig,
-}
-
-impl SolverConfig {
-    /// Convenience: enumerate at most `n` models.
-    pub fn with_max_models(n: usize) -> Self {
-        SolverConfig { max_models: n, ..Default::default() }
-    }
 }
 
 /// Statistics of one solve call.
@@ -264,7 +257,9 @@ mod tests {
     fn max_models_limits_enumeration() {
         let syms = Symbols::new();
         let program = parse_program(&syms, "{a; b; c}.").unwrap();
-        let res = solve(&syms, &program, &[], &SolverConfig::with_max_models(3)).unwrap();
+        let res =
+            solve(&syms, &program, &[], &SolverConfig { max_models: 3, ..Default::default() })
+                .unwrap();
         assert_eq!(res.answer_sets.len(), 3);
     }
 

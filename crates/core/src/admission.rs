@@ -12,9 +12,8 @@
 //! community's member predicates — and sums the partitions into the
 //! program bound an [`AdmissionPolicy`] budget is checked against.
 //!
-//! The admission bound is **worst-case**: live `RelationStats` never
-//! tighten it (they may tighten the advisory report, but a budget decision
-//! taken on a transiently small store would be a lie).
+//! The admission bound is **worst-case**: it reads no live statistics, so a
+//! budget decision is never taken on a transiently small store.
 
 use crate::analysis::DependencyAnalysis;
 use crate::metrics::json_string;
@@ -169,14 +168,12 @@ impl ProgramBounds {
                 let name = syms.resolve(p.name);
                 let routed_here = match plan.communities_of(&name) {
                     Some(cs) => cs.contains(&c),
-                    // Inputs the plan does not know are routed by the
-                    // UnknownPredicate policy; partition 0 is the default
-                    // and the conservative home for the bound.
+                    // Inputs the plan does not know go to partition 0.
                     None => c == 0,
                 };
                 Some(if routed_here { window.capacity } else { 0 })
             };
-            let gb = grounding_bounds(syms, program, window.capacity, &input_extent, None);
+            let gb = grounding_bounds(syms, program, window.capacity, &input_extent);
             if c == 0 {
                 order = gb.order.clone();
                 stratified = gb.stratified;

@@ -3,8 +3,8 @@
 //! `Ans_P(W) = { ⋃_{i=1..n} ans_i  :  ans_i ∈ Ans_P(W_i) }`
 //!
 //! — every combined answer picks one answer set from each partition and
-//! unions them. With multi-answer partitions this is a cross product, capped
-//! at a configurable size.
+//! unions them. With multi-answer partitions this is the whole cross
+//! product, so PR answers exactly as R does.
 
 use crate::config::CombinePolicy;
 use asp_core::{AnswerSet, Symbols};
@@ -14,14 +14,19 @@ use asp_core::{AnswerSet, Symbols};
 /// partition's answers are held (`Vec<AnswerSet>`, `&[AnswerSet]`, ...), so
 /// the incremental reasoner can combine cached answers without cloning them
 /// out of the cache first.
+///
+/// `policy` has one value. `max_combined` stops the product after that many
+/// answers; the reasoners pass `usize::MAX`, so they never cut it. Both
+/// parameters stay only because the benchmark's measured surface passes
+/// them.
 pub fn combine<P: AsRef<[AnswerSet]>>(
     syms: &Symbols,
     per_partition: &[P],
-    policy: CombinePolicy,
+    _policy: CombinePolicy,
     max_combined: usize,
 ) -> (Vec<AnswerSet>, usize) {
     let unsat = per_partition.iter().filter(|a| a.as_ref().is_empty()).count();
-    if unsat > 0 && policy == CombinePolicy::Strict {
+    if unsat > 0 {
         // The set comprehension is empty when some Ans_P(W_i) is empty.
         return (Vec::new(), unsat);
     }
@@ -34,8 +39,8 @@ pub fn combine<P: AsRef<[AnswerSet]>>(
     let mut acc: Vec<AnswerSet> = vec![AnswerSet::union_many(syms, &singles)];
     for answers in per_partition {
         let answers = answers.as_ref();
-        if answers.len() <= 1 {
-            continue; // singletons are in the base; empties are SkipUnsat
+        if answers.len() == 1 {
+            continue; // singletons are in the base
         }
         let mut next = Vec::with_capacity((acc.len() * answers.len()).min(max_combined));
         'outer: for base in &acc {
@@ -105,16 +110,6 @@ mod tests {
         let (combined, unsat) = combine(&syms, &parts, CombinePolicy::Strict, 16);
         assert!(combined.is_empty());
         assert_eq!(unsat, 1);
-    }
-
-    #[test]
-    fn skip_unsat_keeps_other_partitions() {
-        let syms = Symbols::new();
-        let parts = vec![vec![ans(&syms, &["a"])], vec![]];
-        let (combined, unsat) = combine(&syms, &parts, CombinePolicy::SkipUnsat, 16);
-        assert_eq!(unsat, 1);
-        assert_eq!(combined.len(), 1);
-        assert_eq!(combined[0].len(), 1);
     }
 
     #[test]

@@ -41,18 +41,15 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// What to do with window items whose predicate is absent from the
-/// partitioning plan (e.g. stream noise that slipped past the query
-/// processor).
+/// Where window items whose predicate is absent from the partitioning plan
+/// go (e.g. stream noise that slipped past the query processor). One
+/// routing exists; the type stays only because the benchmark's measured
+/// surface names it when it builds a [`PlanPartitioner`](crate::PlanPartitioner).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum UnknownPredicate {
     /// Route to partition 0 (they cannot fire any rule anyway).
     #[default]
     Partition0,
-    /// Drop the item.
-    Drop,
-    /// Copy into every partition.
-    Broadcast,
 }
 
 /// How the parallel reasoner schedules its partitions.
@@ -69,24 +66,27 @@ pub enum ParallelMode {
     Sequential,
 }
 
-/// Combining-handler semantics when a partition has no answer set.
+/// Combining-handler semantics when a partition has no answer set. One
+/// semantics exists; the type stays only because the benchmark's measured
+/// surface names it when it calls [`combine`](crate::combine::combine).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CombinePolicy {
     /// Paper-literal: `Ans(W) = { ⋃ ans_i : ans_i ∈ Ans(W_i) }` — an
     /// unsatisfiable partition empties the combined answer.
     #[default]
     Strict,
-    /// Treat an unsatisfiable partition as contributing the empty answer set
-    /// (its items are simply lost), which is often the pragmatic choice.
-    SkipUnsat,
 }
 
-/// Configuration of the parallel reasoner PR.
+/// Configuration of the parallel reasoner PR. Three behaviours are fixed:
+/// every community reasoner enumerates all of its answer sets, items whose
+/// predicate the plan does not name go to partition 0, and the combining
+/// handler returns the whole product of the partitions' answers.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ReasonerConfig {
-    /// Cap on enumerated answer sets per (sub-)window; 0 = all.
-    pub max_models: usize,
-    /// Cap on combined answer sets produced by the combining handler.
+    /// Read by no reasoner: every reasoner enumerates all answer sets of
+    /// every partition and combines their whole product, so PR answers as R
+    /// does. Kept for the measured surface, which passes the default to
+    /// [`combine`](crate::combine::combine).
     pub max_combined: usize,
     /// Scheduling mode.
     pub mode: ParallelMode,
@@ -97,10 +97,6 @@ pub struct ReasonerConfig {
     /// partition of the reasoner (of the first admitted program for a
     /// multi-tenant engine; per partition per lane for a stream engine).
     pub workers: usize,
-    /// Unknown-predicate routing.
-    pub unknown: UnknownPredicate,
-    /// Combining semantics.
-    pub combine: CombinePolicy,
     /// Read by nothing; kept for the measured surface, which still sets it.
     /// Every partitioned reasoner reuses the communities a window's delta
     /// leaves untouched, and recomputes every partition of a window without
@@ -134,12 +130,9 @@ pub struct ReasonerConfig {
 impl Default for ReasonerConfig {
     fn default() -> Self {
         ReasonerConfig {
-            max_models: 0,
             max_combined: 64,
             mode: ParallelMode::Threads,
             workers: 0,
-            unknown: UnknownPredicate::Partition0,
-            combine: CombinePolicy::Strict,
             incremental: false,
             cache_capacity: 256,
             delta_ground: false,
@@ -161,6 +154,5 @@ mod tests {
         assert_eq!(a.duplication, DuplicationPolicy::SmallerSet);
         let r = ReasonerConfig::default();
         assert_eq!(r.mode, ParallelMode::Threads);
-        assert_eq!(r.combine, CombinePolicy::Strict);
     }
 }

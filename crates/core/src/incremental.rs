@@ -56,7 +56,7 @@
 //! entries by [`program_fingerprint`]; the other two are kept for the
 //! measured surface only.
 
-use crate::config::ReasonerConfig;
+use crate::config::{CombinePolicy, ReasonerConfig};
 use crate::exec::{partition_pool, ExecCtx, Job, JobPanicked};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{CacheCounters, FailureCounters};
@@ -370,10 +370,10 @@ impl IncrementalReasoner {
         config: ReasonerConfig,
         ctx: ExecCtx,
     ) -> Result<Self, AspError> {
-        let solver = SolverConfig { max_models: config.max_models, ..Default::default() };
         let communities = (0..partitioner.partitions())
             .map(|_| {
-                let mut reasoner = SingleReasoner::new(syms, program, inpre, solver.clone())?;
+                let mut reasoner =
+                    SingleReasoner::new(syms, program, inpre, SolverConfig::default())?;
                 reasoner.set_cost_planning(config.cost_planning);
                 Ok(Community { reasoner: Arc::new(Mutex::new(reasoner)), reported: (0, 0) })
             })
@@ -531,14 +531,10 @@ impl IncrementalReasoner {
         // Combine over borrowed slices: reused answers never leave the Arc.
         let borrowed: Vec<&[AnswerSet]> = per_partition.iter().map(|p| p.as_slice()).collect();
 
+        // No cap: the whole product, as R returns all of its models.
         let (answers, _) = {
             let _span = sr_obs::span(sr_obs::Stage::Combine);
-            crate::combine::combine(
-                &self.syms,
-                &borrowed,
-                self.config.combine,
-                self.config.max_combined,
-            )
+            crate::combine::combine(&self.syms, &borrowed, CombinePolicy::Strict, usize::MAX)
         };
         let has_delta = window.delta.is_some();
         self.last = (has_delta || self.last_had_delta).then_some((window.id, per_partition));

@@ -15,7 +15,6 @@
 pub mod accuracy;
 pub mod admission;
 pub mod analysis;
-pub mod atom_level;
 pub mod combine;
 pub mod config;
 pub mod decompose;
@@ -42,7 +41,6 @@ pub use admission::{
 };
 pub use analysis::DependencyAnalysis;
 pub use asp_grounder::analysis::{DeltaStateBound, DeltaStateSize, EvalStratum, MemoryBound};
-pub use atom_level::{atom_level_partition, AtomLevelPartitioner};
 pub use combine::combine;
 pub use config::{
     AnalysisConfig, CombinePolicy, DuplicationPolicy, ParallelMode, ReasonerConfig,

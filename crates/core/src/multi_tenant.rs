@@ -50,7 +50,7 @@
 
 use crate::admission::{AdmissionPolicy, AdmissionSnapshot, AdmitError, ProgramBounds};
 use crate::analysis::DependencyAnalysis;
-use crate::config::{AnalysisConfig, ReasonerConfig};
+use crate::config::{AnalysisConfig, ReasonerConfig, UnknownPredicate};
 use crate::engine::EngineStats;
 use crate::exec::{partition_pool, ExecCtx, Job};
 use crate::incremental::{program_fingerprint, IncrementalReasoner};
@@ -63,6 +63,9 @@ use asp_parser::parse_program;
 use sr_stream::Window;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Consecutive failed (or overdue) windows before an entry is quarantined.
+const QUARANTINE_THRESHOLD: u32 = 3;
 
 /// How a tenant's window partitioning is chosen at admission. Part of the
 /// serving key: tenants only share work when both the program fingerprint
@@ -180,8 +183,6 @@ pub struct MultiTenantEngine {
     /// Per-entry serving deadline; an over-deadline (but successful) window
     /// still serves its result and scores toward quarantine.
     deadline: Option<Duration>,
-    /// Consecutive failed/overdue windows before an entry is quarantined.
-    quarantine_threshold: u32,
     /// Admissions that succeeded (attaches included).
     admitted: u64,
     /// Admissions refused with an [`AdmitError`].
@@ -204,7 +205,6 @@ impl MultiTenantEngine {
             started: None,
             last_done: None,
             deadline: None,
-            quarantine_threshold: 3,
             admitted: 0,
             rejected: 0,
         }
@@ -222,12 +222,6 @@ impl MultiTenantEngine {
     /// quarantined instead of dragging every cohabiting tenant down.
     pub fn set_window_deadline_ms(&mut self, deadline_ms: Option<u64>) {
         self.deadline = deadline_ms.map(Duration::from_millis);
-    }
-
-    /// Consecutive failed (or overdue) windows before an entry is
-    /// quarantined. Default 3; a threshold of 0 disables quarantine.
-    pub fn set_quarantine_threshold(&mut self, threshold: u32) {
-        self.quarantine_threshold = threshold;
     }
 
     /// Tenants currently attached to quarantined entries (each stops
@@ -314,9 +308,10 @@ impl MultiTenantEngine {
                 }
             }
             let part: Arc<dyn Partitioner> = match partitioner {
-                TenantPartitioner::Dependency => {
-                    Arc::new(PlanPartitioner::new(analysis.plan.clone(), self.config.unknown))
-                }
+                TenantPartitioner::Dependency => Arc::new(PlanPartitioner::new(
+                    analysis.plan.clone(),
+                    UnknownPredicate::Partition0,
+                )),
                 TenantPartitioner::Random { k, seed } => Arc::new(RandomPartitioner::new(k, seed)),
             };
             if self.ctx.pool.is_none() {
@@ -399,8 +394,7 @@ impl MultiTenantEngine {
     /// longer aborts the whole window — its tenants just get no output for
     /// it (counted in [`EngineStats::errors`]) and the remaining entries
     /// keep serving. An entry that fails (or, with a deadline set, runs
-    /// overdue) [`quarantine_threshold`](MultiTenantEngine::set_quarantine_threshold)
-    /// windows in a row is quarantined: skipped entirely until
+    /// overdue) three windows in a row is quarantined: skipped entirely until
     /// [`MultiTenantEngine::readmit`].
     pub fn process(&mut self, window: &Window) -> Result<Vec<TenantOutput>, AspError> {
         use std::sync::atomic::Ordering;
@@ -443,13 +437,13 @@ impl MultiTenantEngine {
                 // successful window) stays its own: count it, score it
                 // toward quarantine, keep serving the other entries.
                 self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                strike(entry, self.quarantine_threshold, &self.ctx.failures);
+                strike(entry, &self.ctx.failures);
                 continue;
             };
             if self.deadline.is_some_and(|d| latency > d) {
                 // Served, but too slow: score toward quarantine so a
                 // chronically overdue program stops hurting its cohort.
-                strike(entry, self.quarantine_threshold, &self.ctx.failures);
+                strike(entry, &self.ctx.failures);
             } else {
                 entry.consecutive_failures = 0;
             }
@@ -583,10 +577,10 @@ impl MultiTenantEngine {
 }
 
 /// Scores one failed or overdue window against `entry`, quarantining it at
-/// `threshold` consecutive strikes (`0` never quarantines).
-fn strike(entry: &mut ProgramEntry, threshold: u32, failures: &FailureCounters) {
+/// [`QUARANTINE_THRESHOLD`] consecutive strikes.
+fn strike(entry: &mut ProgramEntry, failures: &FailureCounters) {
     entry.consecutive_failures += 1;
-    if threshold > 0 && entry.consecutive_failures >= threshold {
+    if entry.consecutive_failures >= QUARANTINE_THRESHOLD {
         entry.quarantined = true;
         failures.quarantines.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
@@ -764,14 +758,16 @@ mod tests {
         for mut eng in engines() {
             eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
             eng.set_window_deadline_ms(Some(0)); // every real window is overdue
-            eng.set_quarantine_threshold(2);
             let first = eng.process(&window(0)).unwrap();
             assert_eq!(first.len(), 1, "an overdue window still serves its result");
             assert!(eng.quarantined_tenants().is_empty(), "one strike is not enough");
             let second = eng.process(&window(1)).unwrap();
             assert_eq!(second.len(), 1);
-            assert_eq!(eng.quarantined_tenants(), ["t0"], "two strikes at threshold 2");
-            assert!(eng.process(&window(2)).unwrap().is_empty(), "a quarantined entry is skipped");
+            assert!(eng.quarantined_tenants().is_empty(), "two strikes are not enough");
+            let third = eng.process(&window(2)).unwrap();
+            assert_eq!(third.len(), 1);
+            assert_eq!(eng.quarantined_tenants(), ["t0"], "three strikes at the threshold");
+            assert!(eng.process(&window(3)).unwrap().is_empty(), "a quarantined entry is skipped");
             let stats = eng.stats();
             assert_eq!(stats.errors, 0, "overdue is not an error");
             assert_eq!(stats.failure.expect("deadline configured").quarantines, 1);

@@ -15,9 +15,8 @@ pub trait Partitioner: Send + Sync {
     /// vector `i` always feeds the same reasoner, community `i`'s.
     fn partition(&self, window: &Window) -> Vec<Vec<Triple>>;
     /// Content-based per-item routing, when the partitioner supports it:
-    /// the partition indices `item` would land in (possibly several under
-    /// duplication, possibly none under a drop policy), *independent of the
-    /// window* the item arrives in. `None` means routing depends on window
+    /// the partition indices `item` would land in (several under
+    /// duplication), *independent of the window* the item arrives in. `None` means routing depends on window
     /// context (e.g. the window-id-seeded random baseline). When `Some`, the
     /// routes must agree exactly with [`Partitioner::partition`].
     ///
@@ -30,17 +29,18 @@ pub trait Partitioner: Send + Sync {
 }
 
 /// Algorithm 1: group items by predicate, route each group to the
-/// communities given by the partitioning plan.
+/// communities given by the partitioning plan. Items whose predicate the
+/// plan does not name go to partition 0 (they cannot fire any rule).
 #[derive(Clone, Debug)]
 pub struct PlanPartitioner {
     plan: PartitioningPlan,
-    unknown: UnknownPredicate,
 }
 
 impl PlanPartitioner {
-    /// Builds the handler from a validated plan.
-    pub fn new(plan: PartitioningPlan, unknown: UnknownPredicate) -> Self {
-        PlanPartitioner { plan, unknown }
+    /// Builds the handler from a validated plan. [`UnknownPredicate`] has
+    /// one value; the parameter stays for the benchmark's measured surface.
+    pub fn new(plan: PartitioningPlan, _unknown: UnknownPredicate) -> Self {
+        PlanPartitioner { plan }
     }
 
     /// The plan in use.
@@ -72,23 +72,8 @@ impl Partitioner for PlanPartitioner {
         // findCommunities + add group into the proper partitions (lines 4-9).
         for name in order {
             let items = &groups[name];
-            match self.plan.communities_of(name) {
-                Some(cs) => {
-                    for &c in cs {
-                        parts[c as usize].extend(items.iter().map(|t| (*t).clone()));
-                    }
-                }
-                None => match self.unknown {
-                    UnknownPredicate::Drop => {}
-                    UnknownPredicate::Partition0 => {
-                        parts[0].extend(items.iter().map(|t| (*t).clone()));
-                    }
-                    UnknownPredicate::Broadcast => {
-                        for p in parts.iter_mut() {
-                            p.extend(items.iter().map(|t| (*t).clone()));
-                        }
-                    }
-                },
+            for &c in self.plan.communities_of(name).unwrap_or(&[0]) {
+                parts[c as usize].extend(items.iter().map(|t| (*t).clone()));
             }
         }
         parts
@@ -97,14 +82,7 @@ impl Partitioner for PlanPartitioner {
     fn item_routes(&self, item: &Triple) -> Option<Vec<u32>> {
         // Routing is by predicate, so it never depends on the window: the
         // exact per-item form of `partition` above.
-        Some(match self.plan.communities_of(item.predicate_name()) {
-            Some(cs) => cs.to_vec(),
-            None => match self.unknown {
-                UnknownPredicate::Drop => Vec::new(),
-                UnknownPredicate::Partition0 => vec![0],
-                UnknownPredicate::Broadcast => (0..self.plan.communities as u32).collect(),
-            },
-        })
+        Some(self.plan.communities_of(item.predicate_name()).unwrap_or(&[0]).to_vec())
     }
 }
 
@@ -184,11 +162,9 @@ mod tests {
     fn unknown_predicate_policies() {
         let w = window(&["mystery"]);
         let p0 = PlanPartitioner::new(plan2(), UnknownPredicate::Partition0);
-        assert_eq!(p0.partition(&w)[0].len(), 1);
-        let drop = PlanPartitioner::new(plan2(), UnknownPredicate::Drop);
-        assert!(drop.partition(&w).iter().all(Vec::is_empty));
-        let bc = PlanPartitioner::new(plan2(), UnknownPredicate::Broadcast);
-        assert!(bc.partition(&w).iter().all(|p| p.len() == 1));
+        let parts = p0.partition(&w);
+        assert_eq!(parts[0].len(), 1);
+        assert!(parts[1].is_empty());
     }
 
     #[test]
@@ -203,26 +179,22 @@ mod tests {
 
     #[test]
     fn item_routes_agree_with_partition() {
-        for unknown in
-            [UnknownPredicate::Partition0, UnknownPredicate::Drop, UnknownPredicate::Broadcast]
-        {
-            let p = PlanPartitioner::new(plan2(), unknown);
-            let w = window(&["a", "b", "dup", "mystery"]);
-            let parts = p.partition(&w);
-            let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); p.partitions()];
-            for item in &w.items {
-                for r in p.item_routes(item).expect("plan routing is content-based") {
-                    routed[r as usize].push(item.clone());
-                }
+        let p = PlanPartitioner::new(plan2(), UnknownPredicate::Partition0);
+        let w = window(&["a", "b", "dup", "mystery"]);
+        let parts = p.partition(&w);
+        let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); p.partitions()];
+        for item in &w.items {
+            for r in p.item_routes(item).expect("plan routing is content-based") {
+                routed[r as usize].push(item.clone());
             }
-            for (i, part) in parts.iter().enumerate() {
-                let mut a = part.clone();
-                let mut b = routed[i].clone();
-                let key = |t: &Triple| format!("{t}");
-                a.sort_by_key(key);
-                b.sort_by_key(key);
-                assert_eq!(a, b, "partition {i} diverged under {unknown:?}");
-            }
+        }
+        for (i, part) in parts.iter().enumerate() {
+            let mut a = part.clone();
+            let mut b = routed[i].clone();
+            let key = |t: &Triple| format!("{t}");
+            a.sort_by_key(key);
+            b.sort_by_key(key);
+            assert_eq!(a, b, "partition {i} diverged");
         }
     }
 

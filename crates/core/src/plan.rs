@@ -70,54 +70,6 @@ impl PartitioningPlan {
         lines.join("\n") + "\n"
     }
 
-    /// Parses the text format produced by [`PartitioningPlan::to_text`].
-    pub fn from_text(text: &str) -> Result<Self, PlanParseError> {
-        let mut communities = None;
-        let mut membership: FastMap<String, Vec<u32>> = FastMap::default();
-        for (lno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("communities ") {
-                communities = Some(rest.trim().parse::<usize>().map_err(|_| PlanParseError {
-                    line: lno + 1,
-                    message: format!("bad community count `{rest}`"),
-                })?);
-                continue;
-            }
-            let Some((pred, ids)) = line.split_once(':') else {
-                return Err(PlanParseError {
-                    line: lno + 1,
-                    message: format!("expected `predicate: ids`, found `{line}`"),
-                });
-            };
-            let mut cs = Vec::new();
-            for tok in ids.split_whitespace() {
-                cs.push(tok.parse::<u32>().map_err(|_| PlanParseError {
-                    line: lno + 1,
-                    message: format!("bad community id `{tok}`"),
-                })?);
-            }
-            if cs.is_empty() {
-                return Err(PlanParseError {
-                    line: lno + 1,
-                    message: format!("predicate `{pred}` has no communities"),
-                });
-            }
-            cs.sort_unstable();
-            cs.dedup();
-            membership.insert(pred.trim().to_string(), cs);
-        }
-        let communities = communities.ok_or(PlanParseError {
-            line: 0,
-            message: "missing `communities N` header".to_string(),
-        })?;
-        let plan = PartitioningPlan { communities, membership };
-        plan.validate().map_err(|message| PlanParseError { line: 0, message })?;
-        Ok(plan)
-    }
-
     /// Checks internal consistency: ids in range, every community non-empty.
     pub fn validate(&self) -> Result<(), String> {
         let mut used: FastSet<u32> = FastSet::default();
@@ -147,23 +99,6 @@ impl fmt::Display for PartitioningPlan {
     }
 }
 
-/// Error parsing a plan text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// 1-based line (0 for document-level issues).
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "plan parse error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for PlanParseError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,9 +115,10 @@ mod tests {
     #[test]
     fn text_roundtrip() {
         let plan = sample();
-        let text = plan.to_text();
-        let parsed = PartitioningPlan::from_text(&text).unwrap();
-        assert_eq!(parsed, plan);
+        let text = "communities 2\naverage_speed: 0\ncar_in_smoke: 1\ncar_number: 0 1\n\
+                    traffic_light: 0\n";
+        assert_eq!(plan.to_text(), text);
+        assert_eq!(plan.to_string(), text);
     }
 
     #[test]
@@ -209,14 +145,6 @@ mod tests {
         let mut plan = sample();
         plan.communities = 3;
         assert!(plan.validate().unwrap_err().contains("community 2"));
-    }
-
-    #[test]
-    fn parse_errors_carry_position() {
-        let err = PartitioningPlan::from_text("communities 1\nbroken line\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        let err = PartitioningPlan::from_text("a: 0\n").unwrap_err();
-        assert!(err.message.contains("communities"));
     }
 
     #[test]

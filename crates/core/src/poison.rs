@@ -3,10 +3,11 @@
 //! A poisoned mutex means some thread panicked while holding the lock. For
 //! every lock in this workspace the protected data is either (a) a snapshot
 //! that is rebuilt from scratch on the next write (stats, caches, channel
-//! handles) or (b) validated before use by its consumer (partition states
-//! carry their own `valid` flags). Abandoning the lock would turn one
-//! worker panic into a wedged engine, which is strictly worse than serving
-//! possibly-stale-but-validated data. So every lock site recovers with
+//! handles) or (b) state no reader trusts across a panic: a community
+//! reasoner grounds every window from scratch, and a partitioned reasoner
+//! writes the answers it reuses only after a successful window. Abandoning
+//! the lock would turn one worker panic into a wedged engine, which is
+//! strictly worse than serving from state that cannot be stale. So every lock site recovers with
 //! [`std::sync::PoisonError::into_inner`] — but through these helpers, so
 //! recoveries are *counted* and visible in metrics rather than silent.
 //!

@@ -7,22 +7,11 @@
 use crate::model::{local_name, Node, Triple};
 use asp_core::{AspError, FastMap, GroundAtom, GroundTerm, Predicate, Program, Symbols};
 
-/// Translation of RDF nodes into ASP constants.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum IriMapping {
-    /// Use the local name (`...#newcastle` → constant `newcastle`) — matches
-    /// how programs like Listing 1 name their constants.
-    #[default]
-    LocalName,
-    /// Keep the full IRI as the constant text.
-    Full,
-}
-
-/// Configuration of the data format processor.
+/// Configuration of the data format processor. IRIs always become their
+/// local name (`...#newcastle` → constant `newcastle`), which matches how
+/// programs like Listing 1 name their constants.
 #[derive(Clone, Debug, Default)]
 pub struct FormatConfig {
-    /// IRI-to-constant mapping.
-    pub iri_mapping: IriMapping,
     /// Predicates translated as unary `p(s)` (object ignored), e.g.
     /// `traffic_light/1`. Everything else becomes binary `p(s, o)`.
     pub unary_predicates: Vec<String>,
@@ -37,7 +26,7 @@ impl FormatConfig {
             .filter(|p| p.arity == 1 && !p.strong_neg)
             .map(|p| syms.resolve(p.name).to_string())
             .collect();
-        FormatConfig { iri_mapping: IriMapping::LocalName, unary_predicates: unary }
+        FormatConfig { unary_predicates: unary }
     }
 
     /// Derives the configuration from a program, using its EDB predicates as
@@ -52,7 +41,6 @@ impl FormatConfig {
 pub struct FormatProcessor {
     syms: Symbols,
     unary: asp_core::FastSet<asp_core::Sym>,
-    iri_mapping: IriMapping,
     /// Per-predicate-name symbol cache, keyed by the borrowed name hash.
     cache: FastMap<String, asp_core::Sym>,
 }
@@ -61,12 +49,7 @@ impl FormatProcessor {
     /// Builds a processor.
     pub fn new(syms: &Symbols, config: &FormatConfig) -> Self {
         let unary = config.unary_predicates.iter().map(|n| syms.intern(n)).collect();
-        FormatProcessor {
-            syms: syms.clone(),
-            unary,
-            iri_mapping: config.iri_mapping,
-            cache: FastMap::default(),
-        }
+        FormatProcessor { syms: syms.clone(), unary, cache: FastMap::default() }
     }
 
     /// Translates one triple into an ASP fact.
@@ -108,10 +91,7 @@ impl FormatProcessor {
     fn node_to_term(&mut self, n: &Node) -> GroundTerm {
         match n {
             Node::Int(i) => GroundTerm::Int(*i),
-            Node::Iri(full) => match self.iri_mapping {
-                IriMapping::LocalName => GroundTerm::Const(self.intern_cached(local_name(full))),
-                IriMapping::Full => GroundTerm::Const(self.intern_cached(full)),
-            },
+            Node::Iri(full) => GroundTerm::Const(self.intern_cached(local_name(full))),
             Node::Literal(s) => {
                 // Numeric literals become integers so comparisons like
                 // `Y < 20` fire; everything else is a constant.
@@ -148,10 +128,8 @@ mod tests {
 
     fn processor(unary: &[&str]) -> (Symbols, FormatProcessor) {
         let syms = Symbols::new();
-        let config = FormatConfig {
-            iri_mapping: IriMapping::LocalName,
-            unary_predicates: unary.iter().map(|s| s.to_string()).collect(),
-        };
+        let config =
+            FormatConfig { unary_predicates: unary.iter().map(|s| s.to_string()).collect() };
         let p = FormatProcessor::new(&syms, &config);
         (syms, p)
     }

@@ -8,5 +8,5 @@ pub mod format;
 pub mod model;
 pub mod ntriples;
 
-pub use format::{FormatConfig, FormatProcessor, IriMapping};
+pub use format::{FormatConfig, FormatProcessor};
 pub use model::{Node, Triple};

@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let analysis = DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())?;
     let config = ReasonerConfig::default();
-    let partitioner = Arc::new(PlanPartitioner::new(analysis.plan.clone(), config.unknown));
+    let partitioner =
+        Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
     let mut reasoner =
         ParallelReasoner::new(&syms, &program, Some(&analysis.inpre), partitioner, config)?;
     println!(

@@ -54,15 +54,15 @@ pub mod prelude {
     pub use asp_parser::{parse_program, parse_rule};
     pub use asp_solver::{solve, solve_ground, SolveResult, SolverConfig};
     pub use sr_core::{
-        answer_accuracy, atom_level_partition, duration_ms, fault, partition_pool,
-        program_fingerprint, window_accuracy, AdmissionPolicy, AdmissionSnapshot, AdmitError,
-        AnalysisConfig, CacheCounters, CombinePolicy, DedupSnapshot, DependencyAnalysis,
-        DominatingTerm, DuplicationPolicy, EngineConfig, EngineOutput, EngineReport, EngineStats,
-        ExecCtx, FailureSnapshot, FaultPlan, FaultSite, IncrementalReasoner, IncrementalSnapshot,
-        LatencyStats, MultiTenantEngine, ParallelMode, ParallelReasoner, Partitioner,
-        PartitioningPlan, PlanPartitioner, ProgramBounds, Projection, RandomPartitioner, Reasoner,
-        ReasonerConfig, ReasonerOutput, SingleReasoner, StreamEngine, TenantLatency, TenantOutput,
-        TenantPartitioner, UnknownPredicate, WindowSpec,
+        answer_accuracy, duration_ms, fault, partition_pool, program_fingerprint, window_accuracy,
+        AdmissionPolicy, AdmissionSnapshot, AdmitError, AnalysisConfig, CacheCounters,
+        CombinePolicy, DedupSnapshot, DependencyAnalysis, DominatingTerm, DuplicationPolicy,
+        EngineConfig, EngineOutput, EngineReport, EngineStats, ExecCtx, FailureSnapshot, FaultPlan,
+        FaultSite, IncrementalReasoner, IncrementalSnapshot, LatencyStats, MultiTenantEngine,
+        ParallelMode, ParallelReasoner, Partitioner, PartitioningPlan, PlanPartitioner,
+        ProgramBounds, Projection, RandomPartitioner, Reasoner, ReasonerConfig, ReasonerOutput,
+        SingleReasoner, StreamEngine, TenantLatency, TenantOutput, TenantPartitioner,
+        UnknownPredicate, WindowSpec,
     };
     pub use sr_rdf::{FormatConfig, FormatProcessor, Node, Triple};
     pub use sr_stream::{

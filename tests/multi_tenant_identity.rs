@@ -85,7 +85,7 @@ fn reference_outputs(
         DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
     let part: Arc<dyn Partitioner> = match partitioner {
         TenantPartitioner::Dependency => {
-            Arc::new(PlanPartitioner::new(analysis.plan.clone(), cfg.unknown))
+            Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0))
         }
         TenantPartitioner::Random { k, seed } => Arc::new(RandomPartitioner::new(k, seed)),
     };

@@ -142,6 +142,47 @@ fn p_prime_duplication_keeps_r7_correct() {
     assert_eq!(total, w.len() + 1);
 }
 
+/// Two independent even loops: every `a` item and every `b` item doubles the
+/// answer sets, so R returns 2^4 · 2^3 = 128 of them. The combining handler
+/// must return the whole product of the two communities' answers, so PR_Dep
+/// returns the same 128 in either scheduling mode.
+#[test]
+fn pr_dep_returns_every_answer_set_of_a_non_stratified_program() {
+    const LOOPS: &str = "p(X) :- a(X), not q(X). q(X) :- a(X), not p(X).
+                         r(X) :- b(X), not s(X). s(X) :- b(X), not r(X).";
+    let syms = Symbols::new();
+    let program = parse_program(&syms, LOOPS).unwrap();
+    let analysis =
+        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+    assert_eq!(analysis.plan.communities, 2, "the a-loop and the b-loop are independent");
+    let t = |s: String, p: &str| Triple::new(Node::iri(&s), Node::iri(p), Node::Int(1));
+    let items =
+        (0..4).map(|i| t(format!("x{i}"), "a")).chain((0..3).map(|i| t(format!("y{i}"), "b")));
+    let w = Window::new(0, items.collect());
+    let sorted = |answers: &[AnswerSet]| {
+        let mut v: Vec<String> = answers.iter().map(|a| a.display(&syms).to_string()).collect();
+        v.sort();
+        v
+    };
+
+    let mut r = SingleReasoner::new(&syms, &program, None, SolverConfig::default()).unwrap();
+    let reference = sorted(&r.process(&w).unwrap().answers);
+    assert_eq!(reference.len(), 128);
+    for mode in [ParallelMode::Sequential, ParallelMode::Threads] {
+        let mut pr = ParallelReasoner::new(
+            &syms,
+            &program,
+            Some(&analysis.inpre),
+            Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0)),
+            ReasonerConfig { mode, ..ReasonerConfig::default() },
+        )
+        .unwrap();
+        let got = sorted(&pr.process(&w).unwrap().answers);
+        assert_eq!(got.len(), reference.len(), "{mode:?}");
+        assert_eq!(got, reference, "{mode:?}");
+    }
+}
+
 /// Larger randomized windows: PR_Dep stays exact on both programs.
 #[test]
 fn pr_dep_exact_on_synthetic_workloads() {

@@ -1,35 +1,8 @@
-//! Property tests for the partitioning-plan text format and the analysis
-//! pipeline on randomly generated join-style programs.
+//! Property tests for the analysis pipeline on randomly generated
+//! join-style programs: it always yields a valid plan covering every input.
 
 use proptest::prelude::*;
 use stream_reasoner::prelude::*;
-use stream_reasoner::sr_core::PartitioningPlan;
-
-/// Random plan: up to 5 communities, up to 12 predicates, each in 1–2
-/// communities, with every community inhabited (validity invariant).
-fn plan_strategy() -> impl Strategy<Value = PartitioningPlan> {
-    (2usize..=5, 1usize..=12).prop_flat_map(|(communities, preds)| {
-        let membership = prop::collection::vec(
-            prop::collection::btree_set(0u32..communities as u32, 1..=2),
-            preds..=preds,
-        );
-        membership.prop_map(move |ms| {
-            let mut plan = PartitioningPlan {
-                communities,
-                membership: ms
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, cs)| (format!("pred{i}"), cs.into_iter().collect::<Vec<u32>>()))
-                    .collect(),
-            };
-            // Guarantee every community is inhabited.
-            for c in 0..communities as u32 {
-                plan.membership.insert(format!("anchor{c}"), vec![c]);
-            }
-            plan
-        })
-    })
-}
 
 /// Random "star-join" programs: each rule joins 1–3 input predicates from a
 /// pool; the analysis must always produce a valid plan covering all inputs.
@@ -55,14 +28,6 @@ fn program_strategy() -> impl Strategy<Value = String> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn plan_text_roundtrip(plan in plan_strategy()) {
-        prop_assert!(plan.validate().is_ok(), "{plan:?}");
-        let text = plan.to_text();
-        let parsed = PartitioningPlan::from_text(&text).unwrap();
-        prop_assert_eq!(parsed, plan);
-    }
 
     #[test]
     fn analysis_always_yields_a_valid_covering_plan(src in program_strategy()) {
