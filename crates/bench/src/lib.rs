@@ -9,12 +9,7 @@
 pub mod experiment;
 pub mod programs;
 pub mod report;
-pub mod throughput;
 
 pub use experiment::{run, Cell, ExperimentBench, ExperimentConfig, ExperimentResult, Series};
 pub use programs::{program_p_prime, PROGRAM_P, RULE_R7};
 pub use report::{csv, table, Measure};
-pub use throughput::{
-    outputs_match, render_output, sequential_baseline, throughput_json, ThroughputResult,
-    ThroughputRun,
-};

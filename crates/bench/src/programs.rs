@@ -1,14 +1,7 @@
 //! The paper's rule sets: program P (Listing 1) and P' (P + r7).
 
 /// Listing 1: the traffic-event detection program P.
-pub const PROGRAM_P: &str = r#"
-    very_slow_speed(X) :- average_speed(X,Y), Y < 20.
-    many_cars(X)       :- car_number(X,Y), Y > 40.
-    traffic_jam(X)     :- very_slow_speed(X), many_cars(X), not traffic_light(X).
-    car_fire(X)        :- car_in_smoke(C, high), car_speed(C, 0), car_location(C, X).
-    give_notification(X) :- traffic_jam(X).
-    give_notification(X) :- car_fire(X).
-"#;
+pub const PROGRAM_P: &str = include_str!("../../../assets/traffic_p.lp");
 
 /// Rule r7 of Section II-B, which connects the two halves of the input
 /// dependency graph.
@@ -22,36 +15,9 @@ pub fn program_p_prime() -> String {
 /// A larger smart-city rule set (the paper's future work asks for "more
 /// experiments on different rule sets"): 17 rules over 13 input predicates
 /// spanning traffic flow, vehicle emergencies, weather and public transport.
-/// Its input dependency graph decomposes into five communities, exercising
+/// Its input dependency graph decomposes into four communities, exercising
 /// partitioning degrees beyond the paper's two.
-pub const LARGE_TRAFFIC: &str = r#"
-    % -- traffic flow (as in Listing 1) --
-    very_slow_speed(X) :- average_speed(X,Y), Y < 20.
-    many_cars(X)       :- car_number(X,Y), Y > 40.
-    traffic_jam(X)     :- very_slow_speed(X), many_cars(X), not traffic_light(X).
-
-    % -- vehicle emergencies --
-    car_fire(X)  :- car_in_smoke(C, high), car_speed(C, 0), car_location(C, X).
-    breakdown(X) :- hazard_lights(C), car_speed(C, 0), car_location(C, X).
-
-    % -- weather --
-    icy_road(X)       :- temperature(X, T), T < 0, precipitation(X, Y), Y > 0.
-    low_visibility(X) :- fog_level(X, F), F > 70.
-    weather_alert(X)  :- icy_road(X).
-    weather_alert(X)  :- low_visibility(X).
-
-    % -- public transport --
-    bus_delayed(B)  :- bus_schedule(B, S), bus_position(B, P), P < S - 10.
-    bus_bunching(L) :- bus_line(B1, L), bus_line(B2, L), bus_delayed(B1), bus_delayed(B2), B1 < B2.
-
-    % -- actions (single-input rules: no extra coupling) --
-    give_notification(X) :- traffic_jam(X).
-    give_notification(X) :- car_fire(X).
-    give_notification(X) :- breakdown(X).
-    give_notification(X) :- weather_alert(X).
-    reroute(L) :- bus_bunching(L).
-    close_road(X) :- car_fire(X), icy_road(X).
-"#;
+pub const LARGE_TRAFFIC: &str = include_str!("../../../assets/large_traffic.lp");
 
 #[cfg(test)]
 mod tests {

@@ -101,14 +101,7 @@ mod tests {
     use super::*;
     use asp_parser::parse_program;
 
-    const PROGRAM_P: &str = r#"
-        very_slow_speed(X) :- average_speed(X,Y), Y < 20.
-        many_cars(X) :- car_number(X,Y), Y > 40.
-        traffic_jam(X) :- very_slow_speed(X), many_cars(X), not traffic_light(X).
-        car_fire(X) :- car_in_smoke(C, high), car_speed(C, 0), car_location(C, X).
-        give_notification(X) :- traffic_jam(X).
-        give_notification(X) :- car_fire(X).
-    "#;
+    const PROGRAM_P: &str = include_str!("../../../assets/traffic_p.lp");
     const RULE_R7: &str = "traffic_jam(X) :- car_fire(X), many_cars(X).\n";
 
     fn analyze(src: &str) -> (Symbols, DependencyAnalysis) {

@@ -2,13 +2,19 @@
 //!
 //! Calling a [`Reasoner`] directly processes the stream strictly one window
 //! at a time, so end-to-end throughput is bounded by single-window latency.
-//! The [`StreamEngine`] instead keeps a bounded
-//! number of windows in flight across parallel *lanes* (each lane owns one
-//! [`Reasoner`] backend), applies backpressure on [`StreamEngine::submit`]
-//! when the bound is reached, reorders finished windows by submission
-//! sequence so emission stays deterministic, and reports throughput
-//! statistics (windows/s, items/s, p50/p95/p99 latency) on
-//! [`StreamEngine::finish`].
+//! The [`StreamEngine`] instead keeps a bounded number of windows in flight
+//! across parallel *lanes* (each lane thread owns one [`Reasoner`] backend)
+//! and applies backpressure on [`StreamEngine::submit`] when the bound is
+//! reached. Each lane sends its finished windows, stamped with the moment
+//! they finished, on one result channel.
+//!
+//! Emission runs on the caller's thread: [`StreamEngine::submit`],
+//! [`StreamEngine::poll_output`] and [`StreamEngine::finish`] drain that
+//! channel, put the results back in submission order and count each window
+//! into the run's tally as they emit it, so emission stays deterministic and
+//! a live metrics scrape trails it by at most one call.
+//! [`StreamEngine::finish`] reports throughput statistics (windows/s,
+//! items/s, p50/p95/p99 latency).
 
 use crate::config::ReasonerConfig;
 use crate::exec::{partition_pool, ExecCtx};
@@ -16,7 +22,7 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::incremental::ParallelReasoner;
 use crate::metrics::{
     duration_ms, DedupSnapshot, FailureCounters, FailureSnapshot, IncrementalSnapshot,
-    LatencyStats, TenantLatency,
+    LatencyStats, RunTally, TenantLatency,
 };
 use crate::partition::Partitioner;
 use crate::poison::lock_recover;
@@ -24,9 +30,10 @@ use crate::reasoner::{Reasoner, ReasonerOutput};
 use asp_core::{AspError, Predicate, Program, Symbols};
 use serde::{Deserialize, Serialize};
 use sr_stream::{StreamItem, Window, Windower};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -41,13 +48,15 @@ pub struct EngineConfig {
     /// [`StreamEngine::submit`] blocks (backpressure). Total windows admitted
     /// at once is `in_flight + queue_depth`.
     pub queue_depth: usize,
-    /// Per-window deadline, measured from [`StreamEngine::submit`]. When the
-    /// head-of-line window is still unfinished this long after submission,
-    /// the collector emits a **degraded** placeholder for it (the last good
-    /// result, tagged [`EngineOutput::degraded`]) instead of stalling
-    /// ordered emission; the real result is discarded when it eventually
-    /// arrives (counted as a late recovery). `None` (the default) disables
-    /// the deadline machinery entirely.
+    /// Per-window deadline, measured from [`StreamEngine::submit`]. The
+    /// head-of-line window is emitted **degraded** (the last good result,
+    /// tagged [`EngineOutput::degraded`]) instead of stalling ordered
+    /// emission when its lane finished after the deadline or no result has
+    /// arrived by then. The rule reads the lane's own finishing time; the
+    /// caller sees an overdue window at its next `submit`, `poll_output` or
+    /// `finish`. A real result that arrives after its window was degraded
+    /// is dropped and counted as a late recovery. `None` (the default)
+    /// disables the deadline machinery entirely.
     pub window_deadline_ms: Option<u64>,
 }
 
@@ -66,8 +75,8 @@ pub struct EngineOutput {
     pub window_id: u64,
     /// Items the window contained.
     pub items: usize,
-    /// Wall-clock reasoning latency inside the lane (for a degraded window:
-    /// submission-to-degradation wall clock).
+    /// Wall-clock reasoning latency inside the lane; for a degraded window,
+    /// its deadline.
     pub latency: Duration,
     /// The reasoner's output, or the error/panic it produced. For a degraded
     /// window this is the last good output the engine emitted (empty when no
@@ -207,65 +216,35 @@ pub struct EngineReport {
     pub stats: EngineStats,
 }
 
-struct LaneResult {
-    seq: u64,
-    output: EngineOutput,
-}
-
-/// What `submit` remembers about an in-flight window so the collector can
-/// degrade it after the deadline without ever having seen its result.
-/// Maintained only when [`EngineConfig::window_deadline_ms`] is set.
-struct PendingMeta {
+/// What `submit` remembers about a window until it is emitted: enough to
+/// emit a degraded placeholder for it without its result.
+struct Pending {
     window_id: u64,
     items: usize,
     submitted: Instant,
 }
 
-/// Lock-free occupancy accounting shared between `submit`, the lanes and
-/// `finish`.
+/// Lock-free occupancy accounting shared between `submit` and the lanes.
 struct OccupancyAcc {
     /// Per-lane busy nanoseconds inside `Reasoner::process`.
-    busy_ns: Vec<std::sync::atomic::AtomicU64>,
+    busy_ns: Vec<AtomicU64>,
     /// Per-lane processed-window counts.
-    lane_windows: Vec<std::sync::atomic::AtomicU64>,
+    lane_windows: Vec<AtomicU64>,
     /// Submitted-but-unclaimed windows right now.
-    queued: std::sync::atomic::AtomicU64,
+    queued: AtomicU64,
     /// High-water mark of `queued`.
-    queue_high_water: std::sync::atomic::AtomicU64,
-}
-
-impl OccupancyAcc {
-    fn new(lanes: usize) -> Self {
-        OccupancyAcc {
-            busy_ns: (0..lanes).map(|_| std::sync::atomic::AtomicU64::new(0)).collect(),
-            lane_windows: (0..lanes).map(|_| std::sync::atomic::AtomicU64::new(0)).collect(),
-            queued: std::sync::atomic::AtomicU64::new(0),
-            queue_high_water: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
-
-#[derive(Default)]
-struct StatsAcc {
-    windows: u64,
-    errors: u64,
-    items: u64,
-    last_done: Option<Instant>,
+    queue_high_water: AtomicU64,
 }
 
 /// The pipelined engine. See the module docs for the execution model.
 pub struct StreamEngine {
     input: Option<SyncSender<(u64, Window)>>,
-    output: Receiver<EngineOutput>,
+    /// Finished windows, each stamped with the moment its lane finished.
+    results: Receiver<(EngineOutput, Instant)>,
     lanes: Vec<JoinHandle<()>>,
-    collector: Option<JoinHandle<()>>,
-    stats: Arc<Mutex<StatsAcc>>,
-    /// Per-window latency distribution (milliseconds), recorded by the
-    /// collector. Constant memory regardless of run length, mergeable, and
-    /// shareable with a [`sr_obs::MetricsRegistry`] for live scraping.
-    latency_hist: Arc<sr_obs::Histogram>,
+    /// Windows, items, errors and latency of every emitted window.
+    tally: RunTally,
     submitted: u64,
-    started: Option<Instant>,
     /// Cumulative time `submit` spent blocked on backpressure.
     blocked: Duration,
     /// Whether the lanes are partitioned reasoners reporting into `ctx`'s
@@ -273,188 +252,22 @@ pub struct StreamEngine {
     partitioned: bool,
     occupancy: Arc<OccupancyAcc>,
     /// The partitioned lanes' shared pool and counters; its recovery
-    /// counters are shared with every lane and the collector either way.
+    /// counters are shared with every lane either way.
     ctx: ExecCtx,
     /// Per-window deadline; `None` disables degraded emission.
     deadline: Option<Duration>,
-    /// Submission metadata keyed by seq, kept only in deadline mode.
-    meta: Arc<Mutex<BTreeMap<u64, PendingMeta>>>,
     /// The lanes' fault plan, read by `submit` for `SourceStall`; set only
     /// by [`StreamEngine::with_partitioned_lanes`].
     faults: Option<Arc<FaultPlan>>,
-}
-
-/// Sends `out` to the consumer in order, updating the deadline-mode
-/// bookkeeping (drop its submission metadata, remember the last good result
-/// for future degraded placeholders).
-fn emit_ordered(
-    out: EngineOutput,
-    next_seq: &mut u64,
-    deadline: Option<Duration>,
-    last_good: &mut Option<ReasonerOutput>,
-    meta: &Mutex<BTreeMap<u64, PendingMeta>>,
-    output_tx: &Sender<EngineOutput>,
-) {
-    *next_seq += 1;
-    if deadline.is_some() {
-        lock_recover(meta).remove(&out.seq);
-        if !out.degraded {
-            if let Ok(result) = &out.result {
-                *last_good = Some(result.clone());
-            }
-        }
-    }
-    let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
-        sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: out.window_id, ..sr_obs::current_ctx() })
-    });
-    let _span = sr_obs::span(sr_obs::Stage::Emit);
-    // The consumer may have stopped listening; keep draining so lanes never
-    // block on a full channel.
-    let _ = output_tx.send(out);
-}
-
-/// Builds the degraded placeholder for an overdue head-of-line window and
-/// accounts it as a finished window.
-fn degrade_window(
-    next_seq: u64,
-    m: PendingMeta,
-    last_good: &Option<ReasonerOutput>,
-    stats_acc: &Mutex<StatsAcc>,
-    hist: &sr_obs::Histogram,
-    failures: &FailureCounters,
-) -> EngineOutput {
-    use std::sync::atomic::Ordering;
-    failures.degraded_windows.fetch_add(1, Ordering::Relaxed);
-    let latency = m.submitted.elapsed();
-    hist.record(duration_ms(latency));
-    {
-        let mut acc = lock_recover(stats_acc);
-        acc.windows += 1;
-        acc.items += m.items as u64;
-        acc.last_done = Some(Instant::now());
-    }
-    EngineOutput {
-        seq: next_seq,
-        window_id: m.window_id,
-        items: m.items,
-        latency,
-        result: Ok(last_good.clone().unwrap_or_default()),
-        degraded: true,
-    }
-}
-
-/// Body of the collector thread. Without a deadline this is the plain
-/// reorder-and-emit loop; with one it wakes up in time to degrade the
-/// head-of-line window the moment it becomes overdue.
-fn collector_loop(
-    result_rx: Receiver<LaneResult>,
-    output_tx: Sender<EngineOutput>,
-    stats_acc: Arc<Mutex<StatsAcc>>,
-    hist: Arc<sr_obs::Histogram>,
-    deadline: Option<Duration>,
-    meta: Arc<Mutex<BTreeMap<u64, PendingMeta>>>,
-    failures: Arc<FailureCounters>,
-) {
-    use std::sync::atomic::Ordering;
-    use std::sync::mpsc::RecvTimeoutError;
-
-    // Boxed: a LaneResult carries a full ReasonerOutput, dwarfing the other
-    // variants.
-    enum Event {
-        Result(Box<LaneResult>),
-        Overdue,
-        Closed,
-    }
-
-    let mut pending: BTreeMap<u64, EngineOutput> = BTreeMap::new();
-    let mut next_seq = 0u64;
-    let mut last_good: Option<ReasonerOutput> = None;
-    loop {
-        let event = match deadline {
-            None => match result_rx.recv() {
-                Ok(r) => Event::Result(Box::new(r)),
-                Err(_) => Event::Closed,
-            },
-            Some(dl) => {
-                let head = lock_recover(&meta).get(&next_seq).map(|m| m.submitted + dl);
-                // With no head-of-line metadata yet (the window may be
-                // submitted any moment), poll briefly instead of blocking:
-                // a blocking recv could sleep through the deadline of a
-                // window submitted right after we checked.
-                let until =
-                    head.unwrap_or_else(|| Instant::now() + dl.min(Duration::from_millis(20)));
-                let now = Instant::now();
-                if head.is_some() && until <= now {
-                    Event::Overdue
-                } else {
-                    match result_rx.recv_timeout(until - now) {
-                        Ok(r) => Event::Result(Box::new(r)),
-                        Err(RecvTimeoutError::Timeout) if head.is_some() => Event::Overdue,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => Event::Closed,
-                    }
-                }
-            }
-        };
-        match event {
-            Event::Closed => break,
-            Event::Overdue => {
-                let Some(m) = lock_recover(&meta).remove(&next_seq) else { continue };
-                let out = degrade_window(next_seq, m, &last_good, &stats_acc, &hist, &failures);
-                emit_ordered(out, &mut next_seq, deadline, &mut last_good, &meta, &output_tx);
-                // A degraded head may unblock already-finished successors.
-                while let Some(ready) = pending.remove(&next_seq) {
-                    emit_ordered(ready, &mut next_seq, deadline, &mut last_good, &meta, &output_tx);
-                }
-            }
-            Event::Result(boxed) => {
-                let LaneResult { seq, output } = *boxed;
-                if seq < next_seq {
-                    // The window was already emitted degraded; the real
-                    // result arrived too late. Count it, drop it.
-                    failures.late_recoveries.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                hist.record(duration_ms(output.latency));
-                {
-                    let mut acc = lock_recover(&stats_acc);
-                    acc.windows += 1;
-                    acc.items += output.items as u64;
-                    acc.errors += u64::from(output.result.is_err());
-                    acc.last_done = Some(Instant::now());
-                }
-                pending.insert(seq, output);
-                while let Some(ready) = pending.remove(&next_seq) {
-                    emit_ordered(ready, &mut next_seq, deadline, &mut last_good, &meta, &output_tx);
-                }
-            }
-        }
-    }
-    // Input closed and every lane is gone. In deadline mode, flush what's
-    // left so every submitted window is emitted even if its lane died:
-    // real results where we have them, degraded placeholders elsewhere.
-    if deadline.is_some() {
-        loop {
-            if let Some(ready) = pending.remove(&next_seq) {
-                emit_ordered(ready, &mut next_seq, deadline, &mut last_good, &meta, &output_tx);
-                continue;
-            }
-            // Take the lock in its own statement: a guard created in an
-            // `if let` scrutinee would (edition 2021) live through the whole
-            // `else` chain and self-deadlock on the re-lock below.
-            let head = lock_recover(&meta).remove(&next_seq);
-            match head {
-                Some(m) => {
-                    let out = degrade_window(next_seq, m, &last_good, &stats_acc, &hist, &failures);
-                    emit_ordered(out, &mut next_seq, deadline, &mut last_good, &meta, &output_tx);
-                }
-                // Done — or a gap with neither a result nor metadata, which
-                // cannot happen (metadata is written before the window is
-                // handed to a lane); either way stop rather than spin.
-                None => break,
-            }
-        }
-    }
+    /// Submitted windows not yet emitted, in `seq` order.
+    pending: VecDeque<Pending>,
+    /// Results that arrived before their turn to be emitted, by `seq`.
+    arrived: BTreeMap<u64, (EngineOutput, Instant)>,
+    /// Emitted windows the consumer has not taken yet.
+    ready: VecDeque<EngineOutput>,
+    /// The last real, successful output, replayed by degraded placeholders;
+    /// kept only under a deadline.
+    last_good: Option<ReasonerOutput>,
 }
 
 impl StreamEngine {
@@ -484,10 +297,13 @@ impl StreamEngine {
 
         let (input_tx, input_rx) = sync_channel::<(u64, Window)>(config.queue_depth);
         let input_rx = Arc::new(Mutex::new(input_rx));
-        let (result_tx, result_rx) = channel::<LaneResult>();
-        let (output_tx, output_rx) = channel::<EngineOutput>();
-        let stats = Arc::new(Mutex::new(StatsAcc::default()));
-        let occupancy = Arc::new(OccupancyAcc::new(lanes_n));
+        let (result_tx, results) = channel();
+        let occupancy = Arc::new(OccupancyAcc {
+            busy_ns: (0..lanes_n).map(|_| AtomicU64::new(0)).collect(),
+            lane_windows: (0..lanes_n).map(|_| AtomicU64::new(0)).collect(),
+            queued: AtomicU64::new(0),
+            queue_high_water: AtomicU64::new(0),
+        });
 
         let mut lanes = Vec::with_capacity(lanes_n);
         for (i, mut reasoner) in reasoners.into_iter().enumerate() {
@@ -498,7 +314,6 @@ impl StreamEngine {
             let handle = std::thread::Builder::new()
                 .name(format!("engine-lane-{i}"))
                 .spawn(move || loop {
-                    use std::sync::atomic::Ordering;
                     // Holding the lock while blocked on `recv` is the
                     // hand-off: exactly one idle lane waits for the next
                     // window, the rest queue on the mutex.
@@ -534,7 +349,8 @@ impl StreamEngine {
                             window.id
                         )))
                     });
-                    let latency = t0.elapsed();
+                    let done = Instant::now();
+                    let latency = done - t0;
                     occ.busy_ns[i].fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
                     occ.lane_windows[i].fetch_add(1, Ordering::Relaxed);
                     let output = EngineOutput {
@@ -545,58 +361,30 @@ impl StreamEngine {
                         result,
                         degraded: false,
                     };
-                    if result_tx.send(LaneResult { seq, output }).is_err() {
-                        return; // collector gone: shutting down
+                    if result_tx.send((output, done)).is_err() {
+                        return; // the engine is gone: shutting down
                     }
                 })
                 .map_err(|e| AspError::Internal(format!("cannot spawn engine lane: {e}")))?;
             lanes.push(handle);
         }
-        drop(result_tx);
-
-        // The collector reorders lane results by submission sequence and
-        // emits them in order, accumulating throughput stats as it goes. In
-        // deadline mode it additionally watches the head-of-line window's
-        // age and emits a degraded placeholder when the deadline passes, so
-        // one stuck window can never stall ordered emission.
-        let stats_acc = Arc::clone(&stats);
-        let latency_hist = Arc::new(sr_obs::Histogram::new());
-        let hist = Arc::clone(&latency_hist);
-        let deadline = config.window_deadline_ms.map(Duration::from_millis);
-        let meta: Arc<Mutex<BTreeMap<u64, PendingMeta>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let collector_meta = Arc::clone(&meta);
-        let collector_fail = Arc::clone(&ctx.failures);
-        let collector = std::thread::Builder::new()
-            .name("engine-collector".into())
-            .spawn(move || {
-                collector_loop(
-                    result_rx,
-                    output_tx,
-                    stats_acc,
-                    hist,
-                    deadline,
-                    collector_meta,
-                    collector_fail,
-                )
-            })
-            .map_err(|e| AspError::Internal(format!("cannot spawn engine collector: {e}")))?;
 
         Ok(StreamEngine {
             input: Some(input_tx),
-            output: output_rx,
+            results,
             lanes,
-            collector: Some(collector),
-            stats,
-            latency_hist,
+            tally: RunTally::default(),
             submitted: 0,
-            started: None,
             blocked: Duration::ZERO,
             partitioned: false,
             occupancy,
             ctx,
-            deadline,
-            meta,
+            deadline: config.window_deadline_ms.map(Duration::from_millis),
             faults: None,
+            pending: VecDeque::new(),
+            arrived: BTreeMap::new(),
+            ready: VecDeque::new(),
+            last_good: None,
         })
     }
 
@@ -658,27 +446,18 @@ impl StreamEngine {
     }
 
     /// Binds this engine's live state to `registry` so a Prometheus scrape
-    /// sees it mid-run: window/error/item totals, the per-window latency
-    /// histogram, queue occupancy and per-lane busy time. Collector
-    /// closures capture `Arc`s, so the bindings stay valid (frozen at their
-    /// final values) after [`StreamEngine::finish`]. When the lanes run
-    /// partitioned their shared reuse counters are registered too.
+    /// sees it mid-run: window/error/item totals and the per-window latency
+    /// histogram of the windows emitted so far, queue occupancy and per-lane
+    /// busy time. Collector closures capture `Arc`s, so the bindings stay
+    /// valid (frozen at their final values) after [`StreamEngine::finish`].
+    /// When the lanes run partitioned their shared reuse counters are
+    /// registered too.
     pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
-        let stats = Arc::clone(&self.stats);
-        registry.register_counter_fn("sr_engine_windows_total", &[], move || {
-            lock_recover(&stats).windows
-        });
-        let stats = Arc::clone(&self.stats);
-        registry.register_counter_fn("sr_engine_errors_total", &[], move || {
-            lock_recover(&stats).errors
-        });
-        let stats = Arc::clone(&self.stats);
-        registry
-            .register_counter_fn("sr_engine_items_total", &[], move || lock_recover(&stats).items);
+        self.tally.register_metrics(registry, "sr_engine");
         for (name, pick) in [
             (
                 "sr_engine_degraded_windows_total",
-                (|f| &f.degraded_windows) as fn(&FailureCounters) -> &std::sync::atomic::AtomicU64,
+                (|f| &f.degraded_windows) as fn(&FailureCounters) -> &AtomicU64,
             ),
             ("sr_engine_retries_total", |f| &f.retries),
             ("sr_engine_fallbacks_total", |f| &f.fallbacks),
@@ -686,27 +465,21 @@ impl StreamEngine {
             ("sr_engine_lane_rebuilds_total", |f| &f.lane_rebuilds),
         ] {
             let failures = Arc::clone(&self.ctx.failures);
-            registry.register_counter_fn(name, &[], move || {
-                pick(&failures).load(std::sync::atomic::Ordering::Relaxed)
-            });
+            registry
+                .register_counter_fn(name, &[], move || pick(&failures).load(Ordering::Relaxed));
         }
         registry.register_counter_fn(
             "sr_poison_recoveries_total",
             &[],
             crate::poison::poison_recoveries,
         );
-        registry.register_histogram(
-            "sr_engine_window_latency_ms",
-            &[],
-            Arc::clone(&self.latency_hist),
-        );
         let occ = Arc::clone(&self.occupancy);
         registry.register_gauge_fn("sr_engine_queue_depth", &[], move || {
-            occ.queued.load(std::sync::atomic::Ordering::Relaxed) as f64
+            occ.queued.load(Ordering::Relaxed) as f64
         });
         let occ = Arc::clone(&self.occupancy);
         registry.register_gauge_fn("sr_engine_queue_high_water", &[], move || {
-            occ.queue_high_water.load(std::sync::atomic::Ordering::Relaxed) as f64
+            occ.queue_high_water.load(Ordering::Relaxed) as f64
         });
         for lane in 0..self.occupancy.busy_ns.len() {
             let occ = Arc::clone(&self.occupancy);
@@ -714,13 +487,13 @@ impl StreamEngine {
             registry.register_counter_fn(
                 "sr_engine_lane_busy_ms_total",
                 &[("lane", &label)],
-                move || occ.busy_ns[lane].load(std::sync::atomic::Ordering::Relaxed) / 1_000_000,
+                move || occ.busy_ns[lane].load(Ordering::Relaxed) / 1_000_000,
             );
             let occ = Arc::clone(&self.occupancy);
             registry.register_counter_fn(
                 "sr_engine_lane_windows_total",
                 &[("lane", &label)],
-                move || occ.lane_windows[lane].load(std::sync::atomic::Ordering::Relaxed),
+                move || occ.lane_windows[lane].load(Ordering::Relaxed),
             );
         }
         if self.partitioned {
@@ -730,8 +503,10 @@ impl StreamEngine {
 
     /// Submits one window; blocks when `in_flight + queue_depth` windows are
     /// already admitted (backpressure). Time spent blocked is accumulated
-    /// and reported as [`EngineStats::submit_blocked_ms`].
+    /// and reported as [`EngineStats::submit_blocked_ms`]. Emits whatever is
+    /// due first, so the tally trails emission by at most one submit.
     pub fn submit(&mut self, window: Window) -> Result<(), AspError> {
+        self.drain();
         let input =
             self.input.as_ref().ok_or_else(|| AspError::Internal("engine already shut".into()))?;
         // A stalled source is simulated *before* admission, so the window's
@@ -741,37 +516,19 @@ impl StreamEngine {
         {
             std::thread::sleep(plan.stall());
         }
-        self.started.get_or_insert_with(Instant::now);
-        let seq = self.submitted;
         // Count the window as queued before handing it over: a lane may
         // claim (and decrement) it while `send` is still returning.
-        {
-            use std::sync::atomic::Ordering;
-            let q = self.occupancy.queued.fetch_add(1, Ordering::Relaxed) + 1;
-            self.occupancy.queue_high_water.fetch_max(q, Ordering::Relaxed);
-        }
-        if self.deadline.is_some() {
-            // Metadata must exist before a lane can possibly finish the
-            // window, so insert ahead of the send.
-            lock_recover(&self.meta).insert(
-                seq,
-                PendingMeta {
-                    window_id: window.id,
-                    items: window.len(),
-                    submitted: Instant::now(),
-                },
-            );
-        }
+        let q = self.occupancy.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        self.occupancy.queue_high_water.fetch_max(q, Ordering::Relaxed);
+        let (window_id, items) = (window.id, window.len());
         let t0 = Instant::now();
-        let sent = input.send((seq, window));
-        if sent.is_err() {
-            self.occupancy.queued.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            if self.deadline.is_some() {
-                lock_recover(&self.meta).remove(&seq);
-            }
+        self.tally.start(t0);
+        if input.send((self.submitted, window)).is_err() {
+            self.occupancy.queued.fetch_sub(1, Ordering::Relaxed);
             return Err(AspError::Internal("engine input closed".into()));
         }
         self.blocked += t0.elapsed();
+        self.pending.push_back(Pending { window_id, items, submitted: t0 });
         self.submitted += 1;
         Ok(())
     }
@@ -802,71 +559,137 @@ impl StreamEngine {
     /// ready. Windows drained here do not reappear in the final report's
     /// `outputs` (they still count toward its `stats`).
     pub fn poll_output(&mut self) -> Option<EngineOutput> {
-        self.output.try_recv().ok()
+        self.drain();
+        self.ready.pop_front()
     }
 
     /// Graceful shutdown: closes the input, waits for every in-flight window
-    /// to finish, joins all threads and returns the remaining ordered
-    /// outputs plus the run's throughput statistics.
+    /// to be emitted (degraded ones at their deadline) and for every lane to
+    /// finish, and returns the remaining ordered outputs plus the run's
+    /// throughput statistics.
     pub fn finish(mut self) -> EngineReport {
         self.input = None; // closing the channel ends the lanes
-        let mut outputs = Vec::new();
-        while let Ok(out) = self.output.recv() {
-            outputs.push(out);
+        self.drain();
+        while let Some(&Pending { submitted, .. }) = self.pending.front() {
+            let got = match self.deadline {
+                None => self.results.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(d) => self
+                    .results
+                    .recv_timeout((submitted + d).saturating_duration_since(Instant::now())),
+            };
+            match got {
+                Ok(result) => self.accept(result),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+            self.emit_due();
+        }
+        // Whatever still arrives belongs to a window emitted degraded.
+        while let Ok(result) = self.results.recv() {
+            self.accept(result);
         }
         for lane in self.lanes.drain(..) {
             let _ = lane.join();
         }
-        if let Some(collector) = self.collector.take() {
-            let _ = collector.join();
-        }
-        let acc = lock_recover(&self.stats);
-        let elapsed = match (self.started, acc.last_done) {
-            (Some(t0), Some(t1)) => t1.saturating_duration_since(t0),
-            _ => Duration::ZERO,
-        };
-        let elapsed_s = elapsed.as_secs_f64();
-        let elapsed_ms = duration_ms(elapsed);
-        let lanes = {
-            use std::sync::atomic::Ordering;
-            self.occupancy
-                .busy_ns
-                .iter()
-                .zip(&self.occupancy.lane_windows)
-                .map(|(busy, windows)| {
-                    let busy_ms = busy.load(Ordering::Relaxed) as f64 / 1e6;
-                    LaneOccupancy {
-                        busy_ms,
-                        windows: windows.load(Ordering::Relaxed),
-                        busy_fraction: if elapsed_ms > 0.0 { busy_ms / elapsed_ms } else { 0.0 },
-                    }
-                })
-                .collect()
-        };
+        let armed = self.deadline.is_some() || self.faults.is_some();
+        let base = self.tally.stats(armed, &self.ctx.failures);
+        let lanes = self
+            .occupancy
+            .busy_ns
+            .iter()
+            .zip(&self.occupancy.lane_windows)
+            .map(|(busy, windows)| {
+                let busy_ms = busy.load(Ordering::Relaxed) as f64 / 1e6;
+                LaneOccupancy {
+                    busy_ms,
+                    windows: windows.load(Ordering::Relaxed),
+                    busy_fraction: if base.elapsed_ms > 0.0 {
+                        busy_ms / base.elapsed_ms
+                    } else {
+                        0.0
+                    },
+                }
+            })
+            .collect();
         let stats = EngineStats {
-            windows: acc.windows,
-            errors: acc.errors,
-            items: acc.items,
-            elapsed_ms,
-            windows_per_sec: if elapsed_s > 0.0 { acc.windows as f64 / elapsed_s } else { 0.0 },
-            items_per_sec: if elapsed_s > 0.0 { acc.items as f64 / elapsed_s } else { 0.0 },
             submit_blocked_ms: Some(duration_ms(self.blocked)),
             incremental: self.partitioned.then(|| self.ctx.counters.snapshot()),
             lanes,
-            queue_high_water: self
-                .occupancy
-                .queue_high_water
-                .load(std::sync::atomic::Ordering::Relaxed),
-            latency: LatencyStats::from_histogram(&self.latency_hist),
-            tenants: Vec::new(),
-            dedup: None,
-            failure: (self.deadline.is_some()
-                || self.faults.is_some()
-                || self.ctx.failures.any_nonzero())
-            .then(|| self.ctx.failures.snapshot()),
-            admission: None,
+            queue_high_water: self.occupancy.queue_high_water.load(Ordering::Relaxed),
+            ..base
         };
-        EngineReport { outputs, stats }
+        EngineReport { outputs: self.ready.drain(..).collect(), stats }
+    }
+
+    /// `seq` of the oldest window not yet emitted.
+    fn next_seq(&self) -> u64 {
+        self.submitted - self.pending.len() as u64
+    }
+
+    /// Takes every result the lanes have sent so far, then emits what is due.
+    fn drain(&mut self) {
+        while let Ok(result) = self.results.try_recv() {
+            self.accept(result);
+        }
+        self.emit_due();
+    }
+
+    /// Files one lane result for emission. A result whose window was
+    /// already emitted degraded came too late: it is counted and dropped.
+    fn accept(&mut self, (output, done): (EngineOutput, Instant)) {
+        if output.seq < self.next_seq() {
+            self.ctx.failures.late_recoveries.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.arrived.insert(output.seq, (output, done));
+        }
+    }
+
+    /// Emits windows in submission order for as long as the head is due:
+    /// its result has arrived, or its deadline has passed. A head whose lane
+    /// finished after the deadline, or that has no result at its deadline,
+    /// is emitted degraded, with its deadline as its latency.
+    fn emit_due(&mut self) {
+        let now = Instant::now();
+        while let Some(&Pending { window_id, items, submitted }) = self.pending.front() {
+            let seq = self.next_seq();
+            let output = match self.arrived.remove(&seq) {
+                Some((output, done)) if self.deadline.is_none_or(|d| done <= submitted + d) => {
+                    let errors = u64::from(output.result.is_err());
+                    self.tally.record(items, errors, output.latency, done);
+                    if let (Some(_), Ok(result)) = (self.deadline, &output.result) {
+                        self.last_good = Some(result.clone());
+                    }
+                    output
+                }
+                arrived => {
+                    let Some(deadline) =
+                        self.deadline.filter(|&d| arrived.is_some() || submitted + d <= now)
+                    else {
+                        break;
+                    };
+                    let failures = &self.ctx.failures;
+                    failures
+                        .late_recoveries
+                        .fetch_add(u64::from(arrived.is_some()), Ordering::Relaxed);
+                    failures.degraded_windows.fetch_add(1, Ordering::Relaxed);
+                    self.tally.record(items, 0, deadline, submitted + deadline);
+                    EngineOutput {
+                        seq,
+                        window_id,
+                        items,
+                        latency: deadline,
+                        result: Ok(self.last_good.clone().unwrap_or_default()),
+                        degraded: true,
+                    }
+                }
+            };
+            self.pending.pop_front();
+            let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
+                sr_obs::ctx_scope(sr_obs::TraceCtx { window_id, ..sr_obs::current_ctx() })
+            });
+            let _span = sr_obs::span(sr_obs::Stage::Emit);
+            self.ready.push_back(output);
+        }
     }
 }
 
@@ -875,9 +698,6 @@ impl Drop for StreamEngine {
         self.input = None;
         for lane in self.lanes.drain(..) {
             let _ = lane.join();
-        }
-        if let Some(collector) = self.collector.take() {
-            let _ = collector.join();
         }
     }
 }
@@ -1112,6 +932,75 @@ mod tests {
         let json = report.stats.to_json();
         assert!(json.contains("\"failure\": {"), "{json}");
         assert!(json.contains("\"degraded_windows\": 2"), "{json}");
+    }
+
+    #[test]
+    fn polling_alone_emits_an_overdue_head_degraded_and_drops_its_late_result() {
+        /// Holds window 1 until the test releases it (at most 10 s, so a
+        /// failing test cannot hang its lanes); answers the rest at once,
+        /// tagged with their window id.
+        struct Gated(Arc<Mutex<Receiver<()>>>);
+        impl Reasoner for Gated {
+            fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
+                if window.id == 1 {
+                    let _ = lock_recover(&self.0).recv_timeout(Duration::from_secs(10));
+                }
+                Ok(ReasonerOutput {
+                    partition_sizes: vec![window.id as usize],
+                    ..Default::default()
+                })
+            }
+        }
+        let (release, gate) = channel();
+        let gate = Arc::new(Mutex::new(gate));
+        let cfg = EngineConfig { in_flight: 2, queue_depth: 2, window_deadline_ms: Some(200) };
+        let mut engine = StreamEngine::new(cfg, |_lane| {
+            Ok(Box::new(Gated(Arc::clone(&gate))) as Box<dyn Reasoner>)
+        })
+        .unwrap();
+        for w in windows(4) {
+            engine.submit(w).unwrap();
+        }
+        let mut outputs = Vec::new();
+        let t0 = Instant::now();
+        while outputs.len() < 4 && t0.elapsed() < Duration::from_secs(10) {
+            match engine.poll_output() {
+                Some(out) => outputs.push(out),
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+        assert_eq!(outputs.iter().map(|o| o.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        let degraded: Vec<bool> = outputs.iter().map(|o| o.degraded).collect();
+        assert_eq!(degraded, vec![false, true, false, false], "only the held window degrades");
+        assert_eq!(outputs[1].latency, Duration::from_millis(200), "its deadline is its latency");
+        assert_eq!(outputs[1].result.as_ref().unwrap().partition_sizes, vec![0]);
+        // The held window's real result is a late recovery, never a second
+        // output.
+        release.send(()).unwrap();
+        let report = engine.finish();
+        assert!(report.outputs.is_empty(), "everything was polled already");
+        assert_eq!(report.stats.windows, 4);
+        let failure = report.stats.failure.expect("a configured deadline forces the section");
+        assert_eq!((failure.degraded_windows, failure.late_recoveries), (1, 1));
+    }
+
+    #[test]
+    fn a_scrape_before_finish_counts_the_windows_emitted_so_far() {
+        let registry = sr_obs::MetricsRegistry::new();
+        let cfg = EngineConfig { in_flight: 1, queue_depth: 0, ..Default::default() };
+        let mut engine = StreamEngine::new(cfg, fake_factory(0, None)).unwrap();
+        engine.register_metrics(&registry);
+        for w in windows(3) {
+            engine.submit(w).unwrap();
+            let t0 = Instant::now();
+            while engine.poll_output().is_none() && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let text = registry.render_prometheus();
+        assert!(text.contains("sr_engine_windows_total 3"), "{text}");
+        assert!(text.contains("sr_engine_window_latency_ms_count 3"), "{text}");
+        assert_eq!(engine.finish().stats.windows, 3);
     }
 
     #[test]

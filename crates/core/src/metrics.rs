@@ -1,12 +1,14 @@
 //! Shared timing/metrics helpers: millisecond conversion, percentile
-//! estimation, the latency/throughput summaries reported by the
-//! [`StreamEngine`](crate::engine::StreamEngine) and the bench harness, and
-//! the reuse counters of incremental reasoning ([`crate::incremental`]).
+//! estimation, the run tally both engines keep, the latency/throughput
+//! summaries reported by the [`StreamEngine`](crate::engine::StreamEngine)
+//! and the bench harness, and the reuse counters of incremental reasoning
+//! ([`crate::incremental`]).
 
+use crate::engine::EngineStats;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `s` as a JSON string literal: quoted, with `"`, `\` and control
 /// characters escaped. The one escaper behind the hand-rolled JSON writers.
@@ -130,6 +132,91 @@ impl LatencyStats {
     }
 }
 
+/// Window, item and error totals of one run, shared with the metrics
+/// registry so a live scrape reads them without locking the engine.
+#[derive(Default)]
+struct RunCounts {
+    windows: AtomicU64,
+    items: AtomicU64,
+    errors: AtomicU64,
+}
+
+/// The run tally of [`StreamEngine`](crate::engine::StreamEngine) and
+/// [`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine): window,
+/// item and error totals, the per-window latency histogram, and the span
+/// from the first submission to the last completion. Only its owner's
+/// thread records; scrapes read the shared counters and histogram.
+#[derive(Default)]
+pub(crate) struct RunTally {
+    counts: Arc<RunCounts>,
+    latency: Arc<sr_obs::Histogram>,
+    first: Option<Instant>,
+    last_done: Option<Instant>,
+}
+
+impl RunTally {
+    /// Marks the run as started at `at`, unless it already was.
+    pub(crate) fn start(&mut self, at: Instant) {
+        self.first.get_or_insert(at);
+    }
+
+    /// Counts one finished window of `items` items with `errors` failures
+    /// that took `latency` and was done at `done`.
+    pub(crate) fn record(&mut self, items: usize, errors: u64, latency: Duration, done: Instant) {
+        self.counts.windows.fetch_add(1, Ordering::Relaxed);
+        self.counts.items.fetch_add(items as u64, Ordering::Relaxed);
+        self.counts.errors.fetch_add(errors, Ordering::Relaxed);
+        self.latency.record(duration_ms(latency));
+        self.last_done = self.last_done.max(Some(done));
+    }
+
+    /// Windows recorded so far.
+    pub(crate) fn windows(&self) -> u64 {
+        self.counts.windows.load(Ordering::Relaxed)
+    }
+
+    /// The fields of [`EngineStats`] both engines share; the rest are left
+    /// at their defaults. `failure` is present when the run was `armed` (a
+    /// deadline or a fault plan) or any of `failures` moved.
+    pub(crate) fn stats(&self, armed: bool, failures: &FailureCounters) -> EngineStats {
+        let elapsed = match (self.first, self.last_done) {
+            (Some(t0), Some(t1)) => t1.saturating_duration_since(t0),
+            _ => Duration::ZERO,
+        };
+        let secs = elapsed.as_secs_f64();
+        let per_sec = |n: u64| if secs > 0.0 { n as f64 / secs } else { 0.0 };
+        let windows = self.windows();
+        let items = self.counts.items.load(Ordering::Relaxed);
+        EngineStats {
+            windows,
+            errors: self.counts.errors.load(Ordering::Relaxed),
+            items,
+            elapsed_ms: duration_ms(elapsed),
+            windows_per_sec: per_sec(windows),
+            items_per_sec: per_sec(items),
+            latency: LatencyStats::from_histogram(&self.latency),
+            failure: (armed || failures.any_nonzero()).then(|| failures.snapshot()),
+            ..EngineStats::default()
+        }
+    }
+
+    /// Registers `{prefix}_{windows,items,errors}_total` and
+    /// `{prefix}_window_latency_ms` with `registry`.
+    pub(crate) fn register_metrics(&self, registry: &sr_obs::MetricsRegistry, prefix: &str) {
+        type Field = fn(&RunCounts) -> &AtomicU64;
+        let counters: [(&str, Field); 3] =
+            [("windows", |c| &c.windows), ("items", |c| &c.items), ("errors", |c| &c.errors)];
+        for (name, field) in counters {
+            let shared = Arc::clone(&self.counts);
+            registry.register_counter_fn(&format!("{prefix}_{name}_total"), &[], move || {
+                field(&shared).load(Ordering::Relaxed)
+            });
+        }
+        let name = format!("{prefix}_window_latency_ms");
+        registry.register_histogram(&name, &[], Arc::clone(&self.latency));
+    }
+}
+
 /// Live counters of incremental reasoning, shared (behind an `Arc`) between
 /// the [`IncrementalReasoner`](crate::incremental::IncrementalReasoner)s of
 /// one engine or one multi-tenant engine and whoever reports them.
@@ -193,7 +280,7 @@ impl CacheCounters {
 }
 
 /// Snapshot of how much incremental reasoning reused, embedded in
-/// [`EngineStats`](crate::engine::EngineStats) and the bench records.
+/// [`EngineStats`] and the bench records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalSnapshot {
     /// Communities whose answers were reused.
@@ -239,9 +326,9 @@ impl IncrementalSnapshot {
 }
 
 /// Live counters of the fault-tolerance machinery, shared (behind an `Arc`)
-/// between the engine collector, its lanes' partitioned reasoners, and the
-/// multi-tenant scheduler. Atomics: lanes and the collector update them
-/// concurrently.
+/// between a stream engine, its lanes' partitioned reasoners, and the
+/// multi-tenant scheduler. Atomics: lanes, pool workers and the engine's
+/// caller update them concurrently.
 #[derive(Debug, Default)]
 pub struct FailureCounters {
     /// Partition jobs retried after a panic.
@@ -288,7 +375,7 @@ impl FailureCounters {
 }
 
 /// Snapshot of the fault-tolerance counters, embedded in
-/// [`EngineStats`](crate::engine::EngineStats) and the chaos bench record.
+/// [`EngineStats`] and the chaos bench record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FailureSnapshot {
     /// Partition jobs retried after a panic.
@@ -324,7 +411,7 @@ impl FailureSnapshot {
 
 /// Per-tenant latency summary reported by the multi-tenant scheduler
 /// ([`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine)), embedded
-/// in [`EngineStats`](crate::engine::EngineStats). The latency a tenant
+/// in [`EngineStats`]. The latency a tenant
 /// observes is the wall clock until *its program's* result is ready for the
 /// window — tenants deduplicated onto one program run record the same
 /// sample.

@@ -54,7 +54,9 @@ use crate::config::{AnalysisConfig, ReasonerConfig, UnknownPredicate};
 use crate::engine::EngineStats;
 use crate::exec::{partition_pool, ExecCtx, Job};
 use crate::incremental::{program_fingerprint, IncrementalReasoner};
-use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, TenantLatency};
+use crate::metrics::{
+    duration_ms, DedupSnapshot, FailureCounters, LatencyStats, RunTally, TenantLatency,
+};
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 use crate::poison::lock_recover;
 use crate::reasoner::ReasonerOutput;
@@ -149,18 +151,13 @@ struct TenantSamples {
     latency: sr_obs::Histogram,
 }
 
-/// Scheduler totals kept in shared atomics so a live Prometheus scrape
-/// (see [`MultiTenantEngine::register_metrics`]) can read them mid-run
-/// without locking the engine.
+/// Dedup totals kept in shared atomics so a live Prometheus scrape (see
+/// [`MultiTenantEngine::register_metrics`]) can read them mid-run without
+/// locking the engine.
 #[derive(Default)]
 struct SchedulerCounters {
-    windows: std::sync::atomic::AtomicU64,
-    items: std::sync::atomic::AtomicU64,
     tenant_windows: std::sync::atomic::AtomicU64,
     program_runs: std::sync::atomic::AtomicU64,
-    /// Entry runs that errored or panicked (the window itself survives:
-    /// other entries keep serving).
-    errors: std::sync::atomic::AtomicU64,
 }
 
 /// The scheduler: admits and retires tenants, dedups programs by serving
@@ -176,10 +173,10 @@ pub struct MultiTenantEngine {
     /// scheduling order.
     entries: Vec<ProgramEntry>,
     samples: Vec<TenantSamples>,
-    window_latency: Arc<sr_obs::Histogram>,
+    /// Windows, items, entry runs that errored or panicked (the window
+    /// itself survives: other entries keep serving) and window latency.
+    tally: RunTally,
     counters: Arc<SchedulerCounters>,
-    started: Option<Instant>,
-    last_done: Option<Instant>,
     /// Per-entry serving deadline; an over-deadline (but successful) window
     /// still serves its result and scores toward quarantine.
     deadline: Option<Duration>,
@@ -200,10 +197,8 @@ impl MultiTenantEngine {
             policy: AdmissionPolicy::default(),
             entries: Vec::new(),
             samples: Vec::new(),
-            window_latency: Arc::new(sr_obs::Histogram::new()),
+            tally: RunTally::default(),
             counters: Arc::new(SchedulerCounters::default()),
-            started: None,
-            last_done: None,
             deadline: None,
             admitted: 0,
             rejected: 0,
@@ -399,7 +394,7 @@ impl MultiTenantEngine {
     pub fn process(&mut self, window: &Window) -> Result<Vec<TenantOutput>, AspError> {
         use std::sync::atomic::Ordering;
         let t_window = Instant::now();
-        self.started.get_or_insert(t_window);
+        self.tally.start(t_window);
         let mut outputs = Vec::with_capacity(self.tenant_count());
         let live: Vec<usize> =
             (0..self.entries.len()).filter(|&i| !self.entries[i].quarantined).collect();
@@ -429,6 +424,7 @@ impl MultiTenantEngine {
         let runs = self.ctx.run(jobs);
 
         // Bookkeeping runs serially, in first-admission order.
+        let mut errors = 0;
         for (i, run) in live.into_iter().zip(runs) {
             let entry = &mut self.entries[i];
             let Ok((Ok(output), latency)) = run else {
@@ -436,7 +432,7 @@ impl MultiTenantEngine {
                 // reasoner's reuse slots are written only after a
                 // successful window) stays its own: count it, score it
                 // toward quarantine, keep serving the other entries.
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                errors += 1;
                 strike(entry, &self.ctx.failures);
                 continue;
             };
@@ -462,10 +458,8 @@ impl MultiTenantEngine {
                 });
             }
         }
-        self.counters.windows.fetch_add(1, Ordering::Relaxed);
-        self.counters.items.fetch_add(window.len() as u64, Ordering::Relaxed);
-        self.window_latency.record(duration_ms(t_window.elapsed()));
-        self.last_done = Some(Instant::now());
+        let done = Instant::now();
+        self.tally.record(window.len(), errors, done - t_window, done);
         Ok(outputs)
     }
 
@@ -477,7 +471,7 @@ impl MultiTenantEngine {
         DedupSnapshot {
             tenants: self.tenant_count() as u64,
             programs: self.program_count() as u64,
-            windows: self.counters.windows.load(Ordering::Relaxed),
+            windows: self.tally.windows(),
             tenant_windows,
             program_runs: self.counters.program_runs.load(Ordering::Relaxed),
             shared_runs_saved: saved,
@@ -495,13 +489,11 @@ impl MultiTenantEngine {
     /// so scrapes keep working (frozen) after the engine is dropped.
     pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
         use std::sync::atomic::Ordering;
+        self.tally.register_metrics(registry, "sr_tenant");
         type CounterRead = fn(&SchedulerCounters) -> u64;
-        let counters: [(&str, CounterRead); 5] = [
-            ("sr_tenant_windows_total", |c| c.windows.load(Ordering::Relaxed)),
-            ("sr_tenant_items_total", |c| c.items.load(Ordering::Relaxed)),
+        let counters: [(&str, CounterRead); 2] = [
             ("sr_tenant_tenant_windows_total", |c| c.tenant_windows.load(Ordering::Relaxed)),
             ("sr_tenant_program_runs_total", |c| c.program_runs.load(Ordering::Relaxed)),
-            ("sr_tenant_errors_total", |c| c.errors.load(Ordering::Relaxed)),
         ];
         for (name, read) in counters {
             let shared = Arc::clone(&self.counters);
@@ -511,11 +503,6 @@ impl MultiTenantEngine {
         registry.register_counter_fn("sr_tenant_quarantines_total", &[], move || {
             failures.quarantines.load(Ordering::Relaxed)
         });
-        registry.register_histogram(
-            "sr_tenant_window_latency_ms",
-            &[],
-            Arc::clone(&self.window_latency),
-        );
         self.ctx.counters.register_metrics(registry);
     }
 
@@ -525,26 +512,9 @@ impl MultiTenantEngine {
     /// [`MultiTenantEngine::process`] returns when the window is served,
     /// there is no submit queue to block on.
     pub fn stats(&self) -> EngineStats {
-        let elapsed = match (self.started, self.last_done) {
-            (Some(t0), Some(t1)) => t1.saturating_duration_since(t0),
-            _ => Duration::ZERO,
-        };
-        let elapsed_s = elapsed.as_secs_f64();
-        use std::sync::atomic::Ordering;
-        let windows = self.counters.windows.load(Ordering::Relaxed);
-        let items = self.counters.items.load(Ordering::Relaxed);
+        let armed = self.deadline.is_some() || self.config.faults.is_some();
         EngineStats {
-            windows,
-            errors: self.counters.errors.load(Ordering::Relaxed),
-            items,
-            elapsed_ms: duration_ms(elapsed),
-            windows_per_sec: if elapsed_s > 0.0 { windows as f64 / elapsed_s } else { 0.0 },
-            items_per_sec: if elapsed_s > 0.0 { items as f64 / elapsed_s } else { 0.0 },
-            submit_blocked_ms: None,
             incremental: Some(self.ctx.counters.snapshot()),
-            lanes: Vec::new(),
-            queue_high_water: 0,
-            latency: LatencyStats::from_histogram(&self.window_latency),
             tenants: self
                 .samples
                 .iter()
@@ -555,11 +525,8 @@ impl MultiTenantEngine {
                 })
                 .collect(),
             dedup: Some(self.dedup_snapshot()),
-            failure: (self.deadline.is_some()
-                || self.config.faults.is_some()
-                || self.ctx.failures.any_nonzero())
-            .then(|| self.ctx.failures.snapshot()),
             admission: self.admission_snapshot(),
+            ..self.tally.stats(armed, &self.ctx.failures)
         }
     }
 

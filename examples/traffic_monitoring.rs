@@ -13,14 +13,7 @@ use std::time::{Duration, Instant};
 use stream_reasoner::prelude::*;
 use stream_reasoner::sr_obs::{self, Stage};
 
-const PROGRAM_P: &str = r#"
-    very_slow_speed(X) :- average_speed(X,Y), Y < 20.
-    many_cars(X)       :- car_number(X,Y), Y > 40.
-    traffic_jam(X)     :- very_slow_speed(X), many_cars(X), not traffic_light(X).
-    car_fire(X)        :- car_in_smoke(C, high), car_speed(C, 0), car_location(C, X).
-    give_notification(X) :- traffic_jam(X).
-    give_notification(X) :- car_fire(X).
-"#;
+const PROGRAM_P: &str = include_str!("../assets/traffic_p.lp");
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let syms = Symbols::new();

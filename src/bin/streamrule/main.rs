@@ -62,13 +62,15 @@
 //! `--json` record only when injection or a deadline is active — never
 //! fabricated.
 
-use sr_bench::{
-    outputs_match, sequential_baseline, throughput_json, ThroughputResult, ThroughputRun,
-};
+mod throughput;
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use stream_reasoner::prelude::*;
 use stream_reasoner::sr_rdf::ntriples;
+use throughput::{
+    outputs_match, sequential_baseline, throughput_json, ThroughputResult, ThroughputRun,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

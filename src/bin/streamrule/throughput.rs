@@ -135,9 +135,10 @@ pub fn throughput_json(result: &ThroughputResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs::PROGRAM_P;
     use sr_core::SingleReasoner;
     use sr_stream::{paper_generator, GeneratorKind};
+
+    const PROGRAM_P: &str = include_str!("../../../assets/traffic_p.lp");
 
     #[test]
     fn json_document_shape() {

@@ -10,12 +10,13 @@
 //!   plan, and scales linearly in `k`.
 
 use proptest::prelude::*;
-use sr_bench::programs::LARGE_TRAFFIC;
-use sr_bench::PROGRAM_P;
 use std::sync::Arc;
 use stream_reasoner::asp_grounder::{DeltaGrounder, Grounder};
 use stream_reasoner::prelude::*;
 use stream_reasoner::sr_core::MemoryBound;
+
+const PROGRAM_P: &str = include_str!("../assets/traffic_p.lp");
+const LARGE_TRAFFIC: &str = include_str!("../assets/large_traffic.lp");
 
 /// Stratified programs: the facade evaluates their perfect model.
 const DELTA_PROGRAMS: [&str; 2] = [PROGRAM_P, LARGE_TRAFFIC];

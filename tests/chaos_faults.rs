@@ -5,7 +5,7 @@
 //! invariants must survive every plan:
 //!
 //! 1. the engine **terminates** and emits every submitted window exactly
-//!    once, in submission order (no wedged collector, no dropped windows);
+//!    once, in submission order (no wedged emission, no dropped windows);
 //! 2. every clean (non-degraded, non-errored) window renders
 //!    **byte-identically** to the fault-free reference pass;
 //! 3. a window that could not produce its real answer is **flagged** —
@@ -15,10 +15,11 @@
 //! tests share their process with plan-free ones and with each other.
 
 use proptest::prelude::*;
-use sr_bench::PROGRAM_P;
 use std::sync::Arc;
 use std::time::Duration;
 use stream_reasoner::prelude::*;
+
+const PROGRAM_P: &str = include_str!("../assets/traffic_p.lp");
 
 /// Cuts a sliding-window stream (including the flushed tail) from the paper
 /// workload generator.

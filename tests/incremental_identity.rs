@@ -7,11 +7,20 @@
 //! random baseline (`PR_Ran_k`), on sliding-window streams.
 
 use proptest::prelude::*;
-use sr_bench::programs::LARGE_TRAFFIC;
-use sr_bench::{program_p_prime, PROGRAM_P};
 use std::sync::Arc;
 use stream_reasoner::prelude::*;
 use stream_reasoner::sr_stream::Pcg32;
+
+const PROGRAM_P: &str = include_str!("../assets/traffic_p.lp");
+const LARGE_TRAFFIC: &str = include_str!("../assets/large_traffic.lp");
+
+/// Rule r7 of Section II-B; P' = P + r7 connects the input dependency
+/// graph's two halves.
+const RULE_R7: &str = "traffic_jam(X) :- car_fire(X), many_cars(X).\n";
+
+fn program_p_prime() -> String {
+    format!("{PROGRAM_P}{RULE_R7}")
+}
 
 const PROGRAMS: [&str; 2] = [PROGRAM_P, LARGE_TRAFFIC];
 

@@ -9,11 +9,20 @@
 //! with entries on the caller thread and on a 2-worker pool.
 
 use proptest::prelude::*;
-use sr_bench::programs::LARGE_TRAFFIC;
-use sr_bench::{program_p_prime, PROGRAM_P};
 use std::collections::HashMap;
 use std::sync::Arc;
 use stream_reasoner::prelude::*;
+
+const PROGRAM_P: &str = include_str!("../assets/traffic_p.lp");
+const LARGE_TRAFFIC: &str = include_str!("../assets/large_traffic.lp");
+
+/// Rule r7 of Section II-B; P' = P + r7 connects the input dependency
+/// graph's two halves.
+const RULE_R7: &str = "traffic_jam(X) :- car_fire(X), many_cars(X).\n";
+
+fn program_p_prime() -> String {
+    format!("{PROGRAM_P}{RULE_R7}")
+}
 
 /// Cuts a sliding-window stream (including the flushed tail) from the paper
 /// workload generator.

@@ -9,14 +9,7 @@ use std::sync::Arc;
 use stream_reasoner::prelude::*;
 
 /// Program P from the paper (Section II-A).
-const PROGRAM_P: &str = r#"
-    very_slow_speed(X) :- average_speed(X,Y), Y < 20.
-    many_cars(X)       :- car_number(X,Y), Y > 40.
-    traffic_jam(X)     :- very_slow_speed(X), many_cars(X), not traffic_light(X).
-    car_fire(X)        :- car_in_smoke(C, high), car_speed(C, 0), car_location(C, X).
-    give_notification(X) :- traffic_jam(X).
-    give_notification(X) :- car_fire(X).
-"#;
+const PROGRAM_P: &str = include_str!("../assets/traffic_p.lp");
 
 /// The motivating window from Section II-A, as RDF triples.
 fn section_ii_window() -> Window {
