@@ -96,6 +96,8 @@ pub struct ReasonerConfig {
     /// (Threads mode only). `0` sizes it from the work: one worker per
     /// partition of the reasoner (of the first admitted program for a
     /// multi-tenant engine; per partition per lane for a stream engine).
+    /// [`partition_pool`](crate::exec::partition_pool) is the one place
+    /// that reads it.
     pub workers: usize,
     /// Read by nothing; kept for the measured surface, which still sets it.
     /// Every partitioned reasoner reuses the communities a window's delta

@@ -29,7 +29,8 @@ use crate::poison::lock_recover;
 use crate::reasoner::{Reasoner, ReasonerOutput};
 use asp_core::{AspError, Predicate, Program, Symbols};
 use serde::{Deserialize, Serialize};
-use sr_stream::{StreamItem, Window, Windower};
+use sr_rdf::Triple;
+use sr_stream::{Window, Windower};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -408,10 +409,7 @@ impl StreamEngine {
         reasoner_cfg: ReasonerConfig,
         config: EngineConfig,
     ) -> Result<Self, AspError> {
-        let workers = match reasoner_cfg.workers {
-            0 => partitioner.partitions().max(1) * config.in_flight.max(1),
-            n => n,
-        };
+        let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
         let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
         let faults = reasoner_cfg.faults.clone();
         let mut engine = StreamEngine::new_inner(
@@ -533,12 +531,12 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Pumps timestamped items through `windower`, submitting every window it
+    /// Pumps stream items through `windower`, submitting every window it
     /// closes, then flushes the tail. Returns the number of windows
     /// submitted. Any [`Windower`] feeds the engine this way.
     pub fn pump(
         &mut self,
-        items: impl IntoIterator<Item = StreamItem>,
+        items: impl IntoIterator<Item = Triple>,
         windower: &mut dyn Windower,
     ) -> Result<u64, AspError> {
         let mut submitted = 0;

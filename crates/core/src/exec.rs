@@ -216,18 +216,23 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The pool of `workers` threads that serves partitioned reasoners' dirty
-/// partitions, or `None` when they run on the caller thread: in
-/// [`ParallelMode::Sequential`] and under [`ReasonerConfig::delta_ground`].
-/// Every partitioned executor decides pool-or-caller here; the pool size
-/// stays the caller's.
+/// The pool that serves partitioned reasoners' dirty partitions, or `None`
+/// when they run on the caller thread: in [`ParallelMode::Sequential`] and
+/// under [`ReasonerConfig::delta_ground`]. It has
+/// [`ReasonerConfig::workers`] threads, or `default_workers` when that is
+/// `0`. Every partitioned executor decides pool-or-caller and pool size
+/// here; the caller only supplies its default.
 pub fn partition_pool(
     config: &ReasonerConfig,
-    workers: usize,
+    default_workers: usize,
 ) -> Result<Option<Arc<WorkerPool>>, AspError> {
     if config.mode == ParallelMode::Sequential || config.delta_ground {
         return Ok(None);
     }
+    let workers = match config.workers {
+        0 => default_workers,
+        n => n,
+    };
     Ok(Some(Arc::new(WorkerPool::new("pr-worker", workers.max(1))?)))
 }
 
@@ -407,11 +412,15 @@ mod tests {
         // Jobs share one registry handle exactly the way the engine's lanes
         // do: every update from every pool thread must land in one scrape,
         // with the histogram count matching the job count.
-        use std::sync::atomic::Ordering;
+        use std::sync::atomic::{AtomicU64, Ordering};
 
         let registry = Arc::new(sr_obs::MetricsRegistry::new());
-        let jobs_done = registry.counter("sr_test_jobs_total", &[]);
-        let payload_hist = registry.histogram("sr_test_payload", &[]);
+        let jobs_done = Arc::new(AtomicU64::new(0));
+        let shared = Arc::clone(&jobs_done);
+        registry
+            .register_counter_fn("sr_test_jobs_total", &[], move || shared.load(Ordering::Relaxed));
+        let payload_hist = Arc::new(sr_obs::Histogram::new());
+        registry.register_histogram("sr_test_payload", &[], Arc::clone(&payload_hist));
         let pool = Arc::new(WorkerPool::new("metered", 4).unwrap());
 
         let submitters: Vec<_> = (0..8u64)

@@ -350,11 +350,8 @@ impl IncrementalReasoner {
         partitioner: Arc<dyn Partitioner>,
         config: ReasonerConfig,
     ) -> Result<Self, AspError> {
-        let workers = match config.workers {
-            0 => partitioner.partitions(),
-            n => n,
-        };
-        let ctx = ExecCtx { pool: partition_pool(&config, workers)?, ..Default::default() };
+        let pool = partition_pool(&config, partitioner.partitions())?;
+        let ctx = ExecCtx { pool, ..Default::default() };
         Self::with_ctx(syms, program, inpre, partitioner, config, ctx)
     }
 

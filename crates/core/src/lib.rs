@@ -58,8 +58,8 @@ pub use incremental::{
 };
 pub use input_graph::InputDepGraph;
 pub use metrics::{
-    duration_ms, percentile, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
-    IncrementalSnapshot, LatencyStats, TenantLatency,
+    duration_ms, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
+    IncrementalSnapshot, LatencyStats, RunTally, TenantLatency,
 };
 pub use multi_tenant::{MultiTenantEngine, ProgramEntry, TenantOutput, TenantPartitioner};
 pub use partition::{Partitioner, PlanPartitioner, RandomPartitioner};

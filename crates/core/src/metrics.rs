@@ -1,8 +1,8 @@
-//! Shared timing/metrics helpers: millisecond conversion, percentile
-//! estimation, the run tally both engines keep, the latency/throughput
-//! summaries reported by the [`StreamEngine`](crate::engine::StreamEngine)
-//! and the bench harness, and the reuse counters of incremental reasoning
-//! ([`crate::incremental`]).
+//! Shared timing/metrics helpers: millisecond conversion, the run tally
+//! every window-at-a-time or pipelined run keeps, the latency/throughput
+//! summaries it reports, and the reuse counters of incremental reasoning
+//! ([`crate::incremental`]). Every latency percentile comes from one
+//! [`sr_obs::Histogram`] through [`LatencyStats::from_histogram`].
 
 use crate::engine::EngineStats;
 use serde::{Deserialize, Serialize};
@@ -38,22 +38,6 @@ pub fn duration_ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Nearest-rank percentile (`q` in `[0, 1]`) of an **unsorted** sample set.
-/// Returns `NaN` on an empty slice.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    rank_of(&sorted, q)
-}
-
-/// Nearest-rank lookup on an already-sorted non-empty slice.
-fn rank_of(sorted: &[f64], q: f64) -> f64 {
-    sorted[(q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize]
-}
-
 /// Latency distribution summary (milliseconds) over a set of samples.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
@@ -74,31 +58,11 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarizes `samples` (milliseconds). Zeroed stats on an empty slice.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        LatencyStats {
-            count: sorted.len(),
-            mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50_ms: rank_of(&sorted, 0.50),
-            p95_ms: rank_of(&sorted, 0.95),
-            p99_ms: rank_of(&sorted, 0.99),
-            min_ms: sorted[0],
-            max_ms: sorted[sorted.len() - 1],
-        }
-    }
-
-    /// Summarizes a [`sr_obs::Histogram`] — the constant-memory path the
-    /// engine and the multi-tenant scheduler use instead of retaining
-    /// every sample. `count`/`mean`/`min`/`max` are exact; the
+    /// Summarizes a [`sr_obs::Histogram`] in constant memory, without
+    /// retaining every sample. `count`/`mean`/`min`/`max` are exact; the
     /// percentiles are nearest-rank within
     /// [`sr_obs::Histogram::REL_ERROR`] (exact for single-sample
-    /// summaries). Zeroed stats on an empty histogram, matching
-    /// [`LatencyStats::from_samples`] on an empty slice.
+    /// summaries). Zeroed stats on an empty histogram.
     pub fn from_histogram(hist: &sr_obs::Histogram) -> Self {
         if hist.is_empty() {
             return LatencyStats::default();
@@ -141,13 +105,14 @@ struct RunCounts {
     errors: AtomicU64,
 }
 
-/// The run tally of [`StreamEngine`](crate::engine::StreamEngine) and
-/// [`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine): window,
-/// item and error totals, the per-window latency histogram, and the span
-/// from the first submission to the last completion. Only its owner's
-/// thread records; scrapes read the shared counters and histogram.
+/// The run tally of [`StreamEngine`](crate::engine::StreamEngine),
+/// [`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine) and any
+/// window-at-a-time caller: window, item and error totals, the per-window
+/// latency histogram, and the span from the first submission to the last
+/// completion. Only its owner's thread records; scrapes read the shared
+/// counters and histogram.
 #[derive(Default)]
-pub(crate) struct RunTally {
+pub struct RunTally {
     counts: Arc<RunCounts>,
     latency: Arc<sr_obs::Histogram>,
     first: Option<Instant>,
@@ -156,13 +121,13 @@ pub(crate) struct RunTally {
 
 impl RunTally {
     /// Marks the run as started at `at`, unless it already was.
-    pub(crate) fn start(&mut self, at: Instant) {
+    pub fn start(&mut self, at: Instant) {
         self.first.get_or_insert(at);
     }
 
     /// Counts one finished window of `items` items with `errors` failures
     /// that took `latency` and was done at `done`.
-    pub(crate) fn record(&mut self, items: usize, errors: u64, latency: Duration, done: Instant) {
+    pub fn record(&mut self, items: usize, errors: u64, latency: Duration, done: Instant) {
         self.counts.windows.fetch_add(1, Ordering::Relaxed);
         self.counts.items.fetch_add(items as u64, Ordering::Relaxed);
         self.counts.errors.fetch_add(errors, Ordering::Relaxed);
@@ -171,14 +136,14 @@ impl RunTally {
     }
 
     /// Windows recorded so far.
-    pub(crate) fn windows(&self) -> u64 {
+    pub fn windows(&self) -> u64 {
         self.counts.windows.load(Ordering::Relaxed)
     }
 
-    /// The fields of [`EngineStats`] both engines share; the rest are left
-    /// at their defaults. `failure` is present when the run was `armed` (a
+    /// The fields of [`EngineStats`] every run shares; the rest are left at
+    /// their defaults. `failure` is present when the run was `armed` (a
     /// deadline or a fault plan) or any of `failures` moved.
-    pub(crate) fn stats(&self, armed: bool, failures: &FailureCounters) -> EngineStats {
+    pub fn stats(&self, armed: bool, failures: &FailureCounters) -> EngineStats {
         let elapsed = match (self.first, self.last_done) {
             (Some(t0), Some(t1)) => t1.saturating_duration_since(t0),
             _ => Duration::ZERO,
@@ -484,19 +449,33 @@ impl DedupSnapshot {
 mod tests {
     use super::*;
 
+    impl LatencyStats {
+        /// The exact nearest-rank summary of `samples` that
+        /// [`LatencyStats::from_histogram`] approximates. Zeroed stats on
+        /// an empty slice.
+        fn from_samples(samples: &[f64]) -> Self {
+            if samples.is_empty() {
+                return LatencyStats::default();
+            }
+            let mut sorted = samples.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let rank = |q: f64| sorted[(q * (sorted.len() - 1) as f64).round() as usize];
+            LatencyStats {
+                count: sorted.len(),
+                mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64,
+                p50_ms: rank(0.50),
+                p95_ms: rank(0.95),
+                p99_ms: rank(0.99),
+                min_ms: sorted[0],
+                max_ms: sorted[sorted.len() - 1],
+            }
+        }
+    }
+
     #[test]
     fn duration_ms_converts() {
         assert_eq!(duration_ms(Duration::from_millis(1500)), 1500.0);
         assert_eq!(duration_ms(Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 1.0), 100.0);
-        assert_eq!(percentile(&xs, 0.5), 51.0);
-        assert!(percentile(&[], 0.5).is_nan());
     }
 
     #[test]

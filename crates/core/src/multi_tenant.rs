@@ -310,11 +310,7 @@ impl MultiTenantEngine {
                 TenantPartitioner::Random { k, seed } => Arc::new(RandomPartitioner::new(k, seed)),
             };
             if self.ctx.pool.is_none() {
-                let workers = match self.config.workers {
-                    0 => part.partitions(),
-                    n => n,
-                };
-                self.ctx.pool = partition_pool(&self.config, workers)?;
+                self.ctx.pool = partition_pool(&self.config, part.partitions())?;
             }
             // One reasoner per entry: its reuse slots are shared by every
             // tenant that attaches later.

@@ -1,4 +1,4 @@
-//! Log-bucketed, mergeable, constant-memory latency histogram.
+//! Log-bucketed, constant-memory latency histogram.
 //!
 //! Values (milliseconds by convention, but any positive unit works) are
 //! binned into geometrically spaced buckets with `SCALE` buckets per
@@ -203,27 +203,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Folds `other` into `self` (bucket-wise addition plus exact
-    /// sum/min/max/count merge). Histograms from different lanes or
-    /// tenants merge without losing the error bound.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let c = theirs.load(Ordering::Relaxed);
-            if c > 0 {
-                mine.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        atomic_f64_add(&self.sum_bits, other.sum());
-        let (omin, omax) = (other.min(), other.max());
-        if !omin.is_nan() {
-            atomic_f64_fold(&self.min_bits, omin, f64::min);
-        }
-        if !omax.is_nan() {
-            atomic_f64_fold(&self.max_bits, omax, f64::max);
-        }
-    }
-
     /// Visits `(upper_bound, cumulative_count)` for every non-empty bucket
     /// in ascending order — the Prometheus cumulative-bucket view.
     pub fn for_each_nonempty_bucket(&self, mut f: impl FnMut(f64, u64)) {
@@ -332,24 +311,6 @@ mod tests {
         }
         assert_eq!(h.quantile(0.0), 1.0);
         assert_eq!(h.quantile(1.0), 25.0);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_ranges() {
-        let (a, b) = (Histogram::new(), Histogram::new());
-        for v in [1.0, 2.0] {
-            a.record(v);
-        }
-        for v in [10.0, 20.0] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 20.0);
-        assert!((a.sum() - 33.0).abs() < 1e-9);
-        let p100 = a.quantile(1.0);
-        assert_eq!(p100, 20.0);
     }
 
     #[test]

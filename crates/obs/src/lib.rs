@@ -4,11 +4,11 @@
 //! primitives defined here, instead of growing its own ad-hoc telemetry:
 //!
 //! * [`MetricsRegistry`] — named + labeled counters, gauges and
-//!   [`Histogram`]s, scraped on demand. Components either own the metric
-//!   (an `Arc<AtomicU64>` counter, an `Arc<Histogram>`) or register a
-//!   *collector closure* over counters they already maintain, so existing
-//!   snapshot structs keep their exact shapes while becoming scrapeable.
-//! * [`Histogram`] — a log-bucketed, mergeable latency histogram with
+//!   [`Histogram`]s, scraped on demand. Counters and gauges are
+//!   *collector closures* over counters a component already maintains, so
+//!   existing snapshot structs keep their exact shapes while becoming
+//!   scrapeable; a histogram is an `Arc<Histogram>` its owner records into.
+//! * [`Histogram`] — a log-bucketed latency histogram with
 //!   constant memory (one fixed array of atomic buckets), lock-free
 //!   recording and nearest-rank percentile lookup whose relative error is
 //!   bounded by [`Histogram::REL_ERROR`]. It replaces the engine's old
@@ -36,7 +36,7 @@ pub mod trace;
 
 pub use export::chrome_trace_json;
 pub use hist::Histogram;
-pub use registry::{Gauge, MetricsRegistry};
+pub use registry::MetricsRegistry;
 pub use serve::{scrape, MetricsServer};
 pub use trace::{
     ctx_scope, current_ctx, group_by_window, span, tracer, CtxGuard, SpanGuard, SpanRecord, Stage,

@@ -1,51 +1,26 @@
 //! The metrics registry: named + labeled counters, gauges and histograms,
 //! rendered on demand in Prometheus text exposition format.
 //!
-//! Two registration styles:
-//!
-//! * **owned** metrics — [`counter`](MetricsRegistry::counter),
-//!   [`gauge`](MetricsRegistry::gauge),
-//!   [`histogram`](MetricsRegistry::histogram) get-or-create a shared
-//!   handle (`Arc`) that the caller updates directly on the hot path;
-//! * **collector closures** —
-//!   [`register_counter_fn`](MetricsRegistry::register_counter_fn) /
-//!   [`register_gauge_fn`](MetricsRegistry::register_gauge_fn) read a value
-//!   at scrape time. This is how the pre-existing snapshot structs
-//!   (`CacheCounters`, planner counters, dedup and occupancy counters)
-//!   join the registry without changing their field layout or JSON shapes:
-//!   the closure captures the `Arc`'d struct and loads its atomics when a
-//!   scrape happens, costing nothing between scrapes.
+//! Counters and gauges are **collector closures**
+//! ([`register_counter_fn`](MetricsRegistry::register_counter_fn),
+//! [`register_gauge_fn`](MetricsRegistry::register_gauge_fn)) that read a
+//! value at scrape time; histograms are an `Arc<Histogram>` the caller
+//! records into ([`register_histogram`](MetricsRegistry::register_histogram)).
+//! Every component exposes counters it already keeps this way (the run
+//! tally, `CacheCounters`, planner, dedup and occupancy counters), so their
+//! field layouts and JSON shapes stay as they are: the closure captures the
+//! `Arc`'d struct and loads its atomics when a scrape happens, costing
+//! nothing between scrapes.
 //!
 //! Re-registering the same `(name, labels)` replaces the previous source,
 //! so per-run components (a fresh engine per bench trial, say) can re-bind
 //! their collectors without leaking stale entries.
 
 use crate::hist::Histogram;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// A float-valued gauge (an `f64` stored atomically as bits).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Reads the gauge.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
 
 /// Where a metric's value comes from at scrape time.
 enum Source {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
     GaugeFn(Box<dyn Fn() -> f64 + Send + Sync>),
@@ -55,8 +30,8 @@ impl Source {
     /// Prometheus `# TYPE` keyword.
     fn type_name(&self) -> &'static str {
         match self {
-            Source::Counter(_) | Source::CounterFn(_) => "counter",
-            Source::Gauge(_) | Source::GaugeFn(_) => "gauge",
+            Source::CounterFn(_) => "counter",
+            Source::GaugeFn(_) => "gauge",
             Source::Histogram(_) => "histogram",
         }
     }
@@ -84,12 +59,9 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn labels_vec(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-        labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
-    }
-
     fn upsert(&self, name: &str, labels: &[(&str, &str)], source: Source) {
-        let labels = Self::labels_vec(labels);
+        let labels: Vec<(String, String)> =
+            labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         let mut metrics = self.metrics.lock().unwrap();
         if let Some(m) = metrics.iter_mut().find(|m| m.name == name && m.labels == labels) {
             m.source = source;
@@ -98,63 +70,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get-or-create an owned counter.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<AtomicU64> {
-        let wanted = Self::labels_vec(labels);
-        let mut metrics = self.metrics.lock().unwrap();
-        if let Some(m) = metrics.iter().find(|m| m.name == name && m.labels == wanted) {
-            if let Source::Counter(c) = &m.source {
-                return Arc::clone(c);
-            }
-        }
-        let counter = Arc::new(AtomicU64::new(0));
-        metrics.push(Metric {
-            name: name.to_string(),
-            labels: wanted,
-            source: Source::Counter(Arc::clone(&counter)),
-        });
-        counter
-    }
-
-    /// Get-or-create an owned gauge.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let wanted = Self::labels_vec(labels);
-        let mut metrics = self.metrics.lock().unwrap();
-        if let Some(m) = metrics.iter().find(|m| m.name == name && m.labels == wanted) {
-            if let Source::Gauge(g) = &m.source {
-                return Arc::clone(g);
-            }
-        }
-        let gauge = Arc::new(Gauge::default());
-        metrics.push(Metric {
-            name: name.to_string(),
-            labels: wanted,
-            source: Source::Gauge(Arc::clone(&gauge)),
-        });
-        gauge
-    }
-
-    /// Get-or-create an owned histogram.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let wanted = Self::labels_vec(labels);
-        let mut metrics = self.metrics.lock().unwrap();
-        if let Some(m) = metrics.iter().find(|m| m.name == name && m.labels == wanted) {
-            if let Source::Histogram(h) = &m.source {
-                return Arc::clone(h);
-            }
-        }
-        let hist = Arc::new(Histogram::new());
-        metrics.push(Metric {
-            name: name.to_string(),
-            labels: wanted,
-            source: Source::Histogram(Arc::clone(&hist)),
-        });
-        hist
-    }
-
-    /// Registers (or replaces) a histogram the caller already owns — used
-    /// by components that record into their own `Arc<Histogram>` and want
-    /// it scraped too.
+    /// Registers (or replaces) a histogram the caller records into.
     pub fn register_histogram(&self, name: &str, labels: &[(&str, &str)], hist: Arc<Histogram>) {
         self.upsert(name, labels, Source::Histogram(hist));
     }
@@ -202,17 +118,9 @@ impl MetricsRegistry {
                 last_name = Some(m.name.as_str());
             }
             match &m.source {
-                Source::Counter(c) => {
-                    let labels = render_labels(&m.labels, &[]);
-                    out.push_str(&format!("{name}{labels} {}\n", c.load(Ordering::Relaxed)));
-                }
                 Source::CounterFn(f) => {
                     let labels = render_labels(&m.labels, &[]);
                     out.push_str(&format!("{name}{labels} {}\n", f()));
-                }
-                Source::Gauge(g) => {
-                    let labels = render_labels(&m.labels, &[]);
-                    out.push_str(&format!("{name}{labels} {}\n", fmt_f64(g.get())));
                 }
                 Source::GaugeFn(f) => {
                     let labels = render_labels(&m.labels, &[]);
@@ -284,17 +192,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_get_or_create_shares_the_handle() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("requests_total", &[("lane", "0")]);
-        let b = reg.counter("requests_total", &[("lane", "0")]);
-        let other = reg.counter("requests_total", &[("lane", "1")]);
-        a.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(b.load(Ordering::Relaxed), 3);
-        assert_eq!(other.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn collector_fns_replace_on_reregistration() {
         let reg = MetricsRegistry::new();
         reg.register_counter_fn("hits_total", &[], || 1);
@@ -307,10 +204,11 @@ mod tests {
     #[test]
     fn prometheus_exposition_golden() {
         let reg = MetricsRegistry::new();
-        reg.counter("windows_total", &[("lane", "0")]).fetch_add(7, Ordering::Relaxed);
-        reg.counter("windows_total", &[("lane", "1")]).fetch_add(5, Ordering::Relaxed);
-        reg.gauge("queue_depth", &[]).set(2.5);
-        let h = reg.histogram("latency_ms", &[]);
+        reg.register_counter_fn("windows_total", &[("lane", "0")], || 7);
+        reg.register_counter_fn("windows_total", &[("lane", "1")], || 5);
+        reg.register_gauge_fn("queue_depth", &[], || 2.5);
+        let h = Arc::new(Histogram::new());
+        reg.register_histogram("latency_ms", &[], Arc::clone(&h));
         h.record(2.0);
         h.record(2.0);
         h.record(1000.0);
@@ -351,25 +249,5 @@ mod tests {
         reg.register_counter_fn("9bad.name-total", &[("k", "a\"b")], || 1);
         let text = reg.render_prometheus();
         assert!(text.contains("_9bad_name_total{k=\"a\\\"b\"} 1"), "{text}");
-    }
-
-    #[test]
-    fn concurrent_owned_counter_updates() {
-        let reg = std::sync::Arc::new(MetricsRegistry::new());
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let reg = std::sync::Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    let c = reg.counter("spins_total", &[]);
-                    for _ in 0..1000 {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(reg.counter("spins_total", &[]).load(Ordering::Relaxed), 8000);
     }
 }

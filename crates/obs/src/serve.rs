@@ -109,17 +109,20 @@ pub fn scrape(addr: SocketAddr) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn scrape_round_trip_serves_the_registry() {
         let registry = Arc::new(MetricsRegistry::new());
-        registry.counter("up_total", &[]).fetch_add(1, Ordering::Relaxed);
+        let up = Arc::new(AtomicU64::new(1));
+        let shared = Arc::clone(&up);
+        registry.register_counter_fn("up_total", &[], move || shared.load(Ordering::Relaxed));
         let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
         let body = scrape(server.local_addr()).unwrap();
         assert!(body.contains("# TYPE up_total counter"), "{body}");
         assert!(body.contains("up_total 1"), "{body}");
         // A second scrape sees live updates.
-        registry.counter("up_total", &[]).fetch_add(1, Ordering::Relaxed);
+        up.fetch_add(1, Ordering::Relaxed);
         let body = scrape(server.local_addr()).unwrap();
         assert!(body.contains("up_total 2"), "{body}");
         server.shutdown();

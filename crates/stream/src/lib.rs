@@ -17,4 +17,4 @@ pub use generator::{
 pub use query::QueryProcessor;
 pub use rng::Pcg32;
 pub use source::{spawn_source, SourceConfig};
-pub use window::{SlidingWindower, StreamItem, TupleWindower, Window, WindowDelta, Windower};
+pub use window::{SlidingWindower, TupleWindower, Window, WindowDelta, Windower};

@@ -4,15 +4,6 @@
 
 use sr_rdf::Triple;
 
-/// A timestamped stream item.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StreamItem {
-    /// The payload triple.
-    pub triple: Triple,
-    /// Arrival time in milliseconds since stream start.
-    pub timestamp_ms: u64,
-}
-
 /// Change of a window relative to an earlier window of the same stream:
 /// `multiset(current) = multiset(base) - retracted + added`. Produced by
 /// [`SlidingWindower`] and `ChurnStream` for overlapping windows.
@@ -113,21 +104,20 @@ impl Window {
     }
 }
 
-/// A windowing strategy over a timestamped stream. Unifies the windowers
-/// ([`TupleWindower`], [`SlidingWindower`]) so sources can feed any
-/// consumer — e.g. a pipelined stream engine — generically. Both are
-/// count-based and ignore the timestamp.
+/// A windowing strategy over a stream of triples. Unifies the count-based
+/// windowers ([`TupleWindower`], [`SlidingWindower`]) so sources can feed
+/// any consumer — e.g. a pipelined stream engine — generically.
 pub trait Windower: Send {
-    /// Feeds one timestamped item; returns a window when one closes.
-    fn feed(&mut self, item: StreamItem) -> Option<Window>;
+    /// Feeds one item; returns a window when one closes.
+    fn feed(&mut self, item: Triple) -> Option<Window>;
 
     /// Flushes the trailing partial window at end of stream, if any.
     fn flush(&mut self) -> Option<Window>;
 }
 
 impl Windower for TupleWindower {
-    fn feed(&mut self, item: StreamItem) -> Option<Window> {
-        self.push(item.triple)
+    fn feed(&mut self, item: Triple) -> Option<Window> {
+        self.push(item)
     }
 
     fn flush(&mut self) -> Option<Window> {
@@ -136,8 +126,8 @@ impl Windower for TupleWindower {
 }
 
 impl Windower for SlidingWindower {
-    fn feed(&mut self, item: StreamItem) -> Option<Window> {
-        self.push(item.triple)
+    fn feed(&mut self, item: Triple) -> Option<Window> {
+        self.push(item)
     }
 
     fn flush(&mut self) -> Option<Window> {
@@ -459,12 +449,11 @@ mod tests {
 
     #[test]
     fn windower_trait_unifies_both() {
-        let item = |i: i64, ts: u64| StreamItem { triple: t(i), timestamp_ms: ts };
         let mut windowers: Vec<Box<dyn Windower>> =
             vec![Box::new(TupleWindower::new(2)), Box::new(SlidingWindower::new(2, 2))];
         for w in &mut windowers {
-            assert!(w.feed(item(1, 10)).is_none());
-            let emitted = w.feed(item(2, 20)).into_iter().chain(w.flush()).next().unwrap();
+            assert!(w.feed(t(1)).is_none());
+            let emitted = w.feed(t(2)).into_iter().chain(w.flush()).next().unwrap();
             assert_eq!(emitted.items, vec![t(1), t(2)]);
         }
     }

@@ -1,4 +1,4 @@
-//! Pipelined multi-window reasoning: a timestamped stream is cut by a
+//! Pipelined multi-window reasoning: a stream of triples is cut by a
 //! `Windower`, pumped into the `StreamEngine`, and reasoned over by several
 //! `PR_Dep` lanes sharing one partition worker pool — windows overlap in
 //! flight, yet emission stays in stream order and byte-identical to the
@@ -46,18 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ctx.workers()
     );
 
-    // A timestamped synthetic stream, cut generically through the
-    // `Windower` trait into 1,500-item tuple windows, the paper's window
-    // model.
+    // A synthetic stream, cut generically through the `Windower` trait into
+    // 1,500-item tuple windows, the paper's window model.
     let mut generator = paper_generator(GeneratorKind::Correlated, 99);
-    let items: Vec<StreamItem> = generator
-        .window(12_000)
-        .into_iter()
-        .enumerate()
-        .map(|(i, triple)| StreamItem { triple, timestamp_ms: i as u64 })
-        .collect();
     let mut windower = TupleWindower::new(1_500);
-    let submitted = engine.pump(items, &mut windower)?;
+    let submitted = engine.pump(generator.window(12_000), &mut windower)?;
     println!("submitted {submitted} tuple windows");
 
     let report = engine.finish();

@@ -69,7 +69,8 @@ use std::sync::Arc;
 use stream_reasoner::prelude::*;
 use stream_reasoner::sr_rdf::ntriples;
 use throughput::{
-    outputs_match, sequential_baseline, throughput_json, ThroughputResult, ThroughputRun,
+    outputs_match, sequential_baseline, throughput_json, window_at_a_time, ThroughputResult,
+    ThroughputRun,
 };
 
 fn main() -> ExitCode {
@@ -238,7 +239,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         print!("{}", analysis.input_graph.to_dot(&syms));
         return Ok(());
     }
-    let window = analyze_window_spec(args)?;
+    let window = window_spec(args, "2048")?;
     let bounds = ProgramBounds::analyze(&syms, &program, &analysis, &window);
     if has_flag(args, "--json") {
         // Nothing but the report: stdout is the golden-diffed artifact.
@@ -265,21 +266,16 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the `--window`/`--slide` window model the bounds of `analyze` are
-/// computed against.
-fn analyze_window_spec(args: &[String]) -> Result<WindowSpec, String> {
-    let capacity: u64 =
-        flag_value(args, "--window").unwrap_or("2048").parse().map_err(|_| "bad --window")?;
-    Ok(match flag_value(args, "--slide") {
-        Some(v) => {
-            let s: u64 = v.parse().map_err(|_| "bad --slide")?;
-            if s == 0 {
-                return Err("bad --slide (need a positive item count)".into());
-            }
-            WindowSpec::sliding(capacity, s)
-        }
-        None => WindowSpec::tuple(capacity),
-    })
+/// Parses the `--window` (default `default_size`) and `--slide` window
+/// model of `analyze` and `run`; both must be positive item counts.
+fn window_spec(args: &[String], default_size: &str) -> Result<WindowSpec, String> {
+    let positive = |flag: &str, v: &str| match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("bad {flag} (need a positive item count)")),
+    };
+    let capacity = positive("--window", flag_value(args, "--window").unwrap_or(default_size))?;
+    let slide = flag_value(args, "--slide").map(|v| positive("--slide", v)).transpose()?;
+    Ok(WindowSpec { capacity, slide })
 }
 
 /// `generate`: write a synthetic workload as N-Triples.
@@ -429,8 +425,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let path = check_flags(args, &RUN_FLAGS)?.ok_or("missing program file")?;
     let syms = Symbols::new();
     let program = load_program(path, &syms)?;
-    let window_size: usize =
-        flag_value(args, "--window").unwrap_or("5000").parse().map_err(|_| "bad --window")?;
+    let window = window_spec(args, "5000")?;
+    let window_size = window.capacity as usize;
+    let slide = window.slide.map(|s| s as usize);
     let windows_cap: Option<usize> = match flag_value(args, "--windows") {
         Some(v) => Some(v.parse().map_err(|_| "bad --windows")?),
         None => None,
@@ -441,13 +438,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         flag_value(args, "--in-flight").unwrap_or("0").parse().map_err(|_| "bad --in-flight")?;
     let rate: f64 = flag_value(args, "--rate").unwrap_or("0").parse().map_err(|_| "bad --rate")?;
     let mode = parse_mode(flag_value(args, "--mode").unwrap_or("dep"))?;
-    let slide: Option<usize> = match flag_value(args, "--slide") {
-        Some(v) => match v.parse() {
-            Ok(s) if s > 0 => Some(s),
-            _ => return Err("bad --slide (need a positive item count)".into()),
-        },
-        None => None,
-    };
     // --cost-planning composes with every mode: it changes join evaluation
     // order inside grounding, never the answers.
     let cost_planning = has_flag(args, "--cost-planning");
@@ -488,10 +478,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if admission_budget.is_some() && tenants.is_none() {
         return Err("--admission-budget gates multi-tenant admission; add --tenants N".into());
     }
-    let admission = admission_budget.map(|budget| AdmissionPolicy {
-        window: WindowSpec { capacity: window_size as u64, slide: slide.map(|s| s as u64) },
-        budget_cells: Some(budget),
-    });
+    let admission =
+        admission_budget.map(|budget| AdmissionPolicy { window, budget_cells: Some(budget) });
 
     let deadline_ms: Option<u64> = match flag_value(args, "--deadline-ms") {
         Some(v) => match v.parse() {
@@ -607,8 +595,8 @@ fn build_windows(
             Some(s) => Box::new(SlidingWindower::new(window_size, s)),
             None => Box::new(TupleWindower::new(window_size)),
         };
-        for (i, t) in triples.into_iter().enumerate() {
-            if let Some(w) = windower.feed(StreamItem { triple: t, timestamp_ms: i as u64 }) {
+        for t in triples {
+            if let Some(w) = windower.feed(t) {
                 windows.push(w);
             }
         }
@@ -649,7 +637,8 @@ fn build_windows(
 }
 
 /// Builds the `--mode`-selected backend. A partitioned one gets its own
-/// pool, one worker per partition, and reports into `ctx`'s counters.
+/// pool, sized by `reasoner_cfg.workers` (`0`: one worker per partition),
+/// and reports into `ctx`'s counters.
 fn build_reasoner(
     syms: &Symbols,
     program: &Program,
@@ -687,25 +676,24 @@ fn run_sequential(
     let ctx = ExecCtx::default();
     let mut reasoner = build_reasoner(syms, program, analysis, mode, reasoner_cfg, &ctx)
         .map_err(|e| e.to_string())?;
-    for window in windows {
-        let t0 = std::time::Instant::now();
-        let out = reasoner.process(window).map_err(|e| e.to_string())?;
-        let latency = t0.elapsed();
+    let armed = reasoner_cfg.faults.is_some();
+    let stats = window_at_a_time(reasoner.as_mut(), windows, armed, &ctx.failures, |w, out, t| {
         println!(
             "window {} ({} items): {} answer set(s) in {:.2} ms",
-            window.id,
-            window.len(),
+            w.id,
+            w.len(),
             out.answers.len(),
-            duration_ms(latency)
+            duration_ms(t)
         );
         for ans in out.answers.iter().take(2) {
             print_answer(&projection.apply(ans, syms).display(syms).to_string());
         }
-    }
+    })
+    .map_err(|e| e.to_string())?;
     // The same summary lines the engine path prints, under the same rules.
     print_planner_line(&ctx.counters.snapshot());
-    if reasoner_cfg.faults.is_some() || ctx.failures.any_nonzero() {
-        print_failure_line(&ctx.failures.snapshot());
+    if let Some(f) = &stats.failure {
+        print_failure_line(f);
     }
     Ok(())
 }
@@ -954,11 +942,7 @@ fn run_engine(
         window_size: windows.first().map_or(0, Window::len),
         windows: windows.len(),
         baseline: base_stats,
-        runs: vec![ThroughputRun {
-            in_flight,
-            stats: report.stats.clone(),
-            output_identical: identical,
-        }],
+        run: ThroughputRun { in_flight, stats: report.stats.clone(), output_identical: identical },
     };
     std::fs::write(json_path, throughput_json(&result))
         .map_err(|e| format!("cannot write {json_path}: {e}"))?;
@@ -966,7 +950,7 @@ fn run_engine(
         "baseline: {wps:.2} windows/s -> speedup {speedup:.2}x, ordered output identical: \
          {identical} [json written to {json_path}]",
         wps = result.baseline.windows_per_sec,
-        speedup = result.best_speedup()
+        speedup = result.speedup()
     );
     Ok(())
 }

@@ -1,13 +1,15 @@
-//! The throughput record `streamrule run --json` writes: a window-at-a-time
-//! baseline pass versus the pipelined [`sr_core::StreamEngine`], with an
-//! ordered-output identity check between them. The workspace has no JSON
-//! serializer dependency, so [`throughput_json`] is hand-rolled.
+//! Window-at-a-time runs and the throughput record `streamrule run --json`
+//! writes: a window-at-a-time baseline pass versus the pipelined
+//! [`sr_core::StreamEngine`], with an ordered-output identity check between
+//! them. Both sides count their windows through one [`RunTally`], so the
+//! record compares like with like. The workspace has no JSON serializer
+//! dependency, so [`throughput_json`] is hand-rolled.
 
 use asp_core::{AspError, Symbols};
-use sr_core::{duration_ms, EngineOutput, EngineStats, LatencyStats, Reasoner, ReasonerOutput};
+use sr_core::{EngineOutput, EngineStats, FailureCounters, Reasoner, ReasonerOutput, RunTally};
 use sr_stream::Window;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One pipelined engine run.
 #[derive(Clone, Debug)]
@@ -21,7 +23,7 @@ pub struct ThroughputRun {
     pub output_identical: bool,
 }
 
-/// A throughput record: the baseline and the engine runs measured against it.
+/// A throughput record: the baseline and the engine run measured against it.
 #[derive(Clone, Debug)]
 pub struct ThroughputResult {
     /// Items per window.
@@ -29,23 +31,44 @@ pub struct ThroughputResult {
     /// Windows streamed.
     pub windows: usize,
     /// The sequential window-at-a-time baseline, expressed in the same
-    /// statistics shape as the engine runs.
+    /// statistics shape as the engine run.
     pub baseline: EngineStats,
-    /// The engine runs.
-    pub runs: Vec<ThroughputRun>,
+    /// The engine run.
+    pub run: ThroughputRun,
 }
 
 impl ThroughputResult {
-    /// Best windows/s speedup of any engine run over the baseline.
-    pub fn best_speedup(&self) -> f64 {
+    /// Windows/s speedup of the engine run over the baseline.
+    pub fn speedup(&self) -> f64 {
         if self.baseline.windows_per_sec <= 0.0 {
             return 0.0;
         }
-        self.runs
-            .iter()
-            .map(|r| r.stats.windows_per_sec / self.baseline.windows_per_sec)
-            .fold(0.0, f64::max)
+        self.run.stats.windows_per_sec / self.baseline.windows_per_sec
     }
+}
+
+/// Runs `reasoner` over `windows` strictly window-at-a-time on the caller
+/// thread, counting every window into a [`RunTally`] as the engines do, and
+/// hands each window's output and latency to `each`. Stops at the first
+/// error. `armed` and `failures` decide [`EngineStats::failure`], as in
+/// [`RunTally::stats`].
+pub fn window_at_a_time(
+    reasoner: &mut dyn Reasoner,
+    windows: &[Window],
+    armed: bool,
+    failures: &FailureCounters,
+    mut each: impl FnMut(&Window, &ReasonerOutput, Duration),
+) -> Result<EngineStats, AspError> {
+    let mut tally = RunTally::default();
+    for window in windows {
+        let t0 = Instant::now();
+        tally.start(t0);
+        let out = reasoner.process(window)?;
+        let done = Instant::now();
+        tally.record(window.len(), 0, done - t0, done);
+        each(window, &out, done - t0);
+    }
+    Ok(tally.stats(armed, failures))
 }
 
 /// Renders every answer set of a reasoner output, one per line — the
@@ -67,45 +90,20 @@ pub fn outputs_match(syms: &Symbols, outputs: &[EngineOutput], expected: &[Strin
         })
 }
 
-/// Runs `reasoner` over `windows` strictly window-at-a-time, returning the
-/// baseline throughput statistics (in the engine's stats shape) plus each
-/// window's rendered answers for identity checks.
+/// The `--json` baseline: [`window_at_a_time`] over `windows`, returning
+/// its statistics plus each window's rendered answers for identity checks.
+/// The baseline is the reference the engine is measured against, not a
+/// fault report, so its record carries no `failure` counters.
 pub fn sequential_baseline(
     syms: &Symbols,
     reasoner: &mut dyn Reasoner,
     windows: &[Window],
 ) -> Result<(EngineStats, Vec<String>), AspError> {
     let mut rendered = Vec::with_capacity(windows.len());
-    let mut latencies = Vec::with_capacity(windows.len());
-    let items_total: u64 = windows.iter().map(|w| w.len() as u64).sum();
-    let t0 = Instant::now();
-    for window in windows {
-        let t = Instant::now();
-        let out = reasoner.process(window)?;
-        latencies.push(duration_ms(t.elapsed()));
-        rendered.push(render_output(syms, &out));
-    }
-    let elapsed = t0.elapsed();
-    let stats = EngineStats {
-        windows: windows.len() as u64,
-        errors: 0,
-        items: items_total,
-        elapsed_ms: duration_ms(elapsed),
-        windows_per_sec: windows.len() as f64 / elapsed.as_secs_f64(),
-        items_per_sec: items_total as f64 / elapsed.as_secs_f64(),
-        // No engine, no submit path: the key is honestly absent from the
-        // JSON rather than fabricated as 0.0 (see `EngineStats::to_json`).
-        submit_blocked_ms: None,
-        incremental: None,
-        lanes: Vec::new(),
-        queue_high_water: 0,
-        latency: LatencyStats::from_samples(&latencies),
-        tenants: Vec::new(),
-        dedup: None,
-        // Same honesty rule: the baseline has no recovery machinery.
-        failure: None,
-        admission: None,
-    };
+    let stats =
+        window_at_a_time(reasoner, windows, false, &FailureCounters::default(), |_, out, _| {
+            rendered.push(render_output(syms, out))
+        })?;
     Ok((stats, rendered))
 }
 
@@ -115,19 +113,17 @@ pub fn throughput_json(result: &ThroughputResult) -> String {
     let _ = writeln!(out, "  \"window_size\": {},", result.window_size);
     let _ = writeln!(out, "  \"windows\": {},", result.windows);
     let _ = writeln!(out, "  \"baseline\": {},", result.baseline.to_json());
+    let run = &result.run;
     let _ = writeln!(out, "  \"runs\": [");
-    for (i, run) in result.runs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"in_flight\": {}, \"ordered_output_identical\": {}, \"stats\": {}}}{}",
-            run.in_flight,
-            run.output_identical,
-            run.stats.to_json(),
-            if i + 1 < result.runs.len() { "," } else { "" }
-        );
-    }
+    let _ = writeln!(
+        out,
+        "    {{\"in_flight\": {}, \"ordered_output_identical\": {}, \"stats\": {}}}",
+        run.in_flight,
+        run.output_identical,
+        run.stats.to_json()
+    );
     let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"best_speedup_windows_per_sec\": {:.4}", result.best_speedup());
+    let _ = writeln!(out, "  \"best_speedup_windows_per_sec\": {:.4}", result.speedup());
     out.push_str("}\n");
     out
 }
@@ -155,7 +151,7 @@ mod tests {
             window_size: 100,
             windows: 2,
             baseline: baseline.clone(),
-            runs: vec![ThroughputRun { in_flight: 2, stats: baseline, output_identical: true }],
+            run: ThroughputRun { in_flight: 2, stats: baseline, output_identical: true },
         };
         let json = throughput_json(&result);
         assert!(json.contains("\"baseline\":"));

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use sr_rdf::{FormatConfig, FormatProcessor, Node, Triple};
     pub use sr_stream::{
         paper_generator, BurstyGenerator, ChurnStream, CorrelatedGenerator, FaithfulGenerator,
-        GeneratorKind, QueryProcessor, SlidingWindower, StreamItem, TupleWindower, Window,
-        WindowDelta, Windower, WorkloadGenerator, PAPER_PREDICATES,
+        GeneratorKind, QueryProcessor, SlidingWindower, TupleWindower, Window, WindowDelta,
+        Windower, WorkloadGenerator, PAPER_PREDICATES,
     };
 }

@@ -126,3 +126,97 @@ fn run_rejects_a_fault_plan_that_single_mode_cannot_fire() {
     assert!(!out.status.success(), "the plan was accepted: {stderr}");
     assert!(stderr.contains("--fault-spec") && stderr.contains("--mode single"), "{stderr}");
 }
+
+/// `--window 0` is refused by name on every windowing path: generated
+/// tumbling windows, sliding windows and a data file. It must neither panic
+/// inside a windower nor stream empty windows.
+#[test]
+fn run_rejects_a_zero_window() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("zero_window");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("d.nt");
+    std::fs::write(&data, "<loc0> <car_number> 50 .\n").unwrap();
+    let data = data.to_str().expect("UTF-8 path");
+    for extra in [&[][..], &["--slide", "1"], &["--data", data]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+            .args(["run", "assets/traffic_p.lp", "--window", "0", "--windows", "2"])
+            .args(extra)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("streamrule runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains("bad --window (need a positive item count)"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+}
+
+/// The keys of a JSON document in document order: every `"name":` whose
+/// name is lower-case ASCII, digits and `_`.
+fn json_keys(doc: &str) -> Vec<&str> {
+    let parts: Vec<&str> = doc.split('"').collect();
+    let is_key = |s: &str| {
+        !s.is_empty()
+            && s.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+    };
+    (1..parts.len().saturating_sub(1))
+        .step_by(2)
+        .filter(|&i| parts[i + 1].starts_with(':') && is_key(parts[i]))
+        .map(|i| parts[i])
+        .collect()
+}
+
+/// The `--json` record keeps its layout key by key: the baseline, the one
+/// engine run with two lanes, and — only when a deadline or a fault plan
+/// arms it — the engine's `failure` object.
+#[test]
+fn run_json_record_keeps_its_key_layout() {
+    const LATENCY: &[&str] =
+        &["latency", "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "min_ms", "max_ms"];
+    const TOTALS: &[&str] =
+        &["windows", "errors", "items", "elapsed_ms", "windows_per_sec", "items_per_sec"];
+    const LANE: &[&str] = &["busy_ms", "windows", "busy_fraction"];
+    const FAILURE: &[&str] = &[
+        "failure",
+        "retries",
+        "fallbacks",
+        "degraded_windows",
+        "late_recoveries",
+        "lane_rebuilds",
+        "quarantines",
+    ];
+    let expected = |failure: &[&'static str]| -> Vec<&'static str> {
+        let mut keys = vec!["window_size", "windows", "baseline"];
+        keys.extend(TOTALS);
+        keys.extend(["incremental", "lanes", "queue_high_water"]);
+        keys.extend(LATENCY);
+        keys.extend(["runs", "in_flight", "ordered_output_identical", "stats"]);
+        keys.extend(TOTALS);
+        keys.extend(["submit_blocked_ms", "incremental", "hits", "misses"]);
+        keys.extend(["dirty_partition_ratio", "lanes"]);
+        keys.extend(LANE.iter().chain(LANE));
+        keys.push("queue_high_water");
+        keys.extend(LATENCY);
+        keys.extend(failure);
+        keys.push("best_speedup_windows_per_sec");
+        keys
+    };
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("json_keys");
+    std::fs::create_dir_all(&dir).unwrap();
+    let armed = ["--deadline-ms", "100", "--fault-spec", "worker_panic:0.3:7"];
+    for (name, extra, failure) in [("plain", &[][..], &[][..]), ("armed", &armed[..], FAILURE)] {
+        let json = dir.join(format!("{name}.json"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+            .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "2"])
+            .args(["--in-flight", "2", "--trials", "1", "--json"])
+            .arg(&json)
+            .args(extra)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("streamrule runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: exit {:?}: {stderr}", out.status);
+        let doc = std::fs::read_to_string(&json).expect("the record is written");
+        assert_eq!(json_keys(&doc), expected(failure), "{name}: {doc}");
+    }
+}
