@@ -23,6 +23,12 @@ use std::sync::Arc;
 /// HashDoS resistance is irrelevant for interned `u32` keys and short
 /// predicate names, while hashing cost is on the grounder's hot join path, so
 /// a fast low-quality hash is the right trade-off here.
+///
+/// A product's low bits depend only on its factors' low bits, so the raw
+/// multiply state would send every string sharing a first byte to a few
+/// dozen low-bit values, the bits a hash table picks its bucket by.
+/// [`finish`](Hasher::finish) rotates the state (as rustc-hash 2 does) to
+/// bring the well-mixed high bits down.
 #[derive(Default, Clone)]
 pub struct FastHasher {
     state: u64,
@@ -40,7 +46,7 @@ impl FastHasher {
 impl Hasher for FastHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -342,5 +348,18 @@ mod tests {
         assert_ne!(hash_one(b"a"), hash_one(b"b"));
         assert_ne!(hash_one(b"ab"), hash_one(b"ba"));
         assert_ne!(hash_one(b""), hash_one(b"\0"));
+    }
+
+    #[test]
+    fn fast_hasher_spreads_names_with_a_common_prefix_over_low_bits() {
+        use std::hash::Hash;
+        let low_bits: HashSet<u64> = (0..4096)
+            .map(|i| {
+                let mut h = FastHasher::default();
+                format!("car{i}").as_str().hash(&mut h);
+                h.finish() & 0xfff
+            })
+            .collect();
+        assert!(low_bits.len() >= 1024, "4096 names share {} low-12-bit values", low_bits.len());
     }
 }

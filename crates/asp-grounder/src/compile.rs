@@ -1,5 +1,13 @@
 //! Rule compilation: variable slot allocation, safety analysis and greedy
 //! join ordering into executable [`Step`] plans.
+//!
+//! The join order is syntactic and fixed when a rule compiles: after the
+//! comparisons and binds that can run, the positive literal with the most
+//! bound arguments (constants, or variables bound by earlier steps) goes
+//! next, the earliest in the body on ties ([`make_plan`]). A literal that
+//! shares a bound variable thus runs before one that shares none, so the
+//! join probes an index instead of enumerating a cross product. No
+//! relation statistics are kept and no rule is ever replanned.
 
 use asp_core::{
     ArithOp, AspError, Atom, BodyLiteral, CmpOp, FastMap, GroundTerm, Predicate, Rule, Sym,
@@ -23,7 +31,7 @@ pub enum CTerm {
 
 impl CTerm {
     /// True when every variable slot in the term is bound.
-    pub(crate) fn bound_under(&self, bound: &[bool]) -> bool {
+    fn bound_under(&self, bound: &[bool]) -> bool {
         match self {
             CTerm::Const(_) | CTerm::Int(_) => true,
             CTerm::Var(s) => bound[*s as usize],
@@ -34,7 +42,7 @@ impl CTerm {
 
     /// Marks variables occurring in non-arithmetic positions as bound
     /// (structural matching binds them).
-    pub(crate) fn mark_bindable(&self, bound: &mut [bool]) {
+    fn mark_bindable(&self, bound: &mut [bool]) {
         match self {
             CTerm::Const(_) | CTerm::Int(_) => {}
             CTerm::Var(s) => bound[*s as usize] = true,
@@ -51,7 +59,7 @@ impl CTerm {
 
     /// True when arithmetic subterms only use already-bound variables, i.e.
     /// the term is matchable.
-    pub(crate) fn matchable_under(&self, bound: &[bool]) -> bool {
+    fn matchable_under(&self, bound: &[bool]) -> bool {
         match self {
             CTerm::Const(_) | CTerm::Int(_) | CTerm::Var(_) => true,
             CTerm::Func(_, args) => args.iter().all(|a| a.matchable_under(bound)),
@@ -311,7 +319,7 @@ fn apply_plan_bindings(plan: &[Step], bound: &mut [bool]) {
     }
 }
 
-pub(crate) fn first_unbound(t: &CTerm, bound: &[bool]) -> Option<u32> {
+fn first_unbound(t: &CTerm, bound: &[bool]) -> Option<u32> {
     match t {
         CTerm::Const(_) | CTerm::Int(_) => None,
         CTerm::Var(s) => (!bound[*s as usize]).then_some(*s),
@@ -322,20 +330,132 @@ pub(crate) fn first_unbound(t: &CTerm, bound: &[bool]) -> Option<u32> {
 
 /// Builds an executable plan for `body`, optionally forcing body literal
 /// `forced_first` (which must be a positive atom) to be matched first — the
-/// semi-naive delta designation. Fails with the slot of an unbindable
-/// variable when the body is unsafe.
+/// semi-naive delta designation. Comparisons and binds run as soon as their
+/// variables are bound; among the runnable positive literals the one with
+/// the most bound arguments goes next, the earliest on ties; fully bound
+/// negation runs when nothing else can. Fails with the slot of an
+/// unbindable variable when the body is unsafe.
 ///
-/// This is the syntactic default: the greedy state machine lives in
-/// [`crate::planner::plan`], and this entry point runs it with
-/// [`crate::planner::SyntacticCost`], which reproduces the original
-/// maximize-bound-args heuristic exactly. Cost-based callers pass a
-/// [`crate::stats::RelationStats`] instead.
+/// Order changes join evaluation, never the derived set: the variables
+/// bound after a plan depend only on which literals it holds, and both
+/// evaluation modes dedup rule instances on their full bindings.
 pub fn make_plan(
     body: &[CLit],
     var_count: u32,
     forced_first: Option<usize>,
 ) -> Result<Vec<Step>, u32> {
-    crate::planner::plan(body, var_count, forced_first, &crate::planner::SyntacticCost)
+    let n = body.len();
+    let mut used = vec![false; n];
+    let mut bound = vec![false; var_count as usize];
+    let mut plan: Vec<Step> = Vec::with_capacity(n);
+
+    let push_match = |i: usize,
+                      used: &mut Vec<bool>,
+                      bound: &mut Vec<bool>,
+                      plan: &mut Vec<Step>| {
+        let CLit::Pos(atom) = &body[i] else { unreachable!("match step on non-positive literal") };
+        let static_bound: Box<[bool]> = atom.args.iter().map(|a| a.bound_under(bound)).collect();
+        for a in atom.args.iter() {
+            a.mark_bindable(bound);
+        }
+        plan.push(Step::Match { atom: atom.clone(), static_bound, source: Source::Full });
+        used[i] = true;
+    };
+
+    if let Some(f) = forced_first {
+        push_match(f, &mut used, &mut bound, &mut plan);
+    }
+
+    while used.iter().any(|u| !u) {
+        // 1. Cheap deterministic steps first: bound comparisons and binds.
+        let mut progressed = false;
+        for i in 0..n {
+            if used[i] {
+                continue;
+            }
+            if let CLit::Cmp(lhs, op, rhs) = &body[i] {
+                let lb = lhs.bound_under(&bound);
+                let rb = rhs.bound_under(&bound);
+                if lb && rb {
+                    plan.push(Step::Compare { lhs: lhs.clone(), op: *op, rhs: rhs.clone() });
+                    used[i] = true;
+                    progressed = true;
+                } else if *op == CmpOp::Eq {
+                    // `X = expr` / `expr = X` with exactly one unbound var.
+                    let bind = match (lhs, rhs, lb, rb) {
+                        (CTerm::Var(s), e, false, true) => Some((*s, e.clone())),
+                        (e, CTerm::Var(s), true, false) => Some((*s, e.clone())),
+                        _ => None,
+                    };
+                    if let Some((slot, expr)) = bind {
+                        plan.push(Step::Bind { slot, expr });
+                        bound[slot as usize] = true;
+                        used[i] = true;
+                        progressed = true;
+                    }
+                }
+            }
+        }
+        if progressed {
+            continue;
+        }
+
+        // 2. The runnable positive match with the most bound arguments;
+        //    strict `>` over an ascending scan keeps source order on ties.
+        let mut best: Option<(usize, usize)> = None;
+        for i in 0..n {
+            if used[i] {
+                continue;
+            }
+            if let CLit::Pos(atom) = &body[i] {
+                if !atom.args.iter().all(|a| a.matchable_under(&bound)) {
+                    continue;
+                }
+                let bound_args = atom.args.iter().filter(|a| a.bound_under(&bound)).count();
+                if best.is_none_or(|(b, _)| bound_args > b) {
+                    best = Some((bound_args, i));
+                }
+            }
+        }
+        if let Some((_, i)) = best {
+            push_match(i, &mut used, &mut bound, &mut plan);
+            continue;
+        }
+
+        // 3. Fully bound negative literals.
+        let mut neg_done = false;
+        for i in 0..n {
+            if used[i] {
+                continue;
+            }
+            if let CLit::Neg(atom) = &body[i] {
+                if atom.args.iter().all(|a| a.bound_under(&bound)) {
+                    plan.push(Step::NegCheck { atom: atom.clone() });
+                    used[i] = true;
+                    neg_done = true;
+                }
+            }
+        }
+        if neg_done {
+            continue;
+        }
+
+        // 4. Stuck: report the first unbound variable of an unused literal.
+        for i in 0..n {
+            if used[i] {
+                continue;
+            }
+            let slot = match &body[i] {
+                CLit::Pos(a) | CLit::Neg(a) => a.args.iter().find_map(|t| first_unbound(t, &bound)),
+                CLit::Cmp(l, _, r) => first_unbound(l, &bound).or_else(|| first_unbound(r, &bound)),
+            };
+            if let Some(slot) = slot {
+                return Err(slot);
+            }
+        }
+        unreachable!("stuck plan with no unbound variable");
+    }
+    Ok(plan)
 }
 
 /// Compares two ground terms for a builtin comparison. Equality is
@@ -417,6 +537,26 @@ mod tests {
             Step::Match { static_bound, .. } => assert_eq!(&static_bound[..], &[true]),
             other => panic!("expected match, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn most_bound_literal_goes_next_and_source_order_breaks_ties() {
+        fn matched(c: &CompiledRule) -> Vec<u32> {
+            c.plan
+                .iter()
+                .filter_map(|s| match s {
+                    Step::Match { atom, .. } => Some(atom.pred.arity),
+                    _ => None,
+                })
+                .collect()
+        }
+        // Nothing is bound at first: a(X) and b(Y) tie and a wins by source
+        // order. Then c(X,Y) has one bound argument and b(Y) none.
+        let (_s, c) = compiled("h(X,Y) :- a(X), b(Y), c(X,Y).");
+        assert_eq!(matched(&c), [1, 2, 1]);
+        // A constant counts as bound: p(1,Z) leads over q(Z).
+        let (_s, c) = compiled("h(Z) :- q(Z), p(1,Z).");
+        assert_eq!(matched(&c), [2, 1]);
     }
 
     #[test]

@@ -5,24 +5,22 @@
 //! directly ([`Grounder::perfect_model`]).
 
 use crate::compile::{compare, compile_rule, make_plan, CAtom, CLit, CompiledRule, Source, Step};
-use crate::planner::match_signature;
 use crate::relation::Relation;
 use crate::simplify::{finalize, ProtoRule};
-use crate::stats::RelationStats;
 use asp_core::{
     AspError, FastMap, FastSet, GroundAtom, GroundProgram, GroundTerm, Predicate, Program, Sym,
     Symbols,
 };
 use sr_graph::{scc_ids, DiGraph};
 use std::borrow::Cow;
-use std::sync::{Mutex, PoisonError};
 
 /// Prefix marking internal complement atoms generated for choice heads.
 pub const CHOICE_COMPLEMENT_PREFIX: &str = "\u{2}not_";
 
 /// A reusable grounder: rule compilation, dependency components and plan
 /// variants are computed once (design time); [`Grounder::ground`] then
-/// instantiates per input window (run time).
+/// instantiates per input window (run time). Immutable once built, so one
+/// grounder serves any number of threads through `&self`.
 #[derive(Debug)]
 pub struct Grounder {
     pub(crate) syms: Symbols,
@@ -31,11 +29,6 @@ pub struct Grounder {
     constraint_ids: Vec<usize>,
     /// See [`Grounder::is_stratified`].
     stratified: bool,
-    /// Cost-based plan cache, present when cost planning is enabled. Behind
-    /// a mutex because grounding runs through `&self` (the grounder is
-    /// shared via `Arc` across lanes); contention is negligible — the lock
-    /// is taken once per `ground` call.
-    planner: Option<Mutex<PlanCache>>,
 }
 
 #[derive(Debug)]
@@ -48,35 +41,8 @@ struct Component {
 struct CompRule {
     compiled_idx: usize,
     round0: Vec<Step>,
-    /// Body indexes of the recursive positive literals, aligned with
-    /// `deltas` (kept so replanning can rebuild each delta variant).
-    rec_lits: Vec<usize>,
     /// One delta plan per recursive positive literal.
     deltas: Vec<Vec<Step>>,
-}
-
-/// Replacement plans for one rule: its `round0` plan plus one delta plan per
-/// recursive positive literal (aligned with `CompRule::rec_lits`).
-type RulePlans = (Vec<Step>, Vec<Vec<Step>>);
-
-/// Cost-planned alternatives to the syntactic plans, cached per stats
-/// generation: `components[ci][ri]` holds the replacement `(round0, deltas)`
-/// for `Grounder::components[ci].rules[ri]`, `constraints[k]` the plan for
-/// `constraint_ids[k]`. Rebuilt lazily when the stats generation moves —
-/// windows with stable cardinalities reuse plans without any planning work.
-#[derive(Debug, Default)]
-struct PlanCache {
-    stats: RelationStats,
-    /// Stats generation the cached plans were built against; `None` until
-    /// the first replan.
-    planned_gen: Option<u64>,
-    components: Vec<Vec<RulePlans>>,
-    constraints: Vec<Vec<Step>>,
-    /// Total plan rebuilds (bounded by generation bumps, not by windows).
-    replans: u64,
-    /// Cumulative count of rebuilt plans whose relation-visit order differs
-    /// from the syntactic heuristic's choice.
-    reordered: u64,
 }
 
 /// Retags `Match` sources for steps over a component's own predicates:
@@ -179,7 +145,7 @@ impl Grounder {
             let rec_lits = c.recursive_literals(is_rec);
             let round0 = retag_plan(c.plan.clone(), &comp.preds, false);
             let mut deltas = Vec::with_capacity(rec_lits.len());
-            for &lit in &rec_lits {
+            for lit in rec_lits {
                 let plan = make_plan(&c.body, c.var_count, Some(lit)).map_err(|slot| {
                     AspError::UnsafeRule {
                         rule: format!("rule #{}", c.rule_idx),
@@ -188,17 +154,10 @@ impl Grounder {
                 })?;
                 deltas.push(retag_plan(plan, &comp.preds, true));
             }
-            comp.rules.push(CompRule { compiled_idx: idx, round0, rec_lits, deltas });
+            comp.rules.push(CompRule { compiled_idx: idx, round0, deltas });
         }
 
-        Ok(Grounder {
-            syms: syms.clone(),
-            compiled,
-            components,
-            constraint_ids,
-            stratified,
-            planner: None,
-        })
+        Ok(Grounder { syms: syms.clone(), compiled, components, constraint_ids, stratified })
     }
 
     /// True when every window has at most one answer set, its perfect
@@ -208,81 +167,6 @@ impl Grounder {
     /// failing this need [`Grounder::ground`] plus a stable-model solver.
     pub fn is_stratified(&self) -> bool {
         self.stratified
-    }
-
-    /// Enables or disables cost-based join planning for scratch grounding.
-    /// Must be called before the grounder is shared (`&mut self`); when
-    /// enabled, each `ground` call rebases relation statistics from the fact
-    /// window and lazily rebuilds plans when the stats generation moves.
-    pub fn set_cost_planning(&mut self, enabled: bool) {
-        if enabled == self.planner.is_some() {
-            return;
-        }
-        self.planner = enabled.then(|| Mutex::new(PlanCache::default()));
-    }
-
-    /// True when cost-based join planning is enabled.
-    pub fn cost_planning(&self) -> bool {
-        self.planner.is_some()
-    }
-
-    /// Planner counters `(replans, plans_reordered, stats_generation)`;
-    /// `None` when cost planning is off — callers must omit, never
-    /// fabricate, the metrics in that case.
-    pub fn planner_counters(&self) -> Option<(u64, u64, u64)> {
-        self.planner.as_ref().map(|m| {
-            let c = m.lock().unwrap_or_else(PoisonError::into_inner);
-            (c.replans, c.reordered, c.stats.generation())
-        })
-    }
-
-    /// Rebuilds every cached plan against the current statistics, falling
-    /// back to the syntactic plan for any body the planner rejects (which
-    /// cannot happen for rules that compiled — safety is order-independent —
-    /// but is cheap insurance).
-    fn replan(&self, cache: &mut PlanCache) {
-        cache.replans += 1;
-        cache.planned_gen = Some(cache.stats.generation());
-        cache.components.clear();
-        cache.constraints.clear();
-        for comp in &self.components {
-            let mut rules = Vec::with_capacity(comp.rules.len());
-            for cr in &comp.rules {
-                let c = &self.compiled[cr.compiled_idx];
-                let round0 = match crate::planner::plan(&c.body, c.var_count, None, &cache.stats) {
-                    Ok(p) => retag_plan(p, &comp.preds, false),
-                    Err(_) => cr.round0.clone(),
-                };
-                if match_signature(&round0) != match_signature(&cr.round0) {
-                    cache.reordered += 1;
-                }
-                let mut deltas = Vec::with_capacity(cr.deltas.len());
-                for (k, &lit) in cr.rec_lits.iter().enumerate() {
-                    let d =
-                        match crate::planner::plan(&c.body, c.var_count, Some(lit), &cache.stats) {
-                            Ok(p) => retag_plan(p, &comp.preds, true),
-                            Err(_) => cr.deltas[k].clone(),
-                        };
-                    if match_signature(&d) != match_signature(&cr.deltas[k]) {
-                        cache.reordered += 1;
-                    }
-                    deltas.push(d);
-                }
-                rules.push((round0, deltas));
-            }
-            cache.components.push(rules);
-        }
-        for &cidx in &self.constraint_ids {
-            let c = &self.compiled[cidx];
-            let p = match crate::planner::plan(&c.body, c.var_count, None, &cache.stats) {
-                Ok(p) => p,
-                Err(_) => c.plan.clone(),
-            };
-            if match_signature(&p) != match_signature(&c.plan) {
-                cache.reordered += 1;
-            }
-            cache.constraints.push(p);
-        }
     }
 
     /// Instantiates the program against `facts` (the input window plus any
@@ -346,27 +230,12 @@ impl Grounder {
         Ok(Some(model))
     }
 
-    /// The evaluation `ground` and `perfect_model` share: rebase the cost
-    /// planner, load the facts, run every component to its fixpoint
-    /// (bodies before heads), then the integrity constraints.
+    /// The evaluation `ground` and `perfect_model` share: load the facts,
+    /// run every component to its fixpoint (bodies before heads), then the
+    /// integrity constraints.
     fn evaluate(&self, facts: Vec<GroundAtom>, mode: Mode) -> Result<Evaluated, AspError> {
-        // Cost planning: rebase the statistics from this window's facts and
-        // rebuild plans only when the generation moved (drift hysteresis in
-        // `RelationStats` bounds the replan rate).
-        let mut guard =
-            self.planner.as_ref().map(|m| m.lock().unwrap_or_else(PoisonError::into_inner));
-        if let Some(cache) = guard.as_deref_mut() {
-            cache.stats.rebase(&facts);
-            if cache.planned_gen != Some(cache.stats.generation()) {
-                let _span = sr_obs::span(sr_obs::Stage::Plan);
-                self.replan(cache);
-            }
-        }
-        let planned = guard.as_deref();
-
         let mut ev = Eval {
             g: self,
-            planned,
             mode,
             relations: FastMap::default(),
             proto: Vec::new(),
@@ -399,13 +268,12 @@ impl Grounder {
             ev.fixpoint(ci)?;
         }
 
-        for (k, &cidx) in self.constraint_ids.iter().enumerate() {
+        for &cidx in &self.constraint_ids {
             if ev.violated {
                 break;
             }
             let rule = &self.compiled[cidx];
-            let plan = planned.map_or(&rule.plan, |c| &c.constraints[k]);
-            ev.eval_rule(rule, plan, cidx)?;
+            ev.eval_rule(rule, &rule.plan, cidx)?;
         }
 
         if mode == Mode::Ground {
@@ -454,11 +322,8 @@ struct Evaluated {
     violated: bool,
 }
 
-struct Eval<'g, 'p> {
+struct Eval<'g> {
     g: &'g Grounder,
-    /// Cost-planned plan overrides, present when cost planning is enabled;
-    /// indexes mirror the grounder's component / constraint layout.
-    planned: Option<&'p PlanCache>,
     mode: Mode,
     relations: FastMap<Predicate, Relation>,
     proto: Vec<ProtoRule>,
@@ -474,7 +339,7 @@ struct Eval<'g, 'p> {
     args: Vec<GroundTerm>,
 }
 
-impl Eval<'_, '_> {
+impl Eval<'_> {
     fn fixpoint(&mut self, ci: usize) -> Result<(), AspError> {
         let comp = &self.g.components[ci];
         if comp.rules.is_empty() {
@@ -485,10 +350,8 @@ impl Eval<'_, '_> {
         for p in &comp.preds {
             prev_len.insert(*p, self.relations.get(p).map_or(0, |r| r.len() as u32));
         }
-        for (ri, cr) in comp.rules.iter().enumerate() {
-            let rule = &self.g.compiled[cr.compiled_idx];
-            let plan = self.planned.map_or(&cr.round0, |c| &c.components[ci][ri].0);
-            self.eval_rule(rule, plan, cr.compiled_idx)?;
+        for cr in &comp.rules {
+            self.eval_rule(&self.g.compiled[cr.compiled_idx], &cr.round0, cr.compiled_idx)?;
         }
         loop {
             // Compute deltas: tuples added since `prev_len`.
@@ -506,13 +369,9 @@ impl Eval<'_, '_> {
             if !any {
                 break;
             }
-            for (ri, cr) in comp.rules.iter().enumerate() {
-                if cr.deltas.is_empty() {
-                    continue;
-                }
+            for cr in &comp.rules {
                 let rule = &self.g.compiled[cr.compiled_idx];
-                let deltas = self.planned.map_or(&cr.deltas, |c| &c.components[ci][ri].1);
-                for dplan in deltas {
+                for dplan in &cr.deltas {
                     self.eval_rule(rule, dplan, cr.compiled_idx)?;
                 }
             }
@@ -703,8 +562,10 @@ impl Eval<'_, '_> {
     }
 
     fn strong_negation_constraints(&mut self) {
-        let strong_preds: Vec<Predicate> =
+        // Sorted, so the constraints' order does not follow the hash map's.
+        let mut strong_preds: Vec<Predicate> =
             self.relations.keys().filter(|p| p.strong_neg).copied().collect();
+        strong_preds.sort_unstable();
         for sp in strong_preds {
             let twin = Predicate { strong_neg: false, ..sp };
             let Some(pos_rel) = self.relations.get(&twin) else { continue };
@@ -815,8 +676,7 @@ mod tests {
     use super::*;
     use asp_parser::parse_program;
 
-    // Recursion + a wide constraint body, so replanning exercises round0,
-    // delta and constraint plans alike.
+    // Positive recursion plus a constraint over a derived predicate.
     const REACH: &str = r#"
         reach(X,Y) :- edge(X,Y).
         reach(X,Z) :- reach(X,Y), edge(Y,Z).
@@ -839,47 +699,6 @@ mod tests {
         out.push(mk("watch", &[0]));
         out.push(mk("bad", &[n]));
         out
-    }
-
-    #[test]
-    fn cost_planning_scratch_output_is_identical() {
-        let syms = Symbols::new();
-        let program = parse_program(&syms, REACH).unwrap();
-        let baseline = Grounder::new(&syms, &program).unwrap();
-        let mut planned = Grounder::new(&syms, &program).unwrap();
-        planned.set_cost_planning(true);
-        assert!(planned.cost_planning());
-        assert!(baseline.planner_counters().is_none(), "counters omitted when off");
-        for n in [3i64, 30] {
-            let w = facts(&syms, n);
-            assert_eq!(
-                planned.ground(&w).unwrap().canonical_form(&syms),
-                baseline.ground(&w).unwrap().canonical_form(&syms),
-                "cost planning changed the derived set at n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn scratch_replans_once_per_generation() {
-        let syms = Symbols::new();
-        let program = parse_program(&syms, REACH).unwrap();
-        let mut g = Grounder::new(&syms, &program).unwrap();
-        g.set_cost_planning(true);
-        let w = facts(&syms, 30);
-        g.ground(&w).unwrap();
-        let (replans, _, generation) = g.planner_counters().unwrap();
-        assert_eq!(replans, 1, "the first window plans exactly once");
-        for _ in 0..5 {
-            g.ground(&w).unwrap();
-        }
-        let (replans_after, _, gen_after) = g.planner_counters().unwrap();
-        assert_eq!(replans_after, 1, "identical windows must reuse cached plans");
-        assert_eq!(gen_after, generation);
-        // A very different window drifts and replans once more.
-        g.ground(&facts(&syms, 300)).unwrap();
-        let (replans_grown, ..) = g.planner_counters().unwrap();
-        assert_eq!(replans_grown, 2);
     }
 
     #[test]

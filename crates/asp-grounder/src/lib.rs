@@ -2,7 +2,8 @@
 //!
 //! The grounder follows the standard two-phase architecture of DLV/clingo
 //! (the solvers StreamRule builds on): rules are compiled with a safety check
-//! and a greedy join order, predicates are stratified into strongly connected
+//! and one syntactic join order, fixed at compile time (most bound arguments
+//! first, see [`compile`]), predicates are stratified into strongly connected
 //! components of the dependency graph, and each component is evaluated with
 //! semi-naive iteration over binding-pattern hash indexes. Relations store
 //! each tuple once: the indexes hold tuple ids keyed by a hash of the bound
@@ -18,7 +19,8 @@
 //!
 //! Design-time/run-time split: [`Grounder::new`] does all per-program work
 //! once, [`Grounder::ground`] or [`Grounder::perfect_model`] is called per
-//! input window.
+//! input window. A built grounder is immutable, so threads share one through
+//! `&self` without a lock.
 
 #![warn(missing_docs)]
 
@@ -26,10 +28,8 @@ pub mod analysis;
 pub mod compile;
 pub mod delta;
 pub mod instantiate;
-pub mod planner;
 mod relation;
 pub mod simplify;
-pub mod stats;
 
 pub use analysis::{
     grounding_bounds, DeltaStateBound, DeltaStateSize, EvalStratum, GroundingBounds, MemoryBound,
@@ -37,6 +37,4 @@ pub use analysis::{
 };
 pub use delta::{DeltaError, DeltaGrounder};
 pub use instantiate::{ground_program, is_internal_predicate, Grounder};
-pub use planner::{CostSource, SyntacticCost};
 pub use simplify::ProtoRule;
-pub use stats::RelationStats;

@@ -77,10 +77,12 @@ pub enum CombinePolicy {
     Strict,
 }
 
-/// Configuration of the parallel reasoner PR. Three behaviours are fixed:
+/// Configuration of the parallel reasoner PR. Four behaviours are fixed:
 /// every community reasoner enumerates all of its answer sets, items whose
-/// predicate the plan does not name go to partition 0, and the combining
-/// handler returns the whole product of the partitions' answers.
+/// predicate the plan does not name go to partition 0, the combining
+/// handler returns the whole product of the partitions' answers, and every
+/// grounder joins rule bodies in its one syntactic order
+/// ([`asp_grounder::compile::make_plan`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ReasonerConfig {
     /// Read by no reasoner: every reasoner enumerates all answer sets of
@@ -114,13 +116,6 @@ pub struct ReasonerConfig {
     /// Each dirty partition is evaluated from scratch; no grounding is
     /// maintained across windows. The single reasoner ignores it.
     pub delta_ground: bool,
-    /// Cost-based join planning in the grounder ([`asp_grounder::planner`]):
-    /// order rule-body joins by estimated cost from live relation
-    /// statistics instead of the syntactic bound-args heuristic, replanning
-    /// lazily when cardinalities drift. Applies to every partition a
-    /// reasoner grounds or evaluates. Output is identical either way — only
-    /// join evaluation order changes.
-    pub cost_planning: bool,
     /// The fault plan every component built from this config injects
     /// ([`crate::fault`]): every partition job, pooled or on the caller
     /// thread, the reuse check, and a partitioned engine's `submit`.
@@ -138,7 +133,6 @@ impl Default for ReasonerConfig {
             incremental: false,
             cache_capacity: 256,
             delta_ground: false,
-            cost_planning: false,
             faults: None,
         }
     }

@@ -249,7 +249,7 @@ pub struct StreamEngine {
     /// Cumulative time `submit` spent blocked on backpressure.
     blocked: Duration,
     /// Whether the lanes are partitioned reasoners reporting into `ctx`'s
-    /// reuse and planner counters.
+    /// reuse counters.
     partitioned: bool,
     occupancy: Arc<OccupancyAcc>,
     /// The partitioned lanes' shared pool and counters; its recovery

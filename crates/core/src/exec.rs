@@ -239,14 +239,13 @@ pub fn partition_pool(
 /// What the partitioned reasoners of one engine, one multi-tenant engine or
 /// one stand-alone reasoner share: the pool that runs their dirty partitions
 /// (`None`: each runs them on its own thread, see [`partition_pool`]), the
-/// reuse and planner counters and the retry/fallback counters they report
-/// into.
+/// reuse counters and the retry/fallback counters they report into.
 /// Cloning shares all three. The default has no pool and fresh counters.
 #[derive(Clone, Default)]
 pub struct ExecCtx {
     /// The shared pool; `None` runs jobs on the caller thread.
     pub pool: Option<Arc<WorkerPool>>,
-    /// Reused/recomputed communities and join-planner counters.
+    /// Reused and recomputed communities.
     pub counters: Arc<CacheCounters>,
     /// Retries and fallbacks of panicked partition jobs.
     pub failures: Arc<FailureCounters>,

@@ -303,14 +303,6 @@ impl PartitionJob {
     }
 }
 
-/// One community's copy of `R`, and what it has reported so far.
-struct Community {
-    reasoner: Arc<Mutex<SingleReasoner>>,
-    /// Planner counters `(replans, plans_reordered)` of `reasoner` already
-    /// added to the shared counters (the reasoner reports running totals).
-    reported: (u64, u64),
-}
-
 /// The partitioned reasoner PR: partition → mark the communities the
 /// window's delta touched dirty → reuse the clean ones' last answers,
 /// re-solve the dirty ones → combine. It is the only partitioned executor;
@@ -325,9 +317,9 @@ pub struct IncrementalReasoner {
     /// The pool serving dirty partitions and the counters this reasoner
     /// reports into, possibly shared with other reasoners.
     ctx: ExecCtx,
-    /// One reasoner per community (per partition index), so each plans its
-    /// joins against its own relation statistics.
-    communities: Vec<Community>,
+    /// One reasoner per community (per partition index), so dirty
+    /// communities run concurrently, each on its own reasoner.
+    communities: Vec<Arc<Mutex<SingleReasoner>>>,
     /// The id of the last window this reasoner answered, and each
     /// community's answers in it. Written only after a successful window,
     /// and `None` after two delta-less windows in a row.
@@ -369,10 +361,8 @@ impl IncrementalReasoner {
     ) -> Result<Self, AspError> {
         let communities = (0..partitioner.partitions())
             .map(|_| {
-                let mut reasoner =
-                    SingleReasoner::new(syms, program, inpre, SolverConfig::default())?;
-                reasoner.set_cost_planning(config.cost_planning);
-                Ok(Community { reasoner: Arc::new(Mutex::new(reasoner)), reported: (0, 0) })
+                let reasoner = SingleReasoner::new(syms, program, inpre, SolverConfig::default())?;
+                Ok(Arc::new(Mutex::new(reasoner)))
             })
             .collect::<Result<_, AspError>>()?;
         Ok(IncrementalReasoner {
@@ -388,7 +378,7 @@ impl IncrementalReasoner {
 
     /// The execution context: the pool serving dirty partitions and the
     /// counters this reasoner reports reused (`hits`) and recomputed
-    /// (`misses`) communities, planning and recovery into.
+    /// (`misses`) communities and recovery into.
     pub fn ctx(&self) -> &ExecCtx {
         &self.ctx
     }
@@ -439,26 +429,6 @@ impl IncrementalReasoner {
         reuse
     }
 
-    /// Adds what every community's planner did since the last report to the
-    /// shared counters.
-    fn report_planner(&mut self) {
-        use std::sync::atomic::Ordering;
-        let c = &self.ctx.counters;
-        for community in &mut self.communities {
-            let Some((replans, reordered, generation)) =
-                lock_recover(&community.reasoner).planner_counters()
-            else {
-                continue;
-            };
-            c.planner_enabled.store(true, Ordering::Relaxed);
-            c.planner_replans.fetch_add(replans - community.reported.0, Ordering::Relaxed);
-            c.planner_plans_reordered
-                .fetch_add(reordered - community.reported.1, Ordering::Relaxed);
-            c.planner_generation.fetch_max(generation, Ordering::Relaxed);
-            community.reported = (replans, reordered);
-        }
-    }
-
     /// Processes one window: partition → dirty check → solve dirty →
     /// combine. Output is byte-identical to recomputing every partition.
     pub fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
@@ -492,7 +462,7 @@ impl IncrementalReasoner {
                 Arc::new(PartitionJob {
                     window_id: window.id,
                     community: i,
-                    reasoner: Arc::clone(&self.communities[i].reasoner),
+                    reasoner: Arc::clone(&self.communities[i]),
                     items: Mutex::new(std::mem::take(&mut parts[i])),
                     faults: self.config.faults.clone(),
                     trace: tracing.then(|| sr_obs::TraceCtx {
@@ -519,7 +489,6 @@ impl IncrementalReasoner {
             stats = merge_stats(stats, s);
             per_partition[job.community] = Some(Arc::new(answers));
         }
-        self.report_planner();
 
         let per_partition: Vec<Arc<Vec<AnswerSet>>> = per_partition
             .into_iter()
@@ -764,7 +733,6 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("sr_cache_hits_total 2"), "{text}");
         assert!(text.contains("sr_cache_misses_total 2"), "{text}");
-        assert!(text.contains("sr_planner_replans_total 0"), "{text}");
         assert!(!text.contains("evictions") && !text.contains("entries"), "{text}");
     }
 

@@ -6,7 +6,7 @@
 
 use crate::engine::EngineStats;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -195,16 +195,6 @@ pub struct CacheCounters {
     /// Entries evicted by a [`PartitionCache`](crate::incremental::PartitionCache),
     /// a measured-surface facade; incremental reasoning evicts nothing.
     pub evictions: AtomicU64,
-    /// True when cost-based join planning ran on any lane (the planner
-    /// counters below are only meaningful — and only reported — then).
-    pub planner_enabled: AtomicBool,
-    /// Plan rebuilds by the cost-based planner, summed across lanes.
-    pub planner_replans: AtomicU64,
-    /// Rebuilt plans whose join order differs from the syntactic
-    /// heuristic's, summed across lanes.
-    pub planner_plans_reordered: AtomicU64,
-    /// Latest observed relation-statistics generation (max across lanes).
-    pub planner_generation: AtomicU64,
 }
 
 impl CacheCounters {
@@ -218,25 +208,16 @@ impl CacheCounters {
             misses,
             evictions: self.evictions.load(Ordering::Relaxed),
             dirty_partition_ratio: if total > 0 { misses as f64 / total as f64 } else { 0.0 },
-            cost_planning: self.planner_enabled.load(Ordering::Relaxed),
-            planner_replans: self.planner_replans.load(Ordering::Relaxed),
-            planner_plans_reordered: self.planner_plans_reordered.load(Ordering::Relaxed),
-            planner_generation: self.planner_generation.load(Ordering::Relaxed),
         }
     }
 
     /// Binds the live counters to `registry` as scrape-time collector
-    /// closures (`sr_cache_{hits,misses}_total`, `sr_planner_*`): the hot
-    /// path keeps its `fetch_add`s and nothing is double-counted. Planner
-    /// metrics read zero until cost planning reports through the counters.
+    /// closures (`sr_cache_{hits,misses}_total`): the hot path keeps its
+    /// `fetch_add`s and nothing is double-counted.
     pub fn register_metrics(self: &Arc<Self>, registry: &sr_obs::MetricsRegistry) {
         type Field = fn(&CacheCounters) -> &AtomicU64;
-        let counters: [(&str, Field); 4] = [
-            ("sr_cache_hits_total", |c| &c.hits),
-            ("sr_cache_misses_total", |c| &c.misses),
-            ("sr_planner_replans_total", |c| &c.planner_replans),
-            ("sr_planner_plans_reordered_total", |c| &c.planner_plans_reordered),
-        ];
+        let counters: [(&str, Field); 2] =
+            [("sr_cache_hits_total", |c| &c.hits), ("sr_cache_misses_total", |c| &c.misses)];
         for (name, field) in counters {
             let shared = Arc::clone(self);
             registry.register_counter_fn(name, &[], move || field(&shared).load(Ordering::Relaxed));
@@ -258,33 +239,14 @@ pub struct IncrementalSnapshot {
     /// `misses / (hits + misses)` — the fraction of community computations
     /// that were actually dirty (0 when nothing was processed).
     pub dirty_partition_ratio: f64,
-    /// True when cost-based join planning was active; the `planner_*`
-    /// fields are rendered into JSON only in that case (never fabricated
-    /// for runs where the planner didn't exist).
-    pub cost_planning: bool,
-    /// Plan rebuilds by the cost-based planner.
-    pub planner_replans: u64,
-    /// Rebuilt plans whose join order differs from the syntactic choice.
-    pub planner_plans_reordered: u64,
-    /// Relation-statistics generation (max across lanes).
-    pub planner_generation: u64,
 }
 
 impl IncrementalSnapshot {
     /// Renders the snapshot as a JSON object (hand-rolled, as for
     /// [`LatencyStats::to_json`]).
     pub fn to_json(&self) -> String {
-        let planner = if self.cost_planning {
-            format!(
-                ", \"planner_replans\": {}, \"planner_plans_reordered\": {}, \
-                 \"planner_generation\": {}",
-                self.planner_replans, self.planner_plans_reordered, self.planner_generation
-            )
-        } else {
-            String::new()
-        };
         format!(
-            "{{\"hits\": {}, \"misses\": {}, \"dirty_partition_ratio\": {:.4}{planner}}}",
+            "{{\"hits\": {}, \"misses\": {}, \"dirty_partition_ratio\": {:.4}}}",
             self.hits, self.misses, self.dirty_partition_ratio
         )
     }
@@ -588,25 +550,5 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"dirty_partition_ratio\": 0.2500"), "{json}");
         assert!(!json.contains("evictions"), "nothing evicts: key omitted: {json}");
-    }
-
-    #[test]
-    fn planner_counters_render_only_when_cost_planning_ran() {
-        let c = CacheCounters::default();
-        let json = c.snapshot().to_json();
-        assert!(
-            !json.contains("planner_"),
-            "planner fields must be omitted, never fabricated: {json}"
-        );
-        c.planner_enabled.store(true, Ordering::Relaxed);
-        c.planner_replans.fetch_add(2, Ordering::Relaxed);
-        c.planner_plans_reordered.fetch_add(5, Ordering::Relaxed);
-        c.planner_generation.store(7, Ordering::Relaxed);
-        let s = c.snapshot();
-        assert!(s.cost_planning);
-        let json = s.to_json();
-        assert!(json.contains("\"planner_replans\": 2"), "{json}");
-        assert!(json.contains("\"planner_plans_reordered\": 5"), "{json}");
-        assert!(json.contains("\"planner_generation\": 7"), "{json}");
     }
 }

@@ -30,8 +30,8 @@
 //! Execution model: entries share one [`ExecCtx`]: one worker pool, sized
 //! [`ReasonerConfig::workers`] (or the first admitted program's partition
 //! count when that is `0`) and built at the first admission that needs one,
-//! plus the reuse, planner and retry/fallback counters every entry reports
-//! into. Each live (not quarantined) entry becomes one job on it.
+//! plus the reuse and retry/fallback counters every entry reports into.
+//! Each live (not quarantined) entry becomes one job on it.
 //! Under [`ParallelMode::Threads`](crate::config::ParallelMode) the jobs run
 //! concurrently on the shared worker pool, at most `workers` at once; an
 //! entry's job fans its dirty partitions out over the same pool and runs the
@@ -281,10 +281,9 @@ impl MultiTenantEngine {
             let analysis =
                 DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())?;
             if let Some(budget) = self.policy.budget_cells {
-                // The admission bound is always the worst case: live
-                // RelationStats are deliberately not consulted (a
-                // transiently small store must not admit a program that
-                // can outgrow memory later).
+                // The admission bound is always the worst case, never the
+                // size of the current store (a transiently small store must
+                // not admit a program that can outgrow memory later).
                 let window = &self.policy.window;
                 let bounds = match partitioner {
                     TenantPartitioner::Dependency => {

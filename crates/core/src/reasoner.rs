@@ -85,19 +85,6 @@ impl SingleReasoner {
         })
     }
 
-    /// Enables or disables cost-based join planning in the grounder (see
-    /// [`asp_grounder::planner`]). Answer sets are identical either way —
-    /// only the join evaluation order inside grounding changes.
-    pub fn set_cost_planning(&mut self, enabled: bool) {
-        self.grounder.set_cost_planning(enabled);
-    }
-
-    /// Planner counters `(replans, plans_reordered, stats_generation)` from
-    /// the grounder's plan cache; `None` when cost planning is off.
-    pub fn planner_counters(&self) -> Option<(u64, u64, u64)> {
-        self.grounder.planner_counters()
-    }
-
     /// Processes a window end to end.
     pub fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError> {
         // Spans recorded by the phases below attribute to this window.

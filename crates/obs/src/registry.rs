@@ -7,7 +7,7 @@
 //! value at scrape time; histograms are an `Arc<Histogram>` the caller
 //! records into ([`register_histogram`](MetricsRegistry::register_histogram)).
 //! Every component exposes counters it already keeps this way (the run
-//! tally, `CacheCounters`, planner, dedup and occupancy counters), so their
+//! tally, `CacheCounters`, dedup and occupancy counters), so their
 //! field layouts and JSON shapes stay as they are: the closure captures the
 //! `Arc`'d struct and loads its atomics when a scrape happens, costing
 //! nothing between scrapes.

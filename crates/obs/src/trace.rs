@@ -39,8 +39,6 @@ pub enum Stage {
     /// Scratch (full) grounding, or perfect-model evaluation of a
     /// stratified program.
     Ground,
-    /// Cost-based join (re)planning.
-    Plan,
     /// Solving the ground program with CDCL (non-stratified programs only).
     Solve,
     /// Combining per-partition answers.
@@ -61,7 +59,6 @@ impl Stage {
             Stage::Partition => "partition",
             Stage::CacheLookup => "cache_lookup",
             Stage::Ground => "ground",
-            Stage::Plan => "plan",
             Stage::Solve => "solve",
             Stage::Combine => "combine",
             Stage::Recover => "recover",
@@ -77,7 +74,6 @@ impl Stage {
             Stage::Partition,
             Stage::CacheLookup,
             Stage::Ground,
-            Stage::Plan,
             Stage::Solve,
             Stage::Combine,
             Stage::Recover,

@@ -8,8 +8,7 @@
 //! streamrule run <program.lp> [--data data.nt] [--window N] [--windows K]
 //!                [--mode single|dep|random:K] [--in-flight L] [--rate R]
 //!                [--seed S] [--json out.json] [--trials T] [--events]
-//!                [--slide S]
-//!                [--cost-planning] [--tenants N] [--dup-ratio R]
+//!                [--slide S] [--tenants N] [--dup-ratio R]
 //!                [--admission-budget CELLS]
 //!                [--metrics-addr HOST:PORT] [--trace-out trace.json]
 //!                [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]
@@ -30,9 +29,6 @@
 //! did not touch, as the window's delta tells (see `sr-core::incremental`).
 //! Windows without a delta, and dirty communities, are reasoned from
 //! scratch.
-//! `--cost-planning` orders rule-body joins by estimated cost from live
-//! relation statistics instead of the syntactic heuristic (any mode).
-//! Answers are identical either way.
 //! `--tenants N` serves the program to `N` tenants through the
 //! multi-tenant scheduler (`sr-core::MultiTenantEngine`): `--dup-ratio R`
 //! (default 1.0) controls how many tenants run the program verbatim and
@@ -43,7 +39,7 @@
 //! whose static memory bound exceeds the budget is refused with an error
 //! naming the dominating term.
 //! `--metrics-addr HOST:PORT` (e.g. `127.0.0.1:9184`) serves the run's
-//! sr-obs metrics registry — engine/reuse/planner/tenant counters and
+//! sr-obs metrics registry — engine/reuse/tenant counters and
 //! latency histograms — as a Prometheus text endpoint for the duration of
 //! the run, self-scraping it once at the end; `--trace-out trace.json`
 //! enables per-window stage tracing and writes the spans as Chrome
@@ -102,8 +98,7 @@ const USAGE: &str = "usage:
   streamrule generate --out data.nt [--kind faithful|correlated|sparse] [--size N] [--windows K] [--seed S]
   streamrule run <program.lp> [--data data.nt] [--window N] [--windows K] [--mode single|dep|random:K]
                  [--in-flight L] [--rate R] [--seed S] [--json out.json] [--trials T] [--events]
-                 [--slide S]
-                 [--cost-planning] [--tenants N] [--dup-ratio R] [--admission-budget CELLS]
+                 [--slide S] [--tenants N] [--dup-ratio R] [--admission-budget CELLS]
                  [--metrics-addr HOST:PORT] [--trace-out trace.json]
                  [--deadline-ms D] [--fault-spec SITE:RATE:SEED[,...]]";
 
@@ -140,7 +135,7 @@ const RUN_FLAGS: Flags = Flags {
         "--deadline-ms",
         "--fault-spec",
     ],
-    switches: &["--events", "--cost-planning"],
+    switches: &["--events"],
 };
 
 /// Checks `args` against `flags`: every `--flag` must be listed, and one
@@ -438,10 +433,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         flag_value(args, "--in-flight").unwrap_or("0").parse().map_err(|_| "bad --in-flight")?;
     let rate: f64 = flag_value(args, "--rate").unwrap_or("0").parse().map_err(|_| "bad --rate")?;
     let mode = parse_mode(flag_value(args, "--mode").unwrap_or("dep"))?;
-    // --cost-planning composes with every mode: it changes join evaluation
-    // order inside grounding, never the answers.
-    let cost_planning = has_flag(args, "--cost-planning");
-    let mut reasoner_cfg = ReasonerConfig { cost_planning, ..Default::default() };
+    let mut reasoner_cfg = ReasonerConfig::default();
 
     let windows = build_windows(args, window_size, slide, windows_cap, seed)?;
     let analysis = DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default())
@@ -650,11 +642,7 @@ fn build_reasoner(
     let inpre = Some(analysis.inpre.as_slice());
     let cfg = reasoner_cfg.clone();
     Ok(match mode.partitioner(analysis) {
-        None => {
-            let mut reasoner = SingleReasoner::new(syms, program, None, SolverConfig::default())?;
-            reasoner.set_cost_planning(reasoner_cfg.cost_planning);
-            Box::new(reasoner)
-        }
+        None => Box::new(SingleReasoner::new(syms, program, None, SolverConfig::default())?),
         Some(partitioner) => {
             let pool = partition_pool(reasoner_cfg, partitioner.partitions())?;
             let ctx = ExecCtx { pool, ..ctx.clone() };
@@ -690,8 +678,7 @@ fn run_sequential(
         }
     })
     .map_err(|e| e.to_string())?;
-    // The same summary lines the engine path prints, under the same rules.
-    print_planner_line(&ctx.counters.snapshot());
+    // The same summary line the engine path prints, under the same rule.
     if let Some(f) = &stats.failure {
         print_failure_line(f);
     }
@@ -765,9 +752,6 @@ fn run_tenants(
         "dedup: {} tenant-windows -> {} program runs ({} saved, ratio {:.2})",
         dedup.tenant_windows, dedup.program_runs, dedup.shared_runs_saved, dedup.dedup_ratio
     );
-    if let Some(snapshot) = &stats.incremental {
-        print_planner_line(snapshot);
-    }
     if let Some(f) = &stats.failure {
         print_failure_line(f);
     }
@@ -814,18 +798,6 @@ fn print_failure_line(f: &FailureSnapshot) {
     );
 }
 
-/// Prints the join-planning counters of a partitioned run, only when the
-/// cost-based planner actually ran (counters are omitted, never fabricated,
-/// for syntactic-heuristic runs).
-fn print_planner_line(s: &IncrementalSnapshot) {
-    if s.cost_planning {
-        println!(
-            "join planning: {} replans, {} plans reordered, stats generation {}",
-            s.planner_replans, s.planner_plans_reordered, s.planner_generation
-        );
-    }
-}
-
 /// The pipelined path: `in_flight` engine lanes over a shared worker pool,
 /// ordered emission, throughput stats, optional JSON record with a
 /// sequential-baseline comparison.
@@ -852,8 +824,7 @@ fn run_engine(
             EngineConfig { in_flight, queue_depth: in_flight, window_deadline_ms: deadline_ms };
         match mode.partitioner(analysis) {
             None => StreamEngine::new(config, |_lane| {
-                let mut r = SingleReasoner::new(syms, program, None, SolverConfig::default())?;
-                r.set_cost_planning(reasoner_cfg.cost_planning);
+                let r = SingleReasoner::new(syms, program, None, SolverConfig::default())?;
                 Ok(Box::new(r) as Box<dyn Reasoner>)
             }),
             // Partitioned modes: all lanes share one worker pool sized so
@@ -894,11 +865,14 @@ fn run_engine(
     // samples is stable. Identity must hold on *every* engine pass.
     let mut base_stats: Option<EngineStats> = None;
     let mut base_rendered: Vec<String> = Vec::new();
+    // The baseline runs unperturbed: its record carries no failure
+    // counters, so a fault plan on it would slow it unreported.
+    let base_cfg = ReasonerConfig { faults: None, ..reasoner_cfg.clone() };
     for trial in 0..trials {
         // Fresh reasoner per pass: a reused one would start warm on sliding
         // windows and no longer measure the baseline.
         let mut baseline =
-            build_reasoner(syms, program, analysis, mode, reasoner_cfg, &ExecCtx::default())
+            build_reasoner(syms, program, analysis, mode, &base_cfg, &ExecCtx::default())
                 .map_err(|e| e.to_string())?;
         let (stats, rendered) =
             sequential_baseline(syms, baseline.as_mut(), &windows).map_err(|e| e.to_string())?;
@@ -997,9 +971,6 @@ fn print_engine_report(
         stats.latency.p99_ms,
         stats.submit_blocked_ms.unwrap_or(0.0)
     );
-    if let Some(snapshot) = &stats.incremental {
-        print_planner_line(snapshot);
-    }
     if let Some(f) = &stats.failure {
         print_failure_line(f);
     }

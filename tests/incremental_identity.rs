@@ -124,70 +124,6 @@ fn assert_identical_with(
     Ok(())
 }
 
-/// Cost-based join planning must never change a byte: the planner-on
-/// reasoners (full recompute *and* incremental, with or without
-/// `delta_ground`) against the planner-off full recompute reference, window
-/// by window.
-fn assert_planner_identity(
-    source: &str,
-    partitioner_of: impl Fn(&DependencyAnalysis) -> Arc<dyn Partitioner>,
-    windows: &[Window],
-    capacity: usize,
-    delta_ground: bool,
-) -> Result<(), TestCaseError> {
-    let syms = Symbols::new();
-    let program = parse_program(&syms, source).unwrap();
-    let analysis =
-        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
-    let partitioner = partitioner_of(&analysis);
-    let base_cfg = ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() };
-    let mut reference = ParallelReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner.clone(),
-        base_cfg.clone(),
-    )
-    .unwrap();
-    let mut planned_full = ParallelReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner.clone(),
-        ReasonerConfig { cost_planning: true, ..base_cfg.clone() },
-    )
-    .unwrap();
-    let mut planned_inc = IncrementalReasoner::new(
-        &syms,
-        &program,
-        Some(&analysis.inpre),
-        partitioner,
-        ReasonerConfig {
-            incremental: true,
-            cache_capacity: capacity,
-            delta_ground,
-            cost_planning: true,
-            ..base_cfg
-        },
-    )
-    .unwrap();
-    for window in windows {
-        let expected = render(&syms, &reference.process(&tumbling(window)).unwrap());
-        let full = render(&syms, &planned_full.process(&tumbling(window)).unwrap());
-        prop_assert_eq!(&expected, &full, "planner-on full recompute diverged at {}", window.id);
-        let inc = render(&syms, &planned_inc.process(window).unwrap());
-        prop_assert_eq!(
-            &expected,
-            &inc,
-            "planner-on incremental diverged at {} (capacity {}, delta {})",
-            window.id,
-            capacity,
-            delta_ground
-        );
-    }
-    Ok(())
-}
-
 /// Stratified programs: the [`DeltaGrounder`] facade evaluates their
 /// perfect model.
 ///
@@ -204,16 +140,13 @@ fn assert_delta_grounder_identity(
     seed: u64,
     steps: usize,
     batch: usize,
-    cost_planning: bool,
 ) -> Result<(), TestCaseError> {
     use stream_reasoner::asp_grounder::{DeltaGrounder, Grounder};
 
     let syms = Symbols::new();
     let program = parse_program(&syms, source).unwrap();
     let inpre = program.edb_predicates();
-    let mut planned = Grounder::new(&syms, &program).unwrap();
-    planned.set_cost_planning(cost_planning);
-    let grounder = Arc::new(planned);
+    let grounder = Arc::new(Grounder::new(&syms, &program).unwrap());
     let mut dg = DeltaGrounder::new(Arc::clone(&grounder)).unwrap();
 
     let mut format =
@@ -279,27 +212,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random add/retract sequences through the `DeltaGrounder` facade
-    /// answer what perfect-model evaluation of the live multiset answers,
-    /// with cost-based planning on or off.
+    /// answer what perfect-model evaluation of the live multiset answers.
     #[test]
     fn delta_grounder_matches_scratch_under_random_churn(
         program_idx in 0usize..2,
         seed in 0u64..1_000,
         steps in 2usize..6,
         batch in 5usize..40,
-        cost_planning: bool,
     ) {
-        assert_delta_grounder_identity(
-            DELTA_PROGRAMS[program_idx], seed, steps, batch, cost_planning,
-        )?;
+        assert_delta_grounder_identity(DELTA_PROGRAMS[program_idx], seed, steps, batch)?;
     }
 
-    /// Cost-based join planning never changes output: planner-on full
-    /// recompute *and* planner-on incremental reasoning (with or without
-    /// `delta_ground`) against the planner-off reference, on churned sliding
-    /// streams.
+    /// Incremental reasoning, with or without `delta_ground`, against full
+    /// recomputation on churned sliding streams: no churn, half of each
+    /// slide's retractions in the window interior, or all of them.
     #[test]
-    fn cost_planning_is_byte_identical_end_to_end(
+    fn incremental_is_byte_identical_on_churned_streams(
         program_idx in 0usize..2,
         size in 40usize..=100,
         divisor_idx in 0usize..3,
@@ -314,7 +242,7 @@ proptest! {
         let mut churn = ChurnStream::new(inner, size, slide, fraction, seed ^ 0x91a);
         let windows = churn.windows(4);
         let source = DELTA_PROGRAMS[program_idx].to_string();
-        assert_planner_identity(
+        assert_identical_with(
             &source,
             |analysis| Arc::new(PlanPartitioner::new(
                 analysis.plan.clone(),
@@ -326,24 +254,31 @@ proptest! {
         )?;
     }
 
-    /// The same planner-on/off cross-check under the random partitioner
-    /// (content reshuffled every window).
+    /// The same comparison under the random partitioner (content reshuffled
+    /// every window), with `delta_ground` on and off, on sliding streams
+    /// with no churn, half or all of each slide's retractions in the window
+    /// interior.
     #[test]
-    fn cost_planning_is_byte_identical_under_random_partitioner(
+    fn incremental_is_byte_identical_under_random_partitioner(
         program_idx in 0usize..2,
         k in 2usize..=4,
         size in 40usize..=80,
+        fraction_idx in 0usize..3,
+        delta_ground: bool,
         seed in 0u64..1_000,
     ) {
         let slide = (size / 4).max(1);
-        let windows = sliding_windows(GeneratorKind::CorrelatedSparse, seed, size, slide, 3);
+        let fraction = [0.0, 0.5, 1.0][fraction_idx];
+        let inner = paper_generator(GeneratorKind::CorrelatedSparse, seed);
+        let mut churn = ChurnStream::new(inner, size, slide, fraction, seed ^ 0x5eed);
+        let windows = churn.windows(4);
         let source = DELTA_PROGRAMS[program_idx].to_string();
-        assert_planner_identity(
+        assert_identical_with(
             &source,
             |_| Arc::new(RandomPartitioner::new(k, seed ^ 0xbeef)),
             &windows,
             64,
-            true,
+            delta_ground,
         )?;
     }
 
@@ -600,38 +535,5 @@ fn alternating_community_bursts_recompute_exactly_one_community_per_slide() {
             assert_eq!(reuse.hits, slides, "one community reused per slide: {reuse:?}");
             assert_eq!(reuse.misses, 2 + slides, "both at first, then one per slide: {reuse:?}");
         }
-    }
-}
-
-/// Each community reasoner plans its joins against its own relation
-/// statistics, so over 40 windows of P the planner replans at most twice
-/// per community, pooled or on the caller thread, and the counters reach the
-/// reasoner's context either way.
-#[test]
-fn planner_replans_stay_per_community_in_both_modes() {
-    let syms = Symbols::new();
-    let program = parse_program(&syms, include_str!("../assets/traffic_p.lp")).unwrap();
-    let analysis =
-        DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
-    let communities = analysis.plan.communities as u64;
-    let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, 2017);
-    let windows: Vec<Window> =
-        (0..40).map(|id| Window::new(id, generator.window(10_000))).collect();
-    for mode in [ParallelMode::Sequential, ParallelMode::Threads] {
-        let partitioner =
-            Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
-        let config = ReasonerConfig { mode, cost_planning: true, ..Default::default() };
-        let inpre = Some(analysis.inpre.as_slice());
-        let mut pr = ParallelReasoner::new(&syms, &program, inpre, partitioner, config).unwrap();
-        for window in &windows {
-            pr.process(window).unwrap();
-        }
-        let snap = pr.ctx().counters.snapshot();
-        assert!(snap.cost_planning, "{mode:?}: the planner's counters were reported");
-        assert!(
-            snap.planner_replans <= 2 * communities,
-            "{mode:?}: {} replans over {communities} communities",
-            snap.planner_replans
-        );
     }
 }

@@ -220,3 +220,30 @@ fn run_json_record_keeps_its_key_layout() {
         assert_eq!(json_keys(&doc), expected(failure), "{name}: {doc}");
     }
 }
+
+/// The `--json` baseline pass runs without the fault plan: its record has
+/// no failure counters, so injected faults would slow it unreported. The
+/// plan is seeded, so a run with `--json` injects exactly the panics of the
+/// same run without it.
+#[test]
+fn run_json_baseline_runs_without_the_fault_plan() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("json_baseline_faults");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("t.json");
+    let json = json.to_str().expect("UTF-8 path");
+    let injected = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+            .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "2"])
+            .args(["--in-flight", "2", "--fault-spec", "worker_panic:0.3:7"])
+            .args(extra)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("streamrule runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{extra:?}: exit {:?}: {stderr}", out.status);
+        stderr.lines().filter(|l| l.contains("injected worker fault")).count()
+    };
+    let engine_only = injected(&[]);
+    assert!(engine_only > 0, "the plan injects at least one panic");
+    assert_eq!(injected(&["--trials", "1", "--json", json]), engine_only);
+}
