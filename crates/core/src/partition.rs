@@ -4,8 +4,9 @@
 use crate::config::UnknownPredicate;
 use crate::plan::PartitioningPlan;
 use asp_core::FastMap;
-use sr_rdf::Triple;
+use sr_rdf::{Node, Triple};
 use sr_stream::{Pcg32, Window};
+use std::sync::Arc;
 
 /// A strategy splitting windows into sub-windows.
 pub trait Partitioner: Send + Sync {
@@ -56,22 +57,37 @@ impl Partitioner for PlanPartitioner {
 
     fn partition(&self, window: &Window) -> Vec<Vec<Triple>> {
         let mut parts: Vec<Vec<Triple>> = vec![Vec::new(); self.plan.communities];
-        // group(W): classify items by predicate (Algorithm 1, line 3).
-        let mut groups: FastMap<&str, Vec<&Triple>> = FastMap::default();
-        let mut order: Vec<&str> = Vec::new();
+        // group(W): classify items by predicate (Algorithm 1, line 3), in
+        // first-appearance order. A predicate's text is looked up by its
+        // address first, so its name is read once per distinct allocation;
+        // the window is borrowed for the whole call, so no address is freed
+        // and reused for other text meanwhile.
+        let mut groups: Vec<(&str, Vec<&Triple>)> = Vec::new();
+        let mut by_name: FastMap<&str, usize> = FastMap::default();
+        let mut by_text: FastMap<*const u8, usize> = FastMap::default();
         for item in &window.items {
-            let name = item.predicate_name();
-            groups
-                .entry(name)
-                .or_insert_with(|| {
-                    order.push(name);
-                    Vec::new()
-                })
-                .push(item);
+            let text = match &item.p {
+                Node::Iri(text) | Node::Literal(text) => Some(Arc::as_ptr(text).cast::<u8>()),
+                Node::Int(_) => None,
+            };
+            let g = match text.and_then(|t| by_text.get(&t)) {
+                Some(&g) => g,
+                None => {
+                    let name = item.predicate_name();
+                    let g = *by_name.entry(name).or_insert_with(|| {
+                        groups.push((name, Vec::new()));
+                        groups.len() - 1
+                    });
+                    if let Some(t) = text {
+                        by_text.insert(t, g);
+                    }
+                    g
+                }
+            };
+            groups[g].1.push(item);
         }
         // findCommunities + add group into the proper partitions (lines 4-9).
-        for name in order {
-            let items = &groups[name];
+        for (name, items) in groups {
             for &c in self.plan.communities_of(name).unwrap_or(&[0]) {
                 parts[c as usize].extend(items.iter().map(|t| (*t).clone()));
             }
@@ -121,7 +137,6 @@ impl Partitioner for RandomPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sr_rdf::Node;
 
     fn window(preds: &[&str]) -> Window {
         let items = preds
@@ -147,6 +162,25 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].len(), 2);
         assert_eq!(parts[1].len(), 1);
+    }
+
+    #[test]
+    fn shared_and_equal_predicate_texts_form_one_group() {
+        let shared = Node::iri("http://t#a");
+        let item = |s: i64, p: &Node| Triple::new(Node::Int(s), p.clone(), Node::Int(1));
+        let w = Window::new(
+            7,
+            vec![
+                item(0, &shared),
+                item(1, &Node::iri("b")),
+                item(2, &Node::iri("http://u#a")),
+                item(3, &shared),
+            ],
+        );
+        let parts = PlanPartitioner::new(plan2(), UnknownPredicate::Partition0).partition(&w);
+        let subjects: Vec<i64> = parts[0].iter().map(|t| t.s.as_int().unwrap()).collect();
+        assert_eq!(subjects, [0, 2, 3]);
+        assert_eq!(parts[1], [w.items[1].clone()]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! persist and replay the synthetic workloads.
 
 use crate::model::{Node, Triple};
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Parse error with line information.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,8 +24,11 @@ impl std::fmt::Display for NtError {
 
 impl std::error::Error for NtError {}
 
-/// Parses a document into triples.
+/// Parses a document into triples. Equal IRI or literal texts share one
+/// `Arc<str>`, as the generator's names do, so the format processor
+/// translates each distinct name once.
 pub fn parse(text: &str) -> Result<Vec<Triple>, NtError> {
+    let mut names = HashSet::new();
     let mut out = Vec::new();
     for (lno, line) in text.lines().enumerate() {
         let line_no = lno + 1;
@@ -34,7 +39,7 @@ pub fn parse(text: &str) -> Result<Vec<Triple>, NtError> {
         let mut rest = trimmed;
         let mut nodes = Vec::with_capacity(3);
         for _ in 0..3 {
-            let (node, r) = parse_node(rest, line_no)?;
+            let (node, r) = parse_node(rest, line_no, &mut names)?;
             nodes.push(node);
             rest = r.trim_start();
         }
@@ -52,19 +57,34 @@ pub fn parse(text: &str) -> Result<Vec<Triple>, NtError> {
     Ok(out)
 }
 
-fn parse_node(text: &str, line: usize) -> Result<(Node, &str), NtError> {
+/// `text` as the one `Arc<str>` this parse keeps for it in `names`. The
+/// default hasher stays: the texts come from outside the program.
+fn share(names: &mut HashSet<Arc<str>>, text: &str) -> Arc<str> {
+    if let Some(shared) = names.get(text) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(text);
+    names.insert(Arc::clone(&shared));
+    shared
+}
+
+fn parse_node<'a>(
+    text: &'a str,
+    line: usize,
+    names: &mut HashSet<Arc<str>>,
+) -> Result<(Node, &'a str), NtError> {
     let text = text.trim_start();
     let err = |message: String| NtError { line, message };
     if let Some(rest) = text.strip_prefix('<') {
         let end = rest.find('>').ok_or_else(|| err("unterminated IRI".to_string()))?;
-        return Ok((Node::iri(&rest[..end]), &rest[end + 1..]));
+        return Ok((Node::Iri(share(names, &rest[..end])), &rest[end + 1..]));
     }
     if let Some(rest) = text.strip_prefix('"') {
         let mut value = String::new();
         let mut chars = rest.char_indices();
         while let Some((i, c)) = chars.next() {
             match c {
-                '"' => return Ok((Node::literal(&value), &rest[i + 1..])),
+                '"' => return Ok((Node::Literal(share(names, &value)), &rest[i + 1..])),
                 '\\' => match chars.next() {
                     Some((_, 'n')) => value.push('\n'),
                     Some((_, 't')) => value.push('\t'),
@@ -128,6 +148,20 @@ mod tests {
     #[test]
     fn missing_dot_is_an_error() {
         assert!(parse("<a> <b> 1").is_err());
+    }
+
+    #[test]
+    fn repeated_names_share_one_allocation() {
+        let parsed = parse("<s> <p> \"v\" .\n<s> <p> \"v\" .\n<s> <q> <v> .").unwrap();
+        let text = |n: &Node| match n {
+            Node::Iri(t) | Node::Literal(t) => Arc::clone(t),
+            Node::Int(_) => unreachable!("no integers in this document"),
+        };
+        assert!(Arc::ptr_eq(&text(&parsed[0].s), &text(&parsed[1].s)));
+        assert!(Arc::ptr_eq(&text(&parsed[0].s), &text(&parsed[2].s)));
+        assert!(Arc::ptr_eq(&text(&parsed[0].p), &text(&parsed[1].p)));
+        assert!(Arc::ptr_eq(&text(&parsed[0].o), &text(&parsed[1].o)));
+        assert!(!Arc::ptr_eq(&text(&parsed[0].p), &text(&parsed[2].p)));
     }
 
     #[test]

@@ -59,7 +59,8 @@ fn single_reasoner_stays_within_its_allocation_budget() {
     let measured = Window::new(1, generator.window(WINDOW));
 
     // The warm-up window interns the symbols and fills the processor's
-    // name cache, which later windows reuse.
+    // identity memo with the generator's shared names, which later windows
+    // hit without allocating.
     reasoner.process(&warm_up).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = reasoner.process(&measured).unwrap();
