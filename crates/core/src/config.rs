@@ -1,12 +1,11 @@
 //! Configuration knobs for the dependency analysis and the reasoners.
 
 use crate::fault::FaultPlan;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How to break ties (and optionally weigh costs) when choosing which
 /// boundary node set to duplicate in the decomposing process.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub enum DuplicationPolicy {
     /// The paper's rule: duplicate the smaller `exnodes` set; ties go to the
     /// community with the smaller id (the paper is silent on ties).
@@ -20,7 +19,7 @@ pub enum DuplicationPolicy {
 }
 
 /// Configuration of the design-time dependency analysis.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AnalysisConfig {
     /// Louvain resolution (the paper uses 1.0, footnote 8).
     pub resolution: f64,
@@ -45,7 +44,7 @@ impl Default for AnalysisConfig {
 /// go (e.g. stream noise that slipped past the query processor). One
 /// routing exists; the type stays only because the benchmark's measured
 /// surface names it when it builds a [`PlanPartitioner`](crate::PlanPartitioner).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum UnknownPredicate {
     /// Route to partition 0 (they cannot fire any rule anyway).
     #[default]
@@ -53,7 +52,7 @@ pub enum UnknownPredicate {
 }
 
 /// How the parallel reasoner schedules its partitions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ParallelMode {
     /// Each dirty partition runs as one job, on its community's own copy of
     /// the reasoner, on a worker pool shared by the windows in flight (the
@@ -69,7 +68,7 @@ pub enum ParallelMode {
 /// Combining-handler semantics when a partition has no answer set. One
 /// semantics exists; the type stays only because the benchmark's measured
 /// surface names it when it calls [`combine`](crate::combine::combine).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CombinePolicy {
     /// Paper-literal: `Ans(W) = { ⋃ ans_i : ans_i ∈ Ans(W_i) }` — an
     /// unsatisfiable partition empties the combined answer.
@@ -83,7 +82,7 @@ pub enum CombinePolicy {
 /// handler returns the whole product of the partitions' answers, and every
 /// grounder joins rule bodies in its one syntactic order
 /// ([`asp_grounder::compile::make_plan`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ReasonerConfig {
     /// Read by no reasoner: every reasoner enumerates all answer sets of
     /// every partition and combines their whole product, so PR answers as R
@@ -119,8 +118,7 @@ pub struct ReasonerConfig {
     /// The fault plan every component built from this config injects
     /// ([`crate::fault`]): every partition job, pooled or on the caller
     /// thread, the reuse check, and a partitioned engine's `submit`.
-    /// `None`, the default, injects nothing. Not serialized.
-    #[serde(skip)]
+    /// `None`, the default, injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
 }
 

@@ -1,4 +1,4 @@
-//! Pipelined stream engine: multiple windows in flight.
+//! Pipelined stream engine: every stream of windows runs through it.
 //!
 //! Calling a [`Reasoner`] directly processes the stream strictly one window
 //! at a time, so end-to-end throughput is bounded by single-window latency.
@@ -7,6 +7,10 @@
 //! and applies backpressure on [`StreamEngine::submit`] when the bound is
 //! reached. Each lane sends its finished windows, stamped with the moment
 //! they finished, on one result channel.
+//!
+//! The engine is generic over the reasoner's output, answer sets by default;
+//! a multi-tenant run is a `StreamEngine<Vec<TenantOutput>>` whose lane
+//! runs the scheduler (see [`StreamEngine::with_ctx`]).
 //!
 //! Emission runs on the caller's thread: [`StreamEngine::submit`],
 //! [`StreamEngine::poll_output`] and [`StreamEngine::finish`] drain that
@@ -28,7 +32,6 @@ use crate::partition::Partitioner;
 use crate::poison::lock_recover;
 use crate::reasoner::{Reasoner, ReasonerOutput};
 use asp_core::{AspError, Predicate, Program, Symbols};
-use serde::{Deserialize, Serialize};
 use sr_rdf::Triple;
 use sr_stream::{Window, Windower};
 use std::collections::{BTreeMap, VecDeque};
@@ -40,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Engine sizing knobs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Number of lanes — windows reasoned over concurrently. `1` degenerates
     /// to pipelined-but-serial processing.
@@ -49,15 +52,12 @@ pub struct EngineConfig {
     /// [`StreamEngine::submit`] blocks (backpressure). Total windows admitted
     /// at once is `in_flight + queue_depth`.
     pub queue_depth: usize,
-    /// Per-window deadline, measured from [`StreamEngine::submit`]. The
-    /// head-of-line window is emitted **degraded** (the last good result,
-    /// tagged [`EngineOutput::degraded`]) instead of stalling ordered
-    /// emission when its lane finished after the deadline or no result has
-    /// arrived by then. The rule reads the lane's own finishing time; the
-    /// caller sees an overdue window at its next `submit`, `poll_output` or
-    /// `finish`. A real result that arrives after its window was degraded
-    /// is dropped and counted as a late recovery. `None` (the default)
-    /// disables the deadline machinery entirely.
+    /// Per-window deadline, measured from [`StreamEngine::submit`]. A head
+    /// window whose lane finished after it, or that has no result by then,
+    /// is emitted **degraded** (the last good output, tagged
+    /// [`EngineOutput::degraded`]) at the caller's next `submit`,
+    /// `poll_output` or `finish`, instead of stalling ordered emission; its
+    /// real result is dropped as a late recovery. `None` disables it.
     pub window_deadline_ms: Option<u64>,
 }
 
@@ -69,7 +69,7 @@ impl Default for EngineConfig {
 
 /// One finished window, emitted in submission order.
 #[derive(Debug)]
-pub struct EngineOutput {
+pub struct EngineOutput<O = ReasonerOutput> {
     /// Submission sequence number (0, 1, 2, ... — the emission order).
     pub seq: u64,
     /// The window's own id.
@@ -82,17 +82,15 @@ pub struct EngineOutput {
     /// The reasoner's output, or the error/panic it produced. For a degraded
     /// window this is the last good output the engine emitted (empty when no
     /// window succeeded yet) — see [`EngineOutput::degraded`].
-    pub result: Result<ReasonerOutput, AspError>,
+    pub result: Result<O, AspError>,
     /// True when the window blew its [`EngineConfig::window_deadline_ms`]
     /// and `result` is a stale placeholder, not this window's real answer.
     pub degraded: bool,
 }
 
 /// Busy-time accounting of one engine lane, reported in
-/// [`EngineStats::lanes`] — the observability groundwork for adaptive
-/// in-flight control (idle lanes ⇒ shrink, saturated lanes plus submit
-/// blocking ⇒ grow).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+/// [`EngineStats::lanes`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LaneOccupancy {
     /// Wall-clock the lane spent inside `Reasoner::process`.
     pub busy_ms: f64,
@@ -113,11 +111,12 @@ impl LaneOccupancy {
 }
 
 /// Throughput report of one engine run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineStats {
     /// Windows that finished (including errored ones).
     pub windows: u64,
-    /// Windows whose reasoner returned an error (or panicked).
+    /// Windows whose reasoner returned an error (or panicked); in a
+    /// multi-tenant run, also each serving entry's failed run of a window.
     pub errors: u64,
     /// Total stream items across finished windows.
     pub items: u64,
@@ -128,12 +127,9 @@ pub struct EngineStats {
     /// Sustained items per second.
     pub items_per_sec: f64,
     /// Total time [`StreamEngine::submit`] spent blocked on backpressure
-    /// (queue full). Distinguishes saturation from idle lanes: a run with
-    /// high `submit_blocked_ms` was producer-limited by the engine, one
-    /// without was consumer-limited by the stream. `None` when the run had
-    /// no submit path at all (sequential baseline, multi-tenant scheduler):
-    /// the JSON then omits the key honestly instead of fabricating `0.0`,
-    /// so record readers can tell "never blocked" from "not applicable".
+    /// (queue full): a high value means the engine, not the stream, limited
+    /// the run. `None`, and omitted from the JSON rather than fabricated as
+    /// `0.0`, when the run had no submit path (a window-at-a-time baseline).
     pub submit_blocked_ms: Option<f64>,
     /// How many communities the lanes reused versus recomputed when they
     /// are partitioned; `None` for custom lanes.
@@ -145,9 +141,8 @@ pub struct EngineStats {
     pub queue_high_water: u64,
     /// Per-window reasoning latency distribution.
     pub latency: LatencyStats,
-    /// Per-tenant latency summaries when the stats come from the
-    /// multi-tenant scheduler; empty otherwise (and then omitted from the
-    /// JSON).
+    /// Per-tenant latency summaries of a multi-tenant run; empty otherwise
+    /// (and then omitted from the JSON).
     pub tenants: Vec<TenantLatency>,
     /// Work-deduplication counters of the multi-tenant scheduler; `None`
     /// for single-program runs (omitted from the JSON).
@@ -210,9 +205,9 @@ impl EngineStats {
 
 /// Final report returned by [`StreamEngine::finish`].
 #[derive(Debug)]
-pub struct EngineReport {
+pub struct EngineReport<O = ReasonerOutput> {
     /// Ordered outputs not already drained via [`StreamEngine::poll_output`].
-    pub outputs: Vec<EngineOutput>,
+    pub outputs: Vec<EngineOutput<O>>,
     /// Throughput statistics over *all* windows the engine processed.
     pub stats: EngineStats,
 }
@@ -238,10 +233,10 @@ struct OccupancyAcc {
 }
 
 /// The pipelined engine. See the module docs for the execution model.
-pub struct StreamEngine {
+pub struct StreamEngine<O = ReasonerOutput> {
     input: Option<SyncSender<(u64, Window)>>,
     /// Finished windows, each stamped with the moment its lane finished.
-    results: Receiver<(EngineOutput, Instant)>,
+    results: Receiver<(EngineOutput<O>, Instant)>,
     lanes: Vec<JoinHandle<()>>,
     /// Windows, items, errors and latency of every emitted window.
     tally: RunTally,
@@ -263,31 +258,33 @@ pub struct StreamEngine {
     /// Submitted windows not yet emitted, in `seq` order.
     pending: VecDeque<Pending>,
     /// Results that arrived before their turn to be emitted, by `seq`.
-    arrived: BTreeMap<u64, (EngineOutput, Instant)>,
+    arrived: BTreeMap<u64, (EngineOutput<O>, Instant)>,
     /// Emitted windows the consumer has not taken yet.
-    ready: VecDeque<EngineOutput>,
+    ready: VecDeque<EngineOutput<O>>,
     /// The last real, successful output, replayed by degraded placeholders;
     /// kept only under a deadline.
-    last_good: Option<ReasonerOutput>,
+    last_good: Option<O>,
 }
 
-impl StreamEngine {
+impl<O: Clone + Default + Send + 'static> StreamEngine<O> {
     /// Spawns `config.in_flight` lanes; `factory(lane_idx)` builds each
     /// lane's reasoner backend (errors surface here, before any thread
     /// starts).
     pub fn new(
         config: EngineConfig,
-        factory: impl FnMut(usize) -> Result<Box<dyn Reasoner>, AspError>,
+        factory: impl FnMut(usize) -> Result<Box<dyn Reasoner<O>>, AspError>,
     ) -> Result<Self, AspError> {
-        StreamEngine::new_inner(config, factory, ExecCtx::default())
+        StreamEngine::with_ctx(config, factory, ExecCtx::default())
     }
 
-    /// Like [`StreamEngine::new`] but sharing `ctx` with the caller, so
-    /// lane reasoners that count their own retries/fallbacks land in the
-    /// same snapshot as the engine-level degradations.
-    fn new_inner(
+    /// Like [`StreamEngine::new`] but sharing `ctx` with the caller, so what
+    /// the lanes' reasoners count (retries, fallbacks, quarantines) lands in
+    /// the same snapshot as the engine's degradations. A multi-tenant run
+    /// passes its scheduler's context and gives every lane a clone of one
+    /// `Arc<Mutex<MultiTenantEngine>>`.
+    pub fn with_ctx(
         config: EngineConfig,
-        mut factory: impl FnMut(usize) -> Result<Box<dyn Reasoner>, AspError>,
+        mut factory: impl FnMut(usize) -> Result<Box<dyn Reasoner<O>>, AspError>,
         ctx: ExecCtx,
     ) -> Result<Self, AspError> {
         let lanes_n = config.in_flight.max(1);
@@ -389,82 +386,33 @@ impl StreamEngine {
         })
     }
 
-    /// Convenience: an engine whose lanes are [`ParallelReasoner`]s sharing
-    /// one [`ExecCtx`]: one worker pool of [`ReasonerConfig::workers`]
-    /// threads (`0`: `partitions × in_flight`, so every in-flight window can
-    /// fan out over all its partitions at once) — or no pool, where
-    /// [`partition_pool`] keeps partitions on the lane thread — and one set of
-    /// counters, which [`EngineStats::incremental`] and
-    /// [`EngineStats::failure`] report on [`StreamEngine::finish`]. This is
-    /// the standard construction for pipelined `PR` streaming (the CLI's and
-    /// the benchmark's). Each lane reuses only what it computed itself, so
-    /// with several lanes a community is reused only when the same lane
-    /// answered the window the delta is based on. `reasoner_cfg`'s fault plan
-    /// reaches every partition job and `submit`.
-    pub fn with_partitioned_lanes(
-        syms: &Symbols,
-        program: &Program,
-        inpre: Option<&[Predicate]>,
-        partitioner: Arc<dyn Partitioner>,
-        reasoner_cfg: ReasonerConfig,
-        config: EngineConfig,
-    ) -> Result<Self, AspError> {
-        let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
-        let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
-        let faults = reasoner_cfg.faults.clone();
-        let mut engine = StreamEngine::new_inner(
-            config,
-            |_lane| {
-                let reasoner = ParallelReasoner::with_ctx(
-                    syms,
-                    program,
-                    inpre,
-                    partitioner.clone(),
-                    reasoner_cfg.clone(),
-                    ctx.clone(),
-                )?;
-                Ok(Box::new(reasoner) as Box<dyn Reasoner>)
-            },
-            ctx.clone(),
-        )?;
-        engine.partitioned = true;
-        engine.faults = faults;
-        Ok(engine)
-    }
-
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
         self.lanes.len()
     }
 
-    /// Worker threads of the partition pool the lanes share; 0 when the
-    /// lanes run their partitions themselves.
-    pub fn pool_workers(&self) -> usize {
-        self.ctx.workers()
-    }
-
     /// Binds this engine's live state to `registry` so a Prometheus scrape
     /// sees it mid-run: window/error/item totals and the per-window latency
-    /// histogram of the windows emitted so far, queue occupancy and per-lane
-    /// busy time. Collector closures capture `Arc`s, so the bindings stay
-    /// valid (frozen at their final values) after [`StreamEngine::finish`].
-    /// When the lanes run partitioned their shared reuse counters are
-    /// registered too.
-    pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
-        self.tally.register_metrics(registry, "sr_engine");
+    /// histogram of the windows emitted so far, recovery counters, queue
+    /// occupancy and per-lane busy time, each named `{prefix}_…`
+    /// (`sr_engine`, or `sr_tenant` for a multi-tenant run). Collector
+    /// closures capture `Arc`s, so the bindings stay valid (frozen at their
+    /// final values) after [`StreamEngine::finish`]. When the lanes run
+    /// partitioned their shared reuse counters are registered too.
+    pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry, prefix: &str) {
+        self.tally.register_metrics(registry, prefix);
         for (name, pick) in [
-            (
-                "sr_engine_degraded_windows_total",
-                (|f| &f.degraded_windows) as fn(&FailureCounters) -> &AtomicU64,
-            ),
-            ("sr_engine_retries_total", |f| &f.retries),
-            ("sr_engine_fallbacks_total", |f| &f.fallbacks),
-            ("sr_engine_late_recoveries_total", |f| &f.late_recoveries),
-            ("sr_engine_lane_rebuilds_total", |f| &f.lane_rebuilds),
+            ("errors_total", (|f| &f.errors) as fn(&FailureCounters) -> &AtomicU64),
+            ("degraded_windows_total", |f| &f.degraded_windows),
+            ("retries_total", |f| &f.retries),
+            ("fallbacks_total", |f| &f.fallbacks),
+            ("late_recoveries_total", |f| &f.late_recoveries),
+            ("lane_rebuilds_total", |f| &f.lane_rebuilds),
         ] {
             let failures = Arc::clone(&self.ctx.failures);
-            registry
-                .register_counter_fn(name, &[], move || pick(&failures).load(Ordering::Relaxed));
+            registry.register_counter_fn(&format!("{prefix}_{name}"), &[], move || {
+                pick(&failures).load(Ordering::Relaxed)
+            });
         }
         registry.register_counter_fn(
             "sr_poison_recoveries_total",
@@ -472,24 +420,24 @@ impl StreamEngine {
             crate::poison::poison_recoveries,
         );
         let occ = Arc::clone(&self.occupancy);
-        registry.register_gauge_fn("sr_engine_queue_depth", &[], move || {
+        registry.register_gauge_fn(&format!("{prefix}_queue_depth"), &[], move || {
             occ.queued.load(Ordering::Relaxed) as f64
         });
         let occ = Arc::clone(&self.occupancy);
-        registry.register_gauge_fn("sr_engine_queue_high_water", &[], move || {
+        registry.register_gauge_fn(&format!("{prefix}_queue_high_water"), &[], move || {
             occ.queue_high_water.load(Ordering::Relaxed) as f64
         });
         for lane in 0..self.occupancy.busy_ns.len() {
             let occ = Arc::clone(&self.occupancy);
             let label = lane.to_string();
             registry.register_counter_fn(
-                "sr_engine_lane_busy_ms_total",
+                &format!("{prefix}_lane_busy_ms_total"),
                 &[("lane", &label)],
                 move || occ.busy_ns[lane].load(Ordering::Relaxed) / 1_000_000,
             );
             let occ = Arc::clone(&self.occupancy);
             registry.register_counter_fn(
-                "sr_engine_lane_windows_total",
+                &format!("{prefix}_lane_windows_total"),
                 &[("lane", &label)],
                 move || occ.lane_windows[lane].load(Ordering::Relaxed),
             );
@@ -556,7 +504,7 @@ impl StreamEngine {
     /// Non-blocking: the next finished window in submission order, if one is
     /// ready. Windows drained here do not reappear in the final report's
     /// `outputs` (they still count toward its `stats`).
-    pub fn poll_output(&mut self) -> Option<EngineOutput> {
+    pub fn poll_output(&mut self) -> Option<EngineOutput<O>> {
         self.drain();
         self.ready.pop_front()
     }
@@ -565,7 +513,7 @@ impl StreamEngine {
     /// to be emitted (degraded ones at their deadline) and for every lane to
     /// finish, and returns the remaining ordered outputs plus the run's
     /// throughput statistics.
-    pub fn finish(mut self) -> EngineReport {
+    pub fn finish(mut self) -> EngineReport<O> {
         self.input = None; // closing the channel ends the lanes
         self.drain();
         while let Some(&Pending { submitted, .. }) = self.pending.front() {
@@ -634,7 +582,7 @@ impl StreamEngine {
 
     /// Files one lane result for emission. A result whose window was
     /// already emitted degraded came too late: it is counted and dropped.
-    fn accept(&mut self, (output, done): (EngineOutput, Instant)) {
+    fn accept(&mut self, (output, done): (EngineOutput<O>, Instant)) {
         if output.seq < self.next_seq() {
             self.ctx.failures.late_recoveries.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -653,7 +601,8 @@ impl StreamEngine {
             let output = match self.arrived.remove(&seq) {
                 Some((output, done)) if self.deadline.is_none_or(|d| done <= submitted + d) => {
                     let errors = u64::from(output.result.is_err());
-                    self.tally.record(items, errors, output.latency, done);
+                    self.ctx.failures.errors.fetch_add(errors, Ordering::Relaxed);
+                    self.tally.record(items, output.latency, done);
                     if let (Some(_), Ok(result)) = (self.deadline, &output.result) {
                         self.last_good = Some(result.clone());
                     }
@@ -670,7 +619,7 @@ impl StreamEngine {
                         .late_recoveries
                         .fetch_add(u64::from(arrived.is_some()), Ordering::Relaxed);
                     failures.degraded_windows.fetch_add(1, Ordering::Relaxed);
-                    self.tally.record(items, 0, deadline, submitted + deadline);
+                    self.tally.record(items, deadline, submitted + deadline);
                     EngineOutput {
                         seq,
                         window_id,
@@ -691,7 +640,52 @@ impl StreamEngine {
     }
 }
 
-impl Drop for StreamEngine {
+impl StreamEngine {
+    /// Convenience: an engine whose lanes are [`ParallelReasoner`]s sharing
+    /// one [`ExecCtx`]: one worker pool of [`ReasonerConfig::workers`]
+    /// threads (`0`: `partitions × in_flight`, so every in-flight window can
+    /// fan out over all its partitions at once) — or no pool, where
+    /// [`partition_pool`] keeps partitions on the lane thread — and one set of
+    /// counters, which [`EngineStats::incremental`] and
+    /// [`EngineStats::failure`] report on [`StreamEngine::finish`]. This is
+    /// the standard construction for pipelined `PR` streaming (the CLI's and
+    /// the benchmark's). Each lane reuses only what it computed itself, so
+    /// with several lanes a community is reused only when the same lane
+    /// answered the window the delta is based on. `reasoner_cfg`'s fault plan
+    /// reaches every partition job and `submit`.
+    pub fn with_partitioned_lanes(
+        syms: &Symbols,
+        program: &Program,
+        inpre: Option<&[Predicate]>,
+        partitioner: Arc<dyn Partitioner>,
+        reasoner_cfg: ReasonerConfig,
+        config: EngineConfig,
+    ) -> Result<Self, AspError> {
+        let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
+        let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
+        let faults = reasoner_cfg.faults.clone();
+        let mut engine = StreamEngine::with_ctx(
+            config,
+            |_lane| {
+                let reasoner = ParallelReasoner::with_ctx(
+                    syms,
+                    program,
+                    inpre,
+                    partitioner.clone(),
+                    reasoner_cfg.clone(),
+                    ctx.clone(),
+                )?;
+                Ok(Box::new(reasoner) as Box<dyn Reasoner>)
+            },
+            ctx.clone(),
+        )?;
+        engine.partitioned = true;
+        engine.faults = faults;
+        Ok(engine)
+    }
+}
+
+impl<O> Drop for StreamEngine<O> {
     fn drop(&mut self) {
         self.input = None;
         for lane in self.lanes.drain(..) {
@@ -987,7 +981,7 @@ mod tests {
         let registry = sr_obs::MetricsRegistry::new();
         let cfg = EngineConfig { in_flight: 1, queue_depth: 0, ..Default::default() };
         let mut engine = StreamEngine::new(cfg, fake_factory(0, None)).unwrap();
-        engine.register_metrics(&registry);
+        engine.register_metrics(&registry, "sr_engine");
         for w in windows(3) {
             engine.submit(w).unwrap();
             let t0 = Instant::now();
@@ -1025,7 +1019,7 @@ mod tests {
         let registry = sr_obs::MetricsRegistry::new();
         let cfg = EngineConfig { in_flight: 2, queue_depth: 2, ..Default::default() };
         let mut engine = StreamEngine::new(cfg, fake_factory(1, None)).unwrap();
-        engine.register_metrics(&registry);
+        engine.register_metrics(&registry, "sr_engine");
         for w in windows(5) {
             engine.submit(w).unwrap();
         }
@@ -1164,7 +1158,7 @@ mod tests {
                 EngineConfig { in_flight: 2, queue_depth: 2, ..Default::default() },
             )
             .unwrap();
-            engine.pool_workers()
+            engine.ctx.workers()
         };
         let delta_ground = ReasonerConfig { delta_ground: true, ..Default::default() };
         assert_eq!(pool_workers(delta_ground), 0, "delta_ground lanes never submit to a pool");

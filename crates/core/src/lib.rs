@@ -59,7 +59,7 @@ pub use incremental::{
 pub use input_graph::InputDepGraph;
 pub use metrics::{
     duration_ms, CacheCounters, DedupSnapshot, FailureCounters, FailureSnapshot,
-    IncrementalSnapshot, LatencyStats, RunTally, TenantLatency,
+    IncrementalSnapshot, LatencyStats, TenantLatency,
 };
 pub use multi_tenant::{MultiTenantEngine, ProgramEntry, TenantOutput, TenantPartitioner};
 pub use partition::{Partitioner, PlanPartitioner, RandomPartitioner};

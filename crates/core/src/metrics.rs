@@ -5,7 +5,6 @@
 //! [`sr_obs::Histogram`] through [`LatencyStats::from_histogram`].
 
 use crate::engine::EngineStats;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,7 +38,7 @@ pub fn duration_ms(d: Duration) -> f64 {
 }
 
 /// Latency distribution summary (milliseconds) over a set of samples.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples summarized.
     pub count: usize,
@@ -96,21 +95,20 @@ impl LatencyStats {
     }
 }
 
-/// Window, item and error totals of one run, shared with the metrics
-/// registry so a live scrape reads them without locking the engine.
+/// Window and item totals of one run, shared with the metrics registry so
+/// a live scrape reads them without locking the engine.
 #[derive(Default)]
 struct RunCounts {
     windows: AtomicU64,
     items: AtomicU64,
-    errors: AtomicU64,
 }
 
-/// The run tally of [`StreamEngine`](crate::engine::StreamEngine),
-/// [`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine) and any
-/// window-at-a-time caller: window, item and error totals, the per-window
-/// latency histogram, and the span from the first submission to the last
-/// completion. Only its owner's thread records; scrapes read the shared
-/// counters and histogram.
+/// The run tally of [`StreamEngine`](crate::engine::StreamEngine), whatever
+/// its lanes serve, and of any window-at-a-time caller: window and item
+/// totals, the per-window latency histogram, and the span from the first
+/// submission to the last completion (errors are
+/// [`FailureCounters::errors`]). Only its owner's thread
+/// records; scrapes read the shared counters and histogram.
 #[derive(Default)]
 pub struct RunTally {
     counts: Arc<RunCounts>,
@@ -125,24 +123,19 @@ impl RunTally {
         self.first.get_or_insert(at);
     }
 
-    /// Counts one finished window of `items` items with `errors` failures
-    /// that took `latency` and was done at `done`.
-    pub fn record(&mut self, items: usize, errors: u64, latency: Duration, done: Instant) {
+    /// Counts one finished window of `items` items that took `latency` and
+    /// was done at `done`.
+    pub fn record(&mut self, items: usize, latency: Duration, done: Instant) {
         self.counts.windows.fetch_add(1, Ordering::Relaxed);
         self.counts.items.fetch_add(items as u64, Ordering::Relaxed);
-        self.counts.errors.fetch_add(errors, Ordering::Relaxed);
         self.latency.record(duration_ms(latency));
         self.last_done = self.last_done.max(Some(done));
     }
 
-    /// Windows recorded so far.
-    pub fn windows(&self) -> u64 {
-        self.counts.windows.load(Ordering::Relaxed)
-    }
-
     /// The fields of [`EngineStats`] every run shares; the rest are left at
-    /// their defaults. `failure` is present when the run was `armed` (a
-    /// deadline or a fault plan) or any of `failures` moved.
+    /// their defaults. `errors` is read from `failures`; `failure` is present
+    /// when the run was `armed` (a deadline or a fault plan) or any of
+    /// `failures` moved.
     pub fn stats(&self, armed: bool, failures: &FailureCounters) -> EngineStats {
         let elapsed = match (self.first, self.last_done) {
             (Some(t0), Some(t1)) => t1.saturating_duration_since(t0),
@@ -150,11 +143,11 @@ impl RunTally {
         };
         let secs = elapsed.as_secs_f64();
         let per_sec = |n: u64| if secs > 0.0 { n as f64 / secs } else { 0.0 };
-        let windows = self.windows();
+        let windows = self.counts.windows.load(Ordering::Relaxed);
         let items = self.counts.items.load(Ordering::Relaxed);
         EngineStats {
             windows,
-            errors: self.counts.errors.load(Ordering::Relaxed),
+            errors: failures.errors.load(Ordering::Relaxed),
             items,
             elapsed_ms: duration_ms(elapsed),
             windows_per_sec: per_sec(windows),
@@ -165,12 +158,11 @@ impl RunTally {
         }
     }
 
-    /// Registers `{prefix}_{windows,items,errors}_total` and
+    /// Registers `{prefix}_{windows,items}_total` and
     /// `{prefix}_window_latency_ms` with `registry`.
     pub(crate) fn register_metrics(&self, registry: &sr_obs::MetricsRegistry, prefix: &str) {
         type Field = fn(&RunCounts) -> &AtomicU64;
-        let counters: [(&str, Field); 3] =
-            [("windows", |c| &c.windows), ("items", |c| &c.items), ("errors", |c| &c.errors)];
+        let counters: [(&str, Field); 2] = [("windows", |c| &c.windows), ("items", |c| &c.items)];
         for (name, field) in counters {
             let shared = Arc::clone(&self.counts);
             registry.register_counter_fn(&format!("{prefix}_{name}_total"), &[], move || {
@@ -227,7 +219,7 @@ impl CacheCounters {
 
 /// Snapshot of how much incremental reasoning reused, embedded in
 /// [`EngineStats`] and the bench records.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IncrementalSnapshot {
     /// Communities whose answers were reused.
     pub hits: u64,
@@ -273,6 +265,10 @@ pub struct FailureCounters {
     pub lane_rebuilds: AtomicU64,
     /// Serving entries quarantined by the multi-tenant scheduler.
     pub quarantines: AtomicU64,
+    /// Windows whose reasoner returned an error (or panicked), and entry
+    /// runs a multi-tenant scheduler saw fail. Reported as
+    /// [`EngineStats::errors`], not in the snapshot.
+    pub errors: AtomicU64,
 }
 
 impl FailureCounters {
@@ -303,7 +299,7 @@ impl FailureCounters {
 
 /// Snapshot of the fault-tolerance counters, embedded in
 /// [`EngineStats`] and the chaos bench record.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FailureSnapshot {
     /// Partition jobs retried after a panic.
     pub retries: u64,
@@ -342,7 +338,7 @@ impl FailureSnapshot {
 /// observes is the wall clock until *its program's* result is ready for the
 /// window — tenants deduplicated onto one program run record the same
 /// sample.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantLatency {
     /// Tenant id (any string; escaped when rendered into JSON).
     pub tenant: String,
@@ -370,7 +366,7 @@ impl TenantLatency {
 /// tenant-window results were served versus how many program runs actually
 /// happened. The dedup key is `(program fingerprint, partitioner)` — N
 /// tenants behind one key cost one run per window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DedupSnapshot {
     /// Tenants currently admitted.
     pub tenants: u64,

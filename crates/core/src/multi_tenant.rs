@@ -1,51 +1,48 @@
 //! The multi-tenant scheduler: N tenant programs served over one shared
 //! stream, with per-window work deduplicated by serving key.
 //!
-//! The ROADMAP north-star is many concurrent *programs* (per-user
-//! monitoring rules) subscribed to one stream. [`MultiTenantEngine`] admits
-//! and retires tenant programs at runtime and deduplicates them by
-//! **serving key** `(program fingerprint, partitioner)`: tenants whose
-//! program text renders identically (see [`program_fingerprint`] — the
-//! fingerprint hashes the rendered rules, so it is independent of which
+//! [`MultiTenantEngine`] admits and retires tenant programs at runtime and
+//! deduplicates them by **serving key** `(program fingerprint,
+//! partitioner)`: tenants whose program text renders identically (see
+//! [`program_fingerprint`], which hashes the rendered rules, whatever
 //! `Symbols` store parsed them) and who ask for the same partitioning share
-//! one [`ProgramEntry`]. The partitioner is part of the key because
-//! partitioning can change answers (the paper's random baseline trades
-//! accuracy for balance); sharing across different partitioners would
-//! silently change a tenant's output.
+//! one [`ProgramEntry`]. The partitioner is part of the key because the
+//! paper's random baseline can change answers.
 //!
 //! Each entry gets its **own `Symbols` store** (its community reasoners
-//! resolve symbol ids against the store their program was built from, so
-//! programs must never mix stores) and its own [`IncrementalReasoner`],
-//! which reuses the communities a window's delta leaves untouched from the
-//! last window *it* answered. A re-admitted program starts cold: its first
-//! window recomputes every community.
+//! resolve symbol ids against the store their program was built from) and
+//! its own [`IncrementalReasoner`], which reuses the communities a window's
+//! delta leaves untouched from the last window *it* answered; a re-admitted
+//! program starts cold. Each window runs **once per entry**, not once per
+//! tenant: every tenant of an entry receives the same `Arc`-shared
+//! [`ReasonerOutput`].
 //!
-//! The engine processes each window **once per entry**, not once per
-//! tenant: every tenant attached to an entry receives the same `Arc`-shared
-//! [`ReasonerOutput`], so N tenants running the same rule set cost ~1
-//! tenant. Within one entry the window is routed and its dirty communities
-//! are found exactly once (that is what the entry's reasoner does); across
-//! entries only the worker pool and the counters are shared.
+//! Execution model: one [`MultiTenantEngine::process`] call serves one
+//! window; the scheduler keeps no clock. It is a [`Reasoner`] whose output
+//! is one [`TenantOutput`] per served tenant, so a stream runs through
+//! [`StreamEngine`](crate::engine::StreamEngine) like any other: the
+//! engine's lane holds the scheduler behind a mutex (so the caller keeps a
+//! handle for [`MultiTenantEngine::stats`]) and reports into its
+//! [`ExecCtx`]. One lane is enough, since each window already fans out
+//! over the pool; lanes sharing the scheduler take turns on it. The engine
+//! keeps the run's tally and its deadline rule: an overdue window is
+//! emitted degraded, as in any other run.
 //!
-//! Execution model: entries share one [`ExecCtx`]: one worker pool, sized
+//! Entries share that [`ExecCtx`]: one worker pool, sized
 //! [`ReasonerConfig::workers`] (or the first admitted program's partition
 //! count when that is `0`) and built at the first admission that needs one,
-//! plus the reuse and retry/fallback counters every entry reports into.
-//! Each live (not quarantined) entry becomes one job on it.
-//! Under [`ParallelMode::Threads`](crate::config::ParallelMode) the jobs run
-//! concurrently on the shared worker pool, at most `workers` at once; an
-//! entry's job fans its dirty partitions out over the same pool and runs the
-//! ones no other worker has picked up itself (see [`crate::exec`]). The
-//! caller thread only waits. Without a pool (Sequential mode) the entries
-//! run on the caller thread one after another. Either way the bookkeeping —
-//! errors, panic recovery, quarantine and deadline scoring, latency samples
-//! and outputs — runs serially after the batch, in first-admission order.
+//! plus the reuse, recovery and quarantine counters. Each live (not
+//! quarantined) entry becomes one job on the pool, and fans its dirty
+//! partitions out over the same pool (see [`crate::exec`]); without a pool
+//! (Sequential mode) the entries run on the caller thread one after
+//! another. Either way the bookkeeping — panic recovery, quarantine
+//! scoring, latency samples and outputs — runs serially after the batch,
+//! in first-admission order.
 //!
 //! Correctness bar: each tenant's output is byte-identical to running its
-//! own single-program pipeline over the same windows (property-tested in
-//! `tests/multi_tenant_identity.rs`, in both modes, including admit/retire
-//! mid-stream). Outputs are deterministic whatever the interleaving:
-//! entries emit in first-admission order and tenants in admission order
+//! own single-program pipeline over the same windows, called directly or
+//! through the engine (property-tested in `tests/multi_tenant_identity.rs`).
+//! Entries emit in first-admission order and tenants in admission order
 //! within their entry.
 
 use crate::admission::{AdmissionPolicy, AdmissionSnapshot, AdmitError, ProgramBounds};
@@ -54,19 +51,17 @@ use crate::config::{AnalysisConfig, ReasonerConfig, UnknownPredicate};
 use crate::engine::EngineStats;
 use crate::exec::{partition_pool, ExecCtx, Job};
 use crate::incremental::{program_fingerprint, IncrementalReasoner};
-use crate::metrics::{
-    duration_ms, DedupSnapshot, FailureCounters, LatencyStats, RunTally, TenantLatency,
-};
+use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, TenantLatency};
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
 use crate::poison::lock_recover;
-use crate::reasoner::ReasonerOutput;
+use crate::reasoner::{Reasoner, ReasonerOutput};
 use asp_core::{AspError, Symbols};
 use asp_parser::parse_program;
 use sr_stream::Window;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Consecutive failed (or overdue) windows before an entry is quarantined.
+/// Consecutive failed windows before an entry is quarantined.
 const QUARANTINE_THRESHOLD: u32 = 3;
 
 /// How a tenant's window partitioning is chosen at admission. Part of the
@@ -99,8 +94,8 @@ pub struct ProgramEntry {
     syms: Symbols,
     reasoner: Arc<Mutex<IncrementalReasoner>>,
     tenants: Vec<String>,
-    /// Windows this entry failed (panic/error) or blew its deadline on,
-    /// consecutively; reset on a healthy window.
+    /// Windows this entry failed (panic/error) on, consecutively; reset on a
+    /// successful window.
     consecutive_failures: u32,
     /// A quarantined entry is skipped by the scheduler until readmitted.
     quarantined: bool,
@@ -123,6 +118,7 @@ type EntryRun = (Result<ReasonerOutput, AspError>, Duration);
 
 /// One tenant's view of a processed window. Tenants deduplicated onto the
 /// same program run share the `Arc` (and record the same latency).
+#[derive(Clone, Debug)]
 pub struct TenantOutput {
     /// The tenant id.
     pub tenant: String,
@@ -138,7 +134,8 @@ pub struct TenantOutput {
     pub output: Arc<ReasonerOutput>,
     /// True when `output` is a degraded placeholder rather than a reasoning
     /// result. The scheduler never serves one: a failing entry's tenants get
-    /// no output for the window instead.
+    /// no output for the window instead. An engine that emits a window
+    /// degraded marks its [`EngineOutput`](crate::engine::EngineOutput).
     pub degraded: bool,
 }
 
@@ -173,13 +170,9 @@ pub struct MultiTenantEngine {
     /// scheduling order.
     entries: Vec<ProgramEntry>,
     samples: Vec<TenantSamples>,
-    /// Windows, items, entry runs that errored or panicked (the window
-    /// itself survives: other entries keep serving) and window latency.
-    tally: RunTally,
+    /// Windows processed.
+    windows: u64,
     counters: Arc<SchedulerCounters>,
-    /// Per-entry serving deadline; an over-deadline (but successful) window
-    /// still serves its result and scores toward quarantine.
-    deadline: Option<Duration>,
     /// Admissions that succeeded (attaches included).
     admitted: u64,
     /// Admissions refused with an [`AdmitError`].
@@ -197,9 +190,8 @@ impl MultiTenantEngine {
             policy: AdmissionPolicy::default(),
             entries: Vec::new(),
             samples: Vec::new(),
-            tally: RunTally::default(),
+            windows: 0,
             counters: Arc::new(SchedulerCounters::default()),
-            deadline: None,
             admitted: 0,
             rejected: 0,
         }
@@ -211,12 +203,10 @@ impl MultiTenantEngine {
         self.policy = policy;
     }
 
-    /// Sets (or clears) the per-entry serving deadline. A successful window
-    /// slower than this still serves its result but counts against the
-    /// entry like a failure, so a chronically overdue program ends up
-    /// quarantined instead of dragging every cohabiting tenant down.
-    pub fn set_window_deadline_ms(&mut self, deadline_ms: Option<u64>) {
-        self.deadline = deadline_ms.map(Duration::from_millis);
+    /// The pool and counters every entry shares; an engine that runs the
+    /// scheduler takes a clone after the first admission builds the pool.
+    pub fn ctx(&self) -> &ExecCtx {
+        &self.ctx
     }
 
     /// Tenants currently attached to quarantined entries (each stops
@@ -380,16 +370,16 @@ impl MultiTenantEngine {
     /// order, tenants in admission order within their entry). An engine
     /// without tenants yields an empty vector — the window still counts.
     ///
-    /// **Tenant isolation:** an entry whose reasoner errors or panics no
-    /// longer aborts the whole window — its tenants just get no output for
-    /// it (counted in [`EngineStats::errors`]) and the remaining entries
-    /// keep serving. An entry that fails (or, with a deadline set, runs
-    /// overdue) three windows in a row is quarantined: skipped entirely until
-    /// [`MultiTenantEngine::readmit`].
+    /// **Tenant isolation:** an entry whose reasoner errors or panics does
+    /// not abort the whole window — its tenants just get no output for it
+    /// (counted in [`EngineStats::errors`]) and the remaining entries keep
+    /// serving. An entry that fails three
+    /// windows in a row is quarantined: skipped entirely until
+    /// [`MultiTenantEngine::readmit`]. Lateness is not failure: a deadline
+    /// belongs to the engine that runs the scheduler.
     pub fn process(&mut self, window: &Window) -> Result<Vec<TenantOutput>, AspError> {
         use std::sync::atomic::Ordering;
-        let t_window = Instant::now();
-        self.tally.start(t_window);
+        self.windows += 1;
         let mut outputs = Vec::with_capacity(self.tenant_count());
         let live: Vec<usize> =
             (0..self.entries.len()).filter(|&i| !self.entries[i].quarantined).collect();
@@ -419,25 +409,17 @@ impl MultiTenantEngine {
         let runs = self.ctx.run(jobs);
 
         // Bookkeeping runs serially, in first-admission order.
-        let mut errors = 0;
         for (i, run) in live.into_iter().zip(runs) {
             let entry = &mut self.entries[i];
             let Ok((Ok(output), latency)) = run else {
                 // This entry's failure (an error, or a panic — the
                 // reasoner's reuse slots are written only after a
-                // successful window) stays its own: count it, score it
-                // toward quarantine, keep serving the other entries.
-                errors += 1;
+                // successful window) stays its own: score it toward
+                // quarantine, keep serving the other entries.
                 strike(entry, &self.ctx.failures);
                 continue;
             };
-            if self.deadline.is_some_and(|d| latency > d) {
-                // Served, but too slow: score toward quarantine so a
-                // chronically overdue program stops hurting its cohort.
-                strike(entry, &self.ctx.failures);
-            } else {
-                entry.consecutive_failures = 0;
-            }
+            entry.consecutive_failures = 0;
             self.counters.program_runs.fetch_add(1, Ordering::Relaxed);
             let shared = Arc::new(output);
             for tenant in &entry.tenants {
@@ -453,8 +435,6 @@ impl MultiTenantEngine {
                 });
             }
         }
-        let done = Instant::now();
-        self.tally.record(window.len(), errors, done - t_window, done);
         Ok(outputs)
     }
 
@@ -466,7 +446,7 @@ impl MultiTenantEngine {
         DedupSnapshot {
             tenants: self.tenant_count() as u64,
             programs: self.program_count() as u64,
-            windows: self.tally.windows(),
+            windows: self.windows,
             tenant_windows,
             program_runs: self.counters.program_runs.load(Ordering::Relaxed),
             shared_runs_saved: saved,
@@ -478,13 +458,16 @@ impl MultiTenantEngine {
         }
     }
 
-    /// Binds the scheduler's live state to `registry`: window/item/run
-    /// totals, the per-window latency histogram and the entries' shared
-    /// reuse counters. Collector closures capture `Arc`s,
-    /// so scrapes keep working (frozen) after the engine is dropped.
+    /// Binds the scheduler's live state to `registry`: tenant-window and
+    /// program-run totals, quarantines and the entries' shared reuse
+    /// counters. The run's window, item, error and latency series are those
+    /// of the engine that runs the scheduler ([`StreamEngine::register_metrics`]
+    /// with the `sr_tenant` prefix). Collector closures capture `Arc`s, so scrapes
+    /// keep working (frozen) after the engine is dropped.
+    ///
+    /// [`StreamEngine::register_metrics`]: crate::engine::StreamEngine::register_metrics
     pub fn register_metrics(&self, registry: &sr_obs::MetricsRegistry) {
         use std::sync::atomic::Ordering;
-        self.tally.register_metrics(registry, "sr_tenant");
         type CounterRead = fn(&SchedulerCounters) -> u64;
         let counters: [(&str, CounterRead); 2] = [
             ("sr_tenant_tenant_windows_total", |c| c.tenant_windows.load(Ordering::Relaxed)),
@@ -501,14 +484,21 @@ impl MultiTenantEngine {
         self.ctx.counters.register_metrics(registry);
     }
 
-    /// A throughput/latency report over everything processed so far:
-    /// overall stats plus per-tenant latency p50/p95/p99 (`tenants`) and
-    /// the dedup counters (`dedup`). `submit_blocked_ms` is `None` —
-    /// [`MultiTenantEngine::process`] returns when the window is served,
-    /// there is no submit queue to block on.
+    /// The scheduler's half of a run report: per-tenant latency p50/p95/p99
+    /// (`tenants`), failed entry runs (`errors`), the dedup, reuse and
+    /// admission counters, and the recovery counters when a fault plan is
+    /// configured or one moved. The run's window and item totals,
+    /// throughput and window latency are those of the engine that runs the
+    /// scheduler ([`EngineStats`] from [`StreamEngine::finish`], whose
+    /// `errors` include these) and stay at their defaults here.
+    ///
+    /// [`StreamEngine::finish`]: crate::engine::StreamEngine::finish
     pub fn stats(&self) -> EngineStats {
-        let armed = self.deadline.is_some() || self.config.faults.is_some();
+        let failures = &self.ctx.failures;
+        let armed = self.config.faults.is_some() || failures.any_nonzero();
+        let budget = self.policy.budget_cells;
         EngineStats {
+            errors: failures.errors.load(std::sync::atomic::Ordering::Relaxed),
             incremental: Some(self.ctx.counters.snapshot()),
             tenants: self
                 .samples
@@ -520,31 +510,32 @@ impl MultiTenantEngine {
                 })
                 .collect(),
             dedup: Some(self.dedup_snapshot()),
-            admission: self.admission_snapshot(),
-            ..self.tally.stats(armed, &self.ctx.failures)
+            // Omitted, not zeroed, when admission control never engaged.
+            admission: (budget.is_some() || self.rejected > 0).then_some(AdmissionSnapshot {
+                budget_cells: budget,
+                admitted: self.admitted,
+                rejected: self.rejected,
+            }),
+            failure: armed.then(|| failures.snapshot()),
+            ..EngineStats::default()
         }
-    }
-
-    /// The admission counters, or `None` when admission control never
-    /// engaged (no budget configured, nothing rejected) — the JSON then
-    /// omits the section instead of fabricating zeros.
-    pub fn admission_snapshot(&self) -> Option<AdmissionSnapshot> {
-        let budget = self.policy.budget_cells;
-        (budget.is_some() || self.rejected > 0).then_some(AdmissionSnapshot {
-            budget_cells: budget,
-            admitted: self.admitted,
-            rejected: self.rejected,
-        })
     }
 }
 
-/// Scores one failed or overdue window against `entry`, quarantining it at
-/// [`QUARANTINE_THRESHOLD`] consecutive strikes.
+/// Counts one failed window of `entry` and scores it, quarantining the
+/// entry at [`QUARANTINE_THRESHOLD`] consecutive strikes.
 fn strike(entry: &mut ProgramEntry, failures: &FailureCounters) {
+    failures.errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     entry.consecutive_failures += 1;
     if entry.consecutive_failures >= QUARANTINE_THRESHOLD {
         entry.quarantined = true;
         failures.quarantines.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+impl Reasoner<Vec<TenantOutput>> for MultiTenantEngine {
+    fn process(&mut self, window: &Window) -> Result<Vec<TenantOutput>, AspError> {
+        MultiTenantEngine::process(self, window)
     }
 }
 
@@ -568,6 +559,8 @@ fn record(samples: &mut Vec<TenantSamples>, tenant: &str, program: u64, latency_
 mod tests {
     use super::*;
     use crate::config::{ParallelMode, ReasonerConfig};
+    use crate::engine::{EngineConfig, StreamEngine};
+    use crate::fault::{FaultPlan, FaultSite};
     use sr_rdf::{Node, Triple};
 
     const PROGRAM_A: &str = "jam(X) :- slow(X), busy(X), not light(X).";
@@ -598,6 +591,22 @@ mod tests {
 
     fn rendered(out: &TenantOutput) -> Vec<String> {
         out.output.answers.iter().map(|a| a.display(&out.syms).to_string()).collect()
+    }
+
+    /// A stream engine whose lanes share `eng` and report into its context.
+    fn through_engine(
+        eng: MultiTenantEngine,
+        config: EngineConfig,
+    ) -> (Arc<Mutex<MultiTenantEngine>>, StreamEngine<Vec<TenantOutput>>) {
+        let ctx = eng.ctx().clone();
+        let shared = Arc::new(Mutex::new(eng));
+        let engine = StreamEngine::with_ctx(
+            config,
+            |_lane| Ok(Box::new(Arc::clone(&shared)) as Box<dyn Reasoner<Vec<TenantOutput>>>),
+            ctx,
+        )
+        .unwrap();
+        (shared, engine)
     }
 
     #[test]
@@ -637,12 +646,12 @@ mod tests {
             eng.process(&window(id)).unwrap();
         }
         let stats = eng.stats();
-        assert_eq!(stats.windows, 3);
         assert_eq!(stats.tenants.len(), 2);
         assert_eq!(stats.tenants[0].latency.count, 3, "one sample per window");
         assert_eq!(stats.tenants[0].program, stats.tenants[1].program);
         assert!(stats.submit_blocked_ms.is_none(), "no submit path, key omitted");
         let dedup = stats.dedup.expect("scheduler stats always carry dedup");
+        assert_eq!(dedup.windows, 3);
         assert_eq!(dedup.program_runs, 3, "one run per window despite two tenants");
         assert_eq!(dedup.tenant_windows, 6);
         let json = stats.to_json();
@@ -701,39 +710,94 @@ mod tests {
     fn registered_metrics_reflect_scheduler_and_shared_state() {
         let registry = sr_obs::MetricsRegistry::new();
         let mut eng = engine();
-        eng.register_metrics(&registry);
         eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
         eng.admit("t1", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+        eng.register_metrics(&registry);
+        let config = EngineConfig { in_flight: 2, queue_depth: 2, window_deadline_ms: None };
+        let (_, mut streaming) = through_engine(eng, config);
+        streaming.register_metrics(&registry, "sr_tenant");
         for id in 0..2 {
-            eng.process(&window(id)).unwrap();
+            streaming.submit(window(id)).unwrap();
         }
+        assert_eq!(streaming.finish().stats.windows, 2);
         let text = registry.render_prometheus();
-        assert!(text.contains("sr_tenant_windows_total 2"), "{text}");
-        assert!(text.contains("sr_tenant_program_runs_total 2"), "{text}");
-        assert!(text.contains("sr_tenant_tenant_windows_total 4"), "{text}");
-        assert!(text.contains("sr_tenant_window_latency_ms_count 2"), "{text}");
+        for series in [
+            "sr_tenant_windows_total 2",
+            "sr_tenant_items_total 8",
+            "sr_tenant_errors_total 0",
+            "sr_tenant_window_latency_ms_count 2",
+            "sr_tenant_program_runs_total 2",
+            "sr_tenant_tenant_windows_total 4",
+            "sr_tenant_quarantines_total 0",
+        ] {
+            assert!(text.contains(series), "{series}: {text}");
+        }
         assert!(text.contains("sr_cache_hits_total"), "the reuse counters register too: {text}");
     }
 
     #[test]
-    fn overdue_windows_score_toward_quarantine_but_still_serve() {
-        for mut eng in engines() {
-            eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
-            eng.set_window_deadline_ms(Some(0)); // every real window is overdue
-            let first = eng.process(&window(0)).unwrap();
-            assert_eq!(first.len(), 1, "an overdue window still serves its result");
-            assert!(eng.quarantined_tenants().is_empty(), "one strike is not enough");
-            let second = eng.process(&window(1)).unwrap();
-            assert_eq!(second.len(), 1);
-            assert!(eng.quarantined_tenants().is_empty(), "two strikes are not enough");
-            let third = eng.process(&window(2)).unwrap();
-            assert_eq!(third.len(), 1);
-            assert_eq!(eng.quarantined_tenants(), ["t0"], "three strikes at the threshold");
-            assert!(eng.process(&window(3)).unwrap().is_empty(), "a quarantined entry is skipped");
-            let stats = eng.stats();
-            assert_eq!(stats.errors, 0, "overdue is not an error");
-            assert_eq!(stats.failure.expect("deadline configured").quarantines, 1);
+    fn overdue_windows_are_emitted_degraded_and_quarantine_nothing() {
+        // A plan that slows every window but the first: windows 1..4 take
+        // 300 ms each against a 50 ms engine deadline.
+        let slow = |seed: u64| {
+            FaultPlan::new()
+                .with_rule(FaultSite::PartitionSlowdown, 0.9, seed)
+                .with_stall(Duration::from_millis(300))
+        };
+        let fires = |seed: u64, w: u64| slow(seed).fires(FaultSite::PartitionSlowdown, w, 0);
+        let seed = (0..100_000)
+            .find(|&s| !fires(s, 0) && (1..4).all(|w| fires(s, w)))
+            .expect("such a seed exists");
+        let mut eng = MultiTenantEngine::new(ReasonerConfig {
+            mode: ParallelMode::Sequential,
+            faults: Some(Arc::new(slow(seed))),
+            ..Default::default()
+        });
+        eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+        let config = EngineConfig { in_flight: 1, queue_depth: 4, window_deadline_ms: Some(50) };
+        let (shared, mut streaming) = through_engine(eng, config);
+        for id in 0..4 {
+            streaming.submit(window(id)).unwrap();
         }
+        let report = streaming.finish();
+        let degraded: Vec<bool> = report.outputs.iter().map(|o| o.degraded).collect();
+        assert_eq!(degraded, [false, true, true, true], "every slowed window is emitted degraded");
+        let replayed = report.outputs[3].result.as_ref().unwrap();
+        assert_eq!(replayed.len(), 1, "a placeholder replays window 0's tenant outputs");
+        assert!(rendered(&replayed[0])[0].contains("jam(a)"), "{:?}", rendered(&replayed[0]));
+        assert_eq!(report.stats.errors, 0, "degradation is not an error");
+        let failure = report.stats.failure.expect("a deadline arms the failure section");
+        assert_eq!(failure.degraded_windows, 3);
+        assert_eq!(failure.quarantines, 0, "lateness alone quarantines nothing");
+        let mut eng = lock_recover(&shared);
+        assert!(eng.quarantined_tenants().is_empty());
+        assert_eq!(eng.process(&window(4)).unwrap().len(), 1, "the slow entry still serves");
+    }
+
+    #[test]
+    fn failed_entry_runs_count_as_engine_errors() {
+        let panics = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 1.0, 1);
+        let mut eng = MultiTenantEngine::new(ReasonerConfig {
+            mode: ParallelMode::Sequential,
+            faults: Some(Arc::new(panics)),
+            ..Default::default()
+        });
+        eng.admit("t0", PROGRAM_A, TenantPartitioner::Dependency).unwrap();
+        let registry = sr_obs::MetricsRegistry::new();
+        let config = EngineConfig { in_flight: 1, queue_depth: 2, window_deadline_ms: None };
+        let (shared, mut streaming) = through_engine(eng, config);
+        streaming.register_metrics(&registry, "sr_tenant");
+        for id in 0..2 {
+            streaming.submit(window(id)).unwrap();
+        }
+        let report = streaming.finish();
+        let served: Vec<usize> =
+            report.outputs.iter().map(|o| o.result.as_ref().unwrap().len()).collect();
+        assert_eq!(served, [0, 0], "the failing entry serves nothing, the windows survive");
+        assert_eq!(report.stats.errors, 2, "one error per failed entry run");
+        assert_eq!(lock_recover(&shared).stats().errors, 2);
+        let text = registry.render_prometheus();
+        assert!(text.contains("sr_tenant_errors_total 2"), "{text}");
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! communities (Section II-B).
 
 use asp_core::{FastMap, FastSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A partitioning plan over predicate *names* (the partitioning handler
 /// groups raw triples, whose predicates are names, not name/arity pairs).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitioningPlan {
     /// Number of communities (= number of parallel reasoners).
     pub communities: usize,

@@ -14,11 +14,13 @@
 //! (`Windowing`, `Ground`, `Solve`; `Partition`, `CacheLookup` and `Combine`
 //! for PR) while the tracer is on.
 
+use crate::poison::lock_recover;
 use asp_core::{AnswerSet, AspError, Predicate, Program, Symbols};
 use asp_grounder::Grounder;
 use asp_solver::{solve_ground, SolveStats, SolverConfig};
 use sr_rdf::{FormatConfig, FormatProcessor, Triple};
 use sr_stream::Window;
+use std::sync::{Arc, Mutex};
 
 /// Output of a reasoner for one window.
 #[derive(Clone, Debug, Default)]
@@ -32,16 +34,27 @@ pub struct ReasonerOutput {
     pub solve_stats: SolveStats,
 }
 
-/// A pluggable reasoning backend: anything that can turn a window into
-/// answer sets. Implemented by [`SingleReasoner`] (the paper's `R`) and by
-/// the one partitioned executor,
-/// [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) (the
-/// extended architecture's `PR`, also named
-/// [`ParallelReasoner`](crate::incremental::ParallelReasoner)); the
-/// [`StreamEngine`](crate::engine::StreamEngine) is generic over it.
-pub trait Reasoner: Send {
+/// A pluggable reasoning backend: anything that can turn a window into an
+/// output, answer sets by default. Implemented by [`SingleReasoner`] (the
+/// paper's `R`), by the one partitioned executor,
+/// [`IncrementalReasoner`](crate::incremental::IncrementalReasoner) (`PR`),
+/// and by the [`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine)
+/// (one output per tenant); the
+/// [`StreamEngine`](crate::engine::StreamEngine) runs any of them.
+pub trait Reasoner<O = ReasonerOutput>: Send {
     /// Processes one window end to end.
-    fn process(&mut self, window: &Window) -> Result<ReasonerOutput, AspError>;
+    fn process(&mut self, window: &Window) -> Result<O, AspError>;
+}
+
+/// Engine lanes that hold clones of one `Arc` take turns on its reasoner.
+/// With several lanes it still serves one window at a time, the lock wait
+/// counts into each lane's busy time, and windows may reach it out of
+/// order, so a reasoner that reuses the previous window's work recomputes
+/// instead; a one-lane engine has none of these costs.
+impl<O, R: Reasoner<O>> Reasoner<O> for Arc<Mutex<R>> {
+    fn process(&mut self, window: &Window) -> Result<O, AspError> {
+        lock_recover(self).process(window)
+    }
 }
 
 impl Reasoner for SingleReasoner {

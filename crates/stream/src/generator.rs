@@ -14,7 +14,6 @@
 
 use crate::rng::Pcg32;
 use crate::window::{Window, WindowDelta};
-use serde::{Deserialize, Serialize};
 use sr_rdf::{Node, Triple};
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ pub trait WorkloadGenerator {
 }
 
 /// Which generator to use (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GeneratorKind {
     /// The paper's literal description (numbers everywhere).
     Faithful,
@@ -89,7 +88,7 @@ impl WorkloadGenerator for FaithfulGenerator {
 }
 
 /// Tunables of the correlated city-traffic generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CorrelatedConfig {
     /// Number of road segments; defaults to `window / entity_divisor` at
     /// generation time when set to 0.

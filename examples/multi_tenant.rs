@@ -3,7 +3,9 @@
 //! Tenants whose program text renders identically share one serving entry —
 //! the scheduler runs each window once per entry, not once per tenant — and
 //! each entry reuses the communities a slide leaves untouched. A tenant
-//! joins and another retires mid-stream to show runtime admission.
+//! joins and another retires mid-stream to show runtime admission, so this
+//! example calls `process` window by window; `streamrule run --tenants N`
+//! streams the same scheduler through a one-lane `StreamEngine`.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 

@@ -17,56 +17,50 @@
 //! Each subcommand accepts exactly the flags listed for it; any other
 //! `--flag` is an error that names it.
 //! `run` streams tuple windows — read from an N-Triples file or generated
-//! synthetically — through the chosen reasoner. With `--in-flight L` the
-//! pipelined `StreamEngine` keeps `L` windows reasoning concurrently
-//! (ordered, deterministic emission); `--rate R` throttles submission to
-//! `R` windows/second; `--json` records throughput statistics (plus a
-//! sequential-baseline comparison) in the `BENCH_throughput.json` shape,
-//! taking the best of `--trials T` engine and baseline passes (default 3)
-//! so one noisy sample can't skew the record.
-//! `--slide S` cuts sliding windows (S < window re-processes the overlap);
-//! a partitioned mode then reuses the answers of every community a slide
-//! did not touch, as the window's delta tells (see `sr-core::incremental`).
-//! Windows without a delta, and dirty communities, are reasoned from
-//! scratch.
-//! `--tenants N` serves the program to `N` tenants through the
-//! multi-tenant scheduler (`sr-core::MultiTenantEngine`): `--dup-ratio R`
-//! (default 1.0) controls how many tenants run the program verbatim and
-//! therefore share one program run per window; the rest get a unique
-//! `tenant_tag(<i>).` variant and their own serving entry. The run reports
-//! per-tenant latency percentiles and the dedup counters.
-//! `--admission-budget CELLS` arms admission control: a program
-//! whose static memory bound exceeds the budget is refused with an error
-//! naming the dominating term.
-//! `--metrics-addr HOST:PORT` (e.g. `127.0.0.1:9184`) serves the run's
-//! sr-obs metrics registry — engine/reuse/tenant counters and
-//! latency histograms — as a Prometheus text endpoint for the duration of
-//! the run, self-scraping it once at the end; `--trace-out trace.json`
-//! enables per-window stage tracing and writes the spans as Chrome
-//! trace-event JSON (load it in `chrome://tracing` or Perfetto). Both are
-//! observers: answers and throughput records are identical with or without
-//! them.
-//! `--deadline-ms D` arms the engine's per-window deadline: a window still
-//! unfinished `D` ms after submission is emitted **degraded** (the last good
-//! answer, clearly tagged) instead of stalling ordered emission; with
-//! `--tenants` the deadline instead scores overdue windows toward tenant
-//! quarantine. `--fault-spec SITE:RATE:SEED[,...]` puts a deterministic
-//! fault-injection plan (sites: `worker_panic`, `partition_slowdown`,
-//! `cache_invalidate`, `source_stall`) on the run's reasoner config for
-//! chaos smoke runs of a partitioned mode (`--mode single` rejects it: it
-//! hosts no fault hook); recovery counters appear in the report and the
-//! `--json` record only when injection or a deadline is active — never
-//! fabricated.
+//! synthetically — through one pipelined `StreamEngine` in every mode: `L`
+//! lanes (`--in-flight L`, default 1) reason concurrently and emit in
+//! submission order. `--rate R` throttles submission to `R` windows/second;
+//! `--json` records throughput statistics against a window-at-a-time
+//! baseline on the caller thread (the `BENCH_throughput.json` shape),
+//! taking the best of `--trials T` passes per side (default 3).
+//! `--slide S` cuts sliding windows; a partitioned mode then reuses the
+//! answers of every community a slide did not touch (see
+//! `sr-core::incremental`).
+//! `--tenants N` serves the program to `N` tenants through one multi-tenant
+//! scheduler (`sr-core::MultiTenantEngine`) on the engine's one lane
+//! (`--in-flight L` then sets how many windows queue ahead of it):
+//! `--dup-ratio R` (default 1.0) controls how many tenants run the program
+//! verbatim and therefore share one program run per window; the rest get a
+//! unique `tenant_tag(<i>).` variant and their own serving entry. The run
+//! reports per-tenant latency percentiles and the dedup counters.
+//! `--admission-budget CELLS` refuses a tenant program whose static memory
+//! bound exceeds the budget, naming the dominating term.
+//! `--metrics-addr HOST:PORT` serves the run's sr-obs metrics as a
+//! Prometheus text endpoint for the duration of the run, self-scraping it
+//! once at the end; `--trace-out trace.json` writes the per-window stage
+//! spans as Chrome trace-event JSON. Both are observers: answers and
+//! records are identical with or without them.
+//! `--deadline-ms D` arms the engine's per-window deadline, with one
+//! meaning in every mode: a window still unfinished `D` ms after submission
+//! is emitted **degraded** (the last good output, clearly tagged) instead
+//! of stalling ordered emission. `--fault-spec SITE:RATE:SEED[,...]` puts a
+//! deterministic fault-injection plan (sites: `worker_panic`,
+//! `partition_slowdown`, `cache_invalidate`, `source_stall`) on the run's
+//! reasoner config (`--mode single` hosts no fault hook and rejects it);
+//! recovery counters appear in the report and the `--json` record only
+//! when injection or a deadline is active — never fabricated.
 
 mod throughput;
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use stream_reasoner::prelude::*;
+use stream_reasoner::sr_core::lock_recover;
+use stream_reasoner::sr_obs::MetricsRegistry;
 use stream_reasoner::sr_rdf::ntriples;
 use throughput::{
-    outputs_match, sequential_baseline, throughput_json, window_at_a_time, ThroughputResult,
-    ThroughputRun,
+    outputs_match, render_output, sequential_baseline, throughput_json, ThroughputResult,
 };
 
 fn main() -> ExitCode {
@@ -234,7 +228,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         print!("{}", analysis.input_graph.to_dot(&syms));
         return Ok(());
     }
-    let window = window_spec(args, "2048")?;
+    let window = window_spec(args, 2048)?;
     let bounds = ProgramBounds::analyze(&syms, &program, &analysis, &window);
     if has_flag(args, "--json") {
         // Nothing but the report: stdout is the golden-diffed artifact.
@@ -261,16 +255,19 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The value of flag `name`, if given, which must be a positive count;
+/// `need` says so in the error.
+fn positive_flag(args: &[String], name: &str, need: &str) -> Result<Option<u64>, String> {
+    let parse = |v: &str| v.parse().ok().filter(|&n| n > 0);
+    flag_value(args, name).map(|v| parse(v).ok_or(format!("bad {name} (need {need})"))).transpose()
+}
+
 /// Parses the `--window` (default `default_size`) and `--slide` window
 /// model of `analyze` and `run`; both must be positive item counts.
-fn window_spec(args: &[String], default_size: &str) -> Result<WindowSpec, String> {
-    let positive = |flag: &str, v: &str| match v.parse() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("bad {flag} (need a positive item count)")),
-    };
-    let capacity = positive("--window", flag_value(args, "--window").unwrap_or(default_size))?;
-    let slide = flag_value(args, "--slide").map(|v| positive("--slide", v)).transpose()?;
-    Ok(WindowSpec { capacity, slide })
+fn window_spec(args: &[String], default_size: u64) -> Result<WindowSpec, String> {
+    let need = "a positive item count";
+    let capacity = positive_flag(args, "--window", need)?.unwrap_or(default_size);
+    Ok(WindowSpec { capacity, slide: positive_flag(args, "--slide", need)? })
 }
 
 /// `generate`: write a synthetic workload as N-Triples.
@@ -413,14 +410,15 @@ fn parse_mode(mode: &str) -> Result<RunMode, String> {
     }
 }
 
-/// `run`: the streaming pipeline over a file-backed or generated stream,
-/// window at a time (`--in-flight 0`, the default) or pipelined through the
-/// `StreamEngine` with `L` windows in flight.
+/// `run`: the streaming pipeline over a file-backed or generated stream.
+/// Every mode streams through one `StreamEngine` with `--in-flight L` lanes
+/// (default 1): one reasoner per lane, or one multi-tenant scheduler on one
+/// lane.
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let path = check_flags(args, &RUN_FLAGS)?.ok_or("missing program file")?;
     let syms = Symbols::new();
     let program = load_program(path, &syms)?;
-    let window = window_spec(args, "5000")?;
+    let window = window_spec(args, 5000)?;
     let window_size = window.capacity as usize;
     let slide = window.slide.map(|s| s as usize);
     let windows_cap: Option<usize> = match flag_value(args, "--windows") {
@@ -429,8 +427,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let seed: u64 =
         flag_value(args, "--seed").unwrap_or("2017").parse().map_err(|_| "bad --seed")?;
-    let in_flight: usize =
-        flag_value(args, "--in-flight").unwrap_or("0").parse().map_err(|_| "bad --in-flight")?;
+    let in_flight = positive_flag(args, "--in-flight", "L >= 1 lanes")?.unwrap_or(1) as usize;
     let rate: f64 = flag_value(args, "--rate").unwrap_or("0").parse().map_err(|_| "bad --rate")?;
     let mode = parse_mode(flag_value(args, "--mode").unwrap_or("dep"))?;
     let mut reasoner_cfg = ReasonerConfig::default();
@@ -446,22 +443,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
 
     let json_path = flag_value(args, "--json");
-    let trials: usize =
-        flag_value(args, "--trials").unwrap_or("3").parse().map_err(|_| "bad --trials")?;
-    if trials == 0 {
-        return Err("bad --trials".into());
-    }
+    let trials = positive_flag(args, "--trials", "T >= 1 passes")?.unwrap_or(3) as usize;
     if flag_value(args, "--trials").is_some() && json_path.is_none() {
         return Err("--trials repeats the --json benchmark passes; add --json out.json".into());
     }
+    if json_path.is_some() && rate > 0.0 {
+        return Err("--json records sustained throughput against an unthrottled baseline; \
+                    drop --rate (or set --rate 0)"
+            .into());
+    }
 
-    let tenants: Option<usize> = match flag_value(args, "--tenants") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => return Err("bad --tenants (need N >= 1)".into()),
-        },
-        None => None,
-    };
+    let tenants = positive_flag(args, "--tenants", "N >= 1")?.map(|n| n as usize);
 
     let admission_budget: Option<u64> = match flag_value(args, "--admission-budget") {
         Some(v) => Some(v.parse().map_err(|_| "bad --admission-budget")?),
@@ -473,18 +465,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let admission =
         admission_budget.map(|budget| AdmissionPolicy { window, budget_cells: Some(budget) });
 
-    let deadline_ms: Option<u64> = match flag_value(args, "--deadline-ms") {
-        Some(v) => match v.parse() {
-            Ok(d) if d > 0 => Some(d),
-            _ => return Err("bad --deadline-ms (need a positive millisecond count)".into()),
-        },
-        None => None,
-    };
-    if deadline_ms.is_some() && in_flight == 0 && tenants.is_none() {
-        return Err("--deadline-ms arms the pipelined engine's degraded-emission path (or \
-                    tenant quarantine scoring); add --in-flight L or --tenants N"
-            .into());
-    }
+    let deadline_ms = positive_flag(args, "--deadline-ms", "a positive millisecond count")?;
     if let Some(spec) = flag_value(args, "--fault-spec") {
         if matches!(mode, RunMode::Single) {
             return Err("--fault-spec injects into partition jobs and partitioned engine lanes; \
@@ -498,6 +479,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // Observability is orthogonal to the chosen path: the session outlives
     // the run and is finalized (self-scrape, trace write) after it.
     let obs = ObsSession::start(args)?;
+    let plan = RunPlan {
+        windows,
+        config: EngineConfig { in_flight, queue_depth: in_flight, window_deadline_ms: deadline_ms },
+        interval: Duration::try_from_secs_f64(1.0 / rate).unwrap_or_default(),
+        json_path,
+        trials,
+        registry: obs.registry(),
+    };
     let result = if let Some(tenants) = tenants {
         let dup_ratio: f64 = flag_value(args, "--dup-ratio")
             .unwrap_or("1")
@@ -506,63 +495,37 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         if !(0.0..=1.0).contains(&dup_ratio) {
             return Err("bad --dup-ratio (need a fraction in [0, 1])".into());
         }
-        if json_path.is_some()
-            || in_flight > 0
-            || rate > 0.0
-            || flag_value(args, "--trials").is_some()
-        {
-            return Err("--tenants drives the multi-tenant scheduler window by window; \
-                        it is incompatible with --json/--in-flight/--rate/--trials"
-                .into());
-        }
-        if matches!(mode, RunMode::Single) {
-            return Err(
-                "--tenants serves partitioned programs (--mode dep or --mode random:K)".into()
-            );
-        }
+        let partitioner = match mode {
+            RunMode::Dep => TenantPartitioner::Dependency,
+            RunMode::Random(k) => TenantPartitioner::Random { k, seed: RANDOM_PARTITIONER_SEED },
+            RunMode::Single => {
+                let msg = "--tenants serves partitioned programs (--mode dep or --mode random:K)";
+                return Err(msg.into());
+            }
+        };
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        run_tenants(
-            &source,
+        let run = TenantRun {
+            source: &source,
             tenants,
-            dup_ratio,
-            mode,
-            &reasoner_cfg,
-            &windows,
-            deadline_ms,
+            n_dup: ((tenants as f64) * dup_ratio).round() as usize,
+            partitioner,
+            reasoner_cfg: &reasoner_cfg,
             admission,
-            obs.registry(),
-        )
+        };
+        run_engine(&run, plan)
     } else if flag_value(args, "--dup-ratio").is_some() {
         return Err("--dup-ratio only applies to the multi-tenant path; add --tenants N".into());
-    } else if in_flight == 0 {
-        if json_path.is_some() || rate > 0.0 {
-            return Err(
-                "--json/--rate drive the pipelined engine; add --in-flight L (L >= 1)".into()
-            );
-        }
-        run_sequential(&syms, &program, &analysis, mode, &reasoner_cfg, &windows, &projection)
     } else {
-        if json_path.is_some() && rate > 0.0 {
-            return Err("--json records sustained throughput against an unthrottled baseline; \
-                        drop --rate (or set --rate 0)"
-                .into());
-        }
-        run_engine(
-            &syms,
-            &program,
-            &analysis,
+        let run = ProgramRun {
+            syms: &syms,
+            program: &program,
+            analysis: &analysis,
             mode,
-            &reasoner_cfg,
-            windows,
-            in_flight,
-            rate,
-            deadline_ms,
-            json_path,
-            trials,
-            &projection,
-            obs.registry(),
-        )
+            reasoner_cfg: &reasoner_cfg,
+            projection: &projection,
+        };
+        run_engine(&run, plan)
     };
     result.and_then(|()| obs.finish())
 }
@@ -628,295 +591,130 @@ fn build_windows(
     Ok(windows)
 }
 
-/// Builds the `--mode`-selected backend. A partitioned one gets its own
-/// pool, sized by `reasoner_cfg.workers` (`0`: one worker per partition),
-/// and reports into `ctx`'s counters.
-fn build_reasoner(
-    syms: &Symbols,
-    program: &Program,
-    analysis: &DependencyAnalysis,
-    mode: RunMode,
-    reasoner_cfg: &ReasonerConfig,
-    ctx: &ExecCtx,
-) -> Result<Box<dyn Reasoner>, AspError> {
-    let inpre = Some(analysis.inpre.as_slice());
-    let cfg = reasoner_cfg.clone();
-    Ok(match mode.partitioner(analysis) {
-        None => Box::new(SingleReasoner::new(syms, program, None, SolverConfig::default())?),
-        Some(partitioner) => {
-            let pool = partition_pool(reasoner_cfg, partitioner.partitions())?;
-            let ctx = ExecCtx { pool, ..ctx.clone() };
-            Box::new(ParallelReasoner::with_ctx(syms, program, inpre, partitioner, cfg, ctx)?)
-        }
-    })
-}
-
-/// The window-at-a-time path (the original `run` behavior).
-fn run_sequential(
-    syms: &Symbols,
-    program: &Program,
-    analysis: &DependencyAnalysis,
-    mode: RunMode,
-    reasoner_cfg: &ReasonerConfig,
-    windows: &[Window],
-    projection: &Projection,
-) -> Result<(), String> {
-    let ctx = ExecCtx::default();
-    let mut reasoner = build_reasoner(syms, program, analysis, mode, reasoner_cfg, &ctx)
-        .map_err(|e| e.to_string())?;
-    let armed = reasoner_cfg.faults.is_some();
-    let stats = window_at_a_time(reasoner.as_mut(), windows, armed, &ctx.failures, |w, out, t| {
-        println!(
-            "window {} ({} items): {} answer set(s) in {:.2} ms",
-            w.id,
-            w.len(),
-            out.answers.len(),
-            duration_ms(t)
-        );
-        for ans in out.answers.iter().take(2) {
-            print_answer(&projection.apply(ans, syms).display(syms).to_string());
-        }
-    })
-    .map_err(|e| e.to_string())?;
-    // The same summary line the engine path prints, under the same rule.
-    if let Some(f) = &stats.failure {
-        print_failure_line(f);
-    }
-    Ok(())
-}
-
-/// The multi-tenant path: `tenants` copies of the program served through
-/// one `MultiTenantEngine`. The first `round(tenants * dup_ratio)` tenants
-/// run the source verbatim (sharing one serving entry — and one program run
-/// per window); the rest each get a unique `tenant_tag(<i>).` variant and
-/// their own entry.
-#[allow(clippy::too_many_arguments)]
-fn run_tenants(
-    source: &str,
-    tenants: usize,
-    dup_ratio: f64,
-    mode: RunMode,
-    reasoner_cfg: &ReasonerConfig,
-    windows: &[Window],
-    deadline_ms: Option<u64>,
-    admission: Option<AdmissionPolicy>,
-    registry: Option<&stream_reasoner::sr_obs::MetricsRegistry>,
-) -> Result<(), String> {
-    let partitioner = match mode {
-        RunMode::Dep => TenantPartitioner::Dependency,
-        RunMode::Random(k) => TenantPartitioner::Random { k, seed: RANDOM_PARTITIONER_SEED },
-        RunMode::Single => unreachable!("rejected in cmd_run"),
-    };
-    // Each serving entry reuses the communities a window's delta leaves
-    // untouched.
-    let mut engine = MultiTenantEngine::new(reasoner_cfg.clone());
-    engine.set_window_deadline_ms(deadline_ms);
-    if let Some(policy) = admission {
-        engine.set_admission_policy(policy);
-    }
-    let n_dup = ((tenants as f64) * dup_ratio).round() as usize;
-    for i in 0..tenants {
-        let src =
-            if i < n_dup { source.to_string() } else { format!("{source}\ntenant_tag({i}).\n") };
-        engine.admit(&format!("t{i}"), &src, partitioner).map_err(|e| e.to_string())?;
-    }
-    println!(
-        "serving {tenants} tenant(s) over {} serving entr{} ({n_dup} duplicated)",
-        engine.program_count(),
-        if engine.program_count() == 1 { "y" } else { "ies" }
-    );
-    if let Some(metrics) = registry {
-        engine.register_metrics(metrics);
-    }
-    for window in windows {
-        let outputs = engine.process(window).map_err(|e| e.to_string())?;
-        let answers: usize = outputs.iter().map(|o| o.output.answers.len()).sum();
-        println!(
-            "window {} ({} items): {} tenant result(s), {} answer set(s) total",
-            window.id,
-            window.len(),
-            outputs.len(),
-            answers
-        );
-    }
-    let stats = engine.stats();
-    for t in &stats.tenants {
-        println!(
-            "tenant {} (program {:016x}): p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms over {} window(s)",
-            t.tenant, t.program, t.latency.p50_ms, t.latency.p95_ms, t.latency.p99_ms,
-            t.latency.count
-        );
-    }
-    let dedup = stats.dedup.expect("multi-tenant stats always carry dedup counters");
-    println!(
-        "dedup: {} tenant-windows -> {} program runs ({} saved, ratio {:.2})",
-        dedup.tenant_windows, dedup.program_runs, dedup.shared_runs_saved, dedup.dedup_ratio
-    );
-    if let Some(f) = &stats.failure {
-        print_failure_line(f);
-    }
-    if let Some(adm) = &stats.admission {
-        println!(
-            "admission: budget {} cells, {} admitted, {} rejected",
-            adm.budget_cells.map_or_else(|| "-".to_string(), |b| b.to_string()),
-            adm.admitted,
-            adm.rejected
-        );
-    }
-    let quarantined = engine.quarantined_tenants();
-    if !quarantined.is_empty() {
-        println!("quarantined tenant(s): {}", quarantined.join(", "));
-    }
-    Ok(())
-}
-
-/// Prints one rendered answer set, cut to its first 400 bytes (rounded down
-/// to a char boundary) when longer.
-fn print_answer(rendered: &str) {
-    const MAX_BYTES: usize = 400;
-    if rendered.len() <= MAX_BYTES {
-        println!("  {rendered}");
-    } else {
-        let cut = (0..=MAX_BYTES).rev().find(|&i| rendered.is_char_boundary(i)).unwrap_or(0);
-        println!("  {}...}}", &rendered[..cut]);
-    }
-}
-
-/// Prints the recovery-counter summary. Only called when the run produced
-/// (or could have produced) one — the snapshot is omitted, never fabricated,
-/// for runs without a deadline or fault injection.
-fn print_failure_line(f: &FailureSnapshot) {
-    println!(
-        "failures: {} retries, {} fallbacks, {} degraded window(s), {} late recover(ies), \
-         {} lane rebuild(s), {} quarantine(s)",
-        f.retries,
-        f.fallbacks,
-        f.degraded_windows,
-        f.late_recoveries,
-        f.lane_rebuilds,
-        f.quarantines
-    );
-}
-
-/// The pipelined path: `in_flight` engine lanes over a shared worker pool,
-/// ordered emission, throughput stats, optional JSON record with a
-/// sequential-baseline comparison.
-#[allow(clippy::too_many_arguments)]
-fn run_engine(
-    syms: &Symbols,
-    program: &Program,
-    analysis: &DependencyAnalysis,
-    mode: RunMode,
-    reasoner_cfg: &ReasonerConfig,
+/// How `run` streams: the windows, the engine's shape, the pause between
+/// submissions and what to record.
+struct RunPlan<'a> {
     windows: Vec<Window>,
-    in_flight: usize,
-    rate: f64,
-    deadline_ms: Option<u64>,
-    json_path: Option<&str>,
+    config: EngineConfig,
+    interval: Duration,
+    json_path: Option<&'a str>,
     trials: usize,
-    projection: &Projection,
-    registry: Option<&stream_reasoner::sr_obs::MetricsRegistry>,
-) -> Result<(), String> {
-    use std::time::Duration;
+    registry: Option<&'a MetricsRegistry>,
+}
 
-    let make_engine = || {
-        let config =
-            EngineConfig { in_flight, queue_depth: in_flight, window_deadline_ms: deadline_ms };
-        match mode.partitioner(analysis) {
-            None => StreamEngine::new(config, |_lane| {
-                let r = SingleReasoner::new(syms, program, None, SolverConfig::default())?;
-                Ok(Box::new(r) as Box<dyn Reasoner>)
-            }),
-            // Partitioned modes: all lanes share one worker pool sized so
-            // each in-flight window can still fan out over its partitions,
-            // and one set of reuse counters.
-            Some(partitioner) => StreamEngine::with_partitioned_lanes(
-                syms,
-                program,
-                Some(&analysis.inpre),
-                partitioner,
-                reasoner_cfg.clone(),
-                config,
-            ),
-        }
-        .map_err(|e| e.to_string())
-    };
+/// One `run` mode as [`run_engine`] runs it.
+trait Mode {
+    /// What the mode's reasoner yields for one window.
+    type Out: Clone + Default + Send + 'static;
+    /// What one pass keeps beside its engine for [`Mode::finish_pass`].
+    type Pass;
+    /// A fresh engine for one pass, its metrics bound to the plan's
+    /// registry; the `first` pass also prints the mode's header.
+    fn engine(
+        &self,
+        plan: &RunPlan,
+        first: bool,
+    ) -> Result<(StreamEngine<Self::Out>, Self::Pass), String>;
+    /// A fresh reasoner for one `--json` baseline pass. It runs without the
+    /// fault plan: its record carries no failure counters, so injected
+    /// faults would slow it unreported.
+    fn baseline(&self) -> Result<Box<dyn Reasoner<Self::Out>>, String>;
+    /// The canonical rendering the `--json` identity check compares.
+    fn render(&self, out: &Self::Out) -> String;
+    /// Prints one emitted window that has a result.
+    fn print(&self, out: &EngineOutput<Self::Out>, result: &Self::Out);
+    /// Completes the stats of the pass that just finished with the mode's
+    /// own figures, and renders the lines printed after its `engine:` line.
+    fn finish_pass(&self, pass: Self::Pass, stats: EngineStats) -> (EngineStats, String);
+}
 
-    let interval = if rate > 0.0 { Duration::from_secs_f64(1.0 / rate) } else { Duration::ZERO };
-    let Some(json_path) = json_path else {
-        // No baseline pass needed: hand the windows to the engine outright.
-        let mut engine = make_engine()?;
-        if let Some(registry) = registry {
-            engine.register_metrics(registry);
-        }
-        for window in windows {
-            engine.submit(window).map_err(|e| e.to_string())?;
-            if !interval.is_zero() {
-                std::thread::sleep(interval);
-            }
-        }
-        print_engine_report(syms, &engine.finish(), in_flight, projection);
-        return Ok(());
-    };
-
-    // `--json`: best of `trials` cold passes on each side. A single
-    // engine/baseline sample hovers near 1.0x on toy CI workloads, so one
-    // scheduler hiccup would flip the bench gate; the max of several
-    // samples is stable. Identity must hold on *every* engine pass.
-    let mut base_stats: Option<EngineStats> = None;
-    let mut base_rendered: Vec<String> = Vec::new();
-    // The baseline runs unperturbed: its record carries no failure
-    // counters, so a fault plan on it would slow it unreported.
-    let base_cfg = ReasonerConfig { faults: None, ..reasoner_cfg.clone() };
-    for trial in 0..trials {
+/// Streams the plan's windows through a fresh engine. A single pass prints
+/// each window as the engine emits it. With `--json` it is the best of
+/// `trials` passes measured against as many cold window-at-a-time baseline
+/// passes (a single sample hovers near 1.0x on toy workloads, so one
+/// scheduler hiccup would decide it; identity must hold on every pass), and
+/// the chosen pass's windows are printed once all have run. Then come the
+/// `engine:` line and the mode's summary, and the `--json` record.
+fn run_engine<M: Mode>(mode: &M, plan: RunPlan) -> Result<(), String> {
+    let mut baseline: Option<(EngineStats, Vec<String>)> = None;
+    for _ in 0..plan.json_path.map_or(0, |_| plan.trials) {
         // Fresh reasoner per pass: a reused one would start warm on sliding
         // windows and no longer measure the baseline.
-        let mut baseline =
-            build_reasoner(syms, program, analysis, mode, &base_cfg, &ExecCtx::default())
-                .map_err(|e| e.to_string())?;
+        let mut reasoner = mode.baseline()?;
         let (stats, rendered) =
-            sequential_baseline(syms, baseline.as_mut(), &windows).map_err(|e| e.to_string())?;
-        if trial == 0 {
-            base_rendered = rendered;
-        }
-        if base_stats.as_ref().is_none_or(|b| stats.windows_per_sec > b.windows_per_sec) {
-            base_stats = Some(stats);
+            sequential_baseline(reasoner.as_mut(), &plan.windows, |out| mode.render(out))
+                .map_err(|e| e.to_string())?;
+        match &mut baseline {
+            Some((best, _)) if stats.windows_per_sec <= best.windows_per_sec => {}
+            Some((best, _)) => *best = stats,
+            None => baseline = Some((stats, rendered)),
         }
     }
-    let base_stats = base_stats.expect("trials >= 1");
 
-    let mut best_report: Option<EngineReport> = None;
+    let print = |out: &EngineOutput<M::Out>| match &out.result {
+        Ok(result) => mode.print(out, result),
+        Err(e) => println!("window {}: ERROR {e}", out.window_id),
+    };
+    let mut best: Option<(EngineReport<M::Out>, String)> = None;
     let mut identical = true;
-    for _ in 0..trials {
-        let mut engine = make_engine()?;
-        // Re-registering replaces the previous trial's collectors, so the
+    for pass in 0..plan.json_path.map_or(1, |_| plan.trials) {
+        // Re-registering replaces the previous pass's collectors, so the
         // endpoint always reflects the live (latest) engine.
-        if let Some(registry) = registry {
-            engine.register_metrics(registry);
-        }
-        for window in &windows {
+        let (mut engine, handle) = mode.engine(&plan, pass == 0)?;
+        let mut kept = Vec::new();
+        let mut emit = |out: EngineOutput<M::Out>| {
+            if baseline.is_some() {
+                kept.push(out)
+            } else {
+                print(&out)
+            }
+        };
+        for window in &plan.windows {
             engine.submit(window.clone()).map_err(|e| e.to_string())?;
-            if !interval.is_zero() {
-                std::thread::sleep(interval);
+            std::thread::sleep(plan.interval);
+            while let Some(out) = engine.poll_output() {
+                emit(out);
             }
         }
-        let report = engine.finish();
-        identical &= outputs_match(syms, &report.outputs, &base_rendered);
-        if best_report
-            .as_ref()
-            .is_none_or(|b| report.stats.windows_per_sec > b.stats.windows_per_sec)
+        let mut report = engine.finish();
+        report.outputs.drain(..).for_each(&mut emit);
+        report.outputs = kept;
+        if let Some((_, rendered)) = &baseline {
+            identical &= outputs_match(&report.outputs, rendered, |out| mode.render(out));
+        }
+        let (stats, summary) = mode.finish_pass(handle, report.stats);
+        report.stats = stats;
+        if best.as_ref().is_none_or(|(b, _)| report.stats.windows_per_sec > b.stats.windows_per_sec)
         {
-            best_report = Some(report);
+            best = Some((report, summary));
         }
     }
-    let report = best_report.expect("trials >= 1");
-    print_engine_report(syms, &report, in_flight, projection);
+    let (report, summary) = best.expect("at least one pass");
+    report.outputs.iter().for_each(print);
+    let stats = &report.stats;
+    println!(
+        "engine: {} lanes, {} windows, {:.2} windows/s, {:.0} items/s, \
+         latency p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms, submit blocked {:.1} ms",
+        stats.lanes.len(),
+        stats.windows,
+        stats.windows_per_sec,
+        stats.items_per_sec,
+        stats.latency.p50_ms,
+        stats.latency.p95_ms,
+        stats.latency.p99_ms,
+        stats.submit_blocked_ms.unwrap_or(0.0)
+    );
+    print!("{summary}");
 
+    let (Some(json_path), Some((base_stats, _))) = (plan.json_path, baseline) else {
+        return Ok(());
+    };
     let result = ThroughputResult {
-        window_size: windows.first().map_or(0, Window::len),
-        windows: windows.len(),
+        window_size: plan.windows.first().map_or(0, Window::len),
+        windows: plan.windows.len(),
         baseline: base_stats,
-        run: ThroughputRun { in_flight, stats: report.stats.clone(), output_identical: identical },
+        run: report.stats,
+        output_identical: identical,
     };
     std::fs::write(json_path, throughput_json(&result))
         .map_err(|e| format!("cannot write {json_path}: {e}"))?;
@@ -929,49 +727,286 @@ fn run_engine(
     Ok(())
 }
 
-/// Prints the ordered engine outputs (answers projected as in the
-/// sequential path, so `--events` behaves identically) plus the throughput
-/// summary.
-fn print_engine_report(
-    syms: &Symbols,
-    report: &EngineReport,
-    in_flight: usize,
-    projection: &Projection,
-) {
-    for out in &report.outputs {
-        match &out.result {
-            Ok(r) => {
-                println!(
-                    "window {} ({} items): {} answer set(s) in {:.2} ms{}",
-                    out.window_id,
-                    out.items,
-                    r.answers.len(),
-                    duration_ms(out.latency),
-                    if out.degraded { " [DEGRADED: replaying last good answer]" } else { "" }
-                );
-                for ans in r.answers.iter().take(2) {
-                    print_answer(&projection.apply(ans, syms).display(syms).to_string());
-                }
-            }
-            Err(e) => {
-                println!("window {}: ERROR {e}", out.window_id);
-            }
+/// One program under `--mode`: one reasoner per lane.
+struct ProgramRun<'a> {
+    syms: &'a Symbols,
+    program: &'a Program,
+    analysis: &'a DependencyAnalysis,
+    mode: RunMode,
+    reasoner_cfg: &'a ReasonerConfig,
+    projection: &'a Projection,
+}
+
+impl Mode for ProgramRun<'_> {
+    type Out = ReasonerOutput;
+    type Pass = ();
+
+    fn engine(&self, plan: &RunPlan, _first: bool) -> Result<(StreamEngine, ()), String> {
+        let (syms, program, config) = (self.syms, self.program, plan.config);
+        let engine = match self.mode.partitioner(self.analysis) {
+            None => StreamEngine::new(config, |_lane| {
+                let r = SingleReasoner::new(syms, program, None, SolverConfig::default())?;
+                Ok(Box::new(r) as Box<dyn Reasoner>)
+            }),
+            // Partitioned modes: all lanes share one worker pool sized so
+            // each in-flight window can still fan out over its partitions,
+            // and one set of reuse counters.
+            Some(partitioner) => StreamEngine::with_partitioned_lanes(
+                syms,
+                program,
+                Some(&self.analysis.inpre),
+                partitioner,
+                self.reasoner_cfg.clone(),
+                config,
+            ),
+        }
+        .map_err(|e| e.to_string())?;
+        if let Some(registry) = plan.registry {
+            engine.register_metrics(registry, "sr_engine");
+        }
+        Ok((engine, ()))
+    }
+
+    fn baseline(&self) -> Result<Box<dyn Reasoner>, String> {
+        let cfg = ReasonerConfig { faults: None, ..self.reasoner_cfg.clone() };
+        let (syms, program) = (self.syms, self.program);
+        let inpre = Some(self.analysis.inpre.as_slice());
+        Ok(match self.mode.partitioner(self.analysis) {
+            None => Box::new(
+                SingleReasoner::new(syms, program, None, SolverConfig::default())
+                    .map_err(|e| e.to_string())?,
+            ),
+            Some(partitioner) => Box::new(
+                ParallelReasoner::new(syms, program, inpre, partitioner, cfg)
+                    .map_err(|e| e.to_string())?,
+            ),
+        })
+    }
+
+    fn render(&self, out: &ReasonerOutput) -> String {
+        render_output(self.syms, out)
+    }
+
+    fn print(&self, out: &EngineOutput, r: &ReasonerOutput) {
+        println!(
+            "window {} ({} items): {} answer set(s) in {:.2} ms{}",
+            out.window_id,
+            out.items,
+            r.answers.len(),
+            duration_ms(out.latency),
+            if out.degraded { DEGRADED } else { "" }
+        );
+        for ans in r.answers.iter().take(2) {
+            println!(
+                "  {}",
+                answer_line(&self.projection.apply(ans, self.syms).display(self.syms).to_string())
+            );
         }
     }
-    let stats = &report.stats;
-    println!(
-        "engine: {} lanes, {} windows, {:.2} windows/s, {:.0} items/s, \
-         latency p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms, submit blocked {:.1} ms",
-        in_flight,
-        stats.windows,
-        stats.windows_per_sec,
-        stats.items_per_sec,
-        stats.latency.p50_ms,
-        stats.latency.p95_ms,
-        stats.latency.p99_ms,
-        stats.submit_blocked_ms.unwrap_or(0.0)
-    );
-    if let Some(f) = &stats.failure {
-        print_failure_line(f);
+
+    fn finish_pass(&self, (): (), stats: EngineStats) -> (EngineStats, String) {
+        let summary = stats.failure.as_ref().map_or_else(String::new, failure_line);
+        (stats, summary)
+    }
+}
+
+/// `--tenants N`: copies of the program served through one
+/// `MultiTenantEngine`. The first `round(N * dup_ratio)` tenants run the
+/// source verbatim (sharing one serving entry — and one program run per
+/// window); the rest each get a unique `tenant_tag(<i>).` variant and their
+/// own entry. The scheduler serves one window at a time, fanning it out over
+/// its pool, so the engine has one lane: lanes sharing it would only wait
+/// on each other, and could take sliding windows out of order and lose
+/// their reuse. `--in-flight L` sets how many windows queue ahead of it.
+struct TenantRun<'a> {
+    source: &'a str,
+    tenants: usize,
+    n_dup: usize,
+    partitioner: TenantPartitioner,
+    reasoner_cfg: &'a ReasonerConfig,
+    admission: Option<AdmissionPolicy>,
+}
+
+impl TenantRun<'_> {
+    /// A scheduler with every tenant admitted, its entries built from `cfg`.
+    fn scheduler(&self, cfg: ReasonerConfig) -> Result<MultiTenantEngine, String> {
+        let mut scheduler = MultiTenantEngine::new(cfg);
+        if let Some(policy) = self.admission {
+            scheduler.set_admission_policy(policy);
+        }
+        for i in 0..self.tenants {
+            let src = if i < self.n_dup {
+                self.source.to_string()
+            } else {
+                format!("{}\ntenant_tag({i}).\n", self.source)
+            };
+            scheduler.admit(&format!("t{i}"), &src, self.partitioner).map_err(|e| e.to_string())?;
+        }
+        Ok(scheduler)
+    }
+}
+
+impl Mode for TenantRun<'_> {
+    type Out = Vec<TenantOutput>;
+    /// The scheduler the pass's engine runs, for its stats.
+    type Pass = Arc<Mutex<MultiTenantEngine>>;
+
+    fn engine(
+        &self,
+        plan: &RunPlan,
+        first: bool,
+    ) -> Result<(StreamEngine<Vec<TenantOutput>>, Self::Pass), String> {
+        let scheduler = self.scheduler(self.reasoner_cfg.clone())?;
+        if first {
+            println!(
+                "serving {} tenant(s) over {} serving entr{} ({} duplicated)",
+                self.tenants,
+                scheduler.program_count(),
+                if scheduler.program_count() == 1 { "y" } else { "ies" },
+                self.n_dup
+            );
+        }
+        // The lane reports into the scheduler's context, so retries,
+        // quarantines and degraded windows land in one snapshot.
+        let ctx = scheduler.ctx().clone();
+        if let Some(registry) = plan.registry {
+            scheduler.register_metrics(registry);
+        }
+        let shared = Arc::new(Mutex::new(scheduler));
+        let engine = StreamEngine::with_ctx(
+            EngineConfig { in_flight: 1, ..plan.config },
+            |_lane| Ok(Box::new(Arc::clone(&shared)) as Box<dyn Reasoner<Vec<TenantOutput>>>),
+            ctx,
+        )
+        .map_err(|e| e.to_string())?;
+        if let Some(registry) = plan.registry {
+            engine.register_metrics(registry, "sr_tenant");
+        }
+        Ok((engine, shared))
+    }
+
+    fn baseline(&self) -> Result<Box<dyn Reasoner<Vec<TenantOutput>>>, String> {
+        let cfg = ReasonerConfig { faults: None, ..self.reasoner_cfg.clone() };
+        Ok(Box::new(self.scheduler(cfg)?))
+    }
+
+    fn render(&self, outputs: &Vec<TenantOutput>) -> String {
+        outputs
+            .iter()
+            .map(|o| format!("{}\n{}", o.tenant, render_output(&o.syms, &o.output)))
+            .collect()
+    }
+
+    fn print(&self, out: &EngineOutput<Vec<TenantOutput>>, outputs: &Vec<TenantOutput>) {
+        let answers: usize = outputs.iter().map(|o| o.output.answers.len()).sum();
+        println!(
+            "window {} ({} items): {} tenant result(s), {} answer set(s) total{}",
+            out.window_id,
+            out.items,
+            outputs.len(),
+            answers,
+            if out.degraded { DEGRADED } else { "" }
+        );
+    }
+
+    fn finish_pass(&self, scheduler: Self::Pass, stats: EngineStats) -> (EngineStats, String) {
+        use std::fmt::Write as _;
+        let scheduler = lock_recover(&scheduler);
+        let own = scheduler.stats();
+        let stats = EngineStats {
+            incremental: own.incremental,
+            tenants: own.tenants,
+            dedup: own.dedup,
+            admission: own.admission,
+            failure: stats.failure.or(own.failure),
+            ..stats
+        };
+        let mut summary = String::new();
+        for t in &stats.tenants {
+            let _ = writeln!(
+                summary,
+                "tenant {} (program {:016x}): p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms over {} window(s)",
+                t.tenant, t.program, t.latency.p50_ms, t.latency.p95_ms, t.latency.p99_ms,
+                t.latency.count
+            );
+        }
+        if let Some(dedup) = &stats.dedup {
+            let _ = writeln!(
+                summary,
+                "dedup: {} tenant-windows -> {} program runs ({} saved, ratio {:.2})",
+                dedup.tenant_windows,
+                dedup.program_runs,
+                dedup.shared_runs_saved,
+                dedup.dedup_ratio
+            );
+        }
+        if let Some(f) = &stats.failure {
+            summary.push_str(&failure_line(f));
+        }
+        if let Some(adm) = &stats.admission {
+            let _ = writeln!(
+                summary,
+                "admission: budget {} cells, {} admitted, {} rejected",
+                adm.budget_cells.map_or_else(|| "-".to_string(), |b| b.to_string()),
+                adm.admitted,
+                adm.rejected
+            );
+        }
+        let quarantined = scheduler.quarantined_tenants();
+        if !quarantined.is_empty() {
+            let _ = writeln!(summary, "quarantined tenant(s): {}", quarantined.join(", "));
+        }
+        (stats, summary)
+    }
+}
+
+/// The tag of a window emitted past its deadline.
+const DEGRADED: &str = " [DEGRADED: replaying last good answer]";
+
+/// One rendered answer set as `run` prints it. An answer longer than 400
+/// bytes is cut there (rounded down to a char boundary) and followed by the
+/// FNV-1a-64 digest of the whole answer, so a diff of two runs' output
+/// still compares whole answers.
+fn answer_line(rendered: &str) -> String {
+    const MAX_BYTES: usize = 400;
+    if rendered.len() <= MAX_BYTES {
+        return rendered.to_string();
+    }
+    let cut = (0..=MAX_BYTES).rev().find(|&i| rendered.is_char_boundary(i)).unwrap_or(0);
+    let digest = rendered
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    format!("{}...}} #{digest:016x}", &rendered[..cut])
+}
+
+/// The recovery-counter summary line. Only printed when the run produced
+/// (or could have produced) one — the snapshot is omitted, never
+/// fabricated, for runs without a deadline or fault injection.
+fn failure_line(f: &FailureSnapshot) -> String {
+    format!(
+        "failures: {} retries, {} fallbacks, {} degraded window(s), {} late recover(ies), \
+         {} lane rebuild(s), {} quarantine(s)\n",
+        f.retries,
+        f.fallbacks,
+        f.degraded_windows,
+        f.late_recoveries,
+        f.lane_rebuilds,
+        f.quarantines
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::answer_line;
+
+    #[test]
+    fn cut_answers_that_differ_past_the_cut_print_different_lines() {
+        let prefix = format!("{{{}", "a(1), ".repeat(80));
+        let (one, two) = (format!("{prefix}b(1)}}"), format!("{prefix}b(2)}}"));
+        assert_eq!(one[..400], two[..400], "the answers share their first 400 bytes");
+        let (line_one, line_two) = (answer_line(&one), answer_line(&two));
+        assert!(line_one.starts_with(&one[..400]) && line_one.contains("...} #"), "{line_one}");
+        assert_ne!(line_one, line_two, "the digest tells the tails apart");
+        assert_eq!(answer_line("{a(1)}"), "{a(1)}", "short answers print whole");
     }
 }

@@ -6,11 +6,13 @@
 //! sharing (one program run per serving entry, one shared partition cache)
 //! must never change what any tenant observes, and neither may running the
 //! serving entries concurrently on the shared pool: every property runs
-//! with entries on the caller thread and on a 2-worker pool.
+//! with entries on the caller thread and on a 2-worker pool. Streaming the
+//! windows through a [`StreamEngine`] whose lanes share the scheduler
+//! serves every tenant what direct `process` calls serve it.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use stream_reasoner::prelude::*;
 
 const PROGRAM_P: &str = include_str!("../assets/traffic_p.lp");
@@ -40,6 +42,13 @@ fn sliding_windows(seed: u64, size: usize, slide: usize, emissions: usize) -> Ve
         windows.push(w);
     }
     windows
+}
+
+/// Cuts a tumbling-window stream (no deltas) from the paper workload
+/// generator.
+fn tumbling_windows(seed: u64, size: usize, count: u64) -> Vec<Window> {
+    let mut generator = paper_generator(GeneratorKind::CorrelatedSparse, seed);
+    (0..count).map(|id| Window::new(id, generator.window(size))).collect()
 }
 
 fn render(syms: &Symbols, out: &ReasonerOutput) -> String {
@@ -77,6 +86,37 @@ fn serve(
         tenants.push(out.tenant);
     }
     tenants
+}
+
+/// Streams `windows` through a [`StreamEngine`] with `lanes` lanes that
+/// share `engine`, and returns each tenant's rendered outputs.
+fn serve_through_engine(
+    engine: MultiTenantEngine,
+    lanes: usize,
+    windows: &[Window],
+) -> HashMap<String, Vec<String>> {
+    let ctx = engine.ctx().clone();
+    let shared = Arc::new(Mutex::new(engine));
+    let config = EngineConfig { in_flight: lanes, queue_depth: lanes, window_deadline_ms: None };
+    let mut streaming = StreamEngine::with_ctx(
+        config,
+        |_lane| Ok(Box::new(Arc::clone(&shared)) as Box<dyn Reasoner<Vec<TenantOutput>>>),
+        ctx,
+    )
+    .unwrap();
+    for window in windows {
+        streaming.submit(window.clone()).unwrap();
+    }
+    let mut got: HashMap<String, Vec<String>> = HashMap::new();
+    for out in streaming.finish().outputs {
+        assert!(!out.degraded, "no deadline, no degraded window");
+        for tenant in out.result.unwrap() {
+            got.entry(tenant.tenant.clone())
+                .or_default()
+                .push(render(&tenant.syms, &tenant.output));
+        }
+    }
+    got
 }
 
 /// One tenant's independent reference: an [`IncrementalReasoner`] built
@@ -236,6 +276,60 @@ proptest! {
                 config.mode,
                 join
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Streaming through the engine changes nothing a tenant sees: with one lane
+    /// and with two lanes taking turns on the shared scheduler, every
+    /// tenant's outputs equal those of direct `process` calls, on tumbling
+    /// and on sliding streams.
+    #[test]
+    fn tenants_through_the_engine_match_direct_process(
+        size in 40usize..=100,
+        sliding in any::<bool>(),
+        seed in 0u64..1_000,
+        k in 2usize..=4,
+    ) {
+        let windows = if sliding {
+            sliding_windows(seed, size, (size / 4).max(1), 3)
+        } else {
+            tumbling_windows(seed, size, 4)
+        };
+        let p_prime = program_p_prime();
+        let population = [
+            ("dup0", PROGRAM_P, TenantPartitioner::Dependency),
+            ("dup1", PROGRAM_P, TenantPartitioner::Dependency),
+            ("prime", p_prime.as_str(), TenantPartitioner::Dependency),
+            ("ran", PROGRAM_P, TenantPartitioner::Random { k, seed }),
+        ];
+        for config in serving_configs() {
+            let admitted = || {
+                let mut engine = MultiTenantEngine::new(config.clone());
+                for (tenant, source, partitioner) in population {
+                    engine.admit(tenant, source, partitioner).unwrap();
+                }
+                engine
+            };
+            let mut direct = admitted();
+            let mut expected: HashMap<String, Vec<String>> = HashMap::new();
+            for window in &windows {
+                serve(&mut direct, window, &mut expected);
+            }
+            for lanes in [1, 2] {
+                let got = serve_through_engine(admitted(), lanes, &windows);
+                prop_assert_eq!(
+                    &got,
+                    &expected,
+                    "{:?}, {} lane(s), sliding {}: the engine changed a tenant's outputs",
+                    config.mode,
+                    lanes,
+                    sliding
+                );
+            }
         }
     }
 }

@@ -166,16 +166,34 @@ fn json_keys(doc: &str) -> Vec<&str> {
         .collect()
 }
 
+const LATENCY: &[&str] =
+    &["latency", "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "min_ms", "max_ms"];
+const TOTALS: &[&str] =
+    &["windows", "errors", "items", "elapsed_ms", "windows_per_sec", "items_per_sec"];
+const LANE: &[&str] = &["busy_ms", "windows", "busy_fraction"];
+
+/// The keys of a `--json` record up to the engine run's latency object:
+/// the baseline, then the one run with `lanes` lanes.
+fn record_keys_through_run_latency(lanes: usize) -> Vec<&'static str> {
+    let mut keys = vec!["window_size", "windows", "baseline"];
+    keys.extend(TOTALS);
+    keys.extend(["incremental", "lanes", "queue_high_water"]);
+    keys.extend(LATENCY);
+    keys.extend(["runs", "in_flight", "ordered_output_identical", "stats"]);
+    keys.extend(TOTALS);
+    keys.extend(["submit_blocked_ms", "incremental", "hits", "misses"]);
+    keys.extend(["dirty_partition_ratio", "lanes"]);
+    keys.extend(LANE.repeat(lanes));
+    keys.push("queue_high_water");
+    keys.extend(LATENCY);
+    keys
+}
+
 /// The `--json` record keeps its layout key by key: the baseline, the one
 /// engine run with two lanes, and — only when a deadline or a fault plan
 /// arms it — the engine's `failure` object.
 #[test]
 fn run_json_record_keeps_its_key_layout() {
-    const LATENCY: &[&str] =
-        &["latency", "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "min_ms", "max_ms"];
-    const TOTALS: &[&str] =
-        &["windows", "errors", "items", "elapsed_ms", "windows_per_sec", "items_per_sec"];
-    const LANE: &[&str] = &["busy_ms", "windows", "busy_fraction"];
     const FAILURE: &[&str] = &[
         "failure",
         "retries",
@@ -186,17 +204,7 @@ fn run_json_record_keeps_its_key_layout() {
         "quarantines",
     ];
     let expected = |failure: &[&'static str]| -> Vec<&'static str> {
-        let mut keys = vec!["window_size", "windows", "baseline"];
-        keys.extend(TOTALS);
-        keys.extend(["incremental", "lanes", "queue_high_water"]);
-        keys.extend(LATENCY);
-        keys.extend(["runs", "in_flight", "ordered_output_identical", "stats"]);
-        keys.extend(TOTALS);
-        keys.extend(["submit_blocked_ms", "incremental", "hits", "misses"]);
-        keys.extend(["dirty_partition_ratio", "lanes"]);
-        keys.extend(LANE.iter().chain(LANE));
-        keys.push("queue_high_water");
-        keys.extend(LATENCY);
+        let mut keys = record_keys_through_run_latency(2);
         keys.extend(failure);
         keys.push("best_speedup_windows_per_sec");
         keys
@@ -246,4 +254,52 @@ fn run_json_baseline_runs_without_the_fault_plan() {
     let engine_only = injected(&[]);
     assert!(engine_only > 0, "the plan injects at least one panic");
     assert_eq!(injected(&["--trials", "1", "--json", json]), engine_only);
+}
+
+/// A tenant run streams through the same engine, so it writes the same
+/// `--json` record, with the scheduler's per-tenant latency and dedup
+/// counters after the run's latency, and the ordered outputs of every
+/// tenant identical to the window-at-a-time baseline's. The scheduler runs
+/// on one lane; `--in-flight 2` only queues windows ahead of it.
+#[test]
+fn run_json_record_of_a_tenant_run_keeps_its_key_layout() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("json_tenant_keys");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("tenants.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+        .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "3"])
+        .args(["--tenants", "3", "--in-flight", "2", "--trials", "1", "--json"])
+        .arg(&json)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("streamrule runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    let doc = std::fs::read_to_string(&json).expect("the record is written");
+    let mut expected = record_keys_through_run_latency(1);
+    expected.push("tenants");
+    for _ in 0..3 {
+        expected.extend(["tenant", "program"]);
+        expected.extend(LATENCY);
+    }
+    expected.extend(["dedup", "tenants", "programs", "windows", "tenant_windows"]);
+    expected.extend(["program_runs", "shared_runs_saved", "dedup_ratio"]);
+    expected.push("best_speedup_windows_per_sec");
+    assert_eq!(json_keys(&doc), expected, "{doc}");
+    assert!(doc.contains("\"in_flight\": 1, \"ordered_output_identical\": true"), "{doc}");
+}
+
+/// Every mode streams through the engine, which needs at least one lane:
+/// `--in-flight 0` is refused by name.
+#[test]
+fn run_rejects_zero_lanes() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+        .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "1"])
+        .args(["--in-flight", "0"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("streamrule runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bad --in-flight (need L >= 1 lanes)"), "{stderr}");
 }
