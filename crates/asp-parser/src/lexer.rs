@@ -276,6 +276,9 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, AspError> {
                     err!("expected directive name after `#`");
                 }
                 let name = src[start..end].to_string();
+                if matches!(name.as_str(), "count" | "sum" | "min" | "max") {
+                    err!("aggregates (#{name}) are not supported");
+                }
                 let len = (end - i) as u32;
                 push(Tok::Directive(name));
                 i = end;

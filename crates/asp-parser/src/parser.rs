@@ -627,6 +627,18 @@ mod tests {
     }
 
     #[test]
+    fn aggregates_are_named_at_their_own_position() {
+        let syms = Symbols::new();
+        let src = "a(1).\nb(2).\nc(N) :- N = #count{ X : a(X) }.";
+        let err = parse_program(&syms, src).unwrap_err().to_string();
+        assert_eq!(err, "parse error at 3:13: aggregates (#count) are not supported");
+        for agg in ["sum", "min", "max"] {
+            let err = parse_program(&syms, &format!("#{agg}{{ X : a(X) }} > 1 :- b.")).unwrap_err();
+            assert!(err.to_string().contains(&format!("aggregates (#{agg})")), "{err}");
+        }
+    }
+
+    #[test]
     fn error_on_comparison_in_head() {
         let syms = Symbols::new();
         assert!(parse_program(&syms, "X < 2 :- p(X).").is_err());

@@ -29,9 +29,9 @@ use sr_stream::{paper_generator, GeneratorKind, Window};
 const R_STAGES: &[Stage] = &[Stage::Windowing, Stage::Ground, Stage::Solve];
 
 /// Stages the partitioned PR_Dep pass emits, in lifecycle order (`Solve` as
-/// in `R_STAGES`).
+/// in `R_STAGES`; `Join` is the caller waiting for its forked partitions).
 const PR_STAGES: &[Stage] =
-    &[Stage::Partition, Stage::Windowing, Stage::Ground, Stage::Solve, Stage::Combine];
+    &[Stage::Partition, Stage::Windowing, Stage::Ground, Stage::Solve, Stage::Join, Stage::Combine];
 
 /// One measured reasoner pass: wall time plus the pass's span trace.
 struct Pass {
@@ -113,7 +113,7 @@ fn main() {
             }
             println!();
             println!(
-                "          spans: R {} / PR {} (PR stage times sum over pool workers)",
+                "          spans: R {} / PR {} (PR stage times sum over forked threads)",
                 r.span_count(),
                 pr.span_count()
             );

@@ -5,8 +5,8 @@
 use asp_core::{AspError, Program, Symbols};
 use asp_solver::SolverConfig;
 use sr_core::{
-    duration_ms, partition_pool, window_accuracy, AnalysisConfig, DependencyAnalysis, ExecCtx,
-    ParallelMode, ParallelReasoner, PlanPartitioner, Projection, RandomPartitioner, ReasonerConfig,
+    duration_ms, window_accuracy, AnalysisConfig, DependencyAnalysis, ExecCtx, ParallelMode,
+    ParallelReasoner, PlanPartitioner, Projection, RandomPartitioner, ReasonerConfig,
     ReasonerOutput, SingleReasoner, UnknownPredicate,
 };
 use sr_stream::{paper_generator, GeneratorKind, Window};
@@ -191,12 +191,12 @@ impl ExperimentBench {
         let r = SingleReasoner::new(&syms, &program, None, SolverConfig::default())?;
         let dep_partitioner: Arc<dyn sr_core::Partitioner> =
             Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
-        // Threads mode: PR_Dep and every PR_Ran_k share one warm worker
-        // pool (the `Arc` clone in `build_pr`), sized for the widest
-        // partitioning in the sweep; Sequential mode needs no pool.
-        let workers =
+        // Threads mode: PR_Dep and every PR_Ran_k share one execution
+        // context (the clone in `build_pr`), bounded for the widest
+        // partitioning in the sweep; Sequential mode forks nothing.
+        let threads =
             config.random_ks.iter().copied().chain([analysis.plan.communities]).max().unwrap_or(1);
-        let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
+        let ctx = ExecCtx::default().with_bound(&reasoner_cfg, threads);
         let build_pr = |partitioner: Arc<dyn sr_core::Partitioner>| {
             ParallelReasoner::with_ctx(
                 &syms,

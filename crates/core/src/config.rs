@@ -55,9 +55,9 @@ pub enum UnknownPredicate {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ParallelMode {
     /// Each dirty partition runs as one job, on its community's own copy of
-    /// the reasoner, on a worker pool shared by the windows in flight (the
-    /// paper's Figure 6); [`ReasonerConfig::workers`] says how the pool is
-    /// sized.
+    /// the reasoner (the paper's Figure 6): the thread that processes the
+    /// window runs jobs itself and forks a thread for another only while a
+    /// permit is free; [`ReasonerConfig::workers`] is the bound.
     #[default]
     Threads,
     /// Process partitions sequentially in the caller thread — the
@@ -91,14 +91,16 @@ pub struct ReasonerConfig {
     pub max_combined: usize,
     /// Scheduling mode.
     pub mode: ParallelMode,
-    /// Worker threads of the pool a stand-alone partitioned reasoner, a
+    /// How many threads of a stand-alone partitioned reasoner, a
     /// [`MultiTenantEngine`](crate::multi_tenant::MultiTenantEngine) or a
-    /// partitioned [`StreamEngine`](crate::engine::StreamEngine) builds
-    /// (Threads mode only). `0` sizes it from the work: one worker per
-    /// partition of the reasoner (of the first admitted program for a
-    /// multi-tenant engine; per partition per lane for a stream engine).
-    /// [`partition_pool`](crate::exec::partition_pool) is the one place
-    /// that reads it.
+    /// partitioned [`StreamEngine`](crate::engine::StreamEngine) reason at
+    /// once (Threads mode only), counting the threads that call them (an
+    /// engine lane, a multi-tenant engine's caller) as well as their forks.
+    /// `0` sizes it from the work: one thread per partition of the reasoner
+    /// (of the first admitted program for a multi-tenant engine; per
+    /// partition per lane for a stream engine).
+    /// [`ExecCtx::with_bound`](crate::exec::ExecCtx::with_bound) is the one
+    /// place that reads it.
     pub workers: usize,
     /// Read by nothing; kept for the measured surface, which still sets it.
     /// Every partitioned reasoner reuses the communities a window's delta
@@ -111,13 +113,13 @@ pub struct ReasonerConfig {
     pub cache_capacity: usize,
     /// Kept for the measured surface. A partitioned reasoner with this set
     /// serves its dirty partitions on its own thread, exactly as
-    /// [`ParallelMode::Sequential`] does, instead of on the worker pool.
+    /// [`ParallelMode::Sequential`] does, and forks nothing.
     /// Each dirty partition is evaluated from scratch; no grounding is
     /// maintained across windows. The single reasoner ignores it.
     pub delta_ground: bool,
     /// The fault plan every component built from this config injects
-    /// ([`crate::fault`]): every partition job, pooled or on the caller
-    /// thread, the reuse check, and a partitioned engine's `submit`.
+    /// ([`crate::fault`]): every partition job, on the caller or on a fork,
+    /// the reuse check, and a partitioned engine's `submit`.
     /// `None`, the default, injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
 }

@@ -6,7 +6,10 @@
 //! across parallel *lanes* (each lane thread owns one [`Reasoner`] backend)
 //! and applies backpressure on [`StreamEngine::submit`] when the bound is
 //! reached. Each lane sends its finished windows, stamped with the moment
-//! they finished, on one result channel.
+//! they finished, on one result channel. A partitioned lane runs its
+//! window's partitions itself and forks threads for the rest only while its
+//! [`ExecCtx`] has free permits; the lanes count against that bound too
+//! ([`StreamEngine::with_partitioned_lanes`]), so busy lanes fork nothing.
 //!
 //! The engine is generic over the reasoner's output, answer sets by default;
 //! a multi-tenant run is a `StreamEngine<Vec<TenantOutput>>` whose lane
@@ -21,7 +24,7 @@
 //! items/s, p50/p95/p99 latency).
 
 use crate::config::ReasonerConfig;
-use crate::exec::{partition_pool, ExecCtx};
+use crate::exec::ExecCtx;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::incremental::ParallelReasoner;
 use crate::metrics::{
@@ -247,7 +250,7 @@ pub struct StreamEngine<O = ReasonerOutput> {
     /// reuse counters.
     partitioned: bool,
     occupancy: Arc<OccupancyAcc>,
-    /// The partitioned lanes' shared pool and counters; its recovery
+    /// The partitioned lanes' shared thread bound and counters; its recovery
     /// counters are shared with every lane either way.
     ctx: ExecCtx,
     /// Per-window deadline; `None` disables degraded emission.
@@ -324,7 +327,7 @@ impl<O: Clone + Default + Send + 'static> StreamEngine<O> {
                     let t0 = Instant::now();
                     let caught = {
                         // Attribute everything the backend does — including
-                        // pool-worker jobs it fans out — to this window/lane.
+                        // the partition threads it forks — to this window/lane.
                         let _trace_ctx = sr_obs::tracer().is_enabled().then(|| {
                             sr_obs::ctx_scope(sr_obs::TraceCtx {
                                 window_id: window.id,
@@ -642,10 +645,10 @@ impl<O: Clone + Default + Send + 'static> StreamEngine<O> {
 
 impl StreamEngine {
     /// Convenience: an engine whose lanes are [`ParallelReasoner`]s sharing
-    /// one [`ExecCtx`]: one worker pool of [`ReasonerConfig::workers`]
-    /// threads (`0`: `partitions × in_flight`, so every in-flight window can
-    /// fan out over all its partitions at once) — or no pool, where
-    /// [`partition_pool`] keeps partitions on the lane thread — and one set of
+    /// one [`ExecCtx`]: at most [`ReasonerConfig::workers`] threads reason at
+    /// once, the lanes included (`0`: `partitions × in_flight`, so every
+    /// in-flight window can fan out over all its partitions at once; see
+    /// [`ExecCtx::with_bound`] for when a lane forks nothing), and one set of
     /// counters, which [`EngineStats::incremental`] and
     /// [`EngineStats::failure`] report on [`StreamEngine::finish`]. This is
     /// the standard construction for pipelined `PR` streaming (the CLI's and
@@ -661,8 +664,8 @@ impl StreamEngine {
         reasoner_cfg: ReasonerConfig,
         config: EngineConfig,
     ) -> Result<Self, AspError> {
-        let workers = partitioner.partitions().max(1) * config.in_flight.max(1);
-        let ctx = ExecCtx { pool: partition_pool(&reasoner_cfg, workers)?, ..Default::default() };
+        let threads = partitioner.partitions().max(1) * config.in_flight.max(1);
+        let ctx = ExecCtx::default().with_bound(&reasoner_cfg, threads);
         let faults = reasoner_cfg.faults.clone();
         let mut engine = StreamEngine::with_ctx(
             config,
@@ -1109,21 +1112,21 @@ mod tests {
                 .iter()
                 .filter(|s| s.ctx.window_id == id && s.ctx.partition.is_some())
                 .collect();
-            assert!(!workers.is_empty(), "pool-worker spans attribute across the job boundary");
+            assert!(!workers.is_empty(), "partition spans attribute across the fork boundary");
             for s in &workers {
                 assert!(
                     s.start_us + 2 >= window.start_us
                         && s.start_us + s.dur_us <= window.start_us + window.dur_us + 2,
-                    "worker span {:?} must nest inside the window span {window:?}",
+                    "partition span {:?} must nest inside the window span {window:?}",
                     s
                 );
             }
-            // The fan-out stages all got recorded under the worker context
-            // (the program is stratified, so no worker reaches `Solve`).
+            // The fan-out stages all got recorded under the partition context
+            // (the program is stratified, so no partition reaches `Solve`).
             for stage in [sr_obs::Stage::Windowing, sr_obs::Stage::Ground] {
                 assert!(
                     workers.iter().any(|s| s.stage == stage),
-                    "stage {stage:?} traced inside pool workers"
+                    "stage {stage:?} traced inside partition jobs"
                 );
             }
         }
@@ -1148,7 +1151,7 @@ mod tests {
             analysis.plan.clone(),
             crate::config::UnknownPredicate::Partition0,
         ));
-        let pool_workers = |reasoner_cfg: ReasonerConfig| {
+        let bound = |reasoner_cfg: ReasonerConfig| {
             let engine = StreamEngine::with_partitioned_lanes(
                 &syms,
                 &program,
@@ -1158,15 +1161,15 @@ mod tests {
                 EngineConfig { in_flight: 2, queue_depth: 2, ..Default::default() },
             )
             .unwrap();
-            engine.ctx.workers()
+            engine.ctx.threads()
         };
         let delta_ground = ReasonerConfig { delta_ground: true, ..Default::default() };
-        assert_eq!(pool_workers(delta_ground), 0, "delta_ground lanes never submit to a pool");
+        assert_eq!(bound(delta_ground), 0, "delta_ground lanes fork nothing");
         let sequential = ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() };
-        assert_eq!(pool_workers(sequential), 0, "Sequential lanes run partitions themselves");
-        assert_eq!(pool_workers(ReasonerConfig::default()), 4, "2 partitions x 2 lanes");
+        assert_eq!(bound(sequential), 0, "Sequential lanes run partitions themselves");
+        assert_eq!(bound(ReasonerConfig::default()), 4, "2 partitions x 2 lanes");
         let two = ReasonerConfig { workers: 2, ..Default::default() };
-        assert_eq!(pool_workers(two), 2, "an explicit worker count sizes the pool");
+        assert_eq!(bound(two), 2, "an explicit worker count is the bound, lanes included");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! A plan is a value, not process state: it rides on
 //! [`ReasonerConfig::faults`](crate::ReasonerConfig::faults) to every
-//! reasoner, pool and engine built from that config, and a
+//! reasoner and engine built from that config, and a
 //! component built without one checks a `None` and moves on. Two engines
 //! in one process therefore never see each other's faults.
 
@@ -22,7 +22,7 @@ use std::time::Duration;
 /// coordinates across releases (2 belonged to a retired site).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Panic inside a partition job, pooled or on the caller thread
+    /// Panic inside a partition job, on a fork or on the caller thread
     /// (including a serving entry's partitions in the multi-tenant
     /// scheduler).
     WorkerPanic = 0,
@@ -149,7 +149,7 @@ impl FaultPlan {
         })
     }
 
-    /// The hook every partition job runs first, pooled or on the caller
+    /// The hook every partition job runs first, on a fork or on the caller
     /// thread, at its own `(window_id, partition)` coordinate: sleep for
     /// [`FaultPlan::stall`] when `PartitionSlowdown` fires there, then panic
     /// when `WorkerPanic` does.

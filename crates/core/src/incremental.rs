@@ -13,19 +13,21 @@
 //! last window it answered. Community `c` is **clean** when the window's
 //! delta is based on that window, every item of the delta has routes, and
 //! none of them routes to `c`; a clean community's answers are reused. Every
-//! other community is dirty: it becomes one job that carries the
-//! community's reasoner and items and is reasoned from scratch, on the
-//! [`ExecCtx`]'s shared [`WorkerPool`](crate::exec::WorkerPool), or on the
-//! caller thread where [`partition_pool`] gives none. The combined output is
+//! other community is dirty: it becomes one job that borrows the
+//! community's reasoner and carries its items, and is recomputed in full
+//! by [`ExecCtx::fork_join`]: the thread that called
+//! [`IncrementalReasoner::process`] runs the jobs itself and forks a thread
+//! for others only while the context has a free permit (forked threads and
+//! the caller then claim the largest first). The combined output is
 //! byte-identical to full recomputation: reuse changes *where* answers come
 //! from, never *what* they are.
 //!
 //! Faults come from [`ReasonerConfig::faults`]: every job runs
-//! [`FaultPlan::before_partition`] at its community index, pooled or not, so
-//! both paths fail at the same coordinates. A panicked job is retried on its
-//! own community's reasoner with the items it already had; recovery
-//! re-rolls `WorkerPanic` at attempt-salted coordinates, and
-//! `CacheInvalidate` turns a clean community dirty.
+//! [`FaultPlan::before_partition`] at its community index, on whichever
+//! thread runs it, so every schedule fails at the same coordinates. A
+//! panicked job is retried on its own community's reasoner with the items
+//! it already had; recovery re-rolls `WorkerPanic` at attempt-salted
+//! coordinates, and `CacheInvalidate` turns a clean community dirty.
 //!
 //! This is sound for any delta producer that keeps the multiset invariant
 //! documented on [`Window::delta`](sr_stream::Window::delta), and for any
@@ -47,9 +49,10 @@
 //!
 //! The reasoner keeps no clock: its caller times
 //! [`IncrementalReasoner::process`], and the per-stage breakdown is in the
-//! `sr_obs` spans it records — the caller's `Partition`, `CacheLookup` and
-//! `Combine`, and each dirty partition's `Windowing`, `Ground` and `Solve`,
-//! tagged with its index. [`ParallelReasoner`] is the paper's name for it.
+//! `sr_obs` spans it records — the caller's `Partition`, `CacheLookup`,
+//! `Join` (waiting for its forks) and `Combine`, and each dirty partition's
+//! `Windowing`, `Ground` and `Solve`, tagged with its index.
+//! [`ParallelReasoner`] is the paper's name for it.
 //!
 //! [`fingerprint_items`], [`program_fingerprint`] and [`PartitionCache`]
 //! are not on the reasoning path. The multi-tenant engine keys its serving
@@ -57,7 +60,7 @@
 //! measured surface only.
 
 use crate::config::{CombinePolicy, ReasonerConfig};
-use crate::exec::{partition_pool, ExecCtx, Job, JobPanicked};
+use crate::exec::{ExecCtx, JobPanicked};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{CacheCounters, FailureCounters};
 use crate::partition::Partitioner;
@@ -216,34 +219,34 @@ impl PartitionCache {
 }
 
 /// One dirty partition of one window: its community's reasoner and items.
-/// The same body runs on the pool or on the caller thread, and a job that
-/// panicked is retried on the same reasoner with the same items.
-struct PartitionJob {
+/// The same body runs on the caller or on a fork, and a job that panicked
+/// is retried on the same reasoner with the same items.
+struct PartitionJob<'a> {
     window_id: u64,
     community: usize,
-    reasoner: Arc<Mutex<SingleReasoner>>,
+    reasoner: &'a mut SingleReasoner,
     /// Emptied by the first run that returns; a job that panicked still
     /// has them for its retries.
-    items: Mutex<Vec<Triple>>,
-    faults: Option<Arc<FaultPlan>>,
+    items: Vec<Triple>,
+    faults: Option<&'a FaultPlan>,
     /// The caller's trace attribution tagged with this partition, carried
-    /// across the pool boundary; `None` while tracing is off, which keeps
-    /// the off path free of thread-local traffic.
+    /// onto whichever thread runs the job; `None` while tracing is off,
+    /// which keeps the off path free of thread-local traffic.
     trace: Option<sr_obs::TraceCtx>,
 }
 
 type PartOutcome = Result<(Vec<AnswerSet>, SolveStats), AspError>;
 
-impl PartitionJob {
+impl PartitionJob<'_> {
     /// How many times a panicked job is retried before the window errors
     /// out.
     const MAX_RETRIES: u32 = 2;
 
     /// The fault hook at the job's `(window, community)` coordinate, then
     /// its community's reasoner over its items.
-    fn run(&self) -> PartOutcome {
+    fn run(&mut self) -> PartOutcome {
         let _trace_ctx = self.trace.map(sr_obs::ctx_scope);
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = self.faults {
             plan.before_partition(self.window_id, self.community);
         }
         self.process()
@@ -251,10 +254,9 @@ impl PartitionJob {
 
     /// The community's reasoner over the items, which are then freed on the
     /// thread that used them rather than serially on the caller's.
-    fn process(&self) -> PartOutcome {
-        let mut items = lock_recover(&self.items);
-        let out = lock_recover(&self.reasoner).process_items(&items);
-        drop(std::mem::take(&mut *items));
+    fn process(&mut self) -> PartOutcome {
+        let out = self.reasoner.process_items(&self.items);
+        drop(std::mem::take(&mut self.items));
         out
     }
 
@@ -265,7 +267,7 @@ impl PartitionJob {
     /// transient fault (recovery succeeds) while a rate-1.0 plan
     /// deterministically exhausts the retries and surfaces the error with
     /// the window id and partition index.
-    fn recover(&self, failures: &FailureCounters) -> PartOutcome {
+    fn recover(&mut self, failures: &FailureCounters) -> PartOutcome {
         use std::sync::atomic::Ordering;
         let _span = sr_obs::span(sr_obs::Stage::Recover);
         let (window, i) = (self.window_id, self.community);
@@ -278,11 +280,7 @@ impl PartitionJob {
                 // Attempt-salted coordinate: distinct from the original
                 // job's roll, so injected faults are transient by default.
                 let salted = i as u64 + ((attempt as u64 + 1) << 32);
-                if self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|p| p.fires(FaultSite::WorkerPanic, window, salted))
-                {
+                if self.faults.is_some_and(|p| p.fires(FaultSite::WorkerPanic, window, salted)) {
                     panic!(
                         "injected recovery fault (window {window}, partition {i}, attempt {attempt})"
                     );
@@ -314,12 +312,13 @@ pub struct IncrementalReasoner {
     syms: Symbols,
     partitioner: Arc<dyn Partitioner>,
     config: ReasonerConfig,
-    /// The pool serving dirty partitions and the counters this reasoner
-    /// reports into, possibly shared with other reasoners.
+    /// The permits bounding the threads that run dirty partitions and the
+    /// counters this reasoner reports into, possibly shared with other
+    /// reasoners.
     ctx: ExecCtx,
     /// One reasoner per community (per partition index), so dirty
     /// communities run concurrently, each on its own reasoner.
-    communities: Vec<Arc<Mutex<SingleReasoner>>>,
+    communities: Vec<SingleReasoner>,
     /// The id of the last window this reasoner answered, and each
     /// community's answers in it. Written only after a successful window,
     /// and `None` after two delta-less windows in a row.
@@ -330,11 +329,10 @@ pub struct IncrementalReasoner {
 }
 
 impl IncrementalReasoner {
-    /// Builds PR with its own worker pool sized by
-    /// [`ReasonerConfig::workers`] (`0` = one worker per partition, the
-    /// paper's Figure 6 degree of parallelism), or with caller-thread
-    /// execution where [`partition_pool`] gives no pool, and private
-    /// counters.
+    /// Builds PR with its own execution context, bounded by
+    /// [`ReasonerConfig::workers`] (`0` = one thread per partition, the
+    /// paper's Figure 6 degree of parallelism; see
+    /// [`ExecCtx::with_bound`]), and private counters.
     pub fn new(
         syms: &Symbols,
         program: &Program,
@@ -342,15 +340,14 @@ impl IncrementalReasoner {
         partitioner: Arc<dyn Partitioner>,
         config: ReasonerConfig,
     ) -> Result<Self, AspError> {
-        let pool = partition_pool(&config, partitioner.partitions())?;
-        let ctx = ExecCtx { pool, ..Default::default() };
+        let ctx = ExecCtx::default().with_bound(&config, partitioner.partitions());
         Self::with_ctx(syms, program, inpre, partitioner, config, ctx)
     }
 
     /// Builds PR over a shared execution context: its dirty partitions run
-    /// on `ctx.pool` (or on the caller thread without one) and it reports
-    /// into `ctx`'s counters. The pool is program-agnostic, so one context
-    /// serves reasoners over different programs.
+    /// under `ctx`'s thread bound and it reports into `ctx`'s counters. The
+    /// context is program-agnostic, so one serves reasoners over different
+    /// programs.
     pub fn with_ctx(
         syms: &Symbols,
         program: &Program,
@@ -360,10 +357,7 @@ impl IncrementalReasoner {
         ctx: ExecCtx,
     ) -> Result<Self, AspError> {
         let communities = (0..partitioner.partitions())
-            .map(|_| {
-                let reasoner = SingleReasoner::new(syms, program, inpre, SolverConfig::default())?;
-                Ok(Arc::new(Mutex::new(reasoner)))
-            })
+            .map(|_| SingleReasoner::new(syms, program, inpre, SolverConfig::default()))
             .collect::<Result<_, AspError>>()?;
         Ok(IncrementalReasoner {
             syms: syms.clone(),
@@ -376,7 +370,7 @@ impl IncrementalReasoner {
         })
     }
 
-    /// The execution context: the pool serving dirty partitions and the
+    /// The execution context: the thread bound for dirty partitions and the
     /// counters this reasoner reports reused (`hits`) and recomputed
     /// (`misses`) communities and recovery into.
     pub fn ctx(&self) -> &ExecCtx {
@@ -386,11 +380,6 @@ impl IncrementalReasoner {
     /// Number of parallel partitions.
     pub fn partitions(&self) -> usize {
         self.partitioner.partitions()
-    }
-
-    /// Worker threads of the pool serving dirty partitions (0 without one).
-    pub fn workers(&self) -> usize {
-        self.ctx.workers()
     }
 
     /// The answers this reasoner may reuse for each of `n` communities in
@@ -437,7 +426,7 @@ impl IncrementalReasoner {
         let _trace_ctx = tracing.then(|| {
             sr_obs::ctx_scope(sr_obs::TraceCtx { window_id: window.id, ..sr_obs::current_ctx() })
         });
-        let (mut parts, partition_sizes) = {
+        let (parts, partition_sizes) = {
             let _span = sr_obs::span(sr_obs::Stage::Partition);
             let parts = self.partitioner.partition(window);
             let partition_sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
@@ -445,43 +434,34 @@ impl IncrementalReasoner {
         };
 
         // Clean communities reuse their last answers; the rest are dirty.
-        let (mut per_partition, dirty) = {
+        let mut per_partition = {
             let _span = sr_obs::span(sr_obs::Stage::CacheLookup);
-            let per_partition = self.reusable(window, parts.len());
-            let dirty: Vec<usize> =
-                (0..parts.len()).filter(|&i| per_partition[i].is_none()).collect();
-            (per_partition, dirty)
+            self.reusable(window, parts.len())
         };
+        let dirty = per_partition.iter().filter(|p| p.is_none()).count();
         let counters = &self.ctx.counters;
-        counters.hits.fetch_add((parts.len() - dirty.len()) as u64, Ordering::Relaxed);
-        counters.misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
+        counters.hits.fetch_add((parts.len() - dirty) as u64, Ordering::Relaxed);
+        counters.misses.fetch_add(dirty as u64, Ordering::Relaxed);
 
-        let jobs: Vec<Arc<PartitionJob>> = dirty
-            .iter()
-            .map(|&i| {
-                Arc::new(PartitionJob {
-                    window_id: window.id,
-                    community: i,
-                    reasoner: Arc::clone(&self.communities[i]),
-                    items: Mutex::new(std::mem::take(&mut parts[i])),
-                    faults: self.config.faults.clone(),
-                    trace: tracing.then(|| sr_obs::TraceCtx {
-                        partition: Some(i as u32),
-                        ..sr_obs::current_ctx()
-                    }),
-                })
+        let faults = self.config.faults.as_deref();
+        let mut jobs: Vec<PartitionJob> = (self.communities.iter_mut().zip(parts))
+            .enumerate()
+            .filter(|(i, _)| per_partition[*i].is_none())
+            .map(|(i, (reasoner, items))| PartitionJob {
+                window_id: window.id,
+                community: i,
+                reasoner,
+                items,
+                faults,
+                trace: tracing.then(|| sr_obs::TraceCtx {
+                    partition: Some(i as u32),
+                    ..sr_obs::current_ctx()
+                }),
             })
             .collect();
-        let outcomes = self.ctx.run(
-            jobs.iter()
-                .map(|job| {
-                    let job = Arc::clone(job);
-                    Box::new(move || job.run()) as Job<PartOutcome>
-                })
-                .collect(),
-        );
+        let outcomes = self.ctx.fork_join(&mut jobs, |job| job.items.len(), PartitionJob::run);
         let mut stats = SolveStats::default();
-        for (job, outcome) in jobs.iter().zip(outcomes) {
+        for (job, outcome) in jobs.iter_mut().zip(outcomes) {
             let (answers, s) = match outcome {
                 Ok(result) => result?,
                 Err(JobPanicked) => job.recover(&self.ctx.failures)?,
@@ -794,7 +774,7 @@ mod tests {
     fn delta_ground_serves_dirty_partitions_on_the_caller_thread() {
         let cfg = ReasonerConfig { incremental: true, delta_ground: true, ..Default::default() };
         let (syms, mut pr, mut ir) = build_pair(cfg);
-        assert!(ir.ctx.pool.is_none(), "no pool: dirty partitions run on the caller");
+        assert_eq!(ir.ctx().threads(), 0, "no forks: dirty partitions run on the caller");
         let mut windower = SlidingWindower::new(6, 2);
         for item in sliding_stream(4) {
             if let Some(w) = windower.push(item) {
@@ -865,7 +845,7 @@ mod tests {
     #[test]
     fn undersized_pool_still_processes_every_partition() {
         let (syms, mut pr, _) = build_pair(ReasonerConfig { workers: 1, ..Default::default() });
-        assert_eq!(pr.workers(), 1, "pool smaller than the 2 partitions");
+        assert_eq!(pr.ctx().threads(), 1, "a bound smaller than the 2 partitions: no forks");
         let out = pr.process(&Window::new(0, motivating_items())).unwrap();
         assert_eq!(out.partition_sizes, vec![3, 3]);
         let rendered = out.answers[0].display(&syms).to_string();
@@ -877,7 +857,7 @@ mod tests {
         let syms = Symbols::new();
         let program = parse_program(&syms, PROGRAM_P).unwrap();
         let config = ReasonerConfig::default();
-        let ctx = ExecCtx { pool: partition_pool(&config, 2).unwrap(), ..Default::default() };
+        let ctx = ExecCtx::default().with_bound(&config, 2);
         let partitioner: Arc<dyn Partitioner> =
             Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
         let build = |ctx| {
@@ -897,7 +877,7 @@ mod tests {
         let out_a = a.process(&window).unwrap();
         let out_b = b.process(&window).unwrap();
         assert_eq!(render(&syms, &out_a), render(&syms, &out_b));
-        assert_eq!(a.workers(), 2);
+        assert_eq!(a.ctx().threads(), 2);
         assert_eq!(ctx.counters.snapshot().misses, 4, "both report into the shared counters");
     }
 

@@ -50,7 +50,7 @@ pub use decompose::{decompose, to_plan, Decomposition, DecompositionMethod};
 pub use engine::{
     EngineConfig, EngineOutput, EngineReport, EngineStats, LaneOccupancy, StreamEngine,
 };
-pub use exec::{partition_pool, BatchHandle, ExecCtx, Job, JobOutcome, JobPanicked, WorkerPool};
+pub use exec::{ExecCtx, JobPanicked};
 pub use extended::ExtendedDepGraph;
 pub use fault::{FaultPlan, FaultRule, FaultSite};
 pub use incremental::{

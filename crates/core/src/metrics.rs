@@ -246,7 +246,7 @@ impl IncrementalSnapshot {
 
 /// Live counters of the fault-tolerance machinery, shared (behind an `Arc`)
 /// between a stream engine, its lanes' partitioned reasoners, and the
-/// multi-tenant scheduler. Atomics: lanes, pool workers and the engine's
+/// multi-tenant scheduler. Atomics: lanes, forked threads and the engine's
 /// caller update them concurrently.
 #[derive(Debug, Default)]
 pub struct FailureCounters {

@@ -24,18 +24,20 @@
 //! engine's lane holds the scheduler behind a mutex (so the caller keeps a
 //! handle for [`MultiTenantEngine::stats`]) and reports into its
 //! [`ExecCtx`]. One lane is enough, since each window already fans out
-//! over the pool; lanes sharing the scheduler take turns on it. The engine
-//! keeps the run's tally and its deadline rule: an overdue window is
+//! over the entries; lanes sharing the scheduler take turns on it. The
+//! engine keeps the run's tally and its deadline rule: an overdue window is
 //! emitted degraded, as in any other run.
 //!
-//! Entries share that [`ExecCtx`]: one worker pool, sized
+//! Entries share that [`ExecCtx`]: one thread bound,
 //! [`ReasonerConfig::workers`] (or the first admitted program's partition
-//! count when that is `0`) and built at the first admission that needs one,
+//! count when that is `0`), set at the first admission that needs one,
 //! plus the reuse, recovery and quarantine counters. Each live (not
-//! quarantined) entry becomes one job on the pool, and fans its dirty
-//! partitions out over the same pool (see [`crate::exec`]); without a pool
-//! (Sequential mode) the entries run on the caller thread one after
-//! another. Either way the bookkeeping — panic recovery, quarantine
+//! quarantined) entry is one job of one [`ExecCtx::fork_join`]: the thread
+//! that called [`MultiTenantEngine::process`] runs entries itself and forks
+//! threads only while permits are free, and each entry fans its dirty
+//! partitions out under the same bound without taking a second permit (see
+//! [`crate::exec`]). In Sequential mode every entry runs on the caller, one
+//! after another. Either way the bookkeeping — panic recovery, quarantine
 //! scoring, latency samples and outputs — runs serially after the batch,
 //! in first-admission order.
 //!
@@ -49,16 +51,15 @@ use crate::admission::{AdmissionPolicy, AdmissionSnapshot, AdmitError, ProgramBo
 use crate::analysis::DependencyAnalysis;
 use crate::config::{AnalysisConfig, ReasonerConfig, UnknownPredicate};
 use crate::engine::EngineStats;
-use crate::exec::{partition_pool, ExecCtx, Job};
+use crate::exec::ExecCtx;
 use crate::incremental::{program_fingerprint, IncrementalReasoner};
 use crate::metrics::{duration_ms, DedupSnapshot, FailureCounters, LatencyStats, TenantLatency};
 use crate::partition::{Partitioner, PlanPartitioner, RandomPartitioner};
-use crate::poison::lock_recover;
 use crate::reasoner::{Reasoner, ReasonerOutput};
 use asp_core::{AspError, Symbols};
 use asp_parser::parse_program;
 use sr_stream::Window;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Consecutive failed windows before an entry is quarantined.
@@ -85,14 +86,13 @@ pub enum TenantPartitioner {
 }
 
 /// One serving entry: an admitted program's private `Symbols` store, its
-/// shared [`IncrementalReasoner`] (behind a mutex, so the scheduler's job
-/// for the entry can carry it to a pool worker) and the tenants subscribed
-/// to it (admission order).
+/// shared [`IncrementalReasoner`] and the tenants subscribed to it
+/// (admission order).
 pub struct ProgramEntry {
     fingerprint: u64,
     partitioner: TenantPartitioner,
     syms: Symbols,
-    reasoner: Arc<Mutex<IncrementalReasoner>>,
+    reasoner: IncrementalReasoner,
     tenants: Vec<String>,
     /// Windows this entry failed (panic/error) on, consecutively; reset on a
     /// successful window.
@@ -109,12 +109,9 @@ impl ProgramEntry {
 
     /// Number of partitions the program's reasoner fans out over.
     pub fn partitions(&self) -> usize {
-        lock_recover(&self.reasoner).partitions()
+        self.reasoner.partitions()
     }
 }
-
-/// What one entry's job returns: its output and its own run time.
-type EntryRun = (Result<ReasonerOutput, AspError>, Duration);
 
 /// One tenant's view of a processed window. Tenants deduplicated onto the
 /// same program run share the `Arc` (and record the same latency).
@@ -126,9 +123,9 @@ pub struct TenantOutput {
     pub program: u64,
     /// The program-scoped symbol store (renders `output`'s answer sets).
     pub syms: Symbols,
-    /// The entry's own run time for this window: from the moment its job
-    /// started to the moment its output was ready. Time the job waited for
-    /// a worker is not included.
+    /// The entry's own run time for this window: from the moment a thread
+    /// started its job to the moment its output was ready. Time the job
+    /// waited behind other entries is not included.
     pub latency: Duration,
     /// The shared reasoner output.
     pub output: Arc<ReasonerOutput>,
@@ -162,8 +159,8 @@ struct SchedulerCounters {
 pub struct MultiTenantEngine {
     /// Applies to every admitted program.
     config: ReasonerConfig,
-    /// The pool and counters every entry's reasoner shares; the scheduler
-    /// adds its quarantines to the failure counters.
+    /// The thread bound and counters every entry's reasoner shares; the
+    /// scheduler adds its quarantines to the failure counters.
     ctx: ExecCtx,
     policy: AdmissionPolicy,
     /// Admitted programs in first-admission order — the deterministic
@@ -203,8 +200,8 @@ impl MultiTenantEngine {
         self.policy = policy;
     }
 
-    /// The pool and counters every entry shares; an engine that runs the
-    /// scheduler takes a clone after the first admission builds the pool.
+    /// The thread bound and counters every entry shares; an engine that runs
+    /// the scheduler takes a clone after the first admission sizes it.
     pub fn ctx(&self) -> &ExecCtx {
         &self.ctx
     }
@@ -298,8 +295,8 @@ impl MultiTenantEngine {
                 )),
                 TenantPartitioner::Random { k, seed } => Arc::new(RandomPartitioner::new(k, seed)),
             };
-            if self.ctx.pool.is_none() {
-                self.ctx.pool = partition_pool(&self.config, part.partitions())?;
+            if self.ctx.threads() == 0 {
+                self.ctx = self.ctx.with_bound(&self.config, part.partitions());
             }
             // One reasoner per entry: its reuse slots are shared by every
             // tenant that attaches later.
@@ -315,7 +312,7 @@ impl MultiTenantEngine {
                 fingerprint,
                 partitioner,
                 syms,
-                reasoner: Arc::new(Mutex::new(reasoner)),
+                reasoner,
                 tenants: vec![tenant.to_string()],
                 consecutive_failures: 0,
                 quarantined: false,
@@ -332,7 +329,7 @@ impl MultiTenantEngine {
     /// Retires `tenant`, returning its program fingerprint; valid
     /// mid-stream. When the last tenant of a program leaves, the whole
     /// entry — reasoner, reuse slots, symbol store — is dropped; the shared
-    /// pool and counters stay, and the tenant's recorded latency history is
+    /// context and counters stay, and the tenant's recorded latency history is
     /// kept for the final report.
     pub fn retire(&mut self, tenant: &str) -> Result<u64, AspError> {
         for (idx, entry) in self.entries.iter_mut().enumerate() {
@@ -364,7 +361,7 @@ impl MultiTenantEngine {
     }
 
     /// Processes one window for every admitted tenant: each serving entry
-    /// runs once, as one job on the shared pool (see the module docs), and
+    /// runs once, as one fork–join job (see the module docs), and
     /// every tenant of the entry receives the shared result.
     /// Outputs are ordered deterministically (entries in first-admission
     /// order, tenants in admission order within their entry). An engine
@@ -381,36 +378,32 @@ impl MultiTenantEngine {
         use std::sync::atomic::Ordering;
         self.windows += 1;
         let mut outputs = Vec::with_capacity(self.tenant_count());
-        let live: Vec<usize> =
-            (0..self.entries.len()).filter(|&i| !self.entries[i].quarantined).collect();
-        let shared_window = Arc::new(window.clone());
         let trace = sr_obs::tracer().is_enabled().then(sr_obs::current_ctx);
-        let jobs = live
-            .iter()
-            .map(|&i| {
-                let entry = &self.entries[i];
-                let reasoner = Arc::clone(&entry.reasoner);
-                let window = Arc::clone(&shared_window);
+        let mut live: Vec<&mut ProgramEntry> =
+            self.entries.iter_mut().filter(|e| !e.quarantined).collect();
+        // Every entry reasons over the whole window: equal weights keep
+        // first-admission order.
+        let runs = self.ctx.fork_join(
+            &mut live,
+            |_| window.len(),
+            |entry| {
                 // Spans recorded under this entry carry its serving-entry
                 // fingerprint, so a trace distinguishes tenants' programs.
-                let trace = trace.map(|ctx| sr_obs::TraceCtx {
-                    window_id: window.id,
-                    entry_fp: Some(entry.fingerprint),
-                    ..ctx
+                let _trace_ctx = trace.map(|ctx| {
+                    sr_obs::ctx_scope(sr_obs::TraceCtx {
+                        window_id: window.id,
+                        entry_fp: Some(entry.fingerprint),
+                        ..ctx
+                    })
                 });
-                Box::new(move || {
-                    let _trace_ctx = trace.map(sr_obs::ctx_scope);
-                    let t0 = Instant::now();
-                    let output = lock_recover(&reasoner).process(&window);
-                    (output, t0.elapsed())
-                }) as Job<EntryRun>
-            })
-            .collect();
-        let runs = self.ctx.run(jobs);
+                let t0 = Instant::now();
+                let output = entry.reasoner.process(window);
+                (output, t0.elapsed())
+            },
+        );
 
         // Bookkeeping runs serially, in first-admission order.
-        for (i, run) in live.into_iter().zip(runs) {
-            let entry = &mut self.entries[i];
+        for (entry, run) in live.into_iter().zip(runs) {
             let Ok((Ok(output), latency)) = run else {
                 // This entry's failure (an error, or a panic — the
                 // reasoner's reuse slots are written only after a
@@ -561,7 +554,9 @@ mod tests {
     use crate::config::{ParallelMode, ReasonerConfig};
     use crate::engine::{EngineConfig, StreamEngine};
     use crate::fault::{FaultPlan, FaultSite};
+    use crate::poison::lock_recover;
     use sr_rdf::{Node, Triple};
+    use std::sync::Mutex;
 
     const PROGRAM_A: &str = "jam(X) :- slow(X), busy(X), not light(X).";
     const PROGRAM_B: &str = "fire(X) :- smoke(X), heat(X).";
@@ -574,11 +569,11 @@ mod tests {
         })
     }
 
-    /// The caller-thread engine and one whose entries run on a 2-worker
-    /// pool.
+    /// The caller-thread engine and one whose entries fork under a bound of
+    /// 2 threads.
     fn engines() -> [MultiTenantEngine; 2] {
-        let pooled = ReasonerConfig { incremental: true, workers: 2, ..Default::default() };
-        [engine(), MultiTenantEngine::new(pooled)]
+        let forking = ReasonerConfig { incremental: true, workers: 2, ..Default::default() };
+        [engine(), MultiTenantEngine::new(forking)]
     }
 
     fn t(s: &str, p: &str) -> Triple {
@@ -859,13 +854,17 @@ mod tests {
             eng.admit(&format!("t{i}"), &source, TenantPartitioner::Dependency).unwrap();
         }
         assert_eq!(eng.program_count(), 4, "four distinct programs, four entries");
-        let pool = eng.ctx.pool.clone().expect("Threads mode builds a pool");
-        assert_eq!(pool.workers(), 2, "one 2-worker pool, not one per entry");
+        assert_eq!(eng.ctx.threads(), 2, "one bound of 2 threads, not one per entry");
         for entry in &eng.entries {
-            let reasoner = lock_recover(&entry.reasoner);
-            let entry_pool = reasoner.ctx().pool.as_ref().expect("entries use the pool");
-            assert!(Arc::ptr_eq(entry_pool, &pool), "every entry runs on the engine's pool");
+            let ctx = entry.reasoner.ctx();
+            assert_eq!(ctx.threads(), 2);
+            assert!(
+                Arc::ptr_eq(&ctx.counters, &eng.ctx.counters),
+                "every entry shares the context"
+            );
         }
+        let outputs = eng.process(&window(0)).unwrap();
+        assert_eq!(outputs.len(), 4, "every entry served under the shared bound");
     }
 
     #[test]

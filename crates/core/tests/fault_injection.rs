@@ -1,16 +1,16 @@
 //! Recovery under injected faults: each test puts its [`FaultPlan`] on the
 //! [`ReasonerConfig`] of the reasoner or engine it perturbs
 //! ([`ReasonerConfig::faults`]). A plan reaches nothing else, not even a
-//! reasoner sharing the same pool, so these tests need no isolation from
-//! each other or from any other test.
+//! reasoner sharing the same execution context, so these tests need no
+//! isolation from each other or from any other test.
 
 use asp_core::{FastMap, Symbols};
 use asp_parser::parse_program;
 use sr_core::fault::{FaultPlan, FaultSite};
 use sr_core::{
-    partition_pool, ExecCtx, IncrementalReasoner, MultiTenantEngine, ParallelMode,
-    ParallelReasoner, Partitioner, PartitioningPlan, PlanPartitioner, ReasonerConfig,
-    ReasonerOutput, TenantOutput, TenantPartitioner, UnknownPredicate,
+    ExecCtx, IncrementalReasoner, MultiTenantEngine, ParallelMode, ParallelReasoner, Partitioner,
+    PartitioningPlan, PlanPartitioner, ReasonerConfig, ReasonerOutput, TenantOutput,
+    TenantPartitioner, UnknownPredicate,
 };
 use sr_rdf::{Node, Triple};
 use sr_stream::{Window, WindowDelta};
@@ -56,7 +56,7 @@ fn with_plan(plan: FaultPlan, config: ReasonerConfig) -> ReasonerConfig {
 }
 
 /// P's two communities on the caller thread, which runs the same job body
-/// the pool does: a plan-free reference and a reasoner under `plan`.
+/// a fork does: a plan-free reference and a reasoner under `plan`.
 fn build_pair(plan: FaultPlan) -> (Symbols, ParallelReasoner, IncrementalReasoner) {
     let config =
         ReasonerConfig { incremental: true, mode: ParallelMode::Sequential, ..Default::default() };
@@ -93,20 +93,20 @@ fn injected_worker_panic_hits_every_pooled_job() {
             (0..2).all(|p| fires(p) && !fires(p + (1 << 32)))
         })
         .expect("such a seed exists");
-    // A faulty and a plan-free reasoner over one pool, each with its own
-    // counters.
+    // A faulty and a plan-free reasoner under one thread bound, each with
+    // its own counters.
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
     let threads = ReasonerConfig::default();
-    let pool = partition_pool(&threads, 2).unwrap();
+    let shared = ExecCtx::default().with_bound(&threads, 2);
     let build = |config: ReasonerConfig| {
-        let ctx = ExecCtx { pool: pool.clone(), ..Default::default() };
+        let mut ctx = shared.clone();
+        (ctx.counters, ctx.failures) = Default::default();
         ParallelReasoner::with_ctx(&syms, &program, None, paper_partitioner(), config, ctx).unwrap()
     };
     let mut faulty = build(with_plan(panics(seed), threads.clone()));
     let mut clean = build(threads);
-    let shared = |r: &ParallelReasoner| r.ctx().pool.clone().expect("Threads mode has a pool");
-    assert!(Arc::ptr_eq(&shared(&faulty), &shared(&clean)), "one pool serves both");
+    assert_eq!((faulty.ctx().threads(), clean.ctx().threads()), (2, 2), "one bound serves both");
 
     let w = Window::new(5, motivating_items());
     let expected = render(&syms, &clean.process(&w).unwrap());
@@ -135,7 +135,7 @@ fn injected_panic_recovers_with_identical_output() {
 
 #[test]
 fn pooled_panics_in_a_parallel_reasoner_are_retried_on_their_community() {
-    // Threads mode with its own pool, built without `incremental`.
+    // Threads mode with its own thread bound, built without `incremental`.
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
     let threads = ReasonerConfig { mode: ParallelMode::Threads, ..Default::default() };
@@ -147,7 +147,7 @@ fn pooled_panics_in_a_parallel_reasoner_are_retried_on_their_community() {
 
     let transient = FaultPlan::new().with_rule(FaultSite::WorkerPanic, 0.5, transient_panic_seed());
     let mut pr = build(with_plan(transient, threads.clone()));
-    assert_eq!(pr.workers(), 2, "one pooled worker per partition");
+    assert_eq!(pr.ctx().threads(), 2, "one thread per partition");
     let recovered = pr.process(&w);
     assert_eq!(render(&syms, &recovered.unwrap()), expected, "recovery must be lossless");
     let snap = pr.ctx().failures.snapshot();
@@ -186,7 +186,7 @@ fn pooled_and_sequential_faults_hit_the_same_community() {
     const SLIDES: u64 = 8;
     // A rate-0.5 seed whose retries always recover, and under which some
     // slide's dirty community 1 and the first batch slot (0) roll
-    // differently: a pool that tagged jobs by batch slot would panic (or
+    // differently: a scheduler that tagged jobs by claim slot would panic (or
     // not) where the sequential path does not.
     let seed = (0..10_000)
         .find(|&s| {

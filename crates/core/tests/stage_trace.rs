@@ -37,7 +37,7 @@ fn a_sliding_window_traces_the_caller_stages_and_each_dirty_partition() {
         ReasonerConfig::default(),
     )
     .unwrap();
-    assert!(pr.workers() > 0, "dirty partitions cross the pool boundary");
+    assert!(pr.ctx().threads() > 1, "dirty partitions may fork off the caller");
 
     let mut items = vec![
         t("newcastle", "average_speed", Node::Int(10)),

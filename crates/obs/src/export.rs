@@ -2,7 +2,7 @@
 //! in `chrome://tracing` / Perfetto for per-window flame views.
 //!
 //! Events use the complete-event form (`"ph": "X"` with `ts`/`dur` in
-//! microseconds). Rows (`tid`) separate engine lanes from pool-worker
+//! microseconds). Rows (`tid`) separate engine lanes from
 //! partitions: lane spans land on `tid = lane`, partition spans on
 //! `tid = 100 + partition`, untagged spans on `tid = 99`. The window id
 //! (and, when present, partition and serving-entry fingerprint) ride in

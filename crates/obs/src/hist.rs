@@ -5,7 +5,7 @@
 //! octave: bucket `i` covers `[2^((i-OFFSET)/SCALE), 2^((i-OFFSET+1)/SCALE))`.
 //! Recording is a single relaxed `fetch_add` on the bucket plus atomic
 //! min/max/sum maintenance — no locks, no allocation, safe from any number
-//! of pool workers concurrently. Percentile lookup walks the fixed bucket
+//! of threads concurrently. Percentile lookup walks the fixed bucket
 //! array and returns the geometric midpoint of the bucket holding the
 //! nearest-rank sample, clamped into the exact observed `[min, max]` range,
 //! so the relative error is provably at most [`Histogram::REL_ERROR`]
@@ -115,7 +115,7 @@ impl Histogram {
     }
 
     /// Records one sample. Lock-free; callable concurrently from any
-    /// thread (engine lanes, pool workers).
+    /// thread (engine lanes, forked partition threads).
     pub fn record(&self, value: f64) {
         self.buckets[Self::index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);

@@ -3,10 +3,10 @@
 //! A [`Tracer`] records [`SpanRecord`]s — one per lifecycle [`Stage`]
 //! execution — tagged with the ambient [`TraceCtx`] (window id, lane,
 //! partition index, serving-entry fingerprint). The context is a
-//! thread-local that engine lanes install and partition jobs carry onto
-//! `WorkerPool` workers with [`ctx_scope`], so spans recorded deep inside a
-//! pool worker still attribute to the right window and partition even
-//! though the work crossed a job boundary.
+//! thread-local that engine lanes install and that forked partition threads
+//! and partition jobs install with [`ctx_scope`], so spans recorded deep
+//! inside a forked thread still attribute to the right window and partition
+//! even though the work crossed a thread boundary.
 //!
 //! Tracing is off by default. The disabled fast path —
 //! [`span`] returning `None` — is a single relaxed atomic load and a
@@ -41,6 +41,9 @@ pub enum Stage {
     Ground,
     /// Solving the ground program with CDCL (non-stratified programs only).
     Solve,
+    /// Waiting for forked partition threads: from the moment the calling
+    /// thread runs out of jobs until its last fork is joined.
+    Join,
     /// Combining per-partition answers.
     Combine,
     /// Recovering from a failed partition job: retry attempts and the full
@@ -60,6 +63,7 @@ impl Stage {
             Stage::CacheLookup => "cache_lookup",
             Stage::Ground => "ground",
             Stage::Solve => "solve",
+            Stage::Join => "join",
             Stage::Combine => "combine",
             Stage::Recover => "recover",
             Stage::Emit => "emit",
@@ -75,6 +79,7 @@ impl Stage {
             Stage::CacheLookup,
             Stage::Ground,
             Stage::Solve,
+            Stage::Join,
             Stage::Combine,
             Stage::Recover,
             Stage::Emit,
@@ -89,7 +94,7 @@ pub struct TraceCtx {
     pub window_id: u64,
     /// Engine lane index, when running inside a lane thread.
     pub lane: Option<u32>,
-    /// Partition index, when running inside a pool worker job.
+    /// Partition index, when running inside a partition job.
     pub partition: Option<u32>,
     /// Serving-entry fingerprint, when running under the multi-tenant
     /// engine.
@@ -125,8 +130,8 @@ pub fn current_ctx() -> TraceCtx {
 
 /// Installs `ctx` for the current thread until the guard drops (the
 /// previous context is restored), so nested scopes — an engine lane
-/// handing partitions to pool workers, a pool worker re-used by the next
-/// window — attribute correctly.
+/// forking partition threads, a partition job inside a serving entry —
+/// attribute correctly.
 pub fn ctx_scope(ctx: TraceCtx) -> CtxGuard {
     let prev = CTX.with(|c| c.replace(ctx));
     CtxGuard { prev }
@@ -242,8 +247,8 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// The process-global tracer that the engine, reasoners and pool workers
-/// report to.
+/// The process-global tracer that the engine, reasoners and their forked
+/// threads report to.
 pub fn tracer() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
     GLOBAL.get_or_init(Tracer::new)

@@ -1,8 +1,9 @@
 //! Pipelined multi-window reasoning: a stream of triples is cut by a
 //! `Windower`, pumped into the `StreamEngine`, and reasoned over by several
-//! `PR_Dep` lanes sharing one partition worker pool — windows overlap in
-//! flight, yet emission stays in stream order and byte-identical to the
-//! sequential pipeline.
+//! `PR_Dep` lanes sharing one execution context — windows overlap in
+//! flight, each lane runs its partitions itself and forks threads only
+//! while the shared bound has room, yet emission stays in stream order and
+//! byte-identical to the sequential pipeline.
 //!
 //! Run with: `cargo run --release --example pipelined_engine`
 
@@ -18,14 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let partitioner: Arc<dyn Partitioner> =
         Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
 
-    // One shared execution context: its worker pool serves the partition
-    // jobs of every lane, and every lane reports into its counters.
+    // One shared execution context: it bounds the threads every lane and
+    // its forks reason on, and every lane reports into its counters.
     let in_flight = 3;
     let config = ReasonerConfig::default();
-    let ctx = ExecCtx {
-        pool: partition_pool(&config, partitioner.partitions() * in_flight)?,
-        ..Default::default()
-    };
+    let ctx = ExecCtx::default().with_bound(&config, partitioner.partitions() * in_flight);
     let mut engine = StreamEngine::new(
         EngineConfig { in_flight, queue_depth: in_flight, ..Default::default() },
         |_lane| {
@@ -40,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     println!(
-        "engine ready: {} lanes x {} partitions over a {}-worker pool",
+        "engine ready: {} lanes x {} partitions, at most {} threads reasoning at once",
         engine.lanes(),
         partitioner.partitions(),
-        ctx.workers()
+        ctx.threads()
     );
 
     // A synthetic stream, cut generically through the `Windower` trait into

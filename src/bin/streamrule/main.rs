@@ -748,7 +748,7 @@ impl Mode for ProgramRun<'_> {
                 let r = SingleReasoner::new(syms, program, None, SolverConfig::default())?;
                 Ok(Box::new(r) as Box<dyn Reasoner>)
             }),
-            // Partitioned modes: all lanes share one worker pool sized so
+            // Partitioned modes: all lanes share one thread bound sized so
             // each in-flight window can still fan out over its partitions,
             // and one set of reuse counters.
             Some(partitioner) => StreamEngine::with_partitioned_lanes(
@@ -814,8 +814,9 @@ impl Mode for ProgramRun<'_> {
 /// `MultiTenantEngine`. The first `round(N * dup_ratio)` tenants run the
 /// source verbatim (sharing one serving entry — and one program run per
 /// window); the rest each get a unique `tenant_tag(<i>).` variant and their
-/// own entry. The scheduler serves one window at a time, fanning it out over
-/// its pool, so the engine has one lane: lanes sharing it would only wait
+/// own entry. The scheduler serves one window at a time, forking its entries
+/// and their partitions off the lane thread, so the engine has one lane:
+/// lanes sharing it would only wait
 /// on each other, and could take sliding windows out of order and lose
 /// their reuse. `--in-flight L` sets how many windows queue ahead of it.
 struct TenantRun<'a> {

@@ -43,7 +43,7 @@ fn render(syms: &Symbols, out: &ReasonerOutput) -> String {
     out.answers.iter().map(|a| a.display(syms).to_string()).collect::<Vec<_>>().join("\n")
 }
 
-/// Sequential-mode incremental config: the lanes get no pool and run and
+/// Sequential-mode incremental config: the lanes fork nothing and run and
 /// recover their partitions inline, so every fault site on the sequential
 /// path is exercised deterministically.
 fn chaos_config() -> ReasonerConfig {

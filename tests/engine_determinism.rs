@@ -109,7 +109,7 @@ fn engine_over_shared_pool_matches_per_lane_pools() {
         Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
 
     let config = ReasonerConfig::default();
-    let ctx = ExecCtx { pool: partition_pool(&config, 4).unwrap(), ..Default::default() };
+    let ctx = ExecCtx::default().with_bound(&config, 4);
     let shared = engine_rendered(
         &syms,
         |_| {
@@ -178,7 +178,7 @@ fn tracing_on_and_off_render_identically() {
 #[test]
 fn sequential_mode_pipeline_also_matches() {
     // The query processor in front of a sequential-mode PR_Dep against the
-    // engine's thread-pool lanes fed the raw windows.
+    // engine's forking lanes fed the raw windows.
     let syms = Symbols::new();
     let program = parse_program(&syms, PROGRAM_P).unwrap();
     let analysis =
@@ -203,4 +203,77 @@ fn sequential_mode_pipeline_also_matches() {
     let baseline = baseline_rendered(&syms, make_dep(ParallelMode::Sequential).unwrap(), &filtered);
     let pipelined = engine_rendered(&syms, |_| make_dep(ParallelMode::Threads), &windows, 3);
     assert_eq!(pipelined, baseline);
+}
+
+const LARGE_TRAFFIC: &str = include_str!("../assets/large_traffic.lp");
+
+/// The program's input predicate names grouped by community, sorted.
+fn community_groups(syms: &Symbols, analysis: &DependencyAnalysis) -> Vec<Vec<String>> {
+    let mut groups: Vec<Vec<String>> = vec![Vec::new(); analysis.plan.communities];
+    for p in &analysis.inpre {
+        let name = syms.resolve(p.name).to_string();
+        for &c in analysis.plan.communities_of(&name).unwrap_or_default() {
+            groups[c as usize].push(name.clone());
+        }
+    }
+    groups.retain(|g| !g.is_empty());
+    groups.iter_mut().for_each(|g| g.sort());
+    groups
+}
+
+/// 1 200 items in bursts cycling the program's communities, cut into
+/// 300-item tumbling windows or 300-item windows sliding by 75.
+fn community_windows(groups: Vec<Vec<String>>, sliding: bool) -> Vec<Window> {
+    let items = BurstyGenerator::new(groups, 40, 60, 2017).window(1_200);
+    if !sliding {
+        return items.chunks(300).zip(0..).map(|(c, id)| Window::new(id, c.to_vec())).collect();
+    }
+    let mut windower = SlidingWindower::new(300, 75);
+    let mut windows: Vec<Window> = items.into_iter().filter_map(|t| windower.push(t)).collect();
+    windows.extend(windower.flush());
+    windows
+}
+
+/// PR_Dep lanes under every thread bound — none forking, the lanes alone,
+/// one fork per lane, more permits than partitions — and one or two lanes
+/// answer exactly what R answers, on tumbling and sliding streams.
+#[test]
+fn pr_dep_lanes_under_every_bound_match_the_single_reasoner() {
+    for source in [PROGRAM_P, LARGE_TRAFFIC] {
+        let syms = Symbols::new();
+        let program = parse_program(&syms, source).unwrap();
+        let analysis =
+            DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+        let partitioner: Arc<dyn Partitioner> =
+            Arc::new(PlanPartitioner::new(analysis.plan.clone(), UnknownPredicate::Partition0));
+        for sliding in [false, true] {
+            let windows = community_windows(community_groups(&syms, &analysis), sliding);
+            let r = SingleReasoner::new(&syms, &program, None, SolverConfig::default()).unwrap();
+            let expected = baseline_rendered(&syms, Box::new(r), &windows);
+            assert!(expected.iter().any(|a| a.contains("traffic_jam(")), "no jam: {source}");
+            for workers in [1, 2, 3, 8] {
+                for in_flight in [1, 2] {
+                    let mut engine = StreamEngine::with_partitioned_lanes(
+                        &syms,
+                        &program,
+                        Some(&analysis.inpre),
+                        partitioner.clone(),
+                        ReasonerConfig { workers, ..Default::default() },
+                        EngineConfig { in_flight, queue_depth: in_flight, ..Default::default() },
+                    )
+                    .unwrap();
+                    for w in &windows {
+                        engine.submit(w.clone()).unwrap();
+                    }
+                    let got: Vec<String> = (engine.finish().outputs.iter())
+                        .map(|o| render(&syms, o.result.as_ref().unwrap()))
+                        .collect();
+                    assert_eq!(
+                        got, expected,
+                        "sliding {sliding}, workers {workers}, in_flight {in_flight}: {source}"
+                    );
+                }
+            }
+        }
+    }
 }

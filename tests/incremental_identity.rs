@@ -91,7 +91,7 @@ fn assert_identical_with(
         DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
     let partitioner = partitioner_of(&analysis);
     // Sequential mode keeps the property runs single-threaded and fast; the
-    // engine-level tests cover the pooled path.
+    // engine-level tests cover the forking path.
     let base_cfg = ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() };
     let inc_cfg = ReasonerConfig {
         incremental: true,

@@ -5,9 +5,9 @@
 //! baseline), slide/size combinations, and admit/retire mid-stream. Work
 //! sharing (one program run per serving entry, one shared partition cache)
 //! must never change what any tenant observes, and neither may running the
-//! serving entries concurrently on the shared pool: every property runs
-//! with entries on the caller thread and on a 2-worker pool. Streaming the
-//! windows through a [`StreamEngine`] whose lanes share the scheduler
+//! serving entries concurrently on forked threads: every property runs
+//! with entries on the caller thread and under a bound of 2 threads.
+//! Streaming the windows through a [`StreamEngine`] whose lanes share the scheduler
 //! serves every tenant what direct `process` calls serve it.
 
 use proptest::prelude::*;
@@ -67,10 +67,10 @@ fn serving_config() -> ReasonerConfig {
 }
 
 /// The configs every property serves under: entries on the caller thread,
-/// and entries as jobs on a 2-worker pool.
+/// and entries forked under a bound of 2 threads.
 fn serving_configs() -> [ReasonerConfig; 2] {
-    let pooled = ReasonerConfig { mode: ParallelMode::Threads, workers: 2, ..serving_config() };
-    [serving_config(), pooled]
+    let forking = ReasonerConfig { mode: ParallelMode::Threads, workers: 2, ..serving_config() };
+    [serving_config(), forking]
 }
 
 /// Serves one window, appends each tenant's rendered output to `got`, and
@@ -355,9 +355,10 @@ fn duplicated_tenants_share_allocations() {
     assert_eq!(dedup.shared_runs_saved, windows.len() as u64);
 }
 
-/// Under `Threads` every span recorded while an entry is served on a pool
-/// worker carries that entry's fingerprint and the window id, and each
-/// entry's own stages and its partitions' stages are attributed to it.
+/// Under `Threads` every span recorded while an entry is served, on the
+/// caller or on a fork, carries that entry's fingerprint and the window
+/// id, and each entry's own stages and its partitions' stages are
+/// attributed to it.
 #[test]
 fn spans_of_pooled_entries_carry_their_entry_and_window() {
     use stream_reasoner::sr_obs::{self, Stage};

@@ -112,6 +112,22 @@ fn run_rejects_unknown_flags_by_name() {
     }
 }
 
+/// An aggregate is refused where it stands, by name, not as a stray `:`.
+#[test]
+fn analyze_names_an_unsupported_aggregate() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("aggregate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let program = dir.join("count.lp");
+    std::fs::write(&program, "a(1).\nb(2).\nc(N) :- N = #count{ X : a(X) }.\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+        .args(["analyze", program.to_str().expect("UTF-8 path")])
+        .output()
+        .expect("streamrule runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("3:13: aggregates (#count) are not supported"), "{stderr}");
+}
+
 /// `--mode single` hosts no fault hook, so a `--fault-spec` there would
 /// inject nothing: the run refuses it by name instead.
 #[test]
