@@ -70,7 +70,7 @@ impl ExecCtx {
     /// Runs `run` once on every job, on the caller and on as many forks as
     /// free permits allow; returns the outcomes in submission order. Threads
     /// that share the jobs claim the heaviest by `weight` first; a caller
-    /// alone keeps submission order, which holds fewer jobs' inputs at once.
+    /// alone keeps submission order.
     pub fn fork_join<J: Send, R: Send>(
         &self,
         jobs: &mut [J],

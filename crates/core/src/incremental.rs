@@ -14,7 +14,8 @@
 //! delta is based on that window, every item of the delta has routes, and
 //! none of them routes to `c`; a clean community's answers are reused. Every
 //! other community is dirty: it becomes one job that borrows the
-//! community's reasoner and carries its items, and is recomputed in full
+//! community's reasoner and the window's items, with the indices
+//! [`Partitioner::route`] sent to the community, and is recomputed in full
 //! by [`ExecCtx::fork_join`]: the thread that called
 //! [`IncrementalReasoner::process`] runs the jobs itself and forks a thread
 //! for others only while the context has a free permit (forked threads and
@@ -25,8 +26,8 @@
 //! Faults come from [`ReasonerConfig::faults`]: every job runs
 //! [`FaultPlan::before_partition`] at its community index, on whichever
 //! thread runs it, so every schedule fails at the same coordinates. A
-//! panicked job is retried on its own community's reasoner with the items
-//! it already had; recovery re-rolls `WorkerPanic` at attempt-salted
+//! panicked job is retried on its own community's reasoner over the same
+//! borrowed items; recovery re-rolls `WorkerPanic` at attempt-salted
 //! coordinates, and `CacheInvalidate` turns a clean community dirty.
 //!
 //! This is sound for any delta producer that keeps the multiset invariant
@@ -218,16 +219,18 @@ impl PartitionCache {
     }
 }
 
-/// One dirty partition of one window: its community's reasoner and items.
-/// The same body runs on the caller or on a fork, and a job that panicked
-/// is retried on the same reasoner with the same items.
+/// One dirty partition of one window: its community's reasoner and the
+/// indices of its items, which it borrows from the window. The same body
+/// runs on the caller or on a fork, and a job that panicked is retried on
+/// the same reasoner over the same borrowed items.
 struct PartitionJob<'a> {
     window_id: u64,
     community: usize,
     reasoner: &'a mut SingleReasoner,
-    /// Emptied by the first run that returns; a job that panicked still
-    /// has them for its retries.
-    items: Vec<Triple>,
+    /// The window's items.
+    items: &'a [Triple],
+    /// The indices into `items` routed to this community.
+    idx: Vec<u32>,
     faults: Option<&'a FaultPlan>,
     /// The caller's trace attribution tagged with this partition, carried
     /// onto whichever thread runs the job; `None` while tracing is off,
@@ -252,12 +255,10 @@ impl PartitionJob<'_> {
         self.process()
     }
 
-    /// The community's reasoner over the items, which are then freed on the
-    /// thread that used them rather than serially on the caller's.
+    /// The community's reasoner over its items, read in place.
     fn process(&mut self) -> PartOutcome {
-        let out = self.reasoner.process_items(&self.items);
-        drop(std::mem::take(&mut self.items));
-        out
+        let items = self.items;
+        self.reasoner.process_items(self.idx.iter().map(|&i| &items[i as usize]))
     }
 
     /// Recovers a job that panicked: bounded retries with exponential
@@ -428,7 +429,7 @@ impl IncrementalReasoner {
         });
         let (parts, partition_sizes) = {
             let _span = sr_obs::span(sr_obs::Stage::Partition);
-            let parts = self.partitioner.partition(window);
+            let parts = self.partitioner.route(window);
             let partition_sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
             (parts, partition_sizes)
         };
@@ -447,11 +448,12 @@ impl IncrementalReasoner {
         let mut jobs: Vec<PartitionJob> = (self.communities.iter_mut().zip(parts))
             .enumerate()
             .filter(|(i, _)| per_partition[*i].is_none())
-            .map(|(i, (reasoner, items))| PartitionJob {
+            .map(|(i, (reasoner, idx))| PartitionJob {
                 window_id: window.id,
                 community: i,
                 reasoner,
-                items,
+                items: &window.items,
+                idx,
                 faults,
                 trace: tracing.then(|| sr_obs::TraceCtx {
                     partition: Some(i as u32),
@@ -459,7 +461,7 @@ impl IncrementalReasoner {
                 }),
             })
             .collect();
-        let outcomes = self.ctx.fork_join(&mut jobs, |job| job.items.len(), PartitionJob::run);
+        let outcomes = self.ctx.fork_join(&mut jobs, |job| job.idx.len(), PartitionJob::run);
         let mut stats = SolveStats::default();
         for (job, outcome) in jobs.iter_mut().zip(outcomes) {
             let (answers, s) = match outcome {
@@ -887,6 +889,79 @@ mod tests {
         let o1 = pr.process(&Window::new(0, motivating_items())).unwrap();
         let o2 = pr.process(&Window::new(0, motivating_items())).unwrap();
         assert_eq!(render(&syms, &o1), render(&syms, &o2));
+    }
+
+    /// Routes as [`PlanPartitioner`] does and refuses to clone the window:
+    /// a reasoner that called [`Partitioner::partition`] would panic.
+    struct RouteOnly(PlanPartitioner);
+
+    impl Partitioner for RouteOnly {
+        fn partitions(&self) -> usize {
+            self.0.partitions()
+        }
+        fn route(&self, window: &Window) -> Vec<Vec<u32>> {
+            self.0.route(window)
+        }
+        fn partition(&self, _window: &Window) -> Vec<Vec<Triple>> {
+            panic!("the reasoning path cloned the window's items")
+        }
+        fn item_routes(&self, item: &Triple) -> Option<Vec<u32>> {
+            self.0.item_routes(item)
+        }
+    }
+
+    #[test]
+    fn partitions_borrow_the_window_and_answer_as_r() {
+        use crate::analysis::DependencyAnalysis;
+        use crate::config::AnalysisConfig;
+        use sr_stream::{paper_generator, GeneratorKind};
+
+        let syms = Symbols::new();
+        let program = parse_program(&syms, PROGRAM_P).unwrap();
+        let analysis =
+            DependencyAnalysis::analyze(&syms, &program, None, &AnalysisConfig::default()).unwrap();
+        let mut generator = paper_generator(GeneratorKind::Correlated, 5);
+        let mut windows: Vec<Window> =
+            (0..3).map(|id| Window::new(id, generator.window(300))).collect();
+        let mut windower = SlidingWindower::new(300, 75);
+        windows.extend(generator.window(600).into_iter().filter_map(|t| windower.push(t)));
+        assert!(windows.iter().any(|w| w.delta.is_some()), "sliding windows carry deltas");
+        // A slide that changes nothing: every community is clean.
+        let last = windows.last().expect("sliding windows").clone();
+        windows.push(after(last.id + 1, last.id, last.items, Vec::new()));
+
+        let mut r = SingleReasoner::new(&syms, &program, None, SolverConfig::default()).unwrap();
+        let expected: Vec<Vec<String>> =
+            windows.iter().map(|w| render(&syms, &r.process(w).unwrap())).collect();
+        let configs = [
+            ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() },
+            ReasonerConfig { workers: 1, ..Default::default() },
+            ReasonerConfig { workers: 2, ..Default::default() },
+        ];
+        for config in configs {
+            let label = format!("{:?} with {} workers", config.mode, config.workers);
+            let partitioner: Arc<dyn Partitioner> = Arc::new(RouteOnly(PlanPartitioner::new(
+                analysis.plan.clone(),
+                UnknownPredicate::Partition0,
+            )));
+            let mut pr = IncrementalReasoner::new(
+                &syms,
+                &program,
+                Some(&analysis.inpre),
+                partitioner,
+                config,
+            )
+            .unwrap();
+            for (w, want) in windows.iter().zip(&expected) {
+                assert_eq!(
+                    &render(&syms, &pr.process(w).unwrap()),
+                    want,
+                    "{label}, window {}",
+                    w.id
+                );
+            }
+            assert_eq!(pr.ctx().counters.snapshot().hits, 2, "{label}: the last slide reuses both");
+        }
     }
 
     #[test]

@@ -9,17 +9,31 @@ use sr_stream::{Pcg32, Window};
 use std::sync::Arc;
 
 /// A strategy splitting windows into sub-windows.
+///
+/// [`Partitioner::route`] is the one method a partitioner implements: it
+/// records the split as item indices, so the reasoning path borrows the
+/// window instead of copying its items. [`Partitioner::partition`] is a
+/// facade built from it for callers that want the sub-windows themselves.
 pub trait Partitioner: Send + Sync {
     /// Number of partitions produced.
     fn partitions(&self) -> usize;
-    /// Splits a window into exactly [`Partitioner::partitions`] vectors;
-    /// vector `i` always feeds the same reasoner, community `i`'s.
-    fn partition(&self, window: &Window) -> Vec<Vec<Triple>>;
+    /// Routes a window: exactly [`Partitioner::partitions`] lists of indices
+    /// into `window.items`. List `i` always feeds the same reasoner,
+    /// community `i`'s; an index appears in several lists when its item is
+    /// duplicated.
+    fn route(&self, window: &Window) -> Vec<Vec<u32>>;
+    /// The sub-windows themselves: [`Partitioner::route`]'s lists with each
+    /// index replaced by a clone of its item. No reasoner calls it.
+    fn partition(&self, window: &Window) -> Vec<Vec<Triple>> {
+        let gather =
+            |idx: Vec<u32>| idx.iter().map(|&i| window.items[i as usize].clone()).collect();
+        self.route(window).into_iter().map(gather).collect()
+    }
     /// Content-based per-item routing, when the partitioner supports it:
     /// the partition indices `item` would land in (several under
     /// duplication), *independent of the window* the item arrives in. `None` means routing depends on window
     /// context (e.g. the window-id-seeded random baseline). When `Some`, the
-    /// routes must agree exactly with [`Partitioner::partition`].
+    /// routes must agree exactly with [`Partitioner::route`].
     ///
     /// The [`IncrementalReasoner`](crate::incremental::IncrementalReasoner)
     /// routes each window's delta through it to find the communities a
@@ -27,6 +41,11 @@ pub trait Partitioner: Send + Sync {
     fn item_routes(&self, _item: &Triple) -> Option<Vec<u32>> {
         None
     }
+}
+
+/// The index of every item of `window`, which must hold fewer than 2^32.
+fn indices(window: &Window) -> std::ops::Range<u32> {
+    0..u32::try_from(window.items.len()).expect("a window holds fewer than 2^32 items")
 }
 
 /// Algorithm 1: group items by predicate, route each group to the
@@ -55,17 +74,17 @@ impl Partitioner for PlanPartitioner {
         self.plan.communities
     }
 
-    fn partition(&self, window: &Window) -> Vec<Vec<Triple>> {
-        let mut parts: Vec<Vec<Triple>> = vec![Vec::new(); self.plan.communities];
+    fn route(&self, window: &Window) -> Vec<Vec<u32>> {
+        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); self.plan.communities];
         // group(W): classify items by predicate (Algorithm 1, line 3), in
         // first-appearance order. A predicate's text is looked up by its
         // address first, so its name is read once per distinct allocation;
         // the window is borrowed for the whole call, so no address is freed
         // and reused for other text meanwhile.
-        let mut groups: Vec<(&str, Vec<&Triple>)> = Vec::new();
+        let mut groups: Vec<(&str, Vec<u32>)> = Vec::new();
         let mut by_name: FastMap<&str, usize> = FastMap::default();
         let mut by_text: FastMap<*const u8, usize> = FastMap::default();
-        for item in &window.items {
+        for (i, item) in indices(window).zip(&window.items) {
             let text = match &item.p {
                 Node::Iri(text) | Node::Literal(text) => Some(Arc::as_ptr(text).cast::<u8>()),
                 Node::Int(_) => None,
@@ -84,12 +103,12 @@ impl Partitioner for PlanPartitioner {
                     g
                 }
             };
-            groups[g].1.push(item);
+            groups[g].1.push(i);
         }
         // findCommunities + add group into the proper partitions (lines 4-9).
-        for (name, items) in groups {
+        for (name, idx) in groups {
             for &c in self.plan.communities_of(name).unwrap_or(&[0]) {
-                parts[c as usize].extend(items.iter().map(|t| (*t).clone()));
+                parts[c as usize].extend_from_slice(&idx);
             }
         }
         parts
@@ -97,7 +116,7 @@ impl Partitioner for PlanPartitioner {
 
     fn item_routes(&self, item: &Triple) -> Option<Vec<u32>> {
         // Routing is by predicate, so it never depends on the window: the
-        // exact per-item form of `partition` above.
+        // exact per-item form of `route` above.
         Some(self.plan.communities_of(item.predicate_name()).unwrap_or(&[0]).to_vec())
     }
 }
@@ -124,11 +143,11 @@ impl Partitioner for RandomPartitioner {
         self.k
     }
 
-    fn partition(&self, window: &Window) -> Vec<Vec<Triple>> {
+    fn route(&self, window: &Window) -> Vec<Vec<u32>> {
         let mut rng = Pcg32::seed(self.seed ^ window.id.wrapping_mul(0x9E3779B97F4A7C15));
-        let mut parts: Vec<Vec<Triple>> = vec![Vec::new(); self.k];
-        for item in &window.items {
-            parts[rng.below(self.k as u64) as usize].push(item.clone());
+        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); self.k];
+        for i in indices(window) {
+            parts[rng.below(self.k as u64) as usize].push(i);
         }
         parts
     }
@@ -209,6 +228,30 @@ mod tests {
         let total: usize = parts.iter().map(Vec::len).sum();
         // dup counted twice (duplication), others once.
         assert_eq!(total, w.len() + 1);
+    }
+
+    /// `partition` is `route` with each index replaced by its item, for
+    /// both partitioners: a duplicated predicate lands in both communities,
+    /// an unknown one in community 0, and the random split places every
+    /// item once.
+    #[test]
+    fn route_and_partition_agree_item_for_item() {
+        let w = window(&["a", "b", "dup", "mystery", "a", "dup"]);
+        let plan = PlanPartitioner::new(plan2(), UnknownPredicate::Partition0);
+        assert_eq!(plan.route(&w), [vec![0, 4, 2, 5, 3], vec![1, 2, 5]]);
+        let random = RandomPartitioner::new(3, 42);
+        let mut placed = random.route(&w).concat();
+        placed.sort_unstable();
+        assert_eq!(placed, [0, 1, 2, 3, 4, 5]);
+        for p in [&plan as &dyn Partitioner, &random] {
+            let routes = p.route(&w);
+            assert_eq!(routes.len(), p.partitions());
+            let gathered: Vec<Vec<Triple>> = routes
+                .iter()
+                .map(|idx| idx.iter().map(|&i| w.items[i as usize].clone()).collect())
+                .collect();
+            assert_eq!(p.partition(&w), gathered);
+        }
     }
 
     #[test]

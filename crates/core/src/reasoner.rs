@@ -109,12 +109,18 @@ impl SingleReasoner {
     }
 
     /// Transform → perfect model, or transform → ground → solve when the
-    /// program is not stratified, for a bag of triples; used directly by
-    /// the parallel reasoner's workers.
-    pub fn process_items(
+    /// program is not stratified, for a bag of triples: a whole window's
+    /// (`&window.items`), or a partition's, borrowed from its window through
+    /// the partition's indices (`idx.iter().map(|&i| &items[i as usize])`),
+    /// as the partitioned reasoner's jobs pass them.
+    pub fn process_items<'t, I>(
         &mut self,
-        items: &[Triple],
-    ) -> Result<(Vec<AnswerSet>, SolveStats), AspError> {
+        items: I,
+    ) -> Result<(Vec<AnswerSet>, SolveStats), AspError>
+    where
+        I: IntoIterator<Item = &'t Triple>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let facts = {
             let _span = sr_obs::span(sr_obs::Stage::Windowing);
             self.format.window_to_facts(items)

@@ -91,10 +91,19 @@ impl FormatProcessor {
         fact
     }
 
-    /// Translates a window of triples into facts.
-    pub fn window_to_facts(&mut self, triples: &[Triple]) -> Vec<GroundAtom> {
-        let facts = triples.iter().map(|t| self.fact(t)).collect();
-        self.bound(triples.len());
+    /// Translates a window of triples into facts, in the order given: a
+    /// whole window (`&window.items`) or the items of a partition, borrowed
+    /// through its indices (`idx.iter().map(|&i| &items[i as usize])`).
+    /// The memos are bounded once per call, by the number of triples.
+    pub fn window_to_facts<'t, I>(&mut self, triples: I) -> Vec<GroundAtom>
+    where
+        I: IntoIterator<Item = &'t Triple>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let triples = triples.into_iter();
+        let n = triples.len();
+        let facts = triples.map(|t| self.fact(t)).collect();
+        self.bound(n);
         facts
     }
 
@@ -328,12 +337,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
+        /// Each window is translated whole and then through an index list
+        /// that repeats and reorders its items, as a partition borrows them.
         #[test]
         fn memo_translation_equals_fresh_translation(
             windows in prop::collection::vec(
-                prop::collection::vec(
-                    (node_spec(), (0..TEXTS.len(), source()), node_spec()),
-                    0..24,
+                (
+                    prop::collection::vec(
+                        (node_spec(), (0..TEXTS.len(), source()), node_spec()),
+                        0..24,
+                    ),
+                    prop::collection::vec(0usize..64, 0..32),
                 ),
                 1..6,
             )
@@ -342,7 +356,7 @@ mod tests {
             let config = FormatConfig { unary_predicates: vec!["light".into()] };
             let mut memo = FormatProcessor::new(&syms, &config);
             let table = texts();
-            for specs in windows {
+            for (specs, picks) in windows {
                 let local = texts();
                 let items: Vec<Triple> = specs
                     .iter()
@@ -354,6 +368,14 @@ mod tests {
                     .collect();
                 let expected: Vec<GroundAtom> = items.iter().map(|t| fresh_fact(&syms, t)).collect();
                 prop_assert_eq!(memo.window_to_facts(&items), expected);
+                if items.is_empty() {
+                    continue;
+                }
+                let idx: Vec<usize> = picks.iter().map(|p| p % items.len()).collect();
+                let indexed = memo.window_to_facts(idx.iter().map(|&i| &items[i]));
+                let gathered: Vec<Triple> = idx.iter().map(|&i| items[i].clone()).collect();
+                let fresh = FormatProcessor::new(&syms, &config).window_to_facts(&gathered);
+                prop_assert_eq!(indexed, fresh);
             }
         }
     }
@@ -413,6 +435,11 @@ mod tests {
                 .collect();
             p.window_to_facts(&items);
             assert!(p.iris.len() + p.literals.len() <= 3 * items.len(), "window {w}");
+            // A partition's call is bounded by its index count, not the
+            // window's length.
+            let idx = [w % 10, (w + 3) % 10, w % 10];
+            p.window_to_facts(idx.iter().map(|&i| &items[i]));
+            assert!(p.iris.len() + p.literals.len() <= 3 * idx.len(), "window {w}, indexed");
         }
         // Texts only the window holds cannot come back: nothing is kept.
         let mut q = FormatProcessor::new(&syms, &FormatConfig::default());

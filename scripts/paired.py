@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of two revisions, recorded as BENCH_<pr>.json.
+"""Paired benchmark runs of two revisions, recorded as BENCH_<label>.json.
 
-    scripts/paired.py run --parent REV --change REV --pr N [--pairs 10]
+    scripts/paired.py run --parent REV --change REV --pr LABEL [--pairs 10]
                           [--seconds S] [--seed 2017] [--workloads a,b]
     scripts/paired.py check FILE...
 
@@ -11,7 +11,7 @@ untracked files never reach a measurement), builds the benchmark there offline
 with the vendored dependencies, and then runs the `BENCHMARK.json` command
 on every workload for `--pairs` pairs, alternating the sides: the parent
 runs first in even pairs, the change first in odd ones. It writes
-`BENCH_<pr>.json` at the repository root with every run, and per workload
+`BENCH_<label>.json` at the repository root with every run, and per workload
 and metric both sides' medians and quartiles, the pairs the change won,
 the metric's bound and a verdict:
 
@@ -22,6 +22,11 @@ the metric's bound and a verdict:
   change / for the parent: that side won at least nine tenths of the pairs
   and the medians are further apart than the parent's quartile spread;
 - `no_change` otherwise.
+
+The label is a PR number (`N`) or any other name, so an A/A record
+(`--parent X --change X --pr N_aa`) or a re-anchor's (`--pr reanchor_N`)
+sits beside the PR's own; the record's `pr` key holds the label, as an
+integer when it is one.
 
 `check` parses each named record and fails on a missing key; CI runs it on
 every committed `BENCH_*.json`.
@@ -119,7 +124,8 @@ def run(args):
     for name, rev in sides.items():
         print(f"building {name} {rev[:12]}", file=sys.stderr)
         export(rev, trees[name])
-    record = {"pr": args.pr, **sides, "nproc": os.cpu_count(), "seed": args.seed,
+    label = int(args.pr) if args.pr.isdigit() else args.pr
+    record = {"pr": label, **sides, "nproc": os.cpu_count(), "seed": args.seed,
               "seconds": seconds, "pairs": args.pairs, "command": command, "workloads": {}}
     for workload in workloads:
         runs = {"parent": [], "change": []}
@@ -176,7 +182,7 @@ def main():
     r = sub.add_parser("run")
     r.add_argument("--parent", required=True)
     r.add_argument("--change", required=True)
-    r.add_argument("--pr", type=int, required=True)
+    r.add_argument("--pr", required=True, help="the record's label: BENCH_<label>.json")
     r.add_argument("--pairs", type=int, default=10)
     r.add_argument("--seconds", type=int, help="default: BENCHMARK.json's run_seconds")
     r.add_argument("--seed", type=int, default=2017)

@@ -898,15 +898,18 @@ impl Mode for TenantRun<'_> {
             .collect()
     }
 
+    /// The counts, then the digest of [`Mode::render`]'s rendering, so a
+    /// diff of two runs' output compares every tenant's answers.
     fn print(&self, out: &EngineOutput<Vec<TenantOutput>>, outputs: &Vec<TenantOutput>) {
         let answers: usize = outputs.iter().map(|o| o.output.answers.len()).sum();
         println!(
-            "window {} ({} items): {} tenant result(s), {} answer set(s) total{}",
+            "window {} ({} items): {} tenant result(s), {} answer set(s) total{} #{:016x}",
             out.window_id,
             out.items,
             outputs.len(),
             answers,
-            if out.degraded { DEGRADED } else { "" }
+            if out.degraded { DEGRADED } else { "" },
+            digest(&self.render(outputs))
         );
     }
 
@@ -974,10 +977,15 @@ fn answer_line(rendered: &str) -> String {
         return rendered.to_string();
     }
     let cut = (0..=MAX_BYTES).rev().find(|&i| rendered.is_char_boundary(i)).unwrap_or(0);
-    let digest = rendered
+    format!("{}...}} #{:016x}", &rendered[..cut], digest(rendered))
+}
+
+/// The FNV-1a-64 digest `run` prints after a cut answer and at the end of a
+/// tenant window line.
+fn digest(rendered: &str) -> u64 {
+    rendered
         .bytes()
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
-    format!("{}...}} #{digest:016x}", &rendered[..cut])
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The recovery-counter summary line. Only printed when the run produced

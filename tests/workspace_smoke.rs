@@ -319,3 +319,42 @@ fn run_rejects_zero_lanes() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("bad --in-flight (need L >= 1 lanes)"), "{stderr}");
 }
+
+/// A tenant run ends each window line with the digest of every tenant's
+/// answers, so an output diff compares answers, not only counts: one tenant
+/// running the program verbatim and one running it plus `tenant_tag(0).`
+/// print equal counts but different digests on every window.
+#[test]
+fn tenant_window_lines_carry_an_answer_digest() {
+    let run = |dup_ratio: &str| -> Vec<(String, String)> {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_streamrule"))
+            .args(["run", "assets/traffic_p.lp", "--window", "200", "--windows", "3"])
+            .args(["--tenants", "1", "--dup-ratio", dup_ratio])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("streamrule runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "exit {:?}: {stdout}", out.status);
+        let lines: Vec<(String, String)> = stdout
+            .lines()
+            .filter(|l| l.starts_with("window "))
+            .map(|l| {
+                let (counts, digest) = l.rsplit_once(" #").expect("a digest ends the line");
+                (counts.to_string(), digest.to_string())
+            })
+            .collect();
+        assert_eq!(lines.len(), 3, "{stdout}");
+        for (_, digest) in &lines {
+            assert!(
+                digest.len() == 16 && digest.bytes().all(|b| b.is_ascii_hexdigit()),
+                "{stdout}"
+            );
+        }
+        lines
+    };
+    let (verbatim, tagged) = (run("1"), run("0"));
+    for ((counts_v, digest_v), (counts_t, digest_t)) in verbatim.iter().zip(&tagged) {
+        assert_eq!(counts_v, counts_t, "the tag adds no answer set");
+        assert_ne!(digest_v, digest_t, "the tag is in every answer: {counts_v}");
+    }
+}
