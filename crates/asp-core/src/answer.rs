@@ -19,12 +19,25 @@
 //! argument padded with 0. Any other batch (function terms, wider arity,
 //! integers spread too far) is keyed by a variable-length word encoding
 //! (`OrderKeys`) instead.
+//!
+//! **How a union is computed.** A sorted set holds each predicate name and
+//! polarity in one *run* of consecutive atoms (arities interleave inside
+//! it: `p(1) < p(1,2) < p(5)`). A union first finds every set's runs in
+//! one pass and orders them by (name rank, polarity), reading the rank
+//! snapshot once per run. Under dependency partitioning the sets hold
+//! almost disjoint predicates, so most runs belong to one set alone and are
+//! laid into the union whole, with no key. Only the runs of a predicate
+//! several sets share are keyed, in one batch over those runs, and merged
+//! k ways. A set may be handed over owned
+//! ([`AnswerSet::union_parts`]); its atoms are then moved into the union,
+//! and a borrowed set's are cloned.
 
 use crate::atom::{GroundAtom, Predicate};
 #[cfg(test)]
 use crate::symbol::{FastMap, Sym};
 use crate::symbol::{FastSet, Symbols};
 use crate::term::GroundTerm;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One answer set: a set of ground atoms, stored sorted (see the module
@@ -88,44 +101,70 @@ impl AnswerSet {
         self.project(syms, |p| preds.contains(p))
     }
 
-    /// Union of two answer sets (used by the combining handler).
-    ///
-    /// Both sides are already sorted, so this is a linear merge over the
-    /// same integer keys [`AnswerSet::new`] sorts by, rather than a re-sort —
-    /// the combining handler unions window-sized sets on the critical path.
+    /// Union of two answer sets (used by the combining handler): the
+    /// [`AnswerSet::union_many`] of the pair.
     pub fn union(&self, other: &AnswerSet, syms: &Symbols) -> AnswerSet {
-        if self.is_empty() {
-            return other.clone();
-        }
-        if other.is_empty() {
-            return self.clone();
-        }
-        let keys = Keys::new(self.atoms.iter().chain(&other.atoms), syms);
-        let atoms = match &keys {
-            Keys::Packed(k) => merge(&[self, other], |i| k[i].0),
-            Keys::Words(k) => merge(&[self, other], |i| k.key(i)),
-        };
-        AnswerSet { atoms }
+        AnswerSet::union_many(syms, &[self, other])
     }
 
-    /// Union of many answer sets in one k-way merge — the combining
+    /// Union of many answer sets, cloning their atoms — the combining
     /// handler's fast path when every partition has a single answer set.
     ///
-    /// Equivalent to folding [`AnswerSet::union`] pairwise (the
-    /// pairwise-fold equivalence tests pin this down), over the same integer
-    /// keys.
+    /// Equivalent to folding [`AnswerSet::union`] pairwise and to
+    /// [`AnswerSet::new`] over all the atoms (the proptests pin both down);
+    /// see [`AnswerSet::union_parts`] for how it is computed.
     pub fn union_many(syms: &Symbols, sets: &[&AnswerSet]) -> AnswerSet {
-        if sets.is_empty() {
-            return AnswerSet::default();
+        AnswerSet::union_parts(syms, sets.iter().map(|s| Cow::Borrowed(*s)).collect())
+    }
+
+    /// Union of answer sets each borrowed or owned: a borrowed set's atoms
+    /// are cloned into the union, an owned set's are moved.
+    ///
+    /// The union is laid out run by run (see the module docs): a predicate
+    /// run no other set holds is copied whole, and only the runs of the
+    /// predicates several sets share are merged on integer keys.
+    pub fn union_parts(syms: &Symbols, parts: Vec<Cow<'_, AnswerSet>>) -> AnswerSet {
+        if parts.len() <= 1 {
+            return parts.into_iter().next().map(Cow::into_owned).unwrap_or_default();
         }
-        if sets.len() == 1 {
-            return sets[0].clone();
+        let mut runs = Vec::new();
+        let mut covering = 0;
+        for (set, part) in parts.iter().enumerate() {
+            let atoms = part.atoms();
+            let mut start = 0;
+            while let Some(first) = atoms.get(start) {
+                let len = atoms[start..]
+                    .iter()
+                    .position(|a| a.pred != first.pred || a.strong_neg != first.strong_neg)
+                    .unwrap_or(atoms.len() - start);
+                runs.push(Run { order: 0, set, start, len });
+                covering = covering.max(first.pred.0 as usize + 1);
+                start += len;
+            }
         }
-        let keys = Keys::new(sets.iter().flat_map(|s| &s.atoms), syms);
-        let atoms = match &keys {
-            Keys::Packed(k) => merge(sets, |i| k[i].0),
-            Keys::Words(k) => merge(sets, |i| k.key(i)),
-        };
+        let ranks = syms.name_ranks(covering);
+        for run in &mut runs {
+            let first = &parts[run.set].atoms[run.start];
+            run.order =
+                (u64::from(ranks[first.pred.0 as usize]) << 1) | u64::from(first.strong_neg);
+        }
+        runs.sort_unstable_by_key(|r| (r.order, r.set));
+
+        // One batch of keys over the runs of shared predicates, laid end to
+        // end in run order; a run held by one set needs none.
+        let shared: Vec<&[GroundAtom]> = (runs.chunk_by(|a, b| a.order == b.order))
+            .filter(|group| group.len() > 1)
+            .flatten()
+            .map(|r| &parts[r.set].atoms[r.start..r.start + r.len])
+            .collect();
+        let keys = Keys::new(shared.iter().flat_map(|run| run.iter()), syms);
+
+        let mut atoms = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        let mut sources: Vec<Source> = parts.into_iter().map(Source::from).collect();
+        match &keys {
+            Keys::Packed(k) => lay_out(&runs, &mut sources, &mut atoms, |i| k[i].0),
+            Keys::Words(k) => lay_out(&runs, &mut sources, &mut atoms, |i| k.key(i)),
+        }
         AnswerSet { atoms }
     }
 
@@ -142,43 +181,109 @@ impl AnswerSet {
     }
 }
 
-/// Merges sorted, duplicate-free `sets` into one, dropping duplicates;
-/// `key(i)` is the key of the `i`-th atom of the sets laid end to end.
-fn merge<K: Ord>(sets: &[&AnswerSet], key: impl Fn(usize) -> K) -> Vec<GroundAtom> {
-    // Set i's atoms are keys `starts[i]..ends[i]`; `heads[i]` is its next
-    // unmerged one.
-    let mut starts = Vec::with_capacity(sets.len());
-    let mut ends = Vec::with_capacity(sets.len());
+/// A maximal stretch of one set's atoms with one predicate name and
+/// polarity. Arities share a run: `p(1) < p(1,2) < p(5)` interleave.
+struct Run {
+    /// `rank(name) << 1 | strong_neg`: runs in this order lay out the union.
+    order: u64,
+    set: usize,
+    start: usize,
+    len: usize,
+}
+
+/// Where the atoms of one set come from, in the set's order: cloned from a
+/// borrowed set, moved out of an owned one. Every atom is taken or skipped
+/// exactly once, in order, because a set's runs are laid out in its order.
+enum Source<'a> {
+    Borrowed(std::slice::Iter<'a, GroundAtom>),
+    Owned(std::vec::IntoIter<GroundAtom>),
+}
+
+impl<'a> From<Cow<'a, AnswerSet>> for Source<'a> {
+    fn from(part: Cow<'a, AnswerSet>) -> Self {
+        match part {
+            Cow::Borrowed(set) => Source::Borrowed(set.atoms.iter()),
+            Cow::Owned(set) => Source::Owned(set.atoms.into_iter()),
+        }
+    }
+}
+
+impl Source<'_> {
+    fn take_run(&mut self, len: usize, out: &mut Vec<GroundAtom>) {
+        match self {
+            Source::Borrowed(it) => out.extend(it.by_ref().take(len).cloned()),
+            Source::Owned(it) => out.extend(it.by_ref().take(len)),
+        }
+    }
+
+    fn take(&mut self) -> GroundAtom {
+        match self {
+            Source::Borrowed(it) => it.next().cloned(),
+            Source::Owned(it) => it.next(),
+        }
+        .expect("a run lies inside its set")
+    }
+
+    fn skip(&mut self) {
+        match self {
+            Source::Borrowed(it) => drop(it.next()),
+            Source::Owned(it) => drop(it.next()),
+        }
+    }
+}
+
+/// Lays the runs, sorted by [`Run::order`], into `out`: a run no other set
+/// holds whole, and the runs of a shared predicate merged k ways, dropping
+/// duplicates. `key(i)` is the key of the `i`-th atom of the shared runs
+/// laid end to end.
+fn lay_out<K: Ord + Copy>(
+    runs: &[Run],
+    sources: &mut [Source],
+    out: &mut Vec<GroundAtom>,
+    key: impl Fn(usize) -> K,
+) {
+    /// A shared run's next unmerged atom: its index among the shared runs'
+    /// keys, the run's end there, its set and its key (`None` once merged).
+    struct Head<K> {
+        at: usize,
+        end: usize,
+        set: usize,
+        key: Option<K>,
+    }
     let mut offset = 0;
-    for s in sets {
-        starts.push(offset);
-        offset += s.len();
-        ends.push(offset);
-    }
-    let mut heads = starts.clone();
-    let mut atoms = Vec::with_capacity(offset);
-    loop {
-        // Linear minimum over the k heads: k is the partition count, which
-        // is small; a heap would cost more than it saves.
-        let mut best: Option<(usize, K)> = None;
-        for i in 0..sets.len() {
-            if heads[i] < ends[i] {
-                let k = key(heads[i]);
-                if best.as_ref().is_none_or(|(_, min)| k < *min) {
-                    best = Some((i, k));
+    let mut heads = Vec::new();
+    for group in runs.chunk_by(|a, b| a.order == b.order) {
+        if let [run] = group {
+            sources[run.set].take_run(run.len, out);
+            continue;
+        }
+        heads.clear();
+        for run in group {
+            heads.push(Head {
+                at: offset,
+                end: offset + run.len,
+                set: run.set,
+                key: Some(key(offset)),
+            });
+            offset += run.len;
+        }
+        // Linear minimum over the heads: a group holds at most one run per
+        // set, which is few; a heap would cost more.
+        while let Some(min) = heads.iter().filter_map(|h| h.key).min() {
+            // Equal keys are equal atoms: take the first, skip the others.
+            let mut taken = false;
+            for head in heads.iter_mut().filter(|h| h.key == Some(min)) {
+                if taken {
+                    sources[head.set].skip();
+                } else {
+                    out.push(sources[head.set].take());
+                    taken = true;
                 }
-            }
-        }
-        let Some((b, min)) = best else { break };
-        atoms.push(sets[b].atoms[heads[b] - starts[b]].clone());
-        // Advancing every head equal to the minimum deduplicates.
-        for (head, &end) in heads.iter_mut().zip(&ends) {
-            while *head < end && key(*head) == min {
-                *head += 1;
+                head.at += 1;
+                head.key = (head.at < head.end).then(|| key(head.at));
             }
         }
     }
-    atoms
 }
 
 /// Reorders `items` in place, cycle by cycle, so that `items[k]` becomes
@@ -672,6 +777,39 @@ mod tests {
         assert_eq!(AnswerSet::union_many(&syms, &refs[..1]), sets[0]);
     }
 
+    #[test]
+    fn unions_lay_private_runs_whole_and_merge_shared_ones() {
+        let syms = Symbols::new();
+        let (p, q, r) = (syms.intern("p"), syms.intern("q"), syms.intern("r"));
+        let ints = |pred, neg, xs: &[i64]| GroundAtom {
+            pred,
+            args: xs.iter().map(|&i| GroundTerm::Int(i)).collect(),
+            strong_neg: neg,
+        };
+        // `p` is shared at two arities and both polarities, `q` and `r` are
+        // each held by one set.
+        let a = vec![
+            ints(p, false, &[1]),
+            ints(p, false, &[5]),
+            ints(p, true, &[2]),
+            ints(r, false, &[]),
+        ];
+        let b = vec![
+            ints(p, false, &[1, 2]),
+            ints(p, false, &[5]),
+            ints(p, true, &[1]),
+            ints(q, false, &[3]),
+        ];
+        let sets = [AnswerSet::new(a.clone(), &syms), AnswerSet::new(b.clone(), &syms)];
+        let want = AnswerSet::new(a.into_iter().chain(b).collect(), &syms);
+        assert_eq!(want.display(&syms).to_string(), "{p(1) p(1,2) p(5) -p(1) -p(2) q(3) r}");
+        assert_eq!(sets[0].union(&sets[1], &syms), want);
+        let owned = sets.iter().cloned().map(Cow::Owned).collect();
+        assert_eq!(AnswerSet::union_parts(&syms, owned), want);
+        assert_eq!(AnswerSet::union_parts(&syms, vec![Cow::Owned(sets[0].clone())]), sets[0]);
+        assert!(AnswerSet::union_parts(&syms, Vec::new()).is_empty());
+    }
+
     /// A ground term over a name list, before interning.
     #[derive(Clone, Debug)]
     enum TermSpec {
@@ -808,6 +946,51 @@ mod tests {
     const INTERN_ORDER: [&str; 12] =
         ["m", "p", "mb", "a", "z", "ma", "n", "\u{0}", "zz", "mab", "", "pa"];
 
+    /// Names of the predicates every set may hold, and of one predicate per
+    /// set that only that set holds (sorting first, last and in between).
+    const SHARED: [&str; 2] = ["p", "q"];
+    const OWN: [&str; 5] = ["zo", "ao", "mo", "\u{0}o", "pa"];
+
+    /// Builds set `k` of `sets` after interning the names it adds: its own
+    /// predicate, the shared ones and a few more of [`INTERN_ORDER`]. About
+    /// a third of its atoms go under its own predicate, the rest under a
+    /// shared one; arities and polarities come from the specs. The union of
+    /// the sets, borrowed, owned or mixed, must equal [`AnswerSet::new`] over
+    /// all their atoms: a sort, which merges nothing.
+    fn check_union_by_runs(sets: &[Vec<AtomSpec>]) -> Result<(), TestCaseError> {
+        let syms = Symbols::new();
+        let mut built = Vec::new();
+        let mut all = Vec::new();
+        for (k, specs) in sets.iter().enumerate() {
+            let names: Vec<&str> = [OWN[k], SHARED[0], SHARED[1]]
+                .into_iter()
+                .chain(INTERN_ORDER[..(3 + 3 * k).min(INTERN_ORDER.len())].iter().copied())
+                .collect();
+            for name in names.iter().rev() {
+                syms.intern(name);
+            }
+            let specs: Vec<AtomSpec> = (specs.iter().enumerate())
+                .map(|(j, (p, neg, args))| {
+                    let pick = p + j;
+                    (if pick % 3 == 0 { 0 } else { 1 + pick % 2 }, *neg, args.clone())
+                })
+                .collect();
+            let atoms = build(&syms, &names, &specs);
+            all.extend(atoms.iter().cloned());
+            built.push(AnswerSet::new(atoms, &syms));
+        }
+        let want = AnswerSet::new(all, &syms);
+        let refs: Vec<&AnswerSet> = built.iter().collect();
+        prop_assert_eq!(&AnswerSet::union_many(&syms, &refs), &want);
+        let owned = built.iter().cloned().map(Cow::Owned).collect();
+        prop_assert_eq!(&AnswerSet::union_parts(&syms, owned), &want);
+        let mixed = (built.iter().enumerate())
+            .map(|(i, s)| if i % 2 == 0 { Cow::Owned(s.clone()) } else { Cow::Borrowed(s) })
+            .collect();
+        prop_assert_eq!(&AnswerSet::union_parts(&syms, mixed), &want);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -835,6 +1018,20 @@ mod tests {
             cuts in prop::collection::vec(0usize..50, 0..5),
         ) {
             check_union_many(&specs, &cuts)?;
+        }
+
+        #[test]
+        fn unions_by_runs_equal_one_sort_of_all_atoms(
+            sets in prop::collection::vec(atom_specs(), 1..=OWN.len()),
+        ) {
+            check_union_by_runs(&sets)?;
+        }
+
+        #[test]
+        fn unions_by_runs_equal_one_sort_of_all_atoms_on_flat_atoms(
+            sets in prop::collection::vec(flat_atom_specs(), 1..=OWN.len()),
+        ) {
+            check_union_by_runs(&sets)?;
         }
 
         #[test]

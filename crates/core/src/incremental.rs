@@ -43,6 +43,12 @@
 //! are kept unless both it and the window answered before it came without a
 //! delta. A tumbling stream therefore holds nothing, while a sliding
 //! stream's first window, which has no delta, is held for its second.
+//! [`IncrementalReasoner::process`] decides this before it combines. A held
+//! window's answers go into one `Arc` per community and the combining
+//! handler borrows them. A window held for nothing has no clean community
+//! (reuse needs a delta), so its freshly solved answers go to the combining
+//! handler owned: their atoms move into the combined answers, and nothing
+//! is left to drop on the critical path.
 //!
 //! A dirty partition is evaluated from scratch. For a stratified program
 //! that means its perfect model, bottom-up
@@ -60,7 +66,8 @@
 //! entries by [`program_fingerprint`]; the other two are kept for the
 //! measured surface only.
 
-use crate::config::{CombinePolicy, ReasonerConfig};
+use crate::combine::combine_parts;
+use crate::config::ReasonerConfig;
 use crate::exec::{ExecCtx, JobPanicked};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::{CacheCounters, FailureCounters};
@@ -71,6 +78,7 @@ use asp_core::{AnswerSet, AspError, FastMap, Predicate, Program, Symbols};
 use asp_solver::{SolveStats, SolverConfig};
 use sr_rdf::{Node, Triple};
 use sr_stream::Window;
+use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
@@ -435,11 +443,11 @@ impl IncrementalReasoner {
         };
 
         // Clean communities reuse their last answers; the rest are dirty.
-        let mut per_partition = {
+        let reused = {
             let _span = sr_obs::span(sr_obs::Stage::CacheLookup);
             self.reusable(window, parts.len())
         };
-        let dirty = per_partition.iter().filter(|p| p.is_none()).count();
+        let dirty = reused.iter().filter(|p| p.is_none()).count();
         let counters = &self.ctx.counters;
         counters.hits.fetch_add((parts.len() - dirty) as u64, Ordering::Relaxed);
         counters.misses.fetch_add(dirty as u64, Ordering::Relaxed);
@@ -447,7 +455,7 @@ impl IncrementalReasoner {
         let faults = self.config.faults.as_deref();
         let mut jobs: Vec<PartitionJob> = (self.communities.iter_mut().zip(parts))
             .enumerate()
-            .filter(|(i, _)| per_partition[*i].is_none())
+            .filter(|(i, _)| reused[*i].is_none())
             .map(|(i, (reasoner, idx))| PartitionJob {
                 window_id: window.id,
                 community: i,
@@ -463,29 +471,39 @@ impl IncrementalReasoner {
             .collect();
         let outcomes = self.ctx.fork_join(&mut jobs, |job| job.idx.len(), PartitionJob::run);
         let mut stats = SolveStats::default();
+        let mut fresh: Vec<Option<Vec<AnswerSet>>> = reused.iter().map(|_| None).collect();
         for (job, outcome) in jobs.iter_mut().zip(outcomes) {
             let (answers, s) = match outcome {
                 Ok(result) => result?,
                 Err(JobPanicked) => job.recover(&self.ctx.failures)?,
             };
             stats = merge_stats(stats, s);
-            per_partition[job.community] = Some(Arc::new(answers));
+            fresh[job.community] = Some(answers);
         }
 
-        let per_partition: Vec<Arc<Vec<AnswerSet>>> = per_partition
-            .into_iter()
-            .map(|p| p.expect("every partition is reused or freshly solved"))
-            .collect();
-        // Combine over borrowed slices: reused answers never leave the Arc.
-        let borrowed: Vec<&[AnswerSet]> = per_partition.iter().map(|p| p.as_slice()).collect();
-
-        // No cap: the whole product, as R returns all of its models.
-        let (answers, _) = {
-            let _span = sr_obs::span(sr_obs::Stage::Combine);
-            crate::combine::combine(&self.syms, &borrowed, CombinePolicy::Strict, usize::MAX)
-        };
+        const SOLVED: &str = "every partition is reused or freshly solved";
         let has_delta = window.delta.is_some();
-        self.last = (has_delta || self.last_had_delta).then_some((window.id, per_partition));
+        // No cap: the whole product, as R returns all of its models.
+        let answers = if has_delta || self.last_had_delta {
+            // Held for the next window: combine borrows from the Arcs.
+            let held: Vec<Arc<Vec<AnswerSet>>> = (reused.into_iter().zip(fresh))
+                .map(|(reused, fresh)| reused.unwrap_or_else(|| Arc::new(fresh.expect(SOLVED))))
+                .collect();
+            let parts = held.iter().map(|p| Cow::Borrowed(p.as_slice())).collect();
+            let answers = {
+                let _span = sr_obs::span(sr_obs::Stage::Combine);
+                combine_parts(&self.syms, parts, usize::MAX).0
+            };
+            self.last = Some((window.id, held));
+            answers
+        } else {
+            // Held for nothing, and reuse needs a delta, so every community
+            // was solved just now: combine moves its atoms.
+            self.last = None;
+            let parts = fresh.into_iter().map(|f| Cow::Owned(f.expect(SOLVED))).collect();
+            let _span = sr_obs::span(sr_obs::Stage::Combine);
+            combine_parts(&self.syms, parts, usize::MAX).0
+        };
         self.last_had_delta = has_delta;
 
         Ok(ReasonerOutput { answers, partition_sizes, solve_stats: stats })
@@ -702,6 +720,59 @@ mod tests {
         let snap = ir.ctx().counters.snapshot();
         assert_eq!((snap.hits, snap.misses), (2, 2), "the second window reuses both: {snap:?}");
         assert!(ir.last.is_some(), "a delta window is held");
+    }
+
+    #[test]
+    fn held_and_moved_windows_answer_as_r_and_reuse_only_what_was_held() {
+        let syms = Symbols::new();
+        let program = parse_program(&syms, PROGRAM_P).unwrap();
+        let mut r = SingleReasoner::new(&syms, &program, None, SolverConfig::default()).unwrap();
+        // w1 retracts the light (community 0), w2 adds a car reading
+        // (community 1), w5 retracts the light again on top of w4.
+        let mut items = motivating_items();
+        let light = items.remove(2);
+        let car = t("car2", "car_speed", Node::Int(5));
+        let mut with_car = items.clone();
+        with_car.push(car.clone());
+        let windows = [
+            Window::new(0, motivating_items()),
+            after(1, 0, items.clone(), vec![light.clone()]),
+            Window::new(2, with_car.clone()).with_delta(WindowDelta {
+                base_id: 1,
+                added: vec![car],
+                retracted: Vec::new(),
+            }),
+            Window::new(3, with_car),
+            Window::new(4, motivating_items()),
+            after(5, 4, items, vec![light]),
+        ];
+        let expected: Vec<Vec<String>> =
+            windows.iter().map(|w| render(&syms, &r.process(w).unwrap())).collect();
+        // Each sliding window after a held one reuses its clean community.
+        // A delta-less window is held only after a window with a delta (or
+        // as the stream's first), so w4 moves its answers out and w5, whose
+        // base w4 was not held, reuses nothing.
+        let hits = [0, 1, 1, 0, 0, 0];
+        let held = [true, true, true, true, false, true];
+        let configs = [
+            ReasonerConfig { mode: ParallelMode::Sequential, ..Default::default() },
+            ReasonerConfig { mode: ParallelMode::Threads, workers: 2, ..Default::default() },
+        ];
+        for config in configs {
+            let label = format!("{:?} with {} workers", config.mode, config.workers);
+            let partitioner: Arc<dyn Partitioner> =
+                Arc::new(PlanPartitioner::new(paper_plan(), UnknownPredicate::Partition0));
+            let mut pr =
+                IncrementalReasoner::new(&syms, &program, None, partitioner, config).unwrap();
+            for (k, w) in windows.iter().enumerate() {
+                let before = pr.ctx().counters.snapshot().hits;
+                let out = render(&syms, &pr.process(w).unwrap());
+                assert_eq!(out, expected[k], "{label}, window {k}");
+                let reused = pr.ctx().counters.snapshot().hits - before;
+                assert_eq!(reused, hits[k], "{label}: communities reused in window {k}");
+                assert_eq!(pr.last.is_some(), held[k], "{label}: window {k} held");
+            }
+        }
     }
 
     #[test]

@@ -23,13 +23,19 @@ the metric's bound and a verdict:
   and the medians are further apart than the parent's quartile spread;
 - `no_change` otherwise.
 
+Next to the verdict, `ratio` holds the median and quartiles of the per-pair
+`change / parent` ratios. Drift on the host that moves both sides of every
+pair alike widens each side's spread, but not the spread of these ratios.
+The ratios inform; the verdict alone follows the rule.
+
 The label is a PR number (`N`) or any other name, so an A/A record
 (`--parent X --change X --pr N_aa`) or a re-anchor's (`--pr reanchor_N`)
 sits beside the PR's own; the record's `pr` key holds the label, as an
 integer when it is one.
 
 `check` parses each named record and fails on a missing key; CI runs it on
-every committed `BENCH_*.json`.
+every committed `BENCH_*.json`. Records written before `ratio` existed have
+none, and pass; a record that has one must hold its three keys.
 """
 
 import argparse
@@ -48,6 +54,7 @@ TOP_KEYS = ["pr", "parent", "change", "nproc", "seed", "seconds", "pairs", "comm
 WORKLOAD_KEYS = ["correct", "failed", "metrics"]
 METRIC_KEYS = ["unit", "better", "bound", "parent", "change", "pairs_won", "verdict"]
 SIDE_KEYS = ["median", "q1", "q3", "runs"]
+RATIO_KEYS = ["median", "q1", "q3"]
 VERDICTS = {"gain", "loss", "no_change", "unresolved", "regressed"}
 
 
@@ -92,6 +99,15 @@ def quartiles(values):
 def side(values):
     q1, q3 = quartiles(values)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def ratios(parent, change):
+    """Median and quartiles of the per-pair `change / parent` ratios."""
+    values = [c / p for c, p in zip(change, parent) if p]
+    if not values:
+        return None
+    q1, q3 = quartiles(values)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def verdict(metric, parent, change, won, pairs):
@@ -144,7 +160,8 @@ def run(args):
             metrics[key] = {"unit": metric["unit"], "better": metric["better"],
                             "bound": metric["bound"], "parent": parent, "change": change,
                             "pairs_won": won,
-                            "verdict": verdict(metric, parent, change, won, args.pairs)}
+                            "verdict": verdict(metric, parent, change, won, args.pairs),
+                            "ratio": ratios(values["parent"], values["change"])}
         record["workloads"][workload] = {
             "correct": all(r["correct"] for n in runs for r in runs[n]),
             "failed": {n: [r["failed"] for r in runs[n]] for n in runs},
@@ -171,6 +188,8 @@ def check(paths):
                 need(metric, METRIC_KEYS, where)
                 need(metric["parent"], SIDE_KEYS, f"{where}.parent")
                 need(metric["change"], SIDE_KEYS, f"{where}.change")
+                if metric.get("ratio") is not None:
+                    need(metric["ratio"], RATIO_KEYS, f"{where}.ratio")
                 if metric["verdict"] not in VERDICTS:
                     sys.exit(f"{where}: unknown verdict {metric['verdict']!r}")
         print(f"{path}: ok")
