@@ -30,7 +30,10 @@
 //! several sets share are keyed, in one batch over those runs, and merged
 //! k ways. A set may be handed over owned
 //! ([`AnswerSet::union_parts`]); its atoms are then moved into the union,
-//! and a borrowed set's are cloned.
+//! and a borrowed set's are cloned. An atom holds up to two arguments
+//! inline ([`Args`](crate::Args)), so that clone is a copy of the atom's
+//! bytes and allocates nothing; only an atom with a function term or more
+//! than two arguments takes a heap box with it.
 
 use crate::atom::{GroundAtom, Predicate};
 #[cfg(test)]
@@ -695,7 +698,7 @@ mod tests {
         assert!(flat(atom(vec![])));
         assert!(flat(atom(vec![GroundTerm::Int(i64::MIN), c.clone()])));
         assert!(!flat(atom(vec![c.clone(), c.clone(), c.clone()])));
-        assert!(!flat(atom(vec![GroundTerm::Func(p, Box::new([]))])));
+        assert!(!flat(atom(vec![GroundTerm::Func(p, Box::default())])));
         let batch = [ints(&[7, -2]), atom(vec![c.clone()]), ints(&[3])];
         assert_eq!(survey(&batch), Survey { flat: true, covering: 2, ints: Some((-2, 7)) });
         assert_eq!(survey([]), Survey { flat: true, covering: 0, ints: None });
@@ -712,7 +715,7 @@ mod tests {
         assert!(matches!(Keys::new(&batch, &syms), Keys::Packed(_)));
         let wide = [ints(&[-(1 << 60)]), ints(&[1 << 60])];
         assert!(matches!(Keys::new(&wide, &syms), Keys::Words(_)));
-        let nested = [atom(vec![GroundTerm::Func(p, Box::new([GroundTerm::Int(1)]))])];
+        let nested = [atom(vec![GroundTerm::Func(p, Box::new(vec![GroundTerm::Int(1)]))])];
         assert!(matches!(Keys::new(&nested, &syms), Keys::Words(_)));
     }
 
@@ -729,10 +732,10 @@ mod tests {
             mixed("p", vec![GroundTerm::Int(20)]),
             mixed("p", vec![GroundTerm::Const(syms.intern("20"))]),
             mixed("p", vec![GroundTerm::Int(1), GroundTerm::Int(2)]),
-            mixed("p", vec![GroundTerm::Func(f, Box::new([GroundTerm::Int(1)]))]),
+            mixed("p", vec![GroundTerm::Func(f, Box::new(vec![GroundTerm::Int(1)]))]),
             mixed(
                 "p",
-                vec![GroundTerm::Func(f, Box::new([GroundTerm::Int(1), GroundTerm::Int(3)]))],
+                vec![GroundTerm::Func(f, Box::new(vec![GroundTerm::Int(1), GroundTerm::Int(3)]))],
             ),
             mixed("pq", vec![GroundTerm::Int(0)]),
             GroundAtom { strong_neg: true, ..mixed("p", vec![GroundTerm::Int(20)]) },
@@ -886,7 +889,7 @@ mod tests {
                 TermSpec::Const(c) => GroundTerm::Const(syms.intern(names[c % names.len()])),
                 TermSpec::Func(f, args) => GroundTerm::Func(
                     syms.intern(names[f % names.len()]),
-                    args.iter().map(|a| term(syms, names, a)).collect(),
+                    Box::new(args.iter().map(|a| term(syms, names, a)).collect()),
                 ),
             }
         }

@@ -3,6 +3,8 @@
 use crate::symbol::{Sym, Symbols};
 use crate::term::{ground_term_cmp, GroundTerm, Term};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// A predicate identified by name, arity and polarity.
 ///
@@ -112,16 +114,151 @@ impl fmt::Display for AtomDisplay<'_> {
     }
 }
 
+/// The arguments of a [`GroundAtom`]: up to two terms inline, longer lists
+/// in one heap box.
+///
+/// Every RDF fact has arity 1 or 2, and so has every atom of the paper's
+/// programs, so a fact is made, moved, cloned and dropped without the
+/// allocator. `Args` derefs to `[GroundTerm]`, and equality, hashing and
+/// `Debug` go through that slice: an `Args` hashes exactly as the
+/// `Box<[GroundTerm]>` it replaced, so no hash-map order, and no output
+/// built from one, depends on where the terms live.
+///
+/// **Layout.** The four cases share the 32 bytes of two inline terms: the
+/// tag values a [`GroundTerm`] never takes mark the empty, one-term and
+/// boxed cases, whose data sits after the first term's tag. That keeps a
+/// [`GroundAtom`] at 40 bytes, and needs the 16-byte term.
+#[derive(Clone)]
+pub struct Args(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Zero,
+    One(GroundTerm),
+    Two([GroundTerm; 2]),
+    /// Three terms or more; shorter lists are always inline.
+    Many(Box<[GroundTerm]>),
+}
+
+impl Args {
+    /// One inline term.
+    pub fn one(a: GroundTerm) -> Self {
+        Args(Repr::One(a))
+    }
+
+    /// Two inline terms.
+    pub fn two(a: GroundTerm, b: GroundTerm) -> Self {
+        Args(Repr::Two([a, b]))
+    }
+}
+
+impl Deref for Args {
+    type Target = [GroundTerm];
+
+    #[inline]
+    fn deref(&self) -> &[GroundTerm] {
+        match &self.0 {
+            Repr::Zero => &[],
+            Repr::One(a) => std::slice::from_ref(a),
+            Repr::Two(ab) => ab,
+            Repr::Many(all) => all,
+        }
+    }
+}
+
+impl DerefMut for Args {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [GroundTerm] {
+        match &mut self.0 {
+            Repr::Zero => &mut [],
+            Repr::One(a) => std::slice::from_mut(a),
+            Repr::Two(ab) => ab,
+            Repr::Many(all) => all,
+        }
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Args {}
+
+impl Hash for Args {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Args {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<Vec<GroundTerm>> for Args {
+    fn from(v: Vec<GroundTerm>) -> Self {
+        if v.len() > 2 {
+            Args(Repr::Many(v.into_boxed_slice()))
+        } else {
+            v.into_iter().collect()
+        }
+    }
+}
+
+impl From<Box<[GroundTerm]>> for Args {
+    fn from(b: Box<[GroundTerm]>) -> Self {
+        if b.len() > 2 {
+            Args(Repr::Many(b))
+        } else {
+            b.into_vec().into_iter().collect()
+        }
+    }
+}
+
+impl From<&[GroundTerm]> for Args {
+    fn from(s: &[GroundTerm]) -> Self {
+        if s.len() > 2 {
+            Args(Repr::Many(s.into()))
+        } else {
+            s.iter().cloned().collect()
+        }
+    }
+}
+
+impl FromIterator<GroundTerm> for Args {
+    /// Collects without a heap box when the iterator yields at most two
+    /// terms.
+    fn from_iter<I: IntoIterator<Item = GroundTerm>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(a) = iter.next() else { return Args(Repr::Zero) };
+        let Some(b) = iter.next() else { return Args::one(a) };
+        let Some(c) = iter.next() else { return Args::two(a, b) };
+        let mut all = Vec::with_capacity(3 + iter.size_hint().0);
+        all.extend([a, b, c]);
+        all.extend(iter);
+        Args(Repr::Many(all.into_boxed_slice()))
+    }
+}
+
 /// A ground atom `p(c1, ..., cn)`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct GroundAtom {
     /// Interned predicate name.
     pub pred: Sym,
-    /// Ground argument terms.
-    pub args: Box<[GroundTerm]>,
+    /// Ground argument terms, inline up to two (see [`Args`]).
+    pub args: Args,
     /// True for the strongly negated polarity.
     pub strong_neg: bool,
 }
+
+// Pinned on 64-bit targets: an atom is copied, not allocated, and its size
+// is what a window's facts and models weigh (40 bytes with the layout of
+// `Args`; 48 leaves room for a compiler that packs the enum less tightly).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<GroundAtom>() <= 48);
 
 impl GroundAtom {
     /// A positive ground atom.
@@ -196,6 +333,8 @@ impl fmt::Display for GroundAtomDisplay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol::FastHasher;
+    use proptest::prelude::*;
 
     #[test]
     fn predicate_identity_includes_arity_and_polarity() {
@@ -241,5 +380,82 @@ mod tests {
         assert_eq!(ground_atom_cmp(&syms, &a, &b), std::cmp::Ordering::Less);
         let a2 = GroundAtom::new(syms.intern("aa"), vec![GroundTerm::Int(2)]);
         assert_eq!(ground_atom_cmp(&syms, &a, &a2), std::cmp::Ordering::Less);
+    }
+
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = FastHasher::default();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    /// Constants, integers and compound terms nested up to two deep, over
+    /// small domains so that lists often repeat.
+    fn ground_term() -> impl Strategy<Value = GroundTerm> {
+        let leaf = prop_oneof![
+            (0u32..3).prop_map(|s| GroundTerm::Const(Sym(s))),
+            (-2i64..2).prop_map(GroundTerm::Int)
+        ];
+        leaf.prop_recursive(2, 12, 3, |inner| {
+            (0u32..2, prop::collection::vec(inner, 0..3))
+                .prop_map(|(f, args)| GroundTerm::Func(Sym(f), Box::new(args)))
+        })
+    }
+
+    fn checked_args(v: &[GroundTerm], other: &[GroundTerm]) -> Result<(), TestCaseError> {
+        let built = [
+            Args::from(v.to_vec()),
+            Args::from(v),
+            Args::from(v.to_vec().into_boxed_slice()),
+            v.iter().cloned().collect(),
+        ];
+        let twin = Args::from(other);
+        for args in &built {
+            prop_assert_eq!(&**args, v);
+            prop_assert_eq!(args.len(), v.len());
+            prop_assert_eq!(hash_of(args), hash_of(v));
+            prop_assert_eq!(args, &built[0]);
+            prop_assert_eq!(*args == twin, v == other);
+            prop_assert_eq!(format!("{args:?}"), format!("{v:?}"));
+            let atom = GroundAtom { pred: Sym(7), args: args.clone(), strong_neg: true };
+            prop_assert_eq!(hash_of(&atom), hash_of(&(Sym(7), v, true)));
+        }
+        for mut args in built {
+            let mut want = v.to_vec();
+            if let (Some(last), Some(w)) = (args.last_mut(), want.last_mut()) {
+                *last = GroundTerm::Int(99);
+                *w = GroundTerm::Int(99);
+            }
+            prop_assert_eq!(&*args, &want[..]);
+            prop_assert_eq!(hash_of(&args), hash_of(&want[..]));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lengths 0–4 cross the inline/boxed boundary between 2 and 3.
+        #[test]
+        fn args_behave_as_their_slice(
+            v in prop::collection::vec(ground_term(), 0..5),
+            w in prop::collection::vec(ground_term(), 0..5),
+            same in any::<bool>(),
+        ) {
+            let other = if same { v.clone() } else { w };
+            checked_args(&v, &other)?;
+        }
+    }
+
+    #[test]
+    fn args_at_the_inline_boundary() {
+        let f = GroundTerm::Func(Sym(0), Box::new(vec![GroundTerm::Int(1), GroundTerm::Int(2)]));
+        let terms = [GroundTerm::Int(1), GroundTerm::Const(Sym(2)), f];
+        for n in 0..=terms.len() {
+            checked_args(&terms[..n], &terms[..n]).unwrap();
+            checked_args(&terms[..n], &terms[..n.saturating_sub(1)]).unwrap();
+        }
+        assert_eq!(*Args::one(terms[0].clone()), terms[..1]);
+        assert_eq!(*Args::two(terms[0].clone(), terms[1].clone()), terms[..2]);
+        assert_eq!(*Args::from(vec![]), []);
     }
 }

@@ -19,7 +19,7 @@ pub mod symbol;
 pub mod term;
 
 pub use answer::AnswerSet;
-pub use atom::{ground_atom_cmp, Atom, GroundAtom, Predicate};
+pub use atom::{ground_atom_cmp, Args, Atom, GroundAtom, Predicate};
 pub use error::AspError;
 pub use ground::{AtomId, AtomTable, GroundProgram, GroundRule};
 pub use program::Program;

@@ -106,6 +106,15 @@ impl Term {
 }
 
 /// A fully evaluated term: arithmetic is already folded to integers.
+///
+/// **Layout.** A term is 16 bytes: a tag and a [`Sym`] share the first
+/// word, an `i64` or a pointer fills the second. `Func` holds its arguments
+/// behind a *thin* pointer (`Box<Vec<_>>`, one word) rather than a
+/// `Box<[_]>` (two words), which would make every term 24 bytes, and every
+/// [`GroundAtom`](crate::GroundAtom) with it, for the sake of compound
+/// terms that the stream workloads never build. A `Vec` orders and hashes
+/// as its slice, so the derived `Ord` and `Hash` are those of the boxed
+/// slice.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum GroundTerm {
     /// A symbolic constant.
@@ -113,8 +122,12 @@ pub enum GroundTerm {
     /// An integer.
     Int(i64),
     /// A compound term with ground arguments.
-    Func(Sym, Box<[GroundTerm]>),
+    Func(Sym, Box<Vec<GroundTerm>>),
 }
+
+// Pinned on 64-bit targets: a wider term widens every ground atom.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<GroundTerm>() == 16);
 
 impl GroundTerm {
     /// Lifts the ground term back into the non-ground [`Term`] space.
@@ -281,7 +294,7 @@ mod tests {
         assert_eq!(t.display(&syms).to_string(), "loc(X,3)");
         let g = GroundTerm::Func(
             syms.intern("loc"),
-            vec![GroundTerm::Const(syms.intern("dangan")), GroundTerm::Int(3)].into(),
+            Box::new(vec![GroundTerm::Const(syms.intern("dangan")), GroundTerm::Int(3)]),
         );
         assert_eq!(g.display(&syms).to_string(), "loc(dangan,3)");
     }

@@ -80,7 +80,7 @@ impl CTerm {
                 for a in args.iter() {
                     out.push(a.eval(subst)?);
                 }
-                Ok(GroundTerm::Func(*f, out.into()))
+                Ok(GroundTerm::Func(*f, Box::new(out)))
             }
             CTerm::BinOp(op, l, r) => {
                 let lv = l.eval(subst)?;

@@ -8,8 +8,8 @@ use crate::compile::{compare, compile_rule, make_plan, CAtom, CLit, CompiledRule
 use crate::relation::Relation;
 use crate::simplify::{finalize, ProtoRule};
 use asp_core::{
-    AspError, FastMap, FastSet, GroundAtom, GroundProgram, GroundTerm, Predicate, Program, Sym,
-    Symbols,
+    Args, AspError, FastMap, FastSet, GroundAtom, GroundProgram, GroundTerm, Predicate, Program,
+    Sym, Symbols,
 };
 use sr_graph::{scc_ids, DiGraph};
 use std::borrow::Cow;
@@ -329,7 +329,7 @@ struct Eval<'g> {
     proto: Vec<ProtoRule>,
     violated: bool,
     /// Instance dedup: (compiled rule index, full variable bindings).
-    seen: FastSet<(u32, Box<[GroundTerm]>)>,
+    seen: FastSet<(u32, Args)>,
     delta: FastMap<Predicate, (u32, u32)>,
     trail: Vec<u32>,
     /// The bound values of every `Match` step on the current plan path,
@@ -498,18 +498,15 @@ impl Eval<'_> {
             }
             return Ok(());
         }
-        let bindings: Box<[GroundTerm]> =
+        let bindings: Args =
             subst.iter().map(|s| s.clone().unwrap_or(GroundTerm::Int(i64::MIN))).collect();
         if !self.seen.insert((key, bindings)) {
             return Ok(());
         }
 
         let eval_atom = |a: &CAtom, subst: &[Option<GroundTerm>]| -> Result<GroundAtom, AspError> {
-            let mut args = Vec::with_capacity(a.args.len());
-            for t in a.args.iter() {
-                args.push(t.eval(subst)?);
-            }
-            Ok(GroundAtom { pred: a.pred.name, args: args.into(), strong_neg: a.pred.strong_neg })
+            let args = a.args.iter().map(|t| t.eval(subst)).collect::<Result<Args, _>>()?;
+            Ok(GroundAtom { pred: a.pred.name, args, strong_neg: a.pred.strong_neg })
         };
 
         let mut pos = Vec::new();
@@ -569,7 +566,7 @@ impl Eval<'_> {
         for sp in strong_preds {
             let twin = Predicate { strong_neg: false, ..sp };
             let Some(pos_rel) = self.relations.get(&twin) else { continue };
-            let tuples: Vec<Box<[GroundTerm]>> = self.relations[&sp]
+            let tuples: Vec<Args> = self.relations[&sp]
                 .tuples()
                 .iter()
                 .filter(|t| pos_rel.contains(t))

@@ -1,8 +1,10 @@
 //! Extensional storage for the ground tuples of one predicate, with lazily
 //! built binding-pattern indexes for the instantiation joins.
 //!
-//! **One copy per tuple.** A tuple's argument box is stored once, in
-//! insertion order, and its position is its id. Neither the membership test
+//! **One copy per tuple.** A tuple's arguments are stored once, in
+//! insertion order, inline in the tuple vector up to two terms (an
+//! [`Args`]; every RDF fact and every atom of the paper's programs), and
+//! its position is its id. Neither the membership test
 //! nor the binding-pattern indexes copy values: each maps a 64-bit hash of
 //! the (bound) values to a chain of tuple ids, and every hit is checked for
 //! equality against the stored tuple, so a hash collision costs a comparison,
@@ -12,7 +14,7 @@
 //! so CDCL's enumeration, depend on.
 
 use asp_core::symbol::FastHasher;
-use asp_core::{FastMap, GroundTerm};
+use asp_core::{Args, FastMap, GroundTerm};
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
@@ -84,7 +86,7 @@ fn key_hash<'a>(values: impl Iterator<Item = &'a GroundTerm>) -> u64 {
 /// repeated joins in the semi-naive fixpoint stay cheap.
 #[derive(Debug, Default)]
 pub(crate) struct Relation {
-    tuples: Vec<Box<[GroundTerm]>>,
+    tuples: Vec<Args>,
     /// Membership: chains keyed by the hash of the whole tuple.
     ids: HashIndex,
     /// One index per binding pattern probed so far (a handful at most).
@@ -117,18 +119,18 @@ impl Relation {
     }
 
     /// All tuples in insertion (id) order.
-    pub(crate) fn tuples(&self) -> &[Box<[GroundTerm]>] {
+    pub(crate) fn tuples(&self) -> &[Args] {
         &self.tuples
     }
 
     /// Consumes the relation, returning its tuples in insertion order.
-    pub(crate) fn into_tuples(self) -> Vec<Box<[GroundTerm]>> {
+    pub(crate) fn into_tuples(self) -> Vec<Args> {
         self.tuples
     }
 
-    /// Inserts a tuple, taking ownership of its box; returns its id if it
-    /// was new.
-    pub(crate) fn insert(&mut self, tuple: Box<[GroundTerm]>) -> Option<u32> {
+    /// Inserts a tuple, taking ownership of it; returns its id if it was
+    /// new.
+    pub(crate) fn insert(&mut self, tuple: Args) -> Option<u32> {
         let hash = key_hash(tuple.iter());
         if self.find(hash, &tuple) {
             return None;
@@ -136,8 +138,8 @@ impl Relation {
         Some(self.push(hash, tuple))
     }
 
-    /// Inserts a copy of `tuple` if it is new (the only case that
-    /// allocates); returns its id if so.
+    /// Inserts a copy of `tuple` if it is new (which allocates only for
+    /// more than two terms); returns its id if so.
     pub(crate) fn insert_slice(&mut self, tuple: &[GroundTerm]) -> Option<u32> {
         let hash = key_hash(tuple.iter());
         if self.find(hash, tuple) {
@@ -162,7 +164,7 @@ impl Relation {
         false
     }
 
-    fn push(&mut self, hash: u64, tuple: Box<[GroundTerm]>) -> u32 {
+    fn push(&mut self, hash: u64, tuple: Args) -> u32 {
         let id = u32::try_from(self.tuples.len()).ok().filter(|&id| id != END);
         let id = id.expect("relation overflow");
         self.ids.push(id, hash);
@@ -241,7 +243,7 @@ mod tests {
         pub(super) static COLLIDE: Cell<bool> = const { Cell::new(false) };
     }
 
-    fn t(vals: &[i64]) -> Box<[GroundTerm]> {
+    fn t(vals: &[i64]) -> Args {
         vals.iter().map(|&v| GroundTerm::Int(v)).collect()
     }
 

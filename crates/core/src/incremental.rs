@@ -407,7 +407,7 @@ impl IncrementalReasoner {
             let Some(routes) = self.partitioner.item_routes(item) else {
                 return reuse;
             };
-            for c in routes {
+            for &c in routes {
                 touched[c as usize] = true;
             }
         }
@@ -976,7 +976,7 @@ mod tests {
         fn partition(&self, _window: &Window) -> Vec<Vec<Triple>> {
             panic!("the reasoning path cloned the window's items")
         }
-        fn item_routes(&self, item: &Triple) -> Option<Vec<u32>> {
+        fn item_routes(&self, item: &Triple) -> Option<&[u32]> {
             self.0.item_routes(item)
         }
     }

@@ -35,10 +35,13 @@ pub trait Partitioner: Send + Sync {
     /// context (e.g. the window-id-seeded random baseline). When `Some`, the
     /// routes must agree exactly with [`Partitioner::route`].
     ///
+    /// The routes are borrowed from the partitioner, so routing an item
+    /// allocates nothing.
+    ///
     /// The [`IncrementalReasoner`](crate::incremental::IncrementalReasoner)
     /// routes each window's delta through it to find the communities a
     /// slide touched; `None` makes every community dirty in every window.
-    fn item_routes(&self, _item: &Triple) -> Option<Vec<u32>> {
+    fn item_routes(&self, _item: &Triple) -> Option<&[u32]> {
         None
     }
 }
@@ -114,10 +117,10 @@ impl Partitioner for PlanPartitioner {
         parts
     }
 
-    fn item_routes(&self, item: &Triple) -> Option<Vec<u32>> {
+    fn item_routes(&self, item: &Triple) -> Option<&[u32]> {
         // Routing is by predicate, so it never depends on the window: the
-        // exact per-item form of `route` above.
-        Some(self.plan.communities_of(item.predicate_name()).unwrap_or(&[0]).to_vec())
+        // exact per-item form of `route` above, borrowed from the plan.
+        Some(self.plan.communities_of(item.predicate_name()).unwrap_or(&[0]))
     }
 }
 
@@ -261,7 +264,7 @@ mod tests {
         let parts = p.partition(&w);
         let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); p.partitions()];
         for item in &w.items {
-            for r in p.item_routes(item).expect("plan routing is content-based") {
+            for &r in p.item_routes(item).expect("plan routing is content-based") {
                 routed[r as usize].push(item.clone());
             }
         }

@@ -51,7 +51,7 @@ fn a_sliding_window_traces_the_caller_stages_and_each_dirty_partition() {
     // Slide: retract the traffic light. Only the communities it routes to
     // are dirty; the rest are reused.
     let light = items.remove(2);
-    let dirty: Vec<u32> = partitioner.item_routes(&light).expect("content-routed plan");
+    let dirty: &[u32] = partitioner.item_routes(&light).expect("content-routed plan");
     assert!(dirty.len() < partitioner.partitions(), "the slide leaves a community clean");
     let window = Window::new(1, items).with_delta(WindowDelta {
         base_id: 0,

@@ -22,7 +22,7 @@
 
 use crate::model::{local_name, Node, Triple};
 use asp_core::{
-    AspError, FastMap, FastSet, GroundAtom, GroundTerm, Predicate, Program, Sym, Symbols,
+    Args, AspError, FastMap, FastSet, GroundAtom, GroundTerm, Predicate, Program, Sym, Symbols,
 };
 use std::sync::Arc;
 
@@ -135,10 +135,10 @@ impl FormatProcessor {
         };
         let subject = self.node_to_term(&t.s);
         if self.unary.contains(&pred) {
-            GroundAtom { pred, args: vec![subject].into(), strong_neg: false }
+            GroundAtom { pred, args: Args::one(subject), strong_neg: false }
         } else {
             let object = self.node_to_term(&t.o);
-            GroundAtom { pred, args: vec![subject, object].into(), strong_neg: false }
+            GroundAtom { pred, args: Args::two(subject, object), strong_neg: false }
         }
     }
 

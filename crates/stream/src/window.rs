@@ -40,21 +40,21 @@ impl WindowDelta {
     ///
     /// Kept for the measured surface: the benchmark's layer replay times it.
     /// No reasoner consumes projected deltas.
-    pub fn project(
+    pub fn project<R: AsRef<[u32]>>(
         &self,
         partitions: usize,
-        mut route: impl FnMut(&Triple) -> Vec<u32>,
+        mut route: impl FnMut(&Triple) -> R,
     ) -> Vec<WindowDelta> {
         let mut out: Vec<WindowDelta> = (0..partitions)
             .map(|_| WindowDelta { base_id: self.base_id, ..Default::default() })
             .collect();
         for item in &self.added {
-            for r in route(item) {
+            for &r in route(item).as_ref() {
                 out[r as usize].added.push(item.clone());
             }
         }
         for item in &self.retracted {
-            for r in route(item) {
+            for &r in route(item).as_ref() {
                 out[r as usize].retracted.push(item.clone());
             }
         }
